@@ -435,73 +435,7 @@ def test_shm_collectives_speedup(report):
         assert speedup >= 0.8, f"shm collectives regressed: {speedup:.2f}x"
 
 
-# -- 6. PNG codec pool ----------------------------------------------------------
-
-
-def test_codec_pool_speedup(report):
-    """Serial encoder vs the persistent process codec pool, level 6.
-
-    The thread codec is bounded by the GIL held during filtering and the
-    zlib dispatch loop; the process pool deflates bands truly concurrently
-    (bands staged through one shared-memory segment).  Thread and process
-    codecs band identically, so their output must be byte-identical; the
-    2x target needs real cores and is gated on >= 4 CPUs.
-    """
-    frame = _frame_2048()
-    level = 6
-    serial_blob = encode_png(frame, level, codec="serial")
-    thread_blob = encode_png(frame, level, workers=PNG_WORKERS, codec="thread")
-    process_blob = encode_png(frame, level, workers=PNG_WORKERS, codec="process")
-    assert thread_blob == process_blob
-    assert np.array_equal(decode_png(process_blob), decode_png(serial_blob))
-
-    t_serial = _best_of(lambda: encode_png(frame, level, codec="serial"), 3)
-    t_thread = _best_of(
-        lambda: encode_png(frame, level, workers=PNG_WORKERS, codec="thread"), 3
-    )
-    # The pool is warm (created by the byte-identity check above), so this
-    # times steady-state encodes, not executor spawn.
-    t_process = _best_of(
-        lambda: encode_png(frame, level, workers=PNG_WORKERS, codec="process"), 3
-    )
-
-    cpus = _cpus()
-    speedup = t_serial / t_process
-    _record(
-        "codec_pool",
-        {
-            "image": [2048, 2048, 3],
-            "compression_level": level,
-            "workers": PNG_WORKERS,
-            "serial_s": t_serial,
-            "thread_s": t_thread,
-            "process_s": t_process,
-            "speedup": speedup,
-            "thread_speedup": t_serial / t_thread,
-            "target_speedup": 2.0,
-            "target_gated_on_cpus": 4,
-        },
-    )
-    report(
-        "perf_codec_pool",
-        f"PNG 2048x2048 RGB level {level}, {PNG_WORKERS} workers ({cpus} CPUs)",
-        [
-            f"serial:       {t_serial * 1e3:8.1f} ms",
-            f"thread codec: {t_thread * 1e3:8.1f} ms  ({t_serial / t_thread:.2f}x)",
-            f"process pool: {t_process * 1e3:8.1f} ms  ({speedup:.2f}x)",
-        ],
-    )
-    if cpus >= 4:
-        assert speedup >= 2.0, f"codec pool {speedup:.2f}x below 2x target"
-    elif cpus >= 2:
-        assert speedup >= 1.1, f"codec pool {speedup:.2f}x on {cpus} CPUs"
-    else:
-        # Single CPU: band staging + IPC overhead with zero concurrency to
-        # recover it; bound the overhead only.
-        assert speedup >= 0.3, f"codec pool overhead too high: {speedup:.2f}x"
-
-
-# -- 7. nbody particle step throughput ----------------------------------------
+# -- 6. nbody particle step throughput ----------------------------------------
 
 
 def test_nbody_step_throughput(report):

@@ -12,22 +12,10 @@ tooling, and ``--format sarif`` (SARIF 2.1.0 with code flows) for CI
 upload.  Exit status is 0 when clean, 1 when findings are reported, 2 on
 usage/IO errors.
 
-Suppressions, two layers:
+Suppression: a ``# analyze: allow(rule-id)`` pragma on the flagged line or
+the line above it waives a rule at one site::
 
-- **pragmas** on the flagged line or the line above it waive a rule at
-  one site; both the historical ``# lint: allow(rule-id)`` spelling and
-  ``# analyze: allow(rule-id)`` are honored::
-
-      comm.gather(None, root=root)  # lint: allow(collective-in-rank-branch)
-
-- a **baseline file** (``analyze-baseline.json``, auto-loaded from the
-  working directory) records documented false positives as
-  ``{path, rule, line, reason}`` entries; matching findings are
-  suppressed so the shipped tree analyzes clean while every suppression
-  stays reviewable in one place.
-
-The historical ``repro.lint`` entry point still works: it is an alias
-that runs exactly the five PR 2 contract rules through this engine.
+    comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
 """
 
 from __future__ import annotations
@@ -38,7 +26,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analyze.checkers import ALL_CHECKERS, RULE_CATALOG, checker_emits
@@ -50,16 +37,12 @@ __all__ = [
     "analyze_source",
     "analyze_file",
     "analyze_paths",
-    "load_baseline",
-    "apply_baseline",
     "main",
     "ALL_CHECKERS",
     "RULE_CATALOG",
 ]
 
-DEFAULT_BASELINE = "analyze-baseline.json"
-
-_PRAGMA_RE = re.compile(r"#\s*(?:lint|analyze):\s*allow\(([a-z0-9_,\s-]+)\)")
+_PRAGMA_RE = re.compile(r"#\s*analyze:\s*allow\(([a-z0-9_,\s-]+)\)")
 
 
 def _waivers(source: str) -> dict[int, frozenset[str]]:
@@ -161,47 +144,6 @@ def analyze_paths(
 
 
 # --------------------------------------------------------------------------
-# Baseline
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    path: str
-    rule: str
-    line: int
-    reason: str
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.path, self.rule, self.line)
-
-
-def load_baseline(path: str) -> list[BaselineEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = []
-    for raw in data.get("entries", []):
-        entries.append(
-            BaselineEntry(
-                path=normalize_path(str(raw["path"])),
-                rule=str(raw["rule"]),
-                line=int(raw["line"]),
-                reason=str(raw.get("reason", "")),
-            )
-        )
-    return entries
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Sequence[BaselineEntry]
-) -> tuple[list[Finding], int]:
-    """Drop baselined findings; returns (kept, suppressed count)."""
-    keys = {e.key() for e in baseline}
-    kept = [f for f in findings if f.location_key() not in keys]
-    return kept, len(findings) - len(kept)
-
-
-# --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------
 
@@ -240,13 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--output", help="write the report to this file instead of stdout")
     parser.add_argument(
-        "--baseline",
-        help=f"baseline file of documented suppressions (default: ./{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    parser.add_argument(
         "--rules", help="comma-separated rule ids to run (default: all)"
     )
     parser.add_argument(
@@ -274,19 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    baseline: list[BaselineEntry] = []
-    if not args.no_baseline:
-        baseline_path = args.baseline or (
-            DEFAULT_BASELINE if os.path.exists(DEFAULT_BASELINE) else None
-        )
-        if baseline_path is not None:
-            if not os.path.exists(baseline_path):
-                print(f"error: no such baseline file: {baseline_path}", file=sys.stderr)
-                return 2
-            baseline = load_baseline(baseline_path)
-
     findings = analyze_paths(paths, rules=rules)
-    findings, suppressed = apply_baseline(findings, baseline)
 
     if args.format == "sarif":
         report = sarif_json(findings)
@@ -301,13 +224,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             lines.append(
                 f"{len(findings)} finding(s) ({nerr} error(s), {nwarn} warning(s)) "
                 f"in {nfiles} file(s)"
-                + (f"; {suppressed} baselined" if suppressed else "")
             )
         else:
-            lines.append(
-                f"clean: {nfiles} file(s), {len(RULE_CATALOG)} rules"
-                + (f"; {suppressed} baselined" if suppressed else "")
-            )
+            lines.append(f"clean: {nfiles} file(s), {len(RULE_CATALOG)} rules")
         report = "\n".join(lines)
 
     if args.output:

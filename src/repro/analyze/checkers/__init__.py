@@ -1,10 +1,9 @@
 """Checker registry: every rule the analyzer knows about.
 
-Three families plus the inherited PR 2 contract rules:
+Three path-sensitive families plus the syntactic contract rules:
 
-- :mod:`repro.analyze.checkers.contracts` -- the five syntactic rules the
-  old ``repro.lint`` shipped (ported verbatim; ``repro.lint`` now runs
-  exactly these through this engine);
+- :mod:`repro.analyze.checkers.contracts` -- the five single-pass
+  repo-contract rules;
 - :mod:`repro.analyze.checkers.collectives` -- path-sensitive collective
   sequence matching over the CFG;
 - :mod:`repro.analyze.checkers.typestate` -- resource state machines

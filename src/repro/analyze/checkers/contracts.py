@@ -1,11 +1,8 @@
-"""The repo-contract rules inherited from the PR 2 linter.
+"""The five syntactic repo-contract rules (``--rules`` selects them by id).
 
-These five rules are syntactic (single-pass over the AST) and are kept
-bug-for-bug compatible with the original ``repro.lint`` engine --
-:mod:`repro.lint` is now a thin alias that runs exactly these checkers, so
-existing ``# lint: allow(rule-id)`` pragmas and the historical messages
-keep working.  The deeper, path-sensitive families (collective matching,
-resource typestate, fork safety) live in the sibling checker modules.
+Each is a single pass over the AST.  The deeper, path-sensitive families
+(collective matching, resource typestate, fork safety) live in the sibling
+checker modules.
 
 Rule catalogue:
 
@@ -36,7 +33,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.analyze.callgraph import COLLECTIVE_NAMES, is_collective_call, receiver_name
+from repro.analyze.callgraph import is_collective_call, receiver_name
 from repro.analyze.model import Checker, Finding, ModuleModel
 
 __all__ = ["Rule", "ALL_RULES", "CONTRACT_CHECKERS", "ContractChecker"]
@@ -57,12 +54,6 @@ class Rule:
 # collective-in-rank-branch
 # --------------------------------------------------------------------------
 
-#: Re-exported for compatibility with the PR 2 rules module.
-_COLLECTIVE_NAMES = COLLECTIVE_NAMES
-
-_receiver_name = receiver_name
-_is_collective_call = is_collective_call
-
 
 def _mentions_rank(test: ast.expr) -> bool:
     for node in ast.walk(test):
@@ -80,7 +71,7 @@ def _check_collective_in_rank_branch(
         if not (isinstance(node, ast.If) and _mentions_rank(node.test)):
             continue
         for sub in ast.walk(node):
-            if sub is node.test or not _is_collective_call(sub):
+            if sub is node.test or not is_collective_call(sub):
                 continue
             # Skip calls that live in the test expression itself.
             assert isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
@@ -170,7 +161,7 @@ def _is_memory_call(node: ast.AST, attr: str) -> bool:
         return False
     if node.func.attr != attr:
         return False
-    recv = _receiver_name(node.func.value)
+    recv = receiver_name(node.func.value)
     return recv is not None and "mem" in recv.lower()
 
 
@@ -292,7 +283,7 @@ ALL_RULES: tuple[Rule, ...] = (
 
 
 class ContractChecker(Checker):
-    """Adapter running one PR 2 :class:`Rule` on the checker framework."""
+    """Adapter running one :class:`Rule` on the checker framework."""
 
     def __init__(self, rule: Rule):
         self.rule = rule

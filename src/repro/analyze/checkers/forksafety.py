@@ -1,9 +1,9 @@
 """Fork- and pickle-safety checkers for the process-parallel transports.
 
 The PR 5/6 runtimes mix three concurrency regimes -- ``threading`` for
-drainers and tile workers, fork-based ``ProcessPoolExecutor``/
-``multiprocessing.Process`` for the codec pool and SPMD backend, and
-pickled messages over the in-memory/shm transports.  Two hazards follow:
+drainers and tile workers, fork-based ``multiprocessing.Process`` for the
+SPMD backend, and pickled messages over the in-memory/shm transports.  Two
+hazards follow:
 
 ``thread-before-fork``
     A fork taken while the parent already created threads (or locks)

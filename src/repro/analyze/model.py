@@ -48,9 +48,6 @@ class Finding:
             text += f"\n    path: {' -> '.join(self.witness)}"
         return text
 
-    def location_key(self) -> tuple[str, str, int]:
-        return (self.path, self.rule_id, self.line)
-
 
 @dataclass
 class FunctionUnit:

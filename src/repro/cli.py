@@ -6,8 +6,7 @@
     python -m repro run fig10         # one experiment's rows
     python -m repro run all           # everything
     python -m repro run table1 fig17  # a subset
-    python -m repro lint src/         # legacy repo-contract linter (5 rules)
-    python -m repro analyze src/      # full CFG/dataflow static analyzer
+    python -m repro analyze src/      # CFG/dataflow static analyzer
     python -m repro chaos --seed 42   # seeded fault-injection harness
     python -m repro nbody --ranks 2   # particle miniapp through all 4 infras
     python -m repro control --seed 7  # online-autotuning closed-loop demo
@@ -42,19 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         help="experiment names (see 'list'), or 'all'",
-    )
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "run the legacy repo-contract linter (five PR 2 rules; alias "
-            "over repro.analyze)"
-        ),
-    )
-    lint.add_argument(
-        "paths", nargs="*", help="files or directories (default: src/)"
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list rule ids and exit"
     )
     analyze = sub.add_parser(
         "analyze",
@@ -624,12 +610,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return analyze_main(argv[1:])
     args = _build_parser().parse_args(argv)
-    if args.command == "lint":
-        from repro.lint import main as lint_main
-
-        return lint_main(
-            (["--list-rules"] if args.list_rules else []) + list(args.paths)
-        )
     if args.command == "report":
         return _report_main(args)
     if args.command == "chaos":

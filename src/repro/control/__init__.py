@@ -12,7 +12,7 @@ controller that *acts* on the gap between the two while the run is live:
   :class:`~repro.perf.control_model.ControlModel`, maintains a believed
   staging-fabric derate, and re-plans between steps: switching in-transit
   FlexPath <-> in-line Catalyst, resizing aggregator fan-in, PNG
-  workers/codec, and framebuffer pool depth.  Writer groups adopt
+  workers, and framebuffer pool depth.  Writer groups adopt
   configurations by the same ``allreduce(MIN)`` lockstep consensus the
   staging transport uses for degradation;
 - :mod:`journal` -- every decision is a pure function of (observed spans,

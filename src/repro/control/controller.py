@@ -6,7 +6,7 @@ perf package *predicts* per-configuration step costs, the trace package
 user-declared :class:`SLO` against both, maintains a believed staging-fabric
 derate from observations, and re-plans the running configuration between
 simulation steps -- switching in-transit FlexPath <-> in-line Catalyst,
-resizing aggregator fan-in, PNG workers/codec, and framebuffer pool depth.
+resizing aggregator fan-in, PNG workers, and framebuffer pool depth.
 
 Determinism contract
 --------------------

@@ -206,7 +206,6 @@ def run_chaos(
             ctrl.register_actuator(
                 lambda old, new: fallback.reconfigure(
                     png_workers=new.png_workers,
-                    png_codec=new.png_codec,
                     framebuffer_depth=new.framebuffer_depth,
                 )
             )

@@ -242,10 +242,13 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         rec = self.timers.trace if self.timers is not None else None
         if rec is not None:
             rec.count("adios::bytes_copied", staged.nbytes)
-        if self.memory is not None:
-            self.memory.allocate(staged.nbytes, label="adios::staging")
-        self.world.send(staged, dest=self.endpoint_world_rank, tag=_TAG_DATA)
-        if self.memory is not None:
+        if self.memory is None:
+            self.world.send(staged, dest=self.endpoint_world_rank, tag=_TAG_DATA)
+            return
+        self.memory.allocate(staged.nbytes, label="adios::staging")
+        try:
+            self.world.send(staged, dest=self.endpoint_world_rank, tag=_TAG_DATA)
+        finally:
             self.memory.free(staged.nbytes, label="adios::staging")
 
     def _execute_resilient(self, data: DataAdaptor, mesh: ImageData) -> bool:

@@ -70,7 +70,6 @@ def _make_catalyst(config) -> "CatalystAdaptor":
         compression_level=config.get_int("compression_level", 6),
         frequency=config.get_int("frequency", 1),
         png_workers=config.get_int("png_workers", 0),
-        png_codec=config.get("png_codec", "auto"),
         framebuffer_pool=config.get_bool("framebuffer_pool", False),
     )
 
@@ -85,11 +84,9 @@ class CatalystAdaptor(AnalysisAdaptor):
     are kept on ``last_png`` so callers (and tests) can consume them.
 
     Two hot-path knobs ablate the paper's serial-rank-0 bottlenecks:
-    ``png_workers > 0`` switches rank 0 to the parallel chunked PNG deflate
-    (``png_codec`` picks the executor: ``auto``/``thread``/``process``/
-    ``serial``, where ``process`` is the GIL-free persistent codec pool),
-    and ``framebuffer_pool=True`` reuses framebuffers across steps instead
-    of allocating fresh RGB/alpha triples every frame.
+    ``png_workers > 0`` switches rank 0 to the thread-banded chunked PNG
+    deflate, and ``framebuffer_pool=True`` reuses framebuffers across steps
+    instead of allocating fresh RGB/alpha triples every frame.
     """
 
     def __init__(
@@ -103,7 +100,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         compression_level: int = 6,
         frequency: int = 1,
         png_workers: int = 0,
-        png_codec: str = "auto",
         framebuffer_pool: bool = False,
     ) -> None:
         super().__init__()
@@ -126,9 +122,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         if png_workers < 0:
             raise ValueError("png_workers must be non-negative")
         self.png_workers = png_workers
-        if png_codec not in ("auto", "thread", "process", "serial"):
-            raise ValueError(f"unknown png_codec {png_codec!r}")
-        self.png_codec = png_codec
         self._use_pool = framebuffer_pool
         self._pool: FramebufferPool | None = None
         self._comm = None
@@ -151,13 +144,12 @@ class CatalystAdaptor(AnalysisAdaptor):
     def reconfigure(
         self,
         png_workers: int | None = None,
-        png_codec: str | None = None,
         framebuffer_depth: int | None = None,
     ) -> dict:
         """Apply autotuning knob changes between steps.
 
         This is the actuator surface the online controller drives: PNG
-        worker count and codec take effect at the next encode;
+        worker count takes effect at the next encode;
         ``framebuffer_depth`` retunes (or creates/drains) the framebuffer
         pool's free-list depth.  Only safe between ``execute()`` calls --
         the controller runs at step boundaries by construction.  Returns
@@ -169,11 +161,6 @@ class CatalystAdaptor(AnalysisAdaptor):
                 raise ValueError("png_workers must be non-negative")
             self.png_workers = int(png_workers)
             applied["png_workers"] = self.png_workers
-        if png_codec is not None:
-            if png_codec not in ("auto", "thread", "process", "serial"):
-                raise ValueError(f"unknown png_codec {png_codec!r}")
-            self.png_codec = png_codec
-            applied["png_codec"] = png_codec
         if framebuffer_depth is not None:
             depth = int(framebuffer_depth)
             if depth < 0:
@@ -286,10 +273,7 @@ class CatalystAdaptor(AnalysisAdaptor):
             # bottleneck), parallel chunked deflate when png_workers > 0.
             with timed(self.timers, "catalyst::png"):
                 blob = encode_png(
-                    final.rgb,
-                    self.compression_level,
-                    workers=self.png_workers,
-                    codec=self.png_codec,
+                    final.rgb, self.compression_level, workers=self.png_workers
                 )
             self.last_png = blob
             rec = self.timers.trace if self.timers is not None else None

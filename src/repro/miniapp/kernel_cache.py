@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import accel
 from repro.miniapp.oscillator import Oscillator
 from repro.util.memory import MemoryTracker
 
@@ -117,15 +116,14 @@ class FieldKernelCache:
         """Fill flat ``out`` with the summed convolved field at time ``t``.
 
         ``out`` must be a contiguous float64 view of length ``n_points``
-        (e.g. ``field.reshape(-1)``); no temporaries are allocated.  The
-        matvec dispatches through :mod:`repro.accel` (numba tier when
-        available, BLAS otherwise; equivalent to rtol 1e-12).
+        (e.g. ``field.reshape(-1)``); no temporaries are allocated.
         """
         if out.shape != (self.n_points,):
             raise ValueError(
                 f"out must be flat with {self.n_points} points, got {out.shape}"
             )
-        return accel.matvec_into(self.basis, self.time_values(t), out)
+        np.dot(self.basis, self.time_values(t), out=out)
+        return out
 
     def evaluate(self, t: float) -> np.ndarray:
         """Allocating convenience wrapper around :meth:`evaluate_into`."""

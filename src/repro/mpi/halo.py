@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import accel
 from repro.mpi.communicator import Communicator
 from repro.util.decomp import Extent, regular_decompose_3d
 
@@ -149,12 +148,10 @@ class HaloExchanger:
     def _sendrecv(self, dest: int | None, source: int | None, payload, tag: int):
         """Sendrecv tolerating absent (non-periodic edge) partners.
 
-        Face views are strided; they are packed contiguous before the send
-        (:func:`repro.accel.pack_contiguous` -- the jitted gather when the
-        numba tier is on, ``np.ascontiguousarray`` otherwise).
+        Face views are strided; they are packed contiguous before the send.
         """
         if dest is not None:
-            self.comm.send(accel.pack_contiguous(payload), dest=dest, tag=tag)
+            self.comm.send(np.ascontiguousarray(payload), dest=dest, tag=tag)
         if source is not None:
             return self.comm.recv(source=source, tag=tag)
         return None

@@ -16,8 +16,8 @@ paper prices:
 - ``ranks_per_aggregator`` -- the GLEAN many-to-few fan-in, which sets both
   the aggregated-write metadata/forwarding trade (Table 1) and the staging
   endpoints' ingest fan-in;
-- ``png_workers`` / ``png_codec`` -- the Table 2 serial-zlib bottleneck and
-  its parallel-deflate mitigation;
+- ``png_workers`` -- the Table 2 serial-zlib bottleneck and its
+  parallel-deflate mitigation;
 - ``framebuffer_depth`` -- the framebuffer pool's memory-for-time trade
   (the Fig. 4/7 footprint axis).
 
@@ -69,7 +69,6 @@ class ControlConfig:
 
     placement: str = "in-transit"
     png_workers: int = 0
-    png_codec: str = "auto"
     framebuffer_depth: int = 2
     ranks_per_aggregator: int = 64
 
@@ -78,8 +77,6 @@ class ControlConfig:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.png_workers < 0:
             raise ValueError("png_workers must be non-negative")
-        if self.png_codec not in ("auto", "thread", "process", "serial"):
-            raise ValueError(f"unknown png_codec {self.png_codec!r}")
         if self.framebuffer_depth < 0:
             raise ValueError("framebuffer_depth must be non-negative")
         if self.ranks_per_aggregator < 1:
@@ -90,7 +87,6 @@ class ControlConfig:
         return {
             "placement": self.placement,
             "png_workers": self.png_workers,
-            "png_codec": self.png_codec,
             "framebuffer_depth": self.framebuffer_depth,
             "ranks_per_aggregator": self.ranks_per_aggregator,
         }
@@ -149,14 +145,14 @@ class ControlModel:
     # -- cost pieces -------------------------------------------------------
     def _inline_analysis(self, knobs: ControlConfig) -> float:
         """Catalyst-slice analysis cost under the image-pipeline knobs."""
-        key = (knobs.png_workers, knobs.png_codec, knobs.framebuffer_depth)
+        key = (knobs.png_workers, knobs.framebuffer_depth)
         cached = self._inline_cache.get(key)
         if cached is not None:
             return cached
         b = self.model.catalyst_slice()
         png = b.extra["png"]
         rest = b.analysis_per_step - png
-        if knobs.png_workers > 0 and knobs.png_codec != "serial":
+        if knobs.png_workers > 0:
             png = (
                 png / (knobs.png_workers * PNG_PARALLEL_EFFICIENCY)
                 + knobs.png_workers * PNG_DISPATCH_COST
@@ -238,7 +234,6 @@ class ControlModel:
                             ControlConfig(
                                 placement=placement,
                                 png_workers=workers,
-                                png_codec="auto",
                                 framebuffer_depth=depth,
                                 ranks_per_aggregator=rpa,
                             )

@@ -32,7 +32,7 @@ from repro.render.compositing import (
     composite_over_into,
     direct_send,
 )
-from repro.render.png import encode_png, decode_png, resolve_codec
+from repro.render.png import encode_png, decode_png
 from repro.render.isosurface import marching_tetrahedra
 
 __all__ = [
@@ -51,6 +51,5 @@ __all__ = [
     "FramebufferPool",
     "encode_png",
     "decode_png",
-    "resolve_codec",
     "marching_tetrahedra",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import accel
 from repro.render.rasterize import RenderedImage, blank_image
 from repro.util.memory import MemoryTracker
 
@@ -69,14 +68,6 @@ def composite_over_into(
         out = back
     if out.shape != front.shape or (out.depth is None) != (front.depth is None):
         raise ValueError("out must match the composited images' shape and depth")
-    # Numba tier (byte-identical fused per-pixel pass, no mask temporary);
-    # returns False when inactive and the reference path below runs.
-    if accel.composite_into(
-        out.rgb, out.alpha, out.depth,
-        front.rgb, front.alpha, front.depth,
-        back.rgb, back.alpha, back.depth,
-    ):
-        return out
     if front.depth is not None:
         take_front = front.depth <= back.depth
     else:
@@ -279,7 +270,7 @@ def binary_swap(
         # Folded ranks still participate in the final gather collective --
         # every rank reaches this gather (active ranks call it after the
         # exchange rounds below), so the branch is not divergent.
-        comm.gather(None, root=root)  # lint: allow(collective-in-rank-branch)
+        comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
         return None
 
     # log2(active) rounds of half exchanges, pairing ADJACENT ranks first

@@ -13,30 +13,10 @@ with the 32 KiB of raw data preceding the band, so back-references across
 band boundaries resolve exactly as they would in a serial stream and any
 standard inflater decodes the result.
 
-Two parallel codecs share that banding, selected by ``codec``:
-
-- ``"thread"``: bands compress on a :class:`ThreadPoolExecutor`.  zlib
-  releases the GIL *inside* ``compress()``, but the per-band Python
-  bookkeeping (slicing, dict priming, stitching) still serializes --
-  which is exactly the red ``png_parallel_deflate`` benchmark.
-- ``"process"``: bands compress on a persistent
-  :class:`ProcessPoolExecutor` codec pool, fully off the GIL.  The raw
-  scanline buffer ships to the workers through a named shared-memory
-  segment (the same shm layer the process SPMD backend uses) so no band
-  bytes are pickled; each worker attaches, deflates its zdict-primed
-  band, and returns only the compressed bytes.  The pool persists across
-  encodes (fork/spawn cost is amortized; a forked child never reuses the
-  parent's pool), while the staging segment is created and unlinked per
-  encode so nothing survives in ``/dev/shm``.
-- ``"auto"`` (default): ``"process"`` for raw buffers of at least
-  :data:`_PROCESS_MIN_BYTES` on hosts with at least
-  :data:`_PROCESS_MIN_CPUS` usable CPUs, ``"thread"`` otherwise -- small
-  images never pay process-pool dispatch, and core-starved hosts (where
-  the pool measured *slower* than serial) never fork a pool at all.  The
-  resolution rule is exposed as :func:`resolve_codec`.
-
-Band compression is deterministic, so both codecs produce *byte-identical*
-streams for the same (image, level, workers, chunk_rows); the serial
+Bands compress on a :class:`ThreadPoolExecutor`: zlib releases the GIL
+inside ``compress()``, the per-band Python bookkeeping (slicing, dict
+priming, stitching) does not.  Band compression is deterministic, so the
+stream depends only on (image, level, workers, chunk_rows); the serial
 (``workers=0``) single-stream output is byte-different but decodes to the
 identical pixels.
 
@@ -48,15 +28,11 @@ these formats.
 
 from __future__ import annotations
 
-import itertools
-import os
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from repro.mpi.shm import segment_name
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -108,147 +84,12 @@ def _zlib_header(level: int) -> bytes:
     return bytes((cmf, flg))
 
 
-#: ``codec="auto"`` dispatches to the process pool only for raw scanline
-#: buffers at least this large; below it, pool dispatch costs more than the
-#: GIL contention it removes.
-_PROCESS_MIN_BYTES = 1 << 20
-
-#: ``codec="auto"`` also requires at least this many usable CPUs before
-#: choosing the process pool: with a single core there is no parallelism to
-#: buy, only fork/dispatch/shm overhead (the ``codec_pool`` benchmark
-#: measured 0.90x vs serial on a 1-CPU host).
-_PROCESS_MIN_CPUS = 2
-
-_CODECS = ("auto", "thread", "process", "serial")
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def resolve_codec(
-    codec: str, workers: int | None, raw_bytes: int, cpus: int | None = None
-) -> str:
-    """Resolve ``codec="auto"`` to the executor ``encode_png`` will use.
-
-    The process pool is chosen only when all of: ``workers > 1``, the raw
-    scanline buffer is at least :data:`_PROCESS_MIN_BYTES`, and the host has
-    at least :data:`_PROCESS_MIN_CPUS` usable CPUs (``cpus`` overrides the
-    detected count, for tests and planners).  Everything else resolves to
-    the thread codec; non-"auto" codecs pass through unchanged.
-    """
-    if codec != "auto":
-        return codec
-    if workers and workers > 1 and raw_bytes >= _PROCESS_MIN_BYTES:
-        if (cpus if cpus is not None else _usable_cpus()) >= _PROCESS_MIN_CPUS:
-            return "process"
-    return "thread"
-
-#: The persistent codec pool (created on first process-codec encode).  A
-#: forked child inherits the parent's pool object but not its workers'
-#: queues in a usable state, so the pid stamp invalidates it on fork.
-_POOL: "ProcessPoolExecutor | None" = None
-_POOL_WORKERS = 0
-_POOL_PID = 0
-
-#: Staging segments are named per encode and unlinked before the encode
-#: returns; the counter only guarantees uniqueness within this process.
-_STAGE_COUNTER = itertools.count()
-
-
-def _codec_pool(workers: int) -> ProcessPoolExecutor:
-    """The persistent process codec pool, (re)built as needed.
-
-    Rebuilds when this is a forked child of the pool's creator (the
-    inherited executor is unusable and its processes belong to the parent)
-    or when more workers are requested than the pool holds.  A larger
-    existing pool is reused as-is -- band bounds, not pool size, determine
-    the output bytes, so the stream stays deterministic.
-    """
-    global _POOL, _POOL_WORKERS, _POOL_PID
-    if _POOL is not None and (_POOL_PID != os.getpid() or _POOL_WORKERS < workers):
-        if _POOL_PID == os.getpid():
-            _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = None
-    if _POOL is None:
-        # One shared resource tracker *before* the pool forks, for the same
-        # reason the process SPMD backend does it: per-child trackers never
-        # observe the parent's unlink and warn about clean consumes.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        _POOL = ProcessPoolExecutor(max_workers=workers)
-        _POOL_WORKERS = workers
-        _POOL_PID = os.getpid()
-    return _POOL
-
-
-def _compress_band_shm(name: str, b0: int, b1: int, level: int, last: bool) -> bytes:
-    """Codec-pool worker: deflate one zdict-primed band out of a segment.
-
-    Runs in a pool process; attaches the staging segment by name, reads
-    only its band plus the 32 KiB priming window, and returns the
-    compressed bytes.  Identical inputs to the thread codec's band closure,
-    so identical output bytes.
-    """
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        lo = max(0, b0 - _WINDOW)
-        blob = bytes(seg.buf[lo:b1])
-        split = b0 - lo
-        co = zlib.compressobj(
-            level, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, blob[:split]
-        )
-        body = co.compress(blob[split:])
-        return body + co.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
-    finally:
-        seg.close()
-
-
-def _deflate_bands_process(
-    raw: bytes, bounds: list[tuple[int, int]], level: int, workers: int
-) -> list[bytes]:
-    """Compress all bands on the codec pool; raw bytes ride shared memory.
-
-    The staging segment exists only for the duration of this call: created,
-    filled, read by the workers, and unlinked before returning -- nothing
-    survives in ``/dev/shm``.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    resource_tracker.ensure_running()
-    pool = _codec_pool(workers)
-    name = segment_name(f"png{os.getpid():x}", 0, next(_STAGE_COUNTER))
-    seg = shared_memory.SharedMemory(name=name, create=True, size=max(1, len(raw)))
-    try:
-        seg.buf[: len(raw)] = raw
-        last = len(bounds) - 1
-        futures = [
-            pool.submit(_compress_band_shm, name, b0, b1, level, i == last)
-            for i, (b0, b1) in enumerate(bounds)
-        ]
-        return [f.result() for f in futures]
-    finally:
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - external sweep raced
-            pass
-
-
 def _deflate_parallel(
     raw: bytes,
     row_bytes: int,
     level: int,
     workers: int,
     chunk_rows: int | None,
-    codec: str = "thread",
 ) -> bytes:
     """pigz-style chunked deflate of ``raw`` into one valid zlib stream.
 
@@ -260,11 +101,6 @@ def _deflate_parallel(
     back-references point at bytes the inflater has already reconstructed
     -- so the concatenation, wrapped with a zlib header and the adler32 of
     the whole raw buffer, inflates to exactly ``raw``.
-
-    ``codec`` picks where the bands compress (see the module docstring);
-    both executors produce byte-identical streams.  The process codec
-    falls back to threads if the pool or the staging segment cannot be
-    created (e.g. shared memory exhausted).
     """
     n_rows = len(raw) // row_bytes
     if chunk_rows is None:
@@ -275,27 +111,18 @@ def _deflate_parallel(
     starts = [r * row_bytes for r in range(0, n_rows, chunk_rows)]
     bounds = list(zip(starts, starts[1:] + [len(raw)]))
     last = len(bounds) - 1
-    parts: "list[bytes] | None" = None
-    if codec == "process":
-        try:
-            parts = _deflate_bands_process(raw, bounds, level, workers)
-        except OSError:  # pragma: no cover - shm/pool exhausted
-            parts = None
-    if parts is None:
 
-        def compress(item: tuple[int, tuple[int, int]]) -> bytes:
-            i, (b0, b1) = item
-            zdict = raw[max(0, b0 - _WINDOW) : b0]
-            co = zlib.compressobj(
-                level, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, zdict
-            )
-            body = co.compress(raw[b0:b1])
-            return body + co.flush(
-                zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH
-            )
+    def compress(item: tuple[int, tuple[int, int]]) -> bytes:
+        i, (b0, b1) = item
+        zdict = raw[max(0, b0 - _WINDOW) : b0]
+        co = zlib.compressobj(
+            level, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, zdict
+        )
+        body = co.compress(raw[b0:b1])
+        return body + co.flush(zlib.Z_FINISH if i == last else zlib.Z_SYNC_FLUSH)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(compress, enumerate(bounds)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(compress, enumerate(bounds)))
     adler = zlib.adler32(raw) & 0xFFFFFFFF
     return _zlib_header(level) + b"".join(parts) + struct.pack(">I", adler)
 
@@ -305,22 +132,14 @@ def encode_png(
     compression_level: int = 6,
     workers: int | None = None,
     chunk_rows: int | None = None,
-    codec: str = "auto",
 ) -> bytes:
     """Encode ``(h, w)`` grayscale or ``(h, w, 3)`` RGB uint8 to PNG bytes.
 
     ``compression_level`` maps straight to zlib (0 = store, 9 = max); the
     Table 2 ablation sweeps it.  ``workers=None``/``0`` is the paper's
-    serial rank-0 encoder; ``workers >= 1`` opts into the parallel chunked
-    deflate (``chunk_rows`` rows per band, default ~4 bands per worker),
-    with ``codec`` selecting the executor: ``"thread"``, ``"process"``
-    (persistent codec pool, bands via shared memory), ``"serial"`` (ignore
-    ``workers``), or ``"auto"`` -- resolved by :func:`resolve_codec`: the
-    process pool for raw buffers of at least :data:`_PROCESS_MIN_BYTES`
-    when ``workers > 1`` and the host has enough usable CPUs, threads
-    otherwise.
-    All paths decode to identical pixels; the two parallel codecs produce
-    byte-identical files.
+    serial rank-0 encoder; ``workers >= 1`` opts into the thread-banded
+    chunked deflate (``chunk_rows`` rows per band, default ~4 bands per
+    worker).  Both paths decode to identical pixels.
     """
     a = np.asarray(image)
     if a.dtype != np.uint8:
@@ -337,18 +156,15 @@ def encode_png(
         raise PNGError("compression_level must be in 0..9")
     if workers is not None and workers < 0:
         raise PNGError("workers must be non-negative")
-    if codec not in _CODECS:
-        raise PNGError(f"codec must be one of {_CODECS}, got {codec!r}")
     h, w = a.shape[:2]
     if h == 0 or w == 0:
         raise PNGError("image must be non-empty")
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     # Raw scanlines, each prefixed with filter type 0 (None).
     raw = _raw_scanlines(a, h, w * channels).tobytes()
-    if workers and codec != "serial":
-        codec = resolve_codec(codec, workers, len(raw))
+    if workers:
         idat = _deflate_parallel(
-            raw, w * channels + 1, compression_level, workers, chunk_rows, codec
+            raw, w * channels + 1, compression_level, workers, chunk_rows
         )
     else:
         idat = zlib.compress(raw, compression_level)
@@ -418,12 +234,14 @@ def decode_png(data: bytes) -> np.ndarray:
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
         payload = data[pos + 8 : pos + 8 + length]
-        if len(payload) != length:
+        crc_field = data[pos + 8 + length : pos + 12 + length]
+        if len(payload) != length or len(crc_field) != 4:
             raise PNGError("truncated chunk payload")
-        crc = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])[0]
-        if crc != (zlib.crc32(tag + payload) & 0xFFFFFFFF):
+        if struct.unpack(">I", crc_field)[0] != (zlib.crc32(tag + payload) & 0xFFFFFFFF):
             raise PNGError(f"bad CRC in {tag!r} chunk")
         if tag == b"IHDR":
+            if length != 13:
+                raise PNGError(f"IHDR payload must be 13 bytes, got {length}")
             width, height, depth, color_type, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", payload
             )
@@ -435,6 +253,8 @@ def decode_png(data: bytes) -> np.ndarray:
                 raise PNGError("unsupported compression/filter method")
             if interlace != 0:
                 raise PNGError("interlaced PNGs not supported")
+            if width == 0 or height == 0:
+                raise PNGError("zero image dimension")
         elif tag == b"IDAT":
             idat += payload
         elif tag == b"IEND":
@@ -444,7 +264,10 @@ def decode_png(data: bytes) -> np.ndarray:
         raise PNGError("missing IHDR")
     channels = 1 if color_type == 0 else 3
     stride = width * channels
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise PNGError(f"corrupt IDAT stream: {exc}") from exc
     if len(raw) != height * (stride + 1):
         raise PNGError("decompressed size mismatch")
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
@@ -459,10 +282,9 @@ def write_png(
     image: np.ndarray,
     compression_level: int = 6,
     workers: int | None = None,
-    codec: str = "auto",
 ) -> int:
     """Encode and write; returns the encoded byte count."""
-    blob = encode_png(image, compression_level, workers=workers, codec=codec)
+    blob = encode_png(image, compression_level, workers=workers)
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)

@@ -8,8 +8,8 @@ paper's performance claims:
 - the collective-trace race detector in :mod:`repro.mpi.communicator`
   (always-on divergence cross-check; call sites/history/wildcard-receive
   race flagging via ``run_spmd(..., trace_collectives=True)``);
-- the static repo-contract linter in :mod:`repro.lint`
-  (``python -m repro.lint src/``).
+- the static analyzer in :mod:`repro.analyze`
+  (``python -m repro analyze src/``).
 """
 
 from repro.sanitize.guard import (

@@ -108,7 +108,8 @@ class TestQuantiles:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(st.floats(0, 1000), min_size=50, max_size=300),
+        # Subnormal spreads give np.histogram a zero bin width (it raises).
+        st.lists(st.floats(0, 1000, allow_subnormal=False), min_size=50, max_size=300),
         st.floats(0.05, 0.95),
     )
     def test_quantile_cdf_consistency_property(self, values, q):

@@ -7,9 +7,8 @@ Three layers:
 - the known-bad corpus under ``tests/analyze_corpus/``: each fixture must
   reproduce its advertised finding -- exact rule id and line -- and the
   path-sensitive rules must attach a CFG path witness;
-- engine-level contracts: pragmas, rule filtering, the baseline file, the
-  SARIF export, CLI exit codes, and the shipped tree analyzing clean
-  against the committed baseline.
+- engine-level contracts: pragmas, rule filtering, the SARIF export, CLI
+  exit codes, and the shipped tree analyzing clean.
 """
 
 import ast
@@ -19,13 +18,7 @@ import textwrap
 
 import pytest
 
-from repro.analyze import (
-    analyze_paths,
-    analyze_source,
-    apply_baseline,
-    load_baseline,
-    main,
-)
+from repro.analyze import analyze_paths, analyze_source, main
 from repro.analyze.cfg import build_cfg, enumerate_paths
 from repro.analyze.checkers import ALL_CHECKERS, RULE_CATALOG, checker_emits
 from repro.analyze.dataflow import FactSolver, SetSolver
@@ -35,7 +28,6 @@ _HERE = os.path.dirname(__file__)
 _CORPUS = os.path.join(_HERE, "analyze_corpus")
 _REPO = os.path.abspath(os.path.join(_HERE, os.pardir))
 _SRC_REPRO = os.path.join(_REPO, "src", "repro")
-_BASELINE = os.path.join(_REPO, "analyze-baseline.json")
 
 
 def _analyze(code: str, path: str = "src/repro/somemod.py"):
@@ -335,17 +327,6 @@ class TestEngine:
         )
         assert out == []
 
-    def test_lint_pragma_also_honored_by_engine(self):
-        out = _analyze(
-            """
-            def drain(comm, rank):
-                # lint: allow(collective-in-rank-loop)
-                for _ in range(rank):
-                    comm.barrier()
-            """
-        )
-        assert out == []
-
     def test_try_finally_timer_is_clean(self):
         out = _analyze(
             """
@@ -385,59 +366,9 @@ class TestEngine:
         out = _analyze("def broken(:\n")
         assert [f.rule_id for f in out] == ["syntax-error"]
 
-    def test_shipped_tree_clean_against_baseline(self):
-        import dataclasses
-
-        findings = [
-            dataclasses.replace(
-                f, path=os.path.relpath(f.path, _REPO).replace(os.sep, "/")
-            )
-            for f in analyze_paths([_SRC_REPRO])
-        ]
-        baseline = load_baseline(_BASELINE)
-        for entry in baseline:
-            assert entry.reason.strip(), f"baseline entry without a reason: {entry}"
-        kept, suppressed = apply_baseline(findings, baseline)
-        assert kept == [], "\n".join(str(f) for f in kept)
-        # Every baseline entry must still match a real finding: stale
-        # entries hide future regressions at the same location.
-        assert suppressed == len(baseline)
-
-
-class TestBaseline:
-    def test_baseline_suppresses_exact_location_only(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "def drain(comm, rank):\n"
-            "    for _ in range(rank):\n"
-            "        comm.barrier()\n"
-        )
-        findings = analyze_paths([str(target)])
-        assert len(findings) == 1
-        entry_path = findings[0].path
-        base = tmp_path / "base.json"
-        base.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "path": entry_path,
-                            "rule": "collective-in-rank-loop",
-                            "line": findings[0].line,
-                            "reason": "test",
-                        }
-                    ],
-                }
-            )
-        )
-        kept, suppressed = apply_baseline(findings, load_baseline(str(base)))
-        assert kept == [] and suppressed == 1
-        # A different line does not match.
-        wrong = load_baseline(str(base))[0]
-        wrong = type(wrong)(wrong.path, wrong.rule, wrong.line + 5, "x")
-        kept, suppressed = apply_baseline(findings, [wrong])
-        assert len(kept) == 1 and suppressed == 0
+    def test_shipped_tree_clean(self):
+        findings = analyze_paths([_SRC_REPRO])
+        assert findings == [], "\n".join(str(f) for f in findings)
 
 
 class TestSarif:

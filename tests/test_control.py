@@ -29,8 +29,6 @@ class TestControlConfig:
         with pytest.raises(ValueError):
             ControlConfig(png_workers=-1)
         with pytest.raises(ValueError):
-            ControlConfig(png_codec="gpu")
-        with pytest.raises(ValueError):
             ControlConfig(framebuffer_depth=-1)
         with pytest.raises(ValueError):
             ControlConfig(ranks_per_aggregator=0)
@@ -40,7 +38,6 @@ class TestControlConfig:
         assert list(d) == [
             "placement",
             "png_workers",
-            "png_codec",
             "framebuffer_depth",
             "ranks_per_aggregator",
         ]

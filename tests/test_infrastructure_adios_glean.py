@@ -22,6 +22,7 @@ from repro.core import Bridge
 from repro.infrastructure import GleanAdaptor
 from repro.infrastructure.adios import (
     AdiosBPAdaptor,
+    AdiosFlexPathWriter,
     endpoint_for_writer,
     run_flexpath_job,
     writers_for_endpoint,
@@ -210,6 +211,27 @@ class TestFlexPathStaging:
         t = result.endpoint_results[0]["timers"]
         assert t["endpoint::initialize"]["count"] == 1
         assert t["endpoint::analysis"]["count"] == 3
+
+    def test_failed_send_frees_staging_charge(self):
+        """A send that raises must not leave ``adios::staging`` charged."""
+        from repro.data import DataArray, ImageData
+        from repro.mpi.communicator import MPIError
+        from repro.util.decomp import Extent
+        from repro.util.memory import MemoryTracker
+
+        class DeadWorld:
+            def send(self, payload, dest, tag):
+                raise MPIError("endpoint gone")
+
+        writer = AdiosFlexPathWriter(DeadWorld(), 0, n_writers=1, n_endpoints=1)
+        memory = MemoryTracker()
+        writer.set_instrumentation(None, memory)
+        mesh = ImageData(Extent(0, 3, 0, 2, 0, 1))
+        arr = DataArray.from_numpy("data", np.zeros(mesh.dims))
+        with pytest.raises(MPIError):
+            writer._ship(arr, mesh)
+        assert memory.named("adios::staging") == 0
+        assert memory.high_water == arr.values.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

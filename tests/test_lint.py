@@ -1,17 +1,16 @@
-"""Tests for the AST-based repo-contract linter (repro.lint)."""
+"""Tests for the five syntactic repo-contract rules of ``repro.analyze``."""
 
 import os
 import textwrap
 
-import pytest
-
-from repro.lint import ALL_RULES, lint_paths, lint_source, main
+from repro.analyze import analyze_paths, analyze_source, main
+from repro.analyze.checkers.contracts import ALL_RULES, CONTRACT_CHECKERS
 
 _SRC_REPRO = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 
 def _lint(code: str, path: str = "src/repro/somemod.py"):
-    return lint_source(textwrap.dedent(code), path)
+    return analyze_source(textwrap.dedent(code), path, checkers=CONTRACT_CHECKERS)
 
 
 def _ids(violations):
@@ -80,7 +79,7 @@ class TestCollectiveInRankBranch:
             """
             def render(comm, rank, active, root):
                 if rank >= active:
-                    comm.gather(None, root=root)  # lint: allow(collective-in-rank-branch)
+                    comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
             """
         )
         assert out == []
@@ -264,7 +263,7 @@ class TestEngine:
         out = _lint(
             """
             def measure():
-                # lint: allow(bare-time-call)
+                # analyze: allow(bare-time-call)
                 return time.time()
             """
         )
@@ -274,7 +273,7 @@ class TestEngine:
         out = _lint(
             """
             def measure():
-                return time.time()  # lint: allow(timer-balance)
+                return time.time()  # analyze: allow(timer-balance)
             """
         )
         assert _ids(out) == ["bare-time-call"]
@@ -284,7 +283,7 @@ class TestEngine:
         assert len(ids) == len(set(ids)) == 5
 
     def test_shipped_tree_is_clean(self):
-        assert lint_paths([_SRC_REPRO]) == []
+        assert analyze_paths([_SRC_REPRO], checkers=CONTRACT_CHECKERS) == []
 
     def test_main_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
