@@ -176,10 +176,21 @@ class Controller:
         self._actuators.append(fn)
 
     # -- read-only views used *during* a step --------------------------------
-    def wants_in_transit(self) -> bool:
+    def allow(self) -> bool:
         """Should this step attempt the staging transport?  True when the
-        adopted placement is in-transit, or a probe is scheduled."""
+        adopted placement is in-transit, or a probe is scheduled.  With
+        :meth:`observe_outcome` and :meth:`report`, the attempt/skip policy
+        face :class:`~repro.faults.CircuitBreaker` shares."""
         return self.config.placement == "in-transit" or self._probe_next
+
+    def report(self) -> dict:
+        """This policy's fragment of a staging writer's result."""
+        return {
+            "controller": {
+                "final_config": self.config.as_dict(),
+                "journal": self.journal.to_dict(),
+            }
+        }
 
     def plant_config(self) -> ControlConfig:
         """The configuration actually in effect this step (probe-adjusted)."""
@@ -265,7 +276,7 @@ class Controller:
         the measured totals -- the same verify leg ``observe_step`` runs,
         grafted onto the chaos transport's outcome feed.
         """
-        attempted = self.config.placement == "in-transit" or self._probe_next
+        attempted = self.allow()
         effective = self.plant_config()
         probe = self._probe_next
         self._probe_next = False

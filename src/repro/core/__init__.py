@@ -23,6 +23,7 @@ configuration file, standing in for SENSEI's XML-driven analysis selection.
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.bridge import Bridge
 from repro.core.generic import LazyStructuredDataAdaptor
+from repro.core.received import ReceivedDataAdaptor
 from repro.core.configurable import ConfigurableAnalysis, register_analysis
 from repro.core.steering import Frame, LiveConnection, SteeringAnalysis
 
@@ -31,6 +32,7 @@ __all__ = [
     "AnalysisAdaptor",
     "Bridge",
     "LazyStructuredDataAdaptor",
+    "ReceivedDataAdaptor",
     "ConfigurableAnalysis",
     "register_analysis",
     "LiveConnection",

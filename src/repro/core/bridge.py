@@ -20,6 +20,7 @@ by default and adds nothing to the hot path when disabled.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
@@ -75,6 +76,11 @@ class Bridge:
         if controller is not None and self.trace is not None:
             controller.attach(self.trace)
         self._analyses: list[AnalysisAdaptor] = []
+        #: Sanitize mode: timers some bridge phase started and left running.
+        #: A timer already running when a phase is *entered* is the caller's
+        #: (the in-transit endpoint times ``bridge.finalize()`` on the very
+        #: registry it shares with the bridge) and is never counted.
+        self._leaked_timers: set[str] = set()
         self._initialized = False
         self._finalized = False
         self._final_results: dict[str, object] = {}
@@ -93,11 +99,21 @@ class Bridge:
         if self._initialized:
             raise RuntimeError("bridge already initialized")
         self._initialized = True
-        with timed(self.timers, "sensei::initialize"):
+        with self._phase("sensei::initialize"):
             for a in self._analyses:
                 a.set_instrumentation(self.timers, self.memory)
                 with timed(self.timers, f"sensei::initialize::{a.name}"):
                     a.initialize(self.comm)
+
+    @contextmanager
+    def _phase(self, name: str):
+        """Time one bridge phase; under sanitize also note the timers it
+        started and left running."""
+        before = set(self.timers.active()) if self.sanitize else None
+        with timed(self.timers, name):
+            yield
+        if before is not None:
+            self._leaked_timers |= set(self.timers.active()) - before
 
     def execute(self, time: float, step: int) -> bool:
         """Hand the current step to every analysis; returns False if any
@@ -130,7 +146,7 @@ class Bridge:
         assert guard is not None
         guard.set_data_time(time, step)
         keep_going = True
-        with timed(self.timers, "sensei::execute"):
+        with self._phase("sensei::execute"):
             for a in self._analyses:
                 guard.begin_analysis(a)
                 with timed(self.timers, f"sensei::execute::{a.name}"):
@@ -155,14 +171,14 @@ class Bridge:
             return self._final_results
         self._finalized = True
         results: dict[str, object] = {}
-        with timed(self.timers, "sensei::finalize"):
+        with self._phase("sensei::finalize"):
             for a in self._analyses:
                 with timed(self.timers, f"sensei::finalize::{a.name}"):
                     out = a.finalize()
                 if out is not None:
                     results[a.name] = out
         if self.sanitize:
-            dangling = self.timers.active()
+            dangling = sorted(self._leaked_timers & set(self.timers.active()))
             if dangling:
                 from repro.sanitize import SanitizerError
 

@@ -194,27 +194,23 @@ def run_chaos(
 
     def resilience_factory(group):
         fallback = _make_catalyst(out_dir, "inline", slice_index, array)
-        ctrl = None
+        policy = CircuitBreaker(failure_threshold=2, probe_interval=4)
         if controller:
             from repro.control import Controller
 
-            ctrl = Controller(seed=seed, group=group, mode=sense)
+            policy = Controller(seed=seed, group=group, mode=sense)
             if sense == "spans":
                 rec = getattr(group, "trace_recorder", None)
                 if rec is not None:
-                    ctrl.attach(rec)
-            ctrl.register_actuator(
+                    policy.attach(rec)
+            policy.register_actuator(
                 lambda old, new: fallback.reconfigure(
                     png_workers=new.png_workers,
                     framebuffer_depth=new.framebuffer_depth,
                 )
             )
         return StagingResilience(
-            group,
-            ready_timeout=ready_timeout,
-            breaker=CircuitBreaker(failure_threshold=2, probe_interval=4),
-            fallback=fallback,
-            controller=ctrl,
+            group, ready_timeout=ready_timeout, policy=policy, fallback=fallback
         )
 
     job = run_flexpath_job(
@@ -292,7 +288,9 @@ def _build_report(seed, ranks, steps, injector, trace, job, out_dir):
                 "replayed_steps": w["replayed_steps"],
                 "checkpoint_saves": w["checkpoint_saves"],
                 "checkpoint_restores": w["checkpoint_restores"],
-                "breaker": f["breaker"],
+                # A breaker policy reports per writer; a controller's
+                # journal is reported once for the group, below.
+                **({"breaker": f["breaker"]} if "breaker" in f else {}),
             }
             for w, f in zip(writers, flex)
         ],

@@ -92,6 +92,9 @@ class CircuitBreaker:
     Transitions are a pure function of the ``allow``/``record_*`` call
     sequence, so peers fed the same consensus outcome stay in lockstep --
     the property the staging transport's collective fallback requires.
+
+    ``allow()`` / ``observe_outcome(step, staged)`` / ``report()`` is the
+    attempt/skip policy face :class:`~repro.control.Controller` shares.
     """
 
     CLOSED = "closed"
@@ -144,6 +147,14 @@ class CircuitBreaker:
             self.state = self.OPEN
             self._refusals = 0
 
+    def observe_outcome(self, step: int, staged: bool) -> None:
+        """Feed one step's outcome (``step`` is unused: the breaker counts
+        outcomes, it does not date them)."""
+        if staged:
+            self.record_success()
+        else:
+            self.record_failure()
+
     def snapshot(self) -> dict:
         """Deterministic state summary for recovery reports."""
         return {
@@ -151,3 +162,7 @@ class CircuitBreaker:
             "consecutive_failures": self.consecutive_failures,
             "times_opened": self.times_opened,
         }
+
+    def report(self) -> dict:
+        """This policy's fragment of a staging writer's result."""
+        return {"breaker": self.snapshot()}

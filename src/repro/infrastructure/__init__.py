@@ -23,7 +23,6 @@ from repro.infrastructure.libsim import LibsimAdaptor, write_session_file
 from repro.infrastructure.adios import (
     AdiosBPAdaptor,
     AdiosFlexPathWriter,
-    EndpointDataAdaptor,
     run_flexpath_job,
 )
 from repro.infrastructure.glean import GleanAdaptor
@@ -36,7 +35,6 @@ __all__ = [
     "write_session_file",
     "AdiosBPAdaptor",
     "AdiosFlexPathWriter",
-    "EndpointDataAdaptor",
     "run_flexpath_job",
     "GleanAdaptor",
 ]

@@ -25,14 +25,15 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
-from repro.data import Association, DataArray, ImageData, MultiBlockDataset
+from repro.core.bridge import Bridge
+from repro.core.received import ReceivedDataAdaptor
+from repro.data import Association, DataArray, ImageData
 from repro.mpi import MIN, Communicator, MPIError, run_spmd
 from repro.storage.bp import BPWriter
-from repro.util.decomp import Extent
 from repro.util.timers import TimerRegistry, timed
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
+    from repro.faults import FaultInjector, FaultPlan
     from repro.trace import TraceSession
 
 # Message tags of the staging protocol.
@@ -125,34 +126,34 @@ class StagingResilience:
     configuration standing in for the lost endpoint.  With no fallback,
     degraded steps are skipped but still accounted.
 
-    ``controller`` optionally replaces the circuit breaker as the
-    attempt/skip policy: an online autotuning
-    :class:`~repro.control.Controller` whose ``wants_in_transit()`` gates
-    each step's staging attempt (its seeded probes standing in for the
-    breaker's HALF_OPEN probes) and which observes every step's consensus
-    outcome.  Its decisions run their own writer-group consensus, so the
-    one-degrades-all invariant is preserved either way.
+    ``policy`` decides, once per step, whether staging is attempted at all,
+    and learns each step's consensus outcome: any object with ``allow()``,
+    ``observe_outcome(step, staged)`` and ``report()`` -- a
+    :class:`~repro.faults.CircuitBreaker` (the default) or the online
+    autotuning :class:`~repro.control.Controller`, whose seeded probes stand
+    in for the breaker's HALF_OPEN probes.  Either answers identically on
+    every writer (breaker state is a pure function of the uniform consensus
+    history; controller placement is adopted under its own group
+    consensus), so the one-degrades-all invariant holds.
     """
 
     def __init__(
         self,
         group: Communicator,
         ready_timeout: float = 0.25,
-        breaker: "CircuitBreaker | None" = None,
+        policy=None,
         fallback: AnalysisAdaptor | None = None,
-        controller=None,
     ) -> None:
         if ready_timeout <= 0:
             raise ValueError("ready_timeout must be positive")
         self.group = group
         self.ready_timeout = ready_timeout
-        if breaker is None:
-            from repro.faults import CircuitBreaker as _Breaker
+        if policy is None:
+            from repro.faults import CircuitBreaker
 
-            breaker = _Breaker()
-        self.breaker = breaker
+            policy = CircuitBreaker()
+        self.policy = policy
         self.fallback = fallback
-        self.controller = controller
         self._fallback_ready = False
         self.staged_steps = 0
         self.degraded_steps = 0
@@ -166,8 +167,7 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
     runs on the writer group.  One endpoint world-rank is assigned per
     writer by :func:`endpoint_for_writer`.
 
-    With ``resilience`` set (requires ``group``, the writer-group
-    communicator), the per-step protocol changes from optimistic
+    With ``resilience`` set, the per-step protocol changes from optimistic
     (ADVANCE, then block on READY, then DATA) to guarded: the writer first
     waits for the endpoint's READY token under a short timeout, the writer
     group reaches consensus on the outcome (an ``allreduce(MIN)``, so one
@@ -187,18 +187,14 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         n_writers: int,
         n_endpoints: int,
         array: str = "data",
-        group: Communicator | None = None,
         resilience: StagingResilience | None = None,
     ) -> None:
         super().__init__()
-        if resilience is not None and group is None:
-            raise ValueError("resilience mode requires the writer-group communicator")
         self.world = world
         self.writer_rank = writer_rank
         self.n_writers = n_writers
         self.n_endpoints = n_endpoints
         self.array = array
-        self.group = group
         self.resilience = resilience
         # Endpoint world ranks sit after the writers.
         self.endpoint_world_rank = n_writers + endpoint_for_writer(
@@ -255,13 +251,8 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         res = self.resilience
         rec = self.timers.trace if self.timers is not None else None
         # The attempt gate is consulted exactly once per step on every
-        # writer; breaker state is a pure function of the (uniform)
-        # consensus history, and controller placement is adopted under
-        # group consensus, so the answer is identical on every rank.
-        if res.controller is not None:
-            ok = 1 if res.controller.wants_in_transit() else 0
-        else:
-            ok = 1 if res.breaker.allow() else 0
+        # writer, and answers identically on every rank.
+        ok = 1 if res.policy.allow() else 0
         inj = getattr(self.world, "fault_injector", None)
         if ok and inj is not None:
             # Writer-side bounded staging queue: an overflow refuses the
@@ -289,7 +280,6 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         # whose READY arrived anyway keeps the token for the next attempt.)
         consensus = res.group.allreduce(ok, MIN)
         if consensus:
-            res.breaker.record_success()
             with timed(self.timers, "adios::advance"):
                 self.world.send(
                     self._step_meta(data, mesh),
@@ -301,7 +291,6 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
             res.staged_steps += 1
             self.steps_sent += 1
         else:
-            res.breaker.record_failure()
             # Keep a still-live endpoint's receive loop in phase.
             self.world.send(None, dest=self.endpoint_world_rank, tag=_TAG_SKIP)
             if res.fallback is not None:
@@ -318,13 +307,10 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
                 res.skipped_steps += 1
                 if rec is not None:
                     rec.count("resilience::skipped_steps", 1)
-        if res.controller is not None:
-            # The verify/act leg: the controller sees the group's outcome
-            # (its own consensus keeps every writer's journal identical)
-            # and may re-plan the configuration for the next step.
-            res.controller.observe_outcome(
-                data.get_data_time_step(), staged=bool(consensus)
-            )
+        # The verify/act leg: the policy sees the group's outcome (so every
+        # writer's breaker state / controller journal stays identical) and
+        # may change its answer for the next step.
+        res.policy.observe_outcome(data.get_data_time_step(), staged=bool(consensus))
         return True
 
     def finalize(self):
@@ -340,74 +326,11 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
                     "staged_steps": res.staged_steps,
                     "degraded_steps": res.degraded_steps,
                     "skipped_steps": res.skipped_steps,
-                    "breaker": res.breaker.snapshot(),
                     "fallback_result": fallback_result,
+                    **res.policy.report(),
                 }
             )
-            if res.controller is not None:
-                out["controller"] = {
-                    "final_config": res.controller.config.as_dict(),
-                    "journal": res.controller.journal.to_dict(),
-                }
         return out
-
-
-class EndpointDataAdaptor(DataAdaptor):
-    """The endpoint's SENSEI data adaptor over received blocks.
-
-    ``get_mesh`` exposes a :class:`MultiBlockDataset` (one block per
-    *global* writer; local blocks are the ones this endpoint received) and
-    ``get_array`` a concatenation of the local blocks' values in writer
-    order -- sufficient for histogram/autocorrelation, while Catalyst
-    consumes the per-block arrays through the multiblock mesh.
-    """
-
-    def __init__(self, comm, n_writers: int) -> None:
-        super().__init__(comm)
-        self.n_writers = n_writers
-        self._blocks: dict[int, tuple[ImageData, np.ndarray, str]] = {}
-
-    def ingest(
-        self,
-        writer: int,
-        extent: Extent,
-        whole_extent: Extent,
-        array_name: str,
-        values: np.ndarray,
-    ) -> None:
-        img = ImageData(extent, whole_extent=whole_extent)
-        img.add_point_array(DataArray.from_numpy(array_name, values))
-        self._blocks[writer] = (img, values, array_name)
-
-    def get_mesh(self, structure_only: bool = False) -> MultiBlockDataset:
-        mb = MultiBlockDataset(self.n_writers)
-        for writer, (img, _, _) in self._blocks.items():
-            mb.set_block(writer, img)
-        return mb
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT:
-            raise KeyError("endpoint adaptor exposes point data only")
-        values = [
-            v.reshape(-1)
-            for w, (_, v, n) in sorted(self._blocks.items())
-            if n == name
-        ]
-        if not values:
-            raise KeyError(f"no received array named {name!r}")
-        return DataArray.from_numpy(name, np.concatenate(values))
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        if association is not Association.POINT:
-            return 0
-        return len({n for (_, _, n) in self._blocks.values()})
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        names = sorted({n for (_, _, n) in self._blocks.values()})
-        return names[index]
-
-    def release_data(self) -> None:
-        self._blocks.clear()
 
 
 @dataclass
@@ -433,25 +356,24 @@ def run_endpoint(
     Receives steps from the assigned writers until every one signals EOS,
     driving ``analysis`` once per completed step.  The reader initialization
     (Fig. 9's expensive phase on Cori) is the analysis initialize plus the
-    first-contact handshakes.  With ``sanitize=True`` the analysis sees the
-    received blocks through a :class:`~repro.sanitize.GuardedDataAdaptor`,
-    so the zero-copy write/retention contract is enforced on the endpoint
-    side of the staging transport too.
+    first-contact handshakes.  The endpoint *is* a SENSEI bridge over a
+    :class:`~repro.core.received.ReceivedDataAdaptor`: the ``endpoint::*``
+    timers wrap the bridge's phases, and ``sanitize=True`` enforces the
+    zero-copy write/retention contract on this side of the staging
+    transport exactly as it does in situ.
     """
     timers = timers if timers is not None else TimerRegistry()
-    if timers.trace is None:
-        # Endpoint ranks trace too when the job runs under a TraceSession.
-        timers.attach_trace(getattr(world, "trace_recorder", None))
     my_writers = writers_for_endpoint(endpoint_rank, n_writers, n_endpoints)
+    adaptor = ReceivedDataAdaptor(endpoint_comm, n_writers)
+    # Endpoint ranks trace too when the job runs under a TraceSession: the
+    # bridge picks the recorder up from the (split) communicator.
+    bridge = Bridge(
+        endpoint_comm, adaptor, timers=timers, memory=analysis.memory,
+        sanitize=sanitize,
+    )
+    bridge.add_analysis(analysis)
     with timed(timers, "endpoint::initialize"):
-        analysis.set_instrumentation(timers, analysis.memory)
-        analysis.initialize(endpoint_comm)
-    adaptor = EndpointDataAdaptor(endpoint_comm, n_writers)
-    guard = None
-    if sanitize:
-        from repro.sanitize import GuardedDataAdaptor
-
-        guard = GuardedDataAdaptor(adaptor)
+        bridge.initialize()
     open_writers = set(my_writers)
     # Issue one flow-control token per writer up front.
     for w in open_writers:
@@ -482,7 +404,7 @@ def run_endpoint(
         with timed(timers, "endpoint::receive"):
             got_any = False
             for w in sorted(open_writers):
-                payload, src, tag = world.recv_with_status(source=w)
+                meta, _, tag = world.recv_with_status(source=w)
                 if tag == _TAG_EOS:
                     open_writers.discard(w)
                     continue
@@ -490,29 +412,19 @@ def run_endpoint(
                     # The writer group degraded this round; nothing to
                     # ingest from anyone (the decision is collective).
                     continue
-                assert tag == _TAG_ADVANCE, f"protocol violation: tag {tag}"
-                meta = payload
+                if tag != _TAG_ADVANCE:
+                    raise MPIError(f"staging protocol violation: tag {tag}")
                 data = world.recv(source=w, tag=_TAG_DATA)
                 adaptor.ingest(
-                    meta["writer"], meta["extent"], meta["whole_extent"],
-                    meta["array"], data,
+                    meta["writer"], meta["extent"], {meta["array"]: data},
+                    meta["whole_extent"],
                 )
                 step_time = meta["time"]
                 step_idx = meta["step"]
                 got_any = True
         if got_any:
-            adaptor.set_data_time(step_time, step_idx)
-            if guard is not None:
-                guard.set_data_time(step_time, step_idx)
-                guard.begin_analysis(analysis)
-                with timed(timers, "endpoint::analysis"):
-                    analysis.execute(guard)
-                guard.verify_analysis(analysis)
-                guard.release_and_check()
-            else:
-                with timed(timers, "endpoint::analysis"):
-                    analysis.execute(adaptor)
-                adaptor.release_data()
+            with timed(timers, "endpoint::analysis"):
+                bridge.execute(step_time, step_idx)
             steps_analyzed += 1
         # Release the next flow-control token to writers still streaming.
         # (An all-SKIP round still re-issues tokens: the endpoint remains
@@ -521,7 +433,7 @@ def run_endpoint(
             world.send(None, dest=w, tag=_TAG_READY)
         loop_step += 1
     with timed(timers, "endpoint::finalize"):
-        result = analysis.finalize()
+        result = bridge.finalize().get(analysis.name)
     return {
         "result": result,
         "timers": timers.as_dict(),
@@ -584,7 +496,6 @@ def run_flexpath_job(
                 n_writers,
                 n_endpoints,
                 array=array,
-                group=group,
                 resilience=(
                     resilience_factory(group)
                     if resilience_factory is not None

@@ -66,6 +66,7 @@ class GleanAdaptor(AnalysisAdaptor):
         self._is_aggregator = False
         self._group: list[int] = []
         self._drain: threading.Thread | None = None
+        self._drain_error: BaseException | None = None
         self.steps_staged = 0
 
     def initialize(self, comm) -> None:
@@ -111,6 +112,22 @@ class GleanAdaptor(AnalysisAdaptor):
             for raw in payloads:
                 fh.write(raw)
 
+    def _write_in_background(self, step: int, blocks) -> None:
+        try:
+            self._write_aggregate(step, blocks)
+        except Exception as exc:  # noqa: BLE001 -- re-raised by _join_drain
+            self._drain_error = exc
+
+    def _join_drain(self) -> None:
+        """Wait out the drain thread and re-raise what it raised: a step
+        whose aggregate never reached the disk must not count as staged."""
+        if self._drain is not None:
+            self._drain.join()
+            self._drain = None
+        if self._drain_error is not None:
+            exc, self._drain_error = self._drain_error, None
+            raise exc
+
     def execute(self, data: DataAdaptor) -> bool:
         mesh = data.get_mesh(structure_only=True)
         if not isinstance(mesh, ImageData):
@@ -147,9 +164,9 @@ class GleanAdaptor(AnalysisAdaptor):
                     # Wait out any previous drain, then write in background.
                     if self._drain is not None:
                         with timed(self.timers, "glean::drain_wait"):
-                            self._drain.join()
+                            self._join_drain()
                     self._drain = threading.Thread(
-                        target=self._write_aggregate, args=(step, blocks)
+                        target=self._write_in_background, args=(step, blocks)
                     )
                     self._drain.start()
                 else:
@@ -159,9 +176,7 @@ class GleanAdaptor(AnalysisAdaptor):
         return True
 
     def finalize(self):
-        if self._drain is not None:
-            self._drain.join()
-            self._drain = None
+        self._join_drain()
         return {"steps_staged": self.steps_staged, "aggregator": self._is_aggregator}
 
 

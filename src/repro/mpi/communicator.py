@@ -348,24 +348,6 @@ class _Context:
             child.abort(reason)
 
 
-def _deliver_later(
-    box: _Mailbox, source: int, tag: int, payload: Any, seq: int, delay: float
-) -> None:
-    """Deliver a (already copied) message after ``delay`` seconds.
-
-    Backs injected message delays and drop-retransmits.  The envelope is
-    registered in the mailbox immediately (the message is in flight, so
-    later same-pattern messages must not overtake it); only the payload
-    arrives late.  Daemon timers: a delivery racing job teardown lands in
-    a mailbox nobody reads, exactly like a late packet arriving after the
-    receiver exited.
-    """
-    box.put_pending(source, tag, seq)
-    timer = threading.Timer(delay, box.fulfill, args=(source, seq, payload))
-    timer.daemon = True
-    timer.start()
-
-
 def _copy_payload(payload: Any) -> Any:
     """Copy numpy buffers crossing the simulated address-space boundary."""
     if isinstance(payload, np.ndarray):
@@ -398,6 +380,12 @@ class Communicator:
         #: Structured-trace recorder (see :mod:`repro.trace`); None keeps
         #: every hook to a single pointer comparison.
         self._trace_recorder = None
+
+    @classmethod
+    def single_rank(cls) -> "Communicator":
+        """A one-rank communicator outside any ``run_spmd`` job (the
+        ``MPI_COMM_SELF`` of this runtime)."""
+        return cls(_Context(1), 0)
 
     @property
     def timeout(self) -> float:
@@ -463,39 +451,35 @@ class Communicator:
         rec = self._trace_recorder
         if rec is not None:
             rec.count("mpi::send::bytes", _payload_nbytes(payload))
-        box = self._ctx.mailboxes[dest]
         inj = self._ctx.injector
         if inj is None:
-            box.put(self._rank, tag, _copy_payload(payload))
+            self._deliver(dest, tag, payload, None)
             return
         seq = self._send_seqs.get(dest, 0)
         self._send_seqs[dest] = seq + 1
-        payload = _copy_payload(payload)
         action = inj.draw("mpi.send", self._draw_rank(), trace=rec)
-        if action is None:
-            box.put(self._rank, tag, payload, seq=seq)
-            return
-        kind = action.kind
-        if kind == "duplicate":
-            # Delivered twice; the receiver's seq dedup discards the copy.
-            box.put(self._rank, tag, payload, seq=seq)
-            box.put(self._rank, tag, payload, seq=seq)
-        elif kind == "delay":
-            _deliver_later(
-                box, self._rank, tag, payload, seq,
-                float(action.params.get("seconds", 0.005)),
+        kind = action.kind if action is not None else None
+        if kind == "delay":
+            self._deliver_later(
+                dest, tag, payload, seq, float(action.params.get("seconds", 0.005))
             )
         elif kind == "drop":
             # The message is lost on the wire; the reliable-transport layer
             # notices (retransmission timeout) and resends the same seq.
             if rec is not None:
                 rec.count("resilience::retransmit", 1)
-            _deliver_later(
-                box, self._rank, tag, payload, seq,
+            self._deliver_later(
+                dest, tag, payload, seq,
                 float(action.params.get("retransmit_after", 0.01)),
             )
-        else:  # unknown kinds deliver normally (forward compatibility)
-            box.put(self._rank, tag, payload, seq=seq)
+        else:
+            # A duplicate is delivered twice (the receiver's seq dedup
+            # discards the copy); unknown kinds deliver normally.
+            self._deliver(
+                dest, tag, payload, seq,
+                copies=2 if kind == "duplicate" else 1,
+                faulted=action is not None,
+            )
 
     def _race_cb(
         self, source: int, tag: int
@@ -597,12 +581,15 @@ class Communicator:
             # the missing list to the arrived list.
             arrived = sorted(r for r in range(self.size) if counts[r] >= mine)
             missing = sorted(r for r in range(self.size) if counts[r] < mine)
-            raise MPIError(
-                f"collective timed out after {self._timeout:g}s: likely "
-                "mismatched collective calls across ranks (deadlock); "
-                f"ranks {missing or '[]'} had not arrived at this barrier "
-                f"phase (arrived: {arrived})" + self._history_hint()
-            ) from exc
+            raise self._collective_timeout(missing, arrived) from exc
+
+    def _collective_timeout(self, missing: list[int], arrived: list[int]) -> MPIError:
+        return MPIError(
+            f"collective timed out after {self._timeout:g}s: likely "
+            "mismatched collective calls across ranks (deadlock); "
+            f"ranks {missing or '[]'} had not arrived at this barrier "
+            f"phase (arrived: {arrived})" + self._history_hint()
+        )
 
     def _history_hint(self) -> str:
         if not self._ctx.trace:
@@ -666,12 +653,97 @@ class Communicator:
             f"{self._history_hint()}{hint}"
         )
 
+    # -- the fabric seam: what a backend implements -------------------------
+    # The methods from here to ``_child`` are the whole difference between
+    # the thread fabric (below) and the pipe/shared-memory fabric
+    # (:class:`~repro.mpi.process_backend.ProcessCommunicator`).
+    def _deliver(
+        self, dest: int, tag: int, payload: Any, seq: "int | None",
+        copies: int = 1, faulted: bool = False,
+    ) -> None:
+        """Deliver ``payload`` now, ``copies`` times.  ``faulted`` marks an
+        envelope the ``mpi.send`` site touched (it may be decoded twice)."""
+        payload = _copy_payload(payload)
+        for _ in range(copies):
+            self._ctx.mailboxes[dest].put(self._rank, tag, payload, seq=seq)
+
+    def _deliver_later(
+        self, dest: int, tag: int, payload: Any, seq: int, delay: float
+    ) -> None:
+        """Deliver ``payload`` after ``delay`` seconds (injected delays and
+        drop-retransmits).  The envelope is registered immediately -- the
+        message is in flight, so later same-pattern messages must not
+        overtake it; only the payload arrives late.  Daemon timers: a
+        delivery racing job teardown lands in a mailbox nobody reads,
+        exactly like a late packet arriving after the receiver exited.
+        """
+        box = self._ctx.mailboxes[dest]
+        box.put_pending(self._rank, tag, seq)
+        timer = threading.Timer(
+            delay, box.fulfill, args=(self._rank, seq, _copy_payload(payload))
+        )
+        timer.daemon = True
+        timer.start()
+
+    def _rendezvous(self, value: Any, record: "CollectiveRecord") -> list[Any]:
+        """Deposit ``value`` + trace record, cross-check the records once all
+        ranks arrive, and return everyone's deposits.  Two-phase."""
+        self._ctx.slots[self._rank] = value
+        self._ctx.trace_slots[self._rank] = record
+        self._sync()
+        self._check_trace(list(self._ctx.trace_slots))
+        values = list(self._ctx.slots)
+        self._sync()
+        return values
+
+    def _own(self, row: Any) -> Any:
+        """A private copy of one exchanged row."""
+        return _copy_payload(row)
+
+    def _view(self, row: Any) -> Any:
+        """One exchanged row, read-only, valid until the collective returns."""
+        return row
+
+    def _fold(self, op: ReduceOp, rows: list[Any]) -> Any:
+        """Rank-order fold: every rank folds identically => identical results."""
+        return op.reduce([self._own(v) for v in rows])
+
+    def _child(self, members: list[int], color: int) -> "Communicator | None":
+        """The sub-communicator over parent ranks ``members`` (in new-rank
+        order); called on every rank of a ``split``, with ``members`` empty
+        where ``color < 0``."""
+        ctx = self._ctx
+        # Lowest parent-rank member of each group creates the shared context.
+        if members and self._rank == min(members):
+            child = _Context(len(members), trace=ctx.trace, injector=ctx.injector)
+            with ctx.lock:
+                ctx.split_results[self._rank] = child
+                # Registered so a job abort cascades into the child's
+                # barrier and mailboxes too.
+                ctx.children.append(child)
+        self._sync()
+        result: Communicator | None = None
+        if members:
+            with ctx.lock:
+                child = ctx.split_results[min(members)]
+            result = Communicator(
+                child, members.index(self._rank), timeout=self._timeout
+            )
+        self._sync()
+        # Rank 0 clears before it can enter any subsequent collective's
+        # barrier, so the cleanup cannot race a later split's publish.
+        if self._rank == 0:
+            with ctx.lock:
+                ctx.split_results.clear()
+        return result
+
     def barrier(self) -> None:
         self._exchange(None, self._record("barrier"))
 
     def _exchange(self, value: Any, record: "CollectiveRecord") -> list[Any]:
-        """Deposit ``value`` + trace record, cross-check the records once all
-        ranks arrive, and return everyone's deposits.  Two-phase."""
+        """Enter one collective: count its bytes, take the straggler draw,
+        then rendezvous.  Rows come back as the fabric holds them -- read
+        them through :meth:`_own`, :meth:`_view` or :meth:`_fold`."""
         rec = self._trace_recorder
         if rec is not None:
             rec.count(f"mpi::{record[1]}::bytes", _payload_nbytes(value))
@@ -681,29 +753,23 @@ class Communicator:
             action = inj.draw("mpi.collective", self._draw_rank(), trace=rec)
             if action is not None and action.kind == "stall":
                 time.sleep(float(action.params.get("seconds", 0.001)))
-        self._ctx.slots[self._rank] = value
-        self._ctx.trace_slots[self._rank] = record
-        self._sync()
-        self._check_trace(list(self._ctx.trace_slots))
-        values = list(self._ctx.slots)
-        self._sync()
-        return values
+        return self._rendezvous(value, record)
 
     def allgather(self, value: Any) -> list[Any]:
-        values = self._exchange(value, self._record("allgather"))
-        return [_copy_payload(v) for v in values]
+        rows = self._exchange(value, self._record("allgather"))
+        return [self._own(v) for v in rows]
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        values = self._exchange(value, self._record("gather", root=root))
+        rows = self._exchange(value, self._record("gather", root=root))
         if self._rank == root:
-            return [_copy_payload(v) for v in values]
+            return [self._own(v) for v in rows]
         return None
 
     def bcast(self, value: Any, root: int = 0) -> Any:
-        values = self._exchange(
+        rows = self._exchange(
             value if self._rank == root else None, self._record("bcast", root=root)
         )
-        return _copy_payload(values[root])
+        return self._own(rows[root])
 
     def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
         if self._rank == root:
@@ -711,32 +777,31 @@ class Communicator:
                 raise MPIError(
                     "scatter at root requires a list with one entry per rank"
                 )
-        deposited = self._exchange(
+        rows = self._exchange(
             values if self._rank == root else None,
             self._record("scatter", root=root),
         )
-        return _copy_payload(deposited[root][self._rank])
+        return _copy_payload(self._view(rows[root])[self._rank])
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        values = self._exchange(
+        rows = self._exchange(
             value, self._record("reduce", op=op, root=root, value=value)
         )
         if self._rank == root:
-            return op.reduce([_copy_payload(v) for v in values])
+            return self._fold(op, rows)
         return None
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        values = self._exchange(
+        rows = self._exchange(
             value, self._record("allreduce", op=op, value=value)
         )
-        # Every rank folds in identical rank order => identical results.
-        return op.reduce([_copy_payload(v) for v in values])
+        return self._fold(op, rows)
 
     def alltoall(self, values: list[Any]) -> list[Any]:
         if len(values) != self.size:
             raise MPIError("alltoall requires one entry per rank")
-        deposited = self._exchange(values, self._record("alltoall"))
-        return [_copy_payload(deposited[src][self._rank]) for src in range(self.size)]
+        rows = self._exchange(values, self._record("alltoall"))
+        return [_copy_payload(self._view(row)[self._rank]) for row in rows]
 
     def allreduce_minmax(self, value: float) -> tuple[float, float]:
         """Fused min+max allreduce.
@@ -746,19 +811,19 @@ class Communicator:
         that a single slot exchange while reporting both, and the perf model
         still charges two reductions.
         """
-        values = self._exchange(
+        rows = self._exchange(
             value, self._record("allreduce_minmax", value=value)
         )
-        return MIN.reduce(list(values)), MAX.reduce(list(values))
+        return self._fold(MIN, rows), self._fold(MAX, rows)
 
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
-        values = self._exchange(
+        rows = self._exchange(
             value, self._record("exscan", op=op, value=value)
         )
         if self._rank == 0:
             return None
-        return op.reduce([_copy_payload(v) for v in values[: self._rank]])
+        return self._fold(op, rows[: self._rank])
 
     # -- communicator management -------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Communicator | None":
@@ -768,41 +833,15 @@ class Communicator:
         """
         key = self._rank if key is None else key
         triples = self._exchange((color, key, self._rank), self._record("split"))
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for c, k, r in triples:
-            if c >= 0:
-                groups.setdefault(c, []).append((k, r))
-        my_group = sorted(groups.get(color, [])) if color >= 0 else []
-        # Lowest world-rank member of each group creates the shared context.
-        if color >= 0:
-            leader = min(r for _, r in my_group)
-            if self._rank == leader:
-                ctx = _Context(
-                    len(my_group),
-                    trace=self._ctx.trace,
-                    injector=self._ctx.injector,
-                )
-                with self._ctx.lock:
-                    self._ctx.split_results[leader] = ctx
-                    # Registered so a job abort cascades into the child's
-                    # barrier and mailboxes too.
-                    self._ctx.children.append(ctx)
-        self._sync()
-        result: Communicator | None = None
-        if color >= 0:
-            leader = min(r for _, r in my_group)
-            with self._ctx.lock:
-                ctx = self._ctx.split_results[leader]
-            new_rank = [r for _, r in my_group].index(self._rank)
-            result = Communicator(ctx, new_rank, timeout=self._timeout)
-            result._trace_recorder = self._trace_recorder
-        self._sync()
-        # Rank 0 clears before it can enter any subsequent collective's
-        # barrier, so the cleanup cannot race a later split's publish.
-        if self._rank == 0:
-            with self._ctx.lock:
-                self._ctx.split_results.clear()
-        return result
+        members = (
+            [r for _, r in sorted((k, r) for c, k, r in triples if c == color)]
+            if color >= 0
+            else []
+        )
+        sub = self._child(members, color)
+        if sub is not None:
+            sub._trace_recorder = self._trace_recorder
+        return sub
 
     def dup(self) -> "Communicator":
         """Duplicate: a fresh context with the same group."""

@@ -5,8 +5,10 @@ process backend through pickled envelopes over pipes; the service layer
 (:mod:`repro.service`) adds a third transport -- independent *client
 processes* talking to a long-running server over local stream sockets.  A
 byte stream has no message boundaries and no integrity guarantee, so this
-module supplies both, reusing the reliable-delivery discipline of the
-process backend's :class:`~repro.mpi.process_backend._Mailbox`:
+module supplies both, following the reliable-delivery rule of the mailbox
+both SPMD backends share, :class:`~repro.mpi.communicator._Mailbox` (the
+rule, not the mechanism: the mailbox matches in-memory objects and parks
+pending envelopes, this channel checks CRCs and windows a byte stream):
 
 - every frame carries a fixed header ``(magic, version, kind, seq, length,
   crc32)`` followed by the payload;

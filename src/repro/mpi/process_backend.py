@@ -27,9 +27,11 @@ one *process* per rank:
   of the segment (:class:`~repro.mpi.shm.ReductionPlan`).  The
   ``mpi::<kind>::bytes`` counter is split into ``::shm`` and ``::pickled``
   so traces prove which transport carried the bytes.
-- **Faults** reuse the ``mpi.send`` / ``mpi.collective`` sites unchanged:
-  delay and drop-retransmit are sender-side timers that deliver a pending
-  envelope's payload late, exactly mirroring the thread transport.  Each
+- **Faults** are the ``mpi.send`` / ``mpi.collective`` sites the base
+  :class:`~repro.mpi.communicator.Communicator` owns; this fabric only
+  implements "deliver now" and "deliver later" (delay and drop-retransmit
+  are sender-side timers that deliver a pending envelope's payload late,
+  exactly mirroring the thread transport).  Each
   worker rebuilds its :class:`~repro.faults.FaultInjector` from the
   (immutable) plan; because draws are counter-hashed per (site, rank,
   occurrence) and every site draws with rank identities unique to that
@@ -76,7 +78,7 @@ from repro.mpi.communicator import (
     _payload_nbytes,
     _thread_world_rank,
 )
-from repro.mpi.ops import SUM, ReduceOp
+from repro.mpi.ops import ReduceOp
 from repro.mpi.shm import (
     RING_DEPTH,
     AttachCache,
@@ -298,94 +300,61 @@ class _ProcessContext:
 
 
 class ProcessCommunicator(Communicator):
-    """The :class:`Communicator` API over the pipe/shared-memory fabric.
+    """The :class:`Communicator` fabric seam over pipes and shared memory.
 
-    Point-to-point receive paths, the collective wrappers (bcast, reduce,
-    scatter, ...), trace records, and the divergence cross-check are all
-    inherited -- only ``send``, the contribution exchange, and ``split``
-    know they are crossing a process boundary.
+    Every public method -- point-to-point, the collective algebra, the
+    ``mpi.send``/``mpi.collective`` fault sites, ``split`` -- is inherited;
+    this class only says how an envelope, a contribution row and a child
+    context cross a process boundary.
     """
 
-    # -- transport accounting ----------------------------------------------
-    @staticmethod
-    def _count_transport(rec, stem: str, shm_bytes: int, total: int) -> None:
+    def _count_transport(self, stem: str, shm_bytes: int, payload: Any) -> None:
         """Split a payload's bytes into shm-carried vs. pickled counters.
 
         Zero-valued samples are skipped to keep traces lean; reports read
         the split with a 0.0 default.
         """
+        rec = self._trace_recorder
+        if rec is None:
+            return
+        total = _payload_nbytes(payload)
         if shm_bytes:
             rec.count(f"{stem}::shm", shm_bytes)
         if total > shm_bytes:
             rec.count(f"{stem}::pickled", total - shm_bytes)
 
-    # -- point to point ----------------------------------------------------
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise MPIError(f"send dest {dest} out of range (size {self.size})")
+    def _deliver(
+        self, dest: int, tag: int, payload: Any, seq: "int | None",
+        copies: int = 1, faulted: bool = False,
+    ) -> None:
         ctx: _ProcessContext = self._ctx
-        rec = self._trace_recorder
-        nb = _payload_nbytes(payload) if rec is not None else 0
-        if rec is not None:
-            rec.count("mpi::send::bytes", nb)
-        dest_world = ctx.members[dest]
-        runtime = ctx.runtime
-        inj = ctx.injector
-        if inj is None:
-            spec = runtime.codec.encode(payload)
-            if rec is not None:
-                self._count_transport(
-                    rec, "mpi::send::bytes", nb if spec[0] == "shm" else 0, nb
-                )
-            runtime.put(dest_world, ("pt", ctx.cid, self._rank, tag, None, spec))
-            return
-        seq = self._send_seqs.get(dest, 0)
-        self._send_seqs[dest] = seq + 1
-        action = inj.draw("mpi.send", self._draw_rank(), trace=rec)
-        # Faulted paths pickle inline: a duplicated envelope must survive
+        # Faulted envelopes pickle inline: a duplicated envelope must survive
         # two decodes, which a consume-once shm segment cannot.
-        if action is None:
-            spec = runtime.codec.encode(payload)
-            if rec is not None:
-                self._count_transport(
-                    rec, "mpi::send::bytes", nb if spec[0] == "shm" else 0, nb
-                )
-            runtime.put(dest_world, ("pt", ctx.cid, self._rank, tag, seq, spec))
-            return
-        if rec is not None:
-            self._count_transport(rec, "mpi::send::bytes", 0, nb)
-        kind = action.kind
-        if kind == "duplicate":
-            # Delivered twice; the receiver's seq dedup discards the copy.
-            for _ in range(2):
-                runtime.put(
-                    dest_world,
-                    ("pt", ctx.cid, self._rank, tag, seq, ("inline", payload)),
-                )
-        elif kind == "delay":
-            runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
-            runtime.put_later(
-                float(action.params.get("seconds", 0.005)),
-                dest_world,
-                ("fulfill", ctx.cid, self._rank, seq, ("inline", payload)),
-            )
-        elif kind == "drop":
-            # Lost on the wire; the reliable-transport layer retransmits.
-            if rec is not None:
-                rec.count("resilience::retransmit", 1)
-            runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
-            runtime.put_later(
-                float(action.params.get("retransmit_after", 0.01)),
-                dest_world,
-                ("fulfill", ctx.cid, self._rank, seq, ("inline", payload)),
-            )
-        else:  # unknown kinds deliver normally (forward compatibility)
-            runtime.put(
-                dest_world, ("pt", ctx.cid, self._rank, tag, seq, ("inline", payload))
+        spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
+        self._count_transport(
+            "mpi::send::bytes",
+            _payload_nbytes(payload) if spec[0] == "shm" else 0,
+            payload,
+        )
+        for _ in range(copies):
+            ctx.runtime.put(
+                ctx.members[dest], ("pt", ctx.cid, self._rank, tag, seq, spec)
             )
 
-    # -- collectives -------------------------------------------------------
-    def _exchange(self, value: Any, record, resolve: bool = True) -> list[Any]:
+    def _deliver_later(
+        self, dest: int, tag: int, payload: Any, seq: int, delay: float
+    ) -> None:
+        ctx: _ProcessContext = self._ctx
+        self._count_transport("mpi::send::bytes", 0, payload)
+        dest_world = ctx.members[dest]
+        ctx.runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
+        ctx.runtime.put_later(
+            delay,
+            dest_world,
+            ("fulfill", ctx.cid, self._rank, seq, ("inline", payload)),
+        )
+
+    def _rendezvous(self, value: Any, record) -> list[Any]:
         """All-to-all contribution exchange replacing the shared slot array.
 
         Unlike the thread backend there is no second barrier phase: every
@@ -399,24 +368,15 @@ class ProcessCommunicator(Communicator):
         the same tiny :class:`PoolRef` header -- zero array bytes cross the
         pipes, and the fault sites see the identical draw sequence they see
         on the inline path (the envelope payload, not the draw schedule,
-        is what changed).  With ``resolve=True`` peers' headers are
-        materialized into private copies before returning; the collective
-        overrides below pass ``resolve=False`` to copy or fold straight
-        out of the peers' segments instead.
+        is what changed).  Peers' headers come back unresolved; the
+        inherited collectives copy (:meth:`_own`) or fold (:meth:`_fold`)
+        straight out of the peers' segments.
         """
         ctx: _ProcessContext = self._ctx
         rec = self._trace_recorder
-        nb = _payload_nbytes(value) if rec is not None else 0
-        if rec is not None:
-            rec.count(f"mpi::{record[1]}::bytes", nb)
-        inj = ctx.injector
-        if inj is not None:
-            # Straggler injection: this rank enters the collective late.
-            action = inj.draw("mpi.collective", self._draw_rank(), trace=rec)
-            if action is not None and action.kind == "stall":
-                time.sleep(float(action.params.get("seconds", 0.001)))
         runtime = ctx.runtime
         cseq = record[0]
+        stem = f"mpi::{record[1]}::bytes"
         shared_spec = None
         if self.size > 1 and runtime.codec.threshold > 0:
             ref = runtime.pool.pack(
@@ -426,16 +386,13 @@ class ProcessCommunicator(Communicator):
                 # One pack, one header for everyone; _snapshot passes the
                 # transport-owned PoolRef through uncopied.
                 shared_spec = runtime.codec.encode(ref)
+                self._count_transport(stem, ref.nbytes, value)
                 if rec is not None:
-                    self._count_transport(
-                        rec, f"mpi::{record[1]}::bytes", ref.nbytes, nb
-                    )
                     runtime.emit_pool_gauges(rec)
-        if shared_spec is None and rec is not None and self.size > 1:
-            self._count_transport(rec, f"mpi::{record[1]}::bytes", 0, nb)
-        for peer in range(self.size):
-            if peer == self._rank:
-                continue
+        if shared_spec is None and self.size > 1:
+            self._count_transport(stem, 0, value)
+        peers = [p for p in range(self.size) if p != self._rank]
+        for peer in peers:
             spec = shared_spec
             if spec is None:
                 spec = runtime.codec.encode(value)
@@ -443,7 +400,6 @@ class ProcessCommunicator(Communicator):
                 ctx.members[peer],
                 ("coll", ctx.cid, self._rank, cseq, record, spec),
             )
-        peers = [p for p in range(self.size) if p != self._rank]
         records: list = [None] * self.size
         values: list = [None] * self.size
         records[self._rank] = record
@@ -487,34 +443,24 @@ class ProcessCommunicator(Communicator):
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    arrived = sorted(
-                        [self._rank] + [p for p in peers if p not in missing]
-                    )
-                    raise MPIError(
-                        f"collective timed out after {self._timeout:g}s: likely "
-                        "mismatched collective calls across ranks (deadlock); "
-                        f"ranks {sorted(missing)} had not arrived at this "
-                        f"barrier phase (arrived: {arrived})"
-                        + self._history_hint()
+                    raise self._collective_timeout(
+                        missing, sorted(set(range(self.size)) - set(missing))
                     )
                 st.cond.wait(remaining)
         self._check_trace(records)
-        if resolve:
-            attach = runtime.attach
-            values = [
-                v.materialize(attach) if isinstance(v, PoolRef) else v
-                for v in values
-            ]
         return values
 
-    # -- pooled-contribution resolution ------------------------------------
-    def _materialize(self, v: Any) -> Any:
-        """A private, owned copy of one exchanged contribution."""
-        if isinstance(v, PoolRef):
-            return v.materialize(self._ctx.runtime.attach)
-        return _copy_payload(v)
+    def _own(self, row: Any) -> Any:
+        if isinstance(row, PoolRef):
+            return row.materialize(self._ctx.runtime.attach)
+        return _copy_payload(row)
 
-    def _fold(self, op: ReduceOp, values: list[Any]) -> Any:
+    def _view(self, row: Any) -> Any:
+        if isinstance(row, PoolRef):
+            return row.view_tree(self._ctx.runtime.attach)
+        return row
+
+    def _fold(self, op: ReduceOp, rows: list[Any]) -> Any:
         """Rank-order fold of exchanged contributions.
 
         Same-shape/dtype ndarray rows under a ufunc-backed op fold in
@@ -525,133 +471,36 @@ class ProcessCommunicator(Communicator):
         backend uses.  Both paths apply the identical elementwise fold
         order (rank 0..N-1), so results are bit-identical.
         """
-        runtime = self._ctx.runtime
         if op.ufunc is not None:
-            rows = [
-                v.view_tree(runtime.attach) if isinstance(v, PoolRef) else v
-                for v in values
-            ]
-            first = rows[0]
+            views = [self._view(v) for v in rows]
+            first = views[0]
             if isinstance(first, np.ndarray) and all(
                 isinstance(v, np.ndarray)
                 and v.shape == first.shape
                 and v.dtype == first.dtype
-                for v in rows
+                for v in views
             ):
-                acc = self._ctx.plan.fold(op.ufunc, rows, op.name)
-                return acc.copy()
-        return op.reduce([self._materialize(v) for v in values])
+                return self._ctx.plan.fold(op.ufunc, views, op.name).copy()
+        return super()._fold(op, rows)
 
-    def allgather(self, value: Any) -> list[Any]:
-        values = self._exchange(value, self._record("allgather"), resolve=False)
-        return [self._materialize(v) for v in values]
-
-    def gather(self, value: Any, root: int = 0) -> "list[Any] | None":
-        values = self._exchange(
-            value, self._record("gather", root=root), resolve=False
-        )
-        if self._rank == root:
-            return [self._materialize(v) for v in values]
-        return None
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        values = self._exchange(
-            value if self._rank == root else None,
-            self._record("bcast", root=root),
-            resolve=False,
-        )
-        return self._materialize(values[root])
-
-    def scatter(self, values: "list[Any] | None", root: int = 0) -> Any:
-        if self._rank == root:
-            if values is None or len(values) != self.size:
-                raise MPIError(
-                    "scatter at root requires a list with one entry per rank"
-                )
-        deposited = self._exchange(
-            values if self._rank == root else None,
-            self._record("scatter", root=root),
-            resolve=False,
-        )
-        row = deposited[root]
-        if isinstance(row, PoolRef):
-            row = row.view_tree(self._ctx.runtime.attach)
-        return _copy_payload(row[self._rank])
-
-    def alltoall(self, values: list[Any]) -> list[Any]:
-        if len(values) != self.size:
-            raise MPIError("alltoall requires one entry per rank")
-        deposited = self._exchange(
-            values, self._record("alltoall"), resolve=False
-        )
-        attach = self._ctx.runtime.attach
-        out = []
-        for src in range(self.size):
-            row = deposited[src]
-            if isinstance(row, PoolRef):
-                row = row.view_tree(attach)
-            out.append(_copy_payload(row[self._rank]))
-        return out
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        values = self._exchange(
-            value,
-            self._record("reduce", op=op, root=root, value=value),
-            resolve=False,
-        )
-        if self._rank == root:
-            return self._fold(op, values)
-        return None
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        values = self._exchange(
-            value, self._record("allreduce", op=op, value=value), resolve=False
-        )
-        # Every rank folds in identical rank order => identical results.
-        return self._fold(op, values)
-
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Exclusive prefix reduction; rank 0 receives ``None``."""
-        values = self._exchange(
-            value, self._record("exscan", op=op, value=value), resolve=False
-        )
-        if self._rank == 0:
-            return None
-        return self._fold(op, values[: self._rank])
-
-    # -- communicator management -------------------------------------------
-    def split(self, color: int, key: int | None = None):
-        """Partition ranks by ``color``; order within a group by ``key``.
-
-        The child communicator id is derived from (parent id, parent
+    def _child(self, members: list[int], color: int):
+        """The child communicator id is derived from (parent id, parent
         collective sequence, color) -- identical on every member because
         collectives are called in program order -- so envelope routing
-        needs no shared registry.
-        """
-        key = self._rank if key is None else key
-        triples = self._exchange((color, key, self._rank), self._record("split"))
-        if color < 0:
+        needs no shared registry."""
+        if not members:
             return None
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for c, k, r in triples:
-            if c >= 0:
-                groups.setdefault(c, []).append((k, r))
-        my_group = sorted(groups[color])
         ctx: _ProcessContext = self._ctx
-        members_world = [ctx.members[r] for _, r in my_group]
-        new_rank = [r for _, r in my_group].index(self._rank)
-        child_cid = f"{ctx.cid}/{self._seq}.{color}"
+        new_rank = members.index(self._rank)
         child_ctx = _ProcessContext(
             ctx.runtime,
-            child_cid,
-            members_world,
+            f"{ctx.cid}/{self._seq}.{color}",
+            [ctx.members[r] for r in members],
             new_rank,
             trace=ctx.trace,
             injector=ctx.injector,
         )
-        sub = ProcessCommunicator(child_ctx, new_rank, timeout=self._timeout)
-        sub._trace_recorder = self._trace_recorder
-        return sub
+        return ProcessCommunicator(child_ctx, new_rank, timeout=self._timeout)
 
 
 # --------------------------------------------------------------------------

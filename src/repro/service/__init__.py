@@ -35,11 +35,7 @@ from repro.service.client import (
     ServiceRejected,
     run_client_workload,
 )
-from repro.service.endpoint import (
-    ServiceDataAdaptor,
-    TenantEndpoint,
-    run_workload_inproc,
-)
+from repro.service.endpoint import TenantEndpoint, run_workload_inproc
 from repro.service.policy import ServiceDecision, TenantPolicy, dump_journals
 from repro.service.server import BytesInFlight, ServiceServer
 from repro.service.tenancy import (
@@ -61,7 +57,6 @@ __all__ = [
     "CostLedger",
     "QuotaSpec",
     "ServiceClient",
-    "ServiceDataAdaptor",
     "ServiceDecision",
     "ServiceDisconnected",
     "ServiceError",

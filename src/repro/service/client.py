@@ -155,8 +155,7 @@ class ServiceClient:
                 self.verdicts.append((step, str(ack.get("verdict", ""))))
             return True
         if kind == protocol.NACK:
-            nack = protocol.decode_control(payload)
-            self.channel.retransmit_from(int(nack.get("seq", 0)))
+            self.channel.retransmit_from(protocol.decode_nack(payload))
             return False
         if kind == protocol.REJECT:
             rej = protocol.decode_control(payload)

@@ -1,20 +1,21 @@
 """Per-tenant analysis endpoints: one Bridge, one tenant, one artifact dir.
 
 Each tenant the server admits gets a private analysis pipeline -- a
-single-rank simulated communicator, a :class:`~repro.core.bridge.Bridge`,
-and the shared analysis stack (histogram + the Catalyst slice pipeline)
-writing into ``<out>/tenants/<name>/``.  Isolation is structural: tenants
-share no communicator, no adaptor state, and no output directory, which is
-what lets the acceptance test assert byte-identical artifacts between a
-socket-streamed run and :func:`run_workload_inproc` driving the same
-endpoint directly.
+single-rank simulated communicator, a :class:`~repro.core.bridge.Bridge`
+over the same :class:`~repro.core.received.ReceivedDataAdaptor` the
+FlexPath endpoint uses, and the shared analysis stack (histogram + the
+Catalyst slice pipeline) writing into ``<out>/tenants/<name>/``.  Isolation
+is structural: tenants share no communicator, no adaptor state, and no
+output directory, which is what lets the acceptance test assert
+byte-identical artifacts between a socket-streamed run and
+:func:`run_workload_inproc` driving the same endpoint directly.
 
 Degradation under chaos reuses the staging transport's policy objects: a
 :class:`~repro.faults.policies.CircuitBreaker` per tenant trips after
 consecutive analysis failures (injected at the ``service.step`` site) and
 admits single probes, so a tenant with a poisoned pipeline degrades to
-ingest-only service instead of failing its connection -- the same
-in-transit -> in-line discipline `StagingResilience` applies to FlexPath.
+ingest-only service instead of failing its connection -- consulted through
+the same ``allow()`` / ``observe_outcome()`` face `StagingResilience` uses.
 """
 
 from __future__ import annotations
@@ -28,52 +29,22 @@ import numpy as np
 from repro.analysis.histogram import HistogramAnalysis
 from repro.analysis.slice_ import SlicePlane
 from repro.control.journal import DecisionJournal
-from repro.core.adaptors import DataAdaptor
 from repro.core.bridge import Bridge
-from repro.data import Association, DataArray, ImageData
+from repro.core.received import ReceivedDataAdaptor
 from repro.faults.plan import SITE_SERVICE_STEP
 from repro.faults.policies import CircuitBreaker
 from repro.infrastructure.catalyst import CatalystAdaptor
-from repro.mpi.communicator import Communicator, _Context
+from repro.mpi.communicator import Communicator
 from repro.service.policy import ServiceDecision
 from repro.util.decomp import Extent
 from repro.util.timers import TimerRegistry
 
 
-class ServiceDataAdaptor(DataAdaptor):
-    """The tenant endpoint's data adaptor: one uniform block per step."""
-
-    def __init__(self, comm) -> None:
-        super().__init__(comm)
-        self._mesh: ImageData | None = None
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def ingest(self, extent: Extent, arrays: dict[str, np.ndarray]) -> None:
-        img = ImageData(extent)
-        for name, values in arrays.items():
-            img.add_point_array(DataArray.from_numpy(name, values))
-        self._mesh = img
-        self._arrays = dict(arrays)
-
-    def get_mesh(self, structure_only: bool = False) -> ImageData:
-        if self._mesh is None:
-            raise RuntimeError("no step ingested")
-        return self._mesh
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT or name not in self._arrays:
-            raise KeyError(f"no array {name!r}")
-        return DataArray.from_numpy(name, self._arrays[name])
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        return len(self._arrays) if association is Association.POINT else 0
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        return sorted(self._arrays)[index]
-
-    def release_data(self) -> None:
-        self._mesh = None
-        self._arrays = {}
+def step_extent(arrays: dict[str, np.ndarray]) -> Extent:
+    """The block extent of one step: the first (sorted) array's shape,
+    1-D and 2-D fields padded to 3-D."""
+    nx, ny, nz = (arrays[min(arrays)].shape + (1, 1))[:3]
+    return Extent(0, nx - 1, 0, ny - 1, 0, nz - 1)
 
 
 class InjectedAnalysisError(RuntimeError):
@@ -127,10 +98,10 @@ class TenantEndpoint:
         self.journal = journal
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         os.makedirs(out_dir, exist_ok=True)
-        comm = Communicator(_Context(1), 0)
+        comm = Communicator.single_rank()
         if recorder is not None:
             comm.attach_trace(recorder)
-        self.adaptor = ServiceDataAdaptor(comm)
+        self.adaptor = ReceivedDataAdaptor(comm)
         self.bridge = Bridge(
             comm, self.adaptor, timers=TimerRegistry(), trace=recorder
         )
@@ -167,11 +138,7 @@ class TenantEndpoint:
         )
 
     def process(
-        self,
-        step: int,
-        sim_time: float,
-        arrays: dict[str, np.ndarray],
-        extent: Extent,
+        self, step: int, sim_time: float, arrays: dict[str, np.ndarray]
     ) -> tuple[str, float]:
         """Run the tenant's analyses on one admitted step.
 
@@ -187,15 +154,15 @@ class TenantEndpoint:
         try:
             if self.injector is not None:
                 analysis_fault(self.injector, self.slot, step, self.recorder)
-            self.adaptor.ingest(extent, arrays)
+            self.adaptor.ingest(0, step_extent(arrays), arrays)
             self.bridge.execute(sim_time, step)
         except InjectedAnalysisError as exc:
             self.adaptor.release_data()
-            self.breaker.record_failure()
+            self.breaker.observe_outcome(step, staged=False)
             self.steps_failed += 1
             self._record("failed", step, detail=str(exc))
             return "failed", _time.perf_counter() - t0
-        self.breaker.record_success()
+        self.breaker.observe_outcome(step, staged=True)
         self.steps_ok += 1
         self._hist_steps.append(step)
         self._record("ok", step)
@@ -232,7 +199,6 @@ def run_workload_inproc(
     steps,
     out_dir: str,
     seed: int = 0,
-    extent: Extent | None = None,
     bins: int = 32,
     resolution: tuple[int, int] = (160, 90),
     render: bool = True,
@@ -248,11 +214,6 @@ def run_workload_inproc(
         render=render,
     )
     for step, sim_time, arrays in steps:
-        first = next(iter(sorted(arrays)))
-        shape = arrays[first].shape
-        ext = extent if extent is not None else Extent(
-            0, shape[0] - 1, 0, shape[1] - 1, 0, (shape[2] if len(shape) > 2 else 1) - 1
-        )
-        endpoint.process(step, sim_time, arrays, ext)
+        endpoint.process(step, sim_time, arrays)
     endpoint.finalize()
     return endpoint

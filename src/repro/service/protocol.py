@@ -23,7 +23,9 @@ of the process backend.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import pickle
 from typing import Any
 
@@ -106,15 +108,70 @@ def encode_step(
     return pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def decode_nack(payload: bytes) -> int:
+    """The sequence number a NACK asks retransmission from."""
+    seq = decode_control(payload).get("seq", 0)
+    if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
+        raise ProtocolError(f"NACK seq must be a non-negative integer, got {seq!r}")
+    return seq
+
+
+#: The only globals a pickle written by :func:`encode_step` references
+#: (protocols 2-5; ``numpy.core`` is the numpy < 2 spelling of
+#: ``numpy._core``).
+_STEP_GLOBALS = frozenset(
+    {
+        ("numpy._core.multiarray", "_reconstruct"),
+        ("numpy.core.multiarray", "_reconstruct"),
+        ("numpy._core.numeric", "_frombuffer"),
+        ("numpy.core.numeric", "_frombuffer"),
+        ("numpy", "ndarray"),
+        ("numpy", "dtype"),
+        ("_codecs", "encode"),
+    }
+)
+
+
+class _StepUnpickler(pickle.Unpickler):
+    """STEP bytes come from a tenant: resolve nothing a step does not need."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _STEP_GLOBALS:
+            raise ProtocolError(f"STEP payload references {module}.{name}")
+        return super().find_class(module, name)
+
+
 def decode_step(payload: bytes) -> tuple[int, float, dict[str, np.ndarray]]:
+    """Decode and validate a STEP payload; anything but finite
+    ``step``/``time`` and a non-empty ``{name: real 1-3-D ndarray}`` is a
+    :class:`ProtocolError`."""
     try:
-        blob = pickle.loads(payload)
+        blob = _StepUnpickler(io.BytesIO(payload)).load()
+    except ProtocolError:
+        raise
     except Exception as exc:  # noqa: BLE001 -- any unpickle failure is protocol
         raise ProtocolError(f"undecodable STEP payload: {exc}") from exc
-    if (
-        not isinstance(blob, dict)
-        or not isinstance(blob.get("arrays"), dict)
-        or "step" not in blob
-    ):
-        raise ProtocolError("STEP payload missing step/arrays")
-    return int(blob["step"]), float(blob.get("time", 0.0)), blob["arrays"]
+    if not isinstance(blob, dict):
+        raise ProtocolError("STEP payload must be a dict")
+    step, time, arrays = blob.get("step"), blob.get("time", 0.0), blob.get("arrays")
+    for label, number in (("step", step), ("time", time)):
+        if (
+            isinstance(number, bool)
+            or not isinstance(number, (int, float))
+            or not math.isfinite(number)
+        ):
+            raise ProtocolError(f"STEP payload needs a finite {label}")
+    if not isinstance(arrays, dict) or not arrays:
+        raise ProtocolError("STEP payload needs a non-empty arrays dict")
+    for name, values in arrays.items():
+        if (
+            not isinstance(name, str)
+            or not isinstance(values, np.ndarray)
+            or not 1 <= values.ndim <= 3
+            or values.size == 0
+            or values.dtype.kind not in "biuf"
+        ):
+            raise ProtocolError(
+                f"STEP array {name!r} must be a non-empty real 1-3-D ndarray"
+            )
+    return int(step), float(time), arrays

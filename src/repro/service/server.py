@@ -49,7 +49,6 @@ from repro.service.endpoint import TenantEndpoint
 from repro.service.policy import TenantJournals, TenantPolicy, dump_journals
 from repro.service.tenancy import TenantRegistry, verify_token
 from repro.trace.recorder import TraceSession
-from repro.util.decomp import Extent
 
 
 class BytesInFlight:
@@ -114,11 +113,9 @@ class _TenantWorker:
             if item is None:
                 self.queue.task_done()
                 return
-            step, sim_time, arrays, extent, nbytes = item
+            step, sim_time, arrays, nbytes = item
             try:
-                outcome, seconds = self.endpoint.process(
-                    step, sim_time, arrays, extent
-                )
+                outcome, seconds = self.endpoint.process(step, sim_time, arrays)
                 self.ledger.charge_analysis(
                     seconds, trace=self.endpoint.recorder
                 )
@@ -128,11 +125,11 @@ class _TenantWorker:
                 self.budget.release(nbytes)
                 self.queue.task_done()
 
-    def submit(self, step, sim_time, arrays, extent, nbytes) -> float:
+    def submit(self, step, sim_time, arrays, nbytes) -> float:
         """Enqueue one admitted step; returns seconds blocked on a full
         queue (per-tenant staging backpressure)."""
         t0 = _time.perf_counter()
-        self.queue.put((step, sim_time, arrays, extent, nbytes))
+        self.queue.put((step, sim_time, arrays, nbytes))
         return _time.perf_counter() - t0
 
     def drain(self) -> None:
@@ -416,6 +413,12 @@ class ServiceServer:
             self._step_loop(
                 channel, name, spec, policy, journals, endpoint, worker, ledger
             )
+        except protocol.ProtocolError as exc:
+            # A frame that framed correctly but whose payload is garbage:
+            # refuse the tenant, keep the server (and its budget) whole.
+            journals.admission.record(policy.decide_disconnect("protocol error"))
+            recorder.count("service::disconnects", 1)
+            self._reject(channel, protocol.REJECT_PROTOCOL, str(exc))
         except (TruncatedFrameError, OSError):
             # Journal a fully *stable* detail: the exception message holds
             # stream-chunking byte counts and even the exception class
@@ -464,8 +467,7 @@ class ServiceServer:
                 )
                 continue
             if kind == protocol.NACK:
-                nack = protocol.decode_control(payload)
-                channel.retransmit_from(int(nack.get("seq", 0)))
+                channel.retransmit_from(protocol.decode_nack(payload))
                 continue
             if kind == protocol.EOS:
                 if worker is not None:
@@ -501,6 +503,9 @@ class ServiceServer:
                     f"unexpected frame kind {protocol.KIND_NAMES.get(kind, kind)}"
                 )
             ledger.frames_in += 1
+            # Validated before any verdict: a malformed step is never
+            # journaled as admitted, charged, or held against the budget.
+            step, sim_time, arrays = protocol.decode_step(payload)
             decision = policy.decide_step(len(payload))
             journals.admission.record(decision)
             verdict = decision.verdict
@@ -525,31 +530,18 @@ class ServiceServer:
                 )
                 continue
             # Admitted: charge, apply backpressure, run or stage.
-            step, sim_time, arrays = protocol.decode_step(payload)
             nbytes = len(payload)
             ledger.charge_step(nbytes, trace=recorder)
             waited = self.budget.acquire(nbytes)
             if waited > 0.0:
                 ledger.charge_backpressure(waited, trace=recorder)
-            first = sorted(arrays)[0]
-            shape = arrays[first].shape
-            extent = Extent(
-                0,
-                shape[0] - 1,
-                0,
-                shape[1] - 1 if len(shape) > 1 else 0,
-                0,
-                (shape[2] if len(shape) > 2 else 1) - 1,
-            )
             if worker is not None:
-                stalled = worker.submit(step, sim_time, arrays, extent, nbytes)
+                stalled = worker.submit(step, sim_time, arrays, nbytes)
                 if stalled > 0.0:
                     ledger.charge_backpressure(stalled, trace=recorder)
             else:
                 try:
-                    outcome, seconds = endpoint.process(
-                        step, sim_time, arrays, extent
-                    )
+                    outcome, seconds = endpoint.process(step, sim_time, arrays)
                 finally:
                     self.budget.release(nbytes)
                 ledger.charge_analysis(seconds, trace=recorder)

@@ -18,8 +18,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.util.decomp import Extent
-
 
 def tenant_phase(tenant: str, seed: int = 0, salt: str = "") -> float:
     """A stable per-tenant phase in [0, 1)."""
@@ -48,11 +46,6 @@ def synthetic_field(
     blob0 = np.exp(-(((x - cx0) ** 2) + ((y - cy0) ** 2)) / 0.02)
     blob1 = 0.6 * np.exp(-(((x - cx1) ** 2) + ((y - cy1) ** 2)) / 0.035)
     return np.ascontiguousarray((blob0 + blob1).reshape(nx, ny, 1))
-
-
-def field_extent(shape: tuple[int, int]) -> Extent:
-    nx, ny = shape
-    return Extent(0, nx - 1, 0, ny - 1, 0, 0)
 
 
 def synthetic_steps(

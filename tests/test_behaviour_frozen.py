@@ -1,0 +1,179 @@
+"""Behaviour frozen across the PR 17 seam collapse.
+
+The goldens under ``tests/data/`` were recorded from the commit *before*
+the collective algebra, the received-data adaptor and the staging policy
+were each reduced to one implementation; every artifact and journal those
+seams produce must still come out byte-identical, on both SPMD backends.
+The one intended difference is spelled out in
+:func:`test_chaos_controller_journal_and_report`.
+"""
+
+import inspect
+import json
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.slice_ import SlicePlane
+from repro.core import Bridge
+from repro.faults.chaos import run_chaos
+from repro.infrastructure import CatalystAdaptor
+from repro.infrastructure.adios import run_flexpath_job
+from repro.miniapp import OscillatorSimulation
+from repro.miniapp.oscillator import default_oscillators
+from repro.mpi.communicator import Communicator
+from repro.mpi.process_backend import ProcessCommunicator
+from repro.service import (
+    ServiceServer,
+    TenantRegistry,
+    TenantSpec,
+    issue_token,
+    run_client_workload,
+    run_workload_inproc,
+)
+from repro.service.workload import synthetic_steps
+
+DATA = Path(__file__).parent / "data"
+
+
+def _png_crcs(root, subdirs=("",)):
+    crcs = {}
+    for sub in subdirs:
+        d = Path(root, sub)
+        for path in sorted(d.glob("*.png")) if d.is_dir() else []:
+            key = f"{sub}/{path.name}" if sub else path.name
+            crcs[key] = zlib.crc32(path.read_bytes())
+    return crcs
+
+
+def _golden_json(*parts):
+    return json.loads(DATA.joinpath(*parts).read_text())
+
+
+# -- chaos: FlexPath staging + breaker/controller policy + fault switch -------
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_chaos_seed42_artifacts(tmp_path, backend):
+    run_chaos(seed=42, ranks=4, steps=10, out_dir=str(tmp_path), backend=backend)
+    golden = DATA / "chaos_seed42"
+    for name in ("recovery_report.json", "histograms.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    assert _png_crcs(tmp_path, ("staged", "inline")) == _golden_json(
+        "chaos_seed42", "png_crcs.json"
+    )
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_chaos_controller_journal_and_report(tmp_path, backend):
+    run_chaos(
+        seed=42, ranks=4, steps=10, out_dir=str(tmp_path), backend=backend,
+        controller=True,
+    )
+    golden = DATA / "chaos_seed42_controller"
+    assert (tmp_path / "decision_journal.json").read_bytes() == (
+        golden / "decision_journal.json"
+    ).read_bytes()
+    # The parent fed -- and reported -- a shadow CircuitBreaker nobody
+    # consulted while the controller decided; that fragment is gone.
+    expected = _golden_json("chaos_seed42_controller", "recovery_report.json")
+    for writer in expected["writers"]:
+        del writer["breaker"]
+    assert json.loads((tmp_path / "recovery_report.json").read_text()) == expected
+
+
+# -- service: one tenant stream, in process and through a socket --------------
+
+
+def _assert_service_goldens(tenant_dir):
+    assert (tenant_dir / "histograms.json").read_bytes() == (
+        DATA / "service_alpha" / "histograms.json"
+    ).read_bytes()
+    assert _png_crcs(tenant_dir) == _golden_json("service_alpha", "png_crcs.json")
+
+
+def test_service_inproc_artifacts(tmp_path):
+    run_workload_inproc(
+        "alpha", synthetic_steps("alpha", 6, (64, 64), 3), str(tmp_path), seed=3
+    )
+    _assert_service_goldens(tmp_path)
+
+
+def test_service_socket_artifacts(tmp_path):
+    server = ServiceServer(
+        str(tmp_path / "s.sock"),
+        TenantRegistry([TenantSpec("alpha")]),
+        "golden-secret",
+        str(tmp_path / "out"),
+        seed=3,
+    )
+    server.start()
+    try:
+        run_client_workload(
+            server.socket_path, "alpha", issue_token("golden-secret", "alpha"),
+            6, shape=(64, 64), seed=3,
+        )
+    finally:
+        server.stop()
+    _assert_service_goldens(tmp_path / "out" / "tenants" / "alpha")
+    assert (tmp_path / "out" / "decision_journal.json").read_bytes() == (
+        DATA / "service_alpha" / "decision_journal.json"
+    ).read_bytes()
+
+
+# -- the endpoint is a Bridge: sanitize changes nothing it produces -----------
+
+
+def _flexpath_catalyst_pngs(out_dir, sanitize):
+    dims = (10, 10, 8)
+
+    def writer_program(comm, writer):
+        sim = OscillatorSimulation(comm, dims, default_oscillators(), dt=0.1)
+        bridge = Bridge(comm, sim.make_data_adaptor())
+        bridge.add_analysis(writer)
+        bridge.initialize()
+        sim.run(3, bridge)
+        bridge.finalize()
+
+    job = run_flexpath_job(
+        n_writers=2,
+        n_endpoints=1,
+        writer_program=writer_program,
+        analysis_factory=lambda comm: CatalystAdaptor(
+            plane=SlicePlane(axis=2, index=4),
+            resolution=(40, 32),
+            output_dir=str(out_dir),
+        ),
+        sanitize=sanitize,
+    )
+    endpoint = job.endpoint_results[0]
+    assert endpoint["result"] == {"images_written": 3}
+    assert endpoint["steps_analyzed"] == 3
+    for phase, count in (("initialize", 1), ("analysis", 3), ("finalize", 1)):
+        assert endpoint["timers"][f"endpoint::{phase}"]["count"] == count
+    # The analysis's own timers share the endpoint's registry (Fig. 9).
+    assert endpoint["timers"]["catalyst::render"]["count"] == 3
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).glob("*.png"))}
+
+
+def test_flexpath_endpoint_sanitized_equals_plain(tmp_path):
+    plain = _flexpath_catalyst_pngs(tmp_path / "plain", sanitize=False)
+    guarded = _flexpath_catalyst_pngs(tmp_path / "guarded", sanitize=True)
+    assert len(plain) == 3 and guarded == plain
+
+
+# -- structure: a collective exists once, on both backends by construction ----
+
+_PUBLIC = (
+    "send", "recv", "recv_with_status", "sendrecv", "barrier", "allgather",
+    "gather", "bcast", "scatter", "reduce", "allreduce", "alltoall",
+    "allreduce_minmax", "exscan",
+)
+
+
+def test_process_backend_overrides_no_public_method():
+    overridden = [n for n in (*_PUBLIC, "split") if n in vars(ProcessCommunicator)]
+    assert overridden == []
+    assert all(n in vars(Communicator) for n in _PUBLIC)
+    assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters

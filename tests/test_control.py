@@ -203,7 +203,7 @@ class TestController:
                 break
         assert actions[-1] == "degrade"
         assert len(actions) <= 3  # bad news acts fast
-        assert not ctrl.wants_in_transit()
+        assert not ctrl.allow()
         assert ctrl.believed_derate > 0.9
 
     def test_probe_scheduled_then_recovery(self):
@@ -218,7 +218,7 @@ class TestController:
         probed = []
         recovered_at = None
         for s in range(step, step + 12):
-            attempted = ctrl.wants_in_transit()
+            attempted = ctrl.allow()
             probed.append(attempted)
             decision = ctrl.observe_outcome(s, staged=attempted)
             if decision.action == "recover":
@@ -289,7 +289,7 @@ class TestController:
             ctrl = _controller(seed=11)
             for step in range(12):
                 staged = not (3 <= step < 9)
-                if ctrl.config.placement == "in-line" and not ctrl.wants_in_transit():
+                if ctrl.config.placement == "in-line" and not ctrl.allow():
                     staged = False
                 ctrl.observe_outcome(step, staged=staged)
             return ctrl.journal.to_json()
@@ -374,7 +374,7 @@ class TestSensedOutcomes:
                 staged = not (3 <= step < 9)
                 if (
                     ctrl.config.placement == "in-line"
-                    and not ctrl.wants_in_transit()
+                    and not ctrl.allow()
                 ):
                     staged = False
                 _feed_step(

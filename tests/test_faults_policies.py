@@ -120,6 +120,18 @@ class TestCircuitBreaker:
                 a.record_failure(), b.record_failure()
         assert a.snapshot() == b.snapshot()
 
+    def test_policy_face_is_the_record_calls(self):
+        """``observe_outcome``/``report`` -- the attempt/skip face the
+        staging writer and the service endpoint consult -- drive the same
+        transitions as ``record_success``/``record_failure``."""
+        a = CircuitBreaker(failure_threshold=2, probe_interval=3)
+        b = CircuitBreaker(failure_threshold=2, probe_interval=3)
+        for step, staged in enumerate([True, False, False, False, True, False]):
+            assert a.allow() == b.allow()
+            a.observe_outcome(step, staged)
+            b.record_success() if staged else b.record_failure()
+        assert a.report() == {"breaker": b.snapshot()}
+
 
 class TestHalfOpenProbeLatch:
     """Regression: HALF_OPEN must admit exactly one probe at a time.

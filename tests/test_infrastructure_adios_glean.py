@@ -280,6 +280,34 @@ class TestGlean:
             _, expected_field, _ = out[rank]
             np.testing.assert_array_equal(data, expected_field)
 
+    @pytest.mark.parametrize("failing_step", [2, 3])
+    def test_async_drain_failure_surfaces(self, tmp_path, failing_step):
+        """A write that fails on the drain thread must fail the run -- from
+        the next ``execute()`` (step 2 of 3) or from ``finalize()`` (the
+        last step) -- not be reported as staged."""
+        from repro.mpi import SPMDError
+
+        class DiskFull(GleanAdaptor):
+            def _write_aggregate(self, step, blocks):
+                if step == failing_step:
+                    raise OSError(28, "No space left on device")
+                super()._write_aggregate(step, blocks)
+
+        def prog(comm):
+            sim = OscillatorSimulation(comm, (8, 6, 4), default_oscillators(), dt=0.1)
+            bridge = Bridge(comm, sim.make_data_adaptor())
+            bridge.add_analysis(
+                DiskFull(tmp_path, ranks_per_aggregator=2, asynchronous=True)
+            )
+            bridge.initialize()
+            sim.run(3, bridge)
+            return bridge.finalize()
+
+        with pytest.raises(SPMDError) as err:
+            run_spmd(2, prog)
+        assert "No space left on device" in str(err.value)
+        assert sorted(err.value.failures) == [0]  # the aggregator
+
     def test_results_report_roles(self, tmp_path):
         out = self._run(tmp_path, 4, rpa=2, steps=1)
         roles = [o[2]["GleanAdaptor"]["aggregator"] for o in out]

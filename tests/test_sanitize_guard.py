@@ -221,6 +221,29 @@ class TestGuardedDataAdaptorUnit:
 
 
 class TestTimerBalanceAtFinalize:
+    def test_callers_own_timer_around_finalize_is_not_dangling(self):
+        """The in-transit endpoint shares its registry with the bridge and
+        times ``bridge.finalize()`` itself: that wrapper is running while
+        the check runs, and is the caller's business."""
+        from repro.util import TimerRegistry
+
+        def prog(comm):
+            timers = TimerRegistry()
+            b = Bridge(
+                comm, _mk_adaptor(comm, np.zeros((4, 4))), timers=timers,
+                sanitize=True,
+            )
+            b.add_analysis(CleanAnalysis())
+            with timers.time("caller::initialize"):
+                b.initialize()
+            with timers.time("caller::execute"):
+                b.execute(0.0, 0)
+            with timers.time("caller::finalize"):
+                b.finalize()
+            return timers.active()
+
+        assert run_spmd(1, prog)[0] == []
+
     def test_dangling_timer_raises_under_sanitize(self):
         class Dangler(AnalysisAdaptor):
             def execute(self, data):

@@ -13,9 +13,11 @@ unlinked, no worker threads left).
 """
 
 import json
+import pickle
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultInjector
@@ -40,7 +42,7 @@ from repro.service import (
     run_workload_inproc,
 )
 from repro.service import protocol
-from repro.service.workload import synthetic_steps
+from repro.service.workload import synthetic_field, synthetic_steps
 
 SECRET = "test-secret"
 SHAPE = (16, 16)
@@ -315,6 +317,97 @@ class TestWireFaults:
         assert ("disconnect", "abort") in events
 
 
+class _Hostile:
+    """Pickles to a call of ``os.system`` -- what an unrestricted
+    ``pickle.loads`` on tenant bytes would execute."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        import os
+
+        return (os.system, (f"touch {self.marker}",))
+
+
+class TestHostileStepPayloads:
+    """Frames that frame correctly but carry garbage: the tenant is refused,
+    the server -- its threads, its journal, its byte budget, its other
+    tenants -- is untouched."""
+
+    @pytest.mark.parametrize(
+        "kind,payload",
+        [
+            (protocol.STEP, b"not a pickle"),
+            (protocol.STEP, pickle.dumps({"step": 0, "arrays": {}})),
+            (protocol.STEP, pickle.dumps({"step": 0, "arrays": {"data": [1, 2]}})),
+            (protocol.NACK, protocol.encode_control({"seq": "not-a-number"})),
+        ],
+        ids=["not-a-pickle", "no-arrays", "list-for-array", "nack-seq"],
+    )
+    def test_malformed_payload_is_a_journaled_protocol_abort(
+        self, tmp_path, monkeypatch, kind, payload
+    ):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        server = _server(
+            tmp_path,
+            _registry(TenantSpec("alpha"), TenantSpec("beta")),
+            memory_budget=1 << 20,
+        )
+        peer_summary = {}
+        peer = threading.Thread(
+            target=lambda: peer_summary.update(_run(server, "beta", steps=8))
+        )
+        try:
+            peer.start()
+            client = ServiceClient(server.socket_path, "alpha", _token("alpha"))
+            client.connect()
+            client.submit(0, 0.0, {"data": synthetic_field("alpha", 0, SHAPE)})
+            client.channel.send(kind, payload)
+            with pytest.raises(ServiceRejected) as err:
+                client.finish()
+            assert err.value.code == protocol.REJECT_PROTOCOL
+            peer.join(timeout=60)
+            assert not peer.is_alive()
+        finally:
+            server.stop()
+        assert crashed == [], "a handler thread died on tenant bytes"
+        assert server.budget.held == 0
+        decisions = json.loads(
+            (tmp_path / "out" / "decision_journal.json").read_text()
+        )["alpha"]["admission"]["decisions"]
+        last = decisions[-1]
+        assert (last["event"], last["verdict"], last["detail"]) == (
+            "disconnect", "abort", "protocol error",
+        )
+        # Only the well-formed step was ever admitted (or charged).
+        assert [d["verdict"] for d in decisions if d["event"] == "step"] == ["admit"]
+        assert [v for _, v in peer_summary["verdicts"]] == ["admit"] * 8
+
+    def test_pickle_global_outside_the_step_codec_is_refused(self, tmp_path):
+        marker = tmp_path / "executed"
+        payload = pickle.dumps(
+            {"step": 0, "time": 0.0, "arrays": {"data": _Hostile(marker)}}
+        )
+        with pytest.raises(protocol.ProtocolError, match="system"):
+            protocol.decode_step(payload)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_step_codec_round_trip(self, dtype, order):
+        field = np.asarray(
+            np.arange(24).reshape(2, 3, 4), dtype=dtype, order=order
+        )
+        step, sim_time, arrays = protocol.decode_step(
+            protocol.encode_step(7, 0.25, {"data": field})
+        )
+        assert (step, sim_time, list(arrays)) == (7, 0.25, ["data"])
+        assert arrays["data"].dtype == field.dtype
+        assert np.array_equal(arrays["data"], field)
+
+
 # -- client disconnect mid-step ----------------------------------------------
 
 
@@ -452,6 +545,17 @@ class TestArtifacts:
                 assert (served / name).read_bytes() == (
                     oracle / name
                 ).read_bytes(), f"{tenant}/{name} diverged from the oracle"
+
+    def test_one_dimensional_field_through_the_oracle(self, tmp_path):
+        """The server pads a 1-D step to a 3-D extent; its byte-identity
+        oracle must accept the same stream (it raised IndexError)."""
+        steps = [(s, 0.1 * s, {"data": np.linspace(0.0, 1.0 + s, 32)}) for s in range(3)]
+        endpoint = run_workload_inproc(
+            "alpha", steps, str(tmp_path / "oracle"), render=False
+        )
+        assert endpoint.steps_ok == 3
+        hist = json.loads((tmp_path / "oracle" / "histograms.json").read_text())
+        assert [sum(h["counts"]) for h in hist] == [32, 32, 32]
 
     def test_four_concurrent_tenants_isolated(self, tmp_path):
         names = ["t0", "t1", "t2", "t3"]
