@@ -14,6 +14,7 @@ survive pytest's output capture; run with ``-s`` to see them inline.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -35,3 +36,18 @@ def report():
         return path
 
     return _report
+
+
+@pytest.fixture
+def best_of():
+    """Minimum wall-clock seconds over ``repeats`` calls (noise floor)."""
+
+    def _best_of(fn, repeats: int) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    return _best_of

@@ -4,8 +4,7 @@ The analyzer runs in CI on every push (``python -m repro.analyze src/
 --format sarif``), so its cost is a direct tax on the development loop.
 Statement-granular CFGs plus bounded path enumeration could in principle
 blow up combinatorially; the gate pins the whole-tree analysis --
-107 files, every checker, witnesses included -- under 5 seconds and
-records the measurement in ``BENCH_hotpaths.json``::
+every file, every checker, witnesses included -- under 5 seconds::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_analyze.py -s
 """
@@ -16,8 +15,6 @@ import os
 
 from repro.analyze import analyze_paths
 
-from test_perf_hotpaths import _best_of, _record
-
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 #: Whole-tree budget (seconds).  CI runners are slower than dev boxes;
@@ -25,7 +22,7 @@ _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 BUDGET_S = 5.0
 
 
-def test_full_tree_analysis_under_budget(report):
+def test_full_tree_analysis_under_budget(report, best_of):
     nfiles = sum(
         1
         for dirpath, _, files in os.walk(_SRC)
@@ -38,7 +35,7 @@ def test_full_tree_analysis_under_budget(report):
         findings.clear()
         findings.extend(analyze_paths([_SRC]))
 
-    wall = _best_of(run, repeats=3)
+    wall = best_of(run, repeats=3)
     rows = [
         f"files analyzed        {nfiles}",
         f"raw findings          {len(findings)}",
@@ -47,16 +44,6 @@ def test_full_tree_analysis_under_budget(report):
         f"per file              {wall / max(1, nfiles) * 1e3:9.2f} ms",
     ]
     report("analyze_full_tree", "static analyzer: full src/repro sweep", rows)
-    _record(
-        "static_analyze",
-        {
-            "files": nfiles,
-            "findings": len(findings),
-            "wall_s": round(wall, 4),
-            "budget_s": BUDGET_S,
-            "per_file_ms": round(wall / max(1, nfiles) * 1e3, 3),
-        },
-    )
     assert wall < BUDGET_S, (
         f"full-tree analysis took {wall:.2f}s, budget {BUDGET_S:.1f}s"
     )

@@ -4,7 +4,8 @@ The controller rides two hot paths: the bridge's per-step ``end_step``
 hook (one ``is not None`` check when no controller is attached) and the
 trace recorder's span-subscriber fan-out (one truthiness check on an empty
 list per completed span).  The design contract (ISSUE 8) is that a run
-with no controller pays under 1% of a hot simulation step for all of it::
+with no controller pays far under 1% of a simulation step for all of it,
+held here as an absolute per-step budget::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_control_overhead.py -s
 
@@ -20,24 +21,25 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.trace import TraceRecorder
 
-from test_perf_hotpaths import _best_of, _record
-
 #: Guard sites one step actually hits: 1 bridge end_step check plus a
 #: span-subscriber truthiness check per completed span (~16 spans/step in
 #: the traced chaos job); doubled for headroom.
 GUARDS_PER_STEP = 32
 
+#: All of a step's guards together.  Absolute, so the gate does not loosen
+#: or tighten with the step it rides: 5 us is under 1% of a 0.56 ms step,
+#: several times faster than the 64^3 refill timed below.
+GUARD_BUDGET_S = 5e-6
+
 GUARD_ITERS = 200_000
 
 
-def test_disabled_controller_under_one_percent_of_hotpath(report):
-    """The is-None / empty-subscribers guards vs one cached step."""
+def test_disabled_controller_within_budget(report, best_of):
+    """The is-None / empty-subscribers guards vs GUARD_BUDGET_S."""
 
     def prog(comm):
-        sim = OscillatorSimulation(
-            comm, (64, 64, 64), default_oscillators(), dt=0.01, kernel_cache=True
-        )
-        t_step = _best_of(sim.advance, 5)
+        sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.01)
+        t_step = best_of(sim.advance, 5)
 
         controller = None
         rec = TraceRecorder(rank=0)
@@ -50,37 +52,26 @@ def test_disabled_controller_under_one_percent_of_hotpath(report):
                 if subs:
                     raise AssertionError("no subscribers expected")
 
-        t_guard = _best_of(guards, 3) / (2 * GUARD_ITERS)
+        t_guard = best_of(guards, 3) / (2 * GUARD_ITERS)
         return t_step, t_guard
 
     t_step, t_guard = run_spmd(1, prog)[0]
-    overhead = GUARDS_PER_STEP * t_guard / t_step
-    _record(
-        "controller_overhead",
-        {
-            "grid": [64, 64, 64],
-            "guards_per_step": GUARDS_PER_STEP,
-            "guard_s_per_site": t_guard,
-            "cached_s_per_step": t_step,
-            "overhead_fraction": overhead,
-            "budget_fraction": 0.01,
-        },
-    )
+    per_step = GUARDS_PER_STEP * t_guard
     report(
         "perf_control_overhead",
-        "disabled controller vs 64^3 cached step",
+        "disabled controller vs 64^3 step",
         [
             f"guard:    {t_guard * 1e9:8.1f} ns/site x {GUARDS_PER_STEP} sites",
-            f"step:     {t_step * 1e3:8.3f} ms",
-            f"overhead: {overhead * 100:8.4f}% (budget 1%)",
+            f"per step: {per_step * 1e6:8.3f} us (budget {GUARD_BUDGET_S * 1e6:.0f} us)",
+            f"step:     {t_step * 1e3:8.3f} ms ({per_step / t_step * 100:.4f}%)",
         ],
     )
-    assert overhead < 0.01, (
-        f"disabled controller costs {overhead * 100:.2f}% of a hot step"
+    assert per_step <= GUARD_BUDGET_S, (
+        f"disabled controller costs {per_step * 1e6:.2f} us per step"
     )
 
 
-def test_enabled_decision_cost_bounded(report):
+def test_enabled_decision_cost_bounded(report, best_of):
     """One full decision (plan sweep over all candidates + journal append)
     against the 6K-core modeled step it would be tuning."""
     from repro.control import SLO, Controller
@@ -97,17 +88,8 @@ def test_enabled_decision_cost_bounded(report):
             ctrl.observe_outcome(s, staged=True)
         counter["step"] += 20
 
-    t_total = _best_of(decide, 3)
+    t_total = best_of(decide, 3)
     t_decision = t_total / 20
-    _record(
-        "controller_decision_cost",
-        {
-            "candidates": len(model.candidate_configs()),
-            "decision_s": t_decision,
-            "modeled_step_s": step_s,
-            "fraction_of_step": t_decision / step_s,
-        },
-    )
     report(
         "perf_control_decision",
         "one enabled controller decision",

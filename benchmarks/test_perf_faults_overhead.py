@@ -3,16 +3,15 @@
 The injection hooks ride the hottest paths in the repo -- every send, every
 collective, every simulation step, every storage write.  The design
 contract (ISSUE 4) is that the *disabled* layer is one ``is None`` check
-per hook and must add under 1% to the hot-path timings tracked in
-``BENCH_hotpaths.json``::
+per hook and must stay far under 1% of the step it rides on::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_faults_overhead.py -s
 
 Two measurements back that up:
 
-1. the per-hook guard cost (``getattr(comm, "fault_injector", None)``)
-   against the kernel-cached miniapp step it rides on, scaled by a
-   generous per-step hook count, and
+1. the per-hook guard cost (``getattr(comm, "fault_injector", None)``),
+   scaled by a generous per-step hook count, against an absolute budget
+   (the 64^3 miniapp step it rides on is printed beside it), and
 2. an end-to-end A/B of a communication-heavy workload run with
    ``faults=None`` vs an *empty* fault plan (enabled layer, nothing
    scheduled) -- bounding what merely wiring the injector costs.
@@ -27,58 +26,48 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 
-from test_perf_hotpaths import _best_of, _record
-
 #: Hooks a single miniapp step actually hits in the chaos job: 1 sim.step
 #: draw + a storage write + a handful of staging sends and collective
 #: entries (~15); doubled for headroom.  The measured per-guard time also
 #: includes the timing loop itself, so the gate is conservative twice over.
 HOOKS_PER_STEP = 32
 
+#: All of a step's guards together.  Absolute, so the gate does not loosen
+#: or tighten with the step it rides: 5 us is under 1% of a 0.56 ms step,
+#: several times faster than the 64^3 refill timed below.
+GUARD_BUDGET_S = 5e-6
+
 GUARD_ITERS = 200_000
 
 
-def test_disabled_guard_under_one_percent_of_hotpath(report):
-    """The is-None guard, scaled by HOOKS_PER_STEP, vs one cached step."""
+def test_disabled_guards_within_budget(report, best_of):
+    """The is-None guard, scaled by HOOKS_PER_STEP, vs GUARD_BUDGET_S."""
 
     def prog(comm):
-        sim = OscillatorSimulation(
-            comm, (64, 64, 64), default_oscillators(), dt=0.01, kernel_cache=True
-        )
-        t_step = _best_of(sim.advance, 5)
+        sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.01)
+        t_step = best_of(sim.advance, 5)
 
         def guards():
             for _ in range(GUARD_ITERS):
                 if getattr(comm, "fault_injector", None) is not None:
                     raise AssertionError("injector must be absent here")
 
-        t_guard = _best_of(guards, 3) / GUARD_ITERS
+        t_guard = best_of(guards, 3) / GUARD_ITERS
         return t_step, t_guard
 
     t_step, t_guard = run_spmd(1, prog)[0]
-    overhead = HOOKS_PER_STEP * t_guard / t_step
-    _record(
-        "faults_disabled_overhead",
-        {
-            "grid": [64, 64, 64],
-            "hooks_per_step": HOOKS_PER_STEP,
-            "guard_s_per_hook": t_guard,
-            "cached_s_per_step": t_step,
-            "overhead_fraction": overhead,
-            "budget_fraction": 0.01,
-        },
-    )
+    per_step = HOOKS_PER_STEP * t_guard
     report(
         "perf_faults_overhead",
-        "disabled fault layer vs 64^3 cached step",
+        "disabled fault layer vs 64^3 step",
         [
             f"guard:    {t_guard * 1e9:8.1f} ns/hook x {HOOKS_PER_STEP} hooks",
-            f"step:     {t_step * 1e3:8.3f} ms",
-            f"overhead: {overhead * 100:8.4f}% (budget 1%)",
+            f"per step: {per_step * 1e6:8.3f} us (budget {GUARD_BUDGET_S * 1e6:.0f} us)",
+            f"step:     {t_step * 1e3:8.3f} ms ({per_step / t_step * 100:.4f}%)",
         ],
     )
-    assert overhead < 0.01, (
-        f"disabled fault layer costs {overhead * 100:.2f}% of a hot step"
+    assert per_step <= GUARD_BUDGET_S, (
+        f"disabled fault layer costs {per_step * 1e6:.2f} us per step"
     )
 
 
@@ -109,16 +98,6 @@ def test_empty_plan_end_to_end_overhead(report):
     t_disabled = min(run(None) for _ in range(3))
     t_empty = min(run(FaultPlan(seed=0)) for _ in range(3))
     ratio = t_empty / t_disabled
-    _record(
-        "faults_empty_plan_overhead",
-        {
-            "ranks": nranks,
-            "rounds": rounds,
-            "disabled_s": t_disabled,
-            "empty_plan_s": t_empty,
-            "ratio": ratio,
-        },
-    )
     report(
         "perf_faults_empty_plan",
         f"sendrecv+allreduce x{rounds}, {nranks} ranks",

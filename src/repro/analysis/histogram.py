@@ -73,29 +73,19 @@ def local_histogram(
 
 
 def parallel_histogram(
-    comm, values: np.ndarray, bins: int, root: int = 0, fused_range: bool = False
+    comm, values: np.ndarray, bins: int, root: int = 0
 ) -> Histogram | None:
     """The paper's histogram method over a distributed array.
 
-    Two reductions for min/max (the paper-faithful default), local binning,
-    then a sum-reduction of the per-rank count arrays to the root.  Non-root
-    ranks return ``None``.
-
-    ``fused_range=True`` is the classic latency optimization the paper's
-    description leaves on the table: fold min and max into *one* allreduce
-    over the pair ``(-min, max)`` under MAX, halving the collective count
-    per step.  The resulting range (and histogram) is bit-identical.
+    Two reductions for min/max, local binning, then a sum-reduction of the
+    per-rank count arrays to the root.  Non-root ranks return ``None``.
     """
     flat = np.asarray(values).reshape(-1)
     # Empty local block still participates in the collectives.
     local_min = float(flat.min()) if flat.size else float("inf")
     local_max = float(flat.max()) if flat.size else float("-inf")
-    if fused_range:
-        fused = comm.allreduce(np.array([-local_min, local_max]), MAX)
-        vmin, vmax = -float(fused[0]), float(fused[1])
-    else:
-        vmin = comm.allreduce(local_min, MIN)
-        vmax = comm.allreduce(local_max, MAX)
+    vmin = comm.allreduce(local_min, MIN)
+    vmax = comm.allreduce(local_max, MAX)
     counts = local_histogram(flat, bins, vmin, vmax)
     total = comm.reduce(counts, SUM, root=root)
     if comm.rank != root:
@@ -110,7 +100,6 @@ def _make_histogram(config) -> "HistogramAnalysis":
         bins=config.get_int("bins", 64),
         array=config.get("array", "data"),
         association=Association(config.get("association", "point")),
-        fused_range=config.get_bool("fused_range", False),
     )
 
 
@@ -127,7 +116,6 @@ class HistogramAnalysis(AnalysisAdaptor):
         bins: int = 64,
         array: str = "data",
         association: Association = Association.POINT,
-        fused_range: bool = False,
     ) -> None:
         super().__init__()
         if bins <= 0:
@@ -135,7 +123,6 @@ class HistogramAnalysis(AnalysisAdaptor):
         self.bins = bins
         self.array = array
         self.association = association
-        self.fused_range = fused_range
         self.history: list[Histogram] = []
         self._comm = None
 
@@ -157,9 +144,7 @@ class HistogramAnalysis(AnalysisAdaptor):
             levels = data.get_array(self.association, GHOST_ARRAY_NAME).values
             values = values[levels == 0]
         with timed(self.timers, "histogram::execute"):
-            result = parallel_histogram(
-                self._comm, values, self.bins, fused_range=self.fused_range
-            )
+            result = parallel_histogram(self._comm, values, self.bins)
         if result is not None:
             self.history.append(result)
         return True

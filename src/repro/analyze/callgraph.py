@@ -33,7 +33,6 @@ COLLECTIVE_NAMES = frozenset(
         "bcast",
         "reduce",
         "allreduce",
-        "allreduce_minmax",
         "gather",
         "allgather",
         "scatter",

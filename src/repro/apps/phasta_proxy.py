@@ -264,7 +264,6 @@ class PhastaSliceRender(AnalysisAdaptor):
         colormap: Colormap = COOL_WARM,
         compression_level: int = 6,
         output_dir=None,
-        png_workers: int = 0,
     ) -> None:
         super().__init__()
         if axis not in (0, 1, 2):
@@ -275,7 +274,6 @@ class PhastaSliceRender(AnalysisAdaptor):
         self.thickness = thickness
         self.colormap = colormap
         self.compression_level = compression_level
-        self.png_workers = png_workers
         self.output_dir = output_dir
         self._comm = None
         self.images_written = 0
@@ -323,9 +321,7 @@ class PhastaSliceRender(AnalysisAdaptor):
             final = binary_swap(self._comm, partial)
         if final is not None:
             with timed(self.timers, "phasta_slice::png"):
-                blob = encode_png(
-                    final.rgb, self.compression_level, workers=self.png_workers
-                )
+                blob = encode_png(final.rgb, self.compression_level)
             self.last_png = blob
             if self.output_dir is not None:
                 import os

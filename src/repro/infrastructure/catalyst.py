@@ -70,7 +70,6 @@ def _make_catalyst(config) -> "CatalystAdaptor":
         compression_level=config.get_int("compression_level", 6),
         frequency=config.get_int("frequency", 1),
         png_workers=config.get_int("png_workers", 0),
-        framebuffer_pool=config.get_bool("framebuffer_pool", False),
     )
 
 
@@ -83,10 +82,8 @@ class CatalystAdaptor(AnalysisAdaptor):
     are written to ``output_dir`` when given; otherwise the encoded bytes
     are kept on ``last_png`` so callers (and tests) can consume them.
 
-    Two hot-path knobs ablate the paper's serial-rank-0 bottlenecks:
-    ``png_workers > 0`` switches rank 0 to the thread-banded chunked PNG
-    deflate, and ``framebuffer_pool=True`` reuses framebuffers across steps
-    instead of allocating fresh RGB/alpha triples every frame.
+    ``png_workers > 0`` switches rank 0 from the paper's serial PNG encode
+    to the thread-banded chunked deflate.
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         compression_level: int = 6,
         frequency: int = 1,
         png_workers: int = 0,
-        framebuffer_pool: bool = False,
     ) -> None:
         super().__init__()
         if edition not in EDITIONS:
@@ -122,7 +118,7 @@ class CatalystAdaptor(AnalysisAdaptor):
         if png_workers < 0:
             raise ValueError("png_workers must be non-negative")
         self.png_workers = png_workers
-        self._use_pool = framebuffer_pool
+        # Exists only while reconfigure(framebuffer_depth > 0) is in force.
         self._pool: FramebufferPool | None = None
         self._comm = None
         self.images_written = 0
@@ -133,11 +129,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         if self.memory is not None:
             # The Edition's library footprint is a per-rank static cost.
             self.memory.add_static(self.edition.static_bytes, label="catalyst::edition")
-        if self._use_pool and self._pool is None:
-            # A pool created earlier by reconfigure() keeps its tuned depth.
-            self._pool = FramebufferPool(
-                memory=self.memory, label="catalyst::framebuffer_pool"
-            )
         if self.output_dir and comm.rank == 0:
             os.makedirs(self.output_dir, exist_ok=True)
 
@@ -169,9 +160,7 @@ class CatalystAdaptor(AnalysisAdaptor):
                 if self._pool is not None:
                     self._pool.drain()
                     self._pool = None
-                self._use_pool = False
             elif self._pool is None:
-                self._use_pool = True
                 self._pool = FramebufferPool(
                     memory=self.memory,
                     label="catalyst::framebuffer_pool",

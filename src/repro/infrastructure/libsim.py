@@ -20,6 +20,7 @@ magnitude, run every 5th step) is expressible directly.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -49,6 +50,55 @@ def write_session_file(path, plots: list[dict], resolution=(1600, 1600)) -> None
     session = {"version": 1, "resolution": list(resolution), "plots": plots}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(session, fh, indent=2)
+
+
+def _is_finite_number(v) -> bool:
+    # type() rather than isinstance(): JSON true/false are not numbers.
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer literal beyond float range
+        return False
+
+
+def _parse_session(session: Configuration) -> tuple[tuple[int, int], list[dict]]:
+    """Validate a session as it is opened.
+
+    A malformed field is a :class:`ConfigError` naming it, raised by every
+    rank's ``initialize()`` instead of an untyped error at the first
+    ``execute()``.  An unknown ``colormap`` is not an error: it falls back
+    to viridis.
+    """
+    res = session.get_list("resolution", [1600, 1600])
+    if len(res) != 2 or not all(type(v) is int and v > 0 for v in res):
+        raise ConfigError(f"'resolution' must be two positive integers: {res!r}")
+    plots = session.get_list("plots")
+    for n, plot in enumerate(plots):
+        where = f"plots[{n}]"
+        if not isinstance(plot, dict):
+            raise ConfigError(f"{where} is not an object: {plot!r}")
+        kind = plot.get("type")
+        if kind == "pseudocolor_slice":
+            axis, index = plot.get("axis", 2), plot.get("index", 0)
+            if type(axis) is not int or axis not in (0, 1, 2):
+                raise ConfigError(f"{where}.axis must be 0, 1 or 2: {axis!r}")
+            if type(index) is not int:
+                raise ConfigError(f"{where}.index must be an integer: {index!r}")
+        elif kind == "isosurface":
+            isovalues = plot.get("isovalues", [0.5])
+            if (
+                not isinstance(isovalues, list)
+                or not isovalues
+                or not all(_is_finite_number(v) for v in isovalues)
+            ):
+                raise ConfigError(
+                    f"{where}.isovalues must be a non-empty list of finite "
+                    f"numbers: {isovalues!r}"
+                )
+        else:
+            raise ConfigError(f"{where}: unknown Libsim plot type {kind!r}")
+    return (res[0], res[1]), plots
 
 
 @register_analysis("libsim")
@@ -102,12 +152,7 @@ class LibsimAdaptor(AnalysisAdaptor):
         # Per-rank session parse: every rank opens and parses the file.
         with timed(self.timers, "libsim::session_parse"):
             self._session = Configuration.from_file(self.session_file)
-            self._plots = self._session.get_list("plots")
-            res = self._session.get_list("resolution", [1600, 1600])
-            self.resolution = (int(res[0]), int(res[1]))
-        for plot in self._plots:
-            if plot.get("type") not in ("pseudocolor_slice", "isosurface"):
-                raise ConfigError(f"unknown Libsim plot type {plot.get('type')!r}")
+            self.resolution, self._plots = _parse_session(self._session)
         if self.memory is not None:
             self.memory.add_static(self.STATIC_BYTES, label="libsim::library")
         if self.output_dir and comm.rank == 0:

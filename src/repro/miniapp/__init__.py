@@ -16,7 +16,6 @@ optional per-step synchronization, and a SENSEI data adaptor.
 
 from repro.miniapp.oscillator import Oscillator, OscillatorKind
 from repro.miniapp.input import parse_oscillators, read_oscillators, format_oscillators
-from repro.miniapp.kernel_cache import FieldKernelCache
 from repro.miniapp.simulation import OscillatorSimulation
 
 __all__ = [
@@ -25,6 +24,5 @@ __all__ = [
     "parse_oscillators",
     "read_oscillators",
     "format_oscillators",
-    "FieldKernelCache",
     "OscillatorSimulation",
 ]

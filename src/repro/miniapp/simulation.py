@@ -46,17 +46,6 @@ class OscillatorSimulation:
     sync:
         Synchronize (barrier) after every step.  "this synchronization is
         off in the experiments below" -- default False.
-    kernel_cache:
-        Opt in to the separable-kernel fast path: precompute the stacked
-        Gaussian basis once (see
-        :class:`~repro.miniapp.kernel_cache.FieldKernelCache`) and turn each
-        :meth:`advance` into one BLAS matvec.  Numerically equivalent to the
-        streaming path to machine precision.
-    kernel_cache_budget:
-        Byte budget for the basis; when the basis would exceed it the
-        simulation silently falls back to the streaming O(m N^3) path
-        (``use_kernel_cache`` reports which path is live).  ``None`` means
-        unbudgeted.
     """
 
     FIELD_NAME = "data"
@@ -71,8 +60,6 @@ class OscillatorSimulation:
         sync: bool = False,
         timers: TimerRegistry | None = None,
         memory: MemoryTracker | None = None,
-        kernel_cache: bool = False,
-        kernel_cache_budget: int | None = None,
     ) -> None:
         if not oscillators:
             raise ValueError("simulation requires at least one oscillator")
@@ -121,18 +108,6 @@ class OscillatorSimulation:
             if self.memory is not None:
                 for c in (self._x, self._y, self._z):
                     self.memory.track_array(np.ascontiguousarray(c.reshape(-1)))
-            self.kernel_cache = None
-            if kernel_cache:
-                from repro.miniapp.kernel_cache import FieldKernelCache
-
-                self.kernel_cache = FieldKernelCache.build(
-                    self.oscillators,
-                    self._x,
-                    self._y,
-                    self._z,
-                    max_bytes=kernel_cache_budget,
-                    memory=self.memory,
-                )
 
     # -- SENSEI instrumentation -------------------------------------------------
     def make_data_adaptor(self, eager: bool = False) -> LazyStructuredDataAdaptor:
@@ -150,17 +125,10 @@ class OscillatorSimulation:
         return adaptor
 
     # -- the solver -----------------------------------------------------------------
-    @property
-    def use_kernel_cache(self) -> bool:
-        """Whether advance() runs on the cached-basis matvec fast path."""
-        return self.kernel_cache is not None
-
     def advance(self) -> None:
         """One time step: refill the local block, advance the clock.
 
-        Streaming path: O(m N^3) per step, the paper's cost model.  With the
-        opt-in kernel cache the refill is a single matvec into the field's
-        flat view -- same values to machine precision, no temporaries.
+        O(m N^3) per step, the paper's cost model.
         """
         inj = getattr(self.comm, "fault_injector", None)
         if inj is not None:
@@ -176,12 +144,9 @@ class OscillatorSimulation:
         with timed(self.timers, "simulation::advance"):
             self.time += self.dt
             self.step += 1
-            if self.kernel_cache is not None:
-                self.kernel_cache.evaluate_into(self.time, self.field.reshape(-1))
-            else:
-                self.field.fill(0.0)
-                for osc in self.oscillators:
-                    self.field += osc.evaluate(self._x, self._y, self._z, self.time)
+            self.field.fill(0.0)
+            for osc in self.oscillators:
+                self.field += osc.evaluate(self._x, self._y, self._z, self.time)
             if self.sync:
                 self.comm.barrier()
 

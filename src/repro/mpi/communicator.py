@@ -60,7 +60,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.mpi.ops import MAX, MIN, SUM, ReduceOp
+from repro.mpi.ops import SUM, ReduceOp
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -71,7 +71,7 @@ DEFAULT_TIMEOUT = 120.0
 
 #: Collectives whose deposited payloads must be shape/dtype/op compatible
 #: across ranks for the fold to be well defined.
-_REDUCING_KINDS = frozenset({"reduce", "allreduce", "allreduce_minmax", "exscan"})
+_REDUCING_KINDS = frozenset({"reduce", "allreduce", "exscan"})
 
 #: Per-rank collective records retained for trace diagnostics.
 _HISTORY_LIMIT = 32
@@ -802,19 +802,6 @@ class Communicator:
             raise MPIError("alltoall requires one entry per rank")
         rows = self._exchange(values, self._record("alltoall"))
         return [_copy_payload(self._view(row)[self._rank]) for row in rows]
-
-    def allreduce_minmax(self, value: float) -> tuple[float, float]:
-        """Fused min+max allreduce.
-
-        The histogram analysis performs "two reductions to determine the
-        minimum and maximum values on the grid" (Sec. 3.3); this helper keeps
-        that a single slot exchange while reporting both, and the perf model
-        still charges two reductions.
-        """
-        rows = self._exchange(
-            value, self._record("allreduce_minmax", value=value)
-        )
-        return self._fold(MIN, rows), self._fold(MAX, rows)
 
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""

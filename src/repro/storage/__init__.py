@@ -16,6 +16,7 @@ implemented for real here:
   "save to a BP file" mode.
 """
 
+from repro.storage.checks import StorageFormatError
 from repro.storage.vtk_io import (
     VTKIndex,
     VTKPiece,
@@ -43,4 +44,5 @@ __all__ = [
     "BPWriter",
     "BPReader",
     "BPFile",
+    "StorageFormatError",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.injector import InjectedWriteError
+from repro.storage.checks import StorageFormatError, stored_dims, stored_dtype
 from repro.util.decomp import Extent
 
 
@@ -185,28 +186,76 @@ class BPWriter:
         self.comm.barrier()
 
 
+def _index_int(node, key: str, where: str, minimum: int = 0) -> int:
+    v = node.get(key)
+    if type(v) is not int or v < minimum:
+        raise StorageFormatError(f"{where}.{key} must be an integer >= {minimum}: {v!r}")
+    return v
+
+
+def _block_record(b, n: int, global_dims, num_writers: int) -> BPBlockRecord:
+    """One index entry, checked against the container it claims to be in."""
+    where = f"blocks[{n}]"
+    if not isinstance(b, dict):
+        raise StorageFormatError(f"{where} is not an object: {b!r}")
+    var = b.get("var")
+    if not isinstance(var, str):
+        raise StorageFormatError(f"{where}.var must be a string: {var!r}")
+    rank = _index_int(b, "rank", where)
+    if rank >= num_writers:
+        # The rank names the subfile: out of range would read another file.
+        raise StorageFormatError(f"{where}.rank {rank} is not one of {num_writers} writers")
+    e = b.get("extent")
+    if (
+        not isinstance(e, list)
+        or len(e) != 6
+        or not all(type(v) is int for v in e)
+        # lo == hi + 1 is the empty block an over-decomposed writer records.
+        or not all(0 <= e[2 * a] <= e[2 * a + 1] + 1 <= global_dims[a] for a in range(3))
+    ):
+        raise StorageFormatError(f"{where}.extent is not inside {global_dims}: {e!r}")
+    extent = Extent(*e)
+    dtype = stored_dtype(b.get("dtype"), f"{where}.dtype")
+    nbytes = _index_int(b, "nbytes", where)
+    if nbytes != extent.num_points * dtype.itemsize:
+        raise StorageFormatError(
+            f"{where}.nbytes {nbytes} is not {extent.shape} x {dtype.itemsize} bytes"
+        )
+    return BPBlockRecord(
+        var=var,
+        step=_index_int(b, "step", where),
+        rank=rank,
+        extent=extent,
+        dtype=b["dtype"],
+        offset=_index_int(b, "offset", where),
+        nbytes=nbytes,
+    )
+
+
 class BPReader:
     """Reads variables back, with sub-extent selection; works with any
-    number of reader ranks (each reader opens only the subfiles it needs)."""
+    number of reader ranks (each reader opens only the subfiles it needs).
+
+    The index is validated as it is opened and every subfile read is
+    length-checked; a container that fails raises
+    :class:`StorageFormatError`.
+    """
 
     def __init__(self, path) -> None:
         self.file = BPFile(path)
         with open(self.file.index_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        self.global_dims = tuple(raw["global_dims"])
-        self.num_writers = raw["num_writers"]
-        self.num_steps = raw["num_steps"]
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bad UTF-8 or bad JSON
+                raise StorageFormatError(f"unreadable BP index: {exc}") from exc
+        if not isinstance(raw, dict) or not isinstance(raw.get("blocks"), list):
+            raise StorageFormatError("BP index must be an object with a 'blocks' list")
+        self.global_dims = stored_dims(raw.get("global_dims"), "global_dims")
+        self.num_writers = _index_int(raw, "num_writers", "index", minimum=1)
+        self.num_steps = _index_int(raw, "num_steps", "index")
         self._blocks = [
-            BPBlockRecord(
-                var=b["var"],
-                step=b["step"],
-                rank=b["rank"],
-                extent=Extent(*b["extent"]),
-                dtype=b["dtype"],
-                offset=b["offset"],
-                nbytes=b["nbytes"],
-            )
-            for b in raw["blocks"]
+            _block_record(b, n, self.global_dims, self.num_writers)
+            for n, b in enumerate(raw["blocks"])
         ]
 
     def variables(self) -> list[str]:
@@ -228,6 +277,11 @@ class BPReader:
             with open(self.file.subfile(rec.rank), "rb") as fh:
                 fh.seek(rec.offset)
                 raw = fh.read(rec.nbytes)
+            if len(raw) != rec.nbytes:
+                raise StorageFormatError(
+                    f"{self.file.subfile(rec.rank)}: {len(raw)} of {rec.nbytes} "
+                    f"bytes at offset {rec.offset}"
+                )
             block = np.frombuffer(raw, dtype=np.dtype(rec.dtype)).reshape(
                 rec.extent.shape
             )

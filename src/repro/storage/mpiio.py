@@ -13,12 +13,14 @@ I/O slower than file-per-process in Table 1.
 from __future__ import annotations
 
 import json
+import os
 import time
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.faults.injector import InjectedWriteError
+from repro.storage.checks import StorageFormatError, stored_dims, stored_dtype
 from repro.util.decomp import Extent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,12 +119,25 @@ def _consult_injector(comm, inj) -> None:
 
 
 def mpiio_read_block(path, extent: Extent) -> np.ndarray:
-    """Read one sub-block back from a canonical shared file."""
+    """Read one sub-block back from a canonical shared file.
+
+    The header and the file's size are checked before any of it is
+    trusted; a file that fails raises :class:`StorageFormatError`.
+    """
     with open(path, "rb") as fh:
         hlen = int.from_bytes(fh.read(8), "little")
-        meta = json.loads(fh.read(hlen).decode())
-        nx, ny, nz = meta["dims"]
-        dtype = np.dtype(meta["dtype"])
+        if not 0 < hlen <= _HEADER_BYTES - 8:
+            raise StorageFormatError(f"{path}: header length {hlen} out of range")
+        try:
+            meta = json.loads(fh.read(hlen).decode())
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise StorageFormatError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise StorageFormatError(f"{path}: header is not an object")
+        nx, ny, nz = stored_dims(meta.get("dims"), f"{path}: dims")
+        dtype = stored_dtype(meta.get("dtype"), f"{path}: dtype")
+        if os.fstat(fh.fileno()).st_size < file_size_for((nx, ny, nz), dtype):
+            raise StorageFormatError(f"{path}: truncated data section")
         if not (
             0 <= extent.i0 <= extent.i1 < nx
             and 0 <= extent.j0 <= extent.j1 < ny

@@ -94,50 +94,6 @@ class TestParallelHistogram:
                 counts = h.counts
             assert np.array_equal(h.counts, counts)
 
-    @pytest.mark.parametrize("nranks", [1, 3, 4])
-    def test_fused_range_bit_identical(self, nranks):
-        """One (min, max) allreduce vs the paper's two: same histogram,
-        same range, bit for bit -- including negative-only data."""
-        rng = np.random.default_rng(11)
-        data = rng.normal(loc=-2.0, size=900)
-
-        def prog(comm):
-            chunks = np.array_split(data, comm.size)
-            two = parallel_histogram(comm, chunks[comm.rank], bins=32)
-            one = parallel_histogram(
-                comm, chunks[comm.rank], bins=32, fused_range=True
-            )
-            if comm.rank != 0:
-                assert two is None and one is None
-                return None
-            return two, one
-
-        two, one = run_spmd(nranks, prog)[0]
-        assert one.vmin == two.vmin and one.vmax == two.vmax
-        assert np.array_equal(one.counts, two.counts)
-        assert np.array_equal(one.edges, two.edges)
-
-    def test_fused_range_with_empty_rank(self):
-        data = [np.array([]), np.array([3.0, -7.0, 2.0])]
-
-        def prog(comm):
-            return parallel_histogram(comm, data[comm.rank], bins=4, fused_range=True)
-
-        h = run_spmd(2, prog)[0]
-        assert h.vmin == -7.0 and h.vmax == 3.0 and h.total == 3
-
-    def test_fused_range_config_knob(self):
-        """The ConfigurableAnalysis surface exposes fused_range."""
-        from repro.core.configurable import ConfigurableAnalysis
-        from repro.util.config import Configuration
-
-        cfg = Configuration(
-            {"analyses": [{"type": "histogram", "bins": 8, "fused_range": True}]}
-        )
-        comp = ConfigurableAnalysis(cfg)
-        (adaptor,) = comp.analyses
-        assert adaptor.fused_range is True
-
 
 class TestHistogramAnalysisAdaptor:
     def test_in_situ_histogram_over_miniapp(self):

@@ -167,8 +167,7 @@ def test_flexpath_endpoint_sanitized_equals_plain(tmp_path):
 
 _PUBLIC = (
     "send", "recv", "recv_with_status", "sendrecv", "barrier", "allgather",
-    "gather", "bcast", "scatter", "reduce", "allreduce", "alltoall",
-    "allreduce_minmax", "exscan",
+    "gather", "bcast", "scatter", "reduce", "allreduce", "alltoall", "exscan",
 )
 
 

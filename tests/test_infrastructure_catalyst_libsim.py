@@ -1,5 +1,7 @@
 """Tests for the Catalyst and Libsim infrastructure emulations."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
 from repro.util import MemoryTracker, TimerRegistry
+from repro.util.config import ConfigError
 
 
 def _run_catalyst(nranks, dims=(12, 10, 8), steps=2, **kwargs):
@@ -112,10 +115,73 @@ class TestCatalyst:
             CatalystAdaptor(SlicePlane(2, 0), frequency=0)
 
 
+def _run_reconfigured(plan, nranks=2, steps=3):
+    """Rank 0's per-step record of a run in which ``plan[i]`` (reconfigure
+    kwargs) is applied after step ``i``: PNG bytes, what reconfigure()
+    returned, the pool's depth and the bytes the tracker holds between steps."""
+
+    def prog(comm):
+        mem = MemoryTracker()
+        sim = OscillatorSimulation(comm, (12, 10, 8), default_oscillators(), dt=0.1)
+        bridge = Bridge(comm, sim.make_data_adaptor(), memory=mem)
+        cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=4), resolution=(64, 48))
+        bridge.add_analysis(cat)
+        bridge.initialize()
+        record = []
+        for step in range(steps):
+            sim.run(1, bridge)
+            applied = cat.reconfigure(**plan[step]) if step in plan else None
+            depth = None if cat._pool is None else cat._pool.max_free
+            record.append((cat.last_png, applied, depth, mem.current - mem.static))
+        bridge.finalize()
+        return record
+
+    return run_spmd(nranks, prog)[0]
+
+
+class TestCatalystReconfigure:
+    def test_framebuffer_depth_creates_retunes_drains_pool_same_bytes(self):
+        plain = _run_reconfigured({})
+        tuned = _run_reconfigured(
+            {0: {"framebuffer_depth": 2}, 1: {"framebuffer_depth": 1},
+             2: {"framebuffer_depth": 0}}
+        )
+        assert [r[0] for r in tuned] == [r[0] for r in plain]
+        assert all(r[1:] == (None, None, 0) for r in plain)
+        assert [r[1] for r in tuned] == [
+            {"framebuffer_depth": 2}, {"framebuffer_depth": 1}, {"framebuffer_depth": 0}
+        ]
+        assert [r[2] for r in tuned] == [2, 1, None]
+        # Created empty, holding the root's buffers after one pooled step,
+        # and returned to the tracker when drained.
+        assert tuned[0][3] == 0 and tuned[1][3] > 0 and tuned[2][3] == 0
+
+    def test_png_workers_switches_encoder_same_pixels(self):
+        plain = _run_reconfigured({})
+        tuned = _run_reconfigured({0: {"png_workers": 2}})
+        assert tuned[0][1] == {"png_workers": 2}
+        assert tuned[0][0] == plain[0][0]  # step 1 ran before the switch
+        for got, ref in zip(tuned[1:], plain[1:]):
+            assert got[0] != ref[0]  # banded stream, not the serial one
+            np.testing.assert_array_equal(decode_png(got[0]), decode_png(ref[0]))
+
+    @pytest.mark.parametrize("knob", ["png_workers", "framebuffer_depth"])
+    def test_negative_values_rejected(self, knob):
+        cat = CatalystAdaptor(SlicePlane(2, 0))
+        with pytest.raises(ValueError):
+            cat.reconfigure(**{knob: -1})
+        assert cat.png_workers == 0 and cat._pool is None
+        assert cat.reconfigure() == {}
+
+
 def _session(tmp_path, plots, resolution=(48, 48)):
     path = tmp_path / "session.json"
     write_session_file(path, plots, resolution=resolution)
     return path
+
+
+def _iso(isovalues):
+    return {"type": "isosurface", "isovalues": isovalues}
 
 
 class TestLibsim:
@@ -220,8 +286,6 @@ class TestLibsim:
             np.testing.assert_array_equal(decode_png(png), serial)
 
     def test_unknown_plot_type_rejected(self, tmp_path):
-        from repro.util.config import ConfigError
-
         session = _session(tmp_path, [{"type": "volume_render"}])
 
         def prog(comm):
@@ -230,6 +294,46 @@ class TestLibsim:
                 lib.initialize(comm)
 
         run_spmd(1, prog)
+
+    _SLICE = {"type": "pseudocolor_slice"}
+    #: name -> (session document, the field the error must name)
+    MALFORMED = {
+        "plot-not-object": ({"plots": ["pseudocolor_slice"]}, "plots[0]"),
+        "resolution-short": ({"plots": [], "resolution": [100]}, "resolution"),
+        "resolution-strings": ({"plots": [], "resolution": ["a", "b"]}, "resolution"),
+        "resolution-nonpositive": ({"plots": [], "resolution": [0, -5]}, "resolution"),
+        "resolution-float": ({"plots": [], "resolution": [64.5, 64]}, "resolution"),
+        "axis-out-of-range": ({"plots": [{**_SLICE, "axis": 7}]}, "plots[0].axis"),
+        "axis-bool": ({"plots": [{**_SLICE, "axis": True}]}, "plots[0].axis"),
+        "index-string": ({"plots": [{**_SLICE, "index": "3"}]}, "plots[0].index"),
+        "isovalues-strings": ({"plots": [_SLICE, _iso(["a"])]}, "plots[1].isovalues"),
+        "isovalues-empty": ({"plots": [_iso([])]}, "plots[0].isovalues"),
+        "isovalues-scalar": ({"plots": [_iso(0.5)]}, "plots[0].isovalues"),
+        "isovalues-infinite": ({"plots": [_iso([float("inf")])]}, "plots[0].isovalues"),
+        "isovalues-beyond-float": ({"plots": [_iso([10**400])]}, "plots[0].isovalues"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_session_rejected_at_initialize(self, tmp_path, case):
+        """Every malformed field is a ConfigError naming it, raised when the
+        session is parsed -- never an untyped error, never deferred to the
+        first execute()."""
+        doc, field = self.MALFORMED[case]
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(doc))
+
+        def prog(comm):
+            lib = LibsimAdaptor(session_file=session)
+            with pytest.raises(ConfigError) as err:
+                lib.initialize(comm)
+            return str(err.value)
+
+        assert field in run_spmd(1, prog)[0]
+
+    def test_unknown_colormap_is_not_an_error(self, tmp_path):
+        plot = {"type": "pseudocolor_slice", "colormap": "no-such-map"}
+        session = _session(tmp_path, [plot])
+        run_spmd(1, lambda comm: LibsimAdaptor(session_file=session).initialize(comm))
 
     def test_invalid_frequency(self, tmp_path):
         with pytest.raises(ValueError):

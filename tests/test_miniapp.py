@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.miniapp import (
-    FieldKernelCache,
     Oscillator,
     OscillatorKind,
     OscillatorSimulation,
@@ -234,115 +233,3 @@ class TestSimulation:
 
         assert run_spmd(2, prog) == [True, True]
 
-
-class TestKernelCache:
-    """The separable-kernel fast path must be a pure space-for-time trade:
-    identical numbers, extra tracked memory, graceful budget fallback."""
-
-    KINDS = {
-        "periodic": [Oscillator(OscillatorKind.PERIODIC, (0.6, 0.2, 0.7), 0.1, 4.0)],
-        "damped": [Oscillator(OscillatorKind.DAMPED, (0.3, 0.3, 0.5), 0.2, 6.0, 0.1)],
-        "decaying": [Oscillator(OscillatorKind.DECAYING, (0.7, 0.7, 0.3), 0.15, 3.0)],
-        "all": default_oscillators(),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_cached_matches_streaming(self, kind):
-        oscs = self.KINDS[kind]
-
-        def prog(comm):
-            streaming = OscillatorSimulation(comm, (10, 9, 8), oscs, dt=0.07)
-            cached = OscillatorSimulation(
-                comm, (10, 9, 8), oscs, dt=0.07, kernel_cache=True
-            )
-            assert cached.use_kernel_cache
-            assert not streaming.use_kernel_cache
-            for _ in range(4):
-                streaming.advance()
-                cached.advance()
-                np.testing.assert_allclose(
-                    cached.field, streaming.field, rtol=1e-12, atol=0
-                )
-            return True
-
-        assert run_spmd(2, prog) == [True, True]
-
-    def test_parallel_cached_matches_serial_streaming(self):
-        """Decomposed cached solve assembles to the serial streaming field."""
-        oscs = default_oscillators()
-        dims = (12, 10, 8)
-
-        def serial(comm):
-            sim = OscillatorSimulation(comm, dims, oscs, dt=0.1)
-            sim.run(3)
-            return sim.field.copy()
-
-        reference = run_spmd(1, serial)[0]
-
-        def parallel(comm):
-            sim = OscillatorSimulation(comm, dims, oscs, dt=0.1, kernel_cache=True)
-            sim.run(3)
-            return sim.extent, sim.field.copy()
-
-        assembled = np.zeros(dims)
-        for ext, block in run_spmd(4, parallel):
-            assembled[
-                ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1
-            ] = block
-        np.testing.assert_allclose(assembled, reference, rtol=1e-12)
-
-    def test_memory_registered_with_tracker(self):
-        def prog(comm):
-            mem = MemoryTracker()
-            sim = OscillatorSimulation(
-                comm, (8, 8, 8), default_oscillators(), kernel_cache=True, memory=mem
-            )
-            tracked = mem.named("miniapp::kernel_cache")
-            sim.kernel_cache.release()
-            return tracked, sim.kernel_cache.nbytes, mem.named("miniapp::kernel_cache")
-
-        tracked, nbytes, after = run_spmd(1, prog)[0]
-        assert tracked == nbytes == 8 * 8 * 8 * 3 * 8
-        assert after == 0
-
-    def test_budget_fallback_to_streaming(self):
-        def prog(comm):
-            mem = MemoryTracker()
-            sim = OscillatorSimulation(
-                comm,
-                (8, 8, 8),
-                default_oscillators(),
-                kernel_cache=True,
-                kernel_cache_budget=1024,  # basis needs 12 KiB/osc: too small
-                memory=mem,
-            )
-            sim.advance()
-            return sim.use_kernel_cache, mem.named("miniapp::kernel_cache")
-
-        use_cache, tracked = run_spmd(1, prog)[0]
-        assert not use_cache  # fell back to the streaming path
-        assert tracked == 0
-
-    def test_budget_large_enough_enables_cache(self):
-        def prog(comm):
-            sim = OscillatorSimulation(
-                comm,
-                (8, 8, 8),
-                default_oscillators(),
-                kernel_cache=True,
-                kernel_cache_budget=FieldKernelCache.estimate_nbytes(512, 3),
-            )
-            return sim.use_kernel_cache
-
-        assert run_spmd(1, prog) == [True]
-
-    def test_estimate_matches_actual(self):
-        oscs = default_oscillators()
-        x = np.linspace(0, 1, 6)[:, None, None]
-        y = np.linspace(0, 1, 5)[None, :, None]
-        z = np.linspace(0, 1, 4)[None, None, :]
-        cache = FieldKernelCache(oscs, x, y, z)
-        assert cache.nbytes == FieldKernelCache.estimate_nbytes(6 * 5 * 4, len(oscs))
-        # evaluate() agrees with the direct sum at an arbitrary time.
-        expected = sum(o.evaluate(x, y, z, 0.42) for o in oscs).reshape(-1)
-        np.testing.assert_allclose(cache.evaluate(0.42), expected, rtol=1e-12)

@@ -224,13 +224,6 @@ class TestCollectives:
         for a in out:
             assert np.array_equal(a, np.full(3, 6))
 
-    def test_allreduce_minmax_fused(self):
-        def prog(comm):
-            return comm.allreduce_minmax(float(comm.rank * 2 + 1))
-
-        out = run_spmd(5, prog)
-        assert out == [(1.0, 9.0)] * 5
-
     def test_alltoall(self):
         def prog(comm):
             return comm.alltoall([comm.rank * 10 + d for d in range(comm.size)])

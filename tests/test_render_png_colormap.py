@@ -279,6 +279,18 @@ class TestParallelDeflate:
         assert np.array_equal(decode_png(big), img)
         assert len(big) < 1.10 * len(encode_png(img, 9))
 
+    def test_default_banding_costs_under_two_percent_on_a_noisy_frame(self):
+        """At the default ~4 bands per worker, on a frame-sized image whose
+        rows do not repeat, banding + priming is marginal in output size."""
+        rng = np.random.default_rng(0)
+        y, x = np.mgrid[0:512, 0:512]
+        field = np.sin(x / 40.0) * np.cos(y / 25.0)
+        frame = VIRIDIS.map(field + 0.1 * rng.standard_normal(field.shape))
+        serial = encode_png(frame, 6)
+        banded = encode_png(frame, 6, workers=4)
+        assert np.array_equal(decode_png(banded), decode_png(serial))
+        assert len(banded) < 1.02 * len(serial)
+
     def test_single_row_image(self):
         img = self._structured(1, 17)
         assert np.array_equal(decode_png(encode_png(img, 6, workers=4)), img)

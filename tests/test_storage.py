@@ -1,5 +1,7 @@
 """Tests for the storage substrate: VTK-style I/O, MPI-IO, and BP files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.mpi import run_spmd
 from repro.storage import (
     BPReader,
     BPWriter,
+    StorageFormatError,
     mpiio_read_block,
     mpiio_write_collective,
     read_global_field,
@@ -181,6 +184,53 @@ class TestMPIIO:
 
         run_spmd(1, prog)
 
+    @staticmethod
+    def _shared_file(tmp_path):
+        path = tmp_path / "h.dat"
+        whole = Extent(0, 3, 0, 2, 0, 1)
+        block = np.arange(24.0).reshape(4, 3, 2)
+        run_spmd(1, lambda comm: mpiio_write_collective(comm, path, block, whole, (4, 3, 2)))
+        return path, whole, block
+
+    @staticmethod
+    def _with_header(raw: bytes, meta: bytes, hlen: int | None = None) -> bytes:
+        n = len(meta) if hlen is None else hlen
+        return n.to_bytes(8, "little") + meta.ljust(504, b"\x00") + raw[512:]
+
+    GOOD_META = b'{"dims": [4, 3, 2], "dtype": "float64"}'
+    #: name -> (header JSON bytes, forged length field or None for the true one)
+    HEADERS = {
+        "length-huge": (GOOD_META, 2**62),
+        "length-zero": (GOOD_META, 0),
+        "length-cuts-json": (GOOD_META, 7),
+        "not-utf8": (b"\xff\xfe not json", None),
+        "not-an-object": (b"[4, 3, 2]", None),
+        "dims-missing": (b'{"dtype": "float64"}', None),
+        "dims-short": (b'{"dims": [4, 3], "dtype": "float64"}', None),
+        "dims-negative": (b'{"dims": [4, -3, 2], "dtype": "float64"}', None),
+        "dims-string": (b'{"dims": [4, "3", 2], "dtype": "float64"}', None),
+        "dtype-missing": (b'{"dims": [4, 3, 2]}', None),
+        "dtype-object": (b'{"dims": [4, 3, 2], "dtype": "O"}', None),
+        "dtype-void": (b'{"dims": [4, 3, 2], "dtype": "V0"}', None),
+        "dtype-unknown": (b'{"dims": [4, 3, 2], "dtype": "no-such-type"}', None),
+        "dims-beyond-file": (b'{"dims": [4, 3, 200], "dtype": "float64"}', None),
+    }
+
+    @pytest.mark.parametrize("forgery", sorted(HEADERS))
+    def test_hostile_header_rejected(self, tmp_path, forgery):
+        meta, hlen = self.HEADERS[forgery]
+        path, whole, _ = self._shared_file(tmp_path)
+        path.write_bytes(self._with_header(path.read_bytes(), meta, hlen))
+        with pytest.raises(StorageFormatError):
+            mpiio_read_block(path, whole)
+
+    @pytest.mark.parametrize("keep", [0, 4, 511, 512, -8])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path, whole, _ = self._shared_file(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(StorageFormatError):
+            mpiio_read_block(path, whole)
+
 
 class TestBP:
     def test_multistep_multivar_roundtrip(self, tmp_path):
@@ -271,3 +321,66 @@ class TestBP:
             r.read("y", 0)
         with pytest.raises(KeyError):
             r.read("x", 5)
+
+    @staticmethod
+    def _container(tmp_path, dims=(4, 2, 2), nranks=2):
+        """A one-step container of ``x`` = writer rank + 1, and its index."""
+        path = tmp_path / "c"
+
+        def prog(comm):
+            ext, _, _ = regular_decompose_3d(dims, comm.size, comm.rank)
+            w = BPWriter(comm, path, dims)
+            w.begin_step()
+            w.write("x", np.full(ext.shape, comm.rank + 1.0), ext)
+            w.end_step()
+            w.close()
+
+        run_spmd(nranks, prog)
+        index = tmp_path / "c.bp" / "md.idx"
+        return path, index, json.loads(index.read_text())
+
+    FORGERIES = {
+        "rank-is-a-path": lambda d: d["blocks"][1].update(rank="../../x"),
+        "rank-past-writers": lambda d: d["blocks"][1].update(rank=2),
+        "rank-negative": lambda d: d["blocks"][1].update(rank=-1),
+        "rank-bool": lambda d: d["blocks"][1].update(rank=True),
+        "offset-missing": lambda d: d["blocks"][0].pop("offset"),
+        "var-missing": lambda d: d["blocks"][0].pop("var"),
+        "offset-negative": lambda d: d["blocks"][0].update(offset=-1),
+        "offset-past-eof": lambda d: d["blocks"][0].update(offset=10**9),
+        "nbytes-not-extent": lambda d: d["blocks"][0].update(nbytes=8),
+        "extent-outside-dims": lambda d: d["blocks"][0].update(extent=[0, 9, 0, 1, 0, 1]),
+        "extent-inverted": lambda d: d["blocks"][0].update(extent=[1, -1, 0, 1, 0, 1]),
+        "extent-short": lambda d: d["blocks"][0].update(extent=[0, 1, 0, 1]),
+        "dtype-object": lambda d: d["blocks"][0].update(dtype="O"),
+        "step-string": lambda d: d["blocks"][0].update(step="0"),
+        "block-not-object": lambda d: d["blocks"].append("block"),
+        "blocks-not-list": lambda d: d.update(blocks={}),
+        "dims-short": lambda d: d.update(global_dims=[4, 2]),
+        "no-writers": lambda d: d.update(num_writers=0),
+        "num-steps-missing": lambda d: d.pop("num_steps"),
+    }
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_hostile_index_rejected(self, tmp_path, forgery):
+        """A forged index entry is a typed error on open or on read: never
+        a KeyError/OSError/reshape error, never a read outside the
+        container."""
+        path, index, doc = self._container(tmp_path)
+        (tmp_path / "x").write_bytes(b"\x00" * 64)  # what "../../x" would reach
+        self.FORGERIES[forgery](doc)
+        index.write_text(json.dumps(doc))
+        with pytest.raises(StorageFormatError):
+            BPReader(path).read("x", 0)
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", '"md"'])
+    def test_unreadable_index_rejected(self, tmp_path, text):
+        path, index, _ = self._container(tmp_path)
+        index.write_text(text)
+        with pytest.raises(StorageFormatError):
+            BPReader(path)
+
+    def test_empty_blocks_of_an_over_decomposed_writer_read_back(self, tmp_path):
+        path, _, _ = self._container(tmp_path, dims=(1, 1, 4), nranks=8)
+        got = BPReader(path).read("x", 0)
+        np.testing.assert_array_equal(got.reshape(-1), [1.0, 1.0, 5.0, 5.0])
