@@ -12,8 +12,9 @@ data:
   FFT of the (replicated, bit-identical) density contrast, radially
   binned ``P(k)``.
 - :class:`FriendsOfFriendsAnalysis` -- ragged ``allgather`` of the global
-  population, canonical id-order union-find clustering, and a min/max
-  halo-count reduction that doubles as a cross-rank divergence check.
+  population, canonical id-order clustering on a periodic cell-linked
+  grid (:func:`friends_of_friends`), and a min/max halo-count reduction
+  that doubles as a cross-rank divergence check.
 
 All three consume ``position`` / ``mass`` / ``id`` attributes from any
 data adaptor exposing a :class:`~repro.data.ParticleSet`-shaped
@@ -232,6 +233,109 @@ class PowerSpectrumAnalysis(AnalysisAdaptor):
 # -- friends-of-friends --------------------------------------------------------
 
 
+#: Candidate pairs expanded per distance test.  A chunk holds this many
+#: pairs plus at most one particle's neighbour list, so a population that
+#: has collapsed into one cell degrades to blocked brute force, never to
+#: an n-squared allocation.
+_PAIR_CHUNK = 1 << 15
+
+#: The particle's own cell, then the 13 lexicographically "forward"
+#: neighbours: every unordered pair of adjacent cells is swept once.
+_HALF_SHELL = np.array(
+    [(0, 0, 0)]
+    + [
+        (dx, dy, dz)
+        for dx in (0, 1)
+        for dy in (-1, 0, 1)
+        for dz in (-1, 0, 1)
+        if (dx, dy, dz) > (0, 0, 0)
+    ]
+)
+
+
+def _require_linking_length(linking_length: float) -> float:
+    """``linking_length`` as a float; NaN, infinities and <= 0 are refused
+    (``nan <= 0`` is False, so a plain sign test lets NaN through)."""
+    ll = float(linking_length)
+    if not (np.isfinite(ll) and ll > 0):
+        raise ValueError("linking_length must be finite and positive")
+    return ll
+
+
+def _cells_per_side(pos: np.ndarray, ll: float) -> int:
+    """Cells per box side: edge >= every separation the link test accepts.
+
+    The link test runs in floating point on the unwrapped coordinates,
+    the binning on wrapped ones; ``reach`` pads the linking length by
+    far more than both roundings (a few ulps of the largest coordinate)
+    so two linked particles always land in adjacent cells.  The count is
+    capped at O(n^(1/3)) -- a cell only has to be *at least* that wide --
+    which keeps the cell table O(n) for any linking length.  Fewer than
+    three cells would alias the half shell under the periodic wrap, so
+    that case is one cell holding every pair.
+    """
+    reach = ll + 2.0**-40 * max(1.0, ll, float(np.abs(pos).max()))
+    m = min(int(1.0 / reach), 2 * int(np.ceil(pos.shape[0] ** (1.0 / 3.0))))
+    while m * reach > 1.0:
+        m -= 1
+    return m if m >= 3 else 1
+
+
+def _candidate_pairs(cell: np.ndarray, starts: np.ndarray, m: int):
+    """Yield ``(i, j)`` chunks of every pair in the same or adjacent cells.
+
+    ``cell`` holds the ``(n, 3)`` cell indices of the particles in
+    cell-key order and ``starts[k]`` the position of cell ``k``'s first
+    particle in that order; ``i`` and ``j`` index the same order.  Each
+    unordered pair comes out once, at most ``_PAIR_CHUNK + n`` at a time.
+    """
+    n = cell.shape[0]
+    for offset in _HALF_SHELL if m > 1 else _HALF_SHELL[:1]:
+        near = (cell + offset) % m
+        near_key = (near[:, 0] * m + near[:, 1]) * m + near[:, 2]
+        # Particle p pairs with the run first[p] .. first[p] + counts[p];
+        # in its own cell that is only the members after it.
+        first = starts[near_key] if offset.any() else np.arange(1, n + 1)
+        counts = starts[near_key + 1] - first
+        ends = np.cumsum(counts)
+        begins = ends - counts
+        cuts = np.searchsorted(
+            begins, np.arange(0, ends[-1] + _PAIR_CHUNK, _PAIR_CHUNK)
+        )
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            if p0 == p1:
+                continue
+            reps = counts[p0:p1]
+            i = np.repeat(np.arange(p0, p1), reps)
+            j = np.arange(begins[p0], ends[p1 - 1]) - np.repeat(
+                begins[p0:p1] - first[p0:p1], reps
+            )
+            yield i, j
+
+
+def _union(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the components joined by links ``a[k]--b[k]`` into ``labels``.
+
+    ``labels`` is a flat forest (``labels[labels] == labels``) with
+    ``labels[x] <= x``; each round hooks the larger root of every still
+    active link under the smallest root it touches, then pointer-jumps
+    back to a flat forest.  Both invariants survive, so the fixed point
+    labels every component with its smallest member.
+    """
+    while True:
+        la, lb = labels[a], labels[b]
+        active = la != lb
+        if not active.any():
+            return
+        a, b, la, lb = a[active], b[active], la[active], lb[active]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            roots = labels[labels]
+            if np.array_equal(roots, labels):
+                break
+            labels[:] = roots
+
+
 def friends_of_friends(
     positions: np.ndarray, linking_length: float
 ) -> np.ndarray:
@@ -241,43 +345,41 @@ def friends_of_friends(
     linked; connected components are halos.  Returns an ``(n,)`` int64
     label array where each particle's label is the smallest input index
     in its halo -- a canonical labeling, so the result is independent of
-    traversal order.  Brute-force pairwise distances in blocks: exact,
-    and fast enough for the miniapp populations the tests use.
+    traversal order.  Candidates come from a periodic cell-linked grid
+    (cells at least a linking length wide, particles sorted by cell, the
+    14-cell half shell expanded into index pairs in bounded chunks); the
+    exact distance test decides the links and a vectorised min-label
+    union merges them.  Work is O(n + candidate pairs), memory O(n).
     """
+    ll = _require_linking_length(linking_length)
     pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be (n, 3), got {pos.shape}")
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
     n = pos.shape[0]
-    parent = np.arange(n, dtype=np.int64)
+    labels = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return labels
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return
-        # Union by smaller root: keeps labels canonical (min index wins).
-        if ri < rj:
-            parent[rj] = ri
-        else:
-            parent[ri] = rj
-
-    ll2 = float(linking_length) ** 2
-    block = 512
-    for i0 in range(0, n, block):
-        a = pos[i0 : i0 + block]
-        for j0 in range(i0, n, block):
-            b = pos[j0 : j0 + block]
-            d = a[:, None, :] - b[None, :, :]
+    m = _cells_per_side(pos, ll)
+    wrapped = pos - np.floor(pos)  # in [0, 1]: -1e-20 wraps to exactly 1.0
+    cell = np.minimum((wrapped * m).astype(np.int64), m - 1)
+    key = (cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    starts = np.searchsorted(key[order], np.arange(m**3 + 1))
+    columns = np.ascontiguousarray(pos[order].T)
+    ll2 = ll**2
+    for i, j in _candidate_pairs(cell[order], starts, m):
+        d2 = np.zeros(i.size)
+        for x in columns:  # (x^2 + y^2) + z^2, the order ``sum`` adds in
+            d = x[i] - x[j]
             d -= np.rint(d)  # minimum image on the periodic unit box
-            close = (d * d).sum(axis=-1) <= ll2
-            ii, jj = np.nonzero(close)
-            for i, j in zip(ii + i0, jj + j0):
-                if i < j:
-                    union(int(i), int(j))
-    return np.fromiter((find(int(i)) for i in range(n)), np.int64, count=n)
+            d *= d
+            d2 += d
+        close = d2 <= ll2
+        _union(labels, order[i[close]], order[j[close]])
+    return labels
 
 
 def halo_sizes(labels: np.ndarray, min_members: int = 2) -> list[int]:
@@ -304,7 +406,8 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
 
     The per-rank populations are ragged (and may be empty); an
     ``allgather`` assembles the global set, a stable sort by persistent
-    particle id imposes the canonical order, and the union-find labels
+    particle id imposes the canonical order, and the min-index labels of
+    :func:`friends_of_friends` (cell-linked grid, O(n + candidate pairs))
     are decomposition-independent by construction.  The halo *count* is
     then pushed through min/max reductions -- a cheap cross-rank
     agreement check that turns any divergence into an immediate error
@@ -319,10 +422,9 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
         frequency: int = 1,
     ) -> None:
         super().__init__()
-        if linking_length <= 0:
-            raise ValueError("linking_length must be positive")
         if min_members < 1:
             raise ValueError("min_members must be >= 1")
+        _require_linking_length(linking_length)
         self.linking_length = linking_length
         self.min_members = min_members
         self.output_dir = output_dir
@@ -351,6 +453,14 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
         with timed(self.timers, "fof::cluster"):
             all_ids = np.concatenate([p[0] for p in parts])
             all_pos = np.concatenate([p[1] for p in parts])
+            bad = int((~np.isfinite(all_pos)).any(axis=1).sum())
+            if bad:
+                # Every rank holds the same gathered set, so every rank
+                # raises: no rank is left waiting in the reduction below.
+                raise ParticleAnalysisError(
+                    f"{bad} particle(s) with a non-finite position at "
+                    f"step {step}"
+                )
             order = np.argsort(all_ids, kind="stable")
             labels = friends_of_friends(all_pos[order], self.linking_length)
             sizes = halo_sizes(labels, self.min_members)

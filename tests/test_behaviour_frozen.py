@@ -5,7 +5,9 @@ the collective algebra, the received-data adaptor and the staging policy
 were each reduced to one implementation; every artifact and journal those
 seams produce must still come out byte-identical, on both SPMD backends.
 The one intended difference is spelled out in
-:func:`test_chaos_controller_journal_and_report`.
+:func:`test_chaos_controller_journal_and_report`.  ``nbody_seed42`` was
+recorded the same way from the commit before PR 19 swapped the
+friends-of-friends kernel.
 """
 
 import inspect
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.slice_ import SlicePlane
+from repro.apps.nbody import run_nbody
 from repro.core import Bridge
 from repro.faults.chaos import run_chaos
 from repro.infrastructure import CatalystAdaptor
@@ -120,6 +123,23 @@ def test_service_socket_artifacts(tmp_path):
     assert (tmp_path / "out" / "decision_journal.json").read_bytes() == (
         DATA / "service_alpha" / "decision_journal.json"
     ).read_bytes()
+
+
+# -- n-body: recorded with the brute-force halo finder (the parent of PR 19) ---
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_nbody_seed42_manifest(tmp_path, backend):
+    """``halo_counts``/``halo_sizes``/PNG CRCs pin the whole particle path
+    (gather, id sort, clustering, reductions, every endpoint), not only
+    the friends-of-friends kernel that PR 19 replaced."""
+    run_nbody(
+        str(tmp_path), ranks=2, steps=6, n_particles=2048, seed=42,
+        backend=backend,
+    )
+    golden = DATA / "nbody_seed42"
+    for name in ("manifest.json", "halos.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 # -- the endpoint is a Bridge: sanitize changes nothing it produces -----------

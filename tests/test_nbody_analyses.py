@@ -6,12 +6,15 @@ the property the fixed-point deposit and canonical FoF ordering exist
 to provide.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.analysis.particles import (
     DensityProjectionAnalysis,
     FriendsOfFriendsAnalysis,
+    ParticleAnalysisError,
     PowerSpectrumAnalysis,
     friends_of_friends,
     halo_sizes,
@@ -66,6 +69,74 @@ class TestFriendsOfFriends:
                 same = labels[i] == labels[j]
                 pi, pj = np.nonzero(perm == i)[0][0], np.nonzero(perm == j)[0][0]
                 assert same == (permuted[pi] == permuted[pj])
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_linking_length_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="linking_length"):
+            friends_of_friends(np.zeros((2, 3)), bad)
+
+    def test_non_finite_position_is_refused(self):
+        pos = np.array([[0.1, 0.1, 0.1], [0.2, np.nan, 0.2], [np.inf, 0.3, 0.3]])
+        with pytest.raises(ValueError, match="finite"):
+            friends_of_friends(pos, 0.05)
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            friends_of_friends(np.zeros((4, 2)), 0.05)
+
+
+def _labels_and_peak(positions, linking_length):
+    """Labels, and the peak bytes allocated while computing them (numpy
+    reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        labels = friends_of_friends(positions, linking_length)
+        return labels, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFriendsOfFriendsScale:
+    """Count- and allocation-based: nothing here asserts a wall time."""
+
+    def test_16384_uniform_matches_kdtree_components(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        sparse = pytest.importorskip("scipy.sparse")
+        n = 16384
+        pos = np.random.default_rng(19).random((n, 3))
+        ll = 0.2 * n ** (-1.0 / 3.0)
+        pairs = spatial.cKDTree(pos, boxsize=1.0).query_pairs(
+            ll, output_type="ndarray"
+        )
+        graph = sparse.coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+        )
+        n_halos, component = sparse.csgraph.connected_components(
+            graph, directed=False
+        )
+        smallest = np.full(n_halos, n)
+        np.minimum.at(smallest, component, np.arange(n))
+        labels = friends_of_friends(pos, ll)
+        assert len(pairs) > 100 and n_halos < n  # the case is not vacuous
+        assert np.array_equal(labels, smallest[component])
+
+    def test_population_collapsed_into_one_cell_is_chunked(self):
+        # 4096 mutually linked particles: 8.4e6 candidate pairs, all links.
+        # Expanded at once that is >= 128 MiB of index arrays alone, and an
+        # n x n float64 distance block is another 128 MiB; chunked, the
+        # working set is a few arrays of ~_PAIR_CHUNK + n entries.
+        pos = 0.5 + 0.01 * np.random.default_rng(4).random((4096, 3))
+        labels, peak = _labels_and_peak(pos, 0.06)
+        assert not labels.any()
+        assert peak < 16 * 2**20
+
+    def test_tiny_linking_length_keeps_the_cell_table_linear(self):
+        # floor(1/ll)^3 would be a 1e18-entry table; cells only have to be
+        # at least ll wide, so their number follows n instead.
+        pos = np.random.default_rng(5).random((10, 3))
+        pos[1] = pos[0] + 5e-7
+        labels, peak = _labels_and_peak(pos, 1e-6)
+        assert labels.tolist() == [0, 0, *range(2, 10)]
+        assert peak < 2**20
 
 
 def _run_analyses(nranks, steps=3, grid=16, n=300, seed=7, out_dir=None):
@@ -150,6 +221,38 @@ class TestAnalysisBehavior:
             FriendsOfFriendsAnalysis(linking_length=0.0)
         with pytest.raises(ValueError):
             FriendsOfFriendsAnalysis(min_members=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_fof_linking_length_must_be_finite(self, bad):
+        # ``nan <= 0`` is False: a sign test alone let NaN through.
+        with pytest.raises(ValueError, match="linking_length"):
+            FriendsOfFriendsAnalysis(linking_length=bad)
+        config = Configuration(
+            {"analyses": [{"type": "fof", "linking_length": bad}]}
+        )
+        with pytest.raises(ValueError, match="linking_length"):
+            ConfigurableAnalysis(config)
+
+    def test_fof_refuses_non_finite_positions(self):
+        """A NaN coordinate used to become a silent singleton halo; now
+        every rank raises, naming the step and how many particles."""
+
+        def prog(comm):
+            sim = NBodySimulation(comm, grid=8, n_particles=64, seed=3)
+            bridge = Bridge(comm, sim.make_data_adaptor())
+            bridge.add_analysis(FriendsOfFriendsAnalysis(linking_length=0.08))
+            bridge.initialize()
+            sim.run(1, bridge)
+            if comm.rank == 0:
+                sim.particles.positions[:2, 1] = (np.nan, np.inf)
+            with pytest.raises(
+                ParticleAnalysisError,
+                match=r"2 particle\(s\) with a non-finite position at step 7",
+            ):
+                bridge.execute(0.35, 7)
+            return True
+
+        assert run_spmd(2, prog, timeout=60.0) == [True, True]
 
     def test_registered_in_configurable_registry(self):
         types = registered_analysis_types()

@@ -7,7 +7,8 @@ that break bit-level invariants rather than epsilon budgets.
 
 The SPMD-driving properties keep ``max_examples`` small -- each example
 spins up a full multi-rank run -- while the pure-kernel properties
-(deposit order/decomposition independence, FoF partition invariance,
+(deposit order/decomposition independence, FoF partition invariance and
+equality with the brute-force oracle in ``tests/_fof_oracle.py``,
 ragged-slice introspection) run at normal hypothesis volume.
 """
 
@@ -19,8 +20,44 @@ from repro.analysis.particles import friends_of_friends, halo_sizes
 from repro.apps.nbody import NBodySimulation
 from repro.data import DataArray, ParticleSet, cic_deposit_int
 from repro.mpi import run_spmd
+from tests._fof_oracle import friends_of_friends as brute_force_fof
 
 seeds = st.integers(min_value=0, max_value=2**16 - 1)
+
+#: Linking lengths with an integer 1/ll (cell edge == ll before padding),
+#: the 1/3 below which the half shell stops aliasing, and lengths past it.
+_EDGE_LINKING_LENGTHS = (0.05, 0.0625, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.5)
+linking_lengths = st.one_of(
+    st.sampled_from(_EDGE_LINKING_LENGTHS),
+    st.floats(min_value=1e-3, max_value=2.0, allow_nan=False),
+)
+
+
+def _adversarial_positions(rng, n, ll, snap, wrap_to_one, duplicate):
+    """Positions in [-1, 2) bent towards the grid's failure modes."""
+    pos = rng.random((n, 3)) * 3.0 - 1.0
+    if n == 0:
+        return pos
+    if snap:
+        # Onto the faces of the grids a linking length suggests (pitch ll,
+        # 1/floor(1/ll), 1/(floor(1/ll) - 1)) and one ulp either side.
+        per_side = max(int(1.0 / ll), 1)
+        pitch = rng.choice(
+            [ll, 1.0 / per_side, 1.0 / max(per_side - 1, 1)], size=pos.shape
+        )
+        face = np.round(pos / pitch) * pitch
+        nudge = rng.integers(-1, 2, size=pos.shape)
+        face = np.where(
+            nudge == 0, face, np.nextafter(face, np.where(nudge < 0, -3.0, 3.0))
+        )
+        pos = np.where(rng.random(pos.shape) < 0.6, face, pos)
+    if wrap_to_one:
+        # -1e-20 - floor(-1e-20) rounds to exactly 1.0.
+        pos[rng.integers(n), rng.integers(3)] = -1e-20
+    if duplicate:
+        dst = rng.integers(n, size=max(n // 4, 1))
+        pos[dst] = pos[rng.integers(n, size=dst.size)]
+    return pos
 
 
 def _global_state(nranks, seed, steps, backend=None, **kw):
@@ -189,6 +226,49 @@ class TestFoFProperties:
         labels = friends_of_friends(rng.random((n, 3)), 0.2)
         assert sum(halo_sizes(labels, min_members=1)) == n
         assert all(s >= 2 for s in halo_sizes(labels))
+
+
+    @given(
+        seed=seeds,
+        n=st.integers(min_value=0, max_value=300),
+        ll=linking_lengths,
+        snap=st.booleans(),
+        wrap_to_one=st.booleans(),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_labels_equal_the_brute_force_oracle(
+        self, seed, n, ll, snap, wrap_to_one, duplicate
+    ):
+        """Not the same partition -- the same array: the grid only
+        proposes candidates, the link arithmetic is the oracle's."""
+        rng = np.random.default_rng(seed)
+        pos = _adversarial_positions(rng, n, ll, snap, wrap_to_one, duplicate)
+        assert np.array_equal(
+            friends_of_friends(pos, ll), brute_force_fof(pos, ll)
+        )
+
+    @given(seed=seeds)
+    @settings(max_examples=5, deadline=None)
+    def test_shuffled_chain_collapses_to_one_label(self, seed):
+        """400 links end to end in shuffled index order: the worst case
+        for label propagation (one label must travel the whole chain)."""
+        rng = np.random.default_rng(seed)
+        chain = np.full((401, 3), 0.5)
+        chain[:, 0] = 0.002 * np.arange(401)
+        pos = chain[rng.permutation(401)]
+        labels = friends_of_friends(pos, 0.0021)
+        assert np.array_equal(labels, brute_force_fof(pos, 0.0021))
+        assert not labels.any()
+
+    def test_link_the_rounded_distance_accepts_across_two_exact_cells(self):
+        """0.5 - nextafter(0.25, 0) rounds to exactly 0.25, so the pair is
+        linked at ll = 0.25 -- yet with four cells of edge exactly ll the
+        two particles would sit in cells 0 and 2.  The grid pads its edge
+        past every separation the rounded test can accept."""
+        pos = np.array([[np.nextafter(0.25, 0.0), 0.1, 0.1], [0.5, 0.1, 0.1]])
+        assert brute_force_fof(pos, 0.25).tolist() == [0, 0]
+        assert friends_of_friends(pos, 0.25).tolist() == [0, 0]
 
 
 class TestRaggedSliceProperties:
