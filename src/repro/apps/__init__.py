@@ -12,10 +12,10 @@ Three SENSEI-instrumented codes matching the paper's application studies:
   simulating a temporally evolving planar mixing layer, with vorticity
   magnitude derived in the adaptor and a Libsim session of 3 isosurfaces +
   3 slice planes run every 5th step.
-- :mod:`nyx_proxy` -- Nyx stand-in: particle-mesh gravity (CIC deposit,
-  slab-decomposed parallel FFT Poisson solve with an all-to-all transpose,
-  leapfrog) whose density grid is exposed with vtkGhostLevels blanking for
-  in situ histogram + Catalyst slice.
+- :mod:`nyx_proxy` -- Nyx stand-in: perturbed-lattice initial conditions
+  and a zero-copy, vtkGhostLevels-blanked overdensity slab over
+  :mod:`nbody`'s particle-mesh engine, for in situ histogram + Catalyst
+  slice -- the SENSEI side is what Sec. 4.2.3 measures, not the solver.
 
 The proxies are not the production codes; they are cost- and
 structure-faithful substitutes (see DESIGN.md's substitution table) whose

@@ -26,6 +26,12 @@ ownership decision but before the first send of the step: a death there
 leaves no torn communication, so checkpoint restore plus one re-issued
 step replays particle ownership exactly while surviving peers simply
 block until the recovered rank's sends arrive.
+
+Everything but the initial conditions lives in
+:class:`ParticleMeshSimulation`, which :mod:`repro.apps.nyx_proxy` runs on
+as well.  Its Poisson solve is replicated because a slab-transposed FFT
+batches its lines by decomposition and cannot promise the same bits at
+every rank count.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from repro.data.particles import (
     cic_gather,
 )
 from repro.mpi import SUM
-from repro.util.decomp import Extent, block_decompose_1d
+from repro.util.decomp import Extent, slab_bounds
 from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry, timed
 
@@ -57,43 +63,72 @@ TAG_MIGRATE = 77
 IC_QUANT = 4096
 
 
-def _slab_bounds(grid: int, size: int) -> list[tuple[int, int]]:
-    return [block_decompose_1d(grid, size, r) for r in range(size)]
+def gravity_field(rho: np.ndarray, gravity: float) -> list[np.ndarray]:
+    """Acceleration grids ``-grad(phi)`` of a periodic ``(g, g, g)`` mass grid.
 
-
-class NBodySimulation:
-    """Slab-decomposed leapfrog PM gravity over a ragged particle set.
-
-    Initial conditions are generated *globally* on every rank from the
-    seed and then filtered to the local slab, so the global population is
-    identical for any rank count -- the precondition for the 1/2/4-rank
-    equivalence battery.
+    Solves ``laplacian(phi) = gravity * delta`` spectrally for the
+    overdensity ``delta = rho / mean(rho) - 1`` and differentiates in
+    k-space, one grid per axis -- what :func:`cic_gather` interpolates.
     """
+    g = rho.shape[0]
+    mean = rho.mean()
+    delta = rho / mean - 1.0 if mean > 0 else rho
+    fk = np.fft.rfftn(delta)
+    kx = 2.0 * np.pi * np.fft.fftfreq(g, d=1.0 / g)
+    kz = 2.0 * np.pi * np.fft.rfftfreq(g, d=1.0 / g)
+    k2 = (
+        kx[:, None, None] ** 2
+        + kx[None, :, None] ** 2
+        + kz[None, None, :] ** 2
+    )
+    k2[0, 0, 0] = 1.0  # zero mode: potential gauge, forced to 0
+    phi_k = -gravity * fk / k2
+    phi_k[0, 0, 0] = 0.0
+    return [
+        np.fft.irfftn(-1j * k * phi_k, s=(g, g, g), axes=(0, 1, 2))
+        for k in (kx[:, None, None], kx[None, :, None], kz[None, None, :])
+    ]
+
+
+def wrap_periodic(pos: np.ndarray) -> None:
+    """Wrap positions into ``[0, 1)`` in place."""
+    pos %= 1.0
+    # float64 wrap pitfall: (x % 1.0) rounds to exactly 1.0
+    # for tiny negative x; clamp back into [0, 1).
+    pos[pos >= 1.0] = 0.0
+
+
+class ParticleMeshSimulation:
+    """Slab ownership, migration and the leapfrog push over a ragged
+    :class:`~repro.data.ParticleSet`.
+
+    Subclasses generate their initial conditions *globally* on every rank
+    from the seed and hand them to :meth:`_adopt`, which keeps the local
+    slab's share, so the global population is identical for any rank
+    count -- the precondition for the 1/2/4-rank equivalence battery.
+    """
+
+    #: Prefix of the subclass's timers and trace counters.
+    namespace: str
 
     def __init__(
         self,
         comm,
-        grid: int = 16,
-        n_particles: int = 512,
-        seed: int = 42,
-        dt: float = 0.05,
-        gravity: float = 0.5,
-        velocity_scale: float = 1.0 / 16,
-        timers: TimerRegistry | None = None,
-        memory: MemoryTracker | None = None,
+        grid: int,
+        dt: float,
+        gravity: float,
+        timers: TimerRegistry | None,
+        memory: MemoryTracker | None,
     ) -> None:
         if grid < comm.size:
             raise ValueError("need at least one x-plane of cells per rank")
-        if n_particles < 1:
-            raise ValueError("need at least one particle")
         self.comm = comm
         self.grid = grid
-        self.n_global = n_particles
         self.dt = float(dt)
         self.gravity = float(gravity)
         self.timers = timers if timers is not None else TimerRegistry()
         self.memory = memory
-        self.bounds = _slab_bounds(grid, comm.size)
+        self.bounds = slab_bounds(grid, comm.size)
         self.x_lo, self.x_hi = self.bounds[comm.rank]
         #: Slab boundaries in position space; owner via searchsorted.
         self._edges = np.array(
@@ -105,41 +140,20 @@ class NBodySimulation:
         self.migrated_out = 0
         self.migrated_in = 0
 
-        with timed(self.timers, "nbody::init"):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            q = rng.integers(0, IC_QUANT, size=(n_particles, 3))
-            pos = q / IC_QUANT
-            v = rng.integers(
-                -IC_QUANT // 4, IC_QUANT // 4, size=(n_particles, 3)
+    def _adopt(self, pos: np.ndarray, vel: np.ndarray, mass: np.ndarray) -> None:
+        """Keep this slab's share of the global initial population."""
+        ids = np.arange(pos.shape[0], dtype=np.int64)
+        mine = self._owner_ranks(pos[:, 0]) == self.comm.rank
+        self.particles = ParticleSet(ids[mine], pos[mine], vel[mine], mass[mine])
+        if self.memory is not None:
+            self.memory.track_array(
+                self.particles.positions, label=f"{self.namespace}::particles"
             )
-            vel = (v / IC_QUANT) * float(velocity_scale)
-            mass = rng.integers(1, 17, size=n_particles) / 16.0
-            ids = np.arange(n_particles, dtype=np.int64)
-            mine = self._owner_ranks(pos[:, 0]) == comm.rank
-            self.particles = ParticleSet(
-                ids[mine],
-                np.ascontiguousarray(pos[mine]),
-                np.ascontiguousarray(vel[mine]),
-                mass[mine],
-            )
-            #: Exact global mass (dyadic ICs sum exactly in any order).
-            self.total_mass_global = float(mass.sum())
-            #: Replicated global density of the last completed deposit.
-            self.density = np.zeros((grid, grid, grid), dtype=np.float64)
-            if self.memory is not None:
-                self.memory.track_array(
-                    self.particles.positions, label="nbody::particles"
-                )
-                self.memory.track_array(self.density, label="nbody::density")
 
     # -- ownership -------------------------------------------------------------
     def _owner_ranks(self, x: np.ndarray) -> np.ndarray:
         """Owning rank per x coordinate (slab decomposition)."""
         return np.searchsorted(self._edges, x, side="right") - 1
-
-    @property
-    def n_local(self) -> int:
-        return self.particles.num_particles
 
     def owned_extent(self) -> Extent:
         g = self.grid
@@ -217,8 +231,69 @@ class NBodySimulation:
         self.migrated_in += received
         rec = self.timers.trace
         if rec is not None:
-            rec.count("nbody::migrated_out", sent)
-            rec.count("nbody::migrated_in", received)
+            rec.count(f"{self.namespace}::migrated_out", sent)
+            rec.count(f"{self.namespace}::migrated_in", received)
+
+    # -- time integration ------------------------------------------------------
+    def _kick_drift(self, a: np.ndarray) -> None:
+        """Leapfrog kick by accelerations ``a``, drift, periodic wrap."""
+        p = self.particles
+        p.velocities += a * self.dt
+        pos = p.positions
+        pos += p.velocities * self.dt
+        wrap_periodic(pos)
+
+    def advance(self) -> None:
+        """One step; each app orders, names and times its own phases."""
+        raise NotImplementedError
+
+    def run(self, n_steps: int, bridge=None) -> None:
+        """Advance up to ``n_steps``; stop early when an analysis asks to."""
+        for _ in range(n_steps):
+            self.advance()
+            if bridge is not None and not bridge.execute(self.time, self.step):
+                break
+
+
+class NBodySimulation(ParticleMeshSimulation):
+    """Leapfrog PM gravity from dyadic random initial conditions."""
+
+    namespace = "nbody"
+
+    def __init__(
+        self,
+        comm,
+        grid: int = 16,
+        n_particles: int = 512,
+        seed: int = 42,
+        dt: float = 0.05,
+        gravity: float = 0.5,
+        velocity_scale: float = 1.0 / 16,
+        timers: TimerRegistry | None = None,
+        memory: MemoryTracker | None = None,
+    ) -> None:
+        super().__init__(comm, grid, dt, gravity, timers, memory)
+        if n_particles < 1:
+            raise ValueError("need at least one particle")
+
+        with timed(self.timers, "nbody::init"):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            q = rng.integers(0, IC_QUANT, size=(n_particles, 3))
+            pos = q / IC_QUANT
+            v = rng.integers(
+                -IC_QUANT // 4, IC_QUANT // 4, size=(n_particles, 3)
+            )
+            vel = (v / IC_QUANT) * float(velocity_scale)
+            mass = rng.integers(1, 17, size=n_particles) / 16.0
+            self._adopt(pos, vel, mass)
+            #: Replicated global density of the last completed deposit.
+            self.density = np.zeros((grid, grid, grid), dtype=np.float64)
+            if self.memory is not None:
+                self.memory.track_array(self.density, label="nbody::density")
+
+    @property
+    def n_local(self) -> int:
+        return self.particles.num_particles
 
     # -- gravity ---------------------------------------------------------------
     def _solve_gravity(self) -> np.ndarray:
@@ -231,35 +306,14 @@ class NBodySimulation:
         population, independent of decomposition.
         """
         p = self.particles
-        g = self.grid
         with timed(self.timers, "nbody::deposit"):
-            local = cic_deposit_int(p.positions, p.masses, g)
+            local = cic_deposit_int(p.positions, p.masses, self.grid)
         with timed(self.timers, "nbody::reduce"):
             total = self.comm.allreduce(local, SUM)
         with timed(self.timers, "nbody::solve"):
             rho = total.astype(np.float64) / DEPOSIT_SCALE
             np.copyto(self.density, rho)
-            mean = rho.mean()
-            delta = rho / mean - 1.0 if mean > 0 else rho
-            fk = np.fft.rfftn(delta)
-            kx = 2.0 * np.pi * np.fft.fftfreq(g, d=1.0 / g)
-            kz = 2.0 * np.pi * np.fft.rfftfreq(g, d=1.0 / g)
-            k2 = (
-                kx[:, None, None] ** 2
-                + kx[None, :, None] ** 2
-                + kz[None, None, :] ** 2
-            )
-            k2[0, 0, 0] = 1.0  # zero mode: potential gauge, forced to 0
-            phi_k = -self.gravity * fk / k2
-            phi_k[0, 0, 0] = 0.0
-            acc = [
-                np.fft.irfftn(-1j * k * phi_k, s=(g, g, g), axes=(0, 1, 2))
-                for k in (
-                    kx[:, None, None],
-                    kx[None, :, None],
-                    kz[None, None, :],
-                )
-            ]
+            acc = gravity_field(rho, self.gravity)
         with timed(self.timers, "nbody::gather"):
             return cic_gather(acc, p.positions)
 
@@ -269,7 +323,7 @@ class NBodySimulation:
 
         Migration runs *first* (and holds the fault site) so that a death
         recovery never has to replay a partially communicated step; see
-        :meth:`_migrate`.
+        :meth:`ParticleMeshSimulation._migrate`.
         """
         rec = self.timers.trace
         if rec is not None:
@@ -279,22 +333,9 @@ class NBodySimulation:
                 self._migrate()
             a = self._solve_gravity()
             with timed(self.timers, "nbody::kick_drift"):
-                p = self.particles
-                p.velocities += a * self.dt
-                pos = p.positions
-                pos += p.velocities * self.dt
-                pos %= 1.0
-                # float64 wrap pitfall: (x % 1.0) rounds to exactly 1.0
-                # for tiny negative x; clamp back into [0, 1).
-                pos[pos >= 1.0] = 0.0
+                self._kick_drift(a)
             self.time += self.dt
             self.step += 1
-
-    def run(self, n_steps: int, bridge=None) -> None:
-        for _ in range(n_steps):
-            self.advance()
-            if bridge is not None:
-                bridge.execute(self.time, self.step)
 
     # -- checkpoint/restart ----------------------------------------------------
     def snapshot(self) -> dict:

@@ -1,21 +1,19 @@
-"""Nyx proxy: particle-mesh cosmological gravity on a periodic grid.
+"""Nyx proxy: lattice initial conditions and a ghost-blanked, zero-copy
+presentation over the shared particle-mesh engine.
 
 Nyx is a "massively parallel ... code for computational cosmology" whose
 SENSEI study ran single-level (no AMR) simulations on axis-aligned boxes,
 avoided data replication by passing BoxLib pointers straight to VTK, and
 blanked ghost cells with a ``vtkGhostLevels`` byte array (Sec. 4.2.3).
-
-The proxy is a classic particle-mesh code with every parallel ingredient
-real:
-
-- dark-matter particles on an x-slab decomposition, migrated between ranks
-  with an all-to-all after each drift;
-- cloud-in-cell (CIC) mass deposition with halo accumulation;
-- a Poisson solve by *distributed* FFT: local FFTs over (y, z), a global
-  slab transpose via all-to-all, the x-direction FFT, the -1/k^2 filter,
-  and the inverse path;
-- leapfrog kick-drift integration with gradient forces from halo-exchanged
-  potential planes.
+What that section measures is the SENSEI side -- the histogram and slice
+cost nothing next to the solver (Fig. 17) -- not the solver, so the proxy
+owns only what is Nyx about it: dark-matter particles on a perturbed
+lattice, the ``nyx::deposit|poisson|push|migrate`` phases Fig. 17 sums,
+and the overdensity slab with one ghost plane each side in x.  Deposit,
+Poisson solve, force interpolation, slab ownership, migration and the
+periodic wrap are the ones :mod:`repro.apps.nbody` runs, so slices,
+histograms and densities are bit-identical across rank counts and SPMD
+backends.
 
 The SENSEI adaptor exposes the density field *including one ghost layer*
 plus the vtkGhostLevels byte array -- the Nyx blanking pattern the
@@ -27,19 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.nbody import ParticleMeshSimulation, gravity_field, wrap_periodic
 from repro.core.adaptors import DataAdaptor
 from repro.data import Association, DataArray, GHOST_ARRAY_NAME, ImageData
 from repro.data.ghost import ghost_levels_for_extent
-from repro.util.decomp import Extent, block_decompose_1d
+from repro.data.particles import DEPOSIT_SCALE, cic_deposit_int, cic_gather
+from repro.mpi import SUM
+from repro.util.decomp import Extent
 from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry, timed
 
 
-def _slab_bounds(n: int, size: int) -> list[tuple[int, int]]:
-    return [block_decompose_1d(n, size, r) for r in range(size)]
-
-
-class NyxSimulation:
+class NyxSimulation(ParticleMeshSimulation):
     """One rank's share of the PM proxy.
 
     Parameters
@@ -50,6 +47,8 @@ class NyxSimulation:
     particles_per_cell:
         Initial lattice density of dark-matter particles.
     """
+
+    namespace = "nyx"
 
     def __init__(
         self,
@@ -63,261 +62,63 @@ class NyxSimulation:
         timers: TimerRegistry | None = None,
         memory: MemoryTracker | None = None,
     ) -> None:
-        if grid < comm.size:
-            raise ValueError("need at least one x-plane of cells per rank")
-        self.comm = comm
-        self.grid = grid
-        self.dt = float(dt)
-        self.gravity = float(gravity)
-        self.timers = timers if timers is not None else TimerRegistry()
-        self.memory = memory
+        super().__init__(comm, grid, dt, gravity, timers, memory)
         self.h = 1.0 / grid
-        self.bounds = _slab_bounds(grid, comm.size)
-        self.x_lo, self.x_hi = self.bounds[comm.rank]
         self.nx_local = self.x_hi - self.x_lo
-        self.time = 0.0
-        self.step = 0
 
-        # Perturbed-lattice initial particles, owned by x position.
+        # Perturbed-lattice initial particles (unit mass, at rest).
         with timed(self.timers, "nyx::init"):
             rng = np.random.default_rng(seed)  # same lattice on every rank
             per_axis = max(int(round(grid * particles_per_cell ** (1.0 / 3.0))), 1)
             lattice = (np.arange(per_axis) + 0.5) / per_axis
-            px, py, pz = np.meshgrid(lattice, lattice, lattice, indexing="ij")
-            pos = np.column_stack([px.reshape(-1), py.reshape(-1), pz.reshape(-1)])
+            cells = np.meshgrid(lattice, lattice, lattice, indexing="ij")
+            pos = np.stack(cells, axis=-1).reshape(-1, 3)
             pos += perturbation * self.h * rng.standard_normal(pos.shape)
-            pos %= 1.0
-            mine = self._owner_ranks(pos[:, 0]) == comm.rank
-            self.positions = np.ascontiguousarray(pos[mine])
-            self.velocities = np.zeros_like(self.positions)
+            wrap_periodic(pos)
             self.total_particles = pos.shape[0]
-            # Field storage: owned slab + 1 halo plane each side in x.
+            self._adopt(pos, np.zeros_like(pos), np.ones(self.total_particles))
+            #: Overdensity on the owned slab + 1 ghost plane each side in x.
             self.density = np.zeros((self.nx_local + 2, grid, grid))
-            self.potential = np.zeros_like(self.density)
             if self.memory is not None:
-                self.memory.track_array(self.positions, label="nyx::particles")
                 self.memory.track_array(self.density, label="nyx::density")
-                self.memory.track_array(self.potential, label="nyx::potential")
 
-    # -- ownership / migration -------------------------------------------------
-    def _owner_ranks(self, x: np.ndarray) -> np.ndarray:
-        cell = np.clip((x / self.h).astype(np.int64), 0, self.grid - 1)
-        owners = np.empty(cell.shape, dtype=np.int64)
-        for r, (lo, hi) in enumerate(self.bounds):
-            owners[(cell >= lo) & (cell < hi)] = r
-        return owners
+    @property
+    def positions(self) -> np.ndarray:
+        return self.particles.positions
 
-    def _migrate(self) -> None:
-        owners = self._owner_ranks(self.positions[:, 0])
-        outboxes = []
-        for r in range(self.comm.size):
-            sel = owners == r
-            outboxes.append((self.positions[sel], self.velocities[sel]))
-        received = self.comm.alltoall(outboxes)
-        self.positions = np.concatenate([p for p, _ in received])
-        self.velocities = np.concatenate([v for _, v in received])
-
-    # -- CIC deposit ---------------------------------------------------------------
-    def deposit(self) -> None:
-        """CIC mass deposition into the haloed density slab."""
+    def deposit(self) -> np.ndarray:
+        """Exact CIC deposit, replicated, into the haloed overdensity slab;
+        returns the replicated mass grid the Poisson solve consumes."""
         with timed(self.timers, "nyx::deposit"):
-            self.density.fill(0.0)
-            if self.positions.shape[0]:
-                g = self.grid
-                # Continuous cell coordinates; local x offset by halo.
-                cx = self.positions[:, 0] / self.h - 0.5
-                cy = self.positions[:, 1] / self.h - 0.5
-                cz = self.positions[:, 2] / self.h - 0.5
-                i0 = np.floor(cx).astype(np.int64)
-                j0 = np.floor(cy).astype(np.int64)
-                k0 = np.floor(cz).astype(np.int64)
-                fx = cx - i0
-                fy = cy - j0
-                fz = cz - k0
-                li0 = i0 - self.x_lo + 1  # halo offset; may be 0 or nx+1
-                for di, wxs in ((0, 1 - fx), (1, fx)):
-                    for dj, wys in ((0, 1 - fy), (1, fy)):
-                        for dk, wzs in ((0, 1 - fz), (1, fz)):
-                            w = wxs * wys * wzs
-                            np.add.at(
-                                self.density,
-                                (
-                                    li0 + di,
-                                    (j0 + dj) % g,
-                                    (k0 + dk) % g,
-                                ),
-                                w,
-                            )
-            # Fold halo contributions into the owning neighbors.
-            self._fold_halo(self.density)
-            # Normalize to overdensity units.
-            mean_mass = self.total_particles / self.grid**3
-            self.density[1:-1] /= mean_mass
-
-    def _fold_halo(self, field: np.ndarray) -> None:
-        size, rank = self.comm.size, self.comm.rank
-        left = (rank - 1) % size
-        right = (rank + 1) % size
-        if size == 1:
-            field[-2] += field[0]
-            field[1] += field[-1]
-            field[0] = field[-1] = 0.0
-            return
-        got_right = self.comm.sendrecv(
-            np.ascontiguousarray(field[0]), dest=left, source=right,
-            sendtag=41, recvtag=41,
-        )
-        got_left = self.comm.sendrecv(
-            np.ascontiguousarray(field[-1]), dest=right, source=left,
-            sendtag=42, recvtag=42,
-        )
-        field[-2] += got_right
-        field[1] += got_left
-        field[0] = 0.0
-        field[-1] = 0.0
-
-    def _exchange_halo(self, field: np.ndarray) -> None:
-        """Fill x halo planes from periodic neighbors."""
-        size, rank = self.comm.size, self.comm.rank
-        left = (rank - 1) % size
-        right = (rank + 1) % size
-        if size == 1:
-            field[0] = field[-2]
-            field[-1] = field[1]
-            return
-        got_right = self.comm.sendrecv(
-            np.ascontiguousarray(field[1]), dest=left, source=right,
-            sendtag=43, recvtag=43,
-        )
-        got_left = self.comm.sendrecv(
-            np.ascontiguousarray(field[-2]), dest=right, source=left,
-            sendtag=44, recvtag=44,
-        )
-        field[-1] = got_right
-        field[0] = got_left
-
-    # -- distributed FFT Poisson solve -----------------------------------------------
-    def _transpose_x_to_y(self, a: np.ndarray) -> np.ndarray:
-        """(x-slab, full y) -> (full x, y-slab) via all-to-all."""
-        size = self.comm.size
-        ybounds = _slab_bounds(self.grid, size)
-        chunks = [
-            np.ascontiguousarray(a[:, ylo:yhi, :]) for (ylo, yhi) in ybounds
-        ]
-        received = self.comm.alltoall(chunks)
-        return np.concatenate(received, axis=0)
-
-    def _transpose_y_to_x(self, a: np.ndarray) -> np.ndarray:
-        """(full x, y-slab) -> (x-slab, full y): the inverse all-to-all."""
-        size = self.comm.size
-        xbounds = self.bounds
-        chunks = [
-            np.ascontiguousarray(a[xlo:xhi, :, :]) for (xlo, xhi) in xbounds
-        ]
-        received = self.comm.alltoall(chunks)
-        return np.concatenate(received, axis=1)
-
-    def solve_poisson(self) -> None:
-        """potential = IFFT( -FFT(density) / k^2 ), distributed."""
-        with timed(self.timers, "nyx::poisson"):
-            g = self.grid
-            rho = self.density[1:-1]  # owned slab
-            # Local transforms over the fully local axes (y, z).
-            f = np.fft.fftn(rho, axes=(1, 2))
-            # Transpose to make x local, transform x.
-            f = self._transpose_x_to_y(f)
-            f = np.fft.fft(f, axis=0)
-            # Spectral filter on this rank's (full-x, y-slab, full-z) block.
-            kx = 2 * np.pi * np.fft.fftfreq(g, d=self.h)
-            ylo, yhi = _slab_bounds(g, self.comm.size)[self.comm.rank]
-            ky = 2 * np.pi * np.fft.fftfreq(g, d=self.h)[ylo:yhi]
-            kz = 2 * np.pi * np.fft.fftfreq(g, d=self.h)
-            k2 = (
-                kx[:, None, None] ** 2
-                + ky[None, :, None] ** 2
-                + kz[None, None, :] ** 2
+            p, g = self.particles, self.grid
+            total = self.comm.allreduce(
+                cic_deposit_int(p.positions, p.masses, g), SUM
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = np.where(k2 > 0, -self.gravity * f / k2, 0.0)
-            # Inverse path.
-            f = np.fft.ifft(f, axis=0)
-            f = self._transpose_y_to_x(f)
-            phi = np.fft.ifftn(f, axes=(1, 2)).real
-            self.potential[1:-1] = phi
-            self._exchange_halo(self.potential)
-
-    # -- dynamics -----------------------------------------------------------------
-    def _accelerations(self) -> np.ndarray:
-        """CIC-interpolated -grad(phi) at the particle positions.
-
-        Uses nearest-cell gradient sampling (sufficient for the proxy) with
-        central differences; x differences use the halo planes.
-        """
-        g = self.grid
-        grad = np.empty((3,) + self.potential[1:-1].shape)
-        grad[0] = (self.potential[2:] - self.potential[:-2]) / (2 * self.h)
-        grad[1] = (
-            np.roll(self.potential[1:-1], -1, axis=1)
-            - np.roll(self.potential[1:-1], 1, axis=1)
-        ) / (2 * self.h)
-        grad[2] = (
-            np.roll(self.potential[1:-1], -1, axis=2)
-            - np.roll(self.potential[1:-1], 1, axis=2)
-        ) / (2 * self.h)
-        if self.positions.shape[0] == 0:
-            return np.zeros((0, 3))
-        ci = np.clip(
-            (self.positions[:, 0] / self.h).astype(np.int64) - self.x_lo,
-            0,
-            self.nx_local - 1,
-        )
-        cj = np.clip((self.positions[:, 1] / self.h).astype(np.int64), 0, g - 1)
-        ck = np.clip((self.positions[:, 2] / self.h).astype(np.int64), 0, g - 1)
-        return -np.column_stack([grad[0][ci, cj, ck], grad[1][ci, cj, ck], grad[2][ci, cj, ck]])
+            mass = total.astype(np.float64) / DEPOSIT_SCALE
+            # Plane 0 holds cell x_lo - 1 and plane -1 cell x_hi, wrapped
+            # periodically: a ghost plane is its neighbour's owned plane.
+            planes = np.arange(self.x_lo - 1, self.x_hi + 1) % g
+            np.divide(mass[planes], self.total_particles / g**3, out=self.density)
+            return mass
 
     def advance(self) -> None:
-        """One kick-drift-migrate-deposit-solve cycle."""
-        self.deposit()
-        self.solve_poisson()
+        """One deposit-solve-push-migrate cycle."""
+        mass = self.deposit()
+        with timed(self.timers, "nyx::poisson"):
+            acc = gravity_field(mass, self.gravity)
         with timed(self.timers, "nyx::push"):
-            acc = self._accelerations()
-            self.velocities += self.dt * acc
-            self.positions += self.dt * self.velocities
-            self.positions %= 1.0
+            self._kick_drift(cic_gather(acc, self.particles.positions))
         with timed(self.timers, "nyx::migrate"):
             self._migrate()
         self.time += self.dt
         self.step += 1
-
-    def run(self, n_steps: int, bridge=None) -> None:
-        for _ in range(n_steps):
-            self.advance()
-            if bridge is not None:
-                if not bridge.execute(self.time, self.step):
-                    break
 
     # -- SENSEI adaptor ----------------------------------------------------------
     def ghosted_extent(self) -> Extent:
         """Owned cells plus the one-cell x halo, clamped to the domain edge
         in index space (periodic wrap is represented as clamp for ghosting
         purposes -- ghost flags, not geometry, are what the analyses use)."""
-        g = self.grid
-        return Extent(
-            max(self.x_lo - 1, 0),
-            min(self.x_hi, g - 1),
-            0,
-            g - 1,
-            0,
-            g - 1,
-        )
-
-    def owned_extent(self) -> Extent:
-        g = self.grid
-        return Extent(self.x_lo, self.x_hi - 1, 0, g - 1, 0, g - 1)
-
-    def whole_extent(self) -> Extent:
-        g = self.grid
-        return Extent(0, g - 1, 0, g - 1, 0, g - 1)
+        return self.owned_extent().grow(1, self.whole_extent())
 
     def make_data_adaptor(self) -> "NyxDataAdaptor":
         return NyxDataAdaptor(self)

@@ -1,11 +1,12 @@
 """A reusable lazy data adaptor for structured (block) simulations.
 
-The miniapp, AVF-LESLIE proxy, and Nyx proxy all expose "a block of a global
-structured grid plus named numpy field arrays".  This adaptor implements the
-SENSEI contract for that shape once: field arrays are registered as *array
-providers* (callables returning the simulation's current buffer), and mesh /
-array objects are constructed only when an analysis asks -- the lazy mapping
-that makes no-analysis overhead "almost nonexistent" (Sec. 3.2) and that the
+The oscillator miniapp exposes "a block of a global structured grid plus
+named numpy field arrays" (the science proxies derive fields or blank ghosts
+and carry their own adaptors).  This adaptor implements the SENSEI contract
+for that shape: field arrays are registered as *array providers* (callables
+returning the simulation's current buffer), and mesh / array objects are
+constructed only when an analysis asks -- the lazy mapping that makes
+no-analysis overhead "almost nonexistent" (Sec. 3.2) and that the
 lazy-vs-eager ablation benchmark measures.
 """
 

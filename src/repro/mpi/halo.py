@@ -1,9 +1,11 @@
 """Generic structured halo (ghost) exchange.
 
-Every structured-grid code in the paper exchanges halo layers with its
-face neighbors each step (AVF-LESLIE's flux stencils, Nyx's deposition and
-gradients).  This is the reusable form: a :class:`HaloExchanger` built from
-a rank's block in a regular 3-D decomposition, exchanging ``depth`` ghost
+The point-sampling analyses of :mod:`repro.analysis.probe` (oblique slice,
+sensor probes) interpolate across block faces and so need their face
+neighbors' boundary layers; they are this module's users (AVF-LESLIE
+exchanges its one slab axis by hand, the particle apps replicate their
+grid).  This is the reusable form: a :class:`HaloExchanger` built from a
+rank's block in a regular 3-D decomposition, exchanging ``depth`` ghost
 layers along every decomposed axis, with periodic or clamped boundaries.
 
 The exchange posts one sendrecv per face per axis (the standard

@@ -86,6 +86,11 @@ def block_decompose_1d(n: int, parts: int, index: int) -> tuple[int, int]:
     return lo, hi
 
 
+def slab_bounds(n: int, size: int) -> list[tuple[int, int]]:
+    """Every rank's ``[lo, hi)`` block of ``range(n)``, in rank order."""
+    return [block_decompose_1d(n, size, r) for r in range(size)]
+
+
 def factor_ranks(nranks: int, dims: int = 3) -> tuple[int, ...]:
     """Factor ``nranks`` into a near-cubic ``dims``-dimensional process grid.
 

@@ -10,6 +10,7 @@ recorded the same way from the commit before PR 19 swapped the
 friends-of-friends kernel.
 """
 
+import ast
 import inspect
 import json
 import zlib
@@ -196,3 +197,23 @@ def test_process_backend_overrides_no_public_method():
     assert overridden == []
     assert all(n in vars(Communicator) for n in _PUBLIC)
     assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters
+
+
+# -- structure: particle-mesh gravity exists once ------------------------------
+
+_SRC = Path(__file__).parent.parent / "src" / "repro"
+
+
+def test_particle_mesh_gravity_exists_once():
+    nyx = (_SRC / "apps" / "nyx_proxy.py").read_text()
+    for private_copy in ("np.fft", "np.add.at", "sendrecv", "alltoall"):
+        assert private_copy not in nyx, private_copy
+    fft_users = set()
+    for path in (*_SRC.glob("apps/*.py"), *_SRC.glob("data/*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Attribute) and n.attr == "fft"
+                for n in ast.walk(fn)
+            ):
+                fft_users.add(f"{path.stem}.{fn.name}")
+    assert fft_users == {"nbody.gravity_field"}
