@@ -36,25 +36,10 @@ from repro.analysis.fields import (
     gradient_magnitude,
     vorticity_magnitude,
 )
-from repro.analysis.statistics import (
-    Moments,
-    StatisticsAnalysis,
-    parallel_moments,
-    quantiles_from_histogram,
-)
-from repro.analysis.reduction import (
-    ReducedExtractAnalysis,
-    dequantize,
-    downsample_mean,
-    quantize,
-    read_reduced_extract,
-)
-from repro.analysis.indexing import BitmapIndex, BitmapIndexAnalysis, query_step
 from repro.analysis.hybrid import (
     HybridHistogramAnalysis,
     ThreadedAutocorrelationState,
 )
-from repro.analysis.probe import ObliqueSliceAnalysis, probe_points
 from repro.analysis.particles import (
     DensityProjectionAnalysis,
     FriendsOfFriendsAnalysis,
@@ -78,22 +63,8 @@ __all__ = [
     "gradient_3d",
     "gradient_magnitude",
     "vorticity_magnitude",
-    "Moments",
-    "StatisticsAnalysis",
-    "parallel_moments",
-    "quantiles_from_histogram",
-    "ReducedExtractAnalysis",
-    "downsample_mean",
-    "quantize",
-    "dequantize",
-    "read_reduced_extract",
-    "BitmapIndex",
-    "BitmapIndexAnalysis",
-    "query_step",
     "HybridHistogramAnalysis",
     "ThreadedAutocorrelationState",
-    "ObliqueSliceAnalysis",
-    "probe_points",
     "DensityProjectionAnalysis",
     "PowerSpectrumAnalysis",
     "FriendsOfFriendsAnalysis",

@@ -200,7 +200,7 @@ def _check_memory_pairing(tree: ast.Module, path: str) -> Iterator[LintFinding]:
 # --------------------------------------------------------------------------
 
 _SIM_INTERNAL_PREFIXES = ("repro.miniapp", "repro.apps")
-_DECOUPLED_DIRS = ("repro/analysis/", "repro/infrastructure/", "repro/extracts/")
+_DECOUPLED_DIRS = ("repro/analysis/", "repro/infrastructure/")
 
 
 def _check_analysis_sim_import(tree: ast.Module, path: str) -> Iterator[LintFinding]:

@@ -23,7 +23,6 @@ import json
 import os
 
 from repro.control.controller import SLO, Controller
-from repro.control.journal import DecisionJournal
 from repro.mpi import run_spmd
 from repro.perf.control_model import ControlModel
 from repro.perf.miniapp_model import MiniappConfig
@@ -166,12 +165,3 @@ def run_control_demo(
         "timeline": timeline,
     }
 
-
-def journal_from_dict(doc: dict) -> DecisionJournal:
-    """Rehydrate a journal's metadata (for tooling; decisions stay dicts)."""
-    meta = doc.get("meta", {})
-    return DecisionJournal(
-        seed=int(meta.get("seed", 0)),
-        slo=meta.get("slo"),
-        mode=str(meta.get("mode", "spans")),
-    )

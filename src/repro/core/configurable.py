@@ -46,10 +46,7 @@ def _ensure_builtin_analyses() -> None:
     import importlib
 
     for pkg in ("repro.analysis", "repro.infrastructure"):
-        try:
-            importlib.import_module(pkg)
-        except ImportError:  # pragma: no cover - partial installs only
-            pass
+        importlib.import_module(pkg)
 
 
 class ConfigurableAnalysis(AnalysisAdaptor):

@@ -42,7 +42,6 @@ from repro.mpi.launcher import (
     resolve_backend,
     run_spmd,
 )
-from repro.mpi.halo import HaloExchanger
 from repro.mpi.framing import (
     FrameChannel,
     FrameError,
@@ -57,7 +56,6 @@ __all__ = [
     "MalformedFrameError",
     "TruncatedFrameError",
     "resolve_backend",
-    "HaloExchanger",
     "Communicator",
     "MPIError",
     "RankAbort",

@@ -68,14 +68,6 @@ class TruncatedFrameError(FrameError):
     """The peer closed the stream mid-frame."""
 
 
-class StaleFrameError(FrameError):
-    """A duplicate frame (``seq`` at or below the last delivered seq).
-
-    Raised internally and swallowed by :meth:`FrameChannel.recv`; exposed
-    for tests that drive :func:`decode_header` directly.
-    """
-
-
 def encode_frame(kind: int, seq: int, payload: bytes) -> bytes:
     """One wire frame: header + payload, CRC over the payload bytes."""
     if not 0 <= kind <= 255:

@@ -91,9 +91,9 @@ def composite_over_into(
 class FramebufferPool:
     """Reusable framebuffer allocator keyed by resolution and depth-ness.
 
-    Per-step rendering (Catalyst slice every timestep, Cinema camera
-    sweeps) re-creates identically shaped RGB/alpha/depth triples each
-    frame; the pool hands back released buffers instead.  With a
+    Per-step rendering (Catalyst slice every timestep) re-creates
+    identically shaped RGB/alpha/depth triples each frame; the pool hands
+    back released buffers instead.  With a
     :class:`~repro.util.memory.MemoryTracker` attached, pooled buffers are
     charged once at first allocation (a persistent footprint, the honest
     way the space-for-time trade shows up in the fig04/fig07-style memory

@@ -217,3 +217,86 @@ def test_particle_mesh_gravity_exists_once():
             ):
                 fft_users.add(f"{path.stem}.{fn.name}")
     assert fft_users == {"nbody.gravity_field"}
+
+
+# -- structure: every module is run by a command, workload, figure or example --
+
+_REPO = _SRC.parent.parent
+_ROOTS = ("bench/workloads", "benchmarks", "examples")  # + src/repro/cli.py
+
+#: Unreached on purpose; the value is why the module stays.
+_UNREACHED_BUT_KEPT = {
+    "miniapp/input.py": 'the Sec. 3.3 "read and broadcast from the root" input file',
+    "data/rectilinear.py": "the rectilinear-grid row of the paper's data model",
+    "perf/calibrate.py": "the input of ROADMAP item 3 (host-calibrated model)",
+}
+
+
+def _unreached_modules():
+    """``src/repro`` files no import chain from ``cli.py`` or ``_ROOTS`` reaches.
+
+    Lazy in-function imports count.  An ``__init__.py`` holding only a
+    docstring, imports and ``__all__`` is transparent: ``from pkg import
+    Name`` reaches the submodule that defines ``Name``, not every module
+    the package re-exports.  ``__main__.py`` files are ``python -m`` entry
+    scripts, not importable modules, and are left out.  The tree has no
+    relative or star imports; one would resolve to nothing here and its
+    target would be reported unreached.
+    """
+    paths = {}
+    for p in _SRC.rglob("*.py"):
+        parts = p.relative_to(_SRC.parent).with_suffix("").parts
+        if parts[-1] != "__main__":
+            paths[".".join(parts[: -1 if parts[-1] == "__init__" else None])] = p
+    trees = {m: ast.parse(p.read_text()) for m, p in paths.items()}
+
+    def imports(tree):
+        """(module, imported name or None, bound name) per import statement."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from ((a.name, None, None) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield from ((node.module, a.name, a.asname or a.name) for a in node.names)
+
+    def transparent(mod):
+        return paths[mod].name == "__init__.py" and all(
+            isinstance(n, (ast.Import, ast.ImportFrom))
+            or (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))
+            or (isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "__all__")
+            for n in trees[mod].body
+        )
+
+    reached, walked, todo = set(), set(), []
+
+    def enter(mod, names):
+        """Run ``mod``; ``names`` limits a transparent package to those names."""
+        reached.add(mod)
+        if names is not None and transparent(mod):
+            for target, orig, bound in imports(trees[mod]):
+                if bound in names:
+                    reach(target, orig)
+        elif mod not in walked:
+            walked.add(mod)
+            todo.append(trees[mod])
+
+    def reach(mod, name=None):
+        if name and f"{mod}.{name}" in paths:
+            mod, name = f"{mod}.{name}", None  # ``from pkg import submodule``
+        if mod not in paths:
+            return  # stdlib or third party
+        bits = mod.split(".")
+        for i in range(1, len(bits)):
+            enter(".".join(bits[:i]), ())  # importing a.b.c runs a and a.b
+        enter(mod, name and (name,))
+
+    reach("repro.cli")
+    for d in _ROOTS:
+        todo += [ast.parse(p.read_text()) for p in (_REPO / d).rglob("*.py")]
+    while todo:
+        for target, orig, _ in imports(todo.pop()):
+            reach(target, orig)
+    return {str(paths[m].relative_to(_SRC)) for m in set(paths) - reached}
+
+
+def test_every_module_is_reachable():
+    assert _unreached_modules() == set(_UNREACHED_BUT_KEPT)

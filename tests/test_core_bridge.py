@@ -274,6 +274,17 @@ class TestConfigurableAnalysis:
         with pytest.raises(ConfigError):
             ConfigurableAnalysis(Configuration({"analyses": [{"type": "zzz"}]}))
 
+    def test_broken_analysis_import_is_not_swallowed(self, monkeypatch):
+        """A failing import inside an analysis package must surface as
+        itself, not as "unknown analysis type ...; registered: []"."""
+        import sys
+
+        monkeypatch.setitem(sys.modules, "repro.analysis", None)
+        with pytest.raises(ImportError):
+            ConfigurableAnalysis(
+                Configuration({"analyses": [{"type": "histogram"}]})
+            )
+
     def test_missing_type_raises(self):
         with pytest.raises(CE):
             ConfigurableAnalysis(Configuration({"analyses": [{"bins": 4}]}))

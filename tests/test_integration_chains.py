@@ -7,9 +7,7 @@ import pytest
 
 from repro.analysis import AutocorrelationAnalysis, HistogramAnalysis
 from repro.apps.avf_leslie_proxy import AVFLeslieSimulation
-from repro.apps.nyx_proxy import NyxSimulation
 from repro.core import Bridge, ConfigurableAnalysis
-from repro.extracts import CameraParameter, CinemaDatabase, CinemaExtractAnalysis
 from repro.infrastructure.adios import run_flexpath_job
 from repro.infrastructure.glean import GleanAdaptor, read_glean_step
 from repro.miniapp import OscillatorSimulation
@@ -21,13 +19,13 @@ from repro.util import Configuration
 
 class TestConfigDrivenMultiAnalysis:
     def test_one_config_many_analyses(self, tmp_path):
-        """A single JSON config drives method + infrastructure + extract
-        analyses simultaneously -- the ConfigurableAnalysis promise."""
+        """A single JSON config drives method + infrastructure analyses
+        simultaneously -- the ConfigurableAnalysis promise."""
         cfg = Configuration(
             {
                 "analyses": [
                     {"type": "histogram", "bins": 16},
-                    {"type": "statistics", "quantiles": [0.5]},
+                    {"type": "autocorrelation", "window": 2, "k": 3},
                     {
                         "type": "catalyst",
                         "axis": 2,
@@ -40,11 +38,7 @@ class TestConfigDrivenMultiAnalysis:
                         "output_dir": str(tmp_path / "glean"),
                         "ranks_per_aggregator": 2,
                     },
-                    {
-                        "type": "bitmap_index",
-                        "output_dir": str(tmp_path / "index"),
-                        "bins": 8,
-                    },
+                    {"type": "slice", "axis": 2, "index": 4},
                 ]
             }
         )
@@ -60,12 +54,13 @@ class TestConfigDrivenMultiAnalysis:
 
         results = run_spmd(4, prog)[0]["ConfigurableAnalysis"]
         assert len(results["HistogramAnalysis"]) == 2
-        assert results["StatisticsAnalysis"][-1]["count"] == 800
+        auto = results["AutocorrelationAnalysis"]
+        assert auto.window == 2
+        assert all(len(t) == 3 for t in auto.top)
+        assert [s.shape for s in results["SliceExtractAnalysis"]] == [(10, 10)] * 2
         assert results["CatalystAdaptor"]["images_written"] == 2
         assert results["GleanAdaptor"]["steps_staged"] == 2
-        # Files from the two file-producing analyses exist.
         assert any((tmp_path / "glean").iterdir())
-        assert any((tmp_path / "index").iterdir())
         # Glean data reassembles.
         blocks = read_glean_step(str(tmp_path / "glean"), 2)
         assert sorted(blocks) == [0, 1, 2, 3]
@@ -97,33 +92,6 @@ class TestScienceAppThroughStaging:
         assert res is not None
         assert res.window == 2
         assert all(len(t) == 2 for t in res.top)
-
-
-class TestNyxCinemaChain:
-    def test_cosmology_to_explorable_extract(self, tmp_path):
-        """Nyx proxy -> SENSEI -> Cinema database -> post hoc query."""
-
-        def prog(comm):
-            sim = NyxSimulation(comm, grid=12, gravity=4.0, seed=3)
-            bridge = Bridge(comm, sim.make_data_adaptor())
-            cinema = CinemaExtractAnalysis(
-                str(tmp_path),
-                sweep=CameraParameter(axis=2, indices=(3, 6, 9)),
-                array="density",
-                resolution=(24, 24),
-            )
-            bridge.add_analysis(cinema)
-            bridge.initialize()
-            sim.run(2, bridge)
-            return bridge.finalize()
-
-        run_spmd(2, prog)
-        db = CinemaDatabase(tmp_path)
-        assert db.steps == [1, 2]
-        assert db.slice_indices == [3, 6, 9]
-        entry = db.query(step=2, index=6)
-        img = db.load_image(entry)
-        assert img.shape == (24, 24, 3)
 
 
 class TestSteeredWithInfrastructure:

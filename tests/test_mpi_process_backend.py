@@ -1,8 +1,8 @@
 """Tests specific to the process-backed SPMD runtime.
 
-The equivalence matrix (test_mpi_runtime / test_mpi_halo / the adios and
-chaos suites, parametrized over ``spmd_backend``) proves both backends
-compute the same thing; this file covers what only the process backend can
+The equivalence matrix (test_mpi_runtime / the adios and chaos suites,
+parametrized over ``spmd_backend``) proves both backends compute the same
+thing; this file covers what only the process backend can
 get wrong: real process lifecycle (no orphans after failures, including
 hard ``os._exit`` deaths), shared-memory payload transfer and sweep,
 start-method safety, backend selection plumbing, and the merge paths that

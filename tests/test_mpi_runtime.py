@@ -118,13 +118,26 @@ class TestPointToPoint:
         assert out[1] == ("x", 0, 42)
 
     def test_sendrecv_ring(self):
+        """A Python object and two ndarray planes (one below, one above the
+        process backend's 64 KiB shared-memory threshold) around the ring --
+        the halo-exchange shape AVF-LESLIE and binary swap rely on."""
+
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
+            planes = [
+                comm.sendrecv(
+                    np.full(shape, float(comm.rank)), dest=right, source=left
+                )
+                for shape in ((4, 4), (128, 128))
+            ]
+            return comm.sendrecv(comm.rank, dest=right, source=left), planes
 
         out = run_spmd(4, prog)
-        assert out == [3, 0, 1, 2]
+        assert [o[0] for o in out] == [3, 0, 1, 2]
+        for rank, (left, planes) in enumerate(out):
+            assert [p.shape for p in planes] == [(4, 4), (128, 128)], rank
+            assert all(np.all(p == left) for p in planes), rank
 
     def test_send_out_of_range_dest(self):
         def prog(comm):

@@ -1,10 +1,9 @@
-"""Additional coverage for the network model, machine helpers, extracts,
-and CLI surfaces not exercised elsewhere."""
+"""Additional coverage for the network model, machine helpers and CLI
+surfaces not exercised elsewhere."""
 
 import numpy as np
 import pytest
 
-from repro.extracts import CinemaDatabase
 from repro.perf import CORI, MIRA, TITAN, NetworkModel
 from repro.perf.machine import MACHINES
 
@@ -55,34 +54,6 @@ class TestMachineExtra:
         measured PNG behaviour on each platform."""
         assert CORI.elem_rate > TITAN.elem_rate > MIRA.elem_rate
         assert CORI.zlib_rate > MIRA.zlib_rate
-
-
-class TestCinemaExtra:
-    def test_compression_vs_field(self, tmp_path):
-        from repro.core import Bridge
-        from repro.extracts import CameraParameter, CinemaExtractAnalysis
-        from repro.miniapp import OscillatorSimulation
-        from repro.miniapp.oscillator import default_oscillators
-        from repro.mpi import run_spmd
-
-        def prog(comm):
-            sim = OscillatorSimulation(comm, (16, 16, 16), default_oscillators())
-            bridge = Bridge(comm, sim.make_data_adaptor())
-            bridge.add_analysis(
-                CinemaExtractAnalysis(
-                    str(tmp_path),
-                    sweep=CameraParameter(axis=2, indices=(8,)),
-                    resolution=(24, 24),
-                )
-            )
-            bridge.initialize()
-            sim.run(2, bridge)
-            bridge.finalize()
-
-        run_spmd(1, prog)
-        db = CinemaDatabase(tmp_path)
-        field_bytes = 16**3 * 8 * 2
-        assert db.compression_vs_field(field_bytes) > 1.0
 
 
 class TestCLIExtra:
