@@ -21,7 +21,7 @@ from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.configurable import register_analysis
 from repro.data import Association, ImageData, MultiBlockDataset
 from repro.mpi import MAX, MIN
-from repro.render import blank_image, composite_over_into, rasterize_slice
+from repro.render import blank_image, rasterize_slice
 from repro.render.colormap import COOL_WARM, Colormap
 from repro.render.compositing import FramebufferPool, binary_swap
 from repro.render.png import encode_png
@@ -232,7 +232,9 @@ class CatalystAdaptor(AnalysisAdaptor):
             else:
                 partial = blank_image(width, height)
             for frag in fragments:
-                img = rasterize_slice(
+                # Painted straight into the partial; earlier fragments stay
+                # in front (rank-order convention).
+                rasterize_slice(
                     frag.values,
                     frag.extent2d,
                     global2d,
@@ -241,10 +243,8 @@ class CatalystAdaptor(AnalysisAdaptor):
                     colormap=self.colormap,
                     vmin=vmin,
                     vmax=vmax,
+                    out=partial,
                 )
-                # Earlier fragments stay in front (rank-order convention);
-                # in-place: no per-fragment framebuffer allocation.
-                composite_over_into(partial, img, out=partial)
             if self.memory is not None and self._pool is None:
                 # Framebuffer lives for the duration of the composite;
                 # charge it into the high-water mark then release.  (With a

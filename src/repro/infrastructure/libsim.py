@@ -233,28 +233,32 @@ class LibsimAdaptor(AnalysisAdaptor):
                 raise TypeError("Libsim emulation requires an ImageData mesh")
             with timed(self.timers, "libsim::render"):
                 flat_partial = blank_image(*self.resolution)
-                depth_partial = blank_image(*self.resolution, with_depth=True)
-                have_depth = False
+                # The depth framebuffer (inf-filled float32, the largest of
+                # the three planes) exists only once an isosurface needs it.
+                depth_partial = None
                 for plot in self._plots:
                     if plot["type"] == "pseudocolor_slice":
                         img = self._render_slice_plot(plot, mesh, data)
                         flat_partial = composite_over(flat_partial, img)
                     else:
                         img = self._render_isosurface_plot(plot, mesh, data)
+                        if depth_partial is None:
+                            depth_partial = blank_image(*self.resolution, with_depth=True)
                         depth_partial = composite_over(img, depth_partial)
-                        have_depth = True
             if self.memory is not None:
                 # Framebuffers live for the render+composite span; charge
                 # them into the high-water mark then release, mirroring the
                 # Catalyst adaptor's accounting.
-                fb = flat_partial.nbytes + (depth_partial.nbytes if have_depth else 0)
+                fb = flat_partial.nbytes
+                if depth_partial is not None:
+                    fb += depth_partial.nbytes
                 self.memory.allocate(fb, label="libsim::framebuffer")
                 self.memory.free(fb, label="libsim::framebuffer")
             with timed(self.timers, "libsim::composite"):
                 flat_final = direct_send(self._comm, flat_partial)
-                depth_final = (
-                    direct_send(self._comm, depth_partial) if have_depth else None
-                )
+                depth_final = None
+                if depth_partial is not None:
+                    depth_final = direct_send(self._comm, depth_partial)
             if self._comm.rank == 0:
                 final = flat_final
                 if depth_final is not None:

@@ -43,11 +43,35 @@ def composite_over(front: RenderedImage, back: RenderedImage) -> RenderedImage:
         rgb = np.where(take_front[..., None], front.rgb, back.rgb)
         alpha = np.where(take_front, front.alpha, back.alpha)
         depth = np.where(take_front, front.depth, back.depth)
-        return RenderedImage(rgb.astype(np.uint8), alpha.astype(np.uint8), depth)
+        return RenderedImage(rgb, alpha, depth)
     take_front = front.alpha > 0
     rgb = np.where(take_front[..., None], front.rgb, back.rgb)
     alpha = np.where(take_front, front.alpha, back.alpha)
-    return RenderedImage(rgb.astype(np.uint8), alpha.astype(np.uint8))
+    return RenderedImage(rgb, alpha)
+
+
+def _copy_where(dst: RenderedImage, src: RenderedImage, mask: np.ndarray) -> None:
+    """``dst[mask] = src[mask]`` on every plane, touching only the bounding
+    box of ``mask``: a rank's coverage is a rectangle, so the box is
+    usually far smaller than the frame and often fully selected."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return
+    cols = np.flatnonzero(mask.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    planes = [(dst.rgb, src.rgb), (dst.alpha, src.alpha)]
+    if src.depth is not None:
+        planes.append((dst.depth, src.depth))
+    sub = mask[box]
+    if sub.all():
+        for d, s in planes:
+            d[box] = s[box]
+        return
+    # Materialized 3-channel mask: copyto over a stride-0 broadcast mask is
+    # ~40% slower than over a contiguous one.
+    sub3 = np.repeat(sub[..., None], 3, axis=2)
+    for d, s in planes:
+        np.copyto(d[box], s[box], where=sub3 if d.ndim == 3 else sub)
 
 
 def composite_over_into(
@@ -56,7 +80,8 @@ def composite_over_into(
     """Composite ``front`` over ``back`` into ``out`` (default: ``back``).
 
     The zero-alloc counterpart of :func:`composite_over`: no framebuffer
-    triple is created -- only a boolean selection mask.  ``out`` may alias
+    triple is created -- only a boolean selection mask -- and only the
+    bounding box of the pixels that change is written.  ``out`` may alias
     ``front`` or ``back``; its depth-carrying-ness must match theirs.  The
     pixel semantics are identical to :func:`composite_over`.
     """
@@ -72,19 +97,10 @@ def composite_over_into(
         take_front = front.depth <= back.depth
     else:
         take_front = front.alpha > 0
-    # Materialized 3-channel mask: copyto over a stride-0 broadcast mask is
-    # ~40% slower than over a contiguous one.
-    mask3 = np.repeat(take_front[..., None], 3, axis=2)
     if out is not front:
-        np.copyto(out.rgb, front.rgb, where=mask3)
-        np.copyto(out.alpha, front.alpha, where=take_front)
-        if front.depth is not None:
-            np.copyto(out.depth, front.depth, where=take_front)
+        _copy_where(out, front, take_front)
     if out is not back:
-        np.copyto(out.rgb, back.rgb, where=~mask3)
-        np.copyto(out.alpha, back.alpha, where=~take_front)
-        if back.depth is not None:
-            np.copyto(out.depth, back.depth, where=~take_front)
+        _copy_where(out, back, ~take_front)
     return out
 
 
@@ -315,11 +331,15 @@ def binary_swap(
     total_h = sum(b[1].shape[0] for b in bands)
     width = bands[0][1].shape[1]
     with_depth = bands[0][3] is not None
+    # Every pixel is overwritten by the stitch below: no clear, no zero fill.
     if pool is not None:
-        # Every pixel is overwritten by the stitch below.
         out = pool.acquire(width, total_h, with_depth=with_depth, clear=False)
     else:
-        out = blank_image(width, total_h, with_depth=with_depth)
+        out = RenderedImage(
+            np.empty((total_h, width, 3), dtype=np.uint8),
+            np.empty((total_h, width), dtype=np.uint8),
+            np.empty((total_h, width), dtype=np.float32) if with_depth else None,
+        )
     for r0, rgb, alpha, depth in bands:
         h = rgb.shape[0]
         out.rgb[r0 : r0 + h] = rgb

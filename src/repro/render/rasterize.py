@@ -81,6 +81,7 @@ def rasterize_slice(
     colormap: Colormap = VIRIDIS,
     vmin: float | None = None,
     vmax: float | None = None,
+    out: RenderedImage | None = None,
 ) -> RenderedImage:
     """Rasterize one rank's slice fragment into its region of the viewport.
 
@@ -92,16 +93,23 @@ def rasterize_slice(
     would produce -- the invariant the compositing tests rely on.  Pixels
     whose nearest node lies outside this fragment remain background (alpha
     0); they belong to other ranks.
+
+    With ``out`` the fragment is painted into that framebuffer instead of a
+    fresh one, only where ``out.alpha == 0``: pixels rendered earlier stay
+    in front, the rank-order convention of the compositors.
     """
     u0, u1, v0, v1 = extent2d
     gu0, gu1, gv0, gv1 = global_extent2d
     if values.shape != (u1 - u0 + 1, v1 - v0 + 1):
         raise ValueError("values shape does not match extent2d")
-    img = blank_image(width, height)
+    if out is None:
+        out = blank_image(width, height)
+    elif out.shape != (height, width):
+        raise ValueError("out must be a width x height framebuffer")
     gnu = gu1 - gu0
     gnv = gv1 - gv0
     if gnu <= 0 or gnv <= 0:
-        return img
+        return out
     # Pixel centers in global index space.  u maps to x (width), v to y.
     px = (np.arange(width) + 0.5) / width * gnu + gu0
     py = (np.arange(height) + 0.5) / height * gnv + gv0
@@ -109,19 +117,29 @@ def rasterize_slice(
     # identically on every rank).
     nx = np.floor(px + 0.5).astype(np.int64)
     ny = np.floor(py + 0.5).astype(np.int64)
-    in_x = (nx >= u0) & (nx <= u1)
-    in_y = (ny >= v0) & (ny <= v1)
-    if not in_x.any() or not in_y.any():
-        return img
-    xs = nx[in_x] - u0
-    ys = ny[in_y] - v0
-    sampled = values[xs[None, :], ys[:, None]]
-    rgb = colormap.map(sampled, vmin=vmin, vmax=vmax)
-    rows = np.nonzero(in_y)[0]
-    cols = np.nonzero(in_x)[0]
-    img.rgb[np.ix_(rows, cols)] = rgb
-    img.alpha[np.ix_(rows, cols)] = 255
-    return img
+    # Ownership is monotone in the pixel index: the fragment's pixels are
+    # one rectangle and each node owns one run of columns / rows.
+    x_lo, x_hi = np.searchsorted(nx, (u0, u1 + 1))
+    y_lo, y_hi = np.searchsorted(ny, (v0, v1 + 1))
+    if x_lo == x_hi or y_lo == y_hi:
+        return out
+    cx = np.bincount(nx[x_lo:x_hi] - u0)
+    cy = np.bincount(ny[y_lo:y_hi] - v0)
+    # Colour only the nodes that own a pixel (the same value set the
+    # per-pixel gather saw, so a defaulted vmin/vmax agrees), then expand
+    # each node to its run.
+    ux, uy = np.flatnonzero(cx), np.flatnonzero(cy)
+    rgb = colormap.map(values[np.ix_(ux, uy)].T, vmin=vmin, vmax=vmax)
+    rgb = np.repeat(np.repeat(rgb, cx[ux], axis=1), cy[uy], axis=0)
+    box = (slice(y_lo, y_hi), slice(x_lo, x_hi))
+    free = out.alpha[box] == 0
+    if free.all():
+        out.rgb[box] = rgb
+        out.alpha[box] = 255
+    else:
+        np.copyto(out.rgb[box], rgb, where=free[..., None])
+        np.copyto(out.alpha[box], np.uint8(255), where=free)
+    return out
 
 
 def splat_points(

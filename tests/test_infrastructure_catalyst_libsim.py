@@ -1,5 +1,6 @@
 """Tests for the Catalyst and Libsim infrastructure emulations."""
 
+import functools
 import json
 
 import numpy as np
@@ -285,6 +286,37 @@ class TestLibsim:
             png = run_spmd(n, prog)[0]
             np.testing.assert_array_equal(decode_png(png), serial)
 
+    def test_slice_only_session_makes_no_depth_framebuffer(
+        self, tmp_path, monkeypatch
+    ):
+        """The inf-filled depth framebuffer (the largest plane) is made by
+        the first isosurface plot, not on every step of every session."""
+        import repro.infrastructure.libsim as libsim_module
+
+        real, depth_flags = libsim_module.blank_image, []
+
+        def blank_image(width, height, with_depth=False):
+            depth_flags.append(with_depth)
+            return real(width, height, with_depth=with_depth)
+
+        monkeypatch.setattr(libsim_module, "blank_image", blank_image)
+        session = _session(
+            tmp_path, [{"type": "pseudocolor_slice", "axis": 2, "index": 4}] * 2
+        )
+
+        def prog(comm):
+            sim = OscillatorSimulation(comm, (10, 10, 10), default_oscillators())
+            bridge = Bridge(comm, sim.make_data_adaptor())
+            lib = LibsimAdaptor(session_file=session)
+            bridge.add_analysis(lib)
+            bridge.initialize()
+            sim.run(2, bridge)
+            bridge.finalize()
+            return lib.images_written
+
+        assert run_spmd(2, prog, backend="thread")[0] == 2
+        assert depth_flags and not any(depth_flags)
+
     def test_unknown_plot_type_rejected(self, tmp_path):
         session = _session(tmp_path, [{"type": "volume_render"}])
 
@@ -338,3 +370,47 @@ class TestLibsim:
     def test_invalid_frequency(self, tmp_path):
         with pytest.raises(ValueError):
             LibsimAdaptor(session_file="x", frequency=0)
+
+
+def _paper_size_pngs(comm, pooled=False):
+    """Two steps of the 64^3 oscillator through the Catalyst z-mid slice at
+    the paper's 1920x1080; rank 0's PNG per step."""
+    sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.1)
+    bridge = Bridge(comm, sim.make_data_adaptor())
+    cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=32), resolution=(1920, 1080))
+    if pooled:
+        cat.reconfigure(framebuffer_depth=2)
+    bridge.add_analysis(cat)
+    bridge.initialize()
+    pngs = []
+    for _ in range(2):
+        sim.run(1, bridge)
+        pngs.append(cat.last_png)
+    bridge.finalize()
+    return pngs
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_size_serial():
+    return run_spmd(1, _paper_size_pngs, backend="thread")[0]
+
+
+class TestCatalystPaperResolution:
+    """The paper's "parallel image == serial image" at the paper's size; the
+    small-viewport tests above never give a rank a box narrower than the
+    frame or a node more than a few pixels."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+    def test_png_identical_across_ranks_and_backends(self, nranks, backend):
+        # 3 ranks: binary_swap's non-power-of-two funnel.
+        pngs = run_spmd(nranks, _paper_size_pngs, backend=backend)[0]
+        assert pngs == _paper_size_serial()
+        assert decode_png(pngs[-1]).shape == (1080, 1920, 3)
+
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_png_identical_with_framebuffer_pool(self, nranks):
+        """A recycled (cleared) framebuffer takes the in-place paint the
+        same way a fresh one does."""
+        pngs = run_spmd(nranks, _paper_size_pngs, pooled=True, backend="thread")[0]
+        assert pngs == _paper_size_serial()

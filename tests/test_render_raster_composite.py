@@ -1,10 +1,15 @@
 """Tests for rasterization, compositing, and isosurface extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpi import run_spmd
 from repro.render import (
+    COOL_WARM,
     GRAY,
     FramebufferPool,
     RenderedImage,
@@ -19,6 +24,7 @@ from repro.render import (
 )
 from repro.render.isosurface import isosurface_points
 from repro.util.memory import MemoryTracker
+from tests._raster_oracle import rasterize_slice as gather_rasterize_slice
 
 
 class TestBlankImage:
@@ -41,6 +47,42 @@ class TestBlankImage:
     def test_nbytes(self):
         img = blank_image(10, 10, with_depth=True)
         assert img.nbytes == 300 + 100 + 400
+
+
+@st.composite
+def _raster_cases(draw):
+    """(values, extent2d, global_extent2d, width, height, (vmin, vmax) | None).
+
+    Global extents down to zero nodes wide; fragments one node wide, partly
+    or wholly outside the global extent; viewports from 1x1 to past the node
+    count (runs longer than one) and below it (nodes owning no pixel); NaN
+    and +-inf samples; degenerate, explicit and defaulted colour ranges.
+    """
+    gu0, gv0 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    gnu, gnv = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    u0 = draw(st.integers(gu0 - 3, gu0 + gnu + 3))
+    v0 = draw(st.integers(gv0 - 3, gv0 + gnv + 3))
+    nu, nv = draw(st.integers(1, gnu + 4)), draw(st.integers(1, gnv + 4))
+    width, height = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(nu, nv))
+    special = draw(st.sampled_from(["finite", "sprinkled", "all_nan"]))
+    if special == "sprinkled":
+        kind = rng.integers(0, 12, size=values.shape)
+        values[kind == 0] = np.nan
+        values[kind == 1] = np.inf
+        values[kind == 2] = -np.inf
+    elif special == "all_nan":
+        values[:] = np.nan
+    vrange = draw(st.sampled_from([None, (0.25, 0.25), (-1.0, 2.0)]))
+    return (
+        values,
+        (u0, u0 + nu - 1, v0, v0 + nv - 1),
+        (gu0, gu0 + gnu, gv0, gv0 + gnv),
+        width,
+        height,
+        vrange,
+    )
 
 
 class TestRasterizeSlice:
@@ -83,6 +125,56 @@ class TestRasterizeSlice:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rasterize_slice(np.ones((2, 2)), (0, 4, 0, 4), (0, 4, 0, 4), 8, 8)
+        with pytest.raises(ValueError):
+            rasterize_slice(
+                np.ones((5, 5)), (0, 4, 0, 4), (0, 4, 0, 4), 8, 8, out=blank_image(8, 9)
+            )
+
+    @given(case=_raster_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal_to_gather_oracle(self, case):
+        """Run-length expansion of the colour-mapped owning nodes gives the
+        bytes the per-pixel gather + colormap + ``np.ix_`` scatter gave."""
+        values, extent, whole, width, height, vrange = case
+        kwargs = {} if vrange is None else dict(vmin=vrange[0], vmax=vrange[1])
+        with warnings.catch_warnings():
+            # All-NaN fragments with a defaulted range: nanmin warns in both.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = gather_rasterize_slice(
+                values, extent, whole, width, height, colormap=COOL_WARM, **kwargs
+            )
+            got = rasterize_slice(
+                values, extent, whole, width, height, colormap=COOL_WARM, **kwargs
+            )
+        assert got.rgb.dtype == np.uint8 and got.alpha.dtype == np.uint8
+        assert np.array_equal(got.rgb, want.rgb)
+        assert np.array_equal(got.alpha, want.alpha)
+
+    @pytest.mark.parametrize("b_extent", [
+        (4, 8, 0, 4),  # abutting: the decomposed-domain case
+        (2, 6, 1, 3),  # overlapping A: A's pixels stay in front
+        (0, 3, 0, 4),  # hidden entirely behind A
+        (20, 21, 0, 4),  # outside the viewport's share
+    ])
+    def test_out_paints_behind_what_is_there(self, b_extent):
+        """A then B painted into one framebuffer == A composited over B."""
+        whole, size = (0, 8, 0, 4), (37, 23)
+        rng = np.random.default_rng(5)
+        a_extent = (0, 3, 0, 4)
+
+        def values(extent):
+            return rng.random((extent[1] - extent[0] + 1, extent[3] - extent[2] + 1))
+
+        a_vals, b_vals = values(a_extent), values(b_extent)
+        img_a = rasterize_slice(a_vals, a_extent, whole, *size, vmin=0.0, vmax=1.0)
+        img_b = rasterize_slice(b_vals, b_extent, whole, *size, vmin=0.0, vmax=1.0)
+        want = composite_over_into(img_a, img_b)
+        buf = blank_image(*size)
+        for vals, extent in ((a_vals, a_extent), (b_vals, b_extent)):
+            got = rasterize_slice(vals, extent, whole, *size, vmin=0.0, vmax=1.0, out=buf)
+            assert got is buf
+        assert np.array_equal(buf.rgb, want.rgb)
+        assert np.array_equal(buf.alpha, want.alpha)
 
 
 class TestSplatPoints:
@@ -156,6 +248,7 @@ class TestCompositeOver:
         front = self._img(10, [[1, 0], [0, 0]])
         back = self._img(20, [[1, 1], [0, 1]])
         out = composite_over(front, back)
+        assert out.rgb.dtype == np.uint8 and out.alpha.dtype == np.uint8
         assert out.rgb[0, 0, 0] == 10  # front wins where rendered
         assert out.rgb[0, 1, 0] == 20  # back fills
         assert out.alpha[1, 0] == 0  # both empty
@@ -164,6 +257,8 @@ class TestCompositeOver:
         near = self._img(10, [[1, 1], [1, 1]], depth=1.0)
         far = self._img(20, [[1, 1], [1, 1]], depth=5.0)
         out = composite_over(far, near)
+        assert out.rgb.dtype == np.uint8 and out.alpha.dtype == np.uint8
+        assert out.depth.dtype == np.float32
         assert (out.rgb[..., 0] == 10).all()
 
     def test_mixed_depth_presence_rejected(self):
@@ -220,6 +315,51 @@ class TestCompositeOverInto:
         got = composite_over_into(front, back)
         assert got is back
         assert np.array_equal(got.rgb, expected.rgb)
+
+    @pytest.mark.parametrize("with_depth", [False, True])
+    @pytest.mark.parametrize("target", ["back", "front", "fresh"])
+    @pytest.mark.parametrize("mask", ["empty", "full", "box", "ragged", "corners"])
+    def test_box_limited_copies_match_composite_over(self, mask, target, with_depth):
+        """Whatever the shape of front's coverage -- nothing, everything, one
+        interior rectangle (the slice-assignment path), a ragged blob, two
+        opposite corners (a box that is the whole frame but mostly
+        unselected) -- only the result of :func:`composite_over` comes out."""
+        rng = np.random.default_rng(11)
+        h, w = 9, 13
+        cover = np.zeros((h, w), dtype=bool)
+        if mask == "full":
+            cover[:] = True
+        elif mask == "box":
+            cover[2:6, 3:11] = True
+        elif mask == "ragged":
+            cover[1:8, 2:12] = rng.random((7, 10)) < 0.5
+        elif mask == "corners":
+            cover[0, 0] = cover[-1, -1] = True
+
+        def image(covered):
+            alpha = covered.astype(np.uint8) * 255
+            depth = None
+            if with_depth:
+                depth = np.where(covered, rng.random((h, w)), np.inf).astype(np.float32)
+            return RenderedImage(
+                rng.integers(0, 256, (h, w, 3), dtype=np.uint8), alpha, depth
+            )
+
+        front, back = image(cover), image(rng.random((h, w)) < 0.7)
+        want = composite_over(front, back)
+        f, b = front.copy(), back.copy()
+        out = {"back": b, "front": f, "fresh": blank_image(w, h, with_depth)}[target]
+        got = composite_over_into(f, b, out=out)
+        assert got is out
+        assert np.array_equal(got.rgb, want.rgb)
+        assert np.array_equal(got.alpha, want.alpha)
+        if with_depth:
+            assert np.array_equal(got.depth, want.depth)
+        # The operand that is not the target is only read.
+        if target != "front":
+            assert np.array_equal(f.rgb, front.rgb)
+        if target != "back":
+            assert np.array_equal(b.rgb, back.rgb)
 
     def test_validation(self):
         front, back = self._random_pair(0, False)
