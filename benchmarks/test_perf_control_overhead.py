@@ -10,8 +10,9 @@ held here as an absolute per-step budget::
     PYTHONPATH=src python -m pytest benchmarks/test_perf_control_overhead.py -s
 
 A second measurement bounds the *enabled* cost: one full controller
-decision (belief update + 54-candidate plan sweep + journal append), which
-runs once per step and must stay far below the step it tunes.
+decision (belief update + a plan sweep over ``candidate_configs()`` +
+journal append), which runs once per step and must stay far below the step
+it tunes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Three path-sensitive families plus the syntactic contract rules:
 - :mod:`repro.analyze.checkers.collectives` -- path-sensitive collective
   sequence matching over the CFG;
 - :mod:`repro.analyze.checkers.typestate` -- resource state machines
-  (timers, memory labels, shared-memory segments, framebuffers);
+  (timers, memory labels, shared-memory segments);
 - :mod:`repro.analyze.checkers.forksafety` -- thread-before-fork and
   mutate-after-pickled-send.
 """

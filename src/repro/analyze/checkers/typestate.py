@@ -3,10 +3,9 @@
 The repo's measurement and transport machinery is full of paired
 operations whose imbalance silently corrupts results or leaks kernel
 objects: ``Timer.start``/``stop`` (phase totals, Figs. 5-6),
-``MemoryTracker.allocate``/``free`` (high-water marks, Fig. 4),
-``SharedMemory`` create/close/unlink (the PR 6 zero-copy transport), and
-``FramebufferPool.acquire``/``release`` (compositing buffers).  The PR 2
-linter counted call sites; these checkers instead run a *typestate*
+``MemoryTracker.allocate``/``free`` (high-water marks, Fig. 4), and
+``SharedMemory`` create/close/unlink (the PR 6 zero-copy transport).  The
+PR 2 linter counted call sites; these checkers instead run a *typestate*
 analysis over the CFG: each tracked resource is a little state machine,
 facts are propagated with :class:`~repro.analyze.dataflow.FactSolver`,
 and a resource still "open" at function exit -- on the normal **or** the
@@ -31,7 +30,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analyze.callgraph import receiver_name
 from repro.analyze.cfg import CFG, Block
 from repro.analyze.checkers.contracts import _is_memory_call, _memory_label
 from repro.analyze.dataflow import FactSolver
@@ -42,7 +40,6 @@ __all__ = [
     "TimerSpec",
     "MemorySpec",
     "ShmSpec",
-    "FramebufferSpec",
     "TYPESTATE_CHECKERS",
 ]
 
@@ -291,48 +288,6 @@ class ShmSpec(ResourceSpec):
         )
 
 
-class FramebufferSpec(ResourceSpec):
-    rule_id = "framebuffer-release"
-    description = "framebuffers acquired from a pool must be released or handed off"
-    emits = ("framebuffer-release",)
-    check_raise_exit = False  # pools are per-pipeline; teardown reclaims them
-
-    def creations(self, stmt: ast.stmt) -> list[tuple[str, str]]:
-        if not isinstance(stmt, ast.Assign):
-            return []
-        v = stmt.value
-        if not (
-            isinstance(v, ast.Call)
-            and isinstance(v.func, ast.Attribute)
-            and v.func.attr == "acquire"
-        ):
-            return []
-        recv = receiver_name(v.func.value)
-        if recv is None or "pool" not in recv.lower():
-            return []
-        return [(t.id, "held") for t in stmt.targets if isinstance(t, ast.Name)]
-
-    def op_of(self, call: ast.Call, key: str) -> str | None:
-        f = call.func
-        if isinstance(f, ast.Attribute) and f.attr == "release":
-            for arg in call.args:
-                if isinstance(arg, ast.Name) and arg.id == key:
-                    return "release"
-        return None
-
-    def apply(self, op: str, state: str, qualname: str, key: str):
-        return ("released", None, self.rule_id, "error")
-
-    def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
-        if state != "held":
-            return None
-        return (
-            f"framebuffer '{key}' acquired from a pool is neither released "
-            f"nor handed off by {qualname}: the pool grows a buffer per "
-            "call and compositing memory is never reused"
-        )
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -575,5 +530,4 @@ TYPESTATE_CHECKERS: tuple[TypestateChecker, ...] = (
     TypestateChecker(TimerSpec()),
     TypestateChecker(MemorySpec()),
     TypestateChecker(ShmSpec()),
-    TypestateChecker(FramebufferSpec()),
 )

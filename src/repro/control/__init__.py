@@ -11,8 +11,8 @@ controller that *acts* on the gap between the two while the run is live:
   per-config predictions from
   :class:`~repro.perf.control_model.ControlModel`, maintains a believed
   staging-fabric derate, and re-plans between steps: switching in-transit
-  FlexPath <-> in-line Catalyst, resizing aggregator fan-in, PNG
-  workers, and framebuffer pool depth.  Writer groups adopt
+  FlexPath <-> in-line Catalyst and resizing the PNG worker count.
+  Writer groups adopt
   configurations by the same ``allreduce(MIN)`` lockstep consensus the
   staging transport uses for degradation;
 - :mod:`journal` -- every decision is a pure function of (observed spans,

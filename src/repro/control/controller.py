@@ -5,8 +5,8 @@ perf package *predicts* per-configuration step costs, the trace package
 *measures* them, and nothing acted on the gap.  :class:`Controller` holds a
 user-declared :class:`SLO` against both, maintains a believed staging-fabric
 derate from observations, and re-plans the running configuration between
-simulation steps -- switching in-transit FlexPath <-> in-line Catalyst,
-resizing aggregator fan-in, PNG workers, and framebuffer pool depth.
+simulation steps -- switching in-transit FlexPath <-> in-line Catalyst and
+resizing the PNG worker count.
 
 Determinism contract
 --------------------

@@ -82,8 +82,8 @@ def run_chaos(
     With ``controller=True`` the circuit breaker's attempt/skip policy is
     replaced by the online autotuning controller (:mod:`repro.control`) in
     discrete-outcome mode: staging attempts are gated by its adopted
-    placement and seeded probes, the in-line fallback's PNG/framebuffer
-    knobs become its actuators, and every writer's decision journal --
+    placement and seeded probes, the in-line fallback's PNG worker count
+    becomes its actuator, and every writer's decision journal --
     which must be identical across the group -- is written to
     ``decision_journal.json`` alongside the recovery report.
 
@@ -204,10 +204,7 @@ def run_chaos(
                 if rec is not None:
                     policy.attach(rec)
             policy.register_actuator(
-                lambda old, new: fallback.reconfigure(
-                    png_workers=new.png_workers,
-                    framebuffer_depth=new.framebuffer_depth,
-                )
+                lambda old, new: fallback.reconfigure(png_workers=new.png_workers)
             )
         return StagingResilience(
             group, ready_timeout=ready_timeout, policy=policy, fallback=fallback

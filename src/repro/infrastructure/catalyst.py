@@ -21,9 +21,9 @@ from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.configurable import register_analysis
 from repro.data import Association, ImageData, MultiBlockDataset
 from repro.mpi import MAX, MIN
-from repro.render import blank_image, rasterize_slice
+from repro.render import RenderedImage, blank_image, rasterize_slice
 from repro.render.colormap import COOL_WARM, Colormap
-from repro.render.compositing import FramebufferPool, binary_swap
+from repro.render.compositing import binary_swap
 from repro.render.png import encode_png
 from repro.util.timers import timed
 
@@ -84,6 +84,9 @@ class CatalystAdaptor(AnalysisAdaptor):
 
     ``png_workers > 0`` switches rank 0 from the paper's serial PNG encode
     to the thread-banded chunked deflate.
+
+    Every rank keeps one partial framebuffer and the root one stitched
+    frame, both allocated on first use and reused every step.
     """
 
     def __init__(
@@ -118,8 +121,8 @@ class CatalystAdaptor(AnalysisAdaptor):
         if png_workers < 0:
             raise ValueError("png_workers must be non-negative")
         self.png_workers = png_workers
-        # Exists only while reconfigure(framebuffer_depth > 0) is in force.
-        self._pool: FramebufferPool | None = None
+        self._partial: RenderedImage | None = None
+        self._frame: RenderedImage | None = None
         self._comm = None
         self.images_written = 0
         self.last_png: bytes | None = None
@@ -132,19 +135,13 @@ class CatalystAdaptor(AnalysisAdaptor):
         if self.output_dir and comm.rank == 0:
             os.makedirs(self.output_dir, exist_ok=True)
 
-    def reconfigure(
-        self,
-        png_workers: int | None = None,
-        framebuffer_depth: int | None = None,
-    ) -> dict:
+    def reconfigure(self, png_workers: int | None = None) -> dict:
         """Apply autotuning knob changes between steps.
 
         This is the actuator surface the online controller drives: PNG
-        worker count takes effect at the next encode;
-        ``framebuffer_depth`` retunes (or creates/drains) the framebuffer
-        pool's free-list depth.  Only safe between ``execute()`` calls --
-        the controller runs at step boundaries by construction.  Returns
-        the knobs actually applied.
+        worker count takes effect at the next encode.  Only safe between
+        ``execute()`` calls -- the controller runs at step boundaries by
+        construction.  Returns the knobs actually applied.
         """
         applied: dict = {}
         if png_workers is not None:
@@ -152,23 +149,6 @@ class CatalystAdaptor(AnalysisAdaptor):
                 raise ValueError("png_workers must be non-negative")
             self.png_workers = int(png_workers)
             applied["png_workers"] = self.png_workers
-        if framebuffer_depth is not None:
-            depth = int(framebuffer_depth)
-            if depth < 0:
-                raise ValueError("framebuffer_depth must be non-negative")
-            if depth == 0:
-                if self._pool is not None:
-                    self._pool.drain()
-                    self._pool = None
-            elif self._pool is None:
-                self._pool = FramebufferPool(
-                    memory=self.memory,
-                    label="catalyst::framebuffer_pool",
-                    max_free=depth,
-                )
-            else:
-                self._pool.max_free = depth
-            applied["framebuffer_depth"] = depth
         return applied
 
     # -- pipeline stages ---------------------------------------------------
@@ -227,10 +207,12 @@ class CatalystAdaptor(AnalysisAdaptor):
         vmin = self._comm.allreduce(local_min, MIN)
         vmax = self._comm.allreduce(local_max, MAX)
         with timed(self.timers, "catalyst::render"):
-            if self._pool is not None:
-                partial = self._pool.acquire(width, height)
+            partial = self._partial
+            if partial is None:
+                partial = self._partial = blank_image(width, height)
             else:
-                partial = blank_image(width, height)
+                partial.rgb.fill(0)
+                partial.alpha.fill(0)
             for frag in fragments:
                 # Painted straight into the partial; earlier fragments stay
                 # in front (rank-order convention).
@@ -245,18 +227,17 @@ class CatalystAdaptor(AnalysisAdaptor):
                     vmax=vmax,
                     out=partial,
                 )
-            if self.memory is not None and self._pool is None:
-                # Framebuffer lives for the duration of the composite;
-                # charge it into the high-water mark then release.  (With a
-                # pool the buffer is charged persistently at first acquire.)
+            if self.memory is not None:
+                # Charged as a per-step peak: into the high-water mark for
+                # the composite, then released.
                 self.memory.allocate(partial.nbytes, label="catalyst::framebuffer")
                 self.memory.free(partial.nbytes, label="catalyst::framebuffer")
         with timed(self.timers, "catalyst::composite"):
-            final = binary_swap(self._comm, partial, pool=self._pool)
-        if self._pool is not None and final is not partial:
-            # On a single rank binary_swap returns partial itself; releasing
-            # both would hand the same buffer out twice.
-            self._pool.release(partial)
+            final = binary_swap(self._comm, partial, out=self._frame)
+        if final is not None and final is not partial:
+            # On one rank binary_swap hands back the partial itself; the root
+            # frame stays a buffer of its own.
+            self._frame = final
         if final is not None:
             # PNG encode on rank 0 -- serial by default (the Table 2
             # bottleneck), parallel chunked deflate when png_workers > 0.
@@ -268,10 +249,6 @@ class CatalystAdaptor(AnalysisAdaptor):
             rec = self.timers.trace if self.timers is not None else None
             if rec is not None:
                 rec.count("catalyst::png_bytes", len(blob))
-                if self._pool is not None:
-                    self._pool.record_gauges(rec)
-            if self._pool is not None:
-                self._pool.release(final)
             if self.output_dir:
                 path = os.path.join(self.output_dir, f"catalyst_{step:06d}.png")
                 with open(path, "wb") as fh:

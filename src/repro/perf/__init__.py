@@ -20,8 +20,7 @@ models that replay the same operation sequences at paper scale:
   constants, so the model's small-scale predictions can be validated
   against real runs in this repository's test suite;
 - :mod:`control_model` -- per-configuration step-cost queries (placement,
-  aggregator fan-in, PNG workers, framebuffer depth) for the online
-  autotuning controller (:mod:`repro.control`).
+  PNG workers) for the online autotuning controller (:mod:`repro.control`).
 """
 
 from repro.perf.machine import CORI, MIRA, TITAN, MachineModel

@@ -7,19 +7,14 @@ half of the SIM-SITU predict->verify->act loop: "what would one simulation
 step cost under configuration ``X`` if the staging fabric is derated by
 ``d``?" -- answered purely, so the controller's decisions are replayable.
 
-The decision space (:class:`ControlConfig`) is exactly the knob set the
-paper prices:
+The decision space (:class:`ControlConfig`) is the two knobs the running
+program can actuate:
 
 - ``placement`` -- in-transit FlexPath (analysis offloaded to endpoints,
   Sec. 4.1.4) vs in-line Catalyst (analysis in the simulation loop,
   Sec. 4.1.3);
-- ``ranks_per_aggregator`` -- the GLEAN many-to-few fan-in, which sets both
-  the aggregated-write metadata/forwarding trade (Table 1) and the staging
-  endpoints' ingest fan-in;
 - ``png_workers`` -- the Table 2 serial-zlib bottleneck and its
-  parallel-deflate mitigation;
-- ``framebuffer_depth`` -- the framebuffer pool's memory-for-time trade
-  (the Fig. 4/7 footprint axis).
+  parallel-deflate mitigation.
 
 Costs are composed from :class:`~repro.perf.miniapp_model.MiniappModel`,
 :class:`~repro.perf.network.NetworkModel`, and
@@ -43,19 +38,16 @@ from repro.perf.miniapp_model import MiniappConfig, MiniappModel
 PLACEMENTS = ("in-line", "in-transit")
 
 #: Parallel-deflate efficiency per PNG worker (bookkeeping still serializes
-#: band slicing/stitching; see the png_parallel_deflate benchmark).
+#: band slicing/stitching).  This and :data:`PNG_DISPATCH_COST` are asserted
+#: values, not fitted ones: no measurement of this program has set them yet.
 PNG_PARALLEL_EFFICIENCY = 0.85
 
 #: Per-worker band dispatch cost (s) -- why workers are not free.
 PNG_DISPATCH_COST = 2.0e-3
 
-#: Effective allocate+clear rate (B/s) for framebuffer churn when the pool
-#: is too shallow to satisfy a step's acquisitions.
-FRAMEBUFFER_ALLOC_RATE = 5.0e9
-
-#: Framebuffers a compositing step acquires (partial + swap scratch); pool
-#: depths below this miss every step.
-FRAMEBUFFERS_PER_STEP = 2
+#: GLEAN many-to-few fan-in: writers per aggregator in the aggregated write
+#: (Table 1) and per staging endpoint in the ingest term.
+AGGREGATOR_FAN_IN = 64
 
 #: FlexPath endpoint co-scheduling + non-zero-copy buffer overhead on top
 #: of the inline analysis cost (the ~50% Catalyst-slice penalty of
@@ -69,27 +61,16 @@ class ControlConfig:
 
     placement: str = "in-transit"
     png_workers: int = 0
-    framebuffer_depth: int = 2
-    ranks_per_aggregator: int = 64
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.png_workers < 0:
             raise ValueError("png_workers must be non-negative")
-        if self.framebuffer_depth < 0:
-            raise ValueError("framebuffer_depth must be non-negative")
-        if self.ranks_per_aggregator < 1:
-            raise ValueError("ranks_per_aggregator must be >= 1")
 
     def as_dict(self) -> dict:
         """JSON-ready form, stable key order (for decision journals)."""
-        return {
-            "placement": self.placement,
-            "png_workers": self.png_workers,
-            "framebuffer_depth": self.framebuffer_depth,
-            "ranks_per_aggregator": self.ranks_per_aggregator,
-        }
+        return {"placement": self.placement, "png_workers": self.png_workers}
 
     def with_placement(self, placement: str) -> "ControlConfig":
         return replace(self, placement=placement)
@@ -139,14 +120,13 @@ class ControlModel:
         # candidates every step, and the derate-estimation bisection calls
         # predict ~50x per sample; caching the derate-independent pieces
         # keeps the per-step planning cost negligible.
-        self._inline_cache: dict[tuple, float] = {}
-        self._write_cache: dict[tuple, float] = {}
+        self._inline_cache: dict[int, float] = {}
+        self._write_cache: dict[float, float] = {}
 
     # -- cost pieces -------------------------------------------------------
     def _inline_analysis(self, knobs: ControlConfig) -> float:
-        """Catalyst-slice analysis cost under the image-pipeline knobs."""
-        key = (knobs.png_workers, knobs.framebuffer_depth)
-        cached = self._inline_cache.get(key)
+        """Catalyst-slice analysis cost under the PNG worker count."""
+        cached = self._inline_cache.get(knobs.png_workers)
         if cached is not None:
             return cached
         b = self.model.catalyst_slice()
@@ -157,11 +137,8 @@ class ControlModel:
                 png / (knobs.png_workers * PNG_PARALLEL_EFFICIENCY)
                 + knobs.png_workers * PNG_DISPATCH_COST
             )
-        fb = self.model._framebuffer_bytes(self.cfg.catalyst_resolution)
-        misses = max(0, FRAMEBUFFERS_PER_STEP - knobs.framebuffer_depth)
-        alloc = misses * fb / FRAMEBUFFER_ALLOC_RATE
-        cost = rest + png + alloc
-        self._inline_cache[key] = cost
+        cost = rest + png
+        self._inline_cache[knobs.png_workers] = cost
         return cost
 
     def predict(
@@ -177,20 +154,17 @@ class ControlModel:
         penalty, the staged block transfer, and -- when the endpoint falls
         behind -- flow-control blocking.  The endpoint's busy time is its
         (staging-overheaded) analysis plus ingesting its
-        ``ranks_per_aggregator`` writers' blocks through the derated
+        :data:`AGGREGATOR_FAN_IN` writers' blocks through the derated
         fabric, which is the term congestion blows up.
         """
         if not 0.0 <= staging_derate < 1.0:
             raise ValueError("staging_derate must be in [0, 1)")
         c = self.cfg
-        wkey = (knobs.ranks_per_aggregator, storage_derate)
-        write = self._write_cache.get(wkey)
+        write = self._write_cache.get(storage_derate)
         if write is None:
             io = IOModel(self.machine, degraded_fraction=storage_derate)
-            write = io.aggregated_write(
-                c.cores, c.step_bytes, knobs.ranks_per_aggregator
-            )
-            self._write_cache[wkey] = write
+            write = io.aggregated_write(c.cores, c.step_bytes, AGGREGATOR_FAN_IN)
+            self._write_cache[storage_derate] = write
         inline = self._inline_analysis(knobs)
         if knobs.placement == "in-line":
             return StepPrediction(
@@ -205,7 +179,7 @@ class ControlModel:
             1.0 - staging_derate
         )
         ingest = (
-            knobs.ranks_per_aggregator
+            AGGREGATOR_FAN_IN
             * per_rank
             / (self.machine.net_bandwidth * (1.0 - staging_derate))
         )
@@ -225,20 +199,11 @@ class ControlModel:
         group in-line -- the same one-degrades-all semantics as the staging
         transport's consensus.
         """
-        out: list[ControlConfig] = []
-        for placement in PLACEMENTS:
-            for rpa in (32, 64, 128):
-                for workers in (0, 2, 4):
-                    for depth in (1, 2, 4):
-                        out.append(
-                            ControlConfig(
-                                placement=placement,
-                                png_workers=workers,
-                                framebuffer_depth=depth,
-                                ranks_per_aggregator=rpa,
-                            )
-                        )
-        return tuple(out)
+        return tuple(
+            ControlConfig(placement=placement, png_workers=workers)
+            for placement in PLACEMENTS
+            for workers in (0, 2, 4)
+        )
 
     def default_config(self) -> ControlConfig:
         """The starting configuration: the paper's staged deployment with

@@ -26,7 +26,6 @@ from repro.render.rasterize import (
     blank_image,
 )
 from repro.render.compositing import (
-    FramebufferPool,
     binary_swap,
     composite_over,
     composite_over_into,
@@ -48,7 +47,6 @@ __all__ = [
     "direct_send",
     "composite_over",
     "composite_over_into",
-    "FramebufferPool",
     "encode_png",
     "decode_png",
     "marching_tetrahedra",

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.render.rasterize import RenderedImage, blank_image
-from repro.util.memory import MemoryTracker
+from repro.render.rasterize import RenderedImage
 
 
 def composite_over(front: RenderedImage, back: RenderedImage) -> RenderedImage:
@@ -104,106 +103,6 @@ def composite_over_into(
     return out
 
 
-class FramebufferPool:
-    """Reusable framebuffer allocator keyed by resolution and depth-ness.
-
-    Per-step rendering (Catalyst slice every timestep) re-creates
-    identically shaped RGB/alpha/depth triples each frame; the pool hands
-    back released buffers instead.  With a
-    :class:`~repro.util.memory.MemoryTracker` attached, pooled buffers are
-    charged once at first allocation (a persistent footprint, the honest
-    way the space-for-time trade shows up in the fig04/fig07-style memory
-    experiments) rather than churning the high-water mark every frame.
-    """
-
-    #: Free buffers retained per (height, width, depth) key; releases
-    #: beyond this are dropped (*evicted*), so a resolution change cannot
-    #: pin every old resolution's buffers forever.
-    MAX_FREE_PER_KEY = 4
-
-    def __init__(
-        self,
-        memory: MemoryTracker | None = None,
-        label: str = "render::framebuffer_pool",
-        max_free: int | None = None,
-    ) -> None:
-        self.memory = memory
-        self.label = label
-        #: Per-instance pool depth; defaults to the class-level
-        #: :data:`MAX_FREE_PER_KEY` and may be retuned between steps (the
-        #: autotuning controller's memory-for-time knob).
-        self.max_free = self.MAX_FREE_PER_KEY if max_free is None else int(max_free)
-        if self.max_free < 0:
-            raise ValueError("max_free must be non-negative")
-        self._free: dict[tuple[int, int, bool], list[RenderedImage]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.allocated_nbytes = 0
-
-    def acquire(
-        self, width: int, height: int, with_depth: bool = False, clear: bool = True
-    ) -> RenderedImage:
-        """A ``width x height`` framebuffer, reused when one is free.
-
-        ``clear=True`` resets it to the :func:`blank_image` state; pass
-        ``False`` when every pixel will be overwritten anyway.
-        """
-        stack = self._free.get((height, width, with_depth))
-        if stack:
-            self.hits += 1
-            img = stack.pop()
-            if clear:
-                img.rgb.fill(0)
-                img.alpha.fill(0)
-                if img.depth is not None:
-                    img.depth.fill(np.inf)
-            return img
-        self.misses += 1
-        img = blank_image(width, height, with_depth=with_depth)
-        self.allocated_nbytes += img.nbytes
-        if self.memory is not None:
-            self.memory.allocate(img.nbytes, label=self.label)
-        return img
-
-    def release(self, img: RenderedImage) -> None:
-        """Return a framebuffer for reuse; the caller must drop its ref.
-
-        A release beyond ``max_free`` free buffers of that shape is
-        evicted instead -- dropped, with its bytes returned to the memory
-        tracker.
-        """
-        key = (img.shape[0], img.shape[1], img.depth is not None)
-        stack = self._free.setdefault(key, [])
-        if len(stack) >= self.max_free:
-            self.evictions += 1
-            self.allocated_nbytes -= img.nbytes
-            if self.memory is not None:
-                self.memory.free(img.nbytes, label=self.label)
-            return
-        stack.append(img)
-
-    def record_gauges(self, rec, prefix: str | None = None) -> None:
-        """Sample hit/miss/evict/footprint gauges on a trace recorder.
-
-        Names are ``<prefix>::{hits,misses,evictions,allocated_nbytes}``
-        with ``prefix`` defaulting to the pool's label, so ``repro report``
-        shows pool behavior per step alongside the phase timings.
-        """
-        stem = self.label if prefix is None else prefix
-        rec.gauge(f"{stem}::hits", self.hits)
-        rec.gauge(f"{stem}::misses", self.misses)
-        rec.gauge(f"{stem}::evictions", self.evictions)
-        rec.gauge(f"{stem}::allocated_nbytes", self.allocated_nbytes)
-
-    def drain(self) -> None:
-        """Drop all pooled buffers and return their bytes to the tracker."""
-        if self.memory is not None:
-            self.memory.free(self.allocated_nbytes, label=self.label)
-        self.allocated_nbytes = 0
-        self._free.clear()
-
-
 def _split_rows(img: RenderedImage, parts: int) -> list[RenderedImage]:
     """Split a framebuffer into ``parts`` contiguous row-band *views*.
 
@@ -245,7 +144,7 @@ def direct_send(comm, partial: RenderedImage, root: int = 0) -> RenderedImage | 
 
 
 def binary_swap(
-    comm, partial: RenderedImage, root: int = 0, pool: FramebufferPool | None = None
+    comm, partial: RenderedImage, root: int = 0, out: RenderedImage | None = None
 ) -> RenderedImage | None:
     """Binary-swap compositing; final image assembled on ``root``.
 
@@ -262,9 +161,10 @@ def binary_swap(
     The rounds are allocation-free on the compositing side: each rank keeps
     its retained half as a *view*, sends the other half (the communicator
     copies payloads, modeling the network buffer), and composites in place
-    into the received copy it owns.  A :class:`FramebufferPool` additionally
-    recycles the root's stitched output across frames; the caller releases
-    it back to the pool when done with the frame.
+    into the received copy it owns.  The root stitches into ``out`` when it
+    has the final image's shape and depth-ness (a frame the caller reuses
+    across steps); otherwise it allocates.  On one rank nothing is stitched
+    and ``partial`` itself is returned.
     """
     size, rank = comm.size, comm.rank
     if size == 1:
@@ -332,9 +232,11 @@ def binary_swap(
     width = bands[0][1].shape[1]
     with_depth = bands[0][3] is not None
     # Every pixel is overwritten by the stitch below: no clear, no zero fill.
-    if pool is not None:
-        out = pool.acquire(width, total_h, with_depth=with_depth, clear=False)
-    else:
+    if (
+        out is None
+        or out.shape != (total_h, width)
+        or (out.depth is not None) != with_depth
+    ):
         out = RenderedImage(
             np.empty((total_h, width, 3), dtype=np.uint8),
             np.empty((total_h, width), dtype=np.uint8),

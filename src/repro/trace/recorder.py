@@ -11,8 +11,8 @@ actually did:
   tagged with the simulation step it served and the enclosing (parent)
   phase, so spans nest exactly like the ``TimerRegistry`` phases nest;
 - a :class:`CounterSample` is one observation of a named quantity on one
-  rank (bytes shipped per collective kind, framebuffer-pool hits, zero-copy
-  vs copied mapping bytes, tracked memory).
+  rank (bytes shipped per collective kind, PNG bytes, zero-copy vs copied
+  mapping bytes, tracked memory).
 
 Tracing is **off by default**: every producer holds an optional
 :class:`TraceRecorder` and guards its hook with a single ``is not None``

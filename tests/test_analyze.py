@@ -265,7 +265,6 @@ CORPUS_EXPECTATIONS = {
     "shm_leak.py": {("shm-lifecycle", 12)},
     "thread_before_fork.py": {("thread-before-fork", 16)},
     "mutate_after_send.py": {("mutate-after-send", 15)},
-    "framebuffer_leak.py": {("framebuffer-release", 10)},
 }
 
 #: Rules that must attach a CFG path witness to every finding.
@@ -276,7 +275,6 @@ _PATH_SENSITIVE = {
     "memory-typestate",
     "shm-lifecycle",
     "shm-worker-unlink",
-    "framebuffer-release",
     "thread-before-fork",
     "mutate-after-send",
 }

@@ -4,10 +4,12 @@ The goldens under ``tests/data/`` were recorded from the commit *before*
 the collective algebra, the received-data adaptor and the staging policy
 were each reduced to one implementation; every artifact and journal those
 seams produce must still come out byte-identical, on both SPMD backends.
-The one intended difference is spelled out in
-:func:`test_chaos_controller_journal_and_report`.  ``nbody_seed42`` was
-recorded the same way from the commit before PR 19 swapped the
-friends-of-friends kernel.
+``nbody_seed42`` was recorded the same way from the commit before the
+cell-linked-grid friends-of-friends kernel replaced the brute-force one.
+``chaos_seed42_controller`` was
+re-recorded when the controller's decision space shrank to placement x PNG
+workers: it differs from the run it replaces only by the two dropped
+configuration keys and the renumbered candidate indices.
 """
 
 import ast
@@ -28,6 +30,7 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi.communicator import Communicator
 from repro.mpi.process_backend import ProcessCommunicator
+from repro.perf import ControlConfig
 from repro.service import (
     ServiceServer,
     TenantRegistry,
@@ -76,15 +79,8 @@ def test_chaos_controller_journal_and_report(tmp_path, backend):
         controller=True,
     )
     golden = DATA / "chaos_seed42_controller"
-    assert (tmp_path / "decision_journal.json").read_bytes() == (
-        golden / "decision_journal.json"
-    ).read_bytes()
-    # The parent fed -- and reported -- a shadow CircuitBreaker nobody
-    # consulted while the controller decided; that fragment is gone.
-    expected = _golden_json("chaos_seed42_controller", "recovery_report.json")
-    for writer in expected["writers"]:
-        del writer["breaker"]
-    assert json.loads((tmp_path / "recovery_report.json").read_text()) == expected
+    for name in ("decision_journal.json", "recovery_report.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 # -- service: one tenant stream, in process and through a socket --------------
@@ -197,6 +193,18 @@ def test_process_backend_overrides_no_public_method():
     assert overridden == []
     assert all(n in vars(Communicator) for n in _PUBLIC)
     assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters
+
+
+# -- structure: every controller axis reaches the running program ------------
+
+
+def test_every_control_axis_has_an_actuator():
+    """Placement is actuated by the staging policy; every other axis the
+    controller plans over must be a knob ``CatalystAdaptor.reconfigure``
+    takes, so an axis the plant ignores cannot come back."""
+    params = inspect.signature(CatalystAdaptor.reconfigure).parameters
+    knobs = {n for n, p in params.items() if n != "self" and p.default is not p.empty}
+    assert set(ControlConfig().as_dict()) - {"placement"} == knobs
 
 
 # -- structure: particle-mesh gravity exists once ------------------------------

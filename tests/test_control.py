@@ -28,19 +28,9 @@ class TestControlConfig:
             ControlConfig(placement="in-memory")
         with pytest.raises(ValueError):
             ControlConfig(png_workers=-1)
-        with pytest.raises(ValueError):
-            ControlConfig(framebuffer_depth=-1)
-        with pytest.raises(ValueError):
-            ControlConfig(ranks_per_aggregator=0)
 
     def test_as_dict_stable(self):
-        d = ControlConfig().as_dict()
-        assert list(d) == [
-            "placement",
-            "png_workers",
-            "framebuffer_depth",
-            "ranks_per_aggregator",
-        ]
+        assert list(ControlConfig().as_dict()) == ["placement", "png_workers"]
 
 
 class TestControlModel:
@@ -50,8 +40,9 @@ class TestControlModel:
 
     def test_candidates_inline_block_first(self, model):
         cands = model.candidate_configs()
+        assert len(cands) == 6
         n_inline = sum(c.placement == "in-line" for c in cands)
-        assert n_inline > 0
+        assert n_inline == 3
         assert all(c.placement == "in-line" for c in cands[:n_inline])
         assert all(c.placement == "in-transit" for c in cands[n_inline:])
         assert len(set(cands)) == len(cands)

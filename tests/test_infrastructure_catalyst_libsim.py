@@ -2,6 +2,7 @@
 
 import functools
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ class TestCatalyst:
 def _run_reconfigured(plan, nranks=2, steps=3):
     """Rank 0's per-step record of a run in which ``plan[i]`` (reconfigure
     kwargs) is applied after step ``i``: PNG bytes, what reconfigure()
-    returned, the pool's depth and the bytes the tracker holds between steps."""
+    returned, the identities of Catalyst's partial and root frame (``None``
+    for no frame) and the bytes the tracker holds between steps."""
 
     def prog(comm):
         mem = MemoryTracker()
@@ -132,8 +134,10 @@ def _run_reconfigured(plan, nranks=2, steps=3):
         for step in range(steps):
             sim.run(1, bridge)
             applied = cat.reconfigure(**plan[step]) if step in plan else None
-            depth = None if cat._pool is None else cat._pool.max_free
-            record.append((cat.last_png, applied, depth, mem.current - mem.static))
+            frames = tuple(
+                None if f is None else id(f) for f in (cat._partial, cat._frame)
+            )
+            record.append((cat.last_png, applied, frames, mem.current - mem.static))
         bridge.finalize()
         return record
 
@@ -141,21 +145,20 @@ def _run_reconfigured(plan, nranks=2, steps=3):
 
 
 class TestCatalystReconfigure:
-    def test_framebuffer_depth_creates_retunes_drains_pool_same_bytes(self):
-        plain = _run_reconfigured({})
-        tuned = _run_reconfigured(
-            {0: {"framebuffer_depth": 2}, 1: {"framebuffer_depth": 1},
-             2: {"framebuffer_depth": 0}}
-        )
-        assert [r[0] for r in tuned] == [r[0] for r in plain]
-        assert all(r[1:] == (None, None, 0) for r in plain)
-        assert [r[1] for r in tuned] == [
-            {"framebuffer_depth": 2}, {"framebuffer_depth": 1}, {"framebuffer_depth": 0}
-        ]
-        assert [r[2] for r in tuned] == [2, 1, None]
-        # Created empty, holding the root's buffers after one pooled step,
-        # and returned to the tracker when drained.
-        assert tuned[0][3] == 0 and tuned[1][3] > 0 and tuned[2][3] == 0
+    def test_frames_allocated_once_and_reused(self):
+        record = _run_reconfigured({})
+        frames = {r[2] for r in record}
+        assert len(frames) == 1
+        (partial, frame), = frames
+        assert None not in (partial, frame) and partial != frame
+        # The per-step framebuffer charge is released within the step.
+        assert all(r[1] is None and r[3] == 0 for r in record)
+
+    def test_one_rank_root_frame_is_not_the_partial(self):
+        """On one rank binary_swap returns the partial itself; Catalyst must
+        not adopt it as its root frame."""
+        record = _run_reconfigured({}, nranks=1)
+        assert all(r[2][0] is not None and r[2][1] is None for r in record)
 
     def test_png_workers_switches_encoder_same_pixels(self):
         plain = _run_reconfigured({})
@@ -166,12 +169,12 @@ class TestCatalystReconfigure:
             assert got[0] != ref[0]  # banded stream, not the serial one
             np.testing.assert_array_equal(decode_png(got[0]), decode_png(ref[0]))
 
-    @pytest.mark.parametrize("knob", ["png_workers", "framebuffer_depth"])
+    @pytest.mark.parametrize("knob", ["png_workers"])
     def test_negative_values_rejected(self, knob):
         cat = CatalystAdaptor(SlicePlane(2, 0))
         with pytest.raises(ValueError):
             cat.reconfigure(**{knob: -1})
-        assert cat.png_workers == 0 and cat._pool is None
+        assert cat.png_workers == 0
         assert cat.reconfigure() == {}
 
 
@@ -372,14 +375,13 @@ class TestLibsim:
             LibsimAdaptor(session_file="x", frequency=0)
 
 
-def _paper_size_pngs(comm, pooled=False):
+def _paper_size_pngs(comm):
     """Two steps of the 64^3 oscillator through the Catalyst z-mid slice at
-    the paper's 1920x1080; rank 0's PNG per step."""
+    the paper's 1920x1080; rank 0's PNG per step.  The second step paints
+    into the first step's cleared partial and stitches into its frame."""
     sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.1)
     bridge = Bridge(comm, sim.make_data_adaptor())
     cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=32), resolution=(1920, 1080))
-    if pooled:
-        cat.reconfigure(framebuffer_depth=2)
     bridge.add_analysis(cat)
     bridge.initialize()
     pngs = []
@@ -388,6 +390,11 @@ def _paper_size_pngs(comm, pooled=False):
         pngs.append(cat.last_png)
     bridge.finalize()
     return pngs
+
+
+#: CRC-32 of the two serial PNGs, recorded before Catalyst reused its frames
+#: (a frame that is reused without being cleared repeats the first step).
+_PAPER_SIZE_CRCS = [0xEA75D3F1, 0x6B5B6C07]
 
 
 @functools.lru_cache(maxsize=None)
@@ -406,11 +413,5 @@ class TestCatalystPaperResolution:
         # 3 ranks: binary_swap's non-power-of-two funnel.
         pngs = run_spmd(nranks, _paper_size_pngs, backend=backend)[0]
         assert pngs == _paper_size_serial()
+        assert [zlib.crc32(png) for png in pngs] == _PAPER_SIZE_CRCS
         assert decode_png(pngs[-1]).shape == (1080, 1920, 3)
-
-    @pytest.mark.parametrize("nranks", [1, 3])
-    def test_png_identical_with_framebuffer_pool(self, nranks):
-        """A recycled (cleared) framebuffer takes the in-place paint the
-        same way a fresh one does."""
-        pngs = run_spmd(nranks, _paper_size_pngs, pooled=True, backend="thread")[0]
-        assert pngs == _paper_size_serial()

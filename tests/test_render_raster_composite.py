@@ -11,7 +11,6 @@ from repro.mpi import run_spmd
 from repro.render import (
     COOL_WARM,
     GRAY,
-    FramebufferPool,
     RenderedImage,
     binary_swap,
     blank_image,
@@ -23,7 +22,6 @@ from repro.render import (
     splat_points,
 )
 from repro.render.isosurface import isosurface_points
-from repro.util.memory import MemoryTracker
 from tests._raster_oracle import rasterize_slice as gather_rasterize_slice
 
 
@@ -372,79 +370,6 @@ class TestCompositeOverInto:
             composite_over_into(with_d, back)
 
 
-class TestFramebufferPool:
-    def test_acquire_release_reuses_buffer(self):
-        pool = FramebufferPool()
-        a = pool.acquire(8, 4)
-        a.rgb[:] = 77
-        a.alpha[:] = 255
-        pool.release(a)
-        b = pool.acquire(8, 4)
-        assert b is a  # same buffer back
-        assert b.coverage() == 0.0  # cleared to blank state
-        assert (pool.hits, pool.misses) == (1, 1)
-
-    def test_acquire_no_clear_keeps_pixels(self):
-        pool = FramebufferPool()
-        a = pool.acquire(4, 4, with_depth=True)
-        a.rgb[:] = 5
-        pool.release(a)
-        b = pool.acquire(4, 4, with_depth=True, clear=False)
-        assert (b.rgb == 5).all()
-
-    def test_shapes_and_depthness_keyed_separately(self):
-        pool = FramebufferPool()
-        a = pool.acquire(4, 4)
-        pool.release(a)
-        b = pool.acquire(4, 4, with_depth=True)
-        assert b is not a
-        assert pool.misses == 2
-
-    def test_memory_charged_once_and_drained(self):
-        mem = MemoryTracker()
-        pool = FramebufferPool(memory=mem, label="test::pool")
-        img = pool.acquire(16, 16)
-        assert mem.named("test::pool") == img.nbytes
-        pool.release(img)
-        again = pool.acquire(16, 16)
-        assert mem.named("test::pool") == again.nbytes  # reuse: no new charge
-        pool.release(again)
-        pool.drain()
-        assert mem.named("test::pool") == 0
-        assert mem.current == 0
-
-    def test_release_beyond_cap_evicts(self):
-        """A resolution change must not pin the old resolution's buffers:
-        releases beyond MAX_FREE_PER_KEY are dropped and uncharged."""
-        mem = MemoryTracker()
-        pool = FramebufferPool(memory=mem, label="test::pool")
-        imgs = [pool.acquire(8, 8) for _ in range(pool.MAX_FREE_PER_KEY + 2)]
-        nbytes = imgs[0].nbytes
-        for img in imgs:
-            pool.release(img)
-        assert pool.evictions == 2
-        assert pool.allocated_nbytes == pool.MAX_FREE_PER_KEY * nbytes
-        assert mem.named("test::pool") == pool.MAX_FREE_PER_KEY * nbytes
-        # The free list is capped: the next acquire is a hit, not a miss.
-        pool.acquire(8, 8)
-        assert pool.hits == 1
-
-    def test_record_gauges(self):
-        from repro.trace import TraceRecorder
-
-        pool = FramebufferPool(label="test::pool")
-        pool.release(pool.acquire(8, 8))
-        pool.acquire(8, 8)
-        rec = TraceRecorder(rank=0)
-        pool.record_gauges(rec)
-        assert rec.total("test::pool::hits") == 1
-        assert rec.total("test::pool::misses") == 1
-        assert rec.total("test::pool::evictions") == 0
-        assert rec.total("test::pool::allocated_nbytes") == pool.allocated_nbytes
-        pool.record_gauges(rec, prefix="other")
-        assert rec.total("other::hits") == 1
-
-
 def _rank_band_image(comm, width=16, height=32, with_depth=False):
     """Each rank renders a horizontal band of rows with its own color."""
     img = blank_image(width, height, with_depth=with_depth)
@@ -517,33 +442,54 @@ class TestParallelCompositing:
         assert ds0 == 10 and bs0 == 10
 
     @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 8])
-    def test_pooled_swap_matches_unpooled(self, nranks):
-        """binary_swap with a FramebufferPool is pixel-identical; only the
-        stitching root touches its pool, and it allocates exactly once."""
+    def test_reused_out_matches_fresh_stitch(self, nranks):
+        """A garbage-filled ``out`` reused across frames stitches the same
+        pixels as a fresh buffer, and is the buffer the root gets back."""
 
         def prog(comm):
-            pool = FramebufferPool()
             img = _rank_band_image(comm)
-            finals = []
-            for _ in range(3):
-                out = binary_swap(comm, img, pool=pool)
-                if out is not None:
-                    finals.append((out.rgb.copy(), out.alpha.copy()))
-                    if out is not img:  # size 1 returns the partial itself
-                        pool.release(out)
             ref = binary_swap(comm, img.copy())
+            out = blank_image(16, 32)
+            finals = []
+            for frame in range(3):
+                out.rgb[:] = 7 + frame
+                out.alpha[:] = 200
+                got = binary_swap(comm, img, out=out)
+                if got is not None:
+                    finals.append((got is out, got.rgb.copy(), got.alpha.copy()))
             if comm.rank != 0:
-                return None, None, (pool.hits, pool.misses)
-            return finals, (ref.rgb, ref.alpha), (pool.hits, pool.misses)
+                return None
+            return finals, (ref.rgb, ref.alpha)
 
-        results = run_spmd(nranks, prog)
-        finals, (ref_rgb, ref_alpha), _ = results[0]
-        for rgb, alpha in finals:
+        finals, (ref_rgb, ref_alpha) = run_spmd(nranks, prog)[0]
+        assert len(finals) == 3
+        for is_out, rgb, alpha in finals:
+            # One rank stitches nothing: binary_swap hands the partial back.
+            assert is_out == (nranks > 1)
             assert np.array_equal(rgb, ref_rgb)
             assert np.array_equal(alpha, ref_alpha)
-        # One rank stitches nothing: binary_swap hands the partial back.
-        root = (2, 1) if nranks > 1 else (0, 0)
-        assert [r[2] for r in results] == [root] + [(0, 0)] * (nranks - 1)
+
+    @pytest.mark.parametrize(
+        "out", [blank_image(16, 31), blank_image(15, 32), blank_image(16, 32, True)]
+    )
+    def test_mismatched_out_untouched_and_fresh_buffer_returned(self, out):
+        out.rgb[:] = 9
+        before = out.copy()
+
+        def prog(comm):
+            mine = out.copy()
+            got = binary_swap(comm, _rank_band_image(comm), out=mine)
+            if comm.rank != 0:
+                return None
+            return got is mine, got.shape, got.depth is None, mine
+
+        is_out, shape, no_depth, mine = run_spmd(2, prog)[0]
+        assert not is_out
+        assert shape == (32, 16) and no_depth
+        assert np.array_equal(mine.rgb, before.rgb)
+        assert np.array_equal(mine.alpha, before.alpha)
+        if before.depth is not None:
+            assert np.array_equal(mine.depth, before.depth)
 
     def test_partial_not_mutated_by_swap(self):
         """The caller's partial image survives binary_swap untouched (the
