@@ -33,7 +33,6 @@ from repro.analysis.slice_ import (
 )
 from repro.analysis.fields import (
     gradient_3d,
-    gradient_magnitude,
     vorticity_magnitude,
 )
 from repro.analysis.hybrid import (
@@ -61,7 +60,6 @@ __all__ = [
     "gather_global_slice",
     "SliceExtractAnalysis",
     "gradient_3d",
-    "gradient_magnitude",
     "vorticity_magnitude",
     "HybridHistogramAnalysis",
     "ThreadedAutocorrelationState",

@@ -33,14 +33,6 @@ def gradient_3d(
     return grads[0], grads[1], grads[2]
 
 
-def gradient_magnitude(
-    field: np.ndarray, spacing: tuple[float, float, float]
-) -> np.ndarray:
-    """|grad f| of a 3-D scalar field."""
-    gx, gy, gz = gradient_3d(field, spacing)
-    return np.sqrt(gx * gx + gy * gy + gz * gz)
-
-
 def vorticity_magnitude(
     u: np.ndarray,
     v: np.ndarray,

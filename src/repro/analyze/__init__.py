@@ -15,7 +15,7 @@ usage/IO errors.
 Suppression: a ``# analyze: allow(rule-id)`` pragma on the flagged line or
 the line above it waives a rule at one site::
 
-    comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
+    stamp = time.time()  # analyze: allow(bare-time-call)
 """
 
 from __future__ import annotations

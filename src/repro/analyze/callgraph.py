@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 __all__ = ["CallGraph", "FunctionSummary", "receiver_name"]
 
-#: Collective methods of the repo's Communicator (kept in sync with
-#: checkers.contracts, which owns the canonical set).
+#: Collective methods of the repo's Communicator (the one set every
+#: collective checker matches against, via :func:`is_collective_call`).
 COLLECTIVE_NAMES = frozenset(
     {
         "barrier",

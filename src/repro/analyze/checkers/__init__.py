@@ -1,9 +1,9 @@
 """Checker registry: every rule the analyzer knows about.
 
-Three path-sensitive families plus the syntactic contract rules:
+Three path-sensitive families plus two syntactic contract rules:
 
-- :mod:`repro.analyze.checkers.contracts` -- the five single-pass
-  repo-contract rules;
+- :mod:`repro.analyze.checkers.contracts` -- ``analysis-sim-import`` and
+  ``bare-time-call``;
 - :mod:`repro.analyze.checkers.collectives` -- path-sensitive collective
   sequence matching over the CFG;
 - :mod:`repro.analyze.checkers.typestate` -- resource state machines

@@ -1,10 +1,9 @@
 """Path-sensitive collective-matching checkers.
 
 MPI collectives must be entered by **every** rank of the communicator, in
-the same order.  The PR 2 syntactic rule only catches the literal shape
-``if rank == 0: comm.barrier()``; these checkers enumerate the function's
-CFG paths and compare the *sequence of collectives* each path executes.
-If two paths disagree and the first decision separating them is
+the same order.  These checkers enumerate the function's CFG paths and
+compare the *sequence of collectives* each path executes.  If two paths
+disagree and the first decision separating them is
 rank-dependent, then different ranks of the same communicator can take
 different paths and the collective schedules no longer line up -- the
 canonical in situ deadlock (coupled simulation + analysis share the
@@ -35,12 +34,20 @@ from typing import Iterator
 
 from repro.analyze.callgraph import is_collective_call
 from repro.analyze.cfg import Block, Edge, Path, enumerate_paths
-from repro.analyze.checkers.contracts import _mentions_rank
 from repro.analyze.model import Checker, Finding, FunctionUnit, ModuleModel
 
 __all__ = ["CollectiveMatchChecker", "COLLECTIVE_CHECKERS"]
 
 _LOOP_KINDS = frozenset({"loop", "exit", "back", "true", "false"})
+
+
+def _mentions_rank(test: ast.expr) -> bool:
+    for node in ast.walk(test):
+        if isinstance(node, ast.Name) and "rank" in node.id.lower():
+            return True
+        if isinstance(node, ast.Attribute) and "rank" in node.attr.lower():
+            return True
+    return False
 
 
 def _block_events(block: Block, module: ModuleModel, cls: str | None) -> list[str]:

@@ -4,12 +4,12 @@ The repo's measurement and transport machinery is full of paired
 operations whose imbalance silently corrupts results or leaks kernel
 objects: ``Timer.start``/``stop`` (phase totals, Figs. 5-6),
 ``MemoryTracker.allocate``/``free`` (high-water marks, Fig. 4), and
-``SharedMemory`` create/close/unlink (the PR 6 zero-copy transport).  The
-PR 2 linter counted call sites; these checkers instead run a *typestate*
-analysis over the CFG: each tracked resource is a little state machine,
-facts are propagated with :class:`~repro.analyze.dataflow.FactSolver`,
-and a resource still "open" at function exit -- on the normal **or** the
-exceptional path -- is reported together with the CFG path that leaks it.
+``SharedMemory`` create/close/unlink (the PR 6 zero-copy transport).
+These checkers run a *typestate* analysis over the CFG: each tracked
+resource is a little state machine, facts are propagated with
+:class:`~repro.analyze.dataflow.FactSolver`, and a resource still "open" at
+function exit -- on the normal **or** the exceptional path -- is reported
+together with the CFG path that leaks it.
 
 Exception edges are the point: an ``exc`` edge leaving a statement carries
 the state *unchanged* (the statement raised, its effect never happened),
@@ -23,6 +23,12 @@ the function's hands -- returned, yielded, stored to an attribute,
 aliased, or passed to any call that is not one of the resource's own
 operations.  Escaped resources produce no findings: missing a real leak
 is acceptable, crying wolf on ownership transfer is not.
+
+A chained ``<...>.timer(...).start()`` is a timer created running with no
+name to stop it by, so it leaks at every exit.  Memory labels also get one
+module-scope pass with no path: a string-literal label that the module
+allocates but never frees, or frees but never allocates, is reported at
+its first call site.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analyze.callgraph import receiver_name
 from repro.analyze.cfg import CFG, Block
-from repro.analyze.checkers.contracts import _is_memory_call, _memory_label
 from repro.analyze.dataflow import FactSolver
 from repro.analyze.model import Checker, Finding, FunctionUnit, ModuleModel
 
@@ -98,10 +104,53 @@ class ResourceSpec:
     def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
         raise NotImplementedError
 
+    def module_errors(self, tree: ast.Module) -> Iterator[tuple[int, int, str]]:
+        """(line, col, message) for contracts that span the whole module."""
+        return iter(())
+
 
 # --------------------------------------------------------------------------
 # Specs
 # --------------------------------------------------------------------------
+
+
+def _is_timer_factory(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "timer"
+    )
+
+
+def _is_chained_start(node: ast.expr) -> bool:
+    """``<...>.timer(...).start()``: a timer started without a handle."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "start"
+        and _is_timer_factory(node.func.value)
+    )
+
+
+def _is_memory_call(node: ast.AST, attr: str) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr != attr:
+        return False
+    recv = receiver_name(node.func.value)
+    return recv is not None and "mem" in recv.lower()
+
+
+def _memory_label(node: ast.Call) -> str | None:
+    """String-literal label of an allocate/free call, if any."""
+    for kw in node.keywords:
+        if kw.arg == "label" and isinstance(kw.value, ast.Constant):
+            if isinstance(kw.value.value, str):
+                return kw.value.value
+    for arg in node.args:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+    return None
 
 
 class TimerSpec(ResourceSpec):
@@ -111,14 +160,12 @@ class TimerSpec(ResourceSpec):
     exempt_paths = ("repro/util/timers.py",)
 
     def creations(self, stmt: ast.stmt) -> list[tuple[str, str]]:
-        if not isinstance(stmt, ast.Assign):
-            return []
-        v = stmt.value
-        if not (
-            isinstance(v, ast.Call)
-            and isinstance(v.func, ast.Attribute)
-            and v.func.attr == "timer"
-        ):
+        if isinstance(stmt, ast.Expr) and _is_chained_start(stmt.value):
+            # ``<...>.timer(...).start()`` keeps no handle: the timer is
+            # tracked under its (non-identifier) expression text, which no
+            # stop() can ever name.
+            return [(ast.unparse(stmt.value.func.value), "running")]  # type: ignore[attr-defined]
+        if not (isinstance(stmt, ast.Assign) and _is_timer_factory(stmt.value)):
             return []
         return [
             (t.id, "stopped") for t in stmt.targets if isinstance(t, ast.Name)
@@ -161,6 +208,12 @@ class TimerSpec(ResourceSpec):
     def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
         if state != "running":
             return None
+        if not key.isidentifier():
+            return (
+                f"chained {key}.start() in {qualname} discards the timer: "
+                "nothing can ever stop it, so its interval is never "
+                "recorded; bind it to a name or use TimerRegistry.time()"
+            )
         where = "when an exception escapes" if exceptional else "at function exit"
         return (
             f"timer '{key}' is still running {where} in {qualname}: its "
@@ -172,8 +225,8 @@ class TimerSpec(ResourceSpec):
 class MemorySpec(ResourceSpec):
     rule_id = "memory-typestate"
     description = (
-        "allocate(label=...)/free(label=...) must balance on every path "
-        "within a function that does both"
+        "every allocate(label=...) must have a free(label=...) in its module "
+        "(and vice versa), balanced on every path of a function that does both"
     )
     emits = ("memory-typestate",)
     var_based = False  # keys are string labels, not variables
@@ -208,6 +261,37 @@ class MemorySpec(ResourceSpec):
             f"through {qualname}: the function frees it on other paths, so "
             "per-label accounting drifts step over step"
         )
+
+    def module_errors(self, tree: ast.Module) -> Iterator[tuple[int, int, str]]:
+        # Pairing across functions is legitimate (allocate in initialize,
+        # free in finalize), but some function of the module must do each
+        # side.  Only string-literal labels are checked.
+        sites: dict[str, dict[str, tuple[int, int]]] = {"allocate": {}, "free": {}}
+        for node in ast.walk(tree):
+            for attr, seen in sites.items():
+                if _is_memory_call(node, attr):
+                    label = _memory_label(node)  # type: ignore[arg-type]
+                    if label is not None:
+                        seen.setdefault(label, (node.lineno, node.col_offset))
+        allocs, frees = sites["allocate"], sites["free"]
+        for label, (line, col) in allocs.items():
+            if label not in frees:
+                yield (
+                    line,
+                    col,
+                    f"memory label {label!r} is allocate()d but never free()d "
+                    "in this module: per-label accounting drifts and the "
+                    "tracker's negative-balance guard cannot protect it",
+                )
+        for label, (line, col) in frees.items():
+            if label not in allocs:
+                yield (
+                    line,
+                    col,
+                    f"memory label {label!r} is free()d but never allocate()d "
+                    "in this module: free() raises MemoryAccountingError at "
+                    "runtime",
+                )
 
 
 class ShmSpec(ResourceSpec):
@@ -490,6 +574,8 @@ class TypestateChecker(Checker):
 
     def check(self, module: ModuleModel) -> Iterator[Finding]:
         spec = self.spec
+        for line, col, message in spec.module_errors(module.tree):
+            yield self.finding(module, line, col, message)
         for unit in module.functions:
             keys: dict[str, bool] = {}
             for node in ast.walk(unit.node):

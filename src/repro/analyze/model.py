@@ -20,10 +20,6 @@ from repro.analyze.cfg import CFG, build_cfg
 
 __all__ = ["Finding", "Checker", "ModuleModel", "FunctionUnit", "normalize_path"]
 
-#: Finding severities, in SARIF terms.
-SEVERITIES = ("error", "warning", "note")
-
-
 def normalize_path(path: str) -> str:
     return path.replace(os.sep, "/")
 

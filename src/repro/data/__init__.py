@@ -7,8 +7,8 @@ memory copying (zero-copy)".  This package is that data model, rebuilt on
 NumPy:
 
 - :class:`DataArray` wraps simulation memory as SoA or AoS without copying;
-- :class:`ImageData`, :class:`RectilinearGrid`, :class:`UnstructuredGrid`
-  are the mesh types the miniapp, Nyx, and PHASTA map onto;
+- :class:`ImageData` and :class:`UnstructuredGrid` are the mesh types the
+  miniapp, Nyx, and PHASTA map onto;
 - :class:`MultiBlockDataset` carries one block per rank, the way the paper's
   codes expose their local domains;
 - ghost cells are marked with a ``vtkGhostLevels``-style byte array
@@ -23,10 +23,9 @@ NumPy:
 from repro.data.array import AOS, SOA, DataArray, Layout
 from repro.data.dataset import Association, Dataset, GHOST_ARRAY_NAME
 from repro.data.image_data import ImageData
-from repro.data.rectilinear import RectilinearGrid
 from repro.data.unstructured import CellType, UnstructuredGrid
 from repro.data.multiblock import MultiBlockDataset
-from repro.data.ghost import ghost_levels_for_extent, interior_mask
+from repro.data.ghost import ghost_levels_for_extent
 from repro.data.particles import (
     DEPOSIT_SCALE,
     PARTICLE_ARRAYS,
@@ -45,12 +44,10 @@ __all__ = [
     "Association",
     "GHOST_ARRAY_NAME",
     "ImageData",
-    "RectilinearGrid",
     "UnstructuredGrid",
     "CellType",
     "MultiBlockDataset",
     "ghost_levels_for_extent",
-    "interior_mask",
     "ParticleSet",
     "PARTICLE_ARRAYS",
     "DEPOSIT_SCALE",

@@ -3,7 +3,7 @@
 AVF-LESLIE's adaptor "exposes data array slices (to remove ghost cells)"
 (Sec. 4.2.2); Nyx instead blanks ghosts with a ``vtkGhostLevels`` byte array
 (Sec. 4.2.3, at a cost of ~2 MB per rank).  Both styles are supported:
-:func:`interior_mask` / slicing for the AVF style, and
+plain NumPy slicing of the owned extent for the AVF style, and
 :func:`ghost_levels_for_extent` for the Nyx style.
 """
 
@@ -42,17 +42,3 @@ def ghost_levels_for_extent(local_with_ghosts: Extent, owned: Extent) -> np.ndar
     if level.max() > 255:
         raise ValueError("ghost level exceeds uint8 range")
     return level.astype(np.uint8).reshape(-1)
-
-
-def interior_mask(local_with_ghosts: Extent, owned: Extent) -> tuple[slice, slice, slice]:
-    """Slices selecting the owned region from a ghosted 3-D field array."""
-    oi = owned.i0 - local_with_ghosts.i0
-    oj = owned.j0 - local_with_ghosts.j0
-    ok = owned.k0 - local_with_ghosts.k0
-    if oi < 0 or oj < 0 or ok < 0:
-        raise ValueError("owned extent must lie inside the ghosted extent")
-    ni, nj, nk = owned.shape
-    gi, gj, gk = local_with_ghosts.shape
-    if oi + ni > gi or oj + nj > gj or ok + nk > gk:
-        raise ValueError("owned extent must lie inside the ghosted extent")
-    return (slice(oi, oi + ni), slice(oj, oj + nj), slice(ok, ok + nk))

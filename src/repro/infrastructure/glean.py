@@ -25,6 +25,10 @@ from repro.data import Association, ImageData
 from repro.util.decomp import Extent
 from repro.util.timers import timed
 
+#: Longest wait for one drain write, in seconds (a communicator's default
+#: wait); past it the step's write is declared hung.
+_DRAIN_TIMEOUT_S = 120.0
+
 
 @register_analysis("glean")
 def _make_glean(config) -> "GleanAdaptor":
@@ -66,6 +70,7 @@ class GleanAdaptor(AnalysisAdaptor):
         self._is_aggregator = False
         self._group: list[int] = []
         self._drain: threading.Thread | None = None
+        self._drain_step = -1
         self._drain_error: BaseException | None = None
         self.steps_staged = 0
 
@@ -122,7 +127,13 @@ class GleanAdaptor(AnalysisAdaptor):
         """Wait out the drain thread and re-raise what it raised: a step
         whose aggregate never reached the disk must not count as staged."""
         if self._drain is not None:
-            self._drain.join()
+            self._drain.join(timeout=_DRAIN_TIMEOUT_S)
+            if self._drain.is_alive():
+                raise TimeoutError(
+                    f"GLEAN aggregator rank {self.aggregator_rank}: the drain "
+                    f"write of step {self._drain_step} did not finish within "
+                    f"{_DRAIN_TIMEOUT_S:g} s"
+                )
             self._drain = None
         if self._drain_error is not None:
             exc, self._drain_error = self._drain_error, None
@@ -165,9 +176,13 @@ class GleanAdaptor(AnalysisAdaptor):
                     if self._drain is not None:
                         with timed(self.timers, "glean::drain_wait"):
                             self._join_drain()
+                    # Daemon: a drain that hangs past the bounded join must
+                    # not also hold the interpreter open at exit.
                     self._drain = threading.Thread(
-                        target=self._write_in_background, args=(step, blocks)
+                        target=self._write_in_background, args=(step, blocks),
+                        daemon=True,
                     )
+                    self._drain_step = step
                     self._drain.start()
                 else:
                     with timed(self.timers, "glean::write"):

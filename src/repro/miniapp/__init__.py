@@ -8,21 +8,16 @@ convolved oscillator values; the computation on each rank takes O(mN^3) per
 time step."
 
 This package reproduces that code: :class:`Oscillator` evaluates one
-oscillator's time signal and Gaussian footprint; :func:`read_oscillators` /
-:func:`parse_oscillators` handle the input file read-and-broadcast; and
+oscillator's time signal and Gaussian footprint, and
 :class:`OscillatorSimulation` is the SPMD miniapp with regular decomposition,
 optional per-step synchronization, and a SENSEI data adaptor.
 """
 
 from repro.miniapp.oscillator import Oscillator, OscillatorKind
-from repro.miniapp.input import parse_oscillators, read_oscillators, format_oscillators
 from repro.miniapp.simulation import OscillatorSimulation
 
 __all__ = [
     "Oscillator",
     "OscillatorKind",
-    "parse_oscillators",
-    "read_oscillators",
-    "format_oscillators",
     "OscillatorSimulation",
 ]

@@ -37,8 +37,7 @@ class OscillatorSimulation:
     global_dims:
         Global grid point dimensions ``(nx, ny, nz)``.
     oscillators:
-        The oscillator set (identical on all ranks; see
-        :func:`repro.miniapp.input.read_oscillators`).
+        The oscillator set (identical on all ranks).
     dt:
         Time resolution.
     domain:

@@ -38,7 +38,6 @@ from repro.mpi.communicator import (
 from repro.mpi.launcher import (
     BACKENDS,
     SPMDError,
-    aggregate_timer_snapshots,
     resolve_backend,
     run_spmd,
 )
@@ -69,5 +68,4 @@ __all__ = [
     "PROD",
     "run_spmd",
     "SPMDError",
-    "aggregate_timer_snapshots",
 ]

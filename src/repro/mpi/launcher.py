@@ -42,7 +42,6 @@ from repro.mpi.communicator import (
     _Context,
     _thread_world_rank,
 )
-from repro.util.timers import TimerRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultInjector, FaultPlan
@@ -248,19 +247,3 @@ def run_spmd(
             aborted_ranks=aborted,
         )
     return results
-
-
-def aggregate_timer_snapshots(snapshots: Sequence[dict]) -> TimerRegistry:
-    """Fold per-rank :meth:`TimerRegistry.as_dict` snapshots into one registry.
-
-    The standard harness pattern: each rank's program returns
-    ``registry.as_dict()`` (snapshots cross the simulated address-space
-    boundary as plain dicts), and the driver aggregates them here.  The
-    merge is lossless -- per-rank ``min`` values and kept ``samples``
-    survive, so both worst/best-case call times and the Fig. 16
-    per-iteration series can be recovered job-wide.
-    """
-    agg = TimerRegistry()
-    for snap in snapshots:
-        agg.merge_snapshot(snap)
-    return agg

@@ -98,5 +98,3 @@ TITAN = MachineModel(
     io_variability_sigma=0.40,
     zlib_rate=15.0e6,
 )
-
-MACHINES = {m.name: m for m in (CORI, MIRA, TITAN)}

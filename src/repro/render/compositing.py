@@ -186,7 +186,7 @@ def binary_swap(
         # Folded ranks still participate in the final gather collective --
         # every rank reaches this gather (active ranks call it after the
         # exchange rounds below), so the branch is not divergent.
-        comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
+        comm.gather(None, root=root)
         return None
 
     # log2(active) rounds of half exchanges, pairing ADJACENT ranks first

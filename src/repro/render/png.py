@@ -275,16 +275,3 @@ def decode_png(data: bytes) -> np.ndarray:
     if channels == 1:
         return out.reshape(height, width)
     return out.reshape(height, width, 3)
-
-
-def write_png(
-    path,
-    image: np.ndarray,
-    compression_level: int = 6,
-    workers: int | None = None,
-) -> int:
-    """Encode and write; returns the encoded byte count."""
-    blob = encode_png(image, compression_level, workers=workers)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)

@@ -55,7 +55,6 @@ KIND_NAMES = {
 #: Per-step admission verdicts the server journals and ACKs back.
 VERDICT_ADMIT = "admit"
 VERDICT_SHED = "shed"
-VERDICT_DEGRADE = "degrade"
 VERDICT_REJECT_BYTES = "reject_bytes"
 VERDICT_REJECT_STEPS = "reject_steps"
 

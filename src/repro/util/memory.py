@@ -154,11 +154,3 @@ class MemoryTracker:
 def sum_high_water(trackers: Iterable[MemoryTracker]) -> int:
     """Sum of per-rank high-water marks, the paper's aggregate metric."""
     return sum(t.peak for t in trackers)
-
-
-def array_nbytes(shape: tuple[int, ...], dtype) -> int:
-    """Bytes an allocation of ``shape``/``dtype`` would take, without making it."""
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n * np.dtype(dtype).itemsize

@@ -180,9 +180,9 @@ class TimerRegistry:
     def merge_snapshot(self, snapshot: dict[str, dict]) -> None:
         """Fold an :meth:`as_dict` snapshot into this registry.
 
-        This is the cross-rank aggregation path
-        (:func:`repro.mpi.launcher.aggregate_timer_snapshots`): totals and
-        counts sum, min/max fold, and shipped samples are preserved.
+        This is the cross-rank aggregation path (fold each rank's
+        snapshot into one registry): totals and counts sum, min/max fold,
+        and shipped samples are preserved.
         """
         for name, entry in snapshot.items():
             mine = self.timer(name)

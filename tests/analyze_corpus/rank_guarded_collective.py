@@ -1,9 +1,7 @@
 """Known-bad: a collective guarded by a rank test deadlocks the job.
 
-Expected findings:
-- collective-in-rank-branch at the ``comm.reduce`` line (syntactic rule)
-- rank-divergent-collectives at the ``if`` line (path-sensitive rule:
-  the true path runs [reduce, barrier], the false path only [barrier])
+Expected finding: rank-divergent-collectives at the ``if`` line (the true
+path runs [reduce, barrier], the false path only [barrier]).
 """
 
 

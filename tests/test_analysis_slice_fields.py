@@ -9,7 +9,6 @@ from repro.analysis import (
     extract_axis_slice,
     gather_global_slice,
     gradient_3d,
-    gradient_magnitude,
     vorticity_magnitude,
 )
 from repro.core import Bridge
@@ -172,11 +171,6 @@ class TestDerivedFields:
             gradient_3d(np.zeros((2, 2)), (1, 1, 1))
         with pytest.raises(ValueError):
             gradient_3d(np.zeros((2, 2, 2)), (0, 1, 1))
-
-    def test_gradient_magnitude(self):
-        x = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(5.0), indexing="ij")[0]
-        f = 3 * x
-        np.testing.assert_allclose(gradient_magnitude(f, (1, 1, 1)), 3.0)
 
     def test_vorticity_of_rigid_rotation(self):
         """u = -y, v = x, w = 0 has |curl| = 2 everywhere."""

@@ -250,14 +250,17 @@ class TestSolvers:
 
 #: fixture -> exact expected (rule id, line) findings.
 CORPUS_EXPECTATIONS = {
-    "rank_guarded_collective.py": {
-        ("rank-divergent-collectives", 11),
-        ("collective-in-rank-branch", 12),
-    },
+    "rank_guarded_collective.py": {("rank-divergent-collectives", 9)},
     "loop_divergent_collective.py": {("collective-in-rank-loop", 10)},
     "early_exit_collective.py": {("rank-divergent-collectives", 10)},
     "timer_leak_exception.py": {("timer-typestate", 12)},
     "timer_leak_branch.py": {("timer-typestate", 11)},
+    "timer_chained_start.py": {("timer-typestate", 10)},
+    "memory_label_unpaired.py": {
+        ("memory-typestate", 15),
+        ("memory-typestate", 18),
+        ("memory-typestate", 22),
+    },
     "shm_unlink_by_worker.py": {
         ("shm-worker-unlink", 17),
         ("shm-lifecycle", 14),
@@ -279,6 +282,9 @@ _PATH_SENSITIVE = {
     "mutate-after-send",
 }
 
+#: Fixtures whose findings come from a module-scope pass, not a CFG path.
+_MODULE_SCOPE = {"memory_label_unpaired.py"}
+
 
 class TestCorpus:
     def test_corpus_is_exhaustive(self):
@@ -293,7 +299,7 @@ class TestCorpus:
         got = {(f.rule_id, f.line) for f in findings}
         assert got == CORPUS_EXPECTATIONS[fixture]
         for f in findings:
-            if f.rule_id in _PATH_SENSITIVE:
+            if f.rule_id in _PATH_SENSITIVE and fixture not in _MODULE_SCOPE:
                 assert f.witness, f"{fixture}: {f.rule_id} finding lacks a path witness"
 
     def test_mutate_after_send_is_a_warning(self):

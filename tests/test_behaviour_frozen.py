@@ -234,8 +234,6 @@ _ROOTS = ("bench/workloads", "benchmarks", "examples")  # + src/repro/cli.py
 
 #: Unreached on purpose; the value is why the module stays.
 _UNREACHED_BUT_KEPT = {
-    "miniapp/input.py": 'the Sec. 3.3 "read and broadcast from the root" input file',
-    "data/rectilinear.py": "the rectilinear-grid row of the paper's data model",
     "perf/calibrate.py": "the input of ROADMAP item 3 (host-calibrated model)",
 }
 

@@ -1,5 +1,5 @@
-"""Tests for the mesh types: ImageData, RectilinearGrid, UnstructuredGrid,
-MultiBlockDataset, and ghost-level handling."""
+"""Tests for the mesh types: ImageData, UnstructuredGrid, MultiBlockDataset,
+and ghost-level handling."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from repro.data import (
     GHOST_ARRAY_NAME,
     ImageData,
     MultiBlockDataset,
-    RectilinearGrid,
     UnstructuredGrid,
     ghost_levels_for_extent,
-    interior_mask,
 )
 from repro.util import Extent
 
@@ -73,40 +71,6 @@ class TestImageData:
         assert not img.has_array(Association.POINT, "a")
         with pytest.raises(KeyError):
             img.get_array(Association.POINT, "zzz")
-
-
-class TestRectilinearGrid:
-    def test_basic(self):
-        g = RectilinearGrid(np.arange(4.0), np.arange(3.0), np.arange(2.0))
-        assert g.dims == (4, 3, 2)
-        assert g.num_points == 24
-        assert g.num_cells == 3 * 2 * 1
-
-    def test_nonuniform_coords(self):
-        x = np.array([0.0, 1.0, 10.0])
-        g = RectilinearGrid(x, np.arange(2.0), np.arange(2.0))
-        assert g.bounds()[:2] == (0.0, 10.0)
-
-    def test_non_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            RectilinearGrid(np.array([0.0, 0.0, 1.0]), np.arange(2.0), np.arange(2.0))
-
-    def test_extent_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RectilinearGrid(
-                np.arange(4.0), np.arange(3.0), np.arange(2.0),
-                extent=Extent(0, 9, 0, 2, 0, 1),
-            )
-
-    def test_cell_field_3d(self):
-        g = RectilinearGrid(np.arange(3.0), np.arange(3.0), np.arange(3.0))
-        g.add_cell_array(DataArray.from_numpy("rho", np.arange(8.0)))
-        assert g.cell_field_3d("rho").shape == (2, 2, 2)
-
-    def test_point_field_3d(self):
-        g = RectilinearGrid(np.arange(2.0), np.arange(2.0), np.arange(2.0))
-        g.add_point_array(DataArray.from_numpy("phi", np.arange(8.0)))
-        assert g.point_field_3d("phi").shape == (2, 2, 2)
 
 
 class TestUnstructuredGrid:
@@ -231,18 +195,6 @@ class TestGhosts:
         levels = ghost_levels_for_extent(ghosted, owned).reshape(7, 7, 7)
         assert levels[0, 3, 3] == 2
         assert levels[1, 3, 3] == 1
-
-    def test_interior_mask_extracts_owned(self):
-        ghosted = Extent(0, 4, 0, 4, 0, 4)
-        owned = Extent(1, 3, 1, 3, 1, 3)
-        field = np.zeros((5, 5, 5))
-        sl = interior_mask(ghosted, owned)
-        field[sl] = 1.0
-        assert field.sum() == 27
-
-    def test_interior_mask_validates_containment(self):
-        with pytest.raises(ValueError):
-            interior_mask(Extent(0, 2, 0, 2, 0, 2), Extent(0, 5, 0, 2, 0, 2))
 
     def test_dataset_ghost_array_and_owned_mask(self):
         img = ImageData(Extent(0, 4, 0, 4, 0, 4))

@@ -6,6 +6,8 @@ Catalyst PNGs must come out identical whether ranks are threads or OS
 processes.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,36 @@ class TestGlean:
             run_spmd(2, prog)
         assert "No space left on device" in str(err.value)
         assert sorted(err.value.failures) == [0]  # the aggregator
+
+    def test_hung_drain_times_out_naming_the_step(self, tmp_path, monkeypatch):
+        """A drain write that never returns fails the next ``execute()``
+        within the bounded join, and the error names the drained step."""
+        from repro.infrastructure import glean
+        from repro.mpi import SPMDError
+
+        monkeypatch.setattr(glean, "_DRAIN_TIMEOUT_S", 0.2)
+        release = threading.Event()
+
+        class StuckDisk(GleanAdaptor):
+            def _write_aggregate(self, step, blocks):
+                if step == 1:
+                    release.wait(30.0)
+                super()._write_aggregate(step, blocks)
+
+        def prog(comm):
+            sim = OscillatorSimulation(comm, (8, 6, 4), default_oscillators(), dt=0.1)
+            bridge = Bridge(comm, sim.make_data_adaptor())
+            bridge.add_analysis(StuckDisk(tmp_path, asynchronous=True))
+            bridge.initialize()
+            sim.run(3, bridge)
+            return bridge.finalize()
+
+        try:
+            with pytest.raises(SPMDError) as err:
+                run_spmd(1, prog)
+        finally:
+            release.set()
+        assert "drain write of step 1 did not finish within 0.2 s" in str(err.value)
 
     def test_results_report_roles(self, tmp_path):
         out = self._run(tmp_path, 4, rpa=2, steps=1)

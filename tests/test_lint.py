@@ -1,16 +1,24 @@
-"""Tests for the five syntactic repo-contract rules of ``repro.analyze``."""
+"""Rule-level cases for ``repro.analyze``: one rule answers each question.
+
+``TestAnalysisSimImport`` and ``TestBareTimeCall`` cover the two syntactic
+contract rules.  The rank-branch, timer balance and memory pairing classes
+hold the cases of the retired syntactic twins, each now answered by its
+path-sensitive rule (``rank-divergent-collectives``, ``timer-typestate``,
+``memory-typestate``) with the full checker set enabled.
+"""
 
 import os
 import textwrap
+import tokenize
 
-from repro.analyze import analyze_paths, analyze_source, main
+from repro.analyze import RULE_CATALOG, analyze_paths, analyze_source, main
 from repro.analyze.checkers.contracts import ALL_RULES, CONTRACT_CHECKERS
 
 _SRC_REPRO = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 
 def _lint(code: str, path: str = "src/repro/somemod.py"):
-    return analyze_source(textwrap.dedent(code), path, checkers=CONTRACT_CHECKERS)
+    return analyze_source(textwrap.dedent(code), path)
 
 
 def _ids(violations):
@@ -26,9 +34,9 @@ class TestCollectiveInRankBranch:
                     comm.barrier()
             """
         )
-        assert _ids(out) == ["collective-in-rank-branch"]
+        assert _ids(out) == ["rank-divergent-collectives"]
         assert "barrier" in out[0].message
-        assert out[0].line == 4
+        assert out[0].line == 3  # the rank-dependent ``if``
 
     def test_collective_after_rank_branch_ok(self):
         out = _lint(
@@ -50,7 +58,7 @@ class TestCollectiveInRankBranch:
                         self.comm.reduce(x)
             """
         )
-        assert _ids(out) == ["collective-in-rank-branch"]
+        assert _ids(out) == ["rank-divergent-collectives"]
 
     def test_non_comm_receiver_ignored(self):
         out = _lint(
@@ -78,8 +86,8 @@ class TestCollectiveInRankBranch:
         out = _lint(
             """
             def render(comm, rank, active, root):
-                if rank >= active:
-                    comm.gather(None, root=root)  # analyze: allow(collective-in-rank-branch)
+                if rank >= active:  # analyze: allow(rank-divergent-collectives)
+                    comm.gather(None, root=root)
             """
         )
         assert out == []
@@ -95,7 +103,7 @@ class TestTimerBalance:
                 compute()
             """
         )
-        assert _ids(out) == ["timer-balance"]
+        assert _ids(out) == ["timer-typestate"]
         assert "'t'" in out[0].message
 
     def test_balanced_pair_ok(self):
@@ -119,7 +127,7 @@ class TestTimerBalance:
                 timers.timer("phase").start()
             """
         )
-        assert _ids(out) == ["timer-balance"]
+        assert _ids(out) == ["timer-typestate"]
         assert "chained" in out[0].message
 
     def test_unrelated_start_calls_ignored(self):
@@ -144,7 +152,7 @@ class TestMemoryPairing:
                     self.memory.allocate(1024, label="a::buffer")
             """
         )
-        assert _ids(out) == ["memory-pairing"]
+        assert _ids(out) == ["memory-typestate"]
         assert "a::buffer" in out[0].message
 
     def test_free_without_allocate_caught(self):
@@ -154,7 +162,8 @@ class TestMemoryPairing:
                 memory.free(1024, label="b::buffer")
             """
         )
-        assert _ids(out) == ["memory-pairing"]
+        assert _ids(out) == ["memory-typestate"]
+        assert "never allocate()d" in out[0].message
 
     def test_paired_labels_ok(self):
         out = _lint(
@@ -273,17 +282,30 @@ class TestEngine:
         out = _lint(
             """
             def measure():
-                return time.time()  # analyze: allow(timer-balance)
+                return time.time()  # analyze: allow(timer-typestate)
             """
         )
         assert _ids(out) == ["bare-time-call"]
 
     def test_rule_ids_unique(self):
         ids = [r.id for r in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 5
+        assert len(ids) == len(set(ids)) == 2
 
     def test_shipped_tree_is_clean(self):
         assert analyze_paths([_SRC_REPRO], checkers=CONTRACT_CHECKERS) == []
+
+    def test_shipped_tree_has_no_pragmas(self):
+        waivers = []
+        for root, _, files in os.walk(_SRC_REPRO):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    for tok in tokenize.tokenize(fh.readline):
+                        if tok.type == tokenize.COMMENT and "analyze: allow" in tok.string:
+                            waivers.append(f"{path}:{tok.start[0]}")
+        assert waivers == []
 
     def test_main_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
@@ -299,5 +321,6 @@ class TestEngine:
     def test_main_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES:
+        assert len(out.splitlines()) == len(RULE_CATALOG) == 10
+        for rule in RULE_CATALOG:
             assert rule.id in out

@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.miniapp import (
-    Oscillator,
-    OscillatorKind,
-    OscillatorSimulation,
-    format_oscillators,
-    parse_oscillators,
-    read_oscillators,
-)
-from repro.miniapp.input import OscillatorInputError
+from repro.miniapp import Oscillator, OscillatorKind, OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
-from repro.mpi import SPMDError, run_spmd
+from repro.mpi import run_spmd
 from repro.util import MemoryTracker, TimerRegistry
 
 
@@ -67,68 +59,6 @@ class TestOscillator:
         ):
             o = Oscillator(kind, (0, 0, 0), radius, omega, zeta)
             assert abs(o.time_value(t)) <= 1.0 + 1e-9
-
-
-class TestInputParsing:
-    GOOD = """
-    # comment line
-    damped   0.3 0.3 0.5 0.2 6.2832 0.1
-    periodic 0.6 0.2 0.7 0.1 12.566   # trailing comment
-    decaying 0.7 0.7 0.3 0.15 3.0
-    """
-
-    def test_parse_good(self):
-        oscs = parse_oscillators(self.GOOD)
-        assert [o.kind for o in oscs] == [
-            OscillatorKind.DAMPED,
-            OscillatorKind.PERIODIC,
-            OscillatorKind.DECAYING,
-        ]
-        assert oscs[0].zeta == pytest.approx(0.1)
-        assert oscs[1].center == (0.6, 0.2, 0.7)
-
-    def test_roundtrip_through_format(self):
-        oscs = default_oscillators()
-        again = parse_oscillators(format_oscillators(oscs))
-        assert len(again) == len(oscs)
-        for a, b in zip(oscs, again):
-            assert a.kind == b.kind
-            assert a.center == pytest.approx(b.center)
-            assert a.omega == pytest.approx(b.omega)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "periodic 0.5 0.5 0.5 0.1",  # too few fields
-            "sinusoid 0.5 0.5 0.5 0.1 1.0",  # unknown kind
-            "periodic a b c 0.1 1.0",  # non-numeric
-            "periodic 0.5 0.5 0.5 -0.1 1.0",  # invalid radius
-        ],
-    )
-    def test_parse_errors(self, bad):
-        with pytest.raises(OscillatorInputError):
-            parse_oscillators(bad)
-
-    def test_read_broadcasts_from_root(self, tmp_path):
-        p = tmp_path / "in.osc"
-        p.write_text(format_oscillators(default_oscillators()))
-
-        def prog(comm):
-            oscs = read_oscillators(comm, p)
-            return len(oscs)
-
-        assert run_spmd(4, prog) == [3, 3, 3, 3]
-
-    def test_read_error_raises_on_all_ranks(self, tmp_path):
-        p = tmp_path / "missing.osc"
-
-        def prog(comm):
-            read_oscillators(comm, p)
-
-        with pytest.raises(SPMDError) as ei:
-            run_spmd(3, prog)
-        assert set(ei.value.failures) == {0, 1, 2}
 
 
 class TestSimulation:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.perf import CORI, MIRA, TITAN, NetworkModel
-from repro.perf.machine import MACHINES
 
 
 class TestNetworkModelExtra:
@@ -39,10 +38,6 @@ class TestNetworkModelExtra:
 
 
 class TestMachineExtra:
-    def test_registry_complete(self):
-        assert set(MACHINES) == {"cori", "mira", "titan"}
-        assert MACHINES["cori"] is CORI
-
     def test_nodes_for(self):
         assert CORI.nodes_for(32) == 1
         assert CORI.nodes_for(33) == 2

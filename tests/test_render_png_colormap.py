@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render import COOL_WARM, GRAY, VIRIDIS, Colormap, decode_png, encode_png
-from repro.render.png import _SIGNATURE, PNGError, _chunk, write_png
+from repro.render.png import _SIGNATURE, PNGError, _chunk
 
 
 def _reseal_crcs(blob: bytes) -> bytes:
@@ -202,13 +202,6 @@ class TestPNGCodec:
             out = decode_png(encode_with_filters(ftypes))
             assert np.array_equal(out, rows), f"filters {ftypes}"
 
-    def test_write_png(self, tmp_path):
-        img = np.zeros((8, 8, 3), dtype=np.uint8)
-        p = tmp_path / "out.png"
-        n = write_png(p, img)
-        assert p.stat().st_size == n
-        assert np.array_equal(decode_png(p.read_bytes()), img)
-
     def test_compression_monotone_on_compressible_data(self):
         """Higher zlib levels never enlarge highly structured images much;
         level 0 is strictly largest -- the Table 2 ablation's premise."""
@@ -302,13 +295,6 @@ class TestParallelDeflate:
     def test_negative_workers_rejected(self):
         with pytest.raises(PNGError):
             encode_png(np.zeros((4, 4), dtype=np.uint8), workers=-1)
-
-    def test_write_png_workers(self, tmp_path):
-        img = self._structured(16, 16)
-        p = tmp_path / "parallel.png"
-        n = write_png(p, img, workers=2)
-        assert p.stat().st_size == n
-        assert np.array_equal(decode_png(p.read_bytes()), img)
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.util import MemoryTracker, sum_high_water
-from repro.util.memory import array_nbytes
 
 
 def test_allocate_free_tracks_current():
@@ -100,9 +99,6 @@ def test_reset_peak():
     assert m.peak == 0
 
 
-def test_array_nbytes_matches_numpy():
-    assert array_nbytes((10, 20), np.float64) == np.zeros((10, 20)).nbytes
-    assert array_nbytes((7,), np.uint8) == 7
 
 
 class TestAccountingGuards:

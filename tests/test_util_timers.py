@@ -181,7 +181,7 @@ def test_merge_snapshot_folds_min_max_across_snapshots():
 def test_spmd_aggregation_roundtrip_preserves_min_and_samples():
     """4-rank job: each rank ships registry.as_dict() home; the aggregate
     must retain every rank's samples and the true cross-rank min/max."""
-    from repro.mpi import aggregate_timer_snapshots, run_spmd
+    from repro.mpi import run_spmd
 
     def prog(comm):
         reg = TimerRegistry(keep_samples=True)
@@ -190,7 +190,9 @@ def test_spmd_aggregation_roundtrip_preserves_min_and_samples():
         return reg.as_dict()
 
     snaps = run_spmd(4, prog)
-    agg = aggregate_timer_snapshots(snaps)
+    agg = TimerRegistry()
+    for snap in snaps:
+        agg.merge_snapshot(snap)
     t = agg.timer("phase")
     assert t.count == 8
     assert t.min_time == pytest.approx(0.1)
