@@ -1,9 +1,13 @@
 """Tests for the storage substrate: VTK-style I/O, MPI-IO, and BP files."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import DataArray, ImageData
 from repro.mpi import run_spmd
@@ -20,9 +24,11 @@ from repro.storage import (
     write_block,
     write_timestep,
 )
+from repro.storage.mpiio import _header, _runs
 from repro.storage.vtk_io import reader_extent
 from repro.util import Extent
 from repro.util.decomp import regular_decompose_3d
+from tests import _mpiio_oracle as oracle
 
 
 def _block_image(extent, whole, seed=0):
@@ -118,31 +124,142 @@ class TestParallelTimestep:
         assert total == whole.num_points
 
 
-class TestMPIIO:
-    @pytest.mark.parametrize("nranks", [1, 2, 4, 6])
-    def test_collective_write_matches_blocks(self, tmp_path, nranks):
-        dims = (6, 5, 4)
-        path = tmp_path / f"shared_{nranks}.dat"
+@st.composite
+def _stored_sub_extents(draw):
+    """A random stored field (dims, dtype) and a random sub-extent of it."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    lo = [draw(st.integers(0, n - 1)) for n in dims]
+    hi = [draw(st.integers(a, n - 1)) for a, n in zip(lo, dims)]
+    dtype = draw(st.sampled_from(["float64", "float32", ">f8", "int16", "complex64"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dims, Extent(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]), dtype, seed
 
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestMPIIO:
+    #: (6, 5, 4) points: 1-3 ranks split i only (one i-slab run per rank),
+    #: 4 and 6 ranks split i and j (one run per i-plane), 8 ranks split k
+    #: too (one run per (i, j) row: the strided case).
+    DIMS = (6, 5, 4)
+    RUN_SHAPE = {1: "slab", 2: "slab", 3: "slab", 4: "plane", 6: "plane", 8: "row"}
+
+    @classmethod
+    def _write(cls, write, path, nranks, backend=None):
         def prog(comm):
-            ext, _, _ = regular_decompose_3d(dims, comm.size, comm.rank)
+            ext, _, _ = regular_decompose_3d(cls.DIMS, comm.size, comm.rank)
             rng = np.random.default_rng(comm.rank + 100)
             block = rng.random(ext.shape)
-            written = mpiio_write_collective(comm, path, block, ext, dims)
+            written = write(comm, path, block, ext, cls.DIMS)
             return ext, block, written
 
-        out = run_spmd(nranks, prog)
-        expected = np.zeros(dims)
-        total_written = 0
-        for ext, block, written in out:
-            expected[
-                ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1
-            ] = block
-            total_written += written
-        assert total_written == dims[0] * dims[1] * dims[2] * 8
-        whole = Extent(0, dims[0] - 1, 0, dims[1] - 1, 0, dims[2] - 1)
-        got = mpiio_read_block(path, whole)
-        np.testing.assert_array_equal(got, expected)
+        return run_spmd(nranks, prog, backend=backend)
+
+    @pytest.mark.parametrize("nranks", sorted(RUN_SHAPE))
+    def test_collective_write_matches_blocks(self, tmp_path, nranks):
+        """Every run shape, on both backends, gives the row-loop oracle's
+        shared file byte for byte."""
+        dims = self.DIMS
+        reference = tmp_path / "oracle.dat"
+        self._write(oracle.mpiio_write_collective, reference, nranks)
+        for backend in ("thread", "process"):
+            path = tmp_path / f"shared_{nranks}_{backend}.dat"
+            out = self._write(mpiio_write_collective, path, nranks, backend)
+            expected = np.zeros(dims)
+            total_written = 0
+            for ext, block, written in out:
+                expected[
+                    ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1
+                ] = block
+                total_written += written
+            assert total_written == dims[0] * dims[1] * dims[2] * 8
+            assert path.read_bytes() == reference.read_bytes(), backend
+            whole = Extent(0, dims[0] - 1, 0, dims[1] - 1, 0, dims[2] - 1)
+            got = mpiio_read_block(path, whole)
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("nranks", sorted(RUN_SHAPE))
+    def test_runs_per_layout(self, nranks):
+        """One run per i-slab, ``ni`` per plane layout, ``ni * nj`` when
+        strided: the request count behind Table 1, held without timing.
+        The runs tile the block in order, each at its first element's
+        canonical file offset."""
+        _, ny, nz = self.DIMS
+        for rank in range(nranks):
+            ext, _, _ = regular_decompose_3d(self.DIMS, nranks, rank)
+            ni, nj, nk = ext.shape
+            runs = list(_runs(ext, ny, nz, 8))
+            expected = {"slab": 1, "plane": ni, "row": ni * nj}[self.RUN_SHAPE[nranks]]
+            assert len(runs) == expected
+            assert [lo for _, lo, _ in runs] == [0] + [hi for _, _, hi in runs[:-1]]
+            assert runs[-1][2] == ext.num_points * 8
+            for offset, lo, _ in runs:
+                li, lj, lk = np.unravel_index(lo // 8, ext.shape)
+                gi, gj, gk = ext.i0 + li, ext.j0 + lj, ext.k0 + lk
+                assert offset == 512 + ((gi * ny + gj) * nz + gk) * 8
+
+    @given(case=_stored_sub_extents())
+    @settings(max_examples=80, deadline=None)
+    def test_read_equals_oracle_and_slice(self, case):
+        dims, ext, dtype, seed = case
+        field = (np.random.default_rng(seed).random(dims) * 1000).astype(dtype)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "f.dat")
+            with open(path, "wb") as fh:
+                fh.write(_header(dims, field.dtype) + field.tobytes())
+            got = mpiio_read_block(path, ext)
+            np.testing.assert_array_equal(got, oracle.mpiio_read_block(path, ext))
+        assert got.dtype == field.dtype
+        np.testing.assert_array_equal(
+            got, field[ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1]
+        )
+
+    @pytest.mark.parametrize("nranks", [1, 4, 8])
+    def test_short_writes_resume(self, tmp_path, monkeypatch, nranks):
+        """A ``pwrite`` that takes only half of every request still gives
+        the oracle's file: the writer resumes each run where it stopped."""
+        real = os.pwrite
+        monkeypatch.setattr(
+            os, "pwrite", lambda fd, buf, off: real(fd, buf[: (len(buf) + 1) // 2], off)
+        )
+        reference, path = tmp_path / "oracle.dat", tmp_path / "short.dat"
+        self._write(oracle.mpiio_write_collective, reference, nranks)
+        self._write(mpiio_write_collective, path, nranks)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        """A run that comes back short is an error, never uninitialised
+        memory in the returned block, and the file is closed."""
+        path, whole, _ = self._shared_file(tmp_path)
+        real = os.preadv
+        monkeypatch.setattr(
+            os, "preadv", lambda fd, bufs, off: real(fd, [bufs[0][: len(bufs[0]) // 2]], off)
+        )
+        before = _open_fds()
+        with pytest.raises(StorageFormatError, match="short read"):
+            mpiio_read_block(path, whole)
+        assert _open_fds() == before
+
+    def test_failed_data_phase_closes_its_fd(self, tmp_path, monkeypatch):
+        """A write that raises mid-phase leaves no descriptor open."""
+
+        def fail(fd, buf, off):
+            raise OSError("device gone")
+
+        monkeypatch.setattr(os, "pwrite", fail)
+        whole = Extent(0, 3, 0, 2, 0, 1)
+        block = np.ones((4, 3, 2))
+
+        def prog(comm):
+            before = _open_fds()
+            with pytest.raises(OSError, match="device gone"):
+                mpiio_write_collective(comm, tmp_path / "f.dat", block, whole, (4, 3, 2))
+            return before, _open_fds()
+
+        before, after = run_spmd(1, prog)[0]
+        assert after == before
 
     def test_sub_block_read(self, tmp_path):
         dims = (4, 4, 4)
