@@ -696,18 +696,6 @@ class Communicator:
         self._sync()
         return values
 
-    def _own(self, row: Any) -> Any:
-        """A private copy of one exchanged row."""
-        return _copy_payload(row)
-
-    def _view(self, row: Any) -> Any:
-        """One exchanged row, read-only, valid until the collective returns."""
-        return row
-
-    def _fold(self, op: ReduceOp, rows: list[Any]) -> Any:
-        """Rank-order fold: every rank folds identically => identical results."""
-        return op.reduce([self._own(v) for v in rows])
-
     def _child(self, members: list[int], color: int) -> "Communicator | None":
         """The sub-communicator over parent ranks ``members`` (in new-rank
         order); called on every rank of a ``split``, with ``members`` empty
@@ -742,8 +730,10 @@ class Communicator:
 
     def _exchange(self, value: Any, record: "CollectiveRecord") -> list[Any]:
         """Enter one collective: count its bytes, take the straggler draw,
-        then rendezvous.  Rows come back as the fabric holds them -- read
-        them through :meth:`_own`, :meth:`_view` or :meth:`_fold`."""
+        then rendezvous.  Rows come back as the fabric holds them (on
+        threads, the peers' own objects), so every collective hands back
+        private copies, and reductions fold them in rank order: every rank
+        folds identically, so every rank gets an identical result."""
         rec = self._trace_recorder
         if rec is not None:
             rec.count(f"mpi::{record[1]}::bytes", _payload_nbytes(value))
@@ -757,19 +747,19 @@ class Communicator:
 
     def allgather(self, value: Any) -> list[Any]:
         rows = self._exchange(value, self._record("allgather"))
-        return [self._own(v) for v in rows]
+        return _copy_payload(rows)
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
         rows = self._exchange(value, self._record("gather", root=root))
         if self._rank == root:
-            return [self._own(v) for v in rows]
+            return _copy_payload(rows)
         return None
 
     def bcast(self, value: Any, root: int = 0) -> Any:
         rows = self._exchange(
             value if self._rank == root else None, self._record("bcast", root=root)
         )
-        return self._own(rows[root])
+        return _copy_payload(rows[root])
 
     def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
         if self._rank == root:
@@ -781,27 +771,27 @@ class Communicator:
             values if self._rank == root else None,
             self._record("scatter", root=root),
         )
-        return _copy_payload(self._view(rows[root])[self._rank])
+        return _copy_payload(rows[root][self._rank])
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         rows = self._exchange(
             value, self._record("reduce", op=op, root=root, value=value)
         )
         if self._rank == root:
-            return self._fold(op, rows)
+            return op.reduce(_copy_payload(rows))
         return None
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         rows = self._exchange(
             value, self._record("allreduce", op=op, value=value)
         )
-        return self._fold(op, rows)
+        return op.reduce(_copy_payload(rows))
 
     def alltoall(self, values: list[Any]) -> list[Any]:
         if len(values) != self.size:
             raise MPIError("alltoall requires one entry per rank")
         rows = self._exchange(values, self._record("alltoall"))
-        return [_copy_payload(self._view(row)[self._rank]) for row in rows]
+        return [_copy_payload(row[self._rank]) for row in rows]
 
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
@@ -810,7 +800,7 @@ class Communicator:
         )
         if self._rank == 0:
             return None
-        return self._fold(op, rows[: self._rank])
+        return op.reduce(_copy_payload(rows[: self._rank]))
 
     # -- communicator management -------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Communicator | None":

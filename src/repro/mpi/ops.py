@@ -7,7 +7,7 @@ are applied left-to-right in rank order for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -15,19 +15,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ReduceOp:
-    """A named, associative binary reduction operator.
-
-    ``ufunc`` is the elementwise numpy ufunc equivalent to ``fn`` on array
-    operands, when one exists.  It enables in-place array folds
-    (``ufunc(acc, v, out=acc)``) that are bit-identical to the allocating
-    ``fn(acc, v)`` pairwise fold -- the shared-memory collective transport
-    accumulates directly out of peer segments this way.  Custom ops without
-    a ufunc simply take the allocating path everywhere.
-    """
+    """A named, associative binary reduction operator."""
 
     name: str
     fn: Callable[[Any, Any], Any]
-    ufunc: Any = field(default=None, compare=False)
 
     def __call__(self, a: Any, b: Any) -> Any:
         return self.fn(a, b)
@@ -70,7 +61,7 @@ def _max(a, b):
     )
 
 
-SUM = ReduceOp("sum", _sum, np.add)
-PROD = ReduceOp("prod", _prod, np.multiply)
-MIN = ReduceOp("min", _min, np.minimum)
-MAX = ReduceOp("max", _max, np.maximum)
+SUM = ReduceOp("sum", _sum)
+PROD = ReduceOp("prod", _prod)
+MIN = ReduceOp("min", _min)
+MAX = ReduceOp("max", _max)

@@ -12,21 +12,20 @@ one *process* per rank:
   :class:`~repro.mpi.communicator._Mailbox` the thread backend uses, so
   tag/source matching, the pending-envelope non-overtaking rule, and
   sequence-number duplicate suppression are literally the same code).
-  Bulk numpy payloads spill to ``multiprocessing.shared_memory`` segments
-  (:mod:`repro.mpi.shm`) instead of riding the pipe.
+  Bulk numpy payloads spill to consume-once ``multiprocessing.shared_memory``
+  segments (:mod:`repro.mpi.shm`) instead of riding the pipe.
 - **Collectives** replace the thread backend's shared slot array with an
   all-to-all contribution exchange on a dedicated envelope kind.  Every
   rank still sees the full per-rank record row, so the collective-trace
   divergence cross-check raises the same
   :class:`~repro.mpi.communicator.CollectiveMismatchError` on every rank,
   and reductions still fold in rank order -- results are bit-identical to
-  the thread backend.  Large-array contributions never cross the pipes:
-  each rank packs its payload once into a pooled shared-memory segment
-  (:class:`~repro.mpi.shm.SegmentPool`) and ships every peer the same tiny
-  header; peers copy -- or, for reductions, fold in place -- straight out
-  of the segment (:class:`~repro.mpi.shm.ReductionPlan`).  The
-  ``mpi::<kind>::bytes`` counter is split into ``::shm`` and ``::pickled``
-  so traces prove which transport carried the bytes.
+  the thread backend.  A contribution is encoded for each peer by the
+  same :class:`~repro.mpi.shm.PayloadCodec` sends use, so one rule covers
+  both: a bare ndarray at or above the threshold rides a consume-once
+  segment, anything else is pickled.  The ``mpi::<kind>::bytes`` counter
+  is split into ``::shm`` and ``::pickled`` so traces prove which
+  transport carried the bytes.
 - **Faults** are the ``mpi.send`` / ``mpi.collective`` sites the base
   :class:`~repro.mpi.communicator.Communicator` owns; this fabric only
   implements "deliver now" and "deliver later" (delay and drop-retransmit
@@ -65,8 +64,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from repro.mpi.communicator import (
     _HISTORY_LIMIT,
     Communicator,
@@ -74,20 +71,10 @@ from repro.mpi.communicator import (
     MPIError,
     RankAbort,
     _Mailbox,
-    _copy_payload,
     _payload_nbytes,
     _thread_world_rank,
 )
-from repro.mpi.ops import ReduceOp
-from repro.mpi.shm import (
-    RING_DEPTH,
-    AttachCache,
-    PayloadCodec,
-    PoolRef,
-    ReductionPlan,
-    SegmentPool,
-    cleanup_segments,
-)
+from repro.mpi.shm import PayloadCodec, cleanup_segments
 
 #: Communicator id of the world communicator.
 _WORLD_ID = "w"
@@ -132,11 +119,6 @@ class _Runtime:
         self.size = size
         self.queues = queues
         self.codec = PayloadCodec(job_tag, rank)
-        #: Pooled collective transport: this rank's reusable contribution
-        #: segments, and cached attachments to the peers' (see shm.py).
-        self.pool = SegmentPool(job_tag, rank)
-        self.attach = AttachCache()
-        self._pool_gauges: "dict[str, int] | None" = None
         self.abort_reason: str | None = None
         self._states: dict[str, _CommState] = {}
         self._lock = threading.Lock()
@@ -229,25 +211,6 @@ class _Runtime:
             with st.cond:
                 st.cond.notify_all()
 
-    def emit_pool_gauges(self, rec) -> None:
-        """Sample the ``shm::pool::*`` gauges when the counters moved."""
-        counters = self.pool.counters()
-        if counters != self._pool_gauges:
-            self._pool_gauges = counters
-            for name, value in counters.items():
-                rec.gauge(f"shm::pool::{name}", value)
-
-    def release_shm(self) -> None:
-        """Drop this worker's shared-memory mappings before exit.
-
-        Pool segments are closed, not unlinked: a peer still finishing its
-        last collective may attach them after this rank's program returned.
-        The launcher's job-tag sweep unlinks the names once every worker
-        has exited.
-        """
-        self.attach.close()
-        self.pool.close()
-
     def stop(self) -> None:
         # Wake the drainer out of its blocking get and see it exit before
         # the interpreter starts tearing down the queue machinery under it;
@@ -294,9 +257,6 @@ class _ProcessContext:
         self.lock = threading.Lock()
         self.state = runtime.state(cid)
         self.mailboxes = {local_rank: self.state.mailbox}
-        #: Per-communicator fold schedule + preallocated accumulators for
-        #: in-place reductions straight out of peers' pooled segments.
-        self.plan = ReductionPlan()
 
 
 class ProcessCommunicator(Communicator):
@@ -308,8 +268,9 @@ class ProcessCommunicator(Communicator):
     context cross a process boundary.
     """
 
-    def _count_transport(self, stem: str, shm_bytes: int, payload: Any) -> None:
-        """Split a payload's bytes into shm-carried vs. pickled counters.
+    def _count_transport(self, stem: str, spilled: bool, payload: Any) -> None:
+        """Charge a payload's bytes to ``::shm`` when it was spilled to a
+        segment, else to ``::pickled``; the two sum to the unsuffixed total.
 
         Zero-valued samples are skipped to keep traces lean; reports read
         the split with a 0.0 default.
@@ -318,10 +279,8 @@ class ProcessCommunicator(Communicator):
         if rec is None:
             return
         total = _payload_nbytes(payload)
-        if shm_bytes:
-            rec.count(f"{stem}::shm", shm_bytes)
-        if total > shm_bytes:
-            rec.count(f"{stem}::pickled", total - shm_bytes)
+        if total:
+            rec.count(f"{stem}::{'shm' if spilled else 'pickled'}", total)
 
     def _deliver(
         self, dest: int, tag: int, payload: Any, seq: "int | None",
@@ -331,11 +290,7 @@ class ProcessCommunicator(Communicator):
         # Faulted envelopes pickle inline: a duplicated envelope must survive
         # two decodes, which a consume-once shm segment cannot.
         spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
-        self._count_transport(
-            "mpi::send::bytes",
-            _payload_nbytes(payload) if spec[0] == "shm" else 0,
-            payload,
-        )
+        self._count_transport("mpi::send::bytes", spec[0] == "shm", payload)
         for _ in range(copies):
             ctx.runtime.put(
                 ctx.members[dest], ("pt", ctx.cid, self._rank, tag, seq, spec)
@@ -345,7 +300,7 @@ class ProcessCommunicator(Communicator):
         self, dest: int, tag: int, payload: Any, seq: int, delay: float
     ) -> None:
         ctx: _ProcessContext = self._ctx
-        self._count_transport("mpi::send::bytes", 0, payload)
+        self._count_transport("mpi::send::bytes", False, payload)
         dest_world = ctx.members[dest]
         ctx.runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
         ctx.runtime.put_later(
@@ -363,43 +318,26 @@ class ProcessCommunicator(Communicator):
         collecting -- the same eventual-completion semantics real MPI
         collectives have.
 
-        Large-array contributions ride the segment pool: the payload is
-        packed *once* into this rank's pooled segment and every peer gets
-        the same tiny :class:`PoolRef` header -- zero array bytes cross the
-        pipes, and the fault sites see the identical draw sequence they see
-        on the inline path (the envelope payload, not the draw schedule,
-        is what changed).  Peers' headers come back unresolved; the
-        inherited collectives copy (:meth:`_own`) or fold (:meth:`_fold`)
-        straight out of the peers' segments.
+        Each peer gets its own encoding of the contribution, exactly as a
+        send would: a large bare ndarray lands in one consume-once segment
+        per peer, anything else is pickled.  The byte split is counted
+        once per contribution, matching the unsuffixed total ``_exchange``
+        counted.
         """
         ctx: _ProcessContext = self._ctx
-        rec = self._trace_recorder
         runtime = ctx.runtime
         cseq = record[0]
-        stem = f"mpi::{record[1]}::bytes"
-        shared_spec = None
-        if self.size > 1 and runtime.codec.threshold > 0:
-            ref = runtime.pool.pack(
-                (ctx.cid, cseq % RING_DEPTH), value, runtime.codec.threshold
-            )
-            if ref is not None:
-                # One pack, one header for everyone; _snapshot passes the
-                # transport-owned PoolRef through uncopied.
-                shared_spec = runtime.codec.encode(ref)
-                self._count_transport(stem, ref.nbytes, value)
-                if rec is not None:
-                    runtime.emit_pool_gauges(rec)
-        if shared_spec is None and self.size > 1:
-            self._count_transport(stem, 0, value)
         peers = [p for p in range(self.size) if p != self._rank]
+        spilled = False
         for peer in peers:
-            spec = shared_spec
-            if spec is None:
-                spec = runtime.codec.encode(value)
+            spec = runtime.codec.encode(value)
+            spilled = spec[0] == "shm"
             runtime.put(
                 ctx.members[peer],
                 ("coll", ctx.cid, self._rank, cseq, record, spec),
             )
+        if peers:
+            self._count_transport(f"mpi::{record[1]}::bytes", spilled, value)
         records: list = [None] * self.size
         values: list = [None] * self.size
         records[self._rank] = record
@@ -449,39 +387,6 @@ class ProcessCommunicator(Communicator):
                 st.cond.wait(remaining)
         self._check_trace(records)
         return values
-
-    def _own(self, row: Any) -> Any:
-        if isinstance(row, PoolRef):
-            return row.materialize(self._ctx.runtime.attach)
-        return _copy_payload(row)
-
-    def _view(self, row: Any) -> Any:
-        if isinstance(row, PoolRef):
-            return row.view_tree(self._ctx.runtime.attach)
-        return row
-
-    def _fold(self, op: ReduceOp, rows: list[Any]) -> Any:
-        """Rank-order fold of exchanged contributions.
-
-        Same-shape/dtype ndarray rows under a ufunc-backed op fold in
-        place into the communicator's preallocated accumulator, reading
-        peers' contributions as views straight out of their pooled
-        segments (zero copies); the result handed back is a private copy.
-        Everything else takes the allocating ``op.reduce`` path the thread
-        backend uses.  Both paths apply the identical elementwise fold
-        order (rank 0..N-1), so results are bit-identical.
-        """
-        if op.ufunc is not None:
-            views = [self._view(v) for v in rows]
-            first = views[0]
-            if isinstance(first, np.ndarray) and all(
-                isinstance(v, np.ndarray)
-                and v.shape == first.shape
-                and v.dtype == first.dtype
-                for v in views
-            ):
-                return self._ctx.plan.fold(op.ufunc, views, op.name).copy()
-        return super()._fold(op, rows)
 
     def _child(self, members: list[int], color: int):
         """The child communicator id is derived from (parent id, parent
@@ -625,7 +530,6 @@ def _worker_main(rank: int, size: int, queues, result_queue, spec: _WorkerSpec) 
     result_queue.join_thread()
     runtime.flush_timers()
     runtime.stop()
-    runtime.release_shm()
 
 
 # --------------------------------------------------------------------------

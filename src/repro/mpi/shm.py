@@ -4,39 +4,27 @@ The process backend moves rank-to-rank traffic over pickled-envelope pipes
 (:mod:`repro.mpi.process_backend`).  Pickling is fine for control messages
 and small payloads, but simulation fields, halo faces, and framebuffers are
 bulk numpy data -- shipping them through a pipe costs two serialization
-copies plus pipe-buffer churn.  Two shared-memory paths avoid that:
+copies plus pipe-buffer churn.  One shared-memory path avoids that, for
+point-to-point sends and collective contributions alike:
 
-**Consume-once segments** (point-to-point sends): the sender copies the
-array once into a fresh named segment, the envelope carries only the
+**Consume-once segments**: a bare ndarray at or above the threshold is
+copied once into a fresh named segment, the envelope carries only the
 ``(name, shape, dtype)`` descriptor, and the receiver materializes a
 private copy out of the mapping -- preserving the runtime's "ranks never
 alias each other's memory" contract (the zero-copy accounting experiments
-depend on receives being owned buffers).  Lifecycle discipline (POSIX):
-the *consumer* unlinks.
-
-**Pooled segments** (collectives): a :class:`SegmentPool` gives each rank
-a small ring of reusable segments per communicator.  A collective
-contribution is packed *once* into the rank's pooled segment
-(:func:`pool_pack`); every peer receives only a tiny header envelope and
-reads the one segment directly through a bounded :class:`AttachCache` --
-reductions fold in place straight out of the mappings
-(:class:`ReductionPlan`), so large-array collectives serialize **zero**
-array bytes through the pipes.  Reuse is generation-disciplined: the ring
-holds two segments per communicator and collectives are blocking and in
-program order, so by the time a rank reuses the slot from collective
-``k`` at collective ``k + 2`` every peer has necessarily finished reading
-it (a peer contributes to ``k + 1`` only after its call for ``k``
-returned).  Pool segment names embed an incarnation counter, so a grown
-(evicted) slot never aliases a stale peer attachment.
+depend on receives being owned buffers).  Anything else (small arrays,
+tuples, lists, dicts, scalars) is pickled inline with the envelope.  A
+collective contribution is encoded once per peer, so each peer consumes
+its own segment.  Lifecycle discipline (POSIX): the *consumer* unlinks.
 
 ``SharedMemory`` registers every open with the ``multiprocessing``
 resource tracker (a name-keyed set, so the double register from
-create+attach is idempotent) and ``unlink`` unregisters, so a consumed or
-retired segment leaves no tracker residue.  Envelopes that are never
-consumed and pool slots of a crashed worker -- a job aborting mid-flight
--- are swept by the launcher via :func:`cleanup_segments` after every
-worker has exited, so a crashed run cannot leak ``/dev/shm`` entries
-either.
+create+attach is idempotent) and ``unlink`` unregisters, so a consumed
+segment leaves no tracker residue.  Envelopes that are never consumed --
+a job aborting mid-flight, or a peer that raised before entering the
+collective it was sent to -- are swept by the launcher via
+:func:`cleanup_segments` after every worker has exited, so a crashed run
+cannot leak ``/dev/shm`` entries either.
 
 Segment names are deterministic (``repro-shm-<job>-<rank>-<counter>``):
 fault-injection schedules and test assertions never see randomness from
@@ -46,10 +34,11 @@ the transport.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
+
+from repro.mpi.communicator import _copy_payload
 
 #: Every segment this runtime creates carries this prefix, so leak checks
 #: (the test-suite fixture and the CI sweep) can target exactly our names.
@@ -80,35 +69,6 @@ def _shared_memory():
 
 def segment_name(job_tag: str, rank: int, counter: int) -> str:
     return f"{SHM_PREFIX}-{job_tag}-{rank}-{counter}"
-
-
-def _snapshot(payload: Any) -> Any:
-    """Copy numpy buffers at encode time (the send-buffer contract).
-
-    ``mp.Queue`` pickles in a background feeder thread, so an inline array
-    put by reference races with sender-side mutation after ``send()``
-    returns -- e.g. a halo fold that zeroes the plane it just sent.  The
-    thread backend copies at send time (``_copy_payload``); this is the
-    same guarantee for the inline path (the shm path already copies
-    eagerly into the segment).
-
-    Payloads already living in a pooled segment need no defensive copy:
-    the segment is transport-owned, the sender's program cannot mutate it,
-    and its reuse discipline already guarantees stability until every
-    consumer is done -- so :class:`PoolRef` descriptors (and the header
-    tuples inside them) pass through untouched.
-    """
-    if isinstance(payload, PoolRef):
-        return payload
-    if isinstance(payload, np.ndarray):
-        return payload.copy()
-    if isinstance(payload, tuple):
-        return tuple(_snapshot(p) for p in payload)
-    if isinstance(payload, list):
-        return [_snapshot(p) for p in payload]
-    if isinstance(payload, dict):
-        return {k: _snapshot(v) for k, v in payload.items()}
-    return payload
 
 
 def encode_array(array: np.ndarray, name: str) -> tuple:
@@ -155,354 +115,34 @@ class PayloadCodec:
         self.rank = rank
         self.threshold = shm_threshold() if threshold is None else threshold
         self._counter = 0
-        #: Segments this codec created; the launcher sweeps any leftovers.
-        self.created = 0
 
     def encode(self, payload: Any) -> tuple:
-        """``("inline", payload)`` or a ``("shm", ...)`` descriptor."""
+        """``("inline", payload)`` or a ``("shm", ...)`` descriptor.
+
+        Inline payloads are copied at encode time (the send-buffer
+        contract): ``mp.Queue`` pickles in a background feeder thread, so
+        an array put by reference would race with sender-side mutation
+        after ``send()`` returns -- e.g. a halo fold that zeroes the plane
+        it just sent.  The shm path already copies eagerly into the segment.
+        """
         if (
             self.threshold > 0
             and isinstance(payload, np.ndarray)
             and payload.nbytes >= self.threshold
         ):
             self._counter += 1
-            self.created += 1
             name = segment_name(self.job_tag, self.rank, self._counter)
             try:
                 return encode_array(payload, name)
             except (OSError, ValueError):  # pragma: no cover - shm exhausted
                 return ("inline", payload.copy())
-        return ("inline", _snapshot(payload))
+        return ("inline", _copy_payload(payload))
 
     @staticmethod
     def decode(spec: tuple) -> Any:
         if spec[0] == "shm":
             return decode_array(spec)
         return spec[1]
-
-
-# --------------------------------------------------------------------------
-# Pooled segments: the collective transport
-# --------------------------------------------------------------------------
-
-#: Pooled array offsets are aligned to this many bytes (cache line).
-_ALIGN = 64
-
-#: Ring depth per (communicator) pool key.  Two is provably sufficient: a
-#: rank reuses the slot of collective ``k`` at ``k + 2``, and every peer's
-#: contribution to ``k + 1`` certifies it finished reading ``k``.
-RING_DEPTH = 2
-
-
-def _round_capacity(nbytes: int) -> int:
-    """Grow-resistant slot capacity: next power of two, >= one page."""
-    cap = 4096
-    while cap < nbytes:
-        cap <<= 1
-    return cap
-
-
-class PoolRef:
-    """Lazy handle to one rank's pooled collective contribution.
-
-    Crosses the pipe as a tiny header (the packed ``tree`` of descriptors);
-    the receiving rank resolves it against an :class:`AttachCache` --
-    either materializing a private copy (:meth:`materialize`) or handing
-    out read-only views straight into the segment for in-place reduction
-    (:meth:`view_tree`).
-    """
-
-    __slots__ = ("tree", "nbytes")
-
-    def __init__(self, tree: tuple, nbytes: int) -> None:
-        self.tree = tree
-        self.nbytes = nbytes
-
-    def __reduce__(self):
-        return (PoolRef, (self.tree, self.nbytes))
-
-    def materialize(self, cache: "AttachCache") -> Any:
-        """A private (owned) copy of the packed payload."""
-        return _unpack_tree(self.tree, cache, copy=True)
-
-    def view_tree(self, cache: "AttachCache") -> Any:
-        """The packed payload with read-only views into the segment.
-
-        Views are transport-owned and only valid until the enclosing
-        collective call returns; callers must not let them escape.
-        """
-        return _unpack_tree(self.tree, cache, copy=False)
-
-
-def _pack_tree(
-    payload: Any, sink: "Callable[[np.ndarray], tuple] | None", threshold: int
-) -> tuple[Any, int]:
-    """Walk ``payload``; route eligible ndarrays through ``sink``.
-
-    With ``sink=None`` this is the measuring pass: returns the payload
-    unchanged plus the total eligible bytes.  With a sink, eligible arrays
-    are replaced by the descriptor tuples the sink returns, and *small*
-    arrays are defensively copied -- the resulting tree is fully
-    transport-owned, so it may cross the queue's feeder thread by
-    reference (see :func:`_snapshot`).
-    """
-    if isinstance(payload, np.ndarray):
-        if payload.nbytes >= threshold:
-            if sink is None:
-                # Alignment padding is accounted per array.
-                return payload, payload.nbytes + _ALIGN
-            return sink(payload), 0
-        return (payload if sink is None else payload.copy()), 0
-    if isinstance(payload, tuple):
-        parts = [_pack_tree(p, sink, threshold) for p in payload]
-        return tuple(p for p, _ in parts), sum(n for _, n in parts)
-    if isinstance(payload, list):
-        parts = [_pack_tree(p, sink, threshold) for p in payload]
-        return [p for p, _ in parts], sum(n for _, n in parts)
-    if isinstance(payload, dict):
-        parts = {k: _pack_tree(v, sink, threshold) for k, v in payload.items()}
-        return (
-            {k: p for k, (p, _) in parts.items()},
-            sum(n for _, n in parts.values()),
-        )
-    return payload, 0
-
-
-def _unpack_tree(tree: Any, cache: "AttachCache", copy: bool) -> Any:
-    if isinstance(tree, tuple):
-        if len(tree) == 5 and tree[0] == "pslice":
-            _, name, offset, shape, dtype = tree
-            view = cache.view(name, offset, shape, dtype)
-            return np.array(view, copy=True) if copy else view
-        return tuple(_unpack_tree(t, cache, copy) for t in tree)
-    if isinstance(tree, list):
-        return [_unpack_tree(t, cache, copy) for t in tree]
-    if isinstance(tree, dict):
-        return {k: _unpack_tree(v, cache, copy) for k, v in tree.items()}
-    return tree
-
-
-class SegmentPool:
-    """Ring allocator of reusable shared-memory segments, one ring per key.
-
-    Keys are opaque (the process backend uses ``(communicator id, seq %
-    RING_DEPTH)``).  ``acquire`` reuses the keyed slot when its capacity
-    suffices (*hit*), creates it on first use (*miss*), and replaces it
-    with a larger incarnation when the payload outgrew it (*evict*) --
-    each incarnation gets a fresh deterministic name so a peer's stale
-    cached attachment can never alias new data.  Counters feed the
-    ``shm::pool::*`` trace gauges.
-    """
-
-    def __init__(self, job_tag: str, rank: int) -> None:
-        self.job_tag = job_tag
-        self.rank = rank
-        self._slots: dict[Any, tuple[Any, str, int]] = {}  # key -> (seg, name, cap)
-        self._incarnation = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes_packed = 0
-
-    def acquire(self, key: Any, nbytes: int) -> "tuple[Any, str] | None":
-        """The keyed segment with capacity >= ``nbytes``; None if shm fails."""
-        slot = self._slots.get(key)
-        if slot is not None and slot[2] >= nbytes:
-            self.hits += 1
-            return slot[0], slot[1]
-        shared_memory = _shared_memory()
-        if slot is not None:
-            self.evictions += 1
-            seg, _, _ = slot
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already swept
-                pass
-            del self._slots[key]
-        else:
-            self.misses += 1
-        cap = _round_capacity(nbytes)
-        self._incarnation += 1
-        name = segment_name(self.job_tag, self.rank, f"pool{self._incarnation:x}")
-        try:
-            seg = shared_memory.SharedMemory(name=name, create=True, size=cap)
-        except (OSError, ValueError):  # pragma: no cover - shm exhausted
-            return None
-        self._slots[key] = (seg, name, cap)
-        return seg, name
-
-    def pack(self, key: Any, payload: Any, threshold: int) -> "PoolRef | None":
-        """Pack ``payload``'s large arrays into the keyed pooled segment.
-
-        Returns a :class:`PoolRef` header (small arrays and non-array
-        leaves stay inline inside it), or None when nothing is eligible or
-        shared memory is unavailable -- callers fall back to the
-        consume-once/inline codec path.
-        """
-        _, eligible = _pack_tree(payload, None, threshold)
-        if eligible == 0:
-            return None
-        acquired = self.acquire(key, eligible)
-        if acquired is None:  # pragma: no cover - shm exhausted
-            return None
-        seg, name = acquired
-        cursor = 0
-        exact = 0
-
-        def sink(arr: np.ndarray) -> tuple:
-            nonlocal cursor, exact
-            offset = -(-cursor // _ALIGN) * _ALIGN
-            data = np.ascontiguousarray(arr)
-            dst = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf, offset=offset)
-            dst[...] = data
-            cursor = offset + data.nbytes
-            exact += data.nbytes
-            return ("pslice", name, offset, data.shape, str(data.dtype))
-
-        tree, _ = _pack_tree(payload, sink, threshold)
-        self.bytes_packed += exact
-        return PoolRef(tree, exact)
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes_packed": self.bytes_packed,
-        }
-
-    def close(self) -> None:
-        """Drop this process's mappings; ``/dev/shm`` entries stay.
-
-        Workers call this at exit *instead of* unlinking: a peer may still
-        be attaching this rank's last-collective segment after this rank's
-        program returned, and an unlinked name would fail that attach.
-        The launcher sweeps the names once every worker has exited.
-        """
-        for seg, _, _ in self._slots.values():
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover - view still live
-                pass
-        self._slots.clear()
-
-    def release(self) -> None:
-        """Unlink every owned slot (single-owner/test use; idempotent)."""
-        for seg, _, _ in self._slots.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except (FileNotFoundError, BufferError):  # pragma: no cover
-                pass
-        self._slots.clear()
-
-
-class AttachCache:
-    """Bounded LRU of peer-segment attachments, keyed by segment name.
-
-    Attaching (mmap + resource-tracker round trip) per collective would
-    dominate small-array costs; pooled segment names are stable across a
-    ring's lifetime, so caching the attachment amortizes it to one mmap
-    per (peer, communicator, incarnation).  Evicted and closed attachments
-    only drop this process's mapping -- the owner's unlink governs the
-    ``/dev/shm`` entry itself.
-    """
-
-    def __init__(self, limit: int = 64) -> None:
-        self.limit = limit
-        self._cache: "OrderedDict[str, Any]" = OrderedDict()
-
-    def view(
-        self, name: str, offset: int, shape: tuple, dtype: str
-    ) -> np.ndarray:
-        """Read-only ndarray view into the named segment."""
-        seg = self._cache.get(name)
-        if seg is None:
-            shared_memory = _shared_memory()
-            seg = shared_memory.SharedMemory(name=name)
-            self._cache[name] = seg
-            while len(self._cache) > self.limit:
-                _, old = self._cache.popitem(last=False)
-                try:
-                    old.close()
-                except BufferError:  # pragma: no cover - view still live
-                    pass
-        else:
-            self._cache.move_to_end(name)
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf, offset=offset)
-        view.flags.writeable = False
-        return view
-
-    def close(self) -> None:
-        for seg in self._cache.values():
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover - view still live
-                pass
-        self._cache.clear()
-
-
-class ReductionPlan:
-    """Per-communicator plan for folding pooled contributions in place.
-
-    Bit-identity with the thread backend pins the *fold order*: every
-    element must accumulate contributions in rank order ``0..N-1`` (float
-    addition is not associative, and the cross-backend equivalence matrix
-    asserts bit-identical results).  Under shared memory that still leaves
-    the *schedule* free: each rank owns one segment every peer can read
-    directly, so the classic ring/tree data movement degenerates to depth-1
-    direct reads -- the plan's job is choosing the fold blocking and
-    owning the preallocated accumulators.
-
-    - ``flat``: one pass per peer over the whole array.  Best when the
-      array fits in cache.
-    - ``blocked``: the array is folded in ~256 KiB blocks, all ranks per
-      block, so the accumulator block stays cache-resident across the
-      whole rank sweep.  Element fold order is unchanged (still
-      ``0..N-1``), so results stay bit-identical; only locality differs.
-
-    Accumulators are preallocated per ``(op, shape, dtype)`` and reused
-    across steps; they are transport-owned, so callers hand user code a
-    private copy (the "ranks never alias" contract).
-    """
-
-    #: Arrays larger than this fold block-by-block.
-    BLOCK_BYTES = 1 << 18
-
-    def __init__(self) -> None:
-        self._accumulators: dict[tuple, np.ndarray] = {}
-
-    def strategy(self, nbytes: int) -> str:
-        return "blocked" if nbytes > self.BLOCK_BYTES else "flat"
-
-    def accumulator(self, op_name: str, shape: tuple, dtype) -> np.ndarray:
-        key = (op_name, tuple(shape), np.dtype(dtype).str)
-        acc = self._accumulators.get(key)
-        if acc is None:
-            acc = self._accumulators[key] = np.empty(shape, dtype=dtype)
-        return acc
-
-    def fold(self, ufunc, values: list[np.ndarray], op_name: str) -> np.ndarray:
-        """Rank-order in-place fold; returns the transport-owned accumulator."""
-        first = values[0]
-        acc = self.accumulator(op_name, first.shape, first.dtype)
-        if self.strategy(first.nbytes) == "flat" or first.ndim == 0:
-            acc[...] = first
-            for v in values[1:]:
-                ufunc(acc, v, out=acc)
-            return acc
-        flat_acc = acc.reshape(-1)
-        flats = [v.reshape(-1) for v in values]
-        block = max(1, self.BLOCK_BYTES // max(1, first.itemsize))
-        n = flat_acc.shape[0]
-        for b0 in range(0, n, block):
-            b1 = min(n, b0 + block)
-            dst = flat_acc[b0:b1]
-            dst[...] = flats[0][b0:b1]
-            for v in flats[1:]:
-                ufunc(dst, v[b0:b1], out=dst)
-        return acc
 
 
 def list_segments(job_tag: str | None = None) -> list[str]:

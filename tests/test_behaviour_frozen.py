@@ -28,6 +28,7 @@ from repro.infrastructure import CatalystAdaptor
 from repro.infrastructure.adios import run_flexpath_job
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
+from repro.mpi import shm
 from repro.mpi.communicator import Communicator
 from repro.mpi.process_backend import ProcessCommunicator
 from repro.perf import ControlConfig
@@ -193,6 +194,18 @@ def test_process_backend_overrides_no_public_method():
     assert overridden == []
     assert all(n in vars(Communicator) for n in _PUBLIC)
     assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters
+
+
+def test_process_fabric_is_four_hooks_over_one_shm_path():
+    """The process fabric is the four seam hooks plus its byte-counter
+    split, and collectives share the consume-once segments sends use: no
+    pooled collective ring comes back."""
+    defined = {n for n, v in vars(ProcessCommunicator).items() if inspect.isfunction(v)}
+    assert defined == {
+        "_deliver", "_deliver_later", "_rendezvous", "_child", "_count_transport",
+    }
+    for gone in ("SegmentPool", "PoolRef", "AttachCache", "ReductionPlan"):
+        assert not hasattr(shm, gone), gone
 
 
 # -- structure: every controller axis reaches the running program ------------

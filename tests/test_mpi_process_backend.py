@@ -194,9 +194,12 @@ class TestSharedMemoryTransport:
 
     def test_segments_swept_after_aborted_job(self):
         """A job that dies with envelopes in flight must not leak segments:
-        the launcher sweeps the job's namespace after reaping workers."""
+        the launcher sweeps the job's namespace after reaping workers.  Two
+        shapes: unmatched sends, and collective contributions (one segment
+        per peer) sent to a rank that raised before entering the
+        collective."""
 
-        def prog(comm):
+        def unmatched_sends(comm):
             big = np.ones(100_000, dtype=np.float64)
             # Unmatched sends: the receiver dies before consuming them.
             comm.send(big, dest=(comm.rank + 1) % comm.size)
@@ -204,12 +207,19 @@ class TestSharedMemoryTransport:
                 raise RuntimeError("die with payloads in flight")
             comm.barrier()
 
-        with pytest.raises(SPMDError):
-            run_spmd(3, prog, backend="process", timeout=30.0)
-        deadline = time.monotonic() + 5.0
-        while shm_mod.list_segments() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert shm_mod.list_segments() == []
+        def unentered_allreduce(comm):
+            if comm.rank == 0:
+                raise RuntimeError("die before the collective")
+            comm.allreduce(np.ones(100_000, dtype=np.float64))  # 800 KB
+
+        for prog in (unmatched_sends, unentered_allreduce):
+            with pytest.raises(SPMDError) as ei:
+                run_spmd(3, prog, backend="process", timeout=30.0)
+            assert set(ei.value.failures) == {0}, prog.__name__
+            deadline = time.monotonic() + 5.0
+            while shm_mod.list_segments() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert shm_mod.list_segments() == [], prog.__name__
 
     def test_threshold_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPMD_SHM_THRESHOLD", raising=False)
@@ -317,12 +327,10 @@ class TestCrossBoundaryMerging:
 
         def transport_specific(name):
             # The process backend additionally splits every payload-bytes
-            # counter by transport (shm segments vs. pickled envelopes) and
-            # gauges its segment pool; the thread backend has no transport,
-            # so those names are legitimately process-only.
-            return name.endswith(("::shm", "::pickled")) or name.startswith(
-                "shm::pool::"
-            )
+            # counter by transport (shm segments vs. pickled envelopes); the
+            # thread backend has no transport, so those names are
+            # legitimately process-only.
+            return name.endswith(("::shm", "::pickled"))
 
         for rank in p.ranks:
             rt, rp = t.recorder(rank), p.recorder(rank)

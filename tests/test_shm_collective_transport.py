@@ -1,16 +1,19 @@
-"""Cross-transport equivalence for pooled shared-memory collectives.
+"""Cross-transport equivalence for shared-memory collectives.
 
-The process backend ships ndarray collective contributions three ways:
-pickled inline envelopes (below the spill threshold), pooled shared-memory
-segments (at or above it), and -- on the thread backend -- no transport at
-all.  The contract is that the choice is *invisible*: every collective
-returns bit-identical results on all three, including Fortran-order and
-non-contiguous inputs, and large-array collectives serialize zero array
-bytes (the ``mpi::<kind>::bytes::{shm,pickled}`` counter split proves it).
+The process backend ships collective contributions the way it ships sends:
+a bare ndarray at or above the spill threshold rides one consume-once
+shared-memory segment per peer, anything else (smaller arrays, tuples,
+lists, scalars) a pickled inline envelope; on the thread backend there is
+no transport at all.  The contract is that the choice is *invisible*: every
+collective returns bit-identical results on all three, including
+Fortran-order and non-contiguous inputs, and bare large-array
+contributions serialize zero array bytes (the
+``mpi::<kind>::bytes::{shm,pickled}`` counter split proves it).
 
 The transports are forced through ``REPRO_SPMD_SHM_THRESHOLD``: ``1``
-pools every array, ``0`` disables the segment path entirely, unset leaves
-the 64 KiB default (the mixed production configuration).
+spills every non-empty bare array, ``0`` disables the segment path
+entirely, unset leaves the 64 KiB default (the mixed production
+configuration).
 """
 
 import os
@@ -100,8 +103,8 @@ class TestTransportEquivalence:
 
     @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
     def test_every_collective_bit_identical(self, layout):
-        """All collectives, 512 KiB payloads (pooled under the default
-        threshold), across all four transports."""
+        """All collectives, 512 KiB payloads (bare arrays ride segments
+        under the default threshold), across all four transports."""
         n = 65536  # 512 KiB of float64
 
         def prog(comm):
@@ -128,7 +131,7 @@ class TestTransportEquivalence:
 
     def test_mixed_payload_trees_bit_identical(self):
         """Tuples mixing large arrays, small arrays, and scalars: the
-        packer pools the big leaves, inlines the rest."""
+        whole tree is pickled, whatever its leaves weigh."""
 
         def prog(comm):
             big = np.full(20000, float(comm.rank + 1))
@@ -144,10 +147,12 @@ class TestTransportEquivalence:
 
 class TestZeroSerialization:
     def test_large_collectives_pickle_zero_array_bytes(self):
-        """The headline perf claim: with pooling on, no array byte of a
-        large-ndarray collective crosses a pipe.  The per-kind byte
-        counters are split by transport; the pickled share must be zero
-        and the shm share must carry the full payload."""
+        """No array byte of a bare large-ndarray contribution crosses a
+        pipe.  The per-kind byte counters are split by transport; for bare
+        arrays the pickled share must be zero and the shm share must carry
+        the full payload, counted once per contribution however many peers
+        got a segment.  ``alltoall`` contributes a list, which is pickled
+        like any other container."""
         n = 65536  # 512 KiB, far above the 64 KiB default threshold
         kinds = ("allreduce", "allgather", "gather", "bcast", "alltoall")
 
@@ -171,12 +176,17 @@ class TestZeroSerialization:
                     assert total == 0, (rank, kind)
                 else:
                     assert total >= n * 8, (rank, kind)
-                assert rec.total(f"{stem}::pickled") == 0, (rank, kind)
-                assert rec.total(f"{stem}::shm") == total, (rank, kind)
+                shm = rec.total(f"{stem}::shm")
+                pickled = rec.total(f"{stem}::pickled")
+                assert shm + pickled == total, (rank, kind)
+                if kind == "alltoall":
+                    assert shm == 0, rank
+                else:
+                    assert pickled == 0, (rank, kind)
 
     def test_small_collectives_ride_pickled_envelopes(self):
-        """Below the threshold the pool must stay out of the way: all
-        bytes pickled, none mapped."""
+        """Below the threshold segments stay out of the way: all bytes
+        pickled, none mapped."""
 
         def prog(comm):
             comm.allreduce(np.arange(16, dtype=np.float64) + comm.rank)
@@ -189,24 +199,6 @@ class TestZeroSerialization:
             assert total == 16 * 8
             assert rec.total("mpi::allreduce::bytes::shm") == 0
             assert rec.total("mpi::allreduce::bytes::pickled") == total
-
-    def test_pool_gauges_report_ring_reuse(self):
-        """A step loop reusing one (comm, slot) ring must show pool hits
-        dominating misses: RING_DEPTH misses per shape, hits thereafter."""
-
-        def prog(comm):
-            a = np.full(20000, float(comm.rank))
-            for _ in range(6):
-                comm.allreduce(a)
-
-        sess = TraceSession("pool-gauges")
-        _run("process-default", prog, trace=sess)
-        for rank in sess.ranks:
-            rec = sess.recorder(rank)
-            assert rec.total("shm::pool::misses") == 2  # ring depth
-            assert rec.total("shm::pool::hits") == 4
-            assert rec.total("shm::pool::evictions") == 0
-            assert rec.total("shm::pool::bytes_packed") == 6 * 20000 * 8
 
 
 class TestRaggedPayloads:
@@ -269,7 +261,7 @@ class TestRaggedPayloads:
             assert got == ref, transport
 
     def test_empty_arrays_never_allocate_segments(self):
-        """Even with pooling forced on for every array (threshold 1), a
+        """Even with segments forced on for every array (threshold 1), a
         zero-length contribution must stay on the inline pickle path:
         0-byte shm segments are invalid and must never be created."""
 
@@ -290,28 +282,9 @@ class TestRaggedPayloads:
             for kind in ("allgather", "send"):
                 assert rec.total(f"mpi::{kind}::bytes::shm") == 0, (rank, kind)
 
-    def test_large_ragged_leaves_ride_shm(self):
-        """The counterpart: a rank's non-empty migration payload above the
-        threshold must map through the pool, not the pickle stream."""
-
-        def prog(comm):
-            n = 0 if comm.rank == 0 else 20000
-            payload = (np.arange(n, dtype=np.int64), np.full(n, 1.0))
-            comm.allgather(payload)
-
-        sess = TraceSession("ragged-mixed")
-        _run("process-default", prog, trace=sess)
-        shm_bytes = {
-            rank: sess.recorder(rank).total("mpi::allgather::bytes::shm")
-            for rank in sess.ranks
-        }
-        assert shm_bytes[0] == 0  # empty contribution: nothing to map
-        for rank in (1, 2):
-            assert shm_bytes[rank] == 20000 * 16, rank
-
     def test_nbody_migration_state_identical_across_transports(self):
         """End to end: the particle app's migrated global state is
-        bit-identical whether migration payloads ride pooled segments,
+        bit-identical whether migration payloads ride shm segments,
         pickled envelopes, or thread-shared memory."""
         from repro.apps.nbody import NBodySimulation
         from repro.data import ParticleSet
@@ -339,7 +312,7 @@ class TestChaosWithShmCollectives:
     def test_chaos_artifacts_invariant_to_transport(self, tmp_path):
         """Regression gate for the fault-injection draw order: the chaos
         pipeline's artifacts must be byte-identical on the process backend
-        whether collectives ride pooled segments or pickled envelopes."""
+        whether collectives ride shm segments or pickled envelopes."""
         dirs = {}
         previous = os.environ.get("REPRO_SPMD_SHM_THRESHOLD")
         os.environ["REPRO_SPMD_BACKEND"] = "process"
