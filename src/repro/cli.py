@@ -9,7 +9,6 @@
     python -m repro analyze src/      # CFG/dataflow static analyzer
     python -m repro chaos --seed 42   # seeded fault-injection harness
     python -m repro nbody --ranks 2   # particle miniapp through all 4 infras
-    python -m repro control --seed 7  # online-autotuning closed-loop demo
     python -m repro serve --socket /tmp/repro.sock --tenants a,b --secret s
     python -m repro submit --socket /tmp/repro.sock --tenant a --secret s
     python -m repro report trace.json # Sec. 4.1.1 phase breakdown of a trace
@@ -124,25 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "SPMD execution backend (default: REPRO_SPMD_BACKEND or "
             "thread); reports are byte-identical across backends"
-        ),
-    )
-    chaos.add_argument(
-        "--controller",
-        action="store_true",
-        help=(
-            "gate staging attempts with the online autotuning controller "
-            "(repro.control) instead of the circuit breaker and write its "
-            "decision journal alongside the recovery report"
-        ),
-    )
-    chaos.add_argument(
-        "--sense",
-        choices=("outcomes", "spans"),
-        default="outcomes",
-        help=(
-            "controller verify feed: discrete staging outcomes (seed-"
-            "deterministic journal) or measured per-phase spans via the "
-            "live trace sensor (group-reduced; wall-clock-dependent)"
         ),
     )
     serve = sub.add_parser(
@@ -292,54 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "thread); manifests are byte-identical across backends"
         ),
     )
-    control = sub.add_parser(
-        "control",
-        help=(
-            "run the online-autotuning closed-loop demo: a modeled plant "
-            "under an injected mid-run staging-bandwidth derating; the "
-            "controller must degrade FlexPath->Catalyst, hold the latency "
-            "SLO, probe, and recover (deterministic: same seed => "
-            "byte-identical decision journal)"
-        ),
-    )
-    control.add_argument("--seed", type=int, default=7, help="controller seed")
-    control.add_argument(
-        "--steps", type=int, default=36, help="simulation steps"
-    )
-    control.add_argument(
-        "--writers", type=int, default=3, help="writer-group size"
-    )
-    control.add_argument(
-        "--slo",
-        type=float,
-        default=0.65,
-        help="latency SLO: max writer-visible seconds per step",
-    )
-    control.add_argument(
-        "--derate",
-        type=float,
-        default=0.98,
-        help="injected staging-fabric bandwidth derating during the outage",
-    )
-    control.add_argument(
-        "--outage",
-        type=int,
-        nargs=2,
-        default=(10, 25),
-        metavar=("FIRST", "END"),
-        help="half-open step window of the injected derating",
-    )
-    control.add_argument(
-        "--out",
-        default=None,
-        help="artifact directory (decision journal, timeline, summary)",
-    )
-    control.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="SPMD execution backend; journals are byte-identical across both",
-    )
     return parser
 
 
@@ -355,17 +287,16 @@ def _chaos_main(args) -> int:
             ready_timeout=args.ready_timeout,
             checkpoint_interval=args.checkpoint_interval,
             backend=args.backend,
-            controller=args.controller,
-            sense=args.sense,
             app=args.app,
         )
+    except ValueError as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
     except ChaosError as exc:
         print(f"chaos run failed accounting checks: {exc}", file=sys.stderr)
         return 1
     print(render_report(report))
     print(f"recovery report: {args.out}/recovery_report.json")
-    if args.controller:
-        print(f"decision journal: {args.out}/decision_journal.json")
     return 0
 
 
@@ -417,32 +348,6 @@ def _nbody_main(args) -> int:
     )
     print(f"artifact manifest: {args.out}/manifest.json")
     print(f"trace: {trace_path}; phase report: {report_path}")
-    return 0
-
-
-def _control_main(args) -> int:
-    from repro.control import run_control_demo
-
-    result = run_control_demo(
-        seed=args.seed,
-        steps=args.steps,
-        writers=args.writers,
-        slo_seconds=args.slo,
-        derate=args.derate,
-        derate_window=tuple(args.outage),
-        out_dir=args.out,
-        backend=args.backend,
-    )
-    print("\n".join(result["timeline"]))
-    s = result["summary"]
-    print(
-        f"\ndegraded at step {s['degraded_at']}, recovered at step "
-        f"{s['recovered_at']}; SLO ({s['slo_seconds']}s) exceeded on "
-        f"{len(s['steps_over_slo'])}/{s['steps']} steps "
-        f"(outage spanned {s['outage_steps']})"
-    )
-    if args.out:
-        print(f"decision journal: {args.out}/decision_journal.json")
     return 0
 
 
@@ -616,8 +521,6 @@ def main(argv: list[str] | None = None) -> int:
         return _chaos_main(args)
     if args.command == "nbody":
         return _nbody_main(args)
-    if args.command == "control":
-        return _control_main(args)
     if args.command == "serve":
         return _serve_main(args)
     if args.command == "submit":

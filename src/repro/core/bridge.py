@@ -44,7 +44,6 @@ class Bridge:
         memory: "MemoryTracker | None" = None,
         sanitize: bool = False,
         trace: "TraceRecorder | None" = None,
-        controller=None,
     ) -> None:
         self.comm = comm
         self.data_adaptor = data_adaptor
@@ -69,12 +68,6 @@ class Bridge:
             from repro.sanitize import GuardedDataAdaptor as _Guard
 
             self._guard = _Guard(data_adaptor)
-        # Optional online autotuning controller (repro.control): attached
-        # to the trace recorder's live span feed; its end_step() hook runs
-        # at every step boundary.  One `is not None` check when disabled.
-        self._controller = controller
-        if controller is not None and self.trace is not None:
-            controller.attach(self.trace)
         self._analyses: list[AnalysisAdaptor] = []
         #: Sanitize mode: timers some bridge phase started and left running.
         #: A timer already running when a phase is *entered* is the caller's
@@ -135,10 +128,6 @@ class Bridge:
                     with timed(self.timers, f"sensei::execute::{a.name}"):
                         keep_going = a.execute(self.data_adaptor) and keep_going
             self.data_adaptor.release_data()
-        if self._controller is not None:
-            # Step boundary: the controller drains this step's spans and
-            # may reconfigure its actuators before the next step begins.
-            self._controller.end_step(step)
         return keep_going
 
     def _execute_sanitized(self, time: float, step: int) -> bool:

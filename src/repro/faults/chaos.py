@@ -14,7 +14,10 @@ byte-identical artifacts.
 
 ``ready_timeout`` is the one wall-clock-sensitive knob: it must comfortably
 exceed a healthy endpoint's per-round latency (milliseconds here) or a
-loaded machine could degrade a step spuriously and perturb the report.
+loaded machine could degrade a step spuriously and perturb the report.  An
+endpoint that is slow rather than dead never opens the breaker: its late
+READY token is kept for the next attempt, so failed and successful
+attempts alternate and every failure pays the full timeout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.bridge import Bridge
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.injector import FaultInjector, InjectedRankDeath
 from repro.faults.plan import FaultPlan, chaos_plan
-from repro.faults.policies import CircuitBreaker, RetryPolicy
+from repro.faults.policies import RetryPolicy
 from repro.infrastructure.adios import StagingResilience, run_flexpath_job
 from repro.infrastructure.catalyst import CatalystAdaptor
 from repro.miniapp.oscillator import default_oscillators
@@ -65,8 +68,6 @@ def run_chaos(
     timeout: float = 60.0,
     plan: FaultPlan | None = None,
     backend: str | None = None,
-    controller: bool = False,
-    sense: str = "outcomes",
     app: str = "oscillator",
 ) -> dict[str, Any]:
     """Run the seeded chaos job; returns (and writes) the recovery report.
@@ -76,16 +77,11 @@ def run_chaos(
     ``backend`` selects the SPMD execution backend ("thread"/"process");
     fault draws are counter-hashed per (site, rank, occurrence), so the
     recovery report and artifacts are byte-identical across backends for
-    the same seed.  Raises :class:`ChaosError` if the job completes but a
-    step goes unaccounted for.
-
-    With ``controller=True`` the circuit breaker's attempt/skip policy is
-    replaced by the online autotuning controller (:mod:`repro.control`) in
-    discrete-outcome mode: staging attempts are gated by its adopted
-    placement and seeded probes, the in-line fallback's PNG worker count
-    becomes its actuator, and every writer's decision journal --
-    which must be identical across the group -- is written to
-    ``decision_journal.json`` alongside the recovery report.
+    the same seed.  Raises :class:`ValueError` for a bad argument before
+    any rank starts, and :class:`ChaosError` if the job completes but a
+    step goes unaccounted for.  Every writer gates staging with a
+    :class:`~repro.faults.CircuitBreaker`, whose state is reported per
+    writer.
 
     ``app`` selects the simulation under test: the grid-shaped
     ``"oscillator"`` miniapp (default) or the ``"nbody"`` particle miniapp,
@@ -93,24 +89,19 @@ def run_chaos(
     variable-length traffic.  For nbody the checkpoint interval is forced
     to 1: recovery must never replay a step that communicates, so the
     retained snapshot has to be the step immediately before any death.
-
-    ``sense`` picks the controller's verify feed: ``"outcomes"`` (default)
-    observes only the discrete staged/degraded consensus, which keeps the
-    journal a pure function of the seed (byte-identical across repeat
-    runs -- what CI's chaos-smoke diffs); ``"spans"`` additionally attaches
-    a :class:`~repro.control.sensor.SpanSensor` to each writer's trace
-    recorder, so decisions also see measured per-phase seconds
-    (group-reduced, hence still identical across the writer group within
-    one run, but wall-clock-dependent across runs).
     """
-    if sense not in ("outcomes", "spans"):
-        raise ValueError(f"sense must be 'outcomes' or 'spans', got {sense!r}")
     if app not in ("oscillator", "nbody"):
         raise ValueError(f"app must be 'oscillator' or 'nbody', got {app!r}")
     if ranks < 2:
         raise ValueError("chaos needs at least 2 ranks (1 writer + 1 endpoint)")
     if steps < 3:
         raise ValueError("chaos needs at least 3 steps")
+    if not ready_timeout > 0:
+        raise ValueError(f"ready_timeout must be > 0, got {ready_timeout}")
+    if checkpoint_interval < 1:
+        raise ValueError(
+            f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
+        )
     n_writers = ranks - 1
     if app == "nbody":
         # Recovery for the particle app must never *replay* steps: a
@@ -193,21 +184,10 @@ def run_chaos(
         return out
 
     def resilience_factory(group):
-        fallback = _make_catalyst(out_dir, "inline", slice_index, array)
-        policy = CircuitBreaker(failure_threshold=2, probe_interval=4)
-        if controller:
-            from repro.control import Controller
-
-            policy = Controller(seed=seed, group=group, mode=sense)
-            if sense == "spans":
-                rec = getattr(group, "trace_recorder", None)
-                if rec is not None:
-                    policy.attach(rec)
-            policy.register_actuator(
-                lambda old, new: fallback.reconfigure(png_workers=new.png_workers)
-            )
         return StagingResilience(
-            group, ready_timeout=ready_timeout, policy=policy, fallback=fallback
+            group,
+            ready_timeout=ready_timeout,
+            fallback=_make_catalyst(out_dir, "inline", slice_index, array),
         )
 
     job = run_flexpath_job(
@@ -285,9 +265,7 @@ def _build_report(seed, ranks, steps, injector, trace, job, out_dir):
                 "replayed_steps": w["replayed_steps"],
                 "checkpoint_saves": w["checkpoint_saves"],
                 "checkpoint_restores": w["checkpoint_restores"],
-                # A breaker policy reports per writer; a controller's
-                # journal is reported once for the group, below.
-                **({"breaker": f["breaker"]} if "breaker" in f else {}),
+                "breaker": f["breaker"],
             }
             for w, f in zip(writers, flex)
         ],
@@ -306,22 +284,6 @@ def _build_report(seed, ranks, steps, injector, trace, job, out_dir):
         "trace_counters": dict(sorted(counters.items())),
         "completed": True,
     }
-    ctrl = [f.get("controller") for f in flex]
-    if any(c is not None for c in ctrl):
-        texts = [
-            json.dumps(c["journal"], indent=2, sort_keys=True) for c in ctrl
-        ]
-        journal = ctrl[0]["journal"]
-        report["controller"] = {
-            "final_config": ctrl[0]["final_config"],
-            "decisions": len(journal["decisions"]),
-            "actions": [
-                [d["step"], d["action"]]
-                for d in journal["decisions"]
-                if d["action"] != "hold"
-            ],
-            "journals_identical": len(set(texts)) == 1,
-        }
     return report
 
 
@@ -351,12 +313,6 @@ def _check_accounting(report, steps, n_writers):
             f"{acct['lost_in_flight']} staged rounds lost in flight; a "
             "single endpoint disconnect can strand at most one"
         )
-    ctrl = report.get("controller")
-    if ctrl is not None and not ctrl["journals_identical"]:
-        raise ChaosError(
-            "controller decision journals diverged across the writer "
-            "group -- lockstep consensus should make them byte-identical"
-        )
 
 
 def _write_artifacts(report, job, out_dir):
@@ -364,16 +320,6 @@ def _write_artifacts(report, job, out_dir):
         os.path.join(out_dir, "recovery_report.json"), "w", encoding="utf-8"
     ) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    if report.get("controller") is not None:
-        writers = sorted(job.writer_results, key=lambda w: w["rank"])
-        journal = writers[0]["results"]["AdiosFlexPathWriter"]["controller"][
-            "journal"
-        ]
-        with open(
-            os.path.join(out_dir, "decision_journal.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(journal, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     # Rank 0's histogram history: the in-line analysis that must survive
     # every injected fault byte-for-byte.
     hist = job.writer_results and sorted(
@@ -418,13 +364,4 @@ def render_report(report: dict[str, Any]) -> str:
         f"(checkpoint restores {acct['checkpoint_restores']})",
         "  all steps accounted for: yes",
     ]
-    ctrl = report.get("controller")
-    if ctrl is not None:
-        acts = (
-            ", ".join(f"step {s}: {a}" for s, a in ctrl["actions"]) or "none"
-        )
-        lines.append(
-            f"  controller: {ctrl['decisions']} decisions ({acts}); "
-            f"final placement {ctrl['final_config']['placement']}"
-        )
     return "\n".join(lines)

@@ -92,9 +92,9 @@ class CircuitBreaker:
     Transitions are a pure function of the ``allow``/``record_*`` call
     sequence, so peers fed the same consensus outcome stay in lockstep --
     the property the staging transport's collective fallback requires.
-
-    ``allow()`` / ``observe_outcome(step, staged)`` / ``report()`` is the
-    attempt/skip policy face :class:`~repro.control.Controller` shares.
+    It is the one attempt/skip policy, for FlexPath staging
+    (:class:`~repro.infrastructure.adios.StagingResilience`) and for each
+    service tenant's endpoint alike.
     """
 
     CLOSED = "closed"
@@ -162,7 +162,3 @@ class CircuitBreaker:
             "consecutive_failures": self.consecutive_failures,
             "times_opened": self.times_opened,
         }
-
-    def report(self) -> dict:
-        """This policy's fragment of a staging writer's result."""
-        return {"breaker": self.snapshot()}

@@ -126,33 +126,26 @@ class StagingResilience:
     configuration standing in for the lost endpoint.  With no fallback,
     degraded steps are skipped but still accounted.
 
-    ``policy`` decides, once per step, whether staging is attempted at all,
-    and learns each step's consensus outcome: any object with ``allow()``,
-    ``observe_outcome(step, staged)`` and ``report()`` -- a
-    :class:`~repro.faults.CircuitBreaker` (the default) or the online
-    autotuning :class:`~repro.control.Controller`, whose seeded probes stand
-    in for the breaker's HALF_OPEN probes.  Either answers identically on
-    every writer (breaker state is a pure function of the uniform consensus
-    history; controller placement is adopted under its own group
-    consensus), so the one-degrades-all invariant holds.
+    ``breaker`` (a :class:`~repro.faults.CircuitBreaker`) decides, once per
+    step, whether staging is attempted at all, and learns each step's
+    consensus outcome.  Its state is a pure function of that uniform
+    consensus history, so it answers identically on every writer and the
+    one-degrades-all invariant holds.
     """
 
     def __init__(
         self,
         group: Communicator,
         ready_timeout: float = 0.25,
-        policy=None,
         fallback: AnalysisAdaptor | None = None,
     ) -> None:
+        from repro.faults import CircuitBreaker
+
         if ready_timeout <= 0:
             raise ValueError("ready_timeout must be positive")
         self.group = group
         self.ready_timeout = ready_timeout
-        if policy is None:
-            from repro.faults import CircuitBreaker
-
-            policy = CircuitBreaker()
-        self.policy = policy
+        self.breaker = CircuitBreaker()
         self.fallback = fallback
         self._fallback_ready = False
         self.staged_steps = 0
@@ -177,7 +170,10 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
     skipped with accounting -- and a circuit breaker stops paying the READY
     timeout once the endpoint is presumed dead, probing periodically for
     recovery.  A degraded round sends a SKIP marker so a still-live
-    endpoint's receive loop stays in phase.
+    endpoint's receive loop stays in phase.  A token that arrives after
+    the timeout is kept for the next attempt, so a slow (not dead)
+    endpoint alternates failures with successes and never trips the
+    breaker.
     """
 
     def __init__(
@@ -252,7 +248,7 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         rec = self.timers.trace if self.timers is not None else None
         # The attempt gate is consulted exactly once per step on every
         # writer, and answers identically on every rank.
-        ok = 1 if res.policy.allow() else 0
+        ok = 1 if res.breaker.allow() else 0
         inj = getattr(self.world, "fault_injector", None)
         if ok and inj is not None:
             # Writer-side bounded staging queue: an overflow refuses the
@@ -307,10 +303,9 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
                 res.skipped_steps += 1
                 if rec is not None:
                     rec.count("resilience::skipped_steps", 1)
-        # The verify/act leg: the policy sees the group's outcome (so every
-        # writer's breaker state / controller journal stays identical) and
-        # may change its answer for the next step.
-        res.policy.observe_outcome(data.get_data_time_step(), staged=bool(consensus))
+        # The breaker sees the group's outcome, so every writer's breaker
+        # state stays identical, and may change its answer for the next step.
+        res.breaker.observe_outcome(data.get_data_time_step(), staged=bool(consensus))
         return True
 
     def finalize(self):
@@ -327,7 +322,7 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
                     "degraded_steps": res.degraded_steps,
                     "skipped_steps": res.skipped_steps,
                     "fallback_result": fallback_result,
-                    **res.policy.report(),
+                    "breaker": res.breaker.snapshot(),
                 }
             )
         return out

@@ -135,22 +135,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         if self.output_dir and comm.rank == 0:
             os.makedirs(self.output_dir, exist_ok=True)
 
-    def reconfigure(self, png_workers: int | None = None) -> dict:
-        """Apply autotuning knob changes between steps.
-
-        This is the actuator surface the online controller drives: PNG
-        worker count takes effect at the next encode.  Only safe between
-        ``execute()`` calls -- the controller runs at step boundaries by
-        construction.  Returns the knobs actually applied.
-        """
-        applied: dict = {}
-        if png_workers is not None:
-            if png_workers < 0:
-                raise ValueError("png_workers must be non-negative")
-            self.png_workers = int(png_workers)
-            applied["png_workers"] = self.png_workers
-        return applied
-
     # -- pipeline stages ---------------------------------------------------
     def _local_fragments(
         self, data: DataAdaptor

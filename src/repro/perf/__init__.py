@@ -18,15 +18,12 @@ models that replay the same operation sequences at paper scale:
   (Fig. 17);
 - :mod:`calibrate` -- native micro-benchmarks that fit the per-element
   constants, so the model's small-scale predictions can be validated
-  against real runs in this repository's test suite;
-- :mod:`control_model` -- per-configuration step-cost queries (placement,
-  PNG workers) for the online autotuning controller (:mod:`repro.control`).
+  against real runs in this repository's test suite.
 """
 
 from repro.perf.machine import CORI, MIRA, TITAN, MachineModel
 from repro.perf.network import NetworkModel
 from repro.perf.iomodel import IOModel
-from repro.perf.control_model import ControlConfig, ControlModel, StepPrediction
 
 __all__ = [
     "MachineModel",
@@ -35,7 +32,4 @@ __all__ = [
     "TITAN",
     "NetworkModel",
     "IOModel",
-    "ControlConfig",
-    "ControlModel",
-    "StepPrediction",
 ]

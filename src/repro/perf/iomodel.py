@@ -30,29 +30,17 @@ from repro.perf.machine import MachineModel
 @dataclass(frozen=True)
 class IOModel:
     machine: MachineModel
-    #: Fraction of Lustre stripe targets (OSTs) degraded or offline.  The
-    #: surviving stripes carry the full load, so every bandwidth-bound term
-    #: scales by ``1 / (1 - degraded_fraction)`` -- the filesystem-side
-    #: failure mode the resilience layer's write retries have to ride out.
-    degraded_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.degraded_fraction < 1.0:
-            raise ValueError("degraded_fraction must be in [0, 1)")
-
-    def _derate(self, bandwidth: float) -> float:
-        return bandwidth * (1.0 - self.degraded_fraction)
 
     # -- writes -------------------------------------------------------------
     def file_per_process_write(self, p: int, total_bytes: float) -> float:
         """One step's file-per-core write (the VTK I/O row of Table 1)."""
-        transfer = total_bytes / self._derate(self.machine.io_aggregate_bw)
+        transfer = total_bytes / self.machine.io_aggregate_bw
         metadata = p * self.machine.io_file_create
         return transfer + metadata
 
     def shared_file_write(self, p: int, total_bytes: float) -> float:
         """One step's collective MPI-IO write (Table 1's MPI-IO row)."""
-        transfer = total_bytes / self._derate(self.machine.io_shared_file_bw)
+        transfer = total_bytes / self.machine.io_shared_file_bw
         sync = 2.0 * self.machine.net_latency * math.ceil(math.log2(max(p, 2)))
         return transfer + sync
 
@@ -76,7 +64,7 @@ class IOModel:
         """
         nodes = max(self.machine.nodes_for(p_readers), 1)
         client_bw = nodes * self.machine.net_bandwidth
-        eff_bw = min(self._derate(self.machine.io_aggregate_bw) * 0.2, client_bw)
+        eff_bw = min(self.machine.io_aggregate_bw * 0.2, client_bw)
         base = (
             total_bytes / eff_bw
             + n_pieces * 0.42 * self.machine.io_file_create
@@ -123,23 +111,8 @@ class IOModel:
         if step_interval <= 0:
             raise ValueError("step_interval must be positive")
         absorb = total_bytes / bb_bandwidth + 2.0 * self.machine.net_latency
-        drain = total_bytes / self._derate(self.machine.io_aggregate_bw)
+        drain = total_bytes / self.machine.io_aggregate_bw
         if drain <= step_interval:
             return absorb, True
         # Steady state: the buffer is full; writes proceed at drain rate.
         return max(absorb, drain - step_interval + absorb), False
-
-    # -- aggregated staging (GLEAN) ------------------------------------------------
-    def aggregated_write(
-        self, p: int, total_bytes: float, ranks_per_aggregator: int
-    ) -> float:
-        """GLEAN-style many-to-few write: fewer files, plus forwarding."""
-        # Ceiling division: a trailing partial group still needs its own
-        # aggregator (and metadata create) -- flooring undercounts for any
-        # non-divisible layout (e.g. p=100, 64 ranks/aggregator is 2 files,
-        # not 1), which skews the Table 1 GLEAN-path metadata term.
-        aggregators = max(-(-p // max(ranks_per_aggregator, 1)), 1)
-        forward = (total_bytes / p) * (ranks_per_aggregator - 1) / self.machine.net_bandwidth
-        transfer = total_bytes / self._derate(self.machine.io_aggregate_bw)
-        metadata = aggregators * self.machine.io_file_create
-        return forward + transfer + metadata

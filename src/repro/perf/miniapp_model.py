@@ -16,7 +16,7 @@ check the model agrees with real small-scale runs in *shape*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.events import simulate_staging
 from repro.perf.iomodel import IOModel
@@ -91,7 +91,6 @@ class PhaseBreakdown:
     #: Per-rank memory (bytes): startup footprint and high-water mark.
     startup_bytes_per_rank: int = 0
     high_water_bytes_per_rank: int = 0
-    extra: dict = field(default_factory=dict)
 
     def time_to_solution(self, steps: int) -> float:
         return (
@@ -206,7 +205,6 @@ class MiniappModel:
         b.analysis_per_step = extract + render + composite + png + self.sensei_overhead_step
         b.startup_bytes_per_rank += self.CATALYST_LIB
         b.high_water_bytes_per_rank += self.CATALYST_LIB + fb
-        b.extra = {"composite": composite, "png": png}
         return b
 
     def libsim_slice(self) -> PhaseBreakdown:
@@ -225,7 +223,6 @@ class MiniappModel:
         b.analysis_per_step = extract + render + composite + png + self.sensei_overhead_step
         b.startup_bytes_per_rank += self.LIBSIM_LIB
         b.high_water_bytes_per_rank += self.LIBSIM_LIB + fb
-        b.extra = {"composite": composite, "png": png}
         return b
 
     def baseline_with_writes(self) -> PhaseBreakdown:

@@ -18,9 +18,10 @@ Layers (bottom up):
   payload codecs;
 - :mod:`repro.service.tenancy` -- tenant specs, quotas, signed tokens;
 - :mod:`repro.service.policy` -- journaled admission + per-step verdicts
-  (counter-hashed shed draws, `DecisionJournal` reuse);
+  (counter-hashed shed draws, the per-tenant `DecisionJournal` streams);
 - :mod:`repro.service.endpoint` -- per-tenant Bridge + histogram/Catalyst
-  analyses + circuit-breaker degradation;
+  analyses + circuit-breaker degradation (the same breaker FlexPath
+  staging uses);
 - :mod:`repro.service.server` / :mod:`repro.service.client` -- the
   long-running server and the simulation-side client;
 - :mod:`repro.service.accounting` -- per-tenant cost ledgers and the

@@ -10,12 +10,13 @@ output directory, which is what lets the acceptance test assert
 byte-identical artifacts between a socket-streamed run and
 :func:`run_workload_inproc` driving the same endpoint directly.
 
-Degradation under chaos reuses the staging transport's policy objects: a
-:class:`~repro.faults.policies.CircuitBreaker` per tenant trips after
-consecutive analysis failures (injected at the ``service.step`` site) and
-admits single probes, so a tenant with a poisoned pipeline degrades to
+Degradation under chaos reuses the staging transport's one attempt/skip
+policy: a :class:`~repro.faults.policies.CircuitBreaker` per tenant trips
+after consecutive analysis failures (injected at the ``service.step`` site)
+and admits single probes, so a tenant with a poisoned pipeline degrades to
 ingest-only service instead of failing its connection -- consulted through
-the same ``allow()`` / ``observe_outcome()`` face `StagingResilience` uses.
+the same ``allow()`` / ``observe_outcome()`` calls `StagingResilience`
+makes.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ import numpy as np
 
 from repro.analysis.histogram import HistogramAnalysis
 from repro.analysis.slice_ import SlicePlane
-from repro.control.journal import DecisionJournal
 from repro.core.bridge import Bridge
 from repro.core.received import ReceivedDataAdaptor
 from repro.faults.plan import SITE_SERVICE_STEP
 from repro.faults.policies import CircuitBreaker
 from repro.infrastructure.catalyst import CatalystAdaptor
 from repro.mpi.communicator import Communicator
-from repro.service.policy import ServiceDecision
+from repro.service.policy import DecisionJournal, ServiceDecision
 from repro.util.decomp import Extent
 from repro.util.timers import TimerRegistry
 

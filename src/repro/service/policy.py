@@ -8,22 +8,21 @@ other tenants' traffic never enter: concurrency limits are enforced by
 blocking (backpressure, traced as counters), not by decisions, precisely
 so the journals replay byte-identically.
 
-Each tenant gets two :class:`~repro.control.journal.DecisionJournal`\\ s --
-``admission`` (written by the connection handler, in frame order) and
-``endpoint`` (written by the analysis worker, in step order) -- because the
-two threads interleave nondeterministically but each stream alone is
-deterministic.  :func:`dump_journals` serializes all tenants sorted by
-name with the journal module's canonical JSON, the byte-identity contract
-the acceptance tests ``diff``.
+Each tenant gets two :class:`DecisionJournal`\\ s -- ``admission``
+(written by the connection handler, in frame order) and ``endpoint``
+(written by the analysis worker, in step order) -- because the two threads
+interleave nondeterministically but each stream alone is deterministic.
+:func:`dump_journals` serializes all tenants sorted by name as canonical
+JSON (sorted keys, fixed rounding), the byte-identity contract the
+acceptance tests ``diff``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.control.journal import DecisionJournal, _jsonable
 from repro.faults.plan import unit_draw
 from repro.service import protocol
 from repro.service.tenancy import TenantSpec
@@ -35,8 +34,7 @@ SHED_SITE = "service.shed"
 
 @dataclass(frozen=True)
 class ServiceDecision:
-    """One journaled service-layer decision (duck-typed for
-    :meth:`DecisionJournal.record` via ``as_dict``)."""
+    """One journaled service-layer decision."""
 
     seq: int
     event: str
@@ -46,7 +44,6 @@ class ServiceDecision:
     draw: float | None = None
     detail: str | None = None
 
-    # The journal serializes entries under a "decisions" key via as_dict.
     def as_dict(self) -> dict[str, Any]:
         return {
             "seq": self.seq,
@@ -54,8 +51,28 @@ class ServiceDecision:
             "verdict": self.verdict,
             "bytes": self.bytes,
             "cumulative_bytes": self.cumulative_bytes,
-            "draw": _jsonable(self.draw),
+            # Fixed rounding keeps the float repr identical across replays.
+            "draw": None if self.draw is None else round(float(self.draw), 6),
             "detail": self.detail,
+        }
+
+
+@dataclass
+class DecisionJournal:
+    """One append-only decision stream; ``mode`` names which one."""
+
+    seed: int
+    slo: dict[str, Any] | None
+    mode: str
+    entries: list[ServiceDecision] = field(default_factory=list)
+
+    def record(self, decision: ServiceDecision) -> None:
+        self.entries.append(decision)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "meta": {"seed": self.seed, "slo": self.slo, "mode": self.mode},
+            "decisions": [d.as_dict() for d in self.entries],
         }
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,8 @@ class TraceRecorder:
         self.counters: list[CounterSample] = []
         self._stack: list[tuple[str, float]] = []
         self._totals: dict[str, float] = {}
-        #: Live span subscribers (see :meth:`subscribe`); guarded by one
-        #: truthiness check so the disabled cost stays a pointer compare.
-        self._subscribers: list[Callable[[Span], None]] = []
         #: The simulation step in-flight spans are serving (see set_step).
         self.step: int | None = None
-
-    def __getstate__(self) -> dict:
-        # Subscribers are live callbacks into this process's objects (the
-        # autotuning sensor, tests); a pickled copy shipped to a worker
-        # process must not carry them.  The worker re-subscribes locally if
-        # it needs live spans.
-        state = dict(self.__dict__)
-        state["_subscribers"] = []
-        return state
 
     # -- clock --------------------------------------------------------------
     def now(self) -> float:
@@ -124,26 +112,6 @@ class TraceRecorder:
     def begin(self, name: str) -> None:
         self._stack.append((name, self.now()))
 
-    def subscribe(self, callback: Callable[[Span], None]) -> None:
-        """Invoke ``callback`` with every span as it completes.
-
-        This is the live feed the autotuning controller's sensor consumes:
-        unlike post-hoc report aggregation, subscribers see each span the
-        moment ``end()``/``complete()`` records it, on the recording rank's
-        own thread.  Callbacks must be cheap and must not record spans
-        themselves.  Spans merged later via :meth:`absorb` are *not*
-        replayed to subscribers -- they already fired in the process that
-        recorded them.
-        """
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[Span], None]) -> None:
-        """Remove a subscriber added with :meth:`subscribe` (idempotent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-
     def end(self) -> Span:
         if not self._stack:
             raise RuntimeError("TraceRecorder.end() with no open span")
@@ -151,9 +119,6 @@ class TraceRecorder:
         parent = self._stack[-1][0] if self._stack else None
         span = Span(name, self.rank, t0, self.now(), self.step, parent)
         self.spans.append(span)
-        if self._subscribers:
-            for cb in self._subscribers:
-                cb(span)
         return span
 
     @contextmanager
@@ -182,9 +147,6 @@ class TraceRecorder:
             raise ValueError(f"span {name!r} ends before it begins")
         span = Span(name, self.rank, t0, t1, step, parent)
         self.spans.append(span)
-        if self._subscribers:
-            for cb in self._subscribers:
-                cb(span)
         return span
 
     @property

@@ -215,10 +215,9 @@ def render_report(report: PhaseReport) -> str:
 
 def phase_ratio(measured: float, modeled: float) -> float | None:
     """measured/modeled for one phase: ``math.inf`` when measured > 0 but
-    the model predicts exactly zero (an unbounded calibration error the
-    autotuning controller must treat as "prediction wrong", not "phase
-    absent"), ``None`` only for 0/0 -- the phase genuinely costs nothing in
-    both timelines."""
+    the model predicts exactly zero (an unbounded calibration error: the
+    prediction is wrong, the phase is not absent), ``None`` only for 0/0 --
+    the phase genuinely costs nothing in both timelines."""
     if modeled > 0.0:
         return measured / modeled
     if measured > 0.0:

@@ -6,13 +6,10 @@ were each reduced to one implementation; every artifact and journal those
 seams produce must still come out byte-identical, on both SPMD backends.
 ``nbody_seed42`` was recorded the same way from the commit before the
 cell-linked-grid friends-of-friends kernel replaced the brute-force one.
-``chaos_seed42_controller`` was
-re-recorded when the controller's decision space shrank to placement x PNG
-workers: it differs from the run it replaces only by the two dropped
-configuration keys and the renumbered candidate indices.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import zlib
@@ -25,13 +22,12 @@ from repro.apps.nbody import run_nbody
 from repro.core import Bridge
 from repro.faults.chaos import run_chaos
 from repro.infrastructure import CatalystAdaptor
-from repro.infrastructure.adios import run_flexpath_job
+from repro.infrastructure.adios import StagingResilience, run_flexpath_job
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import shm
 from repro.mpi.communicator import Communicator
 from repro.mpi.process_backend import ProcessCommunicator
-from repro.perf import ControlConfig
 from repro.service import (
     ServiceServer,
     TenantRegistry,
@@ -59,7 +55,7 @@ def _golden_json(*parts):
     return json.loads(DATA.joinpath(*parts).read_text())
 
 
-# -- chaos: FlexPath staging + breaker/controller policy + fault switch -------
+# -- chaos: FlexPath staging + circuit breaker + fault switch -----------------
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -71,17 +67,6 @@ def test_chaos_seed42_artifacts(tmp_path, backend):
     assert _png_crcs(tmp_path, ("staged", "inline")) == _golden_json(
         "chaos_seed42", "png_crcs.json"
     )
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_chaos_controller_journal_and_report(tmp_path, backend):
-    run_chaos(
-        seed=42, ranks=4, steps=10, out_dir=str(tmp_path), backend=backend,
-        controller=True,
-    )
-    golden = DATA / "chaos_seed42_controller"
-    for name in ("decision_journal.json", "recovery_report.json"):
-        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 # -- service: one tenant stream, in process and through a socket --------------
@@ -208,16 +193,16 @@ def test_process_fabric_is_four_hooks_over_one_shm_path():
         assert not hasattr(shm, gone), gone
 
 
-# -- structure: every controller axis reaches the running program ------------
+# -- structure: one staging attempt/skip policy --------------------------------
 
 
-def test_every_control_axis_has_an_actuator():
-    """Placement is actuated by the staging policy; every other axis the
-    controller plans over must be a knob ``CatalystAdaptor.reconfigure``
-    takes, so an axis the plant ignores cannot come back."""
-    params = inspect.signature(CatalystAdaptor.reconfigure).parameters
-    knobs = {n for n, p in params.items() if n != "self" and p.default is not p.empty}
-    assert set(ControlConfig().as_dict()) - {"placement"} == knobs
+def test_one_staging_policy():
+    """The circuit breaker is the only attempt/skip policy: no controller
+    package, and no seam through which a second policy could be handed in."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.control")
+    assert "policy" not in inspect.signature(StagingResilience).parameters
+    assert "controller" not in inspect.signature(Bridge).parameters
 
 
 # -- structure: particle-mesh gravity exists once ------------------------------

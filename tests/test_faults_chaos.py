@@ -46,6 +46,34 @@ class TestChaosRun:
         with pytest.raises(ValueError):
             run_chaos(steps=2, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--ready-timeout", "0"),
+            ("--ranks", "1"),
+            ("--steps", "2"),
+            ("--checkpoint-interval", "0"),
+        ],
+    )
+    def test_cli_rejects_bad_argument_before_launch(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        """A bad argument is one stderr line and exit code 2; no rank starts."""
+        import repro.faults.chaos as chaos
+        from repro.cli import main
+
+        def no_launch(*args, **kwargs):
+            raise AssertionError("a job was launched")
+
+        monkeypatch.setattr(chaos, "run_flexpath_job", no_launch)
+        out = tmp_path / "out"
+        assert main(["chaos", "--out", str(out), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("repro chaos: ")
+        assert not out.exists()
+
     def test_completes_with_all_steps_accounted(self, chaos_pair):
         (_, report), _ = chaos_pair
         acct = report["accounting"]

@@ -1,5 +1,5 @@
-"""Integration tests: fault injection wired through MPI, storage, the I/O
-model, and the miniapp -- plus the recovery paths that absorb each fault."""
+"""Integration tests: fault injection wired through MPI, storage and the
+miniapp -- plus the recovery paths that absorb each fault."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from repro.faults import (
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import SPMDError, run_spmd
-from repro.perf import CORI, IOModel
 from repro.storage import BPReader, BPWriter, mpiio_read_block, mpiio_write_collective
 from repro.trace import TraceRecorder
 from repro.util import Extent
@@ -203,39 +202,6 @@ class TestStorageFaults:
         with pytest.raises(SPMDError) as ei:
             run_spmd(1, prog, faults=plan, timeout=10.0)
         assert isinstance(ei.value.failures[0], InjectedWriteError)
-
-
-class TestIOModelDegradation:
-    def test_derate_slows_every_bandwidth_bound_path(self):
-        base = IOModel(CORI)
-        slow = IOModel(CORI, degraded_fraction=0.5)
-        n, b = 64, 2**34
-        assert slow.file_per_process_write(n, b) > base.file_per_process_write(n, b)
-        assert slow.shared_file_write(n, b) > base.shared_file_write(n, b)
-        assert slow.aggregated_write(n, b, 8) > base.aggregated_write(n, b, 8)
-
-    def test_degraded_stripes_can_overwhelm_burst_buffer_drain(self):
-        """Half the OSTs gone halves the drain rate: a step interval the
-        healthy filesystem absorbs asynchronously stops keeping up."""
-        b = 2**30
-        interval = 1.5 * b / CORI.io_aggregate_bw
-        _, healthy_keeps_up = IOModel(CORI).burst_buffer_write(64, b, interval)
-        _, degraded_keeps_up = IOModel(CORI, degraded_fraction=0.5).burst_buffer_write(
-            64, b, interval
-        )
-        assert healthy_keeps_up and not degraded_keeps_up
-
-    def test_zero_fraction_is_identity(self):
-        n, b = 16, 2**28
-        assert IOModel(CORI, degraded_fraction=0.0).shared_file_write(
-            n, b
-        ) == IOModel(CORI).shared_file_write(n, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IOModel(CORI, degraded_fraction=1.0)
-        with pytest.raises(ValueError):
-            IOModel(CORI, degraded_fraction=-0.1)
 
 
 class TestSimulationFaults:

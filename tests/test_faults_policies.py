@@ -121,16 +121,16 @@ class TestCircuitBreaker:
         assert a.snapshot() == b.snapshot()
 
     def test_policy_face_is_the_record_calls(self):
-        """``observe_outcome``/``report`` -- the attempt/skip face the
-        staging writer and the service endpoint consult -- drive the same
-        transitions as ``record_success``/``record_failure``."""
+        """``observe_outcome`` -- what the staging writer and the service
+        endpoint call -- drives the same transitions as
+        ``record_success``/``record_failure``."""
         a = CircuitBreaker(failure_threshold=2, probe_interval=3)
         b = CircuitBreaker(failure_threshold=2, probe_interval=3)
         for step, staged in enumerate([True, False, False, False, True, False]):
             assert a.allow() == b.allow()
             a.observe_outcome(step, staged)
             b.record_success() if staged else b.record_failure()
-        assert a.report() == {"breaker": b.snapshot()}
+        assert a.snapshot() == b.snapshot()
 
 
 class TestHalfOpenProbeLatch:

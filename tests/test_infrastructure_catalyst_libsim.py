@@ -116,66 +116,58 @@ class TestCatalyst:
         with pytest.raises(ValueError):
             CatalystAdaptor(SlicePlane(2, 0), frequency=0)
 
+    def test_negative_png_workers_rejected(self):
+        with pytest.raises(ValueError):
+            CatalystAdaptor(SlicePlane(2, 0), png_workers=-1)
 
-def _run_reconfigured(plan, nranks=2, steps=3):
-    """Rank 0's per-step record of a run in which ``plan[i]`` (reconfigure
-    kwargs) is applied after step ``i``: PNG bytes, what reconfigure()
-    returned, the identities of Catalyst's partial and root frame (``None``
-    for no frame) and the bytes the tracker holds between steps."""
+    def test_frames_allocated_once_and_reused(self):
+        record = _run_frames()
+        frames = {r[1] for r in record}
+        assert len(frames) == 1
+        (partial, frame), = frames
+        assert None not in (partial, frame) and partial != frame
+        # The per-step framebuffer charge is released within the step.
+        assert all(r[2] == 0 for r in record)
+
+    def test_one_rank_root_frame_is_not_the_partial(self):
+        """On one rank binary_swap returns the partial itself; Catalyst must
+        not adopt it as its root frame."""
+        record = _run_frames(nranks=1)
+        assert all(r[1][0] is not None and r[1][1] is None for r in record)
+
+    def test_png_workers_switches_encoder_same_pixels(self):
+        plain = _run_frames()
+        banded = _run_frames(png_workers=2)
+        for got, ref in zip(banded, plain):
+            assert got[0] != ref[0]  # banded stream, not the serial one
+            np.testing.assert_array_equal(decode_png(got[0]), decode_png(ref[0]))
+
+
+def _run_frames(nranks=2, steps=3, **kwargs):
+    """Rank 0's per-step record of a Catalyst run: PNG bytes, the identities
+    of Catalyst's partial and root frame (``None`` for no frame) and the
+    bytes the tracker holds between steps."""
 
     def prog(comm):
         mem = MemoryTracker()
         sim = OscillatorSimulation(comm, (12, 10, 8), default_oscillators(), dt=0.1)
         bridge = Bridge(comm, sim.make_data_adaptor(), memory=mem)
-        cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=4), resolution=(64, 48))
+        cat = CatalystAdaptor(
+            plane=SlicePlane(axis=2, index=4), resolution=(64, 48), **kwargs
+        )
         bridge.add_analysis(cat)
         bridge.initialize()
         record = []
-        for step in range(steps):
+        for _ in range(steps):
             sim.run(1, bridge)
-            applied = cat.reconfigure(**plan[step]) if step in plan else None
             frames = tuple(
                 None if f is None else id(f) for f in (cat._partial, cat._frame)
             )
-            record.append((cat.last_png, applied, frames, mem.current - mem.static))
+            record.append((cat.last_png, frames, mem.current - mem.static))
         bridge.finalize()
         return record
 
     return run_spmd(nranks, prog)[0]
-
-
-class TestCatalystReconfigure:
-    def test_frames_allocated_once_and_reused(self):
-        record = _run_reconfigured({})
-        frames = {r[2] for r in record}
-        assert len(frames) == 1
-        (partial, frame), = frames
-        assert None not in (partial, frame) and partial != frame
-        # The per-step framebuffer charge is released within the step.
-        assert all(r[1] is None and r[3] == 0 for r in record)
-
-    def test_one_rank_root_frame_is_not_the_partial(self):
-        """On one rank binary_swap returns the partial itself; Catalyst must
-        not adopt it as its root frame."""
-        record = _run_reconfigured({}, nranks=1)
-        assert all(r[2][0] is not None and r[2][1] is None for r in record)
-
-    def test_png_workers_switches_encoder_same_pixels(self):
-        plain = _run_reconfigured({})
-        tuned = _run_reconfigured({0: {"png_workers": 2}})
-        assert tuned[0][1] == {"png_workers": 2}
-        assert tuned[0][0] == plain[0][0]  # step 1 ran before the switch
-        for got, ref in zip(tuned[1:], plain[1:]):
-            assert got[0] != ref[0]  # banded stream, not the serial one
-            np.testing.assert_array_equal(decode_png(got[0]), decode_png(ref[0]))
-
-    @pytest.mark.parametrize("knob", ["png_workers"])
-    def test_negative_values_rejected(self, knob):
-        cat = CatalystAdaptor(SlicePlane(2, 0))
-        with pytest.raises(ValueError):
-            cat.reconfigure(**{knob: -1})
-        assert cat.png_workers == 0
-        assert cat.reconfigure() == {}
 
 
 def _session(tmp_path, plots, resolution=(48, 48)):

@@ -89,47 +89,6 @@ class TestIOModel:
         b = self.io.read(100, 1000, 1e9)
         assert a == b
 
-    def test_aggregation_beats_file_per_process_at_scale(self):
-        cores, ppc = SCALES["45K"]
-        nbytes = cores * ppc * 8
-        fpp = self.io.file_per_process_write(cores, nbytes)
-        agg = self.io.aggregated_write(cores, nbytes, ranks_per_aggregator=32)
-        assert agg < fpp
-
-    def test_aggregated_write_counts_partial_group(self):
-        """Aggregator count must be ceil(p / rpa): a trailing partial group
-        still writes its own file (regression: flooring 100/64 gave 1
-        aggregator, undercounting the metadata term)."""
-        nbytes = 1e9
-        rpa = 64
-        cost = self.io.aggregated_write(100, nbytes, ranks_per_aggregator=rpa)
-        forward = (nbytes / 100) * (rpa - 1) / CORI.net_bandwidth
-        transfer = nbytes / CORI.io_aggregate_bw
-        expected_two = forward + transfer + 2 * CORI.io_file_create
-        assert cost == pytest.approx(expected_two)
-        # Exactly divisible layouts are unchanged.
-        cost_even = self.io.aggregated_write(128, nbytes, ranks_per_aggregator=rpa)
-        forward_even = (nbytes / 128) * (rpa - 1) / CORI.net_bandwidth
-        assert cost_even == pytest.approx(
-            forward_even + transfer + 2 * CORI.io_file_create
-        )
-
-    def test_aggregated_write_table1_glean_shape(self):
-        """Pins the Table 1 GLEAN-path shape: the metadata term scales with
-        ceil(p / rpa) across the paper's scales, so doubling the group size
-        roughly halves the metadata share while forward/transfer persist."""
-        for scale in ("1K", "6K", "45K"):
-            cores, ppc = SCALES[scale]
-            nbytes = cores * ppc * 8
-            a64 = self.io.aggregated_write(cores, nbytes, ranks_per_aggregator=64)
-            a128 = self.io.aggregated_write(cores, nbytes, ranks_per_aggregator=128)
-            meta64 = -(-cores // 64) * CORI.io_file_create
-            meta128 = -(-cores // 128) * CORI.io_file_create
-            forward_delta = (nbytes / cores) * 64 / CORI.net_bandwidth
-            assert a64 - a128 == pytest.approx(
-                (meta64 - meta128) - forward_delta, rel=1e-9
-            )
-
 
 class TestMiniappModelShapes:
     @pytest.fixture(params=["1K", "6K", "45K"])

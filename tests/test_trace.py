@@ -503,33 +503,3 @@ class TestDiffRatios:
         text = diff_reports(measured, modeled)
         assert not any(ln.startswith("write") for ln in text.splitlines())
 
-
-class TestSpanSubscription:
-    def test_subscribers_see_spans_from_end_and_complete(self):
-        rec = TraceRecorder(rank=0, epoch=0.0)
-        seen = []
-        rec.subscribe(seen.append)
-        with rec.span("sensei::execute"):
-            pass
-        rec.complete("io::write", 0.0, 0.25, step=3)
-        assert [s.name for s in seen] == ["sensei::execute", "io::write"]
-        rec.unsubscribe(seen.append)
-        rec.complete("io::write", 0.3, 0.4, step=4)
-        assert len(seen) == 2
-
-    def test_unsubscribe_is_idempotent(self):
-        rec = TraceRecorder(rank=0)
-        cb = lambda s: None  # noqa: E731
-        rec.unsubscribe(cb)  # never subscribed: no error
-        rec.subscribe(cb)
-        rec.unsubscribe(cb)
-        rec.unsubscribe(cb)
-
-    def test_pickling_drops_subscribers(self):
-        import pickle
-
-        rec = TraceRecorder(rank=1)
-        rec.subscribe(lambda s: None)
-        clone = pickle.loads(pickle.dumps(rec))
-        assert clone._subscribers == []
-        clone.complete("sensei::execute", 0.0, 0.1, step=0)  # must not call
