@@ -1,25 +1,33 @@
-"""Ablation: PNG zlib compression level (the Table 2 bottleneck knob).
+"""Ablation: PNG zlib compression level (the Table 2 bottleneck knob),
+and where the deflate runs.
 
 "We determined that the ZLIB compression time in generating the PNG file
 was the culprit" -- skipping compression took the 8-process toy problem
 from 4.03 s to 0.518 s per step.  This ablation sweeps the real encoder's
 compression level over a rendered frame and reports time and size, plus
-the modeled effect on the PHASTA IS2 run.
+the modeled effect on the PHASTA IS2 run.  The sort-last row spreads the
+same deflate over the ranks that hold the composited rows, as Catalyst
+does (``sort_last_png``).
 """
+
+import time
 
 import numpy as np
 
+from repro.mpi import run_spmd
 from repro.perf.apps_model import PHASTA_RUNS, phasta_table2
 from repro.render import VIRIDIS, encode_png
+from repro.render.compositing import band_rows
+from repro.render.png import sort_last_png
 
 H, W = 362, 1450  # half the IS2/IS3 image, to keep native sweeps quick
 
 
-def _frame():
+def _frame(h=H, w=W):
     """A realistic pseudocolored frame (smooth field + noise)."""
     rng = np.random.default_rng(0)
-    y, x = np.mgrid[0:H, 0:W]
-    field = np.sin(x / 40.0) * np.cos(y / 25.0) + 0.1 * rng.standard_normal((H, W))
+    y, x = np.mgrid[0:h, 0:w]
+    field = np.sin(x / 40.0) * np.cos(y / 25.0) + 0.1 * rng.standard_normal((h, w))
     return VIRIDIS.map(field)
 
 
@@ -69,3 +77,40 @@ def test_ablation_sweep_and_model(benchmark, report):
     assert times[0] < times[6]
     assert sizes[9] <= sizes[1] <= sizes[0]
     assert with_c.insitu_per_step > 2.5 * without.insitu_per_step
+
+
+def test_ablation_sort_last_ranks(report):
+    """Rank 0's wall time for one 1920x1080 PNG when every rank deflates the
+    rows binary swap left it (the serial encoder on one rank for scale).
+    Thread ranks: zlib releases the GIL, so the speed-up is bounded by the
+    host's free cores, which this row reports rather than asserts."""
+    frame = _frame(1080, 1920)
+    h = frame.shape[0]
+
+    def prog(comm):
+        rounds = comm.size.bit_length() - 1
+        lo, hi = band_rows(h, comm.rank, rounds)
+        times, blob = [], None
+        for _ in range(5):
+            comm.barrier()
+            t0 = time.perf_counter()
+            blob = sort_last_png(comm, frame[lo:hi], lo, h)
+            times.append(time.perf_counter() - t0)
+        return sorted(times)[2], blob
+
+    t0 = time.perf_counter()
+    serial = encode_png(frame, 6)
+    serial_s = time.perf_counter() - t0
+    rows = [f"serial encode_png: {serial_s * 1e3:8.2f} ms  {len(serial) / 1024:9.1f} KiB"]
+    blobs = set()
+    for nranks in (1, 2, 4):
+        seconds, blob = run_spmd(nranks, prog)[0]
+        blobs.add(blob)
+        rows.append(
+            f"sort-last, {nranks} rank(s): {seconds * 1e3:8.2f} ms  "
+            f"{len(blob) / 1024:9.1f} KiB"
+        )
+    report("ablation_png_sort_last", "Sort-last PNG over thread ranks (1920x1080 RGB)", rows)
+    # One file whatever the rank count, within 2 % of the serial stream.
+    assert len(blobs) == 1
+    assert len(blobs.pop()) < 1.02 * len(serial)

@@ -5,8 +5,10 @@ workflows" via analysis pipelines; "to minimize memory footprint, Catalyst
 libraries are available in various flavors, called Editions" (Sec. 2.2.3).
 The Catalyst-slice configuration renders a pseudocolored 2-D slice at
 1920x1080, composites hierarchically (binary swap here), and writes the
-image from rank 0 (Sec. 4.1.3) -- where the PNG's zlib compression is the
-serial bottleneck Table 2 uncovers.
+image from rank 0 (Sec. 4.1.3).  The PNG's zlib compression is the serial
+rank-0 bottleneck Table 2 uncovers; here it is sort-last instead: every
+rank deflates the rows binary swap left it, and rank 0 gathers compressed
+bytes (:func:`~repro.render.png.sort_last_png`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.data import Association, ImageData, MultiBlockDataset
 from repro.mpi import MAX, MIN
 from repro.render import RenderedImage, blank_image, rasterize_slice
 from repro.render.colormap import COOL_WARM, Colormap
-from repro.render.compositing import binary_swap
-from repro.render.png import encode_png
+from repro.render.compositing import swap_band
+from repro.render.png import sort_last_png
 from repro.util.timers import timed
 
 
@@ -69,24 +71,20 @@ def _make_catalyst(config) -> "CatalystAdaptor":
         edition=config.get("edition", "rendering"),
         compression_level=config.get_int("compression_level", 6),
         frequency=config.get_int("frequency", 1),
-        png_workers=config.get_int("png_workers", 0),
     )
 
 
 class CatalystAdaptor(AnalysisAdaptor):
     """The Catalyst-slice pipeline: slice -> pseudocolor -> binary-swap
-    composite -> serial PNG on rank 0.
+    composite -> sort-last PNG, written by rank 0.
 
     Works with both single-block :class:`ImageData` meshes (the miniapp)
     and :class:`MultiBlockDataset` meshes (the ADIOS endpoint, Nyx).  PNGs
     are written to ``output_dir`` when given; otherwise the encoded bytes
     are kept on ``last_png`` so callers (and tests) can consume them.
 
-    ``png_workers > 0`` switches rank 0 from the paper's serial PNG encode
-    to the thread-banded chunked deflate.
-
-    Every rank keeps one partial framebuffer and the root one stitched
-    frame, both allocated on first use and reused every step.
+    Every rank keeps one partial framebuffer, allocated on first use and
+    reused every step; no rank stitches the frame.
     """
 
     def __init__(
@@ -99,7 +97,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         edition: str = "rendering",
         compression_level: int = 6,
         frequency: int = 1,
-        png_workers: int = 0,
     ) -> None:
         super().__init__()
         if edition not in EDITIONS:
@@ -116,13 +113,11 @@ class CatalystAdaptor(AnalysisAdaptor):
             raise ValueError(
                 f"edition {edition!r} lacks the filters the slice pipeline needs"
             )
+        if not 0 <= compression_level <= 9:
+            raise ValueError("compression_level must be in 0..9")
         self.compression_level = compression_level
         self.frequency = frequency
-        if png_workers < 0:
-            raise ValueError("png_workers must be non-negative")
-        self.png_workers = png_workers
         self._partial: RenderedImage | None = None
-        self._frame: RenderedImage | None = None
         self._comm = None
         self.images_written = 0
         self.last_png: bytes | None = None
@@ -217,18 +212,17 @@ class CatalystAdaptor(AnalysisAdaptor):
                 self.memory.allocate(partial.nbytes, label="catalyst::framebuffer")
                 self.memory.free(partial.nbytes, label="catalyst::framebuffer")
         with timed(self.timers, "catalyst::composite"):
-            final = binary_swap(self._comm, partial, out=self._frame)
-        if final is not None and final is not partial:
-            # On one rank binary_swap hands back the partial itself; the root
-            # frame stays a buffer of its own.
-            self._frame = final
-        if final is not None:
-            # PNG encode on rank 0 -- serial by default (the Table 2
-            # bottleneck), parallel chunked deflate when png_workers > 0.
-            with timed(self.timers, "catalyst::png"):
-                blob = encode_png(
-                    final.rgb, self.compression_level, workers=self.png_workers
-                )
+            swapped = swap_band(self._comm, partial)
+        row0, band = swapped if swapped is not None else (0, None)
+        with timed(self.timers, "catalyst::png"):
+            blob = sort_last_png(
+                self._comm,
+                None if band is None else band.rgb,
+                row0,
+                height,
+                self.compression_level,
+            )
+        if blob is not None:
             self.last_png = blob
             rec = self.timers.trace if self.timers is not None else None
             if rec is not None:

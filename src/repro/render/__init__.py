@@ -13,7 +13,9 @@ OSMesa/VTK:
   different scaling in Fig. 6);
 - :mod:`png` -- a real PNG encoder/decoder on stdlib zlib.  PNG encoding is
   serial on rank 0 in the paper's runs and its zlib compression is the
-  Table 2 bottleneck, so this is a measured code path, not a detail;
+  Table 2 bottleneck, so this is a measured code path, not a detail; the
+  sort-last encoder Catalyst uses spreads that deflate over the ranks
+  holding the composited rows;
 - :mod:`isosurface` -- marching-tetrahedra isosurface extraction for the
   AVF-LESLIE visualization (3 isosurfaces + 3 slice planes, Sec. 4.2.2).
 """

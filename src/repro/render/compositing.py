@@ -103,25 +103,39 @@ def composite_over_into(
     return out
 
 
-def _split_rows(img: RenderedImage, parts: int) -> list[RenderedImage]:
-    """Split a framebuffer into ``parts`` contiguous row-band *views*.
+def _rows(img: RenderedImage, a: int, b: int) -> RenderedImage:
+    """Rows ``[a, b)`` of a framebuffer as *views*: no pixel is copied.
 
-    No pixel data is copied; callers may read the bands or hand them to the
-    communicator (which copies payloads on send, as real MPI would).
+    Callers may read the band or hand it to the communicator (which copies
+    payloads on send, as real MPI would).
     """
-    h = img.shape[0]
-    bounds = [h * p // parts for p in range(parts + 1)]
-    out = []
-    for p in range(parts):
-        sl = slice(bounds[p], bounds[p + 1])
-        out.append(
-            RenderedImage(
-                img.rgb[sl],
-                img.alpha[sl],
-                None if img.depth is None else img.depth[sl],
-            )
-        )
-    return out
+    return RenderedImage(
+        img.rgb[a:b], img.alpha[a:b], None if img.depth is None else img.depth[a:b]
+    )
+
+
+def _halve(lo: int, hi: int) -> int:
+    """Where binary swap splits rows ``[lo, hi)``: the high half is never
+    the smaller one."""
+    return lo + (hi - lo) // 2
+
+
+def band_rows(height: int, path: int, depth: int) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of a ``height``-row frame that rank ``path`` holds
+    after ``depth`` binary-swap rounds.
+
+    Round ``j`` halves the band and keeps the high half when bit ``j`` of
+    ``path`` is set, so bands are nested: the band at depth ``d`` is the
+    union of its two children at depth ``d + 1``.
+    """
+    lo, hi = 0, height
+    for level in range(depth):
+        mid = _halve(lo, hi)
+        if path >> level & 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def direct_send(comm, partial: RenderedImage, root: int = 0) -> RenderedImage | None:
@@ -143,10 +157,13 @@ def direct_send(comm, partial: RenderedImage, root: int = 0) -> RenderedImage | 
     return result
 
 
-def binary_swap(
-    comm, partial: RenderedImage, root: int = 0, out: RenderedImage | None = None
-) -> RenderedImage | None:
-    """Binary-swap compositing; final image assembled on ``root``.
+def swap_band(comm, partial: RenderedImage) -> tuple[int, RenderedImage] | None:
+    """Binary-swap compositing up to, not including, the final gather.
+
+    Returns ``(row0, band)``: this rank's fully composited row band and the
+    frame row it starts at, or ``None`` on a rank the funnel below folded
+    away.  Rank ``r`` of the power-of-two active set holds
+    ``band_rows(height, r, log2(active))``.
 
     Works for any communicator size: ranks beyond the largest power of two
     first fold, in rank order, into the *highest* active rank, then the
@@ -161,33 +178,24 @@ def binary_swap(
     The rounds are allocation-free on the compositing side: each rank keeps
     its retained half as a *view*, sends the other half (the communicator
     copies payloads, modeling the network buffer), and composites in place
-    into the received copy it owns.  The root stitches into ``out`` when it
-    has the final image's shape and depth-ness (a frame the caller reuses
-    across steps); otherwise it allocates.  On one rank nothing is stitched
-    and ``partial`` itself is returned.
+    into the received copy it owns.  On one rank ``partial`` itself is the
+    band.
     """
     size, rank = comm.size, comm.rank
-    if size == 1:
-        return partial if rank == root else None
     # Fold excess ranks into the power-of-two active set.
     active = 1 << (size.bit_length() - 1)
     if active != size:
         funnel = active - 1
         if rank >= active:
             comm.send((partial.rgb, partial.alpha, partial.depth), dest=funnel, tag=900)
-        elif rank == funnel:
+            return None
+        if rank == funnel:
             for src in range(active, size):
                 r, a, d = comm.recv(source=src, tag=900)
                 # The received triple is a rank-local copy: composite into
                 # it in place (funnel pixels are front, rank order).
                 img = RenderedImage(r, a, d)
                 partial = composite_over_into(partial, img, out=img)
-    if rank >= active:
-        # Folded ranks still participate in the final gather collective --
-        # every rank reaches this gather (active ranks call it after the
-        # exchange rounds below), so the branch is not divergent.
-        comm.gather(None, root=root)
-        return None
 
     # log2(active) rounds of half exchanges, pairing ADJACENT ranks first
     # (peer = rank XOR stride, stride doubling).  At stride s each rank's
@@ -201,7 +209,9 @@ def binary_swap(
     while stride < active:
         peer = rank ^ stride
         in_low = (rank & stride) == 0
-        low_band, high_band = _split_rows(my, 2)
+        h = my.shape[0]
+        mid = _halve(0, h)
+        low_band, high_band = _rows(my, 0, mid), _rows(my, mid, h)
         keep, send_img = (low_band, high_band) if in_low else (high_band, low_band)
         got = comm.sendrecv(
             (send_img.rgb, send_img.alpha, send_img.depth),
@@ -220,28 +230,37 @@ def binary_swap(
         else:
             my = composite_over_into(other, keep, out=other)
         if not in_low:
-            row0 += low_band.shape[0]
+            row0 += mid
         stride *= 2
+    return row0, my
 
-    # Gather the per-rank bands to root and stitch.
-    bands = comm.gather((row0, my.rgb, my.alpha, my.depth), root=root)
-    if rank != root:
+
+def binary_swap(comm, partial: RenderedImage, root: int = 0) -> RenderedImage | None:
+    """Binary-swap compositing (:func:`swap_band`); final image assembled
+    on ``root`` from the gathered row bands.
+
+    On one rank nothing is stitched and ``partial`` itself is returned.
+    """
+    if comm.size == 1:
+        return partial if comm.rank == root else None
+    # Every rank reaches this gather, folded ranks with ``None``.
+    got = swap_band(comm, partial)
+    bands = comm.gather(
+        None if got is None else (got[0], got[1].rgb, got[1].alpha, got[1].depth),
+        root=root,
+    )
+    if comm.rank != root:
         return None
     bands = [b for b in bands if b is not None]
     total_h = sum(b[1].shape[0] for b in bands)
     width = bands[0][1].shape[1]
     with_depth = bands[0][3] is not None
-    # Every pixel is overwritten by the stitch below: no clear, no zero fill.
-    if (
-        out is None
-        or out.shape != (total_h, width)
-        or (out.depth is not None) != with_depth
-    ):
-        out = RenderedImage(
-            np.empty((total_h, width, 3), dtype=np.uint8),
-            np.empty((total_h, width), dtype=np.uint8),
-            np.empty((total_h, width), dtype=np.float32) if with_depth else None,
-        )
+    # Every pixel is overwritten by the stitch below: no zero fill.
+    out = RenderedImage(
+        np.empty((total_h, width, 3), dtype=np.uint8),
+        np.empty((total_h, width), dtype=np.uint8),
+        np.empty((total_h, width), dtype=np.float32) if with_depth else None,
+    )
     for r0, rgb, alpha, depth in bands:
         h = rgb.shape[0]
         out.rgb[r0 : r0 + h] = rgb

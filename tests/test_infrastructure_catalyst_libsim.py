@@ -19,8 +19,10 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
+from repro.trace import TraceSession
 from repro.util import MemoryTracker, TimerRegistry
 from repro.util.config import ConfigError
+from tests._png_oracle import expected_png
 
 
 def _run_catalyst(nranks, dims=(12, 10, 8), steps=2, **kwargs):
@@ -116,37 +118,26 @@ class TestCatalyst:
         with pytest.raises(ValueError):
             CatalystAdaptor(SlicePlane(2, 0), frequency=0)
 
-    def test_negative_png_workers_rejected(self):
-        with pytest.raises(ValueError):
-            CatalystAdaptor(SlicePlane(2, 0), png_workers=-1)
+    @pytest.mark.parametrize("level", [-1, 10])
+    def test_invalid_compression_level_rejected_at_construction(self, level):
+        """Not at the first step, where every rank but the folded ones
+        would raise inside the encode and the job would abort."""
+        with pytest.raises(ValueError, match="compression_level"):
+            CatalystAdaptor(SlicePlane(2, 0), compression_level=level)
 
     def test_frames_allocated_once_and_reused(self):
+        """Catalyst's one frame, the partial, is allocated once per rank."""
         record = _run_frames()
-        frames = {r[1] for r in record}
-        assert len(frames) == 1
-        (partial, frame), = frames
-        assert None not in (partial, frame) and partial != frame
+        partials = {r[1] for r in record}
+        assert len(partials) == 1 and None not in partials
         # The per-step framebuffer charge is released within the step.
         assert all(r[2] == 0 for r in record)
 
-    def test_one_rank_root_frame_is_not_the_partial(self):
-        """On one rank binary_swap returns the partial itself; Catalyst must
-        not adopt it as its root frame."""
-        record = _run_frames(nranks=1)
-        assert all(r[1][0] is not None and r[1][1] is None for r in record)
-
-    def test_png_workers_switches_encoder_same_pixels(self):
-        plain = _run_frames()
-        banded = _run_frames(png_workers=2)
-        for got, ref in zip(banded, plain):
-            assert got[0] != ref[0]  # banded stream, not the serial one
-            np.testing.assert_array_equal(decode_png(got[0]), decode_png(ref[0]))
-
 
 def _run_frames(nranks=2, steps=3, **kwargs):
-    """Rank 0's per-step record of a Catalyst run: PNG bytes, the identities
-    of Catalyst's partial and root frame (``None`` for no frame) and the
-    bytes the tracker holds between steps."""
+    """Rank 0's per-step record of a Catalyst run: PNG bytes, the identity
+    of Catalyst's partial frame (``None`` for no frame) and the bytes the
+    tracker holds between steps."""
 
     def prog(comm):
         mem = MemoryTracker()
@@ -160,10 +151,8 @@ def _run_frames(nranks=2, steps=3, **kwargs):
         record = []
         for _ in range(steps):
             sim.run(1, bridge)
-            frames = tuple(
-                None if f is None else id(f) for f in (cat._partial, cat._frame)
-            )
-            record.append((cat.last_png, frames, mem.current - mem.static))
+            partial = None if cat._partial is None else id(cat._partial)
+            record.append((cat.last_png, partial, mem.current - mem.static))
         bridge.finalize()
         return record
 
@@ -370,7 +359,7 @@ class TestLibsim:
 def _paper_size_pngs(comm):
     """Two steps of the 64^3 oscillator through the Catalyst z-mid slice at
     the paper's 1920x1080; rank 0's PNG per step.  The second step paints
-    into the first step's cleared partial and stitches into its frame."""
+    into the first step's cleared partial."""
     sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.1)
     bridge = Bridge(comm, sim.make_data_adaptor())
     cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=32), resolution=(1920, 1080))
@@ -384,9 +373,10 @@ def _paper_size_pngs(comm):
     return pngs
 
 
-#: CRC-32 of the two serial PNGs, recorded before Catalyst reused its frames
-#: (a frame that is reused without being cleared repeats the first step).
-_PAPER_SIZE_CRCS = [0xEA75D3F1, 0x6B5B6C07]
+#: CRC-32 of the two frames' decoded pixels, recorded from the serial PNGs
+#: written before Catalyst reused its partial (a partial that is reused
+#: without being cleared repeats the first step) and before sort-last.
+_PAPER_SIZE_PIXEL_CRCS = [0xF8D947D4, 0xA0A9DFAF]
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,7 +387,8 @@ def _paper_size_serial():
 class TestCatalystPaperResolution:
     """The paper's "parallel image == serial image" at the paper's size; the
     small-viewport tests above never give a rank a box narrower than the
-    frame or a node more than a few pixels."""
+    frame or a node more than a few pixels, nor a frame of several PNG
+    leaves."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
@@ -405,5 +396,16 @@ class TestCatalystPaperResolution:
         # 3 ranks: binary_swap's non-power-of-two funnel.
         pngs = run_spmd(nranks, _paper_size_pngs, backend=backend)[0]
         assert pngs == _paper_size_serial()
-        assert [zlib.crc32(png) for png in pngs] == _PAPER_SIZE_CRCS
-        assert decode_png(pngs[-1]).shape == (1080, 1920, 3)
+        pixels = [decode_png(png) for png in pngs]
+        assert pixels[-1].shape == (1080, 1920, 3)
+        assert [zlib.crc32(p.tobytes()) for p in pixels] == _PAPER_SIZE_PIXEL_CRCS
+        # Sort-last writes the thread-banded encoder's bytes over 8 leaves.
+        assert [expected_png(p, 6) for p in pixels] == pngs
+
+    def test_root_gathers_compressed_bytes_not_pixels(self):
+        """Rank 1 gathers its deflated half to rank 0, not the 4 MB of
+        rgb + alpha its band holds (two steps)."""
+        session = TraceSession()
+        run_spmd(2, _paper_size_pngs, backend="thread", trace=session)
+        gathered = session.recorder(1).total("mpi::gather::bytes")
+        assert 0 < gathered < 2 * 0.02 * (540 * 1920 * 3)

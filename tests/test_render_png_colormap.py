@@ -1,5 +1,6 @@
 """Tests for the PNG codec and colormaps."""
 
+import contextlib
 import struct
 import zlib
 
@@ -8,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpi import Communicator, run_spmd
 from repro.render import COOL_WARM, GRAY, VIRIDIS, Colormap, decode_png, encode_png
-from repro.render.png import _SIGNATURE, PNGError, _chunk
+from repro.render import png as png_module
+from repro.render.compositing import band_rows
+from repro.render.png import (
+    _SIGNATURE,
+    PNGError,
+    _chunk,
+    adler32_combine,
+    sort_last_png,
+)
+
+from tests._png_oracle import chunk_bounds, encode_banded, expected_png, leaf_bounds
 
 
 def _reseal_crcs(blob: bytes) -> bytes:
@@ -223,9 +235,37 @@ class TestPNGCodec:
         assert np.array_equal(decode_png(encode_png(img, level)), img)
 
 
+@contextlib.contextmanager
+def _leaf_bytes(n):
+    """Shrink sort-last's leaves so small test images have several."""
+    saved, png_module._LEAF_BYTES = png_module._LEAF_BYTES, n
+    try:
+        yield
+    finally:
+        png_module._LEAF_BYTES = saved
+
+
+def _sort_last(img, level, nranks, backend="thread"):
+    """Rank 0's :func:`sort_last_png` of ``img`` on ``nranks`` ranks, each
+    holding the rows binary swap leaves it (a folded rank holds none)."""
+    h = img.shape[0]
+
+    def prog(comm):
+        rounds = comm.size.bit_length() - 1
+        if comm.rank >= 1 << rounds:
+            return sort_last_png(comm, None, 0, h, level)
+        lo, hi = band_rows(h, comm.rank, rounds)
+        return sort_last_png(comm, img[lo:hi], lo, h, level)
+
+    out = run_spmd(nranks, prog, backend=backend)
+    assert all(blob is None for blob in out[1:])
+    return out[0]
+
+
 class TestParallelDeflate:
-    """The pigz-style chunked encoder must be a drop-in ablation: a valid
-    PNG whose decoded pixels are byte-identical to the serial encoder's."""
+    """The sort-last encoder: every rank deflates its own rows, and the PNG
+    decodes to the serial encoder's pixels with the bytes of the thread
+    encoder over the same leaves (``tests/_png_oracle.py``)."""
 
     def _structured(self, h, w, channels=3):
         y, x = np.mgrid[0:h, 0:w]
@@ -239,62 +279,101 @@ class TestParallelDeflate:
     def test_rgb_decodes_identically_to_serial(self, workers, level):
         img = self._structured(64, 48)
         serial = decode_png(encode_png(img, level))
-        parallel = decode_png(encode_png(img, level, workers=workers))
+        with _leaf_bytes(1024):  # 8 leaves
+            blob = _sort_last(img, level, workers)
+            assert blob == expected_png(img, level)
+        parallel = decode_png(blob)
         assert np.array_equal(parallel, serial)
         assert np.array_equal(parallel, img)
 
     def test_grayscale_roundtrip(self):
         img = self._structured(37, 61, channels=1)
-        blob = encode_png(img, 6, workers=3)
+        with _leaf_bytes(256):
+            blob = _sort_last(img, 6, 3)
+            assert blob == expected_png(img, 6)
         assert np.array_equal(decode_png(blob), img)
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 1000])
     def test_chunk_rows_sweep(self, chunk_rows):
-        """Any band size (including bands larger than the image) works."""
+        """Any leaf size works, from one row to more than the image (one
+        leaf: the serial stream)."""
         img = self._structured(23, 31)
-        blob = encode_png(img, 6, workers=2, chunk_rows=chunk_rows)
+        with _leaf_bytes(chunk_rows * (31 * 3 + 1)):
+            blob = _sort_last(img, 6, 4)
+            assert blob == expected_png(img, 6)
         assert np.array_equal(decode_png(blob), img)
+        if chunk_rows == 1000:
+            assert blob == encode_png(img, 6)
 
     def test_cross_band_references_stay_valid(self):
-        """Each band is one row of random bytes, incompressible on its own;
+        """Each leaf is one row of random bytes, incompressible on its own;
         the image only deflates well if matches reach the identical row in
-        the *previous* band through the zdict priming."""
+        the *previous* leaf -- held by another rank -- through the primed
+        window."""
         rng = np.random.default_rng(5)
         row = rng.integers(0, 256, 300, dtype=np.uint8)
         img = np.tile(row, (64, 1))
-        blob = encode_png(img, 6, workers=4, chunk_rows=1)
+        with _leaf_bytes(301):
+            blob = _sort_last(img, 6, 4)
         assert np.array_equal(decode_png(blob), img)
-        # Without cross-band references this would be ~img.nbytes; with
-        # them every band after the first is a back-reference.
+        # Without cross-leaf references this would be ~img.nbytes; with
+        # them every leaf after the first is a back-reference.
         assert len(blob) < 0.15 * img.nbytes
-        # At realistic band sizes the chunking overhead is marginal.
-        big = encode_png(img, 9, workers=4, chunk_rows=16)
+        # At realistic leaf sizes the cut costs little.
+        with _leaf_bytes(16 * 301):
+            big = _sort_last(img, 9, 4)
         assert np.array_equal(decode_png(big), img)
         assert len(big) < 1.10 * len(encode_png(img, 9))
 
     def test_default_banding_costs_under_two_percent_on_a_noisy_frame(self):
-        """At the default ~4 bands per worker, on a frame-sized image whose
-        rows do not repeat, banding + priming is marginal in output size."""
+        """At the default leaves (8 on a 1920x1080 frame), on a frame whose
+        rows do not repeat, cutting + priming is marginal in output size."""
         rng = np.random.default_rng(0)
-        y, x = np.mgrid[0:512, 0:512]
+        y, x = np.mgrid[0:1080, 0:1920]
         field = np.sin(x / 40.0) * np.cos(y / 25.0)
         frame = VIRIDIS.map(field + 0.1 * rng.standard_normal(field.shape))
+        assert len(leaf_bounds(frame)) == 8
         serial = encode_png(frame, 6)
-        banded = encode_png(frame, 6, workers=4)
+        banded = _sort_last(frame, 6, 4)
+        assert banded == expected_png(frame, 6)
         assert np.array_equal(decode_png(banded), decode_png(serial))
         assert len(banded) < 1.02 * len(serial)
 
     def test_single_row_image(self):
+        """Four ranks, three of them with no rows."""
         img = self._structured(1, 17)
-        assert np.array_equal(decode_png(encode_png(img, 6, workers=4)), img)
+        with _leaf_bytes(1):
+            blob = _sort_last(img, 6, 4)
+        assert blob == encode_png(img, 6)
 
-    def test_workers_zero_is_serial(self):
-        img = self._structured(8, 8)
-        assert encode_png(img, 6, workers=0) == encode_png(img, 6)
+    def test_one_leaf_frame_is_the_serial_encoder(self):
+        """Under two leaves of scanlines, every rank count writes
+        :func:`encode_png`'s bytes (what the golden artifacts pin)."""
+        img = self._structured(90, 160)
+        assert len(leaf_bounds(img)) == 1
+        for nranks in (1, 2, 3, 4):
+            assert _sort_last(img, 6, nranks) == encode_png(img, 6)
 
-    def test_negative_workers_rejected(self):
+    def test_bad_input_rejected(self):
+        comm = Communicator.single_rank()
+        rows = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(PNGError):
-            encode_png(np.zeros((4, 4), dtype=np.uint8), workers=-1)
+            sort_last_png(comm, rows, 0, 4, compression_level=10)
+        with pytest.raises(PNGError):
+            sort_last_png(comm, rows.astype(np.int16), 0, 4)
+        with pytest.raises(PNGError):
+            sort_last_png(comm, rows[:, :0], 0, 4)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("nranks", [5, 16])
+    def test_more_ranks_than_leaves_ship_rows_to_the_leaf(self, nranks, backend):
+        """16 ranks, 4 leaves: each leaf's four bands go to the rank that
+        holds its first row.  5 ranks: one rank is folded away."""
+        img = self._structured(64, 48)
+        with _leaf_bytes(2048):
+            assert len(leaf_bounds(img)) == 4
+            blob = _sort_last(img, 6, nranks, backend)
+            assert blob == expected_png(img, 6)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -307,8 +386,23 @@ class TestParallelDeflate:
     def test_parallel_roundtrip_property(self, h, w, seed, level, workers):
         rng = np.random.default_rng(seed)
         img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        blob = encode_png(img, level, workers=workers)
+        with _leaf_bytes(3 * w + 1):  # one-row leaves
+            blob = _sort_last(img, level, workers)
+            assert blob == expected_png(img, level)
         assert np.array_equal(decode_png(blob), img)
+
+
+class TestAdler32Combine:
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.binary(max_size=300), b=st.binary(max_size=300))
+    def test_equals_adler_of_concatenation(self, a, b):
+        combined = adler32_combine(zlib.adler32(a), zlib.adler32(b), len(b))
+        assert combined == zlib.adler32(a + b)
+
+    def test_long_second_part(self):
+        a, b = b"\xff" * 70_000, b"\xfe" * 200_000
+        combined = adler32_combine(zlib.adler32(a), zlib.adler32(b), len(b))
+        assert combined == zlib.adler32(a + b)
 
 
 class TestGoldenBytes:
@@ -338,7 +432,12 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("level,workers", sorted(GOLDEN))
     def test_encoded_bytes_match_recorded_crc(self, level, workers):
+        """``workers=0`` is :func:`encode_png`; ``workers > 0`` is the
+        thread encoder, now the test oracle, at its default bands."""
         img = self._frame()
-        blob = encode_png(img, level, workers=workers)
+        if workers:
+            blob = encode_banded(img, level, chunk_bounds(len(img), workers), workers)
+        else:
+            blob = encode_png(img, level)
         assert zlib.crc32(blob) == self.GOLDEN[(level, workers)]
         assert np.array_equal(decode_png(blob), img)

@@ -21,6 +21,7 @@ from repro.render import (
     rasterize_slice,
     splat_points,
 )
+from repro.render.compositing import band_rows, swap_band
 from repro.render.isosurface import isosurface_points
 from tests._raster_oracle import rasterize_slice as gather_rasterize_slice
 
@@ -441,55 +442,38 @@ class TestParallelCompositing:
         ds0, bs0 = run_spmd(4, prog)[0]
         assert ds0 == 10 and bs0 == 10
 
-    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 8])
-    def test_reused_out_matches_fresh_stitch(self, nranks):
-        """A garbage-filled ``out`` reused across frames stitches the same
-        pixels as a fresh buffer, and is the buffer the root gets back."""
+    @pytest.mark.parametrize("height", [32, 7, 2])
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 8])
+    def test_swap_band_holds_band_rows_of_the_stitched_frame(self, nranks, height):
+        """Every active rank ends the rounds holding ``band_rows(height,
+        rank, log2 active)`` of the frame binary swap stitches; a folded
+        rank holds nothing.  Height 2 at 8 ranks leaves most bands empty."""
 
         def prog(comm):
-            img = _rank_band_image(comm)
-            ref = binary_swap(comm, img.copy())
-            out = blank_image(16, 32)
-            finals = []
-            for frame in range(3):
-                out.rgb[:] = 7 + frame
-                out.alpha[:] = 200
-                got = binary_swap(comm, img, out=out)
-                if got is not None:
-                    finals.append((got is out, got.rgb.copy(), got.alpha.copy()))
-            if comm.rank != 0:
-                return None
-            return finals, (ref.rgb, ref.alpha)
+            img = _rank_band_image(comm, height=height)
+            stitched = binary_swap(comm, img.copy())
+            got = swap_band(comm, img.copy())
+            frame = comm.bcast(None if stitched is None else stitched.rgb)
+            rounds = comm.size.bit_length() - 1
+            if comm.rank >= 1 << rounds:
+                return got is None
+            row0, band = got
+            lo, hi = band_rows(height, comm.rank, rounds)
+            return row0 == lo and np.array_equal(band.rgb, frame[lo:hi])
 
-        finals, (ref_rgb, ref_alpha) = run_spmd(nranks, prog)[0]
-        assert len(finals) == 3
-        for is_out, rgb, alpha in finals:
-            # One rank stitches nothing: binary_swap hands the partial back.
-            assert is_out == (nranks > 1)
-            assert np.array_equal(rgb, ref_rgb)
-            assert np.array_equal(alpha, ref_alpha)
+        assert all(run_spmd(nranks, prog))
 
-    @pytest.mark.parametrize(
-        "out", [blank_image(16, 31), blank_image(15, 32), blank_image(16, 32, True)]
-    )
-    def test_mismatched_out_untouched_and_fresh_buffer_returned(self, out):
-        out.rgb[:] = 9
-        before = out.copy()
-
-        def prog(comm):
-            mine = out.copy()
-            got = binary_swap(comm, _rank_band_image(comm), out=mine)
-            if comm.rank != 0:
-                return None
-            return got is mine, got.shape, got.depth is None, mine
-
-        is_out, shape, no_depth, mine = run_spmd(2, prog)[0]
-        assert not is_out
-        assert shape == (32, 16) and no_depth
-        assert np.array_equal(mine.rgb, before.rgb)
-        assert np.array_equal(mine.alpha, before.alpha)
-        if before.depth is not None:
-            assert np.array_equal(mine.depth, before.depth)
+    def test_band_rows_nest_and_tile(self):
+        for height in (1, 2, 7, 1080):
+            for depth in range(5):
+                bands = sorted(band_rows(height, p, depth) for p in range(1 << depth))
+                assert bands[0][0] == 0 and bands[-1][1] == height
+                assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+                for p in range(1 << depth):
+                    lo, hi = band_rows(height, p, depth)
+                    low = band_rows(height, p, depth + 1)
+                    high = band_rows(height, p | 1 << depth, depth + 1)
+                    assert (low[0], low[1], high[1]) == (lo, high[0], hi)
 
     def test_partial_not_mutated_by_swap(self):
         """The caller's partial image survives binary_swap untouched (the
