@@ -1,18 +1,14 @@
-"""Module-level call graph with interprocedural effect summaries.
+"""Module-level call graph with interprocedural collective summaries.
 
-The checkers are intraprocedural over CFGs, but two bug classes routinely
-hide one call deep: a rank-guarded helper that *transitively* enters a
-collective, and a constructor that spins up a thread before the caller
-forks.  This module gives each function in a module a summary --
+The checkers are intraprocedural over CFGs, but a rank-guarded helper that
+*transitively* enters a collective hides the collective one call deep.
+This module gives each function in a module a summary --
 
 - ``collectives``: communicator collectives the function calls directly;
-- ``thread_sites`` / ``fork_sites``: direct thread/lock creations and
-  fork-based pool/process launches;
 - ``calls``: locally-resolvable callees (module functions, ``Class.method``
   via ``self.``/``cls.``, and ``ClassName(...)`` as ``Class.__init__``)
 
--- plus transitive predicates (:meth:`CallGraph.has_collective`,
-:meth:`CallGraph.creates_thread`, :meth:`CallGraph.creates_fork`) computed
+-- plus the transitive predicate :meth:`CallGraph.has_collective`, computed
 by memoized DFS that is cycle-safe.  Resolution is deliberately local to
 the module: imported callees are unknown and contribute nothing, which
 keeps the summaries cheap and the false-positive rate near zero.
@@ -43,23 +39,6 @@ COLLECTIVE_NAMES = frozenset(
     }
 )
 
-_THREAD_FACTORIES = frozenset(
-    {
-        "Thread",
-        "Timer",
-        "Lock",
-        "RLock",
-        "Condition",
-        "Event",
-        "Semaphore",
-        "BoundedSemaphore",
-        "Barrier",
-        "ThreadPoolExecutor",
-    }
-)
-
-_FORK_RECEIVERS = frozenset({"multiprocessing", "mp", "mpctx", "ctx", "context", "mp_context"})
-
 
 def receiver_name(node: ast.expr) -> str | None:
     """Rightmost identifier of a call receiver (``self.comm`` -> ``comm``)."""
@@ -83,40 +62,6 @@ def is_collective_call(node: ast.AST) -> bool:
     return "comm" in recv or recv in {"world", "group"}
 
 
-def is_thread_creation(node: ast.AST) -> bool:
-    """``threading.Thread(...)``-style thread/lock/executor creation."""
-    if not isinstance(node, ast.Call):
-        return False
-    fn = node.func
-    if isinstance(fn, ast.Attribute):
-        base = fn.value
-        if isinstance(base, ast.Name) and base.id in ("threading", "futures", "concurrent"):
-            return fn.attr in _THREAD_FACTORIES
-        return False
-    if isinstance(fn, ast.Name):
-        return fn.id in ("Thread", "ThreadPoolExecutor")
-    return False
-
-
-def is_fork_launch(node: ast.AST) -> bool:
-    """Fork-based pool/process creation: ``ProcessPoolExecutor``,
-    ``multiprocessing.Process`` (and context aliases), ``os.fork``."""
-    if not isinstance(node, ast.Call):
-        return False
-    fn = node.func
-    if isinstance(fn, ast.Name):
-        return fn.id in ("ProcessPoolExecutor", "Process")
-    if isinstance(fn, ast.Attribute):
-        if fn.attr == "ProcessPoolExecutor":
-            return True
-        if fn.attr == "fork" and isinstance(fn.value, ast.Name) and fn.value.id == "os":
-            return True
-        if fn.attr == "Process":
-            recv = receiver_name(fn.value)
-            return recv is not None and recv.lower() in _FORK_RECEIVERS
-    return False
-
-
 @dataclass
 class FunctionSummary:
     qualname: str
@@ -124,8 +69,6 @@ class FunctionSummary:
     cls: str | None
     calls: set[str] = field(default_factory=set)
     collectives: list[tuple[str, int]] = field(default_factory=list)
-    thread_sites: list[int] = field(default_factory=list)
-    fork_sites: list[int] = field(default_factory=list)
 
 
 class CallGraph:
@@ -134,7 +77,7 @@ class CallGraph:
     def __init__(self, tree: ast.Module):
         self.functions: dict[str, FunctionSummary] = {}
         self._collect(tree)
-        self._memo: dict[tuple[str, str], bool] = {}
+        self._memo: dict[str, bool] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -165,10 +108,6 @@ class CallGraph:
             if is_collective_call(node):
                 assert isinstance(node.func, ast.Attribute)
                 s.collectives.append((node.func.attr, node.lineno))
-            if is_thread_creation(node):
-                s.thread_sites.append(node.lineno)
-            if is_fork_launch(node):
-                s.fork_sites.append(node.lineno)
             callee = self._callee_name(node, cls)
             if callee is not None:
                 s.calls.add(callee)
@@ -194,40 +133,26 @@ class CallGraph:
             return self.functions.get(f"{name}.__init__")
         return None
 
-    # -- transitive predicates ---------------------------------------------
+    # -- transitive predicate ----------------------------------------------
 
-    def _transitive(self, qual: str, what: str) -> bool:
-        key = (qual, what)
-        if key in self._memo:
-            return self._memo[key]
-        self._memo[key] = False  # cycle guard: assume False while exploring
+    def _reaches_collective(self, qual: str) -> bool:
+        if qual in self._memo:
+            return self._memo[qual]
+        self._memo[qual] = False  # cycle guard: assume False while exploring
         s = self.functions.get(qual)
         if s is None:
             return False
-        direct = {
-            "collective": bool(s.collectives),
-            "thread": bool(s.thread_sites),
-            "fork": bool(s.fork_sites),
-        }[what]
-        result = direct or any(
-            self._transitive(callee.qualname, what)
+        result = bool(s.collectives) or any(
+            self._reaches_collective(callee.qualname)
             for callee in filter(None, (self.resolve(c) for c in s.calls))
             if callee.qualname != qual
         )
-        self._memo[key] = result
+        self._memo[qual] = result
         return result
 
     def has_collective(self, name: str) -> bool:
         s = self.resolve(name)
-        return s is not None and self._transitive(s.qualname, "collective")
-
-    def creates_thread(self, name: str) -> bool:
-        s = self.resolve(name)
-        return s is not None and self._transitive(s.qualname, "thread")
-
-    def creates_fork(self, name: str) -> bool:
-        s = self.resolve(name)
-        return s is not None and self._transitive(s.qualname, "fork")
+        return s is not None and self._reaches_collective(s.qualname)
 
     def first_collective(self, name: str) -> tuple[str, int] | None:
         """A representative (collective, line) a call to ``name`` reaches."""

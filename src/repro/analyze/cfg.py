@@ -115,6 +115,8 @@ class Block:
             return [s.subject]
         if isinstance(s, ast.Try):
             return []
+        if isinstance(s, ast.ExceptHandler):
+            return [s.type] if s.type is not None else []
         if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return []
         return [s]

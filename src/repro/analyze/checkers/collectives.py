@@ -106,7 +106,6 @@ class CollectiveMatchChecker(Checker):
         "rank-dependent branch, early exit, or loop bound may change "
         "which collectives run"
     )
-    severity = "error"
     emits = ("rank-divergent-collectives", "collective-in-rank-loop")
     # The communicator implementation itself legitimately branches on rank.
     exempt_paths = ("repro/mpi/",)
@@ -193,7 +192,6 @@ class CollectiveMatchChecker(Checker):
             col=col,
             rule_id=rule,
             message=msg,
-            severity=self.severity,
             witness=witness,
         )
 

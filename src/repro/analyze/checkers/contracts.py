@@ -1,8 +1,8 @@
-"""The two syntactic repo-contract rules (``--rules`` selects them by id).
+"""The two syntactic repo-contract rules.
 
 Each is a single pass over the AST.  The path-sensitive families
-(collective matching, resource typestate, fork safety) live in the sibling
-checker modules.
+(collective matching, resource typestate) live in the sibling checker
+modules.
 
 Rule catalogue:
 
@@ -113,7 +113,6 @@ class ContractChecker(Checker):
         self.rule = rule
         self.rule_id = rule.id
         self.description = rule.description
-        self.severity = "error"
         self.exempt_paths = rule.exempt_paths
 
     def check(self, module: ModuleModel) -> Iterator[Finding]:

@@ -1,11 +1,9 @@
 """Resource typestate checkers: every acquire must reach its release.
 
-The repo's measurement and transport machinery is full of paired
-operations whose imbalance silently corrupts results or leaks kernel
-objects: ``Timer.start``/``stop`` (phase totals, Figs. 5-6),
-``MemoryTracker.allocate``/``free`` (high-water marks, Fig. 4), and
-``SharedMemory`` create/close/unlink (the PR 6 zero-copy transport).
-These checkers run a *typestate* analysis over the CFG: each tracked
+The repo's measurement machinery is full of paired operations whose
+imbalance silently corrupts results: ``Timer.start``/``stop`` (phase
+totals, Figs. 5-6) and ``MemoryTracker.allocate``/``free`` (high-water
+marks, Fig. 4).  These checkers run a *typestate* analysis over the CFG: each tracked
 resource is a little state machine, facts are propagated with
 :class:`~repro.analyze.dataflow.FactSolver`, and a resource still "open" at
 function exit -- on the normal **or** the exceptional path -- is reported
@@ -13,8 +11,8 @@ together with the CFG path that leaks it.
 
 Exception edges are the point: an ``exc`` edge leaving a statement carries
 the state *unchanged* (the statement raised, its effect never happened),
-so ``seg = SharedMemory(...); risky(); seg.close()`` correctly reports a
-leak on the path where ``risky()`` raises, while ``try/finally`` cleanup
+so ``t.start(); risky(); t.stop()`` correctly reports a timer left
+running on the path where ``risky()`` raises, while ``try/finally`` cleanup
 is recognized because the CFG duplicates ``finally`` bodies per
 continuation.
 
@@ -45,7 +43,6 @@ __all__ = [
     "TypestateChecker",
     "TimerSpec",
     "MemorySpec",
-    "ShmSpec",
     "TYPESTATE_CHECKERS",
 ]
 
@@ -60,12 +57,10 @@ Event = tuple
 class _Error:
     """A statement- or exit-level typestate violation."""
 
-    __slots__ = ("rule", "message", "severity", "line", "col", "witness")
+    __slots__ = ("message", "line", "col", "witness")
 
-    def __init__(self, rule, message, severity, line, col, witness):
-        self.rule = rule
+    def __init__(self, message, line, col, witness):
         self.message = message
-        self.severity = severity
         self.line = line
         self.col = col
         self.witness = witness
@@ -76,10 +71,7 @@ class ResourceSpec:
 
     rule_id: str = ""
     description: str = ""
-    severity: str = "error"
     exempt_paths: tuple[str, ...] = ()
-    #: Every rule id this spec can emit (for --rules filtering / listing).
-    emits: tuple[str, ...] = ()
     #: Resources are named local variables (enables escape analysis).
     var_based: bool = True
     #: Check leaks on the exceptional exit too?
@@ -98,7 +90,7 @@ class ResourceSpec:
         raise NotImplementedError
 
     def apply(self, op: str, state: str, qualname: str, key: str):
-        """-> (new state, error message | None, rule id, severity)."""
+        """-> (new state, error message | None)."""
         raise NotImplementedError
 
     def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
@@ -156,7 +148,6 @@ def _memory_label(node: ast.Call) -> str | None:
 class TimerSpec(ResourceSpec):
     rule_id = "timer-typestate"
     description = "timers created via .timer(...) must be stopped on every path"
-    emits = ("timer-typestate",)
     exempt_paths = ("repro/util/timers.py",)
 
     def creations(self, stmt: ast.stmt) -> list[tuple[str, str]]:
@@ -190,20 +181,16 @@ class TimerSpec(ResourceSpec):
                     f"timer '{key}' started twice without an intervening "
                     f"stop() in {qualname}: Timer.start() raises on a "
                     "running timer",
-                    self.rule_id,
-                    "error",
                 )
-            return ("running", None, self.rule_id, "error")
+            return ("running", None)
         # stop
         if state == "stopped":
             return (
                 "stopped",
                 f"timer '{key}' stopped without a start() on this path in "
                 f"{qualname}: Timer.stop() raises on a stopped timer",
-                self.rule_id,
-                "error",
             )
-        return ("stopped", None, self.rule_id, "error")
+        return ("stopped", None)
 
     def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
         if state != "running":
@@ -228,7 +215,6 @@ class MemorySpec(ResourceSpec):
         "every allocate(label=...) must have a free(label=...) in its module "
         "(and vice versa), balanced on every path of a function that does both"
     )
-    emits = ("memory-typestate",)
     var_based = False  # keys are string labels, not variables
     check_raise_exit = False  # exceptions tear the tracker down anyway
 
@@ -251,7 +237,7 @@ class MemorySpec(ResourceSpec):
         return None
 
     def apply(self, op: str, state: str, qualname: str, key: str):
-        return ("freed", None, self.rule_id, "error")
+        return ("freed", None)
 
     def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
         if state != "allocated":
@@ -294,84 +280,6 @@ class MemorySpec(ResourceSpec):
                 )
 
 
-class ShmSpec(ResourceSpec):
-    rule_id = "shm-lifecycle"
-    description = (
-        "SharedMemory segments must be closed on every path; only their "
-        "creator (or designated consumer) may unlink"
-    )
-    worker_rule_id = "shm-worker-unlink"
-    emits = ("shm-lifecycle", "shm-worker-unlink")
-    # The transport implements the consume-once protocol: its consumer
-    # intentionally unlinks segments it only attached to.
-    exempt_paths = ("repro/mpi/shm.py",)
-
-    def creations(self, stmt: ast.stmt) -> list[tuple[str, str]]:
-        if not isinstance(stmt, ast.Assign):
-            return []
-        v = stmt.value
-        if not isinstance(v, ast.Call):
-            return []
-        f = v.func
-        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-        if name != "SharedMemory":
-            return []
-        created = any(
-            kw.arg == "create" and isinstance(kw.value, ast.Constant) and kw.value.value is True
-            for kw in v.keywords
-        )
-        state = "created" if created else "attached"
-        return [(t.id, state) for t in stmt.targets if isinstance(t, ast.Name)]
-
-    def op_of(self, call: ast.Call, key: str) -> str | None:
-        f = call.func
-        if (
-            isinstance(f, ast.Attribute)
-            and f.attr in ("close", "unlink")
-            and isinstance(f.value, ast.Name)
-            and f.value.id == key
-        ):
-            return f.attr
-        return None
-
-    def apply(self, op: str, state: str, qualname: str, key: str):
-        if op == "close":
-            if state in ("created", "attached"):
-                return (f"closed:{state}", None, self.rule_id, "error")
-            return (state, None, self.rule_id, "error")
-        # unlink
-        if state in ("attached", "closed:attached"):
-            return (
-                "unlinked",
-                f"segment '{key}' was attached (create=False) but {qualname} "
-                "unlinks it: workers must close() and leave unlink() to the "
-                "segment's owner, or a consume-once consumer by protocol",
-                self.worker_rule_id,
-                "error",
-            )
-        if state == "created":
-            return (
-                "unlinked",
-                f"segment '{key}' unlinked before close() in {qualname}: "
-                "the local mapping outlives the name and masks leak "
-                "detection; close() first",
-                self.rule_id,
-                "warning",
-            )
-        return ("unlinked", None, self.rule_id, "error")
-
-    def exit_error(self, state: str, exceptional: bool, qualname: str, key: str) -> str | None:
-        if state not in ("created", "attached"):
-            return None
-        where = "when an exception escapes" if exceptional else "at function exit"
-        verb = "created" if state == "created" else "attached"
-        return (
-            f"shared-memory segment '{key}' ({verb}) is never close()d "
-            f"{where} in {qualname}: the mapping (and for creators the "
-            "named segment) leaks; close in a finally block"
-        )
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -381,7 +289,7 @@ def _escapes(stmt: ast.stmt, key: str, spec: ResourceSpec) -> bool:
     """Does this statement move ``key`` out of the function's hands?
 
     Passing the bare name to a foreign call transfers ownership;
-    passing a *view* of it (``bytes(seg.buf[:n])``) does not.
+    passing an attribute of it (``log(t.mean)``) does not.
     """
     if isinstance(stmt, ast.Return):
         return stmt.value is not None and _contains_name(stmt.value, key)
@@ -492,7 +400,7 @@ class _Tracker:
                 and evs is not None
                 and any(e[0] == "op" for e in evs)
             ):
-                # The resource's own op (close/stop/free/...) raised: the
+                # The resource's own op (stop/free) raised: the
                 # release was *attempted*; reporting "leaked because the
                 # cleanup call itself blew up" is noise, so stop tracking.
                 return ()
@@ -508,23 +416,21 @@ class _Tracker:
             elif ev[0] == "op":
                 if state == UNTRACKED:
                     continue  # op on a name this path never created
-                new, msg, rule, sev = self.spec.apply(
-                    ev[1], state, self.unit.qualname, self.key
-                )
+                new, msg = self.spec.apply(ev[1], state, self.unit.qualname, self.key)
                 if msg is not None:
-                    self._record(edge.src, fact, msg, rule, sev, ev[2])
+                    self._record(edge.src, fact, msg, ev[2])
                 state = new
             elif ev[0] == "drop":
                 return ()  # escaped: stop tracking on this path
         return (state,)
 
-    def _record(self, block: Block, in_fact, msg: str, rule: str, sev: str, line: int) -> None:
+    def _record(self, block: Block, in_fact, msg: str, line: int) -> None:
         dkey = (block.id, msg)
         if dkey in self._seen:
             return
         self._seen.add(dkey)
         self.errors.append(
-            _Error(rule, msg, sev, line, block.col, self.solver.witness(block, in_fact))
+            _Error(msg, line, block.col, self.solver.witness(block, in_fact))
         )
 
     def run(self) -> list[_Error]:
@@ -550,9 +456,7 @@ class _Tracker:
                 self._seen.add(dkey)
                 self.errors.append(
                     _Error(
-                        spec.rule_id,
                         msg,
-                        spec.severity,
                         self.creation_line or (self.unit.node.lineno),
                         self.creation_col,
                         self.solver.witness(block, fact),
@@ -568,9 +472,7 @@ class TypestateChecker(Checker):
         self.spec = spec
         self.rule_id = spec.rule_id
         self.description = spec.description
-        self.severity = spec.severity
         self.exempt_paths = spec.exempt_paths
-        self.emits = spec.emits
 
     def check(self, module: ModuleModel) -> Iterator[Finding]:
         spec = self.spec
@@ -601,19 +503,12 @@ class TypestateChecker(Checker):
                     # functions that do both sides themselves.
                     continue
                 for err in _Tracker(spec, key, cfg, unit).run():
-                    yield Finding(
-                        path=module.path,
-                        line=err.line,
-                        col=err.col,
-                        rule_id=err.rule,
-                        message=err.message,
-                        severity=err.severity,
-                        witness=err.witness,
+                    yield self.finding(
+                        module, err.line, err.col, err.message, err.witness
                     )
 
 
 TYPESTATE_CHECKERS: tuple[TypestateChecker, ...] = (
     TypestateChecker(TimerSpec()),
     TypestateChecker(MemorySpec()),
-    TypestateChecker(ShmSpec()),
 )

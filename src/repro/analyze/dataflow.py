@@ -1,24 +1,14 @@
 """Worklist dataflow solving over :mod:`repro.analyze.cfg` graphs.
 
-Two engines live here:
-
-:class:`FactSolver`
-    A forward may-analysis over *individual hashable facts* -- the classic
-    worklist algorithm, except that the transfer function is applied **per
-    edge** rather than per block.  Edge-level transfer is what makes the
-    statement-granular CFG pay off: an ``exc`` edge leaving a statement
-    carries the fact *unchanged* (the statement raised, its effect never
-    happened), while the normal out-edge carries the transformed fact.
-    Every fact remembers the (predecessor block, predecessor fact, edge)
-    that first produced it, so any reported state has a concrete CFG path
-    witness (:meth:`FactSolver.witness`).
-
-:class:`SetSolver`
-    A forward union analysis over sets (reaching-events style): ``IN[b]``
-    is the union of predecessors' ``OUT``, ``OUT[b] = IN[b] | gen(b)``.
-    Used by the fork-safety checkers where only "did event X happen on
-    *some* path before this point" matters.  Witnesses come from a BFS
-    shortest path through the event.
+:class:`FactSolver` is a forward may-analysis over *individual hashable
+facts* -- the classic worklist algorithm, except that the transfer function
+is applied **per edge** rather than per block.  Edge-level transfer is what
+makes the statement-granular CFG pay off: an ``exc`` edge leaving a
+statement carries the fact *unchanged* (the statement raised, its effect
+never happened), while the normal out-edge carries the transformed fact.
+Every fact remembers the (predecessor block, predecessor fact, edge) that
+first produced it, so any reported state has a concrete CFG path witness
+(:meth:`FactSolver.witness`).  The typestate checkers are its users.
 """
 
 from __future__ import annotations
@@ -28,7 +18,7 @@ from typing import Callable, Hashable, Iterable
 
 from repro.analyze.cfg import CFG, Block, Edge
 
-__all__ = ["FactSolver", "SetSolver", "shortest_path"]
+__all__ = ["FactSolver"]
 
 Fact = Hashable
 
@@ -92,76 +82,3 @@ class FactSolver:
         if len(steps) > limit:
             steps = ["..."] + steps[-(limit - 1):]
         return tuple(steps)
-
-
-class SetSolver:
-    """Forward union (may-reach) analysis of generated events."""
-
-    def __init__(self, cfg: CFG, gen: Callable[[Block], frozenset], kill: Callable[[Block, frozenset], frozenset] | None = None):
-        self.cfg = cfg
-        self.gen = gen
-        self.kill = kill
-        #: IN[b]: events that may have happened strictly before block b runs.
-        self.inset: dict[int, frozenset] = {}
-
-    def solve(self) -> "SetSolver":
-        empty: frozenset = frozenset()
-        self.inset = {b.id: empty for b in self.cfg.blocks}
-        # Seed with every block: propagation only re-enqueues on change, so
-        # each block's gen() must be pushed through its successors once.
-        work: deque[Block] = deque(self.cfg.blocks)
-        while work:
-            block = work.popleft()
-            out = self.inset[block.id] | self.gen(block)
-            if self.kill is not None:
-                out = self.kill(block, out)
-            for edge in block.succs:
-                if edge.kind == "exc":
-                    # The raising statement's own events never happened.
-                    flowed = self.inset[block.id]
-                else:
-                    flowed = out
-                merged = self.inset[edge.dst.id] | flowed
-                if merged != self.inset[edge.dst.id]:
-                    self.inset[edge.dst.id] = merged
-                    work.append(edge.dst)
-        return self
-
-    def before(self, block: Block) -> frozenset:
-        return self.inset.get(block.id, frozenset())
-
-
-def shortest_path(cfg: CFG, goal: Block, via: Block | None = None) -> tuple[str, ...]:
-    """BFS entry->goal path description, optionally forced through ``via``."""
-
-    def bfs(src: Block, dst: Block) -> list[Edge]:
-        prev: dict[int, Edge] = {}
-        seen = {src.id}
-        work = deque([src])
-        while work:
-            b = work.popleft()
-            if b is dst:
-                edges: list[Edge] = []
-                while b is not src:
-                    e = prev[b.id]
-                    edges.append(e)
-                    b = e.src
-                edges.reverse()
-                return edges
-            for e in b.succs:
-                if e.dst.id not in seen:
-                    seen.add(e.dst.id)
-                    prev[e.dst.id] = e
-                    work.append(e.dst)
-        return []
-
-    if via is not None and via is not goal:
-        edges = bfs(cfg.entry, via) + bfs(via, goal)
-    else:
-        edges = bfs(cfg.entry, goal)
-    steps = ["entry"] + [e.describe() for e in edges]
-    if len(steps) >= 2 and steps[1] == "entry":
-        steps = steps[1:]
-    if len(steps) > 14:
-        steps = ["..."] + steps[-13:]
-    return tuple(steps)

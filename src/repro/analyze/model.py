@@ -2,8 +2,8 @@
 
 A :class:`Checker` sees one :class:`ModuleModel` at a time -- the parsed
 tree plus lazily-built per-function CFGs and the module call graph -- and
-yields :class:`Finding` objects.  Findings carry a severity and an optional
-**CFG path witness**: the sequence of control-flow decisions that leads to
+yields :class:`Finding` objects.  Every finding is an error; it carries an
+optional **CFG path witness**: the sequence of control-flow decisions that leads to
 the defect, rendered as human-readable steps (and exported as a SARIF code
 flow by :mod:`repro.analyze.sarif`).
 """
@@ -33,7 +33,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    severity: str = "error"
     #: Human-readable CFG path steps leading to the defect ("entry",
     #: "L12: branch true", ...); empty for purely syntactic rules.
     witness: tuple[str, ...] = ()
@@ -100,16 +99,20 @@ class ModuleModel:
 class Checker:
     """Base class for analyzer rules.
 
-    Subclasses set ``rule_id``/``description``/``severity`` and implement
-    :meth:`check`.  ``exempt_paths`` lists posix path substrings where the
-    rule does not apply (typically the module that *implements* the
-    machinery the rule protects).
+    Subclasses set ``rule_id``/``description`` and implement :meth:`check`.
+    ``exempt_paths`` lists posix path substrings where the rule does not
+    apply (typically the module that *implements* the machinery the rule
+    protects).
     """
 
     rule_id: str = ""
     description: str = ""
-    severity: str = "error"
     exempt_paths: tuple[str, ...] = ()
+
+    @property
+    def emits(self) -> tuple[str, ...]:
+        """Rule ids this checker can produce (most produce exactly one)."""
+        return (self.rule_id,)
 
     def applies_to(self, path: str) -> bool:
         return not any(sub in path for sub in self.exempt_paths)
@@ -124,7 +127,6 @@ class Checker:
         col: int,
         message: str,
         witness: tuple[str, ...] = (),
-        severity: str | None = None,
     ) -> Finding:
         return Finding(
             path=module.path,
@@ -132,6 +134,5 @@ class Checker:
             col=col,
             rule_id=self.rule_id,
             message=message,
-            severity=severity or self.severity,
             witness=witness,
         )

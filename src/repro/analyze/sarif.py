@@ -4,7 +4,8 @@ One run, one driver (``repro-analyze``), one rule entry per catalog rule,
 one result per finding.  Findings with a CFG path witness export it as a
 ``codeFlow`` whose thread-flow locations carry the step descriptions, so
 SARIF viewers (and the GitHub code-scanning UI) can replay the path that
-leads to the defect.
+leads to the defect.  Every finding is an error, so every result and
+rule has level ``error``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
-
 
 def _rule_entries() -> list[dict]:
     return [
         {
             "id": rule.id,
             "shortDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": _LEVELS.get(rule.severity, "warning")},
+            "defaultConfiguration": {"level": "error"},
         }
         for rule in RULE_CATALOG
     ]
@@ -68,7 +67,7 @@ def to_sarif(findings: Iterable[Finding], tool_version: str = "1.0.0") -> dict:
     for f in findings:
         result = {
             "ruleId": f.rule_id,
-            "level": _LEVELS.get(f.severity, "warning"),
+            "level": "error",
             "message": {"text": f.message},
             "locations": [_location(f)],
         }

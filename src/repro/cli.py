@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze",
         help=(
             "run the CFG/dataflow static analyzer (collective matching, "
-            "resource typestate, fork safety; see repro.analyze)"
+            "resource typestate, repo contracts; see repro.analyze)"
         ),
     )
     analyze.add_argument(

@@ -441,6 +441,9 @@ class Communicator:
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Eager, non-blocking-complete send (buffered semantics).
 
+        The payload is captured before ``send`` returns, on every path, so
+        the caller may reuse its buffer at once.
+
         Under fault injection (``mpi.send`` site) the message may be
         delayed, duplicated, or dropped-and-retransmitted; see the module
         docstring.  Results are unaffected -- sequence numbers restore

@@ -71,6 +71,7 @@ from repro.mpi.communicator import (
     MPIError,
     RankAbort,
     _Mailbox,
+    _copy_payload,
     _payload_nbytes,
     _thread_world_rank,
 )
@@ -287,9 +288,15 @@ class ProcessCommunicator(Communicator):
         copies: int = 1, faulted: bool = False,
     ) -> None:
         ctx: _ProcessContext = self._ctx
-        # Faulted envelopes pickle inline: a duplicated envelope must survive
-        # two decodes, which a consume-once shm segment cannot.
-        spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
+        # Faulted envelopes pickle inline, copied here as the codec's inline
+        # path copies (the queue pickles later, on its feeder thread): a
+        # duplicated envelope must survive two decodes, which a consume-once
+        # shm segment cannot.
+        spec = (
+            ("inline", _copy_payload(payload))
+            if faulted
+            else ctx.runtime.codec.encode(payload)
+        )
         self._count_transport("mpi::send::bytes", spec[0] == "shm", payload)
         for _ in range(copies):
             ctx.runtime.put(
@@ -303,10 +310,11 @@ class ProcessCommunicator(Communicator):
         self._count_transport("mpi::send::bytes", False, payload)
         dest_world = ctx.members[dest]
         ctx.runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
+        # Copied now: the timer fires after send() has returned.
         ctx.runtime.put_later(
             delay,
             dest_world,
-            ("fulfill", ctx.cid, self._rank, seq, ("inline", payload)),
+            ("fulfill", ctx.cid, self._rank, seq, ("inline", _copy_payload(payload))),
         )
 
     def _rendezvous(self, value: Any, record) -> list[Any]:

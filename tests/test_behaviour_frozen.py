@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.slice_ import SlicePlane
+from repro.analyze import RULE_CATALOG, analyze_source
 from repro.apps.nbody import run_nbody
 from repro.core import Bridge
 from repro.faults.chaos import run_chaos
@@ -203,6 +204,26 @@ def test_one_staging_policy():
         importlib.import_module("repro.control")
     assert "policy" not in inspect.signature(StagingResilience).parameters
     assert "controller" not in inspect.signature(Bridge).parameters
+
+
+# -- structure: every analyzer rule guards a live site -------------------------
+
+
+def test_analyzer_rules_each_have_a_job():
+    """Six rules, each reaching live sites in ``src/`` (DESIGN.md lists
+    them), and every rule always runs.  Send-buffer reuse is held by the
+    fabric itself (``test_send_buffer_reusable_after_send``)."""
+    assert [rule.id for rule in RULE_CATALOG] == [
+        "analysis-sim-import",
+        "bare-time-call",
+        "rank-divergent-collectives",
+        "collective-in-rank-loop",
+        "timer-typestate",
+        "memory-typestate",
+    ]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.analyze.checkers.forksafety")
+    assert "rules" not in inspect.signature(analyze_source).parameters
 
 
 # -- structure: particle-mesh gravity exists once ------------------------------

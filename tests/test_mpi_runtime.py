@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.mpi as mpi
+from repro.faults import SITE_MPI_SEND, FaultEvent, FaultPlan
 from repro.mpi import ANY_SOURCE, ANY_TAG, MPIError, SPMDError, run_spmd
 
 
@@ -82,6 +83,30 @@ class TestPointToPoint:
         assert np.array_equal(sent, got)
         assert got.base is None
         assert not np.shares_memory(sent, got)
+
+    @pytest.mark.parametrize("fault", ["none", "delay", "drop", "duplicate"])
+    def test_send_buffer_reusable_after_send(self, fault):
+        """``send`` captures the payload before it returns, on every path:
+        a sender that reuses its buffer at once must not change what
+        arrives, even when the ``mpi.send`` site delays, drops or
+        duplicates the message (a later delivery of a live reference
+        would carry the overwritten bytes)."""
+        plan = None
+        if fault != "none":
+            plan = FaultPlan(
+                seed=0, events=(FaultEvent(SITE_MPI_SEND, fault, rank=0, occurrence=0),)
+            )
+
+        def prog(comm):
+            if comm.rank == 0:
+                buf = np.arange(16)
+                comm.send(buf, dest=1)
+                buf[:] = -1
+                return None
+            return comm.recv(source=0)
+
+        got = run_spmd(2, prog, faults=plan, timeout=10.0)[1]
+        assert np.array_equal(got, np.arange(16))
 
     def test_tag_matching_out_of_order(self):
         def prog(comm):
