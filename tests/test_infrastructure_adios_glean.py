@@ -36,6 +36,7 @@ from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
 from repro.storage import BPReader
+from repro.trace import TraceSession
 
 
 class TestWriterEndpointMapping:
@@ -100,24 +101,28 @@ def _writer_program_factory(dims, steps):
     return writer_program
 
 
+def _insitu_histograms(dims, steps):
+    """The in situ reference: 4 ranks, a 16-bin histogram per step."""
+
+    def insitu(comm):
+        sim = OscillatorSimulation(comm, dims, default_oscillators(), dt=0.1)
+        bridge = Bridge(comm, sim.make_data_adaptor())
+        hist = HistogramAnalysis(bins=16)
+        bridge.add_analysis(hist)
+        bridge.initialize()
+        sim.run(steps, bridge)
+        bridge.finalize()
+        return hist.history
+
+    return run_spmd(4, insitu)[0]
+
+
 class TestFlexPathStaging:
     def test_histogram_in_transit_matches_in_situ(self):
         """The staged histogram equals the histogram computed in situ."""
         dims = (10, 8, 6)
         steps = 2
-
-        # In situ reference.
-        def insitu(comm):
-            sim = OscillatorSimulation(comm, dims, default_oscillators(), dt=0.1)
-            bridge = Bridge(comm, sim.make_data_adaptor())
-            hist = HistogramAnalysis(bins=16)
-            bridge.add_analysis(hist)
-            bridge.initialize()
-            sim.run(steps, bridge)
-            bridge.finalize()
-            return hist.history
-
-        reference = run_spmd(4, insitu)[0]
+        reference = _insitu_histograms(dims, steps)
 
         result = run_flexpath_job(
             n_writers=4,
@@ -133,6 +138,46 @@ class TestFlexPathStaging:
             assert np.array_equal(ref.counts, staged.counts)
             assert ref.vmin == pytest.approx(staged.vmin)
             assert ref.vmax == pytest.approx(staged.vmax)
+
+    def test_writer_overwrites_field_after_execute(self):
+        """The one staging copy is the transport's capture at ``send``: a
+        simulation that overwrites its field as soon as the bridge returns
+        must not change what the endpoint bins, and ``adios::bytes_copied``
+        counts every shipped byte exactly once."""
+        dims = (10, 8, 6)
+        steps = 3
+        reference = _insitu_histograms(dims, steps)
+
+        def writer_program(comm, writer):
+            sim = OscillatorSimulation(comm, dims, default_oscillators(), dt=0.1)
+            bridge = Bridge(comm, sim.make_data_adaptor())
+            bridge.add_analysis(writer)
+            bridge.initialize()
+            for _ in range(steps):
+                sim.advance()
+                bridge.execute(sim.time, sim.step)
+                # ``advance`` refills the field, so this clobbers only what
+                # an uncaptured send would still be reading.
+                sim.field.fill(1.0e9)
+            bridge.finalize()
+            return sim.field.nbytes
+
+        session = TraceSession()
+        result = run_flexpath_job(
+            n_writers=4,
+            n_endpoints=2,
+            writer_program=writer_program,
+            analysis_factory=lambda comm: HistogramAnalysis(bins=16),
+            trace=session,
+        )
+        staged_history = result.endpoint_results[0]["result"]
+        assert len(staged_history) == steps
+        for ref, staged in zip(reference, staged_history):
+            assert np.array_equal(ref.counts, staged.counts)
+            assert ref.vmin == staged.vmin and ref.vmax == staged.vmax
+        for rank, nbytes in enumerate(result.writer_results):
+            copied = session.recorder(rank).total("adios::bytes_copied")
+            assert copied == nbytes * steps
 
     def test_autocorrelation_in_transit(self):
         dims = (8, 8, 8)
