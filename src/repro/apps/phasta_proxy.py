@@ -148,14 +148,6 @@ class PhastaSimulation:
         self.step = 0
         self.dt = 0.01
 
-    @property
-    def num_nodes(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.tets.shape[0]
-
     def advance(self) -> None:
         """One pseudo-step: analytic field update + element-driven smoothing."""
         with timed(self.timers, "phasta::solve"):

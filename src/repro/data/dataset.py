@@ -99,10 +99,3 @@ class Dataset:
         if g is None:
             return np.ones(self._expected(assoc), dtype=bool)
         return g == 0
-
-    # accounting ------------------------------------------------------------------
-    def attribute_nbytes(self) -> int:
-        """Total bytes referenced by attribute arrays (owned or viewed)."""
-        return sum(
-            a.nbytes for arrays in self._arrays.values() for a in arrays.values()
-        )

@@ -52,13 +52,6 @@ class ImageData(Dataset):
         n = self.dims[axis]
         return self.origin[axis] + self.spacing[axis] * (lo + np.arange(n))
 
-    def point_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Meshgrid (ij-indexed) of physical point coordinates."""
-        x = self.point_coordinates_1d(0)
-        y = self.point_coordinates_1d(1)
-        z = self.point_coordinates_1d(2)
-        return np.meshgrid(x, y, z, indexing="ij")
-
     def bounds(self) -> tuple[float, float, float, float, float, float]:
         x = self.point_coordinates_1d(0)
         y = self.point_coordinates_1d(1)

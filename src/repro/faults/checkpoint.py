@@ -48,11 +48,6 @@ class CheckpointManager:
         self.saves = 0
         self.restores = 0
 
-    @property
-    def last_step(self) -> int | None:
-        """Step of the retained checkpoint (None before the first save)."""
-        return self._snap_step
-
     def save(self, sim: Checkpointable) -> None:
         """Unconditionally checkpoint ``sim`` now."""
         self._snap = sim.snapshot()

@@ -192,12 +192,3 @@ class OscillatorSimulation:
             if bridge is not None:
                 if not bridge.execute(self.time, self.step):
                     break
-
-    # -- conveniences used by analyses/tests ------------------------------------------
-    def local_values(self) -> np.ndarray:
-        """The rank's current field block (no copy)."""
-        return self.field
-
-    def global_num_points(self) -> int:
-        nx, ny, nz = self.global_dims
-        return nx * ny * nz

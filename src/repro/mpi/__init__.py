@@ -18,8 +18,8 @@ Semantics follow MPI closely where it matters for correctness studies:
   timeout in the launcher turns deadlocks into test failures);
 - reductions are performed in rank order, so results are deterministic and
   reproducible run to run;
-- numpy payloads are transferred by reference between threads and copied at
-  the receiver boundary, emulating distinct address spaces.
+- numpy payloads are captured when sent or contributed to a collective, so
+  the caller may reuse its buffer at once, emulating distinct address spaces.
 
 What this substrate intentionally does *not* reproduce is network cost at
 scale -- that is the job of :mod:`repro.perf`, which replays the same

@@ -3,18 +3,21 @@
 Implementation notes
 --------------------
 
-Collectives use a *slot exchange*: each rank deposits its contribution into a
-shared, per-communicator slot array, a cyclic barrier releases everyone once
-all contributions are present, each rank reads what it needs, and a second
-barrier wait guarantees all reads complete before any rank's next collective
-reuses the slots.  Because SPMD programs call collectives in program order on
-every rank, two barrier phases per collective are sufficient -- the same
-two-phase discipline real cyclic-barrier collectives use.
+Collectives are one *row exchange*, written once in
+:meth:`Communicator._rendezvous` for both fabrics: each rank posts its
+contribution, with its :data:`trace record <CollectiveRecord>` (kind, reduce
+op, root, payload signature), to a per-source FIFO on every peer, then waits
+until every peer's row has arrived in its own FIFOs.  Because SPMD programs
+call collectives in program order on every rank, the k-th row from a source
+is that rank's k-th collective, so no barrier is needed and a rank may leave
+a collective while a peer is still collecting -- the eventual-completion
+semantics real MPI collectives have.  The contribution is captured when it
+is posted, so the caller may reuse its buffer as soon as the collective
+returns.  The only per-fabric step is how a row reaches a peer
+(:meth:`Communicator._contribute`).
 
-Every collective also deposits a :data:`trace record <CollectiveRecord>`
-(kind, reduce op, root, payload signature) alongside its payload.  After the
-first barrier phase each rank cross-checks the whole record row: ranks that
-reached the same barrier through *different* collectives -- the SPMD bug that
+With the full row in hand each rank cross-checks the records: ranks that
+reached the same collective through *different* calls -- the SPMD bug that
 manifests as a silent deadlock in real MPI -- raise an immediate
 :class:`CollectiveMismatchError` printing the per-rank divergence, instead of
 burning the :data:`DEFAULT_TIMEOUT` watchdog.  Reduction-family collectives
@@ -26,7 +29,7 @@ matching sends are flagged on :attr:`Communicator.race_events`.
 
 Point-to-point messaging uses one mailbox (list + condition variable) per
 receiving rank; ``recv`` blocks until a message matching ``(source, tag)``
-arrives.  Payloads that expose numpy buffers are copied on receive so ranks
+arrives.  Payloads that expose numpy buffers are copied at the send so ranks
 cannot alias each other's memory -- that would silently break the zero-copy
 accounting experiments.
 
@@ -95,7 +98,7 @@ class MPIError(RuntimeError):
 
 
 class CollectiveMismatchError(MPIError):
-    """Ranks entered the same barrier through divergent collective calls
+    """Ranks entered the same collective through divergent calls
     (different kinds, reduce ops, roots, or incompatible payloads)."""
 
 
@@ -169,9 +172,7 @@ def _call_site() -> str:
     )
 
 
-def _format_record(record: "CollectiveRecord | None") -> str:
-    if record is None:
-        return "<no record>"
+def _format_record(record: "CollectiveRecord") -> str:
     seq, kind, op, root, sig, site = record
     parts = []
     if op is not None:
@@ -303,15 +304,42 @@ class _Mailbox:
                 self._cond.wait(remaining)
 
 
+class _CommState:
+    """One rank's inbound state on one communicator, on either fabric.
+
+    ``mailbox`` holds point-to-point messages.  ``coll`` holds collective
+    rows: per source rank, a FIFO of ``(record, value)`` in post order,
+    which per sender is program order -- so the k-th entry is that rank's
+    k-th collective.
+    """
+
+    def __init__(self) -> None:
+        self.mailbox = _Mailbox()
+        self.coll: dict[int, deque] = {}
+        self.cond = threading.Condition()
+        #: Set by :meth:`abort`; a blocked collective raises
+        #: :class:`RankAbort` carrying it instead of timing out.
+        self.abort_reason: str | None = None
+
+    def post(self, source: int, record: "CollectiveRecord", value: Any) -> None:
+        with self.cond:
+            self.coll.setdefault(source, deque()).append((record, value))
+            self.cond.notify_all()
+
+    def abort(self, reason: str) -> None:
+        """Release this rank's blocked receives and collectives."""
+        self.mailbox.abort(reason)
+        with self.cond:
+            self.abort_reason = reason
+            self.cond.notify_all()
+
+
 class _Context:
-    """Shared state for one communicator: slots, barrier, mailboxes."""
+    """Shared state for one thread-fabric communicator: every rank's
+    :class:`_CommState`, plus the trace and fault settings."""
 
     def __init__(self, size: int, trace: bool = False, injector=None) -> None:
         self.size = size
-        self.slots: list[Any] = [None] * size
-        #: One collective trace record per rank, deposited alongside the
-        #: payload and cross-checked after the first barrier phase.
-        self.trace_slots: list["CollectiveRecord | None"] = [None] * size
         #: Debug tracing: call sites + rolling per-rank history + wildcard
         #: receive race flagging.  The cross-check itself is always on.
         self.trace = trace
@@ -322,28 +350,23 @@ class _Context:
             deque(maxlen=_HISTORY_LIMIT) for _ in range(size)
         ]
         self.race_events: list[dict] = []
-        self.barrier = threading.Barrier(size)
-        self.mailboxes = [_Mailbox() for _ in range(size)]
-        #: Per-rank count of barrier-phase entries; on a collective timeout
-        #: the counts tell which ranks had / had not arrived.
-        self.sync_counts = [0] * size
-        #: Set by :meth:`abort`; blocked peers raise :class:`RankAbort`
-        #: carrying this reason instead of timing out.
+        self.states = [_CommState() for _ in range(size)]
+        #: Set by :meth:`abort`, so a sub-communicator created afterwards
+        #: starts aborted.
         self.abort_reason: str | None = None
-        #: Sub-communicator contexts, so an abort cascades into them.
-        self.children: list["_Context"] = []
-        # Serializes sub-communicator creation bookkeeping.
+        #: Sub-communicator contexts by (split collective seq, color), so
+        #: every member of a group finds the same one and an abort cascades
+        #: into it.
+        self.children: dict[tuple[int, int], "_Context"] = {}
         self.lock = threading.Lock()
-        self.split_results: dict[int, "_Context"] = {}
 
     def abort(self, reason: str) -> None:
         """Release every rank blocked anywhere in this context tree."""
-        self.abort_reason = reason
-        self.barrier.abort()
-        for box in self.mailboxes:
-            box.abort(reason)
         with self.lock:
-            children = list(self.children)
+            self.abort_reason = reason
+            children = list(self.children.values())
+        for st in self.states:
+            st.abort(reason)
         for child in children:
             child.abort(reason)
 
@@ -531,7 +554,7 @@ class Communicator:
         """Blocking receive.  ``timeout`` overrides the communicator-wide
         watchdog for this call only (resilience policies use short waits to
         probe a possibly-dead peer without stalling the step loop)."""
-        _, _, payload = self._ctx.mailboxes[self._rank].get(
+        _, _, payload = self._ctx.states[self._rank].mailbox.get(
             source,
             tag,
             self._timeout if timeout is None else timeout,
@@ -546,7 +569,7 @@ class Communicator:
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
         """Receive returning ``(payload, source, tag)``."""
-        src, t, payload = self._ctx.mailboxes[self._rank].get(
+        src, t, payload = self._ctx.states[self._rank].mailbox.get(
             source,
             tag,
             self._timeout if timeout is None else timeout,
@@ -562,36 +585,12 @@ class Communicator:
         return self.recv(source, recvtag)
 
     # -- collectives -------------------------------------------------------
-    def _sync(self) -> None:
-        counts = self._ctx.sync_counts
-        counts[self._rank] += 1
-        try:
-            self._ctx.barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError as exc:
-            mine = counts[self._rank]
-            reason = self._ctx.abort_reason
-            if reason is not None:
-                # An abort can race the barrier wake-up: if every rank had
-                # already arrived at this phase (counters advance only after
-                # the slot deposit), the exchange was complete and this rank
-                # may proceed -- letting it surface its *own* error instead
-                # of being misclassified as collateral damage.
-                if all(counts[r] >= mine for r in range(self.size)):
-                    return
-                raise RankAbort(f"collective aborted: {reason}") from exc
-            # Benign racy reads: each slot is written only by its own rank,
-            # and a rank that arrives during the report at worst moves from
-            # the missing list to the arrived list.
-            arrived = sorted(r for r in range(self.size) if counts[r] >= mine)
-            missing = sorted(r for r in range(self.size) if counts[r] < mine)
-            raise self._collective_timeout(missing, arrived) from exc
-
     def _collective_timeout(self, missing: list[int], arrived: list[int]) -> MPIError:
         return MPIError(
             f"collective timed out after {self._timeout:g}s: likely "
             "mismatched collective calls across ranks (deadlock); "
-            f"ranks {missing or '[]'} had not arrived at this barrier "
-            f"phase (arrived: {arrived})" + self._history_hint()
+            f"ranks {missing or '[]'} had not arrived at this collective "
+            f"(arrived: {arrived})" + self._history_hint()
         )
 
     def _history_hint(self) -> str:
@@ -619,27 +618,27 @@ class Communicator:
             self._ctx.histories[self._rank].append(record)
         return record
 
-    def _check_trace(self, records: list["CollectiveRecord | None"]) -> None:
-        """Cross-check the just-deposited record row; raise on divergence.
+    def _check_trace(self, records: list["CollectiveRecord"]) -> None:
+        """Cross-check the just-collected record row; raise on divergence.
 
         Every rank sees the identical row and performs the identical check,
-        so a divergence raises on *all* ranks at the same barrier -- an
-        immediate, diagnosable failure where real MPI would deadlock.
+        so a divergence raises on *all* ranks at the same collective -- an
+        immediate, diagnosable failure where real MPI would deadlock.  A
+        sequence skew (a rank that swallowed a failed collective and went
+        on) pairs rows from different calls and is reported the same way.
         """
         mismatch: str | None = None
-        kinds = {r[1] for r in records if r is not None}
-        ops = {r[2] for r in records if r is not None}
-        roots = {r[3] for r in records if r is not None}
-        if None in records or len(kinds) > 1:
+        kinds = {r[1] for r in records}
+        if len(kinds) > 1:
             mismatch = "divergent collective kinds across ranks"
-        elif len(ops) > 1:
+        elif len({r[0] for r in records}) > 1:
+            mismatch = "divergent collective sequence numbers across ranks"
+        elif len({r[2] for r in records}) > 1:
             mismatch = "divergent reduce ops across ranks"
-        elif len(roots) > 1:
+        elif len({r[3] for r in records}) > 1:
             mismatch = "divergent roots across ranks"
-        elif next(iter(kinds)) in _REDUCING_KINDS:
-            sigs = {r[4] for r in records if r is not None}
-            if len(sigs) > 1:
-                mismatch = "incompatible reduction payloads across ranks"
+        elif next(iter(kinds)) in _REDUCING_KINDS and len({r[4] for r in records}) > 1:
+            mismatch = "incompatible reduction payloads across ranks"
         if mismatch is None:
             return
         per_rank = "\n".join(
@@ -656,6 +655,51 @@ class Communicator:
             f"{self._history_hint()}{hint}"
         )
 
+    #: Seconds a rank that sees the job abort keeps collecting rows still
+    #: on their way.  Zero on threads: a row is posted before its rank can
+    #: raise, so a completed collective is always already complete here.
+    _abort_grace = 0.0
+
+    def _rendezvous(self, value: Any, record: "CollectiveRecord") -> list[Any]:
+        """Post this rank's row to every peer, collect every peer's row,
+        cross-check the records and return the values in rank order: the
+        caller's own value, and each peer's value as its fabric captured it.
+        """
+        peers = [p for p in range(self.size) if p != self._rank]
+        if peers:
+            self._contribute(peers, record, value)
+        records: list = [None] * self.size
+        values: list = [None] * self.size
+        records[self._rank] = record
+        values[self._rank] = value
+        st = self._ctx.states[self._rank]
+        deadline = time.monotonic() + self._timeout
+        grace_end: "float | None" = None
+        with st.cond:
+            while True:
+                # Completeness first: every row was posted before its rank
+                # could raise, so a rank holding the full row reports the
+                # real divergence, not collateral RankAbort.
+                missing = [p for p in peers if not st.coll.get(p)]
+                if not missing:
+                    for p in peers:
+                        records[p], values[p] = st.coll[p].popleft()
+                    break
+                now = time.monotonic()
+                if st.abort_reason is not None:
+                    if grace_end is None:
+                        grace_end = now + self._abort_grace
+                    if now >= grace_end:
+                        raise RankAbort(f"collective aborted: {st.abort_reason}")
+                    st.cond.wait(0.01)
+                    continue
+                if now >= deadline:
+                    arrived = [r for r in range(self.size) if r not in missing]
+                    raise self._collective_timeout(missing, arrived)
+                st.cond.wait(deadline - now)
+        self._check_trace(records)
+        return values
+
     # -- the fabric seam: what a backend implements -------------------------
     # The methods from here to ``_child`` are the whole difference between
     # the thread fabric (below) and the pipe/shared-memory fabric
@@ -668,7 +712,7 @@ class Communicator:
         envelope the ``mpi.send`` site touched (it may be decoded twice)."""
         payload = _copy_payload(payload)
         for _ in range(copies):
-            self._ctx.mailboxes[dest].put(self._rank, tag, payload, seq=seq)
+            self._ctx.states[dest].mailbox.put(self._rank, tag, payload, seq=seq)
 
     def _deliver_later(
         self, dest: int, tag: int, payload: Any, seq: int, delay: float
@@ -680,7 +724,7 @@ class Communicator:
         delivery racing job teardown lands in a mailbox nobody reads,
         exactly like a late packet arriving after the receiver exited.
         """
-        box = self._ctx.mailboxes[dest]
+        box = self._ctx.states[dest].mailbox
         box.put_pending(self._rank, tag, seq)
         timer = threading.Timer(
             delay, box.fulfill, args=(self._rank, seq, _copy_payload(payload))
@@ -688,55 +732,47 @@ class Communicator:
         timer.daemon = True
         timer.start()
 
-    def _rendezvous(self, value: Any, record: "CollectiveRecord") -> list[Any]:
-        """Deposit ``value`` + trace record, cross-check the records once all
-        ranks arrive, and return everyone's deposits.  Two-phase."""
-        self._ctx.slots[self._rank] = value
-        self._ctx.trace_slots[self._rank] = record
-        self._sync()
-        self._check_trace(list(self._ctx.trace_slots))
-        values = list(self._ctx.slots)
-        self._sync()
-        return values
+    def _contribute(
+        self, peers: list[int], record: "CollectiveRecord", value: Any
+    ) -> None:
+        """Post this rank's collective row to each of ``peers``.  The value
+        is copied once, here, and the peers share that copy: the caller may
+        reuse its buffer as soon as the collective returns."""
+        row = _copy_payload(value)
+        for p in peers:
+            self._ctx.states[p].post(self._rank, record, row)
 
     def _child(self, members: list[int], color: int) -> "Communicator | None":
         """The sub-communicator over parent ranks ``members`` (in new-rank
         order); called on every rank of a ``split``, with ``members`` empty
-        where ``color < 0``."""
+        where ``color < 0``.  The group's context is keyed by (split
+        collective seq, color) -- identical on every member, because
+        collectives run in program order -- and the first member to get
+        there creates it."""
+        if not members:
+            return None
         ctx = self._ctx
-        # Lowest parent-rank member of each group creates the shared context.
-        if members and self._rank == min(members):
-            child = _Context(len(members), trace=ctx.trace, injector=ctx.injector)
-            with ctx.lock:
-                ctx.split_results[self._rank] = child
-                # Registered so a job abort cascades into the child's
-                # barrier and mailboxes too.
-                ctx.children.append(child)
-        self._sync()
-        result: Communicator | None = None
-        if members:
-            with ctx.lock:
-                child = ctx.split_results[min(members)]
-            result = Communicator(
-                child, members.index(self._rank), timeout=self._timeout
-            )
-        self._sync()
-        # Rank 0 clears before it can enter any subsequent collective's
-        # barrier, so the cleanup cannot race a later split's publish.
-        if self._rank == 0:
-            with ctx.lock:
-                ctx.split_results.clear()
-        return result
+        key = (self._seq, color)
+        with ctx.lock:
+            child = ctx.children.get(key)
+            if child is None:
+                child = ctx.children[key] = _Context(
+                    len(members), trace=ctx.trace, injector=ctx.injector
+                )
+                if ctx.abort_reason is not None:
+                    child.abort(ctx.abort_reason)
+        return Communicator(child, members.index(self._rank), timeout=self._timeout)
 
     def barrier(self) -> None:
         self._exchange(None, self._record("barrier"))
 
     def _exchange(self, value: Any, record: "CollectiveRecord") -> list[Any]:
         """Enter one collective: count its bytes, take the straggler draw,
-        then rendezvous.  Rows come back as the fabric holds them (on
-        threads, the peers' own objects), so every collective hands back
-        private copies, and reductions fold them in rank order: every rank
-        folds identically, so every rank gets an identical result."""
+        then rendezvous.  Rows come back as the fabric holds them (the
+        caller's own object; on threads, one copy shared by every peer), so
+        every collective hands back private copies, and reductions fold
+        them in rank order: every rank folds identically, so every rank gets
+        an identical result."""
         rec = self._trace_recorder
         if rec is not None:
             rec.count(f"mpi::{record[1]}::bytes", _payload_nbytes(value))

@@ -5,7 +5,8 @@
 values.  Two execution backends provide the workers:
 
 - ``backend="thread"`` (the default): one thread per rank sharing the
-  process, with slot-exchange collectives and in-process mailboxes.
+  process; collective rows and messages are posted straight into the
+  peers' in-process FIFOs and mailboxes.
 - ``backend="process"``: one OS process per rank
   (:mod:`repro.mpi.process_backend`), pickled-envelope pipe transport with
   bulk payloads mapped through ``multiprocessing.shared_memory`` -- real
@@ -118,7 +119,7 @@ def run_spmd(
         Deadlock watchdog for blocked collectives/recvs, in seconds.  Each
         rank's :class:`Communicator` takes it as its constructor timeout;
         a collective that trips it reports which ranks had and had not
-        arrived at the blocked barrier phase.
+        arrived at that collective.
     rank_args:
         Optional per-rank extra positional arguments (length ``nranks``);
         appended after ``args``.

@@ -14,13 +14,11 @@ one *process* per rank:
   sequence-number duplicate suppression are literally the same code).
   Bulk numpy payloads spill to consume-once ``multiprocessing.shared_memory``
   segments (:mod:`repro.mpi.shm`) instead of riding the pipe.
-- **Collectives** replace the thread backend's shared slot array with an
-  all-to-all contribution exchange on a dedicated envelope kind.  Every
-  rank still sees the full per-rank record row, so the collective-trace
-  divergence cross-check raises the same
-  :class:`~repro.mpi.communicator.CollectiveMismatchError` on every rank,
-  and reductions still fold in rank order -- results are bit-identical to
-  the thread backend.  A contribution is encoded for each peer by the
+- **Collectives** are the base class's row exchange; this fabric only
+  carries a row to a peer, as a ``coll`` envelope that the drainer posts to
+  the communicator's per-source FIFO -- the same
+  :class:`~repro.mpi.communicator._CommState` the thread fabric posts to
+  directly.  A contribution is encoded for each peer by the
   same :class:`~repro.mpi.shm.PayloadCodec` sends use, so one rule covers
   both: a bare ndarray at or above the threshold rides a consume-once
   segment, anything else is pickled.  The ``mpi::<kind>::bytes`` counter
@@ -67,10 +65,9 @@ from typing import Any, Callable, Sequence
 from repro.mpi.communicator import (
     _HISTORY_LIMIT,
     Communicator,
-    CollectiveMismatchError,
     MPIError,
     RankAbort,
-    _Mailbox,
+    _CommState,
     _copy_payload,
     _payload_nbytes,
     _thread_world_rank,
@@ -94,18 +91,6 @@ _JOB_COUNTER = itertools.count()
 # --------------------------------------------------------------------------
 # Per-worker runtime: envelope routing
 # --------------------------------------------------------------------------
-
-
-class _CommState:
-    """One communicator's inbound state inside one worker process."""
-
-    def __init__(self) -> None:
-        self.mailbox = _Mailbox()
-        #: Per-source-local-rank FIFO of (coll_seq, record, value).  FIFO
-        #: order is envelope arrival order, which per sender is program
-        #: order -- so the k-th entry is that rank's k-th collective.
-        self.coll: dict[int, deque] = {}
-        self.cond = threading.Condition()
 
 
 class _Runtime:
@@ -140,7 +125,7 @@ class _Runtime:
                 if self.abort_reason is not None:
                     # The job already aborted; anything blocking on this
                     # late-created communicator must release immediately.
-                    st.mailbox.abort(self.abort_reason)
+                    st.abort(self.abort_reason)
             return st
 
     # -- outbound ----------------------------------------------------------
@@ -197,20 +182,15 @@ class _Runtime:
                 _, _, src, seq, spec = env
                 st.mailbox.fulfill(src, seq, decode(spec))
             elif kind == "coll":
-                _, _, src, cseq, record, spec = env
-                value = decode(spec)
-                with st.cond:
-                    st.coll.setdefault(src, deque()).append((cseq, record, value))
-                    st.cond.notify_all()
+                _, _, src, record, spec = env
+                st.post(src, record, decode(spec))
 
     def _abort_local(self, reason: str) -> None:
         with self._lock:
             self.abort_reason = reason
             states = list(self._states.values())
         for st in states:
-            st.mailbox.abort(reason)
-            with st.cond:
-                st.cond.notify_all()
+            st.abort(reason)
 
     def stop(self) -> None:
         # Wake the drainer out of its blocking get and see it exit before
@@ -233,9 +213,9 @@ class _ProcessContext:
 
     Carries exactly the attributes the base :class:`Communicator` methods
     read: ``size``, ``trace``, ``injector``, ``histories``, ``race_events``,
-    ``lock``, and a ``mailboxes`` mapping that resolves this process's own
-    local mailbox.  ``members`` maps communicator-local ranks to world
-    ranks for envelope routing.
+    ``lock``, and a ``states`` mapping that resolves this process's own
+    :class:`~repro.mpi.communicator._CommState`.  ``members`` maps
+    communicator-local ranks to world ranks for envelope routing.
     """
 
     def __init__(
@@ -256,18 +236,24 @@ class _ProcessContext:
         self.histories = [deque(maxlen=_HISTORY_LIMIT) for _ in range(self.size)]
         self.race_events: list[dict] = []
         self.lock = threading.Lock()
-        self.state = runtime.state(cid)
-        self.mailboxes = {local_rank: self.state.mailbox}
+        self.states = {local_rank: runtime.state(cid)}
 
 
 class ProcessCommunicator(Communicator):
     """The :class:`Communicator` fabric seam over pipes and shared memory.
 
-    Every public method -- point-to-point, the collective algebra, the
-    ``mpi.send``/``mpi.collective`` fault sites, ``split`` -- is inherited;
-    this class only says how an envelope, a contribution row and a child
-    context cross a process boundary.
+    Every public method -- point-to-point, the collective algebra and its
+    row exchange, the ``mpi.send``/``mpi.collective`` fault sites,
+    ``split`` -- is inherited; this class only says how an envelope, a
+    contribution row and a child context cross a process boundary.
     """
+
+    #: A peer's row and the launcher's abort travel on different pipes (the
+    #: peer's feeder thread vs the launcher), so the abort can overtake a
+    #: row already on the wire.  A rank that completed the collective before
+    #: failing must release its peers with the real row, so a rank seeing
+    #: the abort keeps collecting this long before it counts as collateral.
+    _abort_grace = 0.25
 
     def _count_transport(self, stem: str, spilled: bool, payload: Any) -> None:
         """Charge a payload's bytes to ``::shm`` when it was spilled to a
@@ -317,84 +303,19 @@ class ProcessCommunicator(Communicator):
             ("fulfill", ctx.cid, self._rank, seq, ("inline", _copy_payload(payload))),
         )
 
-    def _rendezvous(self, value: Any, record) -> list[Any]:
-        """All-to-all contribution exchange replacing the shared slot array.
-
-        Unlike the thread backend there is no second barrier phase: every
-        rank owns a private copy of the row, so slot reuse cannot race.  A
-        rank may therefore leave a collective while a peer is still
-        collecting -- the same eventual-completion semantics real MPI
-        collectives have.
-
-        Each peer gets its own encoding of the contribution, exactly as a
+    def _contribute(self, peers: list[int], record, value: Any) -> None:
+        """Each peer gets its own encoding of the contribution, exactly as a
         send would: a large bare ndarray lands in one consume-once segment
-        per peer, anything else is pickled.  The byte split is counted
-        once per contribution, matching the unsuffixed total ``_exchange``
-        counted.
-        """
+        per peer, anything else is pickled.  The byte split is counted once
+        per contribution, matching the unsuffixed total ``_exchange``
+        counted."""
         ctx: _ProcessContext = self._ctx
-        runtime = ctx.runtime
-        cseq = record[0]
-        peers = [p for p in range(self.size) if p != self._rank]
-        spilled = False
         for peer in peers:
-            spec = runtime.codec.encode(value)
-            spilled = spec[0] == "shm"
-            runtime.put(
-                ctx.members[peer],
-                ("coll", ctx.cid, self._rank, cseq, record, spec),
+            spec = ctx.runtime.codec.encode(value)
+            ctx.runtime.put(
+                ctx.members[peer], ("coll", ctx.cid, self._rank, record, spec)
             )
-        if peers:
-            self._count_transport(f"mpi::{record[1]}::bytes", spilled, value)
-        records: list = [None] * self.size
-        values: list = [None] * self.size
-        records[self._rank] = record
-        values[self._rank] = value
-        st = ctx.state
-        deadline = time.monotonic() + self._timeout
-        abort_grace: "float | None" = None
-        with st.cond:
-            while True:
-                # Completeness first: contributions were sent before any
-                # peer could raise -- so a rank holding the full row
-                # reports the real divergence, not collateral RankAbort.
-                missing = [p for p in peers if not st.coll.get(p)]
-                if not missing:
-                    for p in peers:
-                        peer_seq, peer_record, peer_value = st.coll[p].popleft()
-                        if peer_seq != cseq:  # pragma: no cover - defensive
-                            raise CollectiveMismatchError(
-                                f"collective sequence skew: rank {p} is at "
-                                f"#{peer_seq}, this rank at #{cseq}"
-                            )
-                        records[p] = peer_record
-                        values[p] = peer_value
-                    break
-                if runtime.abort_reason is not None:
-                    # A peer's contribution and the launcher's abort travel
-                    # on different pipes (the peer's feeder thread vs the
-                    # launcher), so the abort can overtake a contribution
-                    # already on the wire.  Grant a short grace window for
-                    # in-flight rows before declaring this rank collateral:
-                    # a rank that completed the collective before failing
-                    # must release its peers with the real row, identically
-                    # to the thread backend's completed-phase check.
-                    if abort_grace is None:
-                        abort_grace = time.monotonic() + 0.25
-                    if time.monotonic() >= abort_grace:
-                        raise RankAbort(
-                            f"collective aborted: {runtime.abort_reason}"
-                        )
-                    st.cond.wait(0.01)
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise self._collective_timeout(
-                        missing, sorted(set(range(self.size)) - set(missing))
-                    )
-                st.cond.wait(remaining)
-        self._check_trace(records)
-        return values
+        self._count_transport(f"mpi::{record[1]}::bytes", spec[0] == "shm", value)
 
     def _child(self, members: list[int], color: int):
         """The child communicator id is derived from (parent id, parent

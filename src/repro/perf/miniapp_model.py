@@ -69,13 +69,6 @@ class MiniappConfig:
         """Bytes of one time step's field (8-byte doubles)."""
         return self.total_points * 8
 
-    @property
-    def ranks_on_slice(self) -> int:
-        """Ranks whose block intersects an axis-aligned plane: one layer of
-        the ~cubic process grid."""
-        per_axis = round(self.cores ** (1.0 / 3.0))
-        return max(min(per_axis * per_axis, self.cores), 1)
-
 
 @dataclass
 class PhaseBreakdown:

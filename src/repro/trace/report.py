@@ -171,10 +171,6 @@ def report_from_session(session: TraceSession) -> PhaseReport:
     return report_from_events(_events_from_session(session), name=session.name)
 
 
-def _fmt(seconds: float) -> str:
-    return f"{seconds:12.6f}"
-
-
 def render_report(report: PhaseReport) -> str:
     """Render the breakdown as the text table ``repro report`` prints."""
     lines = [

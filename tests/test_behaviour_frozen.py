@@ -15,6 +15,7 @@ import json
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.slice_ import SlicePlane
@@ -26,8 +27,8 @@ from repro.infrastructure import CatalystAdaptor
 from repro.infrastructure.adios import StagingResilience, run_flexpath_job
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
-from repro.mpi import shm
-from repro.mpi.communicator import Communicator
+from repro.mpi import run_spmd, shm
+from repro.mpi.communicator import Communicator, _Context
 from repro.mpi.process_backend import ProcessCommunicator
 from repro.service import (
     ServiceServer,
@@ -38,6 +39,7 @@ from repro.service import (
     run_workload_inproc,
 )
 from repro.service.workload import synthetic_steps
+from repro.trace import TraceSession
 
 DATA = Path(__file__).parent / "data"
 
@@ -182,16 +184,35 @@ def test_process_backend_overrides_no_public_method():
     assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters
 
 
-def test_process_fabric_is_four_hooks_over_one_shm_path():
+def test_process_fabric_is_four_hooks_over_one_shm_path(monkeypatch):
     """The process fabric is the four seam hooks plus its byte-counter
-    split, and collectives share the consume-once segments sends use: no
-    pooled collective ring comes back."""
+    split.  The collective exchange is written once, on ``Communicator``:
+    no barrier rendezvous comes back on threads, and a shm-sized
+    contribution still rides the consume-once segments sends use (no pooled
+    collective ring either)."""
     defined = {n for n, v in vars(ProcessCommunicator).items() if inspect.isfunction(v)}
     assert defined == {
-        "_deliver", "_deliver_later", "_rendezvous", "_child", "_count_transport",
+        "_deliver", "_deliver_later", "_contribute", "_child", "_count_transport",
     }
+    assert [c for c in (Communicator, ProcessCommunicator) if "_rendezvous" in vars(c)] == [
+        Communicator
+    ]
+    assert not hasattr(Communicator, "_sync")
+    ctx = vars(_Context(2))
+    for gone in ("barrier", "slots", "trace_slots", "sync_counts", "split_results"):
+        assert gone not in ctx, gone
     for gone in ("SegmentPool", "PoolRef", "AttachCache", "ReductionPlan"):
         assert not hasattr(shm, gone), gone
+
+    monkeypatch.delenv("REPRO_SPMD_SHM_THRESHOLD", raising=False)
+    sess = TraceSession("one-exchange")
+    run_spmd(
+        2, lambda comm: comm.allgather(np.zeros(shm.DEFAULT_SHM_THRESHOLD // 8)),
+        backend="process", trace=sess,
+    )
+    for rank in sess.ranks:
+        rec = sess.recorder(rank)
+        assert rec.total("mpi::allgather::bytes::shm") == shm.DEFAULT_SHM_THRESHOLD
 
 
 # -- structure: one staging attempt/skip policy --------------------------------

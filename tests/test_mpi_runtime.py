@@ -7,6 +7,7 @@ in conftest): every assertion here -- results, failure attribution, abort
 latency, timeout diagnostics -- must hold identically on both.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -52,6 +53,24 @@ def test_rank_args():
 def test_rank_args_wrong_length():
     with pytest.raises(ValueError):
         run_spmd(3, lambda c, x: x, rank_args=[(1,)])
+
+
+#: Per collective kind: how two ranks call it with their buffer, and where
+#: rank 1 finds rank 0's contribution in what the call returns.  Rank 1
+#: contributes zeros, so its sums equal rank 0's row.
+_REUSE_CALLS = {
+    "allgather": (lambda comm, buf: comm.allgather(buf), lambda out: out[0]),
+    "gather": (lambda comm, buf: comm.gather(buf, root=1), lambda out: out[0]),
+    "bcast": (lambda comm, buf: comm.bcast(buf, root=0), lambda out: out),
+    "scatter": (
+        lambda comm, buf: comm.scatter([buf, buf] if comm.rank == 0 else None),
+        lambda out: out,
+    ),
+    "alltoall": (lambda comm, buf: comm.alltoall([buf, buf]), lambda out: out[0]),
+    "reduce": (lambda comm, buf: comm.reduce(buf, root=1), lambda out: out),
+    "allreduce": (lambda comm, buf: comm.allreduce(buf), lambda out: out),
+    "exscan": (lambda comm, buf: comm.exscan(buf), lambda out: out),
+}
 
 
 class TestPointToPoint:
@@ -107,6 +126,31 @@ class TestPointToPoint:
 
         got = run_spmd(2, prog, faults=plan, timeout=10.0)[1]
         assert np.array_equal(got, np.arange(16))
+
+    @pytest.mark.parametrize("kind", sorted(_REUSE_CALLS))
+    def test_collective_buffer_reusable_after_return(self, kind):
+        """A collective captures every contribution before it returns: rank
+        0 arrives last, so it is the first to leave, and clobbers its buffer
+        at once -- rank 1 must still receive the bytes rank 0 contributed,
+        in every iteration (a peer reading a live reference after its owner
+        moved on would see the overwrite)."""
+        call, pick = _REUSE_CALLS[kind]
+        iterations = 200
+
+        def prog(comm):
+            wrong = 0
+            for i in range(iterations):
+                if comm.rank == 0:
+                    buf = np.arange(64) + i
+                    time.sleep(0.0002)
+                    call(comm, buf)
+                    buf[:] = -1
+                else:
+                    got = pick(call(comm, np.zeros(64, dtype=int)))
+                    wrong += not np.array_equal(got, np.arange(64) + i)
+            return wrong
+
+        assert run_spmd(2, prog, timeout=30.0)[1] == 0
 
     def test_tag_matching_out_of_order(self):
         def prog(comm):
@@ -282,16 +326,27 @@ class TestCollectives:
         assert run_spmd(4, prog) == [None, 1, 3, 6]
 
     def test_collectives_reused_many_times(self):
-        """Slot/barrier reuse across many sequential collectives is safe."""
+        """Back-to-back collectives interleaved with splits, on more ranks
+        than cores and with a short thread switch interval: a rank may
+        leave a collective while its peers still collect, so every row
+        must still pair with the same call on every rank."""
 
         def prog(comm):
             total = 0
             for i in range(200):
                 total += comm.allreduce(i + comm.rank)
+                if i % 50 == 0:
+                    sub = comm.split(color=comm.rank % 2)
+                    assert sub.allgather(i) == [i] * sub.size
             return total
 
-        out = run_spmd(4, prog)
-        assert len(set(out)) == 1
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = run_spmd(4, prog, timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert out == [sum(4 * i + 6 for i in range(200))] * 4
 
     def test_reduction_determinism(self):
         """Rank-ordered folding => bitwise identical results on every rank."""
