@@ -9,8 +9,8 @@ values.  Two execution backends provide the workers:
   peers' in-process FIFOs and mailboxes.
 - ``backend="process"``: one OS process per rank
   (:mod:`repro.mpi.process_backend`), pickled-envelope pipe transport with
-  bulk payloads mapped through ``multiprocessing.shared_memory`` -- real
-  concurrency for numpy-heavy ranks, at process-spawn cost.
+  bulk payloads written to and read from consume-once ``/dev/shm`` segment
+  files -- real concurrency for numpy-heavy ranks, at process-spawn cost.
 
 The backend can also be selected job-wide with the ``REPRO_SPMD_BACKEND``
 environment variable; an explicit ``backend=`` argument wins.  Program
@@ -26,19 +26,24 @@ watchdog timeout -- mirroring ``MPI_Abort`` semantics.  The resulting
 :class:`SPMDError` attributes the failure: originating rank(s) with full
 tracebacks, collateral aborted ranks listed separately.  Under the process
 backend the abort cascade also *terminates* every still-live rank process
--- a failed job never leaves orphans.
+-- a failed job never leaves orphans.  Under the thread backend a rank
+still running ``timeout`` plus :data:`_JOIN_GRACE` seconds after a peer
+finished is reported as stuck, by thread name, instead of hanging the
+launcher.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 import traceback
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.mpi.communicator import (
     DEFAULT_TIMEOUT,
     Communicator,
+    MPIError,
     RankAbort,
     _Context,
     _thread_world_rank,
@@ -79,6 +84,11 @@ class SPMDError(RuntimeError):
             f"{len(failures)} rank(s) failed: {sorted(failures)}{collateral}\n{detail}"
         )
 
+
+#: Seconds past the watchdog timeout the thread launcher gives the ranks
+#: still running after a peer finished: a rank blocked on that peer has
+#: raised by then, so one still alive is stuck outside the communicator.
+_JOIN_GRACE = 2.0
 
 #: Execution backends ``run_spmd`` accepts.
 BACKENDS = ("thread", "process")
@@ -208,6 +218,8 @@ def run_spmd(
         else None
     )
 
+    first_done = threading.Event()
+
     def worker(rank: int) -> None:
         _thread_world_rank.rank = rank
         comm = Communicator(ctx, rank, timeout=timeout)
@@ -229,18 +241,36 @@ def run_spmd(
             # terminates with rank attribution instead of hanging until
             # the watchdog timeout.
             ctx.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
+        finally:
+            first_done.set()
 
+    # Daemon threads: a stuck rank is reported below and must not also
+    # keep the interpreter from exiting.
     threads = [
-        threading.Thread(target=worker, args=(rank,), name=f"spmd-rank-{rank}")
+        threading.Thread(
+            target=worker, args=(rank,), name=f"spmd-rank-{rank}", daemon=True
+        )
         for rank in range(nranks)
     ]
     for t in threads:
         t.start()
+    first_done.wait()
+    deadline = time.monotonic() + timeout + _JOIN_GRACE
     for t in threads:
-        t.join()
+        t.join(max(0.0, deadline - time.monotonic()))
+    # Copies: a stuck rank that finishes later must not edit the report.
+    with lock:
+        failed, tbs = dict(failures), dict(tracebacks)
+    for rank, t in enumerate(threads):
+        if t.is_alive():
+            tbs[rank] = (
+                f"rank {rank} (thread {t.name}) still running "
+                f"{timeout + _JOIN_GRACE:g} s after a peer finished"
+            )
+            failed[rank] = MPIError(tbs[rank])
 
-    if failures:
-        raise SPMDError(failures, tracebacks, aborted_ranks=aborted)
+    if failed:
+        raise SPMDError(failed, tbs, aborted_ranks=aborted)
     if aborted:  # pragma: no cover - defensive; abort implies a failure
         raise SPMDError(
             {},

@@ -12,8 +12,11 @@ one *process* per rank:
   :class:`~repro.mpi.communicator._Mailbox` the thread backend uses, so
   tag/source matching, the pending-envelope non-overtaking rule, and
   sequence-number duplicate suppression are literally the same code).
-  Bulk numpy payloads spill to consume-once ``multiprocessing.shared_memory``
-  segments (:mod:`repro.mpi.shm`) instead of riding the pipe.
+  Bulk numpy payloads spill to consume-once ``/dev/shm`` segment files,
+  written and read with ``pwrite`` / ``preadv`` (:mod:`repro.mpi.shm`),
+  instead of riding the pipe.  A segment the drainer cannot read (missing
+  or short) aborts the rank with a :class:`~repro.mpi.shm.SegmentError`
+  naming it, rather than leaving its receiver to time out.
 - **Collectives** are the base class's row exchange; this fabric only
   carries a row to a peer, as a ``coll`` envelope that the drainer posts to
   the communicator's per-source FIFO -- the same
@@ -72,7 +75,7 @@ from repro.mpi.communicator import (
     _payload_nbytes,
     _thread_world_rank,
 )
-from repro.mpi.shm import PayloadCodec, cleanup_segments
+from repro.mpi.shm import PayloadCodec, SegmentError, cleanup_segments
 
 #: Communicator id of the world communicator.
 _WORLD_ID = "w"
@@ -106,6 +109,9 @@ class _Runtime:
         self.queues = queues
         self.codec = PayloadCodec(job_tag, rank)
         self.abort_reason: str | None = None
+        #: The segment error that made this rank's drainer abort it: the
+        #: rank reports it as its own failure, not as collateral.
+        self.failure: SegmentError | None = None
         self._states: dict[str, _CommState] = {}
         self._lock = threading.Lock()
         self._timers: list[threading.Timer] = []
@@ -172,18 +178,25 @@ class _Runtime:
                 self._abort_local(env[1])
                 continue
             st = self.state(env[1])
-            if kind == "pt":
-                _, _, src, tag, seq, spec = env
-                st.mailbox.put(src, tag, decode(spec), seq=seq)
-            elif kind == "pend":
-                _, _, src, tag, seq = env
-                st.mailbox.put_pending(src, tag, seq)
-            elif kind == "fulfill":
-                _, _, src, seq, spec = env
-                st.mailbox.fulfill(src, seq, decode(spec))
-            elif kind == "coll":
-                _, _, src, record, spec = env
-                st.post(src, record, decode(spec))
+            try:
+                if kind == "pt":
+                    _, _, src, tag, seq, spec = env
+                    st.mailbox.put(src, tag, decode(spec), seq=seq)
+                elif kind == "pend":
+                    _, _, src, tag, seq = env
+                    st.mailbox.put_pending(src, tag, seq)
+                elif kind == "fulfill":
+                    _, _, src, seq, spec = env
+                    st.mailbox.fulfill(src, seq, decode(spec))
+                elif kind == "coll":
+                    _, _, src, record, spec = env
+                    st.post(src, record, decode(spec))
+            except SegmentError as exc:
+                # The payload is lost: release whatever waits for it now
+                # instead of letting it run out its timeout.
+                if self.failure is None:
+                    self.failure = exc
+                self._abort_local(f"rank {self.rank} lost a payload: {exc}")
 
     def _abort_local(self, reason: str) -> None:
         with self._lock:
@@ -423,7 +436,12 @@ def _worker_main(rank: int, size: int, queues, result_queue, spec: _WorkerSpec) 
 
     report: tuple
     try:
-        result = spec.program(comm, *spec.args, *spec.extra, **spec.kwargs)
+        try:
+            result = spec.program(comm, *spec.args, *spec.extra, **spec.kwargs)
+        except RankAbort:
+            if runtime.failure is None:
+                raise
+            raise runtime.failure from None
         report = ("ok", rank, result, extras())
     except RankAbort:
         report = ("aborted", rank, None, extras())
@@ -502,13 +520,6 @@ def run_spmd_process(
     injector and session objects.
     """
     mpctx, method = _pick_start_method(start_method)
-    # Start the shared-memory resource tracker *before* forking workers.
-    # Otherwise each worker lazily spawns its own tracker, a sender's
-    # tracker never observes the receiver's unlink, and every worker exits
-    # warning about "leaked" segments that were in fact cleanly consumed.
-    from multiprocessing import resource_tracker
-
-    resource_tracker.ensure_running()
     if method in ("spawn", "forkserver"):
         try:
             pickle.dumps(program)

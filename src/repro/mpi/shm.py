@@ -8,23 +8,24 @@ copies plus pipe-buffer churn.  One shared-memory path avoids that, for
 point-to-point sends and collective contributions alike:
 
 **Consume-once segments**: a bare ndarray at or above the threshold is
-copied once into a fresh named segment, the envelope carries only the
-``(name, shape, dtype)`` descriptor, and the receiver materializes a
-private copy out of the mapping -- preserving the runtime's "ranks never
-alias each other's memory" contract (the zero-copy accounting experiments
-depend on receives being owned buffers).  Anything else (small arrays,
-tuples, lists, dicts, scalars) is pickled inline with the envelope.  A
-collective contribution is encoded once per peer, so each peer consumes
+written once into a fresh file under :data:`SEGMENT_DIR` (``/dev/shm``, a
+tmpfs), the envelope carries only the ``(name, shape, dtype)`` descriptor,
+and the receiver reads a private copy back out -- preserving the runtime's
+"ranks never alias each other's memory" contract (the zero-copy accounting
+experiments depend on receives being owned buffers).  Anything else (small
+arrays, tuples, lists, dicts, scalars) is pickled inline with the envelope.
+A collective contribution is encoded once per peer, so each peer consumes
 its own segment.  Lifecycle discipline (POSIX): the *consumer* unlinks.
 
-``SharedMemory`` registers every open with the ``multiprocessing``
-resource tracker (a name-keyed set, so the double register from
-create+attach is idempotent) and ``unlink`` unregisters, so a consumed
-segment leaves no tracker residue.  Envelopes that are never consumed --
+The bytes move with ``pwrite`` / ``preadv`` rather than through a mapping:
+the sender's copy lands in the kernel's page cache without faulting in a
+fresh mapping page by page, and nothing registers with the
+``multiprocessing`` resource tracker.  Envelopes that are never consumed --
 a job aborting mid-flight, or a peer that raised before entering the
 collective it was sent to -- are swept by the launcher via
 :func:`cleanup_segments` after every worker has exited, so a crashed run
-cannot leak ``/dev/shm`` entries either.
+cannot leak ``/dev/shm`` entries either.  A host without ``/dev/shm``
+fails the ``open`` and the codec pickles the array inline instead.
 
 Segment names are deterministic (``repro-shm-<job>-<rank>-<counter>``):
 fault-injection schedules and test assertions never see randomness from
@@ -38,15 +39,18 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpi.communicator import _copy_payload
+from repro.mpi.communicator import MPIError, _copy_payload
 
 #: Every segment this runtime creates carries this prefix, so leak checks
 #: (the test-suite fixture and the CI sweep) can target exactly our names.
 SHM_PREFIX = "repro-shm"
 
+#: The tmpfs directory segments live in.
+SEGMENT_DIR = "/dev/shm"
+
 #: Arrays at or above this many bytes ride shared memory; smaller ones are
-#: pickled inline with the envelope (a pipe write beats two syscalls plus a
-#: page-granular mapping for small payloads).
+#: pickled inline with the envelope (a pipe write beats creating, writing,
+#: reading and unlinking a file for small payloads).
 DEFAULT_SHM_THRESHOLD = 1 << 16
 
 
@@ -61,53 +65,77 @@ def shm_threshold() -> int:
         return DEFAULT_SHM_THRESHOLD
 
 
-def _shared_memory():
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-def segment_name(job_tag: str, rank: int, counter: int) -> str:
-    return f"{SHM_PREFIX}-{job_tag}-{rank}-{counter}"
+class SegmentError(MPIError):
+    """A segment named by a descriptor is missing or shorter than its
+    array: the receiver cannot materialize the payload."""
 
 
 def encode_array(array: np.ndarray, name: str) -> tuple:
-    """Copy ``array`` into a fresh segment; returns the envelope descriptor."""
-    shared_memory = _shared_memory()
+    """Write ``array`` into a fresh segment; returns the envelope descriptor."""
     data = np.ascontiguousarray(array)
-    seg = shared_memory.SharedMemory(name=name, create=True, size=max(1, data.nbytes))
+    raw = data.reshape(-1).view(np.uint8)
+    path = os.path.join(SEGMENT_DIR, name)
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
     try:
-        view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
-        view[...] = data
+        done = 0
+        while done < raw.nbytes:
+            done += os.pwrite(fd, raw[done:], done)
+    except BaseException:
+        os.unlink(path)
+        raise
     finally:
-        seg.close()
-    return ("shm", name, data.shape, str(data.dtype))
+        os.close(fd)
+    return ("shm", name, array.shape, str(data.dtype))
 
 
 def decode_array(descriptor: tuple) -> np.ndarray:
-    """Materialize a private copy from a segment descriptor and unlink it."""
+    """Read a private copy out of a segment descriptor and unlink it.
+
+    Raises :class:`SegmentError` naming the segment if it is missing or
+    short; never returns bytes it did not read.
+    """
     _, name, shape, dtype = descriptor
-    shared_memory = _shared_memory()
-    seg = shared_memory.SharedMemory(name=name)
+    out = np.empty(shape, dtype=np.dtype(dtype))
+    raw = out.reshape(-1).view(np.uint8)
+    path = os.path.join(SEGMENT_DIR, name)
+    done = 0
     try:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-        out = np.array(view, copy=True)
-    finally:
-        seg.close()
+        fd = os.open(path, os.O_RDONLY)
         try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already swept
-            pass
+            while done < raw.nbytes:
+                got = os.preadv(fd, [raw[done:]], done)
+                if not got:
+                    break
+                done += got
+        finally:
+            os.close(fd)
+    except FileNotFoundError:
+        raise SegmentError(f"shared-memory segment {name} is missing") from None
+    finally:
+        _unlink(path)
+    if done < raw.nbytes:
+        raise SegmentError(
+            f"shared-memory segment {name} is short: {done} of {raw.nbytes} bytes"
+        )
     return out
+
+
+def _unlink(path: str) -> bool:
+    """Unlink ``path``; False if it was already gone."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        return False
+    return True
 
 
 class PayloadCodec:
     """Encodes envelope payloads, spilling large arrays to shared memory.
 
     One codec per worker process; names are drawn from a per-sender counter
-    so they are unique and deterministic.  ``threshold <= 0`` (or a missing
-    ``SharedMemory`` implementation) degrades to inline pickling -- the
-    transport stays correct, only the bulk-copy path changes.
+    so they are unique and deterministic.  ``threshold <= 0`` (or a segment
+    that cannot be created, e.g. no :data:`SEGMENT_DIR`) degrades to inline
+    pickling -- the transport stays correct, only the bulk-copy path changes.
     """
 
     def __init__(self, job_tag: str, rank: int, threshold: int | None = None):
@@ -131,10 +159,10 @@ class PayloadCodec:
             and payload.nbytes >= self.threshold
         ):
             self._counter += 1
-            name = segment_name(self.job_tag, self.rank, self._counter)
+            name = f"{SHM_PREFIX}-{self.job_tag}-{self.rank}-{self._counter}"
             try:
                 return encode_array(payload, name)
-            except (OSError, ValueError):  # pragma: no cover - shm exhausted
+            except OSError:
                 return ("inline", payload.copy())
         return ("inline", _copy_payload(payload))
 
@@ -146,11 +174,11 @@ class PayloadCodec:
 
 
 def list_segments(job_tag: str | None = None) -> list[str]:
-    """Live ``/dev/shm`` segments created by this runtime (Linux only)."""
+    """Live segments created by this runtime (none without :data:`SEGMENT_DIR`)."""
     prefix = SHM_PREFIX if job_tag is None else f"{SHM_PREFIX}-{job_tag}-"
     try:
-        entries = os.listdir("/dev/shm")
-    except OSError:  # pragma: no cover - non-Linux
+        entries = os.listdir(SEGMENT_DIR)
+    except OSError:
         return []
     return sorted(e for e in entries if e.startswith(prefix))
 
@@ -161,17 +189,8 @@ def cleanup_segments(job_tag: str) -> list[str]:
     Called by the launcher after every worker has exited, so an aborted job
     (envelopes created but never consumed) cannot leak shared memory.
     """
-    shared_memory = _shared_memory()
-    swept = []
-    for name in list_segments(job_tag):
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:  # pragma: no cover - raced another sweep
-            continue
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced another sweep
-            continue
-        swept.append(name)
-    return swept
+    return [
+        name
+        for name in list_segments(job_tag)
+        if _unlink(os.path.join(SEGMENT_DIR, name))
+    ]

@@ -9,8 +9,8 @@ compatible with hypothesis tests (a function-scoped fixture would trip the
 ``function_scoped_fixture`` health check) and groups each module's run by
 backend.
 
-``_shm_leak_guard`` is autouse everywhere: the process backend maps bulk
-payloads through named shared-memory segments whose lifecycle contract is
+``_shm_leak_guard`` is autouse everywhere: the process backend moves bulk
+payloads through named ``/dev/shm`` segment files whose lifecycle contract is
 "consumer unlinks, launcher sweeps the rest" -- any segment surviving a
 test is a real leak and fails that test at teardown.
 """
@@ -73,11 +73,7 @@ def _shm_leak_guard():
     if leaked:
         for name in leaked:
             try:
-                from multiprocessing import shared_memory
-
-                seg = shared_memory.SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
-            except OSError:
+                os.unlink(os.path.join(_shm.SEGMENT_DIR, name))
+            except FileNotFoundError:
                 pass
         pytest.fail(f"leaked shared-memory segments: {sorted(leaked)}")

@@ -10,6 +10,9 @@ carry fault logs and trace data back across the process boundary.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -18,12 +21,25 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+import repro
 from tests import _spmd_programs as progs
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.injector import InjectedRankDeath
 from repro.mpi import BACKENDS, MPIError, SPMDError, resolve_backend, run_spmd
 from repro.mpi import shm as shm_mod
 from repro.trace import TraceSession
+
+#: ``src/``, for the child interpreters some tests start.
+_SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def _ring_and_allgather(comm):
+    """Every array payload kind: a collective contribution and a send."""
+    a = np.arange(4096, dtype=np.float64) * (comm.rank + 1)
+    g = comm.allgather(a)
+    comm.send(a * 2, (comm.rank + 1) % comm.size, tag=9)
+    r = comm.recv(source=(comm.rank - 1) % comm.size, tag=9)
+    return np.concatenate(g + [r])
 
 
 def _no_live_children():
@@ -157,19 +173,121 @@ class TestSharedMemoryTransport:
         """Force a tiny spill threshold so every array maps through a
         segment, and check results still match the thread backend exactly."""
         monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
-
-        def prog(comm):
-            a = np.arange(4096, dtype=np.float64) * (comm.rank + 1)
-            g = comm.allgather(a)
-            comm.send(a * 2, (comm.rank + 1) % comm.size, tag=9)
-            r = comm.recv(source=(comm.rank - 1) % comm.size, tag=9)
-            return np.concatenate(g + [r])
-
-        t = run_spmd(3, prog, backend="thread")
-        p = run_spmd(3, prog, backend="process")
+        t = run_spmd(3, _ring_and_allgather, backend="thread")
+        p = run_spmd(3, _ring_and_allgather, backend="process")
         for a, b in zip(t, p):
             assert a.tobytes() == b.tobytes()
         assert shm_mod.list_segments() == []
+
+    def test_inline_fallback_without_segment_dir(self, monkeypatch, tmp_path):
+        """A host without the segment directory cannot create a segment:
+        every spilled array falls back to the pickled envelope, and results
+        stay bit-identical to the thread backend."""
+        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+        monkeypatch.setattr(shm_mod, "SEGMENT_DIR", str(tmp_path / "absent"))
+        sess = TraceSession("no-segment-dir")
+        t = run_spmd(3, _ring_and_allgather, backend="thread")
+        p = run_spmd(3, _ring_and_allgather, backend="process", trace=sess)
+        for a, b in zip(t, p):
+            assert a.tobytes() == b.tobytes()
+        for rank in sess.ranks:
+            rec = sess.recorder(rank)
+            for stem in ("mpi::send::bytes", "mpi::allgather::bytes"):
+                assert rec.total(f"{stem}::shm") == 0, (rank, stem)
+                assert rec.total(f"{stem}::pickled") == rec.total(stem) > 0
+
+    @pytest.mark.parametrize("damage", ["short", "missing"])
+    def test_damaged_segment_raises_naming_it(self, damage):
+        """A segment shorter than its array, or gone, is a typed error that
+        names it -- never an array of uninitialised bytes -- and the
+        consumer still unlinks what is there."""
+        codec = shm_mod.PayloadCodec(f"damaged{damage}", 0, threshold=1)
+        spec = codec.encode(np.arange(1024, dtype=np.float64))
+        path = os.path.join(shm_mod.SEGMENT_DIR, spec[1])
+        if damage == "short":
+            os.truncate(path, 100)
+        else:
+            os.unlink(path)
+        with pytest.raises(shm_mod.SegmentError, match=f"{spec[1]} is {damage}"):
+            shm_mod.PayloadCodec.decode(spec)
+        assert shm_mod.list_segments(f"damaged{damage}") == []
+
+    @pytest.mark.parametrize("damage", ["short", "missing"])
+    def test_lost_segment_fails_the_receiver_naming_it(self, monkeypatch, damage):
+        """The drainer cannot read a segment: the receive or collective
+        waiting for it fails at once, with the segment's name, instead of
+        running out its timeout."""
+        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+        encode = shm_mod.encode_array
+
+        def damaged(array, name):
+            spec = encode(array, name)
+            path = os.path.join(shm_mod.SEGMENT_DIR, name)
+            if damage == "short":
+                os.truncate(path, array.nbytes // 2)
+            else:
+                os.unlink(path)
+            return spec
+
+        monkeypatch.setattr(shm_mod, "encode_array", damaged)
+
+        def p2p(comm):
+            if comm.rank == 0:
+                comm.send(np.ones(1024), dest=1)
+            else:
+                comm.recv(source=0)
+
+        def collective(comm):
+            comm.allgather(np.ones(1024))
+
+        for prog, ranks in ((p2p, {1}), (collective, {0, 1})):
+            t0 = time.monotonic()
+            with pytest.raises(SPMDError) as ei:
+                run_spmd(2, prog, backend="process", timeout=60.0)
+            assert time.monotonic() - t0 < 20.0, prog.__name__
+            # Both allgather rows are damaged; a rank whose own row lost the
+            # race with the launcher's abort is reported as collateral.
+            assert ranks >= set(ei.value.failures), prog.__name__
+            assert ranks == set(ei.value.failures) | set(ei.value.aborted_ranks)
+            for exc in ei.value.failures.values():
+                assert isinstance(exc, shm_mod.SegmentError), repr(exc)
+                assert f"{shm_mod.SHM_PREFIX}-" in str(exc)
+                assert f"is {damage}" in str(exc)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_job_starts_no_resource_tracker_and_leaves_no_segment(self):
+        """Segments move by file syscalls, so a job registers nothing with
+        ``multiprocessing.resource_tracker``: after the job the launcher
+        has no child process left, and no segment survives.  A fresh
+        interpreter, because a tracker outlives the job that started it."""
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.mpi import run_spmd, shm
+            from tests.test_mpi_process_backend import _ring_and_allgather
+
+            os.environ["REPRO_SPMD_SHM_THRESHOLD"] = "1"
+            run_spmd(2, _ring_and_allgather, backend="process")
+            children = []
+            for entry in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{entry}/stat") as fh:
+                        stat = fh.read()
+                except OSError:
+                    continue
+                if int(stat[stat.rfind(")") + 2 :].split()[1]) == os.getpid():
+                    children.append(entry)
+            print(children, shm.list_segments())
+            """
+        )
+        root = os.path.dirname(_SRC)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, root]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[] []", out.stdout + out.stderr
 
     def test_send_buffer_snapshot_beats_feeder_thread(self):
         """Regression: mutating an array right after send() must not change
@@ -247,6 +365,12 @@ class TestSharedMemoryTransport:
         out = shm_mod.PayloadCodec.decode(spec)
         assert out.tobytes() == big.tobytes()
         assert not np.shares_memory(out, big)
+        # A 0-d array comes back 0-d, as it does on the thread backend.
+        spill_all = shm_mod.PayloadCodec("testjob0d", 0, threshold=1)
+        spec = spill_all.encode(np.array(2.0**70))
+        assert spec[0] == "shm"
+        scalar = shm_mod.PayloadCodec.decode(spec)
+        assert scalar.shape == () and scalar == 2.0**70
         # The consumer unlinked; nothing survives.
         assert shm_mod.list_segments("testjob") == []
 

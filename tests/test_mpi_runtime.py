@@ -8,6 +8,7 @@ latency, timeout diagnostics -- must hold identically on both.
 """
 
 import sys
+import threading
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import repro.mpi as mpi
 from repro.faults import SITE_MPI_SEND, FaultEvent, FaultPlan
-from repro.mpi import ANY_SOURCE, ANY_TAG, MPIError, SPMDError, run_spmd
+from repro.mpi import ANY_SOURCE, ANY_TAG, MPIError, SPMDError, launcher, run_spmd
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -480,6 +481,28 @@ class TestFailurePropagation:
         assert time.perf_counter() - t0 < 10.0
         assert set(ei.value.failures) == {1}
         assert ei.value.aborted_ranks == [0]
+
+    def test_rank_that_never_returns_is_named(self, spmd_backend):
+        """The thread launcher's join is bounded: a rank still running the
+        watchdog timeout plus a grace period after a peer finished fails the
+        job by thread name instead of hanging the launcher."""
+        if spmd_backend != "thread":
+            pytest.skip("the bounded join is the thread launcher's")
+        release = threading.Event()
+
+        def prog(comm):
+            if comm.rank == 1:
+                release.wait(60.0)  # stuck outside the communicator
+
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(SPMDError) as ei:
+                run_spmd(3, prog, timeout=0.5)
+        finally:
+            release.set()
+        assert time.perf_counter() - t0 < 0.5 + launcher._JOIN_GRACE + 5.0
+        assert set(ei.value.failures) == {1}
+        assert "rank 1 (thread spmd-rank-1) still running" in str(ei.value)
 
     def test_rank_abort_exported(self):
         assert issubclass(mpi.RankAbort, MPIError)
