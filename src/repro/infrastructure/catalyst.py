@@ -8,7 +8,9 @@ The Catalyst-slice configuration renders a pseudocolored 2-D slice at
 image from rank 0 (Sec. 4.1.3).  The PNG's zlib compression is the serial
 rank-0 bottleneck Table 2 uncovers; here it is sort-last instead: every
 rank deflates the rows binary swap left it, and rank 0 gathers compressed
-bytes (:func:`~repro.render.png.sort_last_png`).
+bytes (:func:`~repro.render.png.sort_last_png`).  The slice is stretched
+to the frame, so most rows repeat the one above; each long run of them is
+written as one deflate copy block rather than compressed again.
 """
 
 from __future__ import annotations

@@ -12,14 +12,22 @@ every rank holding a finished row band of the frame, and the PNG uses
 filter type 0 only, so rows do not depend on each other: each rank
 deflates its own rows and the root gathers compressed bytes, not pixels.
 The frame is cut into *leaves* -- row bands of about :data:`_LEAF_BYTES`
-raw bytes or more, nested the way binary swap halves a frame --
-and each leaf is one raw-deflate member, primed (``zdict``) with the
-32 KiB of scanlines above it and ended with ``Z_SYNC_FLUSH``; the last
-leaf finishes the stream.  Back-references across leaf boundaries
-therefore resolve exactly as in a serial stream, any standard inflater
-decodes the result, and the bytes depend only on the frame and the
-level: every rank count, on either backend, writes the same file.  A
-frame under two leaves is one leaf, encoded by :func:`encode_png` itself.
+raw bytes or more, nested the way binary swap halves a frame -- and each
+leaf is deflated on its own (:func:`_deflate_leaf`).  A run of
+scanlines equal to the one above, at least the 32 KiB window long, is one
+hand-built *copy block* (:func:`_copy_blocks`: matches of 258 bytes, one
+pixel back where the row is flat and one row back elsewhere, 2 and 13
+bits each on a 1920-pixel row), because a frame stretched from a small
+slice repeats most rows and zlib would hash every byte of every copy.
+The rows between runs are raw-deflate members, primed (``zdict``) with
+the 32 KiB of scanlines above them and ended with ``Z_SYNC_FLUSH``.
+Every piece ends on a byte and the last one finishes the stream.
+Back-references across leaf boundaries therefore resolve exactly as in a
+serial stream, any standard inflater decodes the result, and the bytes
+depend only on the frame and the level: every rank count, on either
+backend, writes the same file.  A frame under two leaves is one leaf,
+encoded by :func:`encode_png` itself; level 0 and rows wider than the
+window write no copy blocks.
 
 Supported: 8-bit grayscale (color type 0) and 8-bit RGB (color type 2),
 which covers every image the infrastructures write.  The decoder implements
@@ -29,8 +37,10 @@ these formats.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
+from bisect import bisect_right
 
 import numpy as np
 
@@ -145,7 +155,7 @@ def leaf_depth(height: int, row_bytes: int) -> int:
     return max(0, min(depth, height.bit_length() - 1))
 
 
-def _deflate_leaf(raw, b0: int, b1: int, level: int, last: bool) -> bytes:
+def _member(raw, b0: int, b1: int, level: int, last: bool) -> bytes:
     """``raw[b0:b1]`` as one raw-deflate member primed with the 32 KiB
     before it: ended by ``Z_SYNC_FLUSH`` (byte-aligned, no final block), or
     by ``Z_FINISH`` for the ``last`` member of the stream."""
@@ -153,6 +163,247 @@ def _deflate_leaf(raw, b0: int, b1: int, level: int, last: bool) -> bytes:
     co = zlib.compressobj(level, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, zdict)
     body = co.compress(raw[b0:b1])
     return body + co.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+
+
+def _code_bases(extra: list[int], first: int) -> list[int]:
+    """The first value of each of a run of codes with these extra bits."""
+    bases = [first]
+    for e in extra[:-1]:
+        bases.append(bases[-1] + (1 << e))
+    return bases
+
+
+#: RFC 1951 length symbols 257..285 (extra bits, base length); 285 is 258
+#: exactly, not 284's range continued.
+_LEN_EXTRA = [0] * 8 + [e for e in range(1, 6) for _ in range(4)] + [0]
+_LEN_BASE = _code_bases(_LEN_EXTRA, 3)[:-1] + [258]
+#: Distance codes 0..29.
+_DIST_EXTRA = [max(0, c // 2 - 1) for c in range(30)]
+_DIST_BASE = _code_bases(_DIST_EXTRA, 1)
+
+#: Order in which a dynamic block lists the code-length code's lengths.
+_CLEN_ORDER = (16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15)
+
+
+def _canonical(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """``{symbol: (code, bits)}`` of the canonical Huffman code with these
+    code lengths, each code bit-reversed so it can be written LSB first."""
+    codes, code, prev = {}, 0, 0
+    for bits, sym in sorted((b, s) for s, b in lengths.items()):
+        code <<= bits - prev
+        prev = bits
+        codes[sym] = (int(f"{code:0{bits}b}"[::-1], 2), bits)
+        code += 1
+    return codes
+
+
+#: The copy block's code-length code: its code lengths are 0, 1 and 2,
+#: runs of zeros are 17 (3-10) and 18 (11-138).
+_CLEN_CODE = _canonical({0: 3, 1: 2, 2: 2, 17: 3, 18: 2})
+
+
+@functools.lru_cache(maxsize=None)
+def _copy_header(
+    near: int, far: int, rsym: int, pad: int = 0
+) -> tuple[int, int, dict[int, tuple[int, int]]]:
+    """A copy block's header as ``(bits, nbits)`` with BFINAL clear, and
+    its literal/length code: 285 (length 258) in 1 bit, end-of-block and
+    ``rsym`` in 2.  The distance codes ``near < far`` take 1 bit each,
+    ``near`` the code 0.  The first ``pad`` code lengths are written as
+    single zeros (3 bits each) rather than inside a run, which moves where
+    the block ends.  Keys are bounded: 4 x 30 x 28 x 8."""
+    lit = _canonical({285: 1, 256: 2, rsym: 2})
+    bits = nbits = 0
+
+    def put(value: int, width: int) -> None:
+        nonlocal bits, nbits
+        bits |= value << nbits
+        nbits += width
+
+    # BFINAL, BTYPE=2, HLIT=286-257, HDIST=far, HCLEN=18-4.
+    put(0, 1)
+    put(2, 2)
+    put(286 - 257, 5)
+    put(far, 5)
+    put(18 - 4, 4)
+    for sym in _CLEN_ORDER[:18]:
+        put(_CLEN_CODE[sym][1] if sym in _CLEN_CODE else 0, 3)
+    # Literal/length then distance code lengths: the zeros between the
+    # coded symbols as runs of 18 (11-138) and 17 (3-10), else single 0s.
+    for _ in range(pad):
+        put(*_CLEN_CODE[0])
+    pos = pad
+    nonzero = {sym: width for sym, (_, width) in lit.items()}
+    nonzero[286 + near] = nonzero[286 + far] = 1
+    for sym, width in sorted(nonzero.items()):
+        zeros = sym - pos
+        while zeros:
+            if zeros >= 11:
+                run = min(zeros, 138)
+                put(*_CLEN_CODE[18])
+                put(run - 11, 7)
+            elif zeros >= 3:
+                run = zeros
+                put(*_CLEN_CODE[17])
+                put(run - 3, 3)
+            else:
+                run = 1
+                put(*_CLEN_CODE[0])
+            zeros -= run
+        put(*_CLEN_CODE[width])
+        pos = sym + 1
+    return bits, nbits, lit
+
+
+def _copy_blocks(
+    rows: np.ndarray, nbytes: list[int], pixel: int, final: bool
+) -> list[bytes]:
+    """One dynamic-Huffman deflate block per run ``j``: ``nbytes[j]``
+    output bytes that repeat ``rows[j]``, the row just before them.  All
+    rows are ``distance`` bytes; the last block is ``final`` if asked.
+
+    Each 258 bytes is one match: ``pixel`` bytes back when every one of
+    them equals the byte a pixel before it (a flat stretch: 2 bits), else
+    one row back (2 bits plus the distance's extra bits: 13 one 1920-pixel
+    RGB row back).  The remainder ``r`` is one more match one row back
+    (3..257) or, for ``r`` of 1 or 2, the last 258 + ``r`` is two of
+    129-130, so every match is at least 3.  A non-final block ends on a
+    byte boundary, as a ``Z_SYNC_FLUSH`` ends a member, so the next piece
+    starts on a byte: its header writes 0-7 leading zero code lengths one
+    by one, which moves the end-of-block code by 3 bits each, in place of
+    the 35-42 bits of an empty stored block.  A final block sets BFINAL
+    and pads the stream to a byte.  A block's bytes depend on its own run
+    only; the runs are one batch so that the per-chunk work is a few array
+    operations per call, not per run.
+
+    Each block starts on a byte boundary; needs ``nbytes[j] >= 258`` and
+    ``1 <= pixel <= 4`` (a distance code without extra bits) ``< distance
+    <= 32768``.
+    """
+    count, distance = rows.shape
+    near = bisect_right(_DIST_BASE, pixel) - 1
+    far = bisect_right(_DIST_BASE, distance) - 1
+    extra, value = _DIST_EXTRA[far], distance - _DIST_BASE[far]
+    chunks, tails = [], []
+    for n in nbytes:
+        q, r = divmod(n, 258)
+        tail = [r] if r > 2 else []
+        if r in (1, 2):
+            q, tail = q - 1, [128 + r, 130]
+        chunks.append(q)
+        tails.append(tail)
+    # Chunk ``k`` of run ``j`` starts at row offset ``o = 258 k % distance``
+    # and is flat when its 258 bytes each equal the byte a pixel back: when
+    # the next *break* (a byte that does not), in run ``j``'s row repeated
+    # to cover ``o + 258``, is 258 or more bytes on.  The runs' repeated
+    # rows are laid end to end, so one sorted search serves every chunk.
+    # A sentinel break after the last row ends every search.
+    span = distance * (2 + 258 // distance)
+    breaks = np.empty(count * span + 1, dtype=bool)
+    tiled = breaks[:-1].reshape(count, -1, distance)
+    np.not_equal(rows[:, pixel:], rows[:, :-pixel], out=tiled[:, 0, pixel:])
+    np.not_equal(rows[:, :pixel], rows[:, -pixel:], out=tiled[:, 0, :pixel])
+    tiled[:, 1:] = tiled[:, :1]
+    breaks[-1] = True
+    breaks = np.flatnonzero(breaks)
+    q = np.array(chunks, dtype=np.int64)
+    run = np.repeat(np.arange(count), q)
+    k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
+    at = run * span + k * 258 % distance
+    far_chunks = breaks[breaks.searchsorted(at)] - at < 258
+    # A flat chunk is 2 zero bits (285, then ``near``); the others are a
+    # zero bit (285), a one (``far``), then the extra bits: one pattern,
+    # so a run's match bits are that pattern times an integer with a bit
+    # at the start of each far chunk.  Each run's starts are laid out
+    # from a byte boundary of one bit array.
+    width = 2 + extra * far_chunks
+    run_bits = np.bincount(run, weights=width, minlength=count).astype(np.int64)
+    run_bytes = (run_bits + 7) // 8
+    shift = 8 * (np.cumsum(run_bytes) - run_bytes) - (np.cumsum(run_bits) - run_bits)
+    starts = np.zeros(8 * int(run_bytes.sum()), dtype=bool)
+    starts[(np.cumsum(width) - width + shift[run])[far_chunks]] = True
+    packed = np.packbits(starts, bitorder="little").tobytes()
+    far_match = 2 | value << 2
+
+    blocks = []
+    byte0 = 0
+    for j, tail in enumerate(tails):
+        # The remainder's length symbol; 280, unused, when there is none.
+        rsym = 256 + bisect_right(_LEN_BASE, tail[-1]) if tail else 280
+        _, head, lit = _copy_header(near, far, rsym)
+        fields = []  # ``(pattern, width)`` after the 258-byte matches
+        for length in tail:
+            lsym = bisect_right(_LEN_BASE, length) - 1
+            code, bits = lit[257 + lsym]
+            pattern = code | (length - _LEN_BASE[lsym]) << bits
+            bits += _LEN_EXTRA[lsym]
+            fields.append((pattern | (1 | value << 1) << bits, bits + 1 + extra))
+        fields.append(lit[256])  # end-of-block
+        last = final and j == count - 1
+        body = int(run_bits[j]) + sum(bits for _, bits in fields)
+        # 3 is its own inverse mod 8: ``pad`` single zeros byte-align the end.
+        pad = 0 if last else -3 * (head + body) % 8
+        out, nbits, _ = _copy_header(near, far, rsym, pad)
+        out |= int(last)
+        byte1 = byte0 + int(run_bytes[j])
+        out |= int.from_bytes(packed[byte0:byte1], "little") * far_match << nbits
+        nbits += int(run_bits[j])
+        byte0 = byte1
+        for pattern, bits in fields:
+            out |= pattern << nbits
+            nbits += bits
+        blocks.append(out.to_bytes(-(-nbits // 8), "little"))
+    return blocks
+
+
+def _repeat_runs(raw, b0: int, b1: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``(start, end)`` raw offsets of each maximal run of scanlines in
+    ``raw[b0:b1]`` that equal the scanline above them and span at least
+    :data:`_WINDOW` bytes.  The row above ``b0`` is in ``raw`` unless
+    ``b0`` is the frame's first row; one row's bytes at a time are held."""
+    runs: list[tuple[int, int]] = []
+    prev = raw[b0 - row_bytes : b0].tobytes() if b0 else None
+    start = None
+    for r in range(b0, b1 + 1, row_bytes):
+        row = raw[r : r + row_bytes].tobytes() if r < b1 else None
+        if row is not None and row == prev:
+            start = r if start is None else start
+        else:
+            if start is not None and r - start >= _WINDOW:
+                runs.append((start, r))
+            start = None
+        prev = row
+    return runs
+
+
+def _deflate_leaf(
+    raw, b0: int, b1: int, row_bytes: int, pixel: int, level: int, last: bool
+) -> bytes:
+    """``raw[b0:b1]`` (whole scanlines of ``row_bytes``, ``pixel`` bytes a
+    pixel) as byte-aligned deflate pieces that end the stream if ``last``:
+    the repeated-row runs of :func:`_repeat_runs` one copy block each (one
+    :func:`_copy_blocks` batch per leaf, which bounds its arrays), the
+    rows around them one :func:`_member` each.  A leaf with no such run is
+    one member."""
+    runs = []
+    if level and row_bytes <= _WINDOW:
+        runs = _repeat_runs(raw, b0, b1, row_bytes)
+    blocks = []
+    if runs:
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, row_bytes)
+        blocks = _copy_blocks(
+            rows[[start // row_bytes - 1 for start, _ in runs]],
+            [end - start for start, end in runs],
+            pixel,
+            last and runs[-1][1] == b1,
+        )
+    pieces, pos = [], b0
+    for (start, end), block in zip(runs + [(b1, b1)], blocks + [b""]):
+        if pos < start:
+            pieces.append(_member(raw, pos, start, level, last and start == b1))
+        pieces.append(block)
+        pos = end
+    return b"".join(pieces)
 
 
 def encode_png(image: np.ndarray, compression_level: int = 6) -> bytes:
@@ -185,10 +436,10 @@ def sort_last_png(
     first row.  Each leaf-owning rank receives the scanlines that prime its
     first leaf from the owner above (one message on a real frame), and
     rank 0 gathers one
-    ``(first row, members, adler32, length)`` per owner, combines the
-    checksums and writes IHDR/IDAT/IEND.  The bytes equal a serial encode
-    of the same leaves at every rank count; a frame of one leaf is rank 0's
-    :func:`encode_png`, after a gather of the rows.
+    ``(first row, deflated leaves, adler32, length)`` per owner, combines
+    the checksums and writes IHDR/IDAT/IEND.  The bytes are those of
+    :func:`_deflate_leaf` over the same leaves at every rank count; a frame
+    of one leaf is rank 0's :func:`encode_png`, after a gather of the rows.
     """
     if rows is None:
         # Every rank reaches the gather below; a folded rank brings nothing.
@@ -251,18 +502,20 @@ def sort_last_png(
         band_rows(height, rank + (j << owned), depth)
         for j in range(1 << (depth - owned))
     )
-    members = b"".join(
+    deflated = b"".join(
         _deflate_leaf(
             raw,
             skip + (l0 - lo) * row_bytes,
             skip + (l1 - lo) * row_bytes,
+            row_bytes,
+            channels,
             compression_level,
             last=l1 == height,
         )
         for l0, l1 in leaves
     )
     own = raw[skip:]
-    pieces = comm.gather((lo, members, zlib.adler32(own), len(own)), root=0)
+    pieces = comm.gather((lo, deflated, zlib.adler32(own), len(own)), root=0)
     if rank != 0:
         return None
     adler, body = 1, []
@@ -313,7 +566,12 @@ def _defilter(
 
 
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode PNG bytes to a ``(h, w)`` or ``(h, w, 3)`` uint8 array."""
+    """Decode PNG bytes to a ``(h, w)`` or ``(h, w, 3)`` uint8 array.
+
+    The IDAT stream must inflate to exactly the IHDR's scanlines and end
+    there; it is never inflated more than one byte past them, so a small
+    stream cannot expand without bound.
+    """
     if data[:8] != _SIGNATURE:
         raise PNGError("not a PNG: bad signature")
     pos = 8
@@ -356,11 +614,21 @@ def decode_png(data: bytes) -> np.ndarray:
         raise PNGError("missing IHDR")
     channels = 1 if color_type == 0 else 3
     stride = width * channels
+    # Inflate at most one byte past the scanlines, so a small IDAT cannot
+    # expand without bound.
+    size = height * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), size + 1)
     except zlib.error as exc:
         raise PNGError(f"corrupt IDAT stream: {exc}") from exc
-    if len(raw) != height * (stride + 1):
+    if len(raw) > size:
+        raise PNGError(f"IDAT inflates past the {size} bytes of scanlines")
+    if not inflater.eof:
+        raise PNGError("truncated IDAT stream")
+    if inflater.unused_data:
+        raise PNGError("trailing bytes after the IDAT stream")
+    if len(raw) != size:
         raise PNGError("decompressed size mismatch")
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = _defilter(filtered, height, stride, channels)

@@ -378,6 +378,11 @@ def _paper_size_pngs(comm):
 #: without being cleared repeats the first step) and before sort-last.
 _PAPER_SIZE_PIXEL_CRCS = [0xF8D947D4, 0xA0A9DFAF]
 
+#: CRC-32 of the two PNGs, recorded when sort-last began writing each run
+#: of repeated rows at least the deflate window long as one copy block
+#: (the stretched 64^3 slice repeats 1016 of its 1080 rows).
+_PAPER_SIZE_PNG_CRCS = [0xA91E177D, 0xB99C68F6]
+
 
 @functools.lru_cache(maxsize=None)
 def _paper_size_serial():
@@ -399,8 +404,11 @@ class TestCatalystPaperResolution:
         pixels = [decode_png(png) for png in pngs]
         assert pixels[-1].shape == (1080, 1920, 3)
         assert [zlib.crc32(p.tobytes()) for p in pixels] == _PAPER_SIZE_PIXEL_CRCS
-        # Sort-last writes the thread-banded encoder's bytes over 8 leaves.
-        assert [expected_png(p, 6) for p in pixels] == pngs
+        assert [zlib.crc32(png) for png in pngs] == _PAPER_SIZE_PNG_CRCS
+        # Copy blocks cost at most 2 % over the thread-banded encoder's
+        # bytes on the same 8 leaves.
+        for png, p in zip(pngs, pixels):
+            assert len(png) <= 1.02 * len(expected_png(p, 6))
 
     def test_root_gathers_compressed_bytes_not_pixels(self):
         """Rank 1 gathers its deflated half to rank 0, not the 4 MB of

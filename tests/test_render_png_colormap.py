@@ -2,6 +2,7 @@
 
 import contextlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,8 +16,10 @@ from repro.render import png as png_module
 from repro.render.compositing import band_rows
 from repro.render.png import (
     _SIGNATURE,
+    _WINDOW,
     PNGError,
     _chunk,
+    _copy_blocks,
     adler32_combine,
     sort_last_png,
 )
@@ -35,6 +38,27 @@ def _reseal_crcs(blob: bytes) -> bytes:
         out += _chunk(blob[pos + 4 : pos + 8], blob[pos + 8 : pos + 8 + length])
         pos = end
     return bytes(out + blob[pos:])
+
+
+def _idat(blob: bytes) -> bytes:
+    """The concatenated IDAT payloads of a PNG."""
+    out, pos = b"", 8
+    while pos < len(blob):
+        (length,) = struct.unpack(">I", blob[pos : pos + 4])
+        if blob[pos + 4 : pos + 8] == b"IDAT":
+            out += blob[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    return out
+
+
+def _gray_png(width: int, height: int, idat: bytes) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return (
+        _SIGNATURE
+        + _chunk(b"IHDR", ihdr)
+        + _chunk(b"IDAT", idat)
+        + _chunk(b"IEND", b"")
+    )
 
 
 class TestColormap:
@@ -129,6 +153,40 @@ class TestPNGCodec:
         )
         with pytest.raises(PNGError):
             decode_png(blob)
+
+    def test_idat_inflating_past_the_scanlines_rejected(self):
+        """A decompression bomb: 64 MiB of zeros behind a 4x4 header inflate
+        no further than one byte past the 20 bytes of scanlines."""
+        co = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        idat = b"".join(co.compress(chunk) for _ in range(64)) + co.flush()
+        assert len(idat) < 128 << 10
+        tracemalloc.start()
+        try:
+            with pytest.raises(PNGError, match="inflates past"):
+                decode_png(_gray_png(4, 4, idat))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # what the bomb holds is 64 MiB
+
+    def test_truncated_idat_stream_rejected(self):
+        """The scanlines are all there but the stream never ends."""
+        co = zlib.compressobj(6)
+        idat = co.compress(bytes(20)) + co.flush(zlib.Z_SYNC_FLUSH)
+        assert zlib.decompressobj().decompress(idat) == bytes(20)
+        with pytest.raises(PNGError, match="truncated"):
+            decode_png(_gray_png(4, 4, idat))
+
+    def test_bytes_after_the_idat_stream_rejected(self):
+        idat = zlib.compress(bytes(20)) + b"\x00"
+        with pytest.raises(PNGError, match="trailing"):
+            decode_png(_gray_png(4, 4, idat))
+        assert decode_png(_gray_png(4, 4, idat[:-1])).shape == (4, 4)
+
+    def test_short_idat_stream_rejected(self):
+        with pytest.raises(PNGError, match="size mismatch"):
+            decode_png(_gray_png(4, 4, zlib.compress(bytes(19))))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -375,6 +433,88 @@ class TestParallelDeflate:
             blob = _sort_last(img, 6, nranks, backend)
             assert blob == expected_png(img, 6)
 
+    @staticmethod
+    def _runs_of(repeats, width=200, rows=12, seed=3):
+        """``rows`` random RGB rows, each followed by ``repeats`` copies."""
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 256, (rows, width, 3), dtype=np.uint8)
+        return np.repeat(distinct, repeats + 1, axis=0)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_repeated_rows_over_the_window_are_copy_blocks(self, backend):
+        """601-byte rows repeated 59 times (35 459 bytes, over the window):
+        each run is one copy block, at every rank count, in a file that
+        decodes to the image; level 0 stays stored (the skip-compression
+        ablation)."""
+        img = self._runs_of(59)
+        with _leaf_bytes(img.shape[0] * 601 // 4):
+            assert len(leaf_bounds(img)) == 4
+            blobs = {_sort_last(img, 6, n, backend) for n in (1, 2, 3, 4)}
+            assert _sort_last(img, 0, 2, backend) == expected_png(img, 0)
+            banded = expected_png(img, 6)
+        (blob,) = blobs
+        assert blob != banded
+        scanline = np.concatenate(([0], img[0].ravel())).astype(np.uint8)
+        assert _copy_blocks(scanline[None], [59 * 601], 3, False)[0] in blob
+        assert np.array_equal(decode_png(blob), img)
+        assert len(blob) <= 1.02 * len(banded)
+
+    def test_runs_under_the_window_keep_the_zlib_bytes(self):
+        """54 repeats of a 601-byte row are 32 454 bytes, one row short of
+        the window: the file is the thread-banded encoder's, byte for byte;
+        55 repeats make a copy block."""
+        assert 54 * 601 < _WINDOW <= 55 * 601
+        short, long = self._runs_of(54), self._runs_of(55)
+        with _leaf_bytes(short.shape[0] * 601 // 4):
+            assert _sort_last(short, 6, 2) == expected_png(short, 6)
+            assert _sort_last(long, 6, 2) != expected_png(long, 6)
+
+    def test_rows_wider_than_the_window_stay_on_zlib(self):
+        img = self._runs_of(7, width=11_000, rows=3)
+        assert img.shape[1] * 3 + 1 > _WINDOW
+        with _leaf_bytes(2 * img.shape[1] * 3):
+            blob = _sort_last(img, 6, 2)
+            assert blob == expected_png(img, 6)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_planted_runs_property(self, data):
+        """Random rows with planted repeats shorter and longer than the
+        window, at random leaf sizes: the file decodes to the image, its
+        IDAT inflates to the raw scanlines, and 1-5 thread ranks and 2-5
+        process ranks write the same bytes."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        channels = data.draw(st.sampled_from([1, 3]), label="channels")
+        width = data.draw(st.integers(8, 48), label="width")
+        row_bytes = width * channels + 1
+        window_rows = -(-_WINDOW // row_bytes)
+        repeats = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(0, window_rows - 1),
+                    st.integers(window_rows, 2 * window_rows),
+                ),
+                min_size=2,
+                max_size=6,
+            ),
+            label="repeats",
+        )
+        shape = (len(repeats), width) + ((3,) if channels == 3 else ())
+        distinct = rng.integers(0, 256, shape, dtype=np.uint8)
+        img = np.repeat(distinct, [n + 1 for n in repeats], axis=0)
+        raw = np.zeros((len(img), row_bytes), dtype=np.uint8)
+        raw[:, 1:] = img.reshape(len(img), -1)
+        level = data.draw(st.integers(0, 9), label="level")
+        leaves = data.draw(st.integers(2, 8), label="leaves")
+        nprocess = data.draw(st.integers(2, 5), label="process ranks")
+        with _leaf_bytes(max(1, raw.nbytes // leaves)):
+            blobs = {_sort_last(img, level, n) for n in range(1, 6)}
+            blobs.add(_sort_last(img, level, nprocess, "process"))
+        assert len(blobs) == 1
+        blob = blobs.pop()
+        assert np.array_equal(decode_png(blob), img)
+        assert zlib.decompress(_idat(blob)) == raw.tobytes()
+
     @settings(max_examples=15, deadline=None)
     @given(
         h=st.integers(1, 24),
@@ -390,6 +530,73 @@ class TestParallelDeflate:
             blob = _sort_last(img, level, workers)
             assert blob == expected_png(img, level)
         assert np.array_equal(decode_png(blob), img)
+
+
+class TestCopyBlock:
+    """The hand-built deflate blocks for runs of repeated rows, each
+    inflated on its own after the row it repeats."""
+
+    @staticmethod
+    def _rows(distance, pixel):
+        """A noisy row, a row of one repeated pixel, and a row of 100-pixel
+        stretches: no, all and some 258-byte chunks copy a pixel back."""
+        rng = np.random.default_rng(distance)
+        noise = rng.integers(0, 256, distance, dtype=np.uint8)
+        one = np.tile(rng.integers(0, 256, pixel, dtype=np.uint8), distance)
+        stretches = np.repeat(rng.integers(0, 256, (distance // 100 + 1, pixel)), 100, axis=0)
+        return np.stack([noise, one[:distance], stretches.ravel()[:distance]]).astype(np.uint8)
+
+    @pytest.mark.parametrize("final", [False, True])
+    @pytest.mark.parametrize(
+        "distance,pixel", [(4, 3), (258, 1), (4096, 3), (4097, 3), (5761, 3), (32768, 1)]
+    )
+    @pytest.mark.parametrize("remainder", [0, 1, 2, 3, 257])
+    def test_inflates_to_the_periodic_bytes(self, remainder, distance, pixel, final):
+        nbytes = 258 * 130 + remainder  # over the 32 KiB window
+        rows = self._rows(distance, pixel)
+        blocks = _copy_blocks(rows, [nbytes] * 3, pixel, final)
+        for j, (row, block) in enumerate(zip(rows, blocks)):
+            last = final and j == 2
+            # A block depends on its own run only, not on the batch.
+            assert block == _copy_blocks(row[None], [nbytes], pixel, last)[0]
+            history = row.tobytes()
+            inflater = zlib.decompressobj(-15, zdict=history)
+            out = inflater.decompress(block)
+            assert out == (history * (nbytes // distance + 1))[:nbytes]
+            assert inflater.eof == last
+            assert inflater.unused_data == b""
+            if not last:
+                # It ends on a byte, so a final empty stored block can follow.
+                assert inflater.decompress(b"\x01\x00\x00\xff\xff") == b""
+                assert inflater.eof and inflater.unused_data == b""
+
+    def test_match_costs_one_paper_row_back_and_one_pixel_back(self):
+        """One 1920-pixel RGB row back (distance 5761: 11 extra bits) a
+        258-byte match is 13 bits, and one pixel back it is 2; the header
+        and ending are a few dozen bytes."""
+        matches = 1000
+        noise = self._rows(5761, 3)[0]
+        grey = np.full_like(noise, 128)
+        far, near = _copy_blocks(np.stack([noise, grey]), [258 * matches] * 2, 3, False)
+        assert 0 < len(far) - matches * 13 / 8 < 32
+        assert 0 < len(near) - matches * 2 / 8 < 32
+
+    def test_continues_a_zlib_member(self):
+        """Spliced after a ``Z_SYNC_FLUSH``-ended member, the block copies
+        the member's last row; a member primed with the run then ends the
+        stream."""
+        rng = np.random.default_rng(2)
+        row = rng.integers(0, 256, 700, dtype=np.uint8)
+        tail = rng.integers(0, 256, 900, dtype=np.uint8).tobytes()
+        raw = row.tobytes() * 60 + tail
+        co = zlib.compressobj(6, zlib.DEFLATED, -15)
+        head = co.compress(row.tobytes()) + co.flush(zlib.Z_SYNC_FLUSH)
+        (run,) = _copy_blocks(row[None], [59 * len(row)], 1, False)
+        co = zlib.compressobj(
+            6, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, raw[-900 - _WINDOW : -900]
+        )
+        end = co.compress(tail) + co.flush()
+        assert zlib.decompress(head + run + end, -15) == raw
 
 
 class TestAdler32Combine:
