@@ -47,7 +47,8 @@ def test_ablation_hybrid_histogram_4(benchmark, report, best_of):
         [
             *rows,
             f"host: {os.cpu_count()} CPU(s); the flat kernel bins in cache-sized"
-            " blocks, so threads gain only what spare cores add",
+            " blocks and fixes up only near-edge values, so threads gain only"
+            " what spare cores add",
             "results are bit-identical at every thread count (integer counts commute)",
         ],
     )

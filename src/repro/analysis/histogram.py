@@ -55,6 +55,23 @@ def local_histogram(
     counts summed, so the extra storage is the bins plus one block's
     temporaries (Sec. 3.3's bound), not a multiple of the input; the counts
     do not depend on the block size.
+
+    A value's bin position ``f = (value - vmin) * scale`` is computed in the
+    values' own float type and truncated to an index.  Only a value whose
+    ``f`` may sit on the wrong side of a bin edge goes through the edge
+    fix-up (the two ``edges[idx]`` comparisons ``np.histogram`` applies);
+    every other value is provably in bin ``trunc(f)`` already.  In bin
+    units, ``f`` is off from the exact position by the roundings of
+    ``vmin``, of the subtraction, of ``scale`` and of the product: about
+    ``finfo(f).eps * bins * (2 + |vmin| / width)``.  The edges of
+    ``np.linspace`` are off by the roundings of their step, product and sum:
+    about ``3 * finfo(float64).eps * bins * (1 + max(|vmin|, |vmax|) /
+    width)``.  So with ``eps = 64 * finfo(f).eps * bins * (1 +
+    max(|vmin|, |vmax|) / width)``, sixteen times their sum, a value with
+    ``f`` in ``[0, bins)`` at least ``eps`` from an integer lies strictly
+    between ``edges[trunc(f)]`` and ``edges[trunc(f) + 1]``.  Values near an
+    edge, out of range or NaN take the fix-up, unchanged; so does every
+    value when ``eps >= 0.25`` or the range does not give a finite scale.
     """
     if bins <= 0:
         raise ValueError("bins must be positive")
@@ -68,21 +85,46 @@ def local_histogram(
         counts[0] = flat.size
         return counts
     edges = np.linspace(vmin, vmax, bins + 1)
+    scale = bins / width
+    # A value needs no fix-up when |frac(f) - 1/2| <= limit; -1 sends all.
+    limit = -1.0
+    ftype = ((flat[:1] - vmin) * scale).dtype
+    if ftype.kind == "f" and np.isfinite(width) and np.isfinite(scale):
+        eps = 64 * np.finfo(ftype).eps * bins * (1 + max(abs(vmin), abs(vmax)) / width)
+        if eps < 0.25:
+            limit = 0.5 - eps
     counts = np.zeros(bins, dtype=np.int64)
     for lo in range(0, flat.size, _BLOCK):
         block = flat[lo:lo + _BLOCK]
-        idx = ((block - vmin) * (bins / width)).astype(np.int64)
-        np.clip(idx, 0, bins - 1, out=idx)
-        # Floating-point correction at bin edges (same fix-up np.histogram
-        # applies): an index computed one too high/low is nudged back so
-        # values exactly on an edge land in the right bin.
-        too_high = block < edges[idx]
-        idx[too_high] -= 1
-        interior = idx < bins - 1
-        too_low = interior & (block >= edges[np.minimum(idx + 1, bins)])
-        idx[too_low] += 1
+        f = (block - vmin) * scale
+        idx = f.astype(np.int64)
+        if limit < 0:
+            _fix_up(block, idx, edges, bins)
+        else:
+            f -= np.trunc(f)  # the fraction: NaN for NaN and +-inf
+            f -= 0.5
+            np.abs(f, out=f)
+            fix = np.flatnonzero(~(f <= limit) | (idx >= bins))
+            if fix.size:
+                idx[fix] = _fix_up(block[fix], idx[fix], edges, bins)
         counts += np.bincount(idx, minlength=bins)
     return counts
+
+
+def _fix_up(
+    values: np.ndarray, idx: np.ndarray, edges: np.ndarray, bins: int
+) -> np.ndarray:
+    """Clip truncated indices into range and correct them at bin edges."""
+    np.clip(idx, 0, bins - 1, out=idx)
+    # Floating-point correction at bin edges (same fix-up np.histogram
+    # applies): an index computed one too high/low is nudged back so
+    # values exactly on an edge land in the right bin.
+    too_high = values < edges[idx]
+    idx[too_high] -= 1
+    interior = idx < bins - 1
+    too_low = interior & (values >= edges[np.minimum(idx + 1, bins)])
+    idx[too_low] += 1
+    return idx
 
 
 def parallel_histogram(

@@ -9,6 +9,11 @@ sub-selected box back with any number of reader ranks.  The SENSEI ADIOS
 analysis adaptor uses this for its "save the data out to an ADIOS BP file"
 mode; the FlexPath staging transport shares the variable/metadata model but
 moves buffers memory-to-memory instead.
+
+A block goes out as a byte view of the array itself and comes back by one
+``preadv`` per stored block, straight into the result wherever the block
+lies wholly inside the selection with its own dtype: no intermediate
+``bytes`` object on either side.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.injector import InjectedWriteError
-from repro.storage.checks import StorageFormatError, stored_dims, stored_dtype
+from repro.storage.checks import (
+    StorageFormatError,
+    read_block_into,
+    stored_dims,
+    stored_dtype,
+    stored_extent,
+    stored_object,
+)
 from repro.util.decomp import Extent
 
 
@@ -89,7 +101,7 @@ class BPWriter:
         data = np.ascontiguousarray(block)
         if data.shape != extent.shape:
             raise ValueError("block shape must match extent")
-        raw = data.tobytes()
+        raw = data.reshape(-1).view(np.uint8)
         inj = getattr(self.comm, "fault_injector", None)
         if inj is not None:
             self._consult_injector(inj, raw)
@@ -108,7 +120,7 @@ class BPWriter:
         self._offset += len(raw)
         return len(raw)
 
-    def _consult_injector(self, inj, raw: bytes) -> None:
+    def _consult_injector(self, inj, raw: np.ndarray) -> None:
         """Resolve an injected filesystem fault for this write call.
 
         A partial write puts real bytes in the subfile before failing, then
@@ -205,16 +217,9 @@ def _block_record(b, n: int, global_dims, num_writers: int) -> BPBlockRecord:
     if rank >= num_writers:
         # The rank names the subfile: out of range would read another file.
         raise StorageFormatError(f"{where}.rank {rank} is not one of {num_writers} writers")
-    e = b.get("extent")
-    if (
-        not isinstance(e, list)
-        or len(e) != 6
-        or not all(type(v) is int for v in e)
-        # lo == hi + 1 is the empty block an over-decomposed writer records.
-        or not all(0 <= e[2 * a] <= e[2 * a + 1] + 1 <= global_dims[a] for a in range(3))
-    ):
-        raise StorageFormatError(f"{where}.extent is not inside {global_dims}: {e!r}")
-    extent = Extent(*e)
+    nx, ny, nz = global_dims
+    whole = Extent(0, nx - 1, 0, ny - 1, 0, nz - 1)
+    extent = stored_extent(b.get("extent"), f"{where}.extent", within=whole)
     dtype = stored_dtype(b.get("dtype"), f"{where}.dtype")
     nbytes = _index_int(b, "nbytes", where)
     if nbytes != extent.num_points * dtype.itemsize:
@@ -243,13 +248,10 @@ class BPReader:
 
     def __init__(self, path) -> None:
         self.file = BPFile(path)
-        with open(self.file.index_path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # bad UTF-8 or bad JSON
-                raise StorageFormatError(f"unreadable BP index: {exc}") from exc
-        if not isinstance(raw, dict) or not isinstance(raw.get("blocks"), list):
-            raise StorageFormatError("BP index must be an object with a 'blocks' list")
+        with open(self.file.index_path, "rb") as fh:
+            raw = stored_object(fh.read(), self.file.index_path)
+        if not isinstance(raw.get("blocks"), list):
+            raise StorageFormatError("BP index must have a 'blocks' list")
         self.global_dims = stored_dims(raw.get("global_dims"), "global_dims")
         self.num_writers = _index_int(raw, "num_writers", "index", minimum=1)
         self.num_steps = _index_int(raw, "num_steps", "index")
@@ -271,29 +273,15 @@ class BPReader:
             selection = Extent(0, nx - 1, 0, ny - 1, 0, nz - 1)
         out = np.zeros(selection.shape, dtype=np.dtype(records[0].dtype))
         for rec in records:
-            overlap = rec.extent.intersect(selection)
-            if overlap is None:
+            if rec.extent.intersect(selection) is None:
                 continue
-            with open(self.file.subfile(rec.rank), "rb") as fh:
-                fh.seek(rec.offset)
-                raw = fh.read(rec.nbytes)
-            if len(raw) != rec.nbytes:
-                raise StorageFormatError(
-                    f"{self.file.subfile(rec.rank)}: {len(raw)} of {rec.nbytes} "
-                    f"bytes at offset {rec.offset}"
+            path = self.file.subfile(rec.rank)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                read_block_into(
+                    fd, path, rec.offset, np.dtype(rec.dtype), rec.extent,
+                    out, selection,
                 )
-            block = np.frombuffer(raw, dtype=np.dtype(rec.dtype)).reshape(
-                rec.extent.shape
-            )
-            e = rec.extent
-            src = block[
-                overlap.i0 - e.i0 : overlap.i1 - e.i0 + 1,
-                overlap.j0 - e.j0 : overlap.j1 - e.j0 + 1,
-                overlap.k0 - e.k0 : overlap.k1 - e.k0 + 1,
-            ]
-            out[
-                overlap.i0 - selection.i0 : overlap.i1 - selection.i0 + 1,
-                overlap.j0 - selection.j0 : overlap.j1 - selection.j0 + 1,
-                overlap.k0 - selection.k0 : overlap.k1 - selection.k0 + 1,
-            ] = src
+            finally:
+                os.close(fd)
         return out

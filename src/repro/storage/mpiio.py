@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.faults.injector import InjectedWriteError
-from repro.storage.checks import StorageFormatError, stored_dims, stored_dtype
+from repro.storage.checks import StorageFormatError, read_header, stored_dims, stored_dtype
 from repro.util.decomp import Extent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -133,15 +133,7 @@ def mpiio_read_block(path, extent: Extent) -> np.ndarray:
     trusted; a file that fails raises :class:`StorageFormatError`.
     """
     with open(path, "rb") as fh:
-        hlen = int.from_bytes(fh.read(8), "little")
-        if not 0 < hlen <= _HEADER_BYTES - 8:
-            raise StorageFormatError(f"{path}: header length {hlen} out of range")
-        try:
-            meta = json.loads(fh.read(hlen).decode())
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise StorageFormatError(f"{path}: unreadable header: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise StorageFormatError(f"{path}: header is not an object")
+        meta, _ = read_header(fh.fileno(), path, 0, _HEADER_BYTES - 8)
         nx, ny, nz = stored_dims(meta.get("dims"), f"{path}: dims")
         dtype = stored_dtype(meta.get("dtype"), f"{path}: dtype")
         if os.fstat(fh.fileno()).st_size < file_size_for((nx, ny, nz), dtype):

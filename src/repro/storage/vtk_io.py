@@ -6,6 +6,11 @@ JSON index describing the whole extent and the pieces.  The reader side can
 run on any number of ranks -- each reader claims a subset of pieces or a
 sub-extent, which is how the post hoc study reads 45K-core data with 10% of
 the cores.
+
+Blocks are written from a byte view of the array, and read by one
+``preadv`` each, straight into the reader's array when the piece lies wholly
+inside its sub-extent with the index's dtype: no ``bytes`` copy either way.
+Index and headers are validated first (:class:`StorageFormatError`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data import Association, DataArray, ImageData
+from repro.storage.checks import (
+    StorageFormatError, read_block_into, read_exact, read_header, stored_dtype,
+    stored_extent, stored_name, stored_object, stored_point,
+)
 from repro.util.decomp import Extent, block_decompose_1d
 
 _MAGIC = b"RVI1"
@@ -48,10 +57,6 @@ def _extent_to_list(e: Extent) -> list[int]:
     return [e.i0, e.i1, e.j0, e.j1, e.k0, e.k1]
 
 
-def _extent_from_list(v: list[int]) -> Extent:
-    return Extent(*v)
-
-
 def write_block(path, image: ImageData, field: str) -> int:
     """Write one block file; returns bytes written.
 
@@ -71,35 +76,39 @@ def write_block(path, image: ImageData, field: str) -> int:
         }
     ).encode()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+        fh.write(data.reshape(-1).view(np.uint8))
     return len(_MAGIC) + 8 + len(header) + data.nbytes
+
+
+def _piece_header(fd: int, path) -> tuple[dict, np.dtype, Extent, Extent, int]:
+    """Validate a block file's header and size; returns the header, dtype,
+    extent, whole extent and data offset."""
+    if os.pread(fd, len(_MAGIC), 0) != _MAGIC:
+        raise StorageFormatError(f"{path}: not a block file (bad magic)")
+    size = os.fstat(fd).st_size
+    header, offset = read_header(fd, path, len(_MAGIC), size - len(_MAGIC) - 8)
+    dtype = stored_dtype(header.get("dtype"), f"{path}: dtype")
+    whole = stored_extent(header.get("whole_extent"), f"{path}: whole_extent")
+    extent = stored_extent(header.get("extent"), f"{path}: extent", within=whole)
+    if size < offset + extent.num_points * dtype.itemsize:
+        raise StorageFormatError(f"{path}: truncated data section")
+    return header, dtype, extent, whole, offset
 
 
 def read_piece(path) -> ImageData:
     """Read one block file back into an ImageData with its field attached."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a block file (bad magic)")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode())
-        extent = _extent_from_list(header["extent"])
-        dtype = np.dtype(header["dtype"])
-        expected = extent.num_points * dtype.itemsize
-        raw = fh.read(expected)
-        if len(raw) != expected:
-            raise ValueError(f"{path}: truncated data section")
-    img = ImageData(
-        extent,
-        origin=tuple(header["origin"]),
-        spacing=tuple(header["spacing"]),
-        whole_extent=_extent_from_list(header["whole_extent"]),
-    )
-    data = np.frombuffer(raw, dtype=dtype).reshape(extent.shape)
-    img.add_point_array(DataArray.from_numpy(header["field"], data))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header, dtype, extent, whole, offset = _piece_header(fd, path)
+        data = np.empty(extent.shape, dtype=dtype)
+        read_exact(fd, data, offset, path)
+    finally:
+        os.close(fd)
+    origin = stored_point(header.get("origin"), f"{path}: origin")
+    spacing = stored_point(header.get("spacing"), f"{path}: spacing", above=0.0)
+    img = ImageData(extent, origin=origin, spacing=spacing, whole_extent=whole)
+    img.add_point_array(DataArray.from_numpy(str(header.get("field")), data))
     return img
 
 
@@ -136,63 +145,66 @@ def write_timestep(
 
 
 def read_index(directory, step: int) -> VTKIndex:
+    """Read and validate the index of ``step``: every piece is a plain file
+    name beside the index with an extent inside the whole extent."""
     path = os.path.join(directory, f"step_{step:06d}.index.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = stored_object(fh.read(), path)
+    whole = stored_extent(raw.get("whole_extent"), f"{path}: whole_extent")
+    stored_dtype(raw.get("dtype"), f"{path}: dtype")
+    field, t, n, pieces = (raw.get(k) for k in ("field", "time", "step", "pieces"))
+    if (
+        not isinstance(field, str)
+        or type(t) not in (int, float)
+        or type(n) is not int
+        or not isinstance(pieces, list)
+        or not all(isinstance(p, list) and len(p) == 2 for p in pieces)
+    ):
+        raise StorageFormatError(f"{path}: malformed field, time, step or pieces")
     return VTKIndex(
-        whole_extent=_extent_from_list(raw["whole_extent"]),
-        field=raw["field"],
+        whole_extent=whole,
+        field=field,
         dtype=raw["dtype"],
-        spacing=tuple(raw["spacing"]),
-        origin=tuple(raw["origin"]),
-        time=raw["time"],
-        step=raw["step"],
+        spacing=stored_point(raw.get("spacing"), f"{path}: spacing", above=0.0),
+        origin=stored_point(raw.get("origin"), f"{path}: origin"),
+        time=t,
+        step=n,
         pieces=[
-            VTKPiece(name, _extent_from_list(ext)) for name, ext in raw["pieces"]
+            VTKPiece(stored_name(f, f"{path}: piece"), stored_extent(e, f"{path}: piece", whole))
+            for f, e in pieces
         ],
     )
 
 
 def read_global_field(directory, step: int) -> np.ndarray:
     """Assemble the full global field from all pieces (single reader)."""
-    index = read_index(directory, step)
-    out = np.zeros(index.whole_extent.shape, dtype=np.dtype(index.dtype))
-    for piece in index.pieces:
-        img = read_piece(os.path.join(directory, piece.filename))
-        e = piece.extent
-        out[e.i0 : e.i1 + 1, e.j0 : e.j1 + 1, e.k0 : e.k1 + 1] = (
-            img.point_field_3d(index.field)
-        )
-    return out
+    return read_subextent(directory, step)
 
 
-def read_subextent(directory, step: int, want: Extent) -> np.ndarray:
-    """Read just the pieces overlapping ``want`` and assemble that region.
+def read_subextent(directory, step: int, want: Extent | None = None) -> np.ndarray:
+    """Read just the pieces overlapping ``want`` (default: the whole
+    extent) and assemble that region.
 
     This is the post hoc reader path: a reader rank owns a sub-extent of
     the global grid (typically much larger than any single writer's piece,
     since readers are ~10% of writers) and touches only the piece files
-    that intersect it.
+    that intersect it.  A piece header must agree with its index entry.
     """
     index = read_index(directory, step)
+    want = index.whole_extent if want is None else want
     out = np.zeros(want.shape, dtype=np.dtype(index.dtype))
     for piece in index.pieces:
-        overlap = piece.extent.intersect(want)
-        if overlap is None:
+        if piece.extent.intersect(want) is None:
             continue
-        img = read_piece(os.path.join(directory, piece.filename))
-        f = img.point_field_3d(index.field)
-        e = piece.extent
-        src = f[
-            overlap.i0 - e.i0 : overlap.i1 - e.i0 + 1,
-            overlap.j0 - e.j0 : overlap.j1 - e.j0 + 1,
-            overlap.k0 - e.k0 : overlap.k1 - e.k0 + 1,
-        ]
-        out[
-            overlap.i0 - want.i0 : overlap.i1 - want.i0 + 1,
-            overlap.j0 - want.j0 : overlap.j1 - want.j0 + 1,
-            overlap.k0 - want.k0 : overlap.k1 - want.k0 + 1,
-        ] = src
+        path = os.path.join(directory, piece.filename)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            _, dtype, extent, _, offset = _piece_header(fd, path)
+            if extent != piece.extent:
+                raise StorageFormatError(f"{path}: extent {extent} is not the index's")
+            read_block_into(fd, path, offset, dtype, extent, out, want)
+        finally:
+            os.close(fd)
     return out
 
 

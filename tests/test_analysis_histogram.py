@@ -59,10 +59,12 @@ _BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]
 
 
 class TestBlockedMatchesOracle:
-    """Blocking splits the input and sums integer counts, so every count
-    must equal the unblocked kernel's (``tests/_histogram_oracle.py``)."""
+    """Blocking splits the input and sums integer counts, and only values
+    that may be off by one take the edge fix-up, so every count must equal
+    the unblocked kernel's (``tests/_histogram_oracle.py``), which fixes up
+    every value."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         size=st.one_of(
             st.sampled_from(_BLOCK_SIZES),
@@ -72,32 +74,83 @@ class TestBlockedMatchesOracle:
                 st.integers(0, _BLOCK - 1),
             ),
         ),
-        bins=st.sampled_from([1, 2, 7, 64, 1000]),
+        bins=st.sampled_from([1, 2, 7, 64, 1000, 4096]),
         seed=st.integers(0, 2**32 - 1),
-        dtype=st.sampled_from([np.float64, np.float32]),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
         strided=st.booleans(),
-        on_edges=st.booleans(),
+        on_edges=st.sampled_from(["no", "on", "ulp"]),
+        vmin=st.sampled_from([-1.5, 1e6, -1e12]),
+        nans=st.booleans(),
     )
-    def test_counts_equal_oracle(self, size, bins, seed, dtype, strided, on_edges):
+    def test_counts_equal_oracle(
+        self, size, bins, seed, dtype, strided, on_edges, vmin, nans
+    ):
+        """``vmin`` = -1e12 over a width of 4 makes ``|vmin| >> width``, where
+        every value takes the fix-up; "ulp" puts values one ulp either side
+        of an edge (``nextafter(edge, +-inf)``)."""
         rng = np.random.default_rng(seed)
-        vmin, vmax = -1.5, 2.5
+        vmax = vmin + 4.0
         values = rng.uniform(vmin, vmax, size)
-        if on_edges and size:
-            # A third of the values sit exactly on a bin edge, vmin and vmax
-            # included: the fix-up path in every block.
+        if on_edges != "no" and size:
+            # A third of the values sit on a bin edge, vmin and vmax
+            # included, or one ulp off it: the fix-up path in every block.
             edges = np.linspace(vmin, vmax, bins + 1)
             values[::3] = edges[rng.integers(0, bins + 1, values[::3].size)]
+            if on_edges == "ulp":
+                values[::3] = np.nextafter(
+                    values[::3], rng.choice([-np.inf, np.inf], values[::3].size)
+                )
         values = values.astype(dtype)
+        if nans and size and dtype is not np.int64:
+            values[rng.integers(0, size, 1 + size // 100)] = np.nan
         if strided:
             spaced = np.zeros(2 * size, dtype=dtype)
             spaced[::2] = values
             values = spaced[::2]
             assert size < 2 or not values.flags.c_contiguous
+        try:
+            want = oracle.local_histogram(values, bins, vmin, vmax)
+        except ValueError:
+            # A value one ulp below vmin gets index -1, which bincount
+            # refuses; the kernel must refuse it the same way.
+            with pytest.raises(ValueError):
+                local_histogram(values, bins, vmin, vmax)
+            return
         got = local_histogram(values, bins, vmin, vmax)
-        want = oracle.local_histogram(values, bins, vmin, vmax)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
         assert int(got.sum()) == size
+
+    def test_every_value_fix_up_when_vmin_dwarfs_width(self, monkeypatch):
+        """At ``|vmin| / width`` = 1e12 no value can be placed without the
+        edge comparisons, so all of them go through the fix-up."""
+        from repro.analysis import histogram
+
+        seen = []
+        real = histogram._fix_up
+        monkeypatch.setattr(
+            histogram, "_fix_up", lambda v, *a: seen.append(v.size) or real(v, *a)
+        )
+        values = 1e12 + np.random.default_rng(1).uniform(0, 1, 5000)
+        got = local_histogram(values, 64, 1e12, 1e12 + 1)
+        assert sum(seen) == values.size
+        assert np.array_equal(got, oracle.local_histogram(values, 64, 1e12, 1e12 + 1))
+
+    def test_interior_values_skip_the_fix_up(self, monkeypatch):
+        """On a smooth float64 field only a sliver of values is close
+        enough to an edge to need the comparisons."""
+        from repro.analysis import histogram
+
+        seen = []
+        real = histogram._fix_up
+        monkeypatch.setattr(
+            histogram, "_fix_up", lambda v, *a: seen.append(v.size) or real(v, *a)
+        )
+        values = np.random.default_rng(2).standard_normal(200_000)
+        lo, hi = float(values.min()), float(values.max())
+        got = local_histogram(values, 64, lo, hi)
+        assert sum(seen) < values.size // 1000
+        assert np.array_equal(got, oracle.local_histogram(values, 64, lo, hi))
 
     @pytest.mark.parametrize("size", _BLOCK_SIZES + [3 * _BLOCK + 17])
     @pytest.mark.parametrize("bins", [1, 2, 7, 64, 1000])

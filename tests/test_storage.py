@@ -124,6 +124,241 @@ class TestParallelTimestep:
         assert total == whole.num_points
 
 
+class TestReadPaths:
+    """Every writer layout against every reader split, both formats and
+    both backends: the read-back equals the field.  On (6, 5, 4) points, 1
+    and 2 writers give i-slabs, 4 i-planes and 8 strided blocks; 2 and 3
+    readers cut through writer blocks, so direct and buffered reads mix."""
+
+    DIMS = (6, 5, 4)
+    FIELD = np.random.default_rng(5).random(DIMS)
+    WHOLE = Extent(0, DIMS[0] - 1, 0, DIMS[1] - 1, 0, DIMS[2] - 1)
+
+    @classmethod
+    def _write(cls, directory, nwriters, backend):
+        def prog(comm):
+            ext, _, _ = regular_decompose_3d(cls.DIMS, comm.size, comm.rank)
+            block = cls.FIELD[ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1]
+            img = ImageData(ext, whole_extent=cls.WHOLE)
+            img.add_point_array(DataArray.from_numpy("data", block))
+            write_timestep(comm, directory, step=0, time=0.0, image=img, field="data")
+            w = BPWriter(comm, os.path.join(directory, "f"), cls.DIMS)
+            w.begin_step()
+            w.write("data", block, ext)
+            w.end_step()
+            w.close()
+
+        run_spmd(nwriters, prog, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("nwriters", [1, 2, 4, 8])
+    def test_every_split_reads_the_field(self, tmp_path, nwriters, backend):
+        self._write(str(tmp_path), nwriters, backend)
+        np.testing.assert_array_equal(read_global_field(tmp_path, 0), self.FIELD)
+        np.testing.assert_array_equal(BPReader(tmp_path / "f").read("data", 0), self.FIELD)
+
+        def reader(comm):
+            want = reader_extent(self.WHOLE, comm.size, comm.rank)
+            return (
+                want,
+                read_subextent(tmp_path, 0, want),
+                BPReader(tmp_path / "f").read("data", 0, selection=want),
+            )
+
+        for nreaders in (1, 2, 3):
+            for want, vtk, bp in run_spmd(nreaders, reader, backend=backend):
+                expected = self.FIELD[want.i0 : want.i1 + 1]
+                np.testing.assert_array_equal(vtk, expected)
+                np.testing.assert_array_equal(bp, expected)
+
+    def test_slab_pieces_land_in_the_result(self, tmp_path, monkeypatch):
+        """With i-slab writers and one reader, every piece is one
+        ``preadv`` into the returned array itself (no staging buffer)."""
+        self._write(str(tmp_path), 2, "thread")
+        real, targets = os.preadv, []
+
+        def spy(fd, bufs, off):
+            targets.append(bufs[0].obj)
+            return real(fd, bufs, off)
+
+        monkeypatch.setattr(os, "preadv", spy)
+        for read in (
+            lambda: read_subextent(tmp_path, 0, self.WHOLE),
+            lambda: BPReader(tmp_path / "f").read("data", 0),
+        ):
+            targets.clear()
+            got = read()
+            np.testing.assert_array_equal(got, self.FIELD)
+            assert len(targets) == 2
+            assert all(np.shares_memory(t, got) for t in targets)
+
+    def test_mixed_dtypes_read_back_cast(self, tmp_path):
+        """A BP index whose records disagree in dtype, and a VTK piece whose
+        dtype differs from its index, read back cast to the first record's
+        (the index's) dtype."""
+
+        def prog(comm):
+            ext, _, _ = regular_decompose_3d(self.DIMS, comm.size, comm.rank)
+            block = self.FIELD[ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1]
+            block = block.astype(np.float32 if comm.rank else np.float64)
+            img = ImageData(ext, whole_extent=self.WHOLE)
+            img.add_point_array(DataArray.from_numpy("data", block))
+            write_timestep(comm, tmp_path, step=0, time=0.0, image=img, field="data")
+            w = BPWriter(comm, tmp_path / "f", self.DIMS)
+            w.begin_step()
+            w.write("data", block, ext)
+            w.end_step()
+            w.close()
+            return ext
+
+        exts = run_spmd(2, prog)
+        expected = self.FIELD.copy()
+        e = exts[1]
+        expected[e.i0 : e.i1 + 1] = expected[e.i0 : e.i1 + 1].astype(np.float32)
+        for got in (read_global_field(tmp_path, 0), BPReader(tmp_path / "f").read("data", 0)):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("fmt", ["vtk", "bp"])
+    def test_short_read_rejected(self, tmp_path, monkeypatch, fmt):
+        """A piece that comes back short is an error naming the file and
+        offset, never uninitialised memory, and the file is closed."""
+        self._write(str(tmp_path), 2, "thread")
+        real = os.preadv
+        monkeypatch.setattr(
+            os, "preadv", lambda fd, bufs, off: real(fd, [bufs[0][: len(bufs[0]) // 2]], off)
+        )
+        before = _open_fds()
+        with pytest.raises(StorageFormatError, match="short read.* at offset"):
+            if fmt == "vtk":
+                read_subextent(tmp_path, 0, self.WHOLE)
+            else:
+                BPReader(tmp_path / "f").read("data", 0)
+        assert _open_fds() == before
+
+
+def _forge_header(raw: bytes, header: bytes, hlen: int | None = None) -> bytes:
+    """A block file's bytes with its JSON header replaced."""
+    old = int.from_bytes(raw[4:12], "little")
+    n = len(header) if hlen is None else hlen
+    return raw[:4] + n.to_bytes(8, "little") + header + raw[12 + old :]
+
+
+def _piece_doc(**change):
+    doc = {
+        "extent": [0, 3, 0, 2, 0, 1],
+        "whole_extent": [0, 7, 0, 2, 0, 1],
+        "spacing": [1.0, 1.0, 1.0],
+        "origin": [0.0, 0.0, 0.0],
+        "field": "data",
+        "dtype": "float64",
+    }
+    doc.update(change)
+    return json.dumps(doc).encode()
+
+
+class TestVTKHostile:
+    """The VTK readers validate the index and every piece header before a
+    number in them places a byte: a forgery is a typed error, never a read
+    outside the step's directory or into the wrong place."""
+
+    WHOLE = Extent(0, 7, 0, 2, 0, 1)
+
+    @classmethod
+    def _step(cls, tmp_path):
+        """Step 0 of an (8, 3, 2) field from 2 writers, in ``tmp_path/d``."""
+        directory = tmp_path / "d"
+
+        def prog(comm):
+            ext, _, _ = regular_decompose_3d((8, 3, 2), comm.size, comm.rank)
+            img = ImageData(ext, whole_extent=cls.WHOLE)
+            img.add_point_array(DataArray.from_numpy("data", np.full(ext.shape, comm.rank + 1.0)))
+            write_timestep(comm, directory, step=0, time=0.0, image=img, field="data")
+
+        run_spmd(2, prog)
+        index = directory / "step_000000.index.json"
+        return directory, index, json.loads(index.read_text())
+
+    HEADERS = {
+        "length-huge": (_piece_doc(), 2**62),
+        "length-zero": (_piece_doc(), 0),
+        "length-cuts-json": (_piece_doc(), 7),
+        "not-utf8": (b"\xff\xfe not json", None),
+        "not-an-object": (b"[0, 3, 0, 2, 0, 1]", None),
+        "dtype-missing": (_piece_doc(dtype=None), None),
+        "dtype-object": (_piece_doc(dtype="O"), None),
+        "dtype-unknown": (_piece_doc(dtype="no-such-type"), None),
+        "dtype-wider": (_piece_doc(dtype="complex128"), None),
+        "extent-short": (_piece_doc(extent=[0, 3, 0, 2]), None),
+        "extent-inverted": (_piece_doc(extent=[3, 0, 0, 2, 0, 1]), None),
+        "extent-not-index": (_piece_doc(extent=[4, 7, 0, 2, 0, 1]), None),
+        "extent-outside-whole": (_piece_doc(extent=[0, 3, 0, 2, 0, 9]), None),
+        "extent-bigger": (_piece_doc(extent=[0, 7, 0, 2, 0, 1]), None),
+        "whole-string": (_piece_doc(whole_extent="all"), None),
+    }
+
+    @pytest.mark.parametrize("forgery", sorted(HEADERS))
+    def test_hostile_header_rejected(self, tmp_path, forgery):
+        directory, _, doc = self._step(tmp_path)
+        piece = directory / doc["pieces"][0][0]
+        piece.write_bytes(_forge_header(piece.read_bytes(), *self.HEADERS[forgery]))
+        with pytest.raises(StorageFormatError):
+            read_subextent(directory, 0, self.WHOLE)
+        if forgery != "extent-not-index":
+            # The header alone is wrong, whichever reader opens it.
+            with pytest.raises(StorageFormatError):
+                read_piece(piece)
+
+    @pytest.mark.parametrize("keep", [0, 3, 11, 40, -8])
+    def test_truncated_piece_rejected(self, tmp_path, keep):
+        directory, _, doc = self._step(tmp_path)
+        piece = directory / doc["pieces"][1][0]
+        piece.write_bytes(piece.read_bytes()[:keep])
+        with pytest.raises(StorageFormatError):
+            read_subextent(directory, 0, self.WHOLE)
+        with pytest.raises(StorageFormatError):
+            read_piece(piece)
+
+    FORGERIES = {
+        "name-is-a-path": lambda d: d["pieces"][1].__setitem__(0, "../evil.rvi"),
+        "name-is-absolute": lambda d: d["pieces"][1].__setitem__(0, "/evil.rvi"),
+        "name-is-dotdot": lambda d: d["pieces"][1].__setitem__(0, ".."),
+        "name-empty": lambda d: d["pieces"][1].__setitem__(0, ""),
+        "name-not-string": lambda d: d["pieces"][1].__setitem__(0, 7),
+        "piece-not-pair": lambda d: d["pieces"].append("piece"),
+        "pieces-not-list": lambda d: d.update(pieces={}),
+        "extent-outside-whole": lambda d: d["pieces"][0].__setitem__(1, [0, 9, 0, 2, 0, 1]),
+        "extent-short": lambda d: d["pieces"][0].__setitem__(1, [0, 3]),
+        "extent-not-header": lambda d: d["pieces"][0].__setitem__(1, [0, 2, 0, 2, 0, 1]),
+        "whole-short": lambda d: d.update(whole_extent=[0, 7, 0, 2]),
+        "whole-bool": lambda d: d.update(whole_extent=[0, True, 0, 2, 0, 1]),
+        "dtype-object": lambda d: d.update(dtype="O"),
+        "dtype-missing": lambda d: d.pop("dtype"),
+        "field-missing": lambda d: d.pop("field"),
+        "spacing-zero": lambda d: d.update(spacing=[0, 1, 1]),
+        "origin-string": lambda d: d.update(origin="here"),
+        "step-string": lambda d: d.update(step="0"),
+    }
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_hostile_index_rejected(self, tmp_path, forgery):
+        directory, index, doc = self._step(tmp_path)
+        # What "../evil.rvi" and "/evil.rvi" would reach: a valid piece.
+        evil = tmp_path / "evil.rvi"
+        evil.write_bytes((directory / doc["pieces"][1][0]).read_bytes())
+        self.FORGERIES[forgery](doc)
+        index.write_text(json.dumps(doc))
+        with pytest.raises(StorageFormatError):
+            read_subextent(directory, 0, self.WHOLE)
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", '"idx"', "\udcff"])
+    def test_unreadable_index_rejected(self, tmp_path, text):
+        directory, index, _ = self._step(tmp_path)
+        index.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(StorageFormatError):
+            read_index(directory, 0)
+
+
 @st.composite
 def _stored_sub_extents(draw):
     """A random stored field (dims, dtype) and a random sub-extent of it."""
