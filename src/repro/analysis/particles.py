@@ -13,7 +13,8 @@ data:
   binned ``P(k)``.
 - :class:`FriendsOfFriendsAnalysis` -- ragged ``allgather`` of the global
   population, canonical id-order clustering on a periodic cell-linked
-  grid (:func:`friends_of_friends`), and a min/max halo-count reduction
+  grid with the pair search split across the ranks
+  (:func:`friends_of_friends`), and an ``allgather`` of the halo count
   that doubles as a cross-rank divergence check.
 
 All three consume ``position`` / ``mass`` / ``id`` attributes from any
@@ -41,7 +42,7 @@ from repro.data.particles import (
     cic_deposit_int_2d,
 )
 from repro.core.configurable import register_analysis
-from repro.mpi import MAX, MIN, SUM
+from repro.mpi import SUM
 from repro.render import VIRIDIS, Colormap, encode_png
 from repro.util.timers import timed
 
@@ -281,22 +282,55 @@ def _cells_per_side(pos: np.ndarray, ll: float) -> int:
     return m if m >= 3 else 1
 
 
-def _candidate_pairs(cell: np.ndarray, starts: np.ndarray, m: int):
-    """Yield ``(i, j)`` chunks of every pair in the same or adjacent cells.
+def _shell_runs(cell: np.ndarray, starts: np.ndarray, m: int) -> list:
+    """``(first, counts)`` per half-shell offset: particle ``p`` pairs with
+    the run ``first[p] .. first[p] + counts[p]`` of the same order.
 
     ``cell`` holds the ``(n, 3)`` cell indices of the particles in
     cell-key order and ``starts[k]`` the position of cell ``k``'s first
-    particle in that order; ``i`` and ``j`` index the same order.  Each
-    unordered pair comes out once, at most ``_PAIR_CHUNK + n`` at a time.
+    particle in that order.  In its own cell a particle pairs only with
+    the members after it, so every unordered pair is counted once.
     """
     n = cell.shape[0]
+    # Each axis's wrapped neighbour coordinate at steps -1, 0, +1, already
+    # scaled to its digit of the cell key: a neighbour's key is three adds.
+    wrap = np.arange(-1, m + 1) % m  # wrap[c + 1 + step] for step -1, 0, 1
+    digits = []
+    for axis in range(3):
+        column, scale = cell[:, axis], m ** (2 - axis)
+        digits.append([(wrap[s : s + m] * scale)[column] for s in range(3)])
+    runs = []
     for offset in _HALF_SHELL if m > 1 else _HALF_SHELL[:1]:
-        near = (cell + offset) % m
-        near_key = (near[:, 0] * m + near[:, 1]) * m + near[:, 2]
-        # Particle p pairs with the run first[p] .. first[p] + counts[p];
-        # in its own cell that is only the members after it.
+        dx, dy, dz = offset + 1
+        near_key = digits[0][dx] + digits[1][dy] + digits[2][dz]
         first = starts[near_key] if offset.any() else np.arange(1, n + 1)
-        counts = starts[near_key + 1] - first
+        runs.append((first, starts[near_key + 1] - first))
+    return runs
+
+
+def _share_bounds(weight: np.ndarray, size: int) -> np.ndarray:
+    """Cuts ``b`` so that ``b[r]:b[r + 1]`` of the cell-key order holds
+    about ``1/size`` of the candidate pairs.
+
+    ``weight[p]`` is particle ``p``'s exact pair count.  A particle goes
+    to the share its pair range's midpoint falls in; everything here is
+    integer arithmetic, so every rank cuts identically.
+    """
+    ends = np.cumsum(weight)
+    mid2 = (2 * ends - weight) * size  # 2 * size * midpoint, non-decreasing
+    targets = 2 * int(ends[-1]) * np.arange(1, size)
+    return np.concatenate(([0], np.searchsorted(mid2, targets), [weight.size]))
+
+
+def _candidate_pairs(runs: list, lo: int, hi: int):
+    """Yield ``(i, j)`` chunks of the candidate pairs whose first particle
+    lies in ``lo:hi`` of the cell-key order (``runs`` from
+    :func:`_shell_runs`); ``i`` and ``j`` index that order.  Each unordered
+    pair comes out once, at most ``_PAIR_CHUNK + n`` at a time."""
+    if lo == hi:
+        return
+    for first, counts in runs:
+        first, counts = first[lo:hi], counts[lo:hi]
         ends = np.cumsum(counts)
         begins = ends - counts
         cuts = np.searchsorted(
@@ -306,7 +340,7 @@ def _candidate_pairs(cell: np.ndarray, starts: np.ndarray, m: int):
             if p0 == p1:
                 continue
             reps = counts[p0:p1]
-            i = np.repeat(np.arange(p0, p1), reps)
+            i = np.repeat(np.arange(lo + p0, lo + p1), reps)
             j = np.arange(begins[p0], ends[p1 - 1]) - np.repeat(
                 begins[p0:p1] - first[p0:p1], reps
             )
@@ -336,8 +370,41 @@ def _union(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             labels[:] = roots
 
 
+def _link_share(
+    pos: np.ndarray, ll: float, forest: np.ndarray, rank: int, size: int
+) -> int:
+    """Union into ``forest`` the links of share ``rank`` of ``size``;
+    returns how many candidate pairs the share distance-tested."""
+    n = pos.shape[0]
+    m = _cells_per_side(pos, ll)
+    wrapped = pos - np.floor(pos)  # in [0, 1]: -1e-20 wraps to exactly 1.0
+    cell = np.minimum((wrapped * m).astype(np.int64), m - 1)
+    key = (cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    starts = np.searchsorted(key[order], np.arange(m**3 + 1))
+    runs = _shell_runs(cell[order], starts, m)
+    weight = np.zeros(n, dtype=np.int64)
+    for _, counts in runs:
+        weight += counts
+    bounds = _share_bounds(weight, size)
+    columns = np.ascontiguousarray(pos[order].T)
+    ll2 = ll**2
+    tested = 0
+    for i, j in _candidate_pairs(runs, bounds[rank], bounds[rank + 1]):
+        d2 = np.zeros(i.size)
+        for x in columns:  # (x^2 + y^2) + z^2, the order ``sum`` adds in
+            d = x[i] - x[j]
+            d -= np.rint(d)  # minimum image on the periodic unit box
+            d *= d
+            d2 += d
+        close = d2 <= ll2
+        _union(forest, order[i[close]], order[j[close]])
+        tested += i.size
+    return tested
+
+
 def friends_of_friends(
-    positions: np.ndarray, linking_length: float
+    positions: np.ndarray, linking_length: float, comm=None
 ) -> np.ndarray:
     """Periodic friends-of-friends labels over a unit box.
 
@@ -350,6 +417,16 @@ def friends_of_friends(
     14-cell half shell expanded into index pairs in bounded chunks); the
     exact distance test decides the links and a vectorised min-label
     union merges them.  Work is O(n + candidate pairs), memory O(n).
+
+    With a communicator, every rank passes the same ``positions`` and the
+    pair search is split: rank ``r`` tests only the candidate pairs whose
+    first particle lies in share ``r``, a contiguous run of the cell-key
+    order cut to hold about ``1/size`` of the exact pair count.  Each rank
+    unions its own links into a partial min-label forest; one
+    ``allgather`` of the forests follows, and merging them in rank order
+    gives every rank the canonical labels.  ``comm=None`` is one share.
+    Each rank adds the pairs it tested to the ``fof::pairs`` trace
+    counter.
     """
     ll = _require_linking_length(linking_length)
     pos = np.asarray(positions, dtype=np.float64)
@@ -358,27 +435,17 @@ def friends_of_friends(
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
     n = pos.shape[0]
-    labels = np.arange(n, dtype=np.int64)
-    if n < 2:
-        return labels
-
-    m = _cells_per_side(pos, ll)
-    wrapped = pos - np.floor(pos)  # in [0, 1]: -1e-20 wraps to exactly 1.0
-    cell = np.minimum((wrapped * m).astype(np.int64), m - 1)
-    key = (cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]
-    order = np.argsort(key, kind="stable")
-    starts = np.searchsorted(key[order], np.arange(m**3 + 1))
-    columns = np.ascontiguousarray(pos[order].T)
-    ll2 = ll**2
-    for i, j in _candidate_pairs(cell[order], starts, m):
-        d2 = np.zeros(i.size)
-        for x in columns:  # (x^2 + y^2) + z^2, the order ``sum`` adds in
-            d = x[i] - x[j]
-            d -= np.rint(d)  # minimum image on the periodic unit box
-            d *= d
-            d2 += d
-        close = d2 <= ll2
-        _union(labels, order[i[close]], order[j[close]])
+    rank, size = (0, 1) if comm is None else (comm.rank, comm.size)
+    forest = np.arange(n, dtype=np.int64)
+    tested = _link_share(pos, ll, forest, rank, size) if n >= 2 else 0
+    rec = comm.trace_recorder if comm is not None else None
+    if rec is not None:
+        rec.count("fof::pairs", tested)
+    forests = [forest] if comm is None else comm.allgather(forest)
+    index = np.arange(n, dtype=np.int64)
+    labels = index.copy()
+    for links in forests:
+        _union(labels, index, links)
     return labels
 
 
@@ -408,10 +475,12 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
     ``allgather`` assembles the global set, a stable sort by persistent
     particle id imposes the canonical order, and the min-index labels of
     :func:`friends_of_friends` (cell-linked grid, O(n + candidate pairs))
-    are decomposition-independent by construction.  The halo *count* is
-    then pushed through min/max reductions -- a cheap cross-rank
-    agreement check that turns any divergence into an immediate error
-    instead of silently inconsistent artifacts.
+    are decomposition-independent by construction.  The communicator is
+    passed on, so each rank tests only its share of the candidate pairs
+    and one ``allgather`` merges the shares.  The halo *count* is then
+    allgathered -- a cheap cross-rank agreement check that turns any
+    divergence into an immediate error instead of silently inconsistent
+    artifacts.  A step enters three collectives at every rank count.
     """
 
     def __init__(
@@ -462,15 +531,16 @@ class FriendsOfFriendsAnalysis(AnalysisAdaptor):
                     f"step {step}"
                 )
             order = np.argsort(all_ids, kind="stable")
-            labels = friends_of_friends(all_pos[order], self.linking_length)
+            labels = friends_of_friends(
+                all_pos[order], self.linking_length, self._comm
+            )
             sizes = halo_sizes(labels, self.min_members)
         count = len(sizes)
         with timed(self.timers, "fof::reduce"):
-            lo = self._comm.allreduce(count, MIN)
-            hi = self._comm.allreduce(count, MAX)
-        if lo != hi:
+            counts = self._comm.allgather(count)
+        if min(counts) != max(counts):
             raise ParticleAnalysisError(
-                f"rank-divergent halo counts at step {step}: min {lo}, max {hi}"
+                f"rank-divergent halo counts at step {step}: {counts}"
             )
         self.history.append((step, count, sizes))
         return True

@@ -66,6 +66,7 @@ REJECT_CAPACITY = "capacity"
 REJECT_BUSY = "tenant_busy"
 REJECT_PROTOCOL = "protocol_error"
 REJECT_QUOTA = "quota_exhausted"
+REJECT_ANALYSIS = "analysis_error"
 
 
 class ProtocolError(RuntimeError):

@@ -32,6 +32,7 @@ import queue
 import socket
 import threading
 import time as _time
+from collections import deque
 
 from repro.faults.plan import unit_draw  # noqa: F401  (re-exported for tests)
 from repro.mpi.framing import (
@@ -88,8 +89,49 @@ class BytesInFlight:
             return self._held
 
 
+class TenantFailure(RuntimeError):
+    """A tenant's connection ends because its analysis cannot go on.
+
+    ``detail`` is what the decision journal records: it names only things
+    that replay identically (the step, the exception type), never a
+    message or a timing.
+    """
+
+    def __init__(self, tenant: str, detail: str) -> None:
+        super().__init__(f"tenant {tenant!r}: {detail}")
+        self.detail = detail
+
+
+def _analysis_failure(tenant: str, step: int, exc: Exception) -> TenantFailure:
+    """The failure for ``exc`` raised by ``tenant``'s analysis at ``step``;
+    ``exc`` (with its traceback) stays attached as the cause."""
+    failure = TenantFailure(
+        tenant, f"analysis raised {type(exc).__name__} at step {step}"
+    )
+    failure.__cause__ = exc
+    return failure
+
+
+def _wake(channel: FrameChannel) -> None:
+    """End a blocked ``channel.recv`` at once: shut the socket's read side
+    (its write side stays open for the REJECT)."""
+    try:
+        channel.sock.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass
+
+
 class _TenantWorker:
-    """The staged-placement worker: one thread draining one tenant's queue."""
+    """The staged-placement worker: one thread draining one tenant's queue.
+
+    An analysis that raises stops the processing: the worker keeps
+    taking (and releasing the budget of) whatever is queued, so neither
+    ``submit`` nor ``drain`` can wait on it, records the failure, and calls
+    ``on_failure`` to wake the connection handler.
+    """
+
+    #: Seconds :meth:`drain` waits for the submitted steps to finish.
+    drain_timeout = 60.0
 
     def __init__(
         self,
@@ -97,11 +139,19 @@ class _TenantWorker:
         ledger: CostLedger,
         budget: BytesInFlight,
         depth: int,
+        on_failure=None,
     ) -> None:
         self.endpoint = endpoint
         self.ledger = ledger
         self.budget = budget
+        self.on_failure = on_failure
+        #: The first analysis failure, or None.
+        self.failure: TenantFailure | None = None
         self.queue: queue.Queue = queue.Queue(maxsize=depth)
+        #: Steps submitted and not yet done, in order, under ``_idle``.
+        self._pending: deque[int] = deque()
+        self._idle = threading.Condition()
+        self._timed_out = False
         self.thread = threading.Thread(
             target=self._run, name=f"svc-worker-{endpoint.tenant}", daemon=True
         )
@@ -111,35 +161,65 @@ class _TenantWorker:
         while True:
             item = self.queue.get()
             if item is None:
-                self.queue.task_done()
                 return
             step, sim_time, arrays, nbytes = item
             try:
-                outcome, seconds = self.endpoint.process(step, sim_time, arrays)
-                self.ledger.charge_analysis(
-                    seconds, trace=self.endpoint.recorder
-                )
-                if outcome != "ok":
-                    self.ledger.charge_degraded(trace=self.endpoint.recorder)
+                if self.failure is None:
+                    self._process(step, sim_time, arrays)
             finally:
                 self.budget.release(nbytes)
-                self.queue.task_done()
+                with self._idle:
+                    self._pending.popleft()
+                    self._idle.notify_all()
+
+    def _process(self, step, sim_time, arrays) -> None:
+        try:
+            outcome, seconds = self.endpoint.process(step, sim_time, arrays)
+        except Exception as exc:
+            self.failure = _analysis_failure(self.endpoint.tenant, step, exc)
+            if self.on_failure is not None:
+                self.on_failure()
+            return
+        self.ledger.charge_analysis(seconds, trace=self.endpoint.recorder)
+        if outcome != "ok":
+            self.ledger.charge_degraded(trace=self.endpoint.recorder)
 
     def submit(self, step, sim_time, arrays, nbytes) -> float:
         """Enqueue one admitted step; returns seconds blocked on a full
         queue (per-tenant staging backpressure)."""
+        with self._idle:
+            self._pending.append(step)
         t0 = _time.perf_counter()
         self.queue.put((step, sim_time, arrays, nbytes))
         return _time.perf_counter() - t0
 
     def drain(self) -> None:
-        """Block until every submitted step has been fully processed."""
-        self.queue.join()
+        """Block until every submitted step is done (processed, or dropped
+        after a failure); :class:`TenantFailure` naming the steps still
+        pending after :attr:`drain_timeout` seconds, and at once on every
+        later call."""
+        deadline = _time.monotonic() + self.drain_timeout
+        with self._idle:
+            while self._pending:
+                left = deadline - _time.monotonic()
+                if self._timed_out or left <= 0:
+                    self._timed_out = True
+                    raise TenantFailure(
+                        self.endpoint.tenant,
+                        f"staged step(s) {list(self._pending)} still pending "
+                        f"after {self.drain_timeout:g} s",
+                    )
+                self._idle.wait(left)
 
     def stop(self) -> None:
-        """Idempotent shutdown: drain, park the thread, join it."""
+        """Idempotent shutdown: park the thread and join it.  A worker
+        wedged in an analysis with a full queue is left to die with the
+        process (it is a daemon)."""
         if self.thread.is_alive():
-            self.queue.put(None)
+            try:
+                self.queue.put(None, timeout=1.0)
+            except queue.Full:
+                return
         self.thread.join(timeout=30.0)
 
 
@@ -393,7 +473,8 @@ class ServiceServer:
         worker: _TenantWorker | None = None
         if spec.placement == "staged":
             worker = _TenantWorker(
-                endpoint, ledger, self.budget, self.staged_depth
+                endpoint, ledger, self.budget, self.staged_depth,
+                on_failure=lambda: _wake(channel),
             )
             with self._lock:
                 self._workers[name] = worker
@@ -409,6 +490,7 @@ class ServiceServer:
                 }
             ),
         )
+        failure: TenantFailure | None = None
         try:
             self._step_loop(
                 channel, name, spec, policy, journals, endpoint, worker, ledger
@@ -419,23 +501,40 @@ class ServiceServer:
             journals.admission.record(policy.decide_disconnect("protocol error"))
             recorder.count("service::disconnects", 1)
             self._reject(channel, protocol.REJECT_PROTOCOL, str(exc))
+        except TenantFailure as exc:
+            failure = exc
         except (TruncatedFrameError, OSError):
-            # Journal a fully *stable* detail: the exception message holds
-            # stream-chunking byte counts and even the exception class
-            # varies with which syscall notices the dead peer -- either
-            # would break journal byte-identity across replays.
-            journals.admission.record(
-                policy.decide_disconnect("connection lost")
-            )
-            recorder.count("service::disconnects", 1)
+            # A failed staged worker wakes the handler by shutting the
+            # socket's read side, which reads as a lost connection.
+            failure = worker.failure if worker is not None else None
+            if failure is None:
+                # Journal a fully *stable* detail: the exception message
+                # holds stream-chunking byte counts and even the exception
+                # class varies with which syscall notices the dead peer --
+                # either would break journal byte-identity across replays.
+                journals.admission.record(
+                    policy.decide_disconnect("connection lost")
+                )
+                recorder.count("service::disconnects", 1)
         finally:
             if worker is not None:
-                worker.drain()
+                try:
+                    worker.drain()
+                except TenantFailure:
+                    recorder.count("service::drain_timeouts", 1)
                 worker.stop()
                 with self._lock:
                     if self._workers.get(name) is worker:
                         del self._workers[name]
             endpoint.finalize()
+        if failure is not None:
+            # The tenant's artifacts are final before its slot is free, so
+            # a reconnect is admitted and cannot race the old endpoint.
+            journals.admission.record(policy.decide_disconnect(failure.detail))
+            recorder.count("service::disconnects", 1)
+            with self._lock:
+                self._active.discard(name)
+            self._reject(channel, protocol.REJECT_ANALYSIS, str(failure))
 
     def _pace(self, name: str, spec, ledger, recorder) -> None:
         rate = spec.quota.rate_steps_per_s
@@ -455,6 +554,8 @@ class ServiceServer:
     ):
         recorder = endpoint.recorder
         while True:
+            if worker is not None and worker.failure is not None:
+                raise worker.failure
             try:
                 kind, seq, payload = channel.recv()
             except MalformedFrameError as exc:
@@ -472,6 +573,8 @@ class ServiceServer:
             if kind == protocol.EOS:
                 if worker is not None:
                     worker.drain()
+                    if worker.failure is not None:
+                        raise worker.failure
                 endpoint.finalize()
                 journals.admission.record(policy.decide_eos())
                 with self._lock:
@@ -542,6 +645,8 @@ class ServiceServer:
             else:
                 try:
                     outcome, seconds = endpoint.process(step, sim_time, arrays)
+                except Exception as exc:
+                    raise _analysis_failure(name, step, exc)
                 finally:
                     self.budget.release(nbytes)
                 ledger.charge_analysis(seconds, trace=recorder)

@@ -26,6 +26,7 @@ from repro.core.configurable import (
     registered_analysis_types,
 )
 from repro.mpi import run_spmd
+from repro.trace import TraceSession
 from repro.util.config import Configuration
 
 
@@ -137,6 +138,88 @@ class TestFriendsOfFriendsScale:
         labels, peak = _labels_and_peak(pos, 1e-6)
         assert labels.tolist() == [0, 0, *range(2, 10)]
         assert peak < 2**20
+
+
+#: Counters every collective samples once per call (point-to-point
+#: sends sample ``mpi::send::bytes``).
+_COLLECTIVE_COUNTERS = {
+    f"mpi::{kind}::bytes"
+    for kind in ("barrier", "allgather", "gather", "bcast", "scatter",
+                 "reduce", "allreduce", "alltoall", "exscan", "split")
+}
+
+
+def _collectives(rec) -> int:
+    return sum(1 for c in rec.counters if c.name in _COLLECTIVE_COUNTERS)
+
+
+def _clustered(n, seed, blobs=12, sigma=0.02):
+    rng = np.random.default_rng(seed)
+    centres = rng.random((blobs, 3))
+    pos = centres[rng.integers(blobs, size=n)]
+    pos = pos + sigma * rng.standard_normal((n, 3))
+    return pos - np.floor(pos)
+
+
+class TestSplitPairSearch:
+    def test_fof_step_enters_the_same_collectives_at_1_2_3_ranks(self):
+        """Fault schedules are drawn per (site, rank, occurrence): a step
+        must enter as many collectives as before the split (the particle
+        gather, then two reductions; now the gather, the forest allgather
+        and the count allgather) at every rank count."""
+
+        def prog(comm):
+            sim = NBodySimulation(comm, grid=8, n_particles=256, seed=3)
+            fof = FriendsOfFriendsAnalysis(linking_length=0.08)
+            fof.initialize(comm)
+            rec = comm.trace_recorder
+            before = _collectives(rec)
+            fof.execute(sim.make_data_adaptor())
+            return _collectives(rec) - before, fof.history[-1][1]
+
+        per_rank = {
+            ranks: run_spmd(ranks, prog, trace=TraceSession(), timeout=60.0)
+            for ranks in (1, 2, 3)
+        }
+        counts = {entry for rows in per_rank.values() for entry in rows}
+        assert len(counts) == 1, per_rank
+        assert next(iter(counts))[0] == 3
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pairs_counter_splits_the_serial_count(self, backend):
+        pos = _clustered(2048, seed=11)
+        serial_session = TraceSession()
+        run_spmd(
+            1, lambda comm: friends_of_friends(pos, 0.06, comm),
+            trace=serial_session, timeout=60.0,
+        )
+        serial = serial_session.recorder(0).total("fof::pairs")
+        assert serial > 10 * 2048  # clustered: far more pairs than particles
+        for ranks in (2, 3, 4, 5):
+            session = TraceSession()
+            run_spmd(
+                ranks, lambda comm: friends_of_friends(pos, 0.06, comm),
+                trace=session, backend=backend, timeout=60.0,
+            )
+            pairs = [session.recorder(r).total("fof::pairs") for r in range(ranks)]
+            assert sum(pairs) == serial
+            for share in pairs:
+                assert abs(share - serial / ranks) <= 0.1 * serial / ranks
+
+    def test_rank_divergent_halo_count_is_one_allgather_error(self):
+        def prog(comm):
+            sim = NBodySimulation(comm, grid=8, n_particles=64, seed=3)
+            fof = FriendsOfFriendsAnalysis(linking_length=0.08)
+            fof.initialize(comm)
+            if comm.rank == 1:
+                fof.min_members = 64  # rank 1 counts no halo
+            with pytest.raises(
+                ParticleAnalysisError, match=r"rank-divergent halo counts"
+            ):
+                fof.execute(sim.make_data_adaptor())
+            return True
+
+        assert run_spmd(2, prog, timeout=60.0) == [True, True]
 
 
 def _run_analyses(nranks, steps=3, grid=16, n=300, seed=7, out_dir=None):

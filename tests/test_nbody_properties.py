@@ -13,6 +13,7 @@ ragged-slice introspection) run at normal hypothesis volume.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.analysis.particles import friends_of_friends, halo_sizes
 from repro.apps.nbody import NBodySimulation
 from repro.data import DataArray, ParticleSet, cic_deposit_int
 from repro.mpi import run_spmd
+from repro.trace import TraceSession
 from tests._fof_oracle import friends_of_friends as brute_force_fof
 
 seeds = st.integers(min_value=0, max_value=2**16 - 1)
@@ -269,6 +271,98 @@ class TestFoFProperties:
         pos = np.array([[np.nextafter(0.25, 0.0), 0.1, 0.1], [0.5, 0.1, 0.1]])
         assert brute_force_fof(pos, 0.25).tolist() == [0, 0]
         assert friends_of_friends(pos, 0.25).tolist() == [0, 0]
+
+
+def _clustered(rng, n, blobs=8, sigma=0.02):
+    """Gaussian blobs wrapped into the unit box: dense cells beside
+    empty ones, the shape a halo finder sees after a few hundred steps."""
+    centres = rng.random((blobs, 3))
+    pos = centres[rng.integers(blobs, size=n)] + sigma * rng.standard_normal(
+        (n, 3)
+    )
+    return pos - np.floor(pos)
+
+
+def _fof_population(kind, rng, n, ll):
+    if kind == "uniform":
+        return rng.random((n, 3))
+    if kind == "clustered":
+        return _clustered(rng, n)
+    if kind == "one_cell":
+        return 0.5 + 0.3 * ll * rng.random((n, 3))
+    if kind == "dense_cut":
+        # Most particles in one cell, so its pairs outweigh a share and a
+        # share boundary falls inside the cell's run.
+        pos = rng.random((n, 3))
+        pos[: max(n - 5, 0)] = 0.5 + 0.3 * ll * rng.random((max(n - 5, 0), 3))
+        return pos
+    # "wrap": particles on both faces of the periodic box.
+    pos = rng.random((n, 3))
+    pos[rng.random((n, 3)) < 0.3] = 1.0
+    pos[rng.random((n, 3)) < 0.3] = -1e-20
+    return pos
+
+
+def _split_labels(pos, ll, ranks, backend):
+    return run_spmd(
+        ranks,
+        lambda comm: friends_of_friends(pos, ll, comm),
+        backend=backend,
+        timeout=60.0,
+    )
+
+
+class TestSplitFoF:
+    """The pair search split across ranks gives every rank the serial
+    labels, whatever the cut: the shares partition the candidate pairs and
+    the min-label merge is canonical."""
+
+    @given(
+        seed=seeds,
+        kind=st.sampled_from(
+            ["uniform", "clustered", "one_cell", "dense_cut", "wrap"]
+        ),
+        n=st.integers(min_value=0, max_value=160),
+        ll=st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+        ranks=st.integers(min_value=1, max_value=5),
+        backend=st.sampled_from(["thread", "process"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_equals_serial_and_oracle(
+        self, seed, kind, n, ll, ranks, backend
+    ):
+        pos = _fof_population(kind, np.random.default_rng(seed), n, ll)
+        serial = friends_of_friends(pos, ll)
+        assert np.array_equal(serial, brute_force_fof(pos, ll))
+        for labels in _split_labels(pos, ll, ranks, backend):
+            assert np.array_equal(labels, serial)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "n, ranks", [(0, 1), (0, 3), (1, 2), (2, 5), (3, 5), (4, 4)]
+    )
+    def test_fewer_particles_than_ranks(self, n, ranks, backend):
+        pos = np.random.default_rng(n).random((n, 3)) * 0.02
+        for labels in _split_labels(pos, 0.05, ranks, backend):
+            assert np.array_equal(labels, brute_force_fof(pos, 0.05))
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_a_share_boundary_cuts_the_dense_cell(self, ranks):
+        """195 of 200 particles in one cell: its own-cell pairs are nearly
+        all the work, so shares of equal pair counts must cut its run."""
+        pos = _fof_population("dense_cut", np.random.default_rng(7), 200, 0.05)
+        session = TraceSession()
+        out = run_spmd(
+            ranks,
+            lambda comm: friends_of_friends(pos, 0.05, comm),
+            trace=session,
+            timeout=60.0,
+        )
+        pairs = [session.recorder(r).total("fof::pairs") for r in range(ranks)]
+        assert sum(pairs) >= 195 * 194 // 2
+        assert max(pairs) < sum(pairs) * 1.1 / ranks
+        for labels in out:
+            assert np.array_equal(labels, brute_force_fof(pos, 0.05))
 
 
 class TestRaggedSliceProperties:

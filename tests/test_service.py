@@ -41,7 +41,8 @@ from repro.service import (
     run_client_workload,
     run_workload_inproc,
 )
-from repro.service import protocol
+from repro.service import CostLedger, TenantEndpoint, protocol
+from repro.service.server import BytesInFlight, TenantFailure, _TenantWorker
 from repro.service.workload import synthetic_field, synthetic_steps
 
 SECRET = "test-secret"
@@ -476,6 +477,98 @@ class TestEndpointDegradation:
         assert verdicts.count("failed") == 2
         assert "skipped" in verdicts, "two failures must open the breaker"
         assert verdicts[0] == "ok"
+
+
+class TestAnalysisRaises:
+    """An analysis that raises (not an injected, journaled degradation)
+    ends that tenant's connection at once and leaves the server whole."""
+
+    @staticmethod
+    def _raise_at_step_2(monkeypatch):
+        real = TenantEndpoint.process
+
+        def process(self, step, sim_time, arrays):
+            if step == 2:
+                raise RuntimeError("boom")
+            return real(self, step, sim_time, arrays)
+
+        monkeypatch.setattr(TenantEndpoint, "process", process)
+
+    @pytest.mark.parametrize("placement", ["in-line", "staged"])
+    def test_tenant_rejected_at_once_and_may_reconnect(
+        self, tmp_path, monkeypatch, placement
+    ):
+        self._raise_at_step_2(monkeypatch)
+        spec = TenantSpec("alpha", placement=placement)
+        server = _server(tmp_path, _registry(spec))
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ServiceRejected) as err:
+                _run(server, "alpha", steps=8, timeout=8.0)
+            assert time.perf_counter() - t0 < 1.0
+            assert err.value.code == protocol.REJECT_ANALYSIS
+            assert "RuntimeError at step 2" in err.value.reason
+            handlers = list(server._handlers)
+            for t in handlers:
+                t.join(timeout=1.0)
+            assert not any(t.is_alive() for t in handlers)
+            monkeypatch.undo()
+            # No BUSY retry: the slot is free before the REJECT is sent.
+            assert _run(server, "alpha", steps=2)["steps_admitted"] == 2
+        finally:
+            t0 = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - t0 < 2.0
+        assert server.budget.held == 0
+        journal = json.loads(
+            (tmp_path / "out" / "decision_journal.json").read_text()
+        )
+        decisions = journal["alpha"]["admission"]["decisions"]
+        aborts = [d["detail"] for d in decisions if d["verdict"] == "abort"]
+        assert aborts == ["analysis raised RuntimeError at step 2"]
+
+    def test_other_tenants_keep_being_served(self, tmp_path, monkeypatch):
+        self._raise_at_step_2(monkeypatch)
+        server = _server(
+            tmp_path,
+            _registry(TenantSpec("alpha", placement="staged"), TenantSpec("beta")),
+        )
+        try:
+            with pytest.raises(ServiceRejected):
+                _run(server, "alpha", steps=6, timeout=8.0)
+            monkeypatch.undo()
+            assert _run(server, "beta", steps=3)["steps_admitted"] == 3
+        finally:
+            server.stop()
+
+    def test_drain_is_bounded_and_names_the_pending_steps(self, tmp_path):
+        release = threading.Event()
+
+        class Wedged:
+            tenant = "alpha"
+            recorder = None
+
+            def process(self, step, sim_time, arrays):
+                release.wait(10.0)
+                return "ok", 0.0
+
+        worker = _TenantWorker(
+            Wedged(), CostLedger("alpha", "staged"), BytesInFlight(None), 4
+        )
+        worker.drain_timeout = 0.2
+        try:
+            for step in (5, 6):
+                worker.submit(step, 0.0, {}, 0)
+            t0 = time.perf_counter()
+            with pytest.raises(TenantFailure, match=r"'alpha'.*\[5, 6\]"):
+                worker.drain()
+            assert time.perf_counter() - t0 < 1.0
+            with pytest.raises(TenantFailure):
+                worker.drain()  # once timed out, at once
+        finally:
+            release.set()
+            worker.stop()
+        assert not worker.thread.is_alive()
 
 
 # -- backpressure -------------------------------------------------------------
