@@ -80,9 +80,11 @@ def test_fig06_modeled_series(benchmark, report):
     by = {(s, n): (sim, ana) for s, n, sim, ana in rows}
     # Near-perfect weak scaling of the simulation phase (1K == 6K work/core).
     assert abs(by[("1K", "baseline")][0] - by[("6K", "baseline")][0]) < 1e-9
-    # Slice analyses grow with concurrency; histogram stays ~flat.
-    assert by[("45K", "catalyst-slice")][1] > by[("1K", "catalyst-slice")][1]
-    # Catalyst vs Libsim composite at different rates across scale.
+    # The paper's slice analyses grow with concurrency; the model's are flat
+    # from 1K to 45K cores.  Catalyst's binary swap grows by 1.00006x and
+    # Libsim's direct send by 1.0092x, so Libsim still grows the faster.
     cat_growth = by[("45K", "catalyst-slice")][1] / by[("1K", "catalyst-slice")][1]
     lib_growth = by[("45K", "libsim-slice")][1] / by[("1K", "libsim-slice")][1]
-    assert cat_growth != lib_growth
+    assert 1.0 < cat_growth < 1.0005
+    assert 1.005 < lib_growth < 1.015
+    assert lib_growth > cat_growth

@@ -6,7 +6,6 @@
     python -m repro run fig10         # one experiment's rows
     python -m repro run all           # everything
     python -m repro run table1 fig17  # a subset
-    python -m repro analyze src/      # CFG/dataflow static analyzer
     python -m repro chaos --seed 42   # seeded fault-injection harness
     python -m repro nbody --ranks 2   # particle miniapp through all 4 infras
     python -m repro serve --socket /tmp/repro.sock --tenants a,b --secret s
@@ -40,18 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         help="experiment names (see 'list'), or 'all'",
-    )
-    analyze = sub.add_parser(
-        "analyze",
-        help=(
-            "run the CFG/dataflow static analyzer (collective matching, "
-            "resource typestate, repo contracts; see repro.analyze)"
-        ),
-    )
-    analyze.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="arguments for python -m repro.analyze (paths, --format, ...)",
     )
     report = sub.add_parser(
         "report",
@@ -508,12 +495,6 @@ def _report_main(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "analyze":
-        # Forward verbatim: argparse's REMAINDER does not capture a leading
-        # option (e.g. ``repro analyze --list-rules``).
-        from repro.analyze import main as analyze_main
-
-        return analyze_main(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.command == "report":
         return _report_main(args)

@@ -14,13 +14,14 @@ With ``sanitize=True`` the bridge additionally routes all analysis data
 access through :class:`repro.sanitize.GuardedDataAdaptor`: analyses receive
 write-protected zero-copy views, buffer fingerprints are re-verified after
 each ``execute``, and retention past ``release_data()`` is detected via
-weakrefs -- violations raise naming the offending analysis.  The mode is off
+weakrefs -- violations raise naming the offending analysis.  At finalize it
+also checks the memory ledger: a label an analysis ``allocate``d during the
+bridge's life and never ``free``d raises, naming the label.  The mode is off
 by default and adds nothing to the hot path when disabled.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
@@ -69,11 +70,9 @@ class Bridge:
 
             self._guard = _Guard(data_adaptor)
         self._analyses: list[AnalysisAdaptor] = []
-        #: Sanitize mode: timers some bridge phase started and left running.
-        #: A timer already running when a phase is *entered* is the caller's
-        #: (the in-transit endpoint times ``bridge.finalize()`` on the very
-        #: registry it shares with the bridge) and is never counted.
-        self._leaked_timers: set[str] = set()
+        #: Sanitize mode: each label's allocated-but-not-freed bytes when
+        #: the bridge was initialized; finalize must find them no higher.
+        self._owed_at_init: dict[str, int] = {}
         self._initialized = False
         self._finalized = False
         self._final_results: dict[str, object] = {}
@@ -92,21 +91,13 @@ class Bridge:
         if self._initialized:
             raise RuntimeError("bridge already initialized")
         self._initialized = True
-        with self._phase("sensei::initialize"):
+        if self.sanitize and self.memory is not None:
+            self._owed_at_init = self.memory.owed()
+        with timed(self.timers, "sensei::initialize"):
             for a in self._analyses:
                 a.set_instrumentation(self.timers, self.memory)
                 with timed(self.timers, f"sensei::initialize::{a.name}"):
                     a.initialize(self.comm)
-
-    @contextmanager
-    def _phase(self, name: str):
-        """Time one bridge phase; under sanitize also note the timers it
-        started and left running."""
-        before = set(self.timers.active()) if self.sanitize else None
-        with timed(self.timers, name):
-            yield
-        if before is not None:
-            self._leaked_timers |= set(self.timers.active()) - before
 
     def execute(self, time: float, step: int) -> bool:
         """Hand the current step to every analysis; returns False if any
@@ -135,7 +126,7 @@ class Bridge:
         assert guard is not None
         guard.set_data_time(time, step)
         keep_going = True
-        with self._phase("sensei::execute"):
+        with timed(self.timers, "sensei::execute"):
             for a in self._analyses:
                 guard.begin_analysis(a)
                 with timed(self.timers, f"sensei::execute::{a.name}"):
@@ -160,21 +151,28 @@ class Bridge:
             return self._final_results
         self._finalized = True
         results: dict[str, object] = {}
-        with self._phase("sensei::finalize"):
+        with timed(self.timers, "sensei::finalize"):
             for a in self._analyses:
                 with timed(self.timers, f"sensei::finalize::{a.name}"):
                     out = a.finalize()
                 if out is not None:
                     results[a.name] = out
-        if self.sanitize:
-            dangling = sorted(self._leaked_timers & set(self.timers.active()))
-            if dangling:
+        if self.sanitize and self.memory is not None:
+            before = self._owed_at_init
+            unfreed = {
+                label: n - before.get(label, 0)
+                for label, n in self.memory.owed().items()
+                if n > before.get(label, 0)
+            }
+            if unfreed:
                 from repro.sanitize import SanitizerError
 
                 raise SanitizerError(
-                    "timers still running at bridge finalize (unbalanced "
-                    f"start/stop): {', '.join(dangling)}.  Phase totals "
-                    "derived from these timers (Figs. 5-6) would be wrong."
+                    "memory allocated during the bridge's life and never "
+                    "freed: " + ", ".join(
+                        f"{label} ({n} B)" for label, n in sorted(unfreed.items())
+                    ) + ".  The footprint figures (Figs. 4, 7) would count "
+                    "it as live."
                 )
         self._final_results = results
         return results

@@ -90,11 +90,6 @@ class LiveConnection:
         with self._lock:
             self._stop = True
 
-    def latest_frame(self) -> Frame | None:
-        self._check_same_process()
-        with self._lock:
-            return self._frames[-1] if self._frames else None
-
     def wait_for_frame(self, min_step: int, timeout: float = 30.0) -> Frame | None:
         """Block until a frame at/after ``min_step`` is published."""
         self._check_same_process()

@@ -205,17 +205,6 @@ class DataArray:
             h = zlib.crc32(c.tobytes(), h)
         return h
 
-    @property
-    def owns_data(self) -> bool:
-        """True if any component owns its buffer.
-
-        Caveat: wrapping a simulation's *owning* array by reference also
-        reports True (numpy cannot distinguish shared references from
-        copies); use :meth:`is_zero_copy_of` against the simulation buffer
-        for a definitive zero-copy check.
-        """
-        return any(c.base is None and c.flags.owndata for c in self._components)
-
     # -- access ---------------------------------------------------------------
     def component(self, i: int) -> np.ndarray:
         return self._components[i]

@@ -58,9 +58,6 @@ class Dataset:
     def add_point_array(self, array: DataArray) -> None:
         self.add_array(Association.POINT, array)
 
-    def add_cell_array(self, array: DataArray) -> None:
-        self.add_array(Association.CELL, array)
-
     def get_array(self, assoc: Association, name: str) -> DataArray:
         try:
             return self._arrays[assoc][name]
@@ -78,9 +75,6 @@ class Dataset:
 
     def num_arrays(self, assoc: Association) -> int:
         return len(self._arrays[assoc])
-
-    def remove_array(self, assoc: Association, name: str) -> None:
-        self._arrays[assoc].pop(name, None)
 
     # ghost support -------------------------------------------------------------
     def set_ghost_levels(self, assoc: Association, levels: np.ndarray) -> None:

@@ -66,11 +66,5 @@ class ImageData(Dataset):
         arr = self.get_array(Association.POINT, name)
         return arr.values.reshape(self.dims)
 
-    def world_to_index(self, p: tuple[float, float, float]) -> tuple[float, float, float]:
-        """Continuous index-space coordinates of a physical point."""
-        return tuple(
-            (p[a] - self.origin[a]) / self.spacing[a] for a in range(3)
-        )  # type: ignore[return-value]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ImageData(extent={self.extent}, spacing={self.spacing})"

@@ -108,38 +108,10 @@ class UnstructuredGrid(Dataset):
         start = 0 if c == 0 else int(self.offsets[c - 1])
         return self.connectivity[start : int(self.offsets[c])]
 
-    def cells_as_array(self, cell_type: CellType) -> np.ndarray:
-        """All cells of one fixed-size type as ``(n, pts_per_cell)`` -- no copy
-        if the grid is homogeneous in that type."""
-        npts = CELL_NUM_POINTS[cell_type]
-        if np.all(self.cell_types == int(cell_type)):
-            return self.connectivity.reshape(-1, npts)
-        mask = self.cell_types == int(cell_type)
-        out = np.empty((int(mask.sum()), npts), dtype=np.int64)
-        row = 0
-        for c in np.nonzero(mask)[0]:
-            out[row] = self.cell(int(c))
-            row += 1
-        return out
-
-    def cell_centers(self) -> np.ndarray:
-        """Mean of each cell's points; vectorized for homogeneous grids."""
-        if self.num_cells == 0:
-            return np.empty((0, 3))
-        first = CellType(int(self.cell_types[0]))
-        if np.all(self.cell_types == self.cell_types[0]) and first in CELL_NUM_POINTS:
-            cells = self.connectivity.reshape(-1, CELL_NUM_POINTS[first])
-            return self.points[cells].mean(axis=1)
-        return np.array([self.points[self.cell(c)].mean(axis=0) for c in range(self.num_cells)])
-
     def bounds(self) -> tuple[float, float, float, float, float, float]:
         lo = self.points.min(axis=0)
         hi = self.points.max(axis=0)
         return (lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
-
-    def topology_nbytes(self) -> int:
-        """Bytes held by the (full-copy) connectivity structures."""
-        return self.connectivity.nbytes + self.offsets.nbytes + self.cell_types.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UnstructuredGrid(points={self.num_points}, cells={self.num_cells})"

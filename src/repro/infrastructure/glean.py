@@ -193,26 +193,3 @@ class GleanAdaptor(AnalysisAdaptor):
     def finalize(self):
         self._join_drain()
         return {"steps_staged": self.steps_staged, "aggregator": self._is_aggregator}
-
-
-def read_glean_step(output_dir, step: int) -> dict[int, tuple[Extent, np.ndarray]]:
-    """Read back every aggregator file of a step; keyed by source rank."""
-    out: dict[int, tuple[Extent, np.ndarray]] = {}
-    prefix = f"glean_step{step:06d}_agg"
-    for name in sorted(os.listdir(output_dir)):
-        if not name.startswith(prefix):
-            continue
-        path = os.path.join(output_dir, name)
-        with open(path, "rb") as fh:
-            hlen = int.from_bytes(fh.read(8), "little")
-            index = json.loads(fh.read(hlen).decode())
-            base = 8 + hlen
-            for rec in index:
-                fh.seek(base + rec["offset"])
-                raw = fh.read(rec["nbytes"])
-                extent = Extent(*rec["extent"])
-                data = np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(
-                    extent.shape
-                )
-                out[rec["rank"]] = (extent, data)
-    return out

@@ -540,11 +540,6 @@ class Communicator:
         with self._ctx.lock:
             return list(self._ctx.race_events)
 
-    @property
-    def collective_history(self) -> list["CollectiveRecord"]:
-        """This rank's recent collective records (trace mode only)."""
-        return list(self._ctx.histories[self._rank])
-
     def recv(
         self,
         source: int = ANY_SOURCE,
@@ -858,15 +853,3 @@ class Communicator:
         if sub is not None:
             sub._trace_recorder = self._trace_recorder
         return sub
-
-    def dup(self) -> "Communicator":
-        """Duplicate: a fresh context with the same group."""
-        out = self.split(color=0, key=self._rank)
-        assert out is not None
-        return out
-
-    # -- convenience -------------------------------------------------------
-    def on_root(self, fn: Callable[[], Any], root: int = 0) -> Any:
-        """Run ``fn`` on ``root`` only and broadcast its result."""
-        value = fn() if self._rank == root else None
-        return self.bcast(value, root=root)

@@ -213,10 +213,6 @@ class FrameChannel:
         for s in [s for s in self._window if s <= seq]:
             del self._window[s]
 
-    @property
-    def window_size(self) -> int:
-        return len(self._window)
-
     # -- receiving -----------------------------------------------------------
     def _read_exact(self, n: int) -> bytes:
         while len(self._recv_buffer) < n:

@@ -36,10 +36,6 @@ class StagingTimeline:
     def writer_advance_mean(self) -> float:
         return sum(self.writer_advance) / self.n_steps
 
-    @property
-    def endpoint_idle_total(self) -> float:
-        return sum(self.endpoint_idle)
-
 
 def simulate_staging(
     n_steps: int,

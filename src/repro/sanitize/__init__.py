@@ -5,11 +5,11 @@ paper's performance claims:
 
 - :class:`GuardedDataAdaptor` (this package) -- zero-copy write/retention
   guard, enabled via ``Bridge(..., sanitize=True)``;
+- the bridge's memory ledger under the same flag: a label an analysis
+  allocated and never freed raises :class:`SanitizerError` at finalize;
 - the collective-trace race detector in :mod:`repro.mpi.communicator`
   (always-on divergence cross-check; call sites/history/wildcard-receive
-  race flagging via ``run_spmd(..., trace_collectives=True)``);
-- the static analyzer in :mod:`repro.analyze`
-  (``python -m repro analyze src/``).
+  race flagging via ``run_spmd(..., trace_collectives=True)``).
 """
 
 from repro.sanitize.guard import (

@@ -260,9 +260,6 @@ class BPReader:
             for n, b in enumerate(raw["blocks"])
         ]
 
-    def variables(self) -> list[str]:
-        return sorted({b.var for b in self._blocks})
-
     def read(self, var: str, step: int, selection: Extent | None = None) -> np.ndarray:
         """Read ``var`` at ``step``, optionally restricted to ``selection``."""
         records = [b for b in self._blocks if b.var == var and b.step == step]

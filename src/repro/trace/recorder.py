@@ -47,10 +47,6 @@ class Span:
     parent: str | None = None
     category: str = "phase"
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 @dataclass(frozen=True)
 class CounterSample:
@@ -148,11 +144,6 @@ class TraceRecorder:
         span = Span(name, self.rank, t0, t1, step, parent)
         self.spans.append(span)
         return span
-
-    @property
-    def open_spans(self) -> list[str]:
-        """Names of spans begun but not yet ended (innermost last)."""
-        return [name for name, _ in self._stack]
 
     # -- counters ------------------------------------------------------------
     def count(self, name: str, delta: float) -> None:

@@ -109,12 +109,6 @@ class Configuration:
         node, leaf = self._walk(path, create=True)
         node[leaf] = value
 
-    def section(self, path: str) -> "Configuration":
-        v = self.get(path)
-        if not isinstance(v, dict):
-            raise ConfigError(f"no such configuration section: {path!r}")
-        return Configuration(v)
-
     def __contains__(self, path: str) -> bool:
         sentinel = object()
         return self.get(path, sentinel) is not sentinel

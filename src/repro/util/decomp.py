@@ -38,13 +38,6 @@ class Extent:
         ni, nj, nk = self.shape
         return max(ni - 1, 0) * max(nj - 1, 0) * max(nk - 1, 0)
 
-    def contains(self, i: int, j: int, k: int) -> bool:
-        return (
-            self.i0 <= i <= self.i1
-            and self.j0 <= j <= self.j1
-            and self.k0 <= k <= self.k1
-        )
-
     def intersect(self, other: "Extent") -> "Extent | None":
         e = Extent(
             max(self.i0, other.i0),

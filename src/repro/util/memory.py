@@ -47,6 +47,9 @@ class MemoryTracker:
         self.peak = int(baseline_bytes)
         self.static = int(baseline_bytes)
         self._named: dict[str, int] = {}
+        #: The part of ``_named`` that :meth:`add_static` and
+        #: :meth:`track_array` registered: footprints nobody frees.
+        self._fixed: dict[str, int] = {}
         self._history: dict[str, list[tuple[str, int]]] = {}
         self._history_dropped: dict[str, int] = {}
         #: Optional structured-trace sink; every balance change then gauges
@@ -124,6 +127,7 @@ class MemoryTracker:
         self.current += int(nbytes)
         if label:
             self._named[label] = self._named.get(label, 0) + int(nbytes)
+            self._fixed[label] = self._fixed.get(label, 0) + int(nbytes)
             self._record(label, "static", int(nbytes))
         if self.current > self.peak:
             self.peak = self.current
@@ -138,17 +142,23 @@ class MemoryTracker:
         """
         if array.base is None and array.flags.owndata:
             self.allocate(array.nbytes, label=label)
+            if label:
+                self._fixed[label] = self._fixed.get(label, 0) + array.nbytes
         return array
 
     def named(self, label: str) -> int:
         return self._named.get(label, 0)
 
-    @property
-    def high_water(self) -> int:
-        return self.peak
-
-    def reset_peak(self) -> None:
-        self.peak = self.current
+    def owed(self) -> dict[str, int]:
+        """Per label, the bytes :meth:`allocate` registered and :meth:`free`
+        has not yet returned; static footprints and tracked arrays are left
+        out.  Labels that owe nothing are omitted."""
+        owed = {}
+        for label, n in self._named.items():
+            n -= self._fixed.get(label, 0)
+            if n > 0:
+                owed[label] = n
+        return owed
 
 
 def sum_high_water(trackers: Iterable[MemoryTracker]) -> int:

@@ -36,24 +36,25 @@ class Timer:
     count: int = 0
     min_time: float = float("inf")
     max_time: float = 0.0
-    _start: float | None = None
+    _t0: float | None = None
     #: Per-call samples, kept only when ``keep_samples`` is set; used by the
     #: AVF-LESLIE per-iteration study (Fig. 16) where the sawtooth matters.
     samples: list[float] = field(default_factory=list)
     keep_samples: bool = False
 
-    def start(self) -> None:
-        if self._start is not None:
+    # Private: :meth:`TimerRegistry.time` (and :func:`timed`) is the only
+    # way to time a block, so a start without its stop cannot be written.
+    def _start(self) -> None:
+        if self._t0 is not None:
             raise RuntimeError(f"timer {self.name!r} already running")
-        self._start = time.perf_counter()
+        self._t0 = time.perf_counter()
 
-    def stop(self) -> float:
-        if self._start is None:
+    def _stop(self) -> None:
+        if self._t0 is None:
             raise RuntimeError(f"timer {self.name!r} not running")
-        elapsed = time.perf_counter() - self._start
-        self._start = None
+        elapsed = time.perf_counter() - self._t0
+        self._t0 = None
         self.add(elapsed)
-        return elapsed
 
     def add(self, elapsed: float) -> None:
         """Record an externally measured (or modeled) duration."""
@@ -67,13 +68,6 @@ class Timer:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def running(self) -> bool:
-        """True between :meth:`start` and :meth:`stop` -- an unbalanced
-        start/stop pair leaves this set, which the sanitizer flags at
-        bridge finalize."""
-        return self._start is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -117,11 +111,11 @@ class TimerRegistry:
         rec = self.trace
         if rec is not None:
             rec.begin(name)
-        t.start()
+        t._start()
         try:
             yield t
         finally:
-            t.stop()
+            t._stop()
             if rec is not None:
                 rec.end()
 
@@ -143,15 +137,11 @@ class TimerRegistry:
     def names(self) -> list[str]:
         return sorted(self._timers)
 
-    def active(self) -> list[str]:
-        """Names of timers currently running (started but not stopped)."""
-        return sorted(n for n, t in self._timers.items() if t.running)
-
     def as_dict(self) -> dict[str, dict]:
         """Serializable snapshot, used to ship timings across ranks.
 
         Lossless: includes ``min`` (0.0 for never-fired timers, so the
-        snapshot stays JSON-clean; :meth:`from_dict` restores the +inf
+        snapshot stays JSON-clean; :meth:`merge_snapshot` keeps the +inf
         sentinel) and, for sample-keeping timers, the per-call ``samples``
         list -- without which the Fig. 16 per-iteration sawtooth could not
         survive a cross-rank merge.
@@ -169,13 +159,6 @@ class TimerRegistry:
                 entry["samples"] = list(t.samples)
             snap[name] = entry
         return snap
-
-    @classmethod
-    def from_dict(cls, snapshot: dict[str, dict]) -> "TimerRegistry":
-        """Rebuild a registry from an :meth:`as_dict` snapshot."""
-        reg = cls()
-        reg.merge_snapshot(snapshot)
-        return reg
 
     def merge_snapshot(self, snapshot: dict[str, dict]) -> None:
         """Fold an :meth:`as_dict` snapshot into this registry.
@@ -196,27 +179,6 @@ class TimerRegistry:
             if samples:
                 mine.keep_samples = True
                 mine.samples.extend(float(s) for s in samples)
-
-    def merge(self, other: "TimerRegistry") -> None:
-        """Fold another registry into this one (summing totals/counts).
-
-        Samples are preserved whenever *either* side kept them: dropping
-        ``other``'s samples just because this registry was constructed
-        without ``keep_samples`` would lose per-call data irrecoverably.
-        A timer merged from a sample-keeping peer therefore becomes
-        sample-keeping itself (its own earlier calls, if any, remain
-        unsampled -- the list holds exactly the calls that were recorded).
-        """
-        for name, t in other._timers.items():
-            mine = self.timer(name)
-            mine.total += t.total
-            mine.count += t.count
-            mine.min_time = min(mine.min_time, t.min_time)
-            mine.max_time = max(mine.max_time, t.max_time)
-            if t.keep_samples:
-                mine.keep_samples = True
-            if mine.keep_samples:
-                mine.samples.extend(t.samples)
 
 
 @contextmanager

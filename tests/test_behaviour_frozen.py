@@ -9,6 +9,7 @@ cell-linked-grid friends-of-friends kernel replaced the brute-force one.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -19,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.slice_ import SlicePlane
-from repro.analyze import RULE_CATALOG, analyze_source
+from repro.cli import main as cli_main
 from repro.apps.nbody import run_nbody
-from repro.core import Bridge
+from repro.core import AnalysisAdaptor, Bridge
 from repro.faults.chaos import run_chaos
 from repro.infrastructure import CatalystAdaptor
 from repro.infrastructure.adios import StagingResilience, run_flexpath_job
@@ -40,6 +41,7 @@ from repro.service import (
 )
 from repro.service.workload import synthetic_steps
 from repro.trace import TraceSession
+from repro.util import Timer, TimerRegistry
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,24 +229,57 @@ def test_one_staging_policy():
     assert "controller" not in inspect.signature(Bridge).parameters
 
 
-# -- structure: every analyzer rule guards a live site -------------------------
+# -- structure: one guard per hazard, and no static analyzer -------------------
 
 
-def test_analyzer_rules_each_have_a_job():
-    """Six rules, each reaching live sites in ``src/`` (DESIGN.md lists
-    them), and every rule always runs.  Send-buffer reuse is held by the
-    fabric itself (``test_send_buffer_reusable_after_send``)."""
-    assert [rule.id for rule in RULE_CATALOG] == [
-        "analysis-sim-import",
-        "bare-time-call",
-        "rank-divergent-collectives",
-        "collective-in-rank-loop",
-        "timer-typestate",
-        "memory-typestate",
-    ]
+class _RaisesWhileTimed(AnalysisAdaptor):
+    def execute(self, data):
+        with self.timers.time("raising::phase"):
+            raise ZeroDivisionError("planted")
+
+
+def _exception_inside_time_leaves_no_timer_running(registry, block):
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        block()
+    for name in registry.names():
+        with registry.time(name):  # raises if the failed block left it running
+            pass
+    return {name: registry.timer(name).count for name in registry.names()}
+
+
+def test_one_guard_per_hazard(capsys):
+    """The hazards a static analyzer once looked for fail at run time
+    (``tests/test_hazard_guards.py``) or cannot be written: a timer runs
+    only inside ``TimerRegistry.time``, which stops it on every exit."""
     with pytest.raises(ImportError):
-        importlib.import_module("repro.analyze.checkers.forksafety")
-    assert "rules" not in inspect.signature(analyze_source).parameters
+        importlib.import_module("repro.analyze")
+    assert not {"start", "stop", "running"} & set(dir(Timer))
+    assert not hasattr(TimerRegistry, "active")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["analyze", "src/"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
+    def raise_timed():
+        with registry.time("phase"):
+            raise ZeroDivisionError("planted")
+
+    registry = TimerRegistry()
+    counts = _exception_inside_time_leaves_no_timer_running(registry, raise_timed)
+    assert counts == {"phase": 2}
+
+    def in_sanitized_bridge(comm):
+        sim = OscillatorSimulation(comm, (6, 6, 6), default_oscillators(), dt=0.1)
+        bridge = Bridge(comm, sim.make_data_adaptor(), sanitize=True)
+        bridge.add_analysis(_RaisesWhileTimed())
+        bridge.initialize()
+        return _exception_inside_time_leaves_no_timer_running(
+            bridge.timers, lambda: sim.run(1, bridge)
+        )
+
+    counts = run_spmd(1, in_sanitized_bridge)[0]
+    assert counts["raising::phase"] == 2
+    assert counts["sensei::execute"] == 2
 
 
 # -- structure: particle-mesh gravity exists once ------------------------------
@@ -270,6 +305,13 @@ def test_particle_mesh_gravity_exists_once():
 # -- structure: every module is run by a command, workload, figure or example --
 
 _REPO = _SRC.parent.parent
+
+
+@functools.cache
+def _src_trees():
+    """Every ``src/repro`` file's syntax tree, keyed by its path under it."""
+    return {p.relative_to(_SRC): ast.parse(p.read_text()) for p in _SRC.rglob("*.py")}
+
 _ROOTS = ("bench/workloads", "benchmarks", "examples")  # + src/repro/cli.py
 
 #: Unreached on purpose; the value is why the module stays.
@@ -289,12 +331,12 @@ def _unreached_modules():
     relative or star imports; one would resolve to nothing here and its
     target would be reported unreached.
     """
-    paths = {}
-    for p in _SRC.rglob("*.py"):
-        parts = p.relative_to(_SRC.parent).with_suffix("").parts
+    paths, trees = {}, {}
+    for rel, tree in _src_trees().items():
+        parts = ("repro", *rel.with_suffix("").parts)
         if parts[-1] != "__main__":
-            paths[".".join(parts[: -1 if parts[-1] == "__init__" else None])] = p
-    trees = {m: ast.parse(p.read_text()) for m, p in paths.items()}
+            mod = ".".join(parts[: -1 if parts[-1] == "__init__" else None])
+            paths[mod], trees[mod] = _SRC / rel, tree
 
     def imports(tree):
         """(module, imported name or None, bound name) per import statement."""
@@ -346,3 +388,144 @@ def _unreached_modules():
 
 def test_every_module_is_reachable():
     assert _unreached_modules() == set(_UNREACHED_BUT_KEPT)
+
+
+# -- structure: analyses see simulations only through the DataAdaptor ---------
+
+_SIM_INTERNALS = ("repro.miniapp", "repro.apps")
+_DECOUPLED = ("analysis", "infrastructure")
+
+
+def _contract_breaches(trees):
+    """``(file, line, what)`` for each import of simulation internals from
+    ``analysis/`` or ``infrastructure/`` (the Sec. 3.2 decoupling) and each
+    wall-clock ``time.time()`` call outside ``util/timers.py``."""
+    for rel, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                modules = []
+            if rel.parts[0] in _DECOUPLED and any(
+                m == sim or m.startswith(sim + ".") for m in modules for sim in _SIM_INTERNALS
+            ):
+                yield str(rel), node.lineno, "imports simulation internals"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "time"
+                and getattr(node.func.value, "id", None) == "time"
+                and rel != Path("util/timers.py")
+            ):
+                yield str(rel), node.lineno, "reads the wall clock"
+
+
+def test_analyses_import_no_simulation_and_nothing_reads_the_wall_clock():
+    assert list(_contract_breaches(_src_trees())) == []
+    planted = {
+        Path("analysis/planted.py"): "import numpy\nfrom repro.apps import nbody\n",
+        Path("infrastructure/planted.py"): "from repro import miniapp\n",
+        Path("core/planted.py"): "from repro.apps import nbody\n",
+        Path("storage/planted.py"): "import time\nstamp = time.time()\n",
+        Path("util/timers.py"): "import time\nstamp = time.time()\n",
+    }
+    found = _contract_breaches({p: ast.parse(src) for p, src in planted.items()})
+    assert sorted(found) == [
+        ("analysis/planted.py", 2, "imports simulation internals"),
+        ("infrastructure/planted.py", 1, "imports simulation internals"),
+        ("storage/planted.py", 2, "reads the wall clock"),
+    ]
+
+
+# -- structure: every public name is used by something other than a test ------
+
+#: Public names that only tests name, kept on purpose; the value is why.
+_UNNAMED_BUT_KEPT = {
+    "data/array.py::DataArray.component": "the accessor DataArray.values "
+    "sends multi-component callers to",
+    "data/array.py::DataArray.is_zero_copy_of": "the zero-copy check of "
+    "Fig. 4; adaptor tests compare views with the simulation buffer by it",
+    **dict.fromkeys(
+        ["data/array.py::DataArray.slice_tuples", "data/particles.py::ParticleSet.slice_view"],
+        "zero-copy ragged views; the sanitizer tests hold the write guard on "
+        "them, though no analysis slices a population yet",
+    ),
+    **dict.fromkeys(
+        ["data/dataset.py::Dataset.owned_mask", "data/dataset.py::Dataset.set_ghost_levels"],
+        "the VTK model's vtkGhostLevels helpers (Nyx blanks by that array)",
+    ),
+    **dict.fromkeys(
+        [f"data/multiblock.py::MultiBlockDataset.{n}" for n in (
+            "get_block", "local_num_cells", "local_num_points", "num_local_blocks")],
+        "VTK multiblock accessors; the received-data tests read blocks by them",
+    ),
+    **dict.fromkeys(
+        [f"data/particles.py::ParticleSet.{n}" for n in ("momentum", "state_tuple", "total_mass")],
+        "the n-body conservation and equality checks of the property tests",
+    ),
+    "faults/injector.py::FaultInjector.injections": "the injection log the "
+    "fault tests and the cross-process log merge check read",
+    **dict.fromkeys(
+        ["perf/calibrate.py::calibrate_host", "perf/calibrate.py::HostCalibration.hist_factor",
+         "perf/calibrate.py::HostCalibration.autocorr_factor"],
+        "perf/calibrate.py is kept unreached on purpose (_UNREACHED_BUT_KEPT)",
+    ),
+    "render/rasterize.py::RenderedImage.coverage": "the pixel-coverage mask "
+    "the raster and compositing tests assert on",
+    "service/server.py::BytesInFlight.held": "the service's live byte "
+    "budget; the backpressure tests read it",
+    "util/memory.py::MemoryTracker.named": "the per-label balance the "
+    "footprint tests of Figs. 4 and 7 read",
+    "util/timers.py::TimerRegistry.merge_snapshot": "the cross-rank fold of "
+    "as_dict snapshots, whose tests pin the lossless min/samples merge",
+}
+
+
+def _public_defs(tree):
+    """``(qualified name, name)`` of each public module-level function and
+    class, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield f"{node.name}.{m.name}", m.name
+
+
+def _names_used(tree, reexport_only=False):
+    """Identifiers ``tree`` names: names, attributes, imported names and
+    identifier strings (``getattr(comm, "fault_injector", None)``).  A
+    package ``__init__`` re-exporting a name does not use it."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            yield n.value
+        elif isinstance(n, ast.ImportFrom) and not reexport_only:
+            yield from (a.name for a in n.names)
+
+
+def _unnamed_public_names():
+    """``file::name`` for each public name in ``src/repro`` that no source
+    outside ``tests/`` names (its own module counts).  Matching is by bare
+    name, so a method is reached by any attribute of that name."""
+    used = set()
+    for rel, tree in _src_trees().items():
+        used.update(_names_used(tree, reexport_only=rel.name == "__init__.py"))
+    for d in ("bench", "benchmarks", "examples"):
+        for p in (_REPO / d).rglob("*.py"):
+            used.update(_names_used(ast.parse(p.read_text())))
+    return {
+        f"{rel}::{qual}"
+        for rel, tree in _src_trees().items()
+        for qual, name in _public_defs(tree)
+        if name not in used
+    }
+
+
+def test_every_public_name_is_used_outside_tests():
+    assert _unnamed_public_names() == set(_UNNAMED_BUT_KEPT)

@@ -186,9 +186,9 @@ class TestLazyAdaptor:
             field = np.zeros((3, 3, 3))
             ad = _mk_adaptor(comm, field)
             arr = ad.get_array(Association.POINT, "data")
-            return arr.is_zero_copy_of(field), arr.owns_data
+            return arr.is_zero_copy_of(field), arr.is_zero_copy
 
-        assert run_spmd(1, prog)[0] == (True, False)
+        assert run_spmd(1, prog)[0] == (True, True)
 
     def test_array_mapping_cached_per_step(self):
         def prog(comm):

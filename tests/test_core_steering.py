@@ -43,7 +43,7 @@ class TestLiveConnection:
         conn = LiveConnection(max_frames=2)
         for s in range(5):
             conn.publish_frame(Frame(step=s, time=float(s), png=bytes([s])))
-        assert conn.latest_frame().step == 4
+        assert conn.wait_for_frame(0, timeout=0).step == 4
 
     def test_wait_for_frame_timeout(self):
         conn = LiveConnection()
@@ -183,4 +183,4 @@ class TestSteeringAnalysis:
         metrics = [v for _, _, v in conn.metrics()]
         # Jet off -> near-zero w; after the update, |w| jumps.
         assert metrics[-1] > metrics[0] * 5
-        assert conn.latest_frame() is not None
+        assert conn.wait_for_frame(0, timeout=0) is not None

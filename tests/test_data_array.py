@@ -109,9 +109,9 @@ class TestCopySemantics:
     def test_deep_copy_owns_data(self):
         backing = np.zeros(10)
         arr = DataArray.from_numpy("s", backing)
-        assert not arr.owns_data
+        assert arr.is_zero_copy_of(backing)
         cp = arr.deep_copy()
-        assert cp.owns_data
+        assert not cp.is_zero_copy
         assert not np.shares_memory(cp.values, backing)
 
     def test_deep_copy_rename(self):

@@ -30,13 +30,13 @@ from repro.infrastructure.adios import (
     writers_for_endpoint,
 )
 from repro.infrastructure.catalyst import CatalystAdaptor
-from repro.infrastructure.glean import read_glean_step
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
 from repro.storage import BPReader
 from repro.trace import TraceSession
+from tests._glean_reader import read_glean_step
 
 
 class TestWriterEndpointMapping:
@@ -278,7 +278,7 @@ class TestFlexPathStaging:
         with pytest.raises(MPIError):
             writer._ship(arr, mesh)
         assert memory.named("adios::staging") == 0
-        assert memory.high_water == arr.values.nbytes
+        assert memory.peak == arr.values.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,13 @@ from repro.analysis import AutocorrelationAnalysis, HistogramAnalysis
 from repro.apps.avf_leslie_proxy import AVFLeslieSimulation
 from repro.core import Bridge, ConfigurableAnalysis
 from repro.infrastructure.adios import run_flexpath_job
-from repro.infrastructure.glean import GleanAdaptor, read_glean_step
+from repro.infrastructure.glean import GleanAdaptor
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
 from repro.util import Configuration
+from tests._glean_reader import read_glean_step
 
 
 class TestConfigDrivenMultiAnalysis:

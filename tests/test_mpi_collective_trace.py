@@ -119,21 +119,25 @@ class TestTraceMode:
             run_spmd(2, prog, timeout=30.0)
         assert "trace_collectives=True" in _spmd_error(excinfo)
 
-    def test_history_recorded_under_trace(self):
-        def prog(comm):
+    @staticmethod
+    def _diverge_after_two(comm):
+        comm.barrier()
+        comm.allreduce(1.0, SUM)
+        if comm.rank == 0:
             comm.barrier()
-            comm.allreduce(1.0, SUM)
-            return [rec[1] for rec in comm.collective_history]
+        comm.allgather(comm.rank)
 
-        kinds = run_spmd(2, prog, timeout=30.0, trace_collectives=True)[0]
-        assert kinds == ["barrier", "allreduce"]
+    def test_history_recorded_under_trace(self):
+        with pytest.raises(SPMDError) as excinfo:
+            run_spmd(2, self._diverge_after_two, timeout=30.0, trace_collectives=True)
+        history = _spmd_error(excinfo).split("recent collectives on rank 0:")[1]
+        kinds = [line.split()[1].split("(")[0] for line in history.strip().splitlines()[:3]]
+        assert kinds == ["barrier", "allreduce", "barrier"]
 
     def test_history_empty_when_not_tracing(self):
-        def prog(comm):
-            comm.barrier()
-            return comm.collective_history
-
-        assert run_spmd(2, prog, timeout=30.0) == [[], []]
+        with pytest.raises(SPMDError) as excinfo:
+            run_spmd(2, self._diverge_after_two, timeout=30.0)
+        assert "recent collectives" not in _spmd_error(excinfo)
 
 
 class TestWildcardReceiveRaces:

@@ -362,13 +362,6 @@ class TestCollectives:
             assert np.array_equal(x, y)
         assert np.array_equal(a[0], a[3])
 
-    def test_on_root(self):
-        def prog(comm):
-            return comm.on_root(lambda: "root-made")
-
-        assert run_spmd(3, prog) == ["root-made"] * 3
-
-
 class TestSplit:
     def test_split_even_odd(self):
         def prog(comm):
@@ -418,14 +411,6 @@ class TestSplit:
 
         out = run_spmd(4, prog)
         assert out[2] == 0 and out[3] == 1
-
-    def test_dup(self):
-        def prog(comm):
-            d = comm.dup()
-            return (d.rank, d.size, d.allreduce(1))
-
-        assert run_spmd(3, prog) == [(0, 3, 3), (1, 3, 3), (2, 3, 3)]
-
 
 class TestFailurePropagation:
     def test_exception_reported_with_rank(self):

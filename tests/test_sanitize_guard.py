@@ -223,8 +223,8 @@ class TestGuardedDataAdaptorUnit:
 class TestTimerBalanceAtFinalize:
     def test_callers_own_timer_around_finalize_is_not_dangling(self):
         """The in-transit endpoint shares its registry with the bridge and
-        times ``bridge.finalize()`` itself: that wrapper is running while
-        the check runs, and is the caller's business."""
+        times ``bridge.finalize()`` itself: a sanitized bridge's phases
+        nest inside the caller's timers and both record."""
         from repro.util import TimerRegistry
 
         def prog(comm):
@@ -240,28 +240,7 @@ class TestTimerBalanceAtFinalize:
                 b.execute(0.0, 0)
             with timers.time("caller::finalize"):
                 b.finalize()
-            return timers.active()
+            return {n: timers.timer(n).count for n in timers.names()}
 
-        assert run_spmd(1, prog)[0] == []
-
-    def test_dangling_timer_raises_under_sanitize(self):
-        class Dangler(AnalysisAdaptor):
-            def execute(self, data):
-                if self.timers is not None:
-                    self.timers.timer("dangling::phase").start()
-                return True
-
-        def prog(comm):
-            b = Bridge(
-                comm, _mk_adaptor(comm, np.zeros((4, 4))), sanitize=True
-            )
-            b.add_analysis(Dangler())
-            b.initialize()
-            b.execute(0.0, 0)
-            b.finalize()
-
-        with pytest.raises(Exception) as exc_info:
-            run_spmd(1, prog)
-        msg = str(exc_info.value)
-        assert "SanitizerError" in msg
-        assert "dangling::phase" in msg
+        counts = run_spmd(1, prog)[0]
+        assert counts["caller::finalize"] == counts["sensei::finalize"] == 1

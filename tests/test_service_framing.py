@@ -157,9 +157,9 @@ class TestFraming:
         tx, _ = _pair()
         for i in range(4):
             tx.send(protocol.STEP, bytes([i]))
-        assert tx.window_size == 4
+        assert len(tx._window) == 4
         tx.release_through(2)
-        assert tx.window_size == 1
+        assert len(tx._window) == 1
 
     def test_injected_corruption_recovers_end_to_end(self):
         plan = FaultPlan(

@@ -68,7 +68,7 @@ class TestRecorder:
         with pytest.raises(RuntimeError, match="boom"):
             with rec.span("x"):
                 raise RuntimeError("boom")
-        assert rec.open_spans == []
+        assert rec._stack == []
         assert rec.spans[-1].name == "x"
 
     def test_counter_accumulates_and_gauge_overwrites(self):
@@ -107,7 +107,7 @@ class TestTimerHook:
         reg = TimerRegistry(trace=rec)
         reg.add("io::write", 0.5)
         (span,) = rec.spans
-        assert span.duration == pytest.approx(0.5)
+        assert span.t1 - span.t0 == pytest.approx(0.5)
 
     def test_no_recorder_records_nothing(self):
         reg = TimerRegistry()
@@ -318,13 +318,13 @@ class TestModeled:
         ]
         # The modeled adios::analysis spans carry the flow-control blocking.
         analysis = [s for s in writer if s.name == "adios::analysis"]
-        assert [s.duration for s in analysis] == pytest.approx(
+        assert [s.t1 - s.t0 for s in analysis] == pytest.approx(
             timeline.writer_analysis
         )
-        assert [s.duration for s in endpoint] == pytest.approx(
+        assert [s.t1 - s.t0 for s in endpoint] == pytest.approx(
             timeline.endpoint_busy
         )
-        assert analysis[1].duration > analysis[0].duration  # blocked
+        assert analysis[1].t1 - analysis[1].t0 > analysis[0].t1 - analysis[0].t0  # blocked
         assert validate_chrome_trace(session.to_chrome()) == []
 
     def test_simulate_staging_without_trace_unchanged(self):

@@ -77,13 +77,6 @@ def test_from_json_rejects_non_object():
         Configuration.from_json("{not json")
 
 
-def test_section(cfg):
-    hist = cfg.section("analysis.histogram")
-    assert hist.get_int("bins") == 32
-    with pytest.raises(ConfigError):
-        cfg.section("timestep")
-
-
 def test_contains(cfg):
     assert "analysis.histogram" in cfg
     assert "analysis.zzz" not in cfg

@@ -68,13 +68,6 @@ class TestExtent:
         e3 = Extent(0, 2, 0, 2, 0, 2)
         assert e3.num_cells == 8
 
-    def test_contains(self):
-        e = Extent(2, 5, 0, 3, 1, 1)
-        assert e.contains(2, 0, 1)
-        assert e.contains(5, 3, 1)
-        assert not e.contains(6, 0, 1)
-        assert not e.contains(2, 0, 0)
-
     def test_intersect(self):
         a = Extent(0, 10, 0, 10, 0, 10)
         b = Extent(5, 15, 5, 15, 5, 15)

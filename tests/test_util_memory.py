@@ -21,7 +21,6 @@ def test_peak_is_high_water_not_current():
     m.free(900)
     assert m.current == 100
     assert m.peak == 1000
-    assert m.high_water == 1000
 
 
 def test_baseline_counts_toward_peak():
@@ -88,17 +87,6 @@ def test_sum_high_water_across_ranks():
         t.allocate((i + 1) * 100)
         t.free((i + 1) * 100)
     assert sum_high_water(trackers) == 100 + 200 + 300 + 400
-
-
-def test_reset_peak():
-    m = MemoryTracker()
-    m.allocate(100)
-    m.free(100)
-    assert m.peak == 100
-    m.reset_peak()
-    assert m.peak == 0
-
-
 
 
 class TestAccountingGuards:

@@ -19,25 +19,24 @@ def test_timer_accumulates_total_and_count():
 
 
 def test_timer_start_stop_measures_elapsed():
-    t = Timer("x")
-    t.start()
-    time.sleep(0.01)
-    elapsed = t.stop()
-    assert elapsed >= 0.005
-    assert t.total == pytest.approx(elapsed)
+    with TimerRegistry().time("x") as t:
+        time.sleep(0.01)
+    assert t.count == 1
+    assert t.total >= 0.005
 
 
 def test_timer_double_start_raises():
-    t = Timer("x")
-    t.start()
-    with pytest.raises(RuntimeError):
-        t.start()
-    t.stop()
+    reg = TimerRegistry()
+    with reg.time("x"):
+        with pytest.raises(RuntimeError, match="already running"):
+            with reg.time("x"):
+                pass
+    assert reg.timer("x").count == 1
 
 
 def test_timer_stop_without_start_raises():
-    with pytest.raises(RuntimeError):
-        Timer("x").stop()
+    with pytest.raises(RuntimeError, match="not running"):
+        Timer("x")._stop()
 
 
 def test_timer_keep_samples_records_each_call():
@@ -82,7 +81,7 @@ def test_registry_merge_sums_totals():
     a.add("t", 1.0)
     b.add("t", 2.0)
     b.add("u", 5.0)
-    a.merge(b)
+    a.merge_snapshot(b.as_dict())
     assert a.total("t") == pytest.approx(3.0)
     assert a.total("u") == pytest.approx(5.0)
     assert a.timer("t").count == 2
@@ -138,7 +137,7 @@ def test_merge_preserves_samples_from_sampling_peer():
     sampling = TimerRegistry(keep_samples=True)
     sampling.add("t", 1.0)
     sampling.add("t", 2.0)
-    plain.merge(sampling)
+    plain.merge_snapshot(sampling.as_dict())
     assert plain.timer("t").samples == [1.0, 2.0]
     assert plain.timer("t").keep_samples is True
 
@@ -149,7 +148,8 @@ def test_snapshot_roundtrip_is_lossless():
     reg.add("a", 0.75)
     reg.add("b", 3.0)
     reg.timer("never")
-    back = TimerRegistry.from_dict(reg.as_dict())
+    back = TimerRegistry()
+    back.merge_snapshot(reg.as_dict())
     for name in ("a", "b"):
         orig, rebuilt = reg.timer(name), back.timer(name)
         assert rebuilt.total == pytest.approx(orig.total)
