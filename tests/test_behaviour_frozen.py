@@ -249,17 +249,24 @@ def _exception_inside_time_leaves_no_timer_running(registry, block):
 
 def test_one_guard_per_hazard(capsys):
     """The hazards a static analyzer once looked for fail at run time
-    (``tests/test_hazard_guards.py``) or cannot be written: a timer runs
-    only inside ``TimerRegistry.time``, which stops it on every exit."""
+    (``tests/test_hazard_guards.py``) or cannot be written, and the
+    analyzer is gone with its command."""
     with pytest.raises(ImportError):
         importlib.import_module("repro.analyze")
-    assert not {"start", "stop", "running"} & set(dir(Timer))
-    assert not hasattr(TimerRegistry, "active")
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["analyze", "src/"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
+
+def test_timer_has_no_public_start_or_stop():
+    """A timer runs only inside ``TimerRegistry.time``, which stops it on
+    every exit, so no file in the tree can leave one running."""
+    assert not {"start", "stop", "running"} & set(dir(Timer))
+    assert not hasattr(TimerRegistry, "active")
+
+
+def test_exception_inside_time_leaves_no_timer_running():
     def raise_timed():
         with registry.time("phase"):
             raise ZeroDivisionError("planted")
@@ -268,6 +275,8 @@ def test_one_guard_per_hazard(capsys):
     counts = _exception_inside_time_leaves_no_timer_running(registry, raise_timed)
     assert counts == {"phase": 2}
 
+
+def test_exception_inside_time_leaves_no_timer_running_in_a_sanitized_bridge():
     def in_sanitized_bridge(comm):
         sim = OscillatorSimulation(comm, (6, 6, 6), default_oscillators(), dt=0.1)
         bridge = Bridge(comm, sim.make_data_adaptor(), sanitize=True)
@@ -424,19 +433,78 @@ def _contract_breaches(trees):
 
 def test_analyses_import_no_simulation_and_nothing_reads_the_wall_clock():
     assert list(_contract_breaches(_src_trees())) == []
-    planted = {
-        Path("analysis/planted.py"): "import numpy\nfrom repro.apps import nbody\n",
-        Path("infrastructure/planted.py"): "from repro import miniapp\n",
-        Path("core/planted.py"): "from repro.apps import nbody\n",
-        Path("storage/planted.py"): "import time\nstamp = time.time()\n",
-        Path("util/timers.py"): "import time\nstamp = time.time()\n",
-    }
-    found = _contract_breaches({p: ast.parse(src) for p, src in planted.items()})
-    assert sorted(found) == [
-        ("analysis/planted.py", 2, "imports simulation internals"),
-        ("infrastructure/planted.py", 1, "imports simulation internals"),
-        ("storage/planted.py", 2, "reads the wall clock"),
-    ]
+
+
+@pytest.mark.parametrize(
+    ("path", "source", "breach"),
+    [
+        pytest.param(
+            "analysis/planted.py",
+            "from repro.miniapp import OscillatorSimulation\n",
+            "imports simulation internals",
+            id="analysis-imports-miniapp",
+        ),
+        pytest.param(
+            "analysis/planted.py",
+            "import numpy\nfrom repro.apps import nbody\n",
+            "imports simulation internals",
+            id="analysis-imports-apps",
+        ),
+        pytest.param(
+            "infrastructure/planted.py",
+            "import repro.apps.nyx_proxy\n",
+            "imports simulation internals",
+            id="infrastructure-imports-apps",
+        ),
+        pytest.param(
+            "infrastructure/planted.py",
+            "from repro import miniapp\n",
+            "imports simulation internals",
+            id="infrastructure-imports-miniapp",
+        ),
+        pytest.param(
+            "analysis/planted.py",
+            "from repro.core.adaptors import DataAdaptor\n",
+            None,
+            id="analysis-imports-dataadaptor",
+        ),
+        pytest.param(
+            "perf/calibrate.py",
+            "from repro.miniapp import OscillatorSimulation\n",
+            None,
+            id="perf-imports-miniapp",
+        ),
+        pytest.param(
+            "core/planted.py",
+            "from repro.apps import nbody\n",
+            None,
+            id="core-imports-apps",
+        ),
+        pytest.param(
+            "storage/planted.py",
+            "import time\nstamp = time.time()\n",
+            "reads the wall clock",
+            id="storage-reads-wall-clock",
+        ),
+        pytest.param(
+            "storage/planted.py",
+            "import time\nstamp = time.perf_counter()\n",
+            None,
+            id="storage-reads-perf-counter",
+        ),
+        pytest.param(
+            "util/timers.py",
+            "import time\nstamp = time.time()\n",
+            None,
+            id="timers-reads-wall-clock",
+        ),
+    ],
+)
+def test_contract_on_planted_source(path, source, breach):
+    """A planted breach is found on its last line; what the contract
+    allows is not."""
+    found = list(_contract_breaches({Path(path): ast.parse(source)}))
+    assert found == ([(path, source.count("\n"), breach)] if breach else [])
 
 
 # -- structure: every public name is used by something other than a test ------

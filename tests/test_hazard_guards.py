@@ -59,6 +59,29 @@ def loop_divergent_collective(comm):
         comm.barrier()  # planted
 
 
+def rank_guarded_barrier(comm):
+    if comm.rank == 0:
+        comm.barrier()  # planted
+
+
+class RootOnlyReducer:
+    """The guard reads the rank off ``self`` rather than off ``comm``."""
+
+    root = 0
+
+    def __init__(self, comm):
+        self.comm, self._rank = comm, comm.rank
+
+    def go(self, x):
+        if self._rank == self.root:
+            self.comm.reduce(x)  # planted
+        self.comm.barrier()
+
+
+def rank_guarded_method(comm):
+    RootOnlyReducer(comm).go(comm.rank)
+
+
 @pytest.mark.usefixtures("spmd_backend")
 class TestCollectiveHazards:
     def test_rank_guarded_collective_raises_at_once(self):
@@ -82,6 +105,32 @@ class TestCollectiveHazards:
         assert "ranks [0] had not arrived" in msg
         line = _line_of(loop_divergent_collective, "# planted")
         assert f"line {line}, in loop_divergent_collective" in msg
+
+    def test_rank_guarded_barrier_names_the_missing_rank(self):
+        msg = _spmd_failure(rank_guarded_barrier)
+        assert "ranks [1] had not arrived" in msg
+        line = _line_of(rank_guarded_barrier, "# planted")
+        assert f"line {line}, in rank_guarded_barrier" in msg
+
+    def test_rank_guarded_collective_in_a_method_raises_at_once(self):
+        msg = _spmd_failure(rank_guarded_method)
+        assert CollectiveMismatchError.__name__ in msg
+        assert "rank 0: #1 reduce" in msg and "rank 1: #1 barrier" in msg
+        line = _line_of(RootOnlyReducer.go, "# planted")
+        assert f"line {line}, in go" in msg
+
+    def test_time_around_a_collective_stops_on_every_rank(self):
+        """``TimerRegistry.time`` is the try/finally around a collective."""
+
+        def prog(comm):
+            registry = TimerRegistry()
+            with registry.time("phase"):
+                total = comm.allreduce(1)
+            with registry.time("phase"):  # raises if the first left it running
+                pass
+            return total, registry.timer("phase").count
+
+        assert run_spmd(2, prog) == [(2, 2), (2, 2)]
 
 
 # -- memory: an allocate without its free, a free without its allocate ---------
@@ -118,13 +167,28 @@ class FreeWithoutAllocate(AnalysisAdaptor):
         self.memory.free(1024, label="b::buffer")
 
 
-class PairedAndFixed(AnalysisAdaptor):
-    """Everything the ledger must leave alone: a paired allocate/free, a
-    static footprint and a tracked array, none of them freed by hand."""
+class UnfreedBuffer(AnalysisAdaptor):
+    def initialize(self, comm):
+        self.memory.allocate(1024, label="a::buffer")
+
+    def execute(self, data):
+        return True
+
+
+class Fixed(AnalysisAdaptor):
+    """A static footprint and a tracked array: the ledger leaves both
+    alone, though neither is freed by hand."""
 
     def initialize(self, comm):
         self.memory.add_static(4096, label="lib::code")
         self.values = self.memory.track_array(np.zeros(8), label="lib::values")
+
+    def execute(self, data):
+        return True
+
+
+class Paired(AnalysisAdaptor):
+    def initialize(self, comm):
         self.memory.allocate(256, label="lib::bins")
 
     def execute(self, data):
@@ -159,6 +223,13 @@ class TestMemoryLedger:
         assert SanitizerError.__name__ in msg
         assert "a::buffer (1024 B)" in msg and "c::scratch (128 B)" in msg
 
+    def test_allocate_never_freed_raises_at_finalize(self):
+        with pytest.raises(SPMDError) as info:
+            _run_bridge(UnfreedBuffer)
+        msg = str(info.value)
+        assert SanitizerError.__name__ in msg
+        assert "a::buffer (1024 B)" in msg and "c::scratch" not in msg
+
     def test_unfreed_labels_pass_without_sanitize(self):
         assert _run_bridge(UnpairedLabels, sanitize=False) == {
             "a::buffer": 1024,
@@ -173,12 +244,15 @@ class TestMemoryLedger:
         assert "label='b::buffer'" in msg
 
     def test_static_footprints_and_tracked_arrays_are_exempt(self):
-        assert _run_bridge(PairedAndFixed) == {}
+        assert _run_bridge(Fixed) == {}
+
+    def test_paired_allocate_and_free_is_clean(self):
+        assert _run_bridge(Paired) == {}
 
     def test_debt_from_before_the_bridge_is_not_blamed_on_it(self):
         mem = MemoryTracker()
         mem.allocate(512, label="sim::halo")
-        assert _run_bridge(PairedAndFixed, memory=mem) == {"sim::halo": 512}
+        assert _run_bridge(Paired, memory=mem) == {"sim::halo": 512}
 
 
 # -- timers: a start without its stop cannot be written ------------------------
@@ -203,8 +277,33 @@ def timer_leak_exception(registry, comm=None):
     return total
 
 
+def timer_leak_straight_line(registry):
+    t = registry.timer("phase")
+    t.start()
+    return sum(range(8))
+
+
+class ChainedStart(AnalysisAdaptor):
+    def execute(self, data):
+        self.timers.timer("phase").start()
+        return True
+
+
+def timer_chained_start_in_analysis(registry):
+    analysis = ChainedStart()
+    analysis.set_instrumentation(registry, MemoryTracker())
+    analysis.execute(None)
+
+
 @pytest.mark.parametrize(
-    "planted", [timer_chained_start, timer_leak_branch, timer_leak_exception]
+    "planted",
+    [
+        timer_chained_start,
+        timer_leak_branch,
+        timer_leak_exception,
+        timer_leak_straight_line,
+        timer_chained_start_in_analysis,
+    ],
 )
 def test_timer_start_without_stop_is_unwritable(planted):
     with pytest.raises(AttributeError, match="'Timer' object has no attribute 'start'"):
