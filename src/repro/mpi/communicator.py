@@ -205,9 +205,10 @@ class _Mailbox:
     overtake freely.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, wait: "Callable[[threading.Condition, float], Any]") -> None:
         self._messages: list[tuple[int, int, "int | None", Any]] = []
         self._cond = threading.Condition()
+        self._wait = wait
         self._delivered: dict[int, set[int]] = {}
         self._abort_reason: str | None = None
 
@@ -301,7 +302,7 @@ class _Mailbox:
                         f"recv(source={source}, tag={tag}) timed out: "
                         "likely deadlock or missing send"
                     )
-                self._cond.wait(remaining)
+                self._wait(self._cond, remaining)
 
 
 class _CommState:
@@ -311,12 +312,21 @@ class _CommState:
     rows: per source rank, a FIFO of ``(record, value)`` in post order,
     which per sender is program order -- so the k-th entry is that rank's
     k-th collective.
+
+    ``wait(cond, timeout)`` is how a blocked receive or collective waits
+    for the next arrival, called with ``cond`` held: ``Condition.wait`` on
+    the thread fabric, where peers post directly; on the process fabric,
+    the runtime's pump, which reads and posts the arrivals itself.
     """
 
-    def __init__(self) -> None:
-        self.mailbox = _Mailbox()
+    def __init__(
+        self,
+        wait: "Callable[[threading.Condition, float], Any]" = threading.Condition.wait,
+    ) -> None:
+        self.mailbox = _Mailbox(wait)
         self.coll: dict[int, deque] = {}
         self.cond = threading.Condition()
+        self._wait = wait
         #: Set by :meth:`abort`; a blocked collective raises
         #: :class:`RankAbort` carrying it instead of timing out.
         self.abort_reason: str | None = None
@@ -325,6 +335,10 @@ class _CommState:
         with self.cond:
             self.coll.setdefault(source, deque()).append((record, value))
             self.cond.notify_all()
+
+    def wait(self, timeout: float) -> None:
+        """Wait, holding :attr:`cond`, for the next arrival or ``timeout``."""
+        self._wait(self.cond, timeout)
 
     def abort(self, reason: str) -> None:
         """Release this rank's blocked receives and collectives."""
@@ -686,12 +700,12 @@ class Communicator:
                         grace_end = now + self._abort_grace
                     if now >= grace_end:
                         raise RankAbort(f"collective aborted: {st.abort_reason}")
-                    st.cond.wait(0.01)
+                    st.wait(0.01)
                     continue
                 if now >= deadline:
                     arrived = [r for r in range(self.size) if r not in missing]
                     raise self._collective_timeout(missing, arrived)
-                st.cond.wait(deadline - now)
+                st.wait(deadline - now)
         self._check_trace(records)
         return values
 

@@ -6,20 +6,28 @@ ordering bugs that only appear under true concurrency.  This backend runs
 the identical :class:`~repro.mpi.communicator.Communicator` program with
 one *process* per rank:
 
-- **Transport** is a pickled-envelope pipe fabric: each rank owns one
-  inbound ``multiprocessing`` queue; a drainer thread in every worker
-  routes arriving envelopes into per-communicator mailboxes (the same
+- **Transport** is one pipe per ordered rank pair.  The calling thread
+  pickles an envelope (protocol 5: a writable array of at least
+  :data:`_OOB_MIN` bytes leaves the pickle stream as an out-of-band
+  buffer) and writes it before ``send`` or a collective contribution
+  returns.  Writes never block: bytes a full pipe cannot take are copied
+  into the sender's backlog and written by its next wait, so two ranks
+  flooding each other cannot deadlock.  No helper thread runs in a rank.
+  A rank that waits -- in a receive or a collective -- moves its own
+  bytes: it polls its pipes, writes its backlog, and routes each arriving
+  envelope into per-communicator mailboxes (the same
   :class:`~repro.mpi.communicator._Mailbox` the thread backend uses, so
   tag/source matching, the pending-envelope non-overtaking rule, and
-  sequence-number duplicate suppression are literally the same code).
-  Bulk numpy payloads spill to consume-once ``/dev/shm`` segment files,
-  written and read with ``pwrite`` / ``preadv`` (:mod:`repro.mpi.shm`),
-  instead of riding the pipe.  A segment the drainer cannot read (missing
-  or short) aborts the rank with a :class:`~repro.mpi.shm.SegmentError`
-  naming it, rather than leaving its receiver to time out.
+  sequence-number duplicate suppression are literally the same code).  An
+  out-of-band buffer is read straight into the memory of the array the
+  receiver gets.  Bulk bare ndarrays spill to consume-once ``/dev/shm``
+  segment files instead, written and read with ``pwrite`` / ``preadv``
+  (:mod:`repro.mpi.shm`).  A segment the rank cannot read (missing or
+  short) aborts it with a :class:`~repro.mpi.shm.SegmentError` naming it,
+  rather than leaving its receiver to time out.
 - **Collectives** are the base class's row exchange; this fabric only
-  carries a row to a peer, as a ``coll`` envelope that the drainer posts to
-  the communicator's per-source FIFO -- the same
+  carries a row to a peer, as a ``coll`` envelope that the waiting peer
+  posts to the communicator's per-source FIFO -- the same
   :class:`~repro.mpi.communicator._CommState` the thread fabric posts to
   directly.  A contribution is encoded for each peer by the
   same :class:`~repro.mpi.shm.PayloadCodec` sends use, so one rule covers
@@ -30,40 +38,48 @@ one *process* per rank:
 - **Faults** are the ``mpi.send`` / ``mpi.collective`` sites the base
   :class:`~repro.mpi.communicator.Communicator` owns; this fabric only
   implements "deliver now" and "deliver later" (delay and drop-retransmit
-  are sender-side timers that deliver a pending envelope's payload late,
-  exactly mirroring the thread transport).  Each
+  pickle the envelope at the call and write it at the sender's first wait,
+  or exit, after the delay has passed).  Each
   worker rebuilds its :class:`~repro.faults.FaultInjector` from the
   (immutable) plan; because draws are counter-hashed per (site, rank,
   occurrence) and every site draws with rank identities unique to that
   process, the per-rank logs merge into the same deterministic schedule
   the shared-injector thread backend produces.
-- **Failure handling** mirrors ``MPI_Abort``: a worker that raises ships
-  its exception to the launcher, which broadcasts an abort envelope to
-  every peer (releasing blocked receives and collectives with
-  :class:`~repro.mpi.communicator.RankAbort`), then joins with a grace
-  period and terminates/kills stragglers -- a failed job never leaves
-  orphaned rank processes behind.
+- **Failure handling** mirrors ``MPI_Abort``: a worker that raises reports
+  its exception to the launcher over its control pipe; the launcher writes
+  an abort to every rank's control pipe (releasing blocked receives and
+  collectives with :class:`~repro.mpi.communicator.RankAbort`), gives the
+  ranks :data:`_EXIT_GRACE` to report, and terminates/kills the rest -- a
+  failed job never leaves orphaned rank processes behind.
 
 Start methods: ``fork`` (the default where available) supports closure
 programs, which is what the test matrix uses.  ``spawn`` and
 ``forkserver`` are fully supported for *picklable* (module-level)
-programs; the transport itself -- queues, shared-memory names, plans,
+programs; the transport itself -- pipes, shared-memory names, plans,
 recorders -- is picklable by construction.  Select with
 ``run_spmd(..., start_method=...)`` or ``REPRO_SPMD_START_METHOD``.
 """
 
 from __future__ import annotations
 
+import copyreg
+import fcntl
+import heapq
+import io
 import itertools
 import os
 import pickle
-import queue as queue_mod
+import select
+import struct
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_any
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.mpi.communicator import (
     _HISTORY_LIMIT,
@@ -71,7 +87,6 @@ from repro.mpi.communicator import (
     MPIError,
     RankAbort,
     _CommState,
-    _copy_payload,
     _payload_nbytes,
     _thread_world_rank,
 )
@@ -80,54 +95,337 @@ from repro.mpi.shm import PayloadCodec, SegmentError, cleanup_segments
 #: Communicator id of the world communicator.
 _WORLD_ID = "w"
 
-#: Seconds the launcher waits for a dead worker's already-sent result to
-#: surface from the queue before declaring "died without reporting".
+#: Seconds the launcher waits to reap a rank whose control pipe closed
+#: without a report, for the exit code it names.
 _DEATH_GRACE = 1.0
 
-#: Seconds workers get to exit cleanly after an abort broadcast before the
-#: launcher escalates to terminate()/kill().
+#: Seconds ranks get to report after an abort, and to exit after the last
+#: report, before the launcher escalates to terminate()/kill().
 _EXIT_GRACE = 5.0
+
+#: Bytes each pair pipe is asked to hold (``F_SETPIPE_SZ``).  Where the
+#: kernel refuses, the pipe keeps its default size and more bytes wait in
+#: the sender's backlog for its next wait.
+_PIPE_BYTES = 1 << 20
+
+#: A writable contiguous array of at least this many bytes leaves the pickle
+#: stream as an out-of-band buffer: written to the pipe from the array,
+#: read from it into the array the receiver gets.
+_OOB_MIN = 1 << 12
+
+#: An inbound pipe reads small frames through a staging buffer this big.
+_STAGE_BYTES = 1 << 16
+
+#: Most buffers one ``readv``/``writev`` call takes (``IOV_MAX`` on Linux).
+_IOV_MAX = 1024
+
+#: Seconds a thread waits on its own condition while another thread of the
+#: same rank moves the bytes (whose dispatches notify that condition).
+_FOLLOW_S = 0.005
+
+#: A frame starts with the pickle stream's length and the out-of-band
+#: buffer count; one u64 length per buffer, the stream and the buffers
+#: follow.
+_HEAD = struct.Struct("<II")
 
 _JOB_COUNTER = itertools.count()
 
 
 # --------------------------------------------------------------------------
-# Per-worker runtime: envelope routing
+# Frames
 # --------------------------------------------------------------------------
 
 
-class _Runtime:
-    """One worker process's view of the job fabric.
+def _reduce_array(array: np.ndarray):
+    """Large writable arrays go out of band; the rest pickle the classic
+    way, so they arrive owning their data and writable."""
+    if array.nbytes >= _OOB_MIN and array.flags.writeable:
+        return array.__reduce_ex__(5)
+    return array.__reduce_ex__(4)
 
-    Owns the inbound queue drainer, the per-communicator states, the
-    payload codec, and any sender-side fault-delivery timers.
+
+class _Pickler(pickle.Pickler):
+    """Protocol 5, arrays reduced by :func:`_reduce_array`, out-of-band
+    buffers appended to ``buffers``."""
+
+    def __init__(self, file, buffers: list) -> None:
+        self.dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
+        super().__init__(file, protocol=5, buffer_callback=buffers.append)
+
+
+def _pickle(env: tuple) -> tuple[bytes, list]:
+    """``env`` as a pickle stream and its out-of-band buffers (byte views
+    of the arrays they came from)."""
+    buffers: list = []
+    stream = io.BytesIO()
+    _Pickler(stream, buffers).dump(env)
+    return stream.getvalue(), [b.raw() for b in buffers]
+
+
+def _frame(stream: bytes, raws: list) -> list:
+    """The pieces of one frame, in wire order."""
+    head = _HEAD.pack(len(stream), len(raws))
+    if raws:
+        head += struct.pack(f"<{len(raws)}Q", *map(len, raws))
+    return [head, stream, *raws]
+
+
+class _Outlet:
+    """The write end of one pair pipe, and the bytes it could not take yet."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.backlog: deque = deque()
+        #: The reader has exited: whatever is still owed is dropped.
+        self.broken = False
+
+    def write(self, pieces: list) -> None:
+        """Write what the pipe takes now, after the backlog; keep a private
+        copy of the rest, since the caller may reuse its buffers at once."""
+        if self.backlog:
+            self.flush()
+        if not self.backlog:
+            pieces = self._push(pieces)
+        self.backlog.extend(bytes(p) for p in pieces)
+
+    def flush(self) -> None:
+        self.backlog = deque(self._push(list(self.backlog)))
+
+    def _push(self, pieces: list) -> list:
+        """Write ``pieces`` until the pipe is full; returns what is left."""
+        while pieces and not self.broken:
+            batch = pieces[:_IOV_MAX]
+            try:
+                n = os.writev(self.fd, batch)
+            except BlockingIOError:
+                return pieces
+            except BrokenPipeError:
+                self.broken = True
+                break
+            i = 0
+            while i < len(batch) and n >= len(batch[i]):
+                n -= len(batch[i])
+                i += 1
+            pieces = pieces[i:]
+            if i < len(batch):  # the pipe is full
+                pieces[0] = memoryview(pieces[0])[n:]
+                return pieces
+        return []
+
+
+class _Inlet:
+    """The read end of one pair pipe.  A frame may arrive in pieces, so
+    reading resumes where it stopped: a small frame is cut out of a staging
+    buffer, a long pickle stream or out-of-band buffer is read straight
+    into the memory it ends up in."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        #: The writer has exited and every byte it wrote has been read.
+        self.closed = False
+        self._stage = memoryview(bytearray(_STAGE_BYTES))
+        self._lo = self._hi = 0  # staged bytes not yet parsed
+        #: Regions of the current frame still to fill, in wire order, the
+        #: bytes of the first one already filled, and what completes the
+        #: frame once they are full.
+        self._parts: list = []
+        self._got = 0
+        self._done: "Callable[[Callable], int] | None" = None
+
+    def pull(self, dispatch: Callable[[tuple], None]) -> int:
+        """Read what the pipe holds now and dispatch every whole envelope;
+        returns how many were dispatched."""
+        count = 0
+        while True:
+            count += self._parse(dispatch)
+            if not self._read():
+                return count
+
+    def _parse(self, dispatch) -> int:
+        stage, count = self._stage, 0
+        while True:
+            if self._done is not None and not self._parts:
+                done, self._done = self._done, None
+                count += done(dispatch)
+                continue
+            if self._parts:
+                part = self._parts[0]
+                n = min(len(part) - self._got, self._hi - self._lo)
+                part[self._got : self._got + n] = stage[self._lo : self._lo + n]
+                self._got += n
+                self._lo += n
+                if self._got < len(part):
+                    return count  # the stage is empty
+                self._parts.pop(0)
+                self._got = 0
+                continue
+            if self._hi - self._lo < _HEAD.size:
+                return count
+            length, nbuf = _HEAD.unpack_from(stage, self._lo)
+            end = self._lo + _HEAD.size + 8 * nbuf + length
+            if end <= self._hi:
+                body = stage[self._lo + _HEAD.size : end]
+                self._lo = end
+                count += self._begin(body, nbuf, dispatch)
+            else:
+                self._lo += _HEAD.size
+                body = memoryview(bytearray(end - self._lo))
+                self._parts = [body]
+                self._done = lambda dispatch, body=body, nbuf=nbuf: self._begin(
+                    body, nbuf, dispatch
+                )
+
+    def _begin(self, body: memoryview, nbuf: int, dispatch) -> int:
+        """A frame's lengths and pickle stream are in: dispatch it, or
+        allocate its out-of-band buffers and read them next."""
+        if not nbuf:
+            dispatch(pickle.loads(body))
+            return 1
+        sizes = struct.unpack_from(f"<{nbuf}Q", body)
+        stream = bytes(body[8 * nbuf :])  # the stage will be reused
+        buffers = [np.empty(n, dtype=np.uint8) for n in sizes]
+        self._parts = [memoryview(b) for b in buffers]
+
+        def done(dispatch) -> int:
+            dispatch(pickle.loads(stream, buffers=buffers))
+            return 1
+
+        self._done = done
+        return 0
+
+    def _read(self) -> bool:
+        """One non-blocking read; False when the pipe holds nothing now."""
+        stage = self._stage
+        if self._parts:
+            # The stage is empty here: read into the frame's own regions,
+            # and stage whatever follows them.
+            vecs = [self._parts[0][self._got :], *self._parts[1 : _IOV_MAX - 1]]
+            self._lo = self._hi = 0
+        else:
+            left = self._hi - self._lo  # under one head
+            stage[:left] = bytes(stage[self._lo : self._hi])
+            self._lo, self._hi = 0, left
+            vecs = []
+        vecs.append(stage[self._hi :])
+        try:
+            n = os.readv(self.fd, vecs)
+        except BlockingIOError:
+            return False
+        if not n:
+            self.closed = True
+            return False
+        if self._parts:
+            for part in vecs[:-1]:
+                took = min(n, len(part))
+                n -= took
+                self._got += took
+                if self._got < len(self._parts[0]):
+                    break
+                self._parts.pop(0)
+                self._got = 0
+        self._hi += n
+        return True
+
+
+# --------------------------------------------------------------------------
+# Per-worker runtime: the rank's end of the fabric
+# --------------------------------------------------------------------------
+
+
+class _Wiring:
+    """Every pipe of one job.  ``pairs[src, dst]`` is the ``(reader,
+    writer)`` of the pipe carrying ``src``'s envelopes to ``dst``;
+    ``controls[rank]`` is the ``(launcher end, rank end)`` of the rank's
+    control pipe, which carries the launcher's abort one way and the rank's
+    report the other.  Picklable, so spawned ranks receive their ends."""
+
+    def __init__(self, mpctx, nranks: int) -> None:
+        self.pairs: dict[tuple[int, int], tuple] = {}
+        for src in range(nranks):
+            for dst in range(nranks):
+                if src == dst:
+                    continue
+                reader, writer = mpctx.Pipe(duplex=False)
+                try:
+                    fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                except (AttributeError, OSError):
+                    pass  # the default size: more bytes wait in backlogs
+                os.set_blocking(reader.fileno(), False)
+                os.set_blocking(writer.fileno(), False)
+                self.pairs[src, dst] = (reader, writer)
+        self.controls = [mpctx.Pipe() for _ in range(nranks)]
+
+    def _all(self) -> list:
+        return [c for pair in (*self.pairs.values(), *self.controls) for c in pair]
+
+    def keep(self, rank: "int | None") -> None:
+        """Close every end but those of ``rank`` (None: the launcher)."""
+        if rank is None:
+            mine = [launcher for launcher, _ in self.controls]
+        else:
+            mine = [self.controls[rank][1]]
+            for (src, dst), (reader, writer) in self.pairs.items():
+                if src == rank:
+                    mine.append(writer)
+                elif dst == rank:
+                    mine.append(reader)
+        keep = {id(c) for c in mine}
+        for conn in self._all():
+            if id(conn) not in keep:
+                conn.close()
+
+    def close(self) -> None:
+        for conn in self._all():
+            conn.close()
+
+
+class _Runtime:
+    """One worker process's end of the job fabric.
+
+    Owns the rank's pipe ends, the per-communicator states, the payload
+    codec, and the envelopes due later (injected delay/drop).  Its
+    :meth:`pump` is the states' wait, so the thread that waits is the one
+    that moves the bytes.
     """
 
-    def __init__(self, rank: int, size: int, queues, job_tag: str) -> None:
+    def __init__(self, rank: int, wiring: _Wiring, job_tag: str) -> None:
         self.rank = rank
-        self.size = size
-        self.queues = queues
         self.codec = PayloadCodec(job_tag, rank)
         self.abort_reason: str | None = None
-        #: The segment error that made this rank's drainer abort it: the
-        #: rank reports it as its own failure, not as collateral.
+        #: The segment error that made this rank abort itself: the rank
+        #: reports it as its own failure, not as collateral.
         self.failure: SegmentError | None = None
         self._states: dict[str, _CommState] = {}
-        self._lock = threading.Lock()
-        self._timers: list[threading.Timer] = []
-        self._drainer = threading.Thread(
-            target=self._drain, name=f"spmd-drain-{rank}", daemon=True
-        )
-
-    def start(self) -> None:
-        self._drainer.start()
+        self._lock = threading.Lock()  # states and the abort reason
+        self._out_lock = threading.Lock()  # outlets and envelopes due later
+        self._pump_lock = threading.Lock()  # one thread moves the bytes
+        self._control = wiring.controls[rank][1]
+        self._outlets = {
+            dst: _Outlet(writer.fileno())
+            for (src, dst), (_, writer) in wiring.pairs.items()
+            if src == rank
+        }
+        self._by_fd = {out.fd: out for out in self._outlets.values()}
+        self._inlets = {
+            reader.fileno(): _Inlet(reader.fileno())
+            for (_, dst), (reader, _) in wiring.pairs.items()
+            if dst == rank
+        }
+        #: Heap of ``(due, order, dest, stream, raws)``.
+        self._later: list = []
+        self._order = itertools.count()
+        self._poll = select.poll()
+        for fd in self._inlets:
+            self._poll.register(fd, select.POLLIN)
+        self._poll.register(self._control.fileno(), select.POLLIN)
+        self._writing: set[int] = set()  # outlet fds polled for POLLOUT
 
     # -- states ------------------------------------------------------------
     def state(self, cid: str) -> _CommState:
         with self._lock:
             st = self._states.get(cid)
             if st is None:
-                st = self._states[cid] = _CommState()
+                st = self._states[cid] = _CommState(self.pump)
                 if self.abort_reason is not None:
                     # The job already aborted; anything blocking on this
                     # late-created communicator must release immediately.
@@ -135,68 +433,146 @@ class _Runtime:
             return st
 
     # -- outbound ----------------------------------------------------------
-    def put(self, dest_world: int, env: tuple) -> None:
-        self.queues[dest_world].put(env)
+    def put(self, dest_world: int, env: tuple, copies: int = 1) -> None:
+        """Pickle ``env`` and write it to ``dest_world``, ``copies`` times,
+        before returning."""
+        self._send(dest_world, *_pickle(env), copies=copies)
 
     def put_later(self, delay: float, dest_world: int, env: tuple) -> None:
-        """Deliver ``env`` after ``delay`` seconds (injected delay/drop)."""
-        timer = threading.Timer(delay, self.put, args=(dest_world, env))
-        timer.daemon = True
-        with self._lock:
-            self._timers.append(timer)
-        timer.start()
+        """Pickle ``env`` now; write it at the first wait (or exit) at
+        least ``delay`` seconds from now (injected delay/drop)."""
+        stream, raws = _pickle(env)
+        with self._out_lock:
+            heapq.heappush(
+                self._later,
+                (time.monotonic() + delay, next(self._order), dest_world,
+                 stream, [bytes(r) for r in raws]),
+            )
 
-    def flush_timers(self, timeout: float = 2.0) -> None:
-        """Wait for in-flight delayed deliveries before the worker exits.
+    def _send(self, dest: int, stream: bytes, raws: list, copies: int = 1) -> None:
+        if dest == self.rank:
+            for _ in range(copies):
+                self._dispatch(
+                    pickle.loads(stream, buffers=[bytearray(r) for r in raws])
+                )
+            return
+        pieces = _frame(stream, raws)
+        with self._out_lock:
+            out = self._outlets[dest]
+            for _ in range(copies):
+                out.write(pieces)
 
-        A worker that exits with a pending delivery timer would strand its
-        receiver (the thread backend never has this problem -- all ranks
-        share one process).  Injected delays are milliseconds, so this is
-        a bounded, normally-instant wait.
-        """
+    def _release_due(self) -> bool:
+        """Send the envelopes whose delay has passed; True when one of them
+        was this rank's own (dispatched here and now)."""
+        due = []
+        with self._out_lock:
+            now = time.monotonic()
+            while self._later and self._later[0][0] <= now:
+                due.append(heapq.heappop(self._later))
+        for _, _, dest, stream, raws in due:
+            self._send(dest, stream, raws)
+        return any(entry[2] == self.rank for entry in due)
+
+    def _owed(self) -> bool:
+        with self._out_lock:
+            return bool(self._later) or any(
+                out.backlog for out in self._outlets.values()
+            )
+
+    # -- the wait ----------------------------------------------------------
+    def pump(self, cond: threading.Condition, timeout: float) -> None:
+        """The process fabric's ``Condition.wait``: move this rank's bytes
+        until an envelope or an abort has been dispatched, or ``timeout``
+        has passed.  Called with ``cond`` held; releases it meanwhile, so a
+        dispatch can post to the waiter's own state."""
+        if not self._pump_lock.acquire(blocking=False):
+            # Another thread of this rank is moving the bytes.  Its poll
+            # does not watch a backlog left after it began: write that here.
+            with self._out_lock:
+                for out in self._outlets.values():
+                    if out.backlog:
+                        out.flush()
+            cond.wait(min(timeout, _FOLLOW_S))
+            return
+        cond.release()
+        try:
+            self._move(timeout)
+        finally:
+            self._pump_lock.release()
+            cond.acquire()
+
+    def _move(self, timeout: float) -> None:
         deadline = time.monotonic() + timeout
-        with self._lock:
-            timers = list(self._timers)
-        for t in timers:
-            t.join(max(0.0, deadline - time.monotonic()))
+        while True:
+            if self._release_due():
+                return
+            with self._out_lock:
+                for out in self._outlets.values():
+                    if bool(out.backlog) != (out.fd in self._writing):
+                        if out.backlog:
+                            self._poll.register(out.fd, select.POLLOUT)
+                            self._writing.add(out.fd)
+                        else:
+                            self._poll.unregister(out.fd)
+                            self._writing.discard(out.fd)
+                until = deadline
+                if self._later:
+                    until = min(until, self._later[0][0])
+            events = self._poll.poll(max(0.0, until - time.monotonic()) * 1000)
+            moved = control = False
+            for fd, _ in events:
+                inlet = self._inlets.get(fd)
+                if inlet is not None:
+                    moved |= inlet.pull(self._dispatch) > 0
+                    if inlet.closed:
+                        self._poll.unregister(fd)
+                        del self._inlets[fd]
+                elif fd in self._by_fd:
+                    with self._out_lock:
+                        self._by_fd[fd].flush()
+                else:
+                    control = True
+            if control:
+                # After the pair pipes: a row already in one was sent before
+                # the abort that may have overtaken it.
+                self._read_control()
+                moved = True
+            if moved or time.monotonic() >= deadline:
+                return
+
+    def _read_control(self) -> None:
+        try:
+            reason = self._control.recv_bytes().decode()
+        except (EOFError, OSError):
+            self._poll.unregister(self._control.fileno())
+            reason = "the launcher exited"
+        self._abort_local(reason)
 
     # -- inbound -----------------------------------------------------------
-    def _drain(self) -> None:
-        inbound = self.queues[self.rank]
+    def _dispatch(self, env: tuple) -> None:
+        kind = env[0]
+        st = self.state(env[1])
         decode = self.codec.decode
-        while True:
-            try:
-                env = inbound.get()
-            except BaseException:  # pragma: no cover - teardown race
-                # The queue's read end can break mid-get during interpreter
-                # shutdown; a drainer has nothing useful to do about it.
-                return
-            kind = env[0]
-            if kind == "stop":
-                return
-            if kind == "abort":
-                self._abort_local(env[1])
-                continue
-            st = self.state(env[1])
-            try:
-                if kind == "pt":
-                    _, _, src, tag, seq, spec = env
-                    st.mailbox.put(src, tag, decode(spec), seq=seq)
-                elif kind == "pend":
-                    _, _, src, tag, seq = env
-                    st.mailbox.put_pending(src, tag, seq)
-                elif kind == "fulfill":
-                    _, _, src, seq, spec = env
-                    st.mailbox.fulfill(src, seq, decode(spec))
-                elif kind == "coll":
-                    _, _, src, record, spec = env
-                    st.post(src, record, decode(spec))
-            except SegmentError as exc:
-                # The payload is lost: release whatever waits for it now
-                # instead of letting it run out its timeout.
-                if self.failure is None:
-                    self.failure = exc
-                self._abort_local(f"rank {self.rank} lost a payload: {exc}")
+        try:
+            if kind == "pt":
+                _, _, src, tag, seq, spec = env
+                st.mailbox.put(src, tag, decode(spec), seq=seq)
+            elif kind == "pend":
+                _, _, src, tag, seq = env
+                st.mailbox.put_pending(src, tag, seq)
+            elif kind == "fulfill":
+                _, _, src, seq, spec = env
+                st.mailbox.fulfill(src, seq, decode(spec))
+            elif kind == "coll":
+                _, _, src, record, spec = env
+                st.post(src, record, decode(spec))
+        except SegmentError as exc:
+            # The payload is lost: release whatever waits for it now
+            # instead of letting it run out its timeout.
+            if self.failure is None:
+                self.failure = exc
+            self._abort_local(f"rank {self.rank} lost a payload: {exc}")
 
     def _abort_local(self, reason: str) -> None:
         with self._lock:
@@ -205,15 +581,19 @@ class _Runtime:
         for st in states:
             st.abort(reason)
 
-    def stop(self) -> None:
-        # Wake the drainer out of its blocking get and see it exit before
-        # the interpreter starts tearing down the queue machinery under it;
-        # daemon=True backstops the case where the queue is already broken.
-        try:
-            self.queues[self.rank].put(("stop",))
-        except (OSError, ValueError):  # pragma: no cover - teardown race
-            pass
-        self._drainer.join(2.0)
+    # -- exit --------------------------------------------------------------
+    def report(self, blob: bytes) -> None:
+        """Hand the rank's outcome to the launcher."""
+        self._control.send_bytes(blob)
+
+    def finish(self) -> None:
+        """Write what this rank still owes its peers before it exits --
+        backlogs and envelopes due later -- reading meanwhile, so a peer
+        doing the same never waits on this one.  Stops at an abort; a peer
+        that has exited takes nothing more."""
+        while self.abort_reason is None and self._owed():
+            with self._pump_lock:
+                self._move(0.05)
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +642,8 @@ class ProcessCommunicator(Communicator):
     """
 
     #: A peer's row and the launcher's abort travel on different pipes (the
-    #: peer's feeder thread vs the launcher), so the abort can overtake a
-    #: row already on the wire.  A rank that completed the collective before
+    #: pair pipe vs the control pipe), so the abort can overtake a row still
+    #: in the peer's backlog.  A rank that completed the collective before
     #: failing must release its peers with the real row, so a rank seeing
     #: the abort keeps collecting this long before it counts as collateral.
     _abort_grace = 0.25
@@ -287,20 +667,13 @@ class ProcessCommunicator(Communicator):
         copies: int = 1, faulted: bool = False,
     ) -> None:
         ctx: _ProcessContext = self._ctx
-        # Faulted envelopes pickle inline, copied here as the codec's inline
-        # path copies (the queue pickles later, on its feeder thread): a
-        # duplicated envelope must survive two decodes, which a consume-once
-        # shm segment cannot.
-        spec = (
-            ("inline", _copy_payload(payload))
-            if faulted
-            else ctx.runtime.codec.encode(payload)
-        )
+        # Faulted envelopes are pickled: a duplicated envelope must survive
+        # two decodes, which a consume-once shm segment cannot.
+        spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
         self._count_transport("mpi::send::bytes", spec[0] == "shm", payload)
-        for _ in range(copies):
-            ctx.runtime.put(
-                ctx.members[dest], ("pt", ctx.cid, self._rank, tag, seq, spec)
-            )
+        ctx.runtime.put(
+            ctx.members[dest], ("pt", ctx.cid, self._rank, tag, seq, spec), copies
+        )
 
     def _deliver_later(
         self, dest: int, tag: int, payload: Any, seq: int, delay: float
@@ -309,11 +682,8 @@ class ProcessCommunicator(Communicator):
         self._count_transport("mpi::send::bytes", False, payload)
         dest_world = ctx.members[dest]
         ctx.runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
-        # Copied now: the timer fires after send() has returned.
         ctx.runtime.put_later(
-            delay,
-            dest_world,
-            ("fulfill", ctx.cid, self._rank, seq, ("inline", _copy_payload(payload))),
+            delay, dest_world, ("fulfill", ctx.cid, self._rank, seq, ("inline", payload))
         )
 
     def _contribute(self, peers: list[int], record, value: Any) -> None:
@@ -390,9 +760,11 @@ def _ship_exception(exc: BaseException) -> tuple:
     return blob, f"{type(exc).__name__}: {exc}"
 
 
-def _worker_main(rank: int, size: int, queues, result_queue, spec: _WorkerSpec) -> None:
-    runtime = _Runtime(rank, size, queues, spec.job_tag)
-    runtime.start()
+def _worker_main(rank: int, size: int, wiring: _Wiring, spec: _WorkerSpec) -> None:
+    # A forked rank inherits every end of the job; holding a peer's would
+    # keep that peer's pipes open after it exits.
+    wiring.keep(rank)
+    runtime = _Runtime(rank, wiring, spec.job_tag)
     _thread_world_rank.rank = rank
     injector = None
     if spec.plan is not None:
@@ -456,7 +828,7 @@ def _worker_main(rank: int, size: int, queues, result_queue, spec: _WorkerSpec) 
     blob = _try_dumps(report)
     if blob is None:
         # The program ran but its return value cannot cross the process
-        # boundary -- a clear diagnostic beats a feeder-thread stack trace.
+        # boundary -- a clear diagnostic beats a pickling stack trace.
         kind = report[0]
         report = (
             "fail",
@@ -471,12 +843,11 @@ def _worker_main(rank: int, size: int, queues, result_queue, spec: _WorkerSpec) 
             {},
         )
         blob = pickle.dumps(report)
-    result_queue.put(blob)
-    # Guarantee the result reaches the pipe before this process exits.
-    result_queue.close()
-    result_queue.join_thread()
-    runtime.flush_timers()
-    runtime.stop()
+    try:
+        runtime.report(blob)
+    except OSError:  # the launcher is gone; nobody waits for the rest
+        return
+    runtime.finish()
 
 
 # --------------------------------------------------------------------------
@@ -515,7 +886,8 @@ def run_spmd_process(
 
     Argument validation happens in :func:`repro.mpi.launcher.run_spmd`;
     this function owns process lifecycle: spawn, result collection, abort
-    broadcast on failure, guaranteed child teardown, shared-memory sweep,
+    broadcast on failure, guaranteed child teardown, pipe and shared-memory
+    release,
     and merging per-rank fault logs / trace data back into the launcher's
     injector and session objects.
     """
@@ -536,8 +908,7 @@ def run_spmd_process(
         if trace is not None
         else None
     )
-    queues = [mpctx.Queue() for _ in range(nranks)]
-    result_queue = mpctx.Queue()
+    wiring = _Wiring(mpctx, nranks)
     procs = []
     for rank in range(nranks):
         spec = _WorkerSpec(
@@ -554,7 +925,7 @@ def run_spmd_process(
         procs.append(
             mpctx.Process(
                 target=_worker_main,
-                args=(rank, nranks, queues, result_queue, spec),
+                args=(rank, nranks, wiring, spec),
                 name=f"spmd-rank-{rank}",
             )
         )
@@ -563,72 +934,77 @@ def run_spmd_process(
     tracebacks: dict[int, str] = {}
     aborted: set[int] = set()
     extras_by_rank: dict[int, dict] = {}
-    abort_sent = False
+    #: Control pipe -> rank, for the ranks that have not reported yet.
+    pending = {wiring.controls[rank][0]: rank for rank in range(nranks)}
+    abort_deadline: "float | None" = None
 
     def broadcast_abort(reason: str) -> None:
-        nonlocal abort_sent
-        if abort_sent:
+        nonlocal abort_deadline
+        if abort_deadline is not None:
             return
-        abort_sent = True
-        for q in queues:
+        abort_deadline = time.monotonic() + _EXIT_GRACE
+        for launcher_end, _ in wiring.controls:
             try:
-                q.put(("abort", reason))
-            except (OSError, ValueError):  # pragma: no cover - teardown race
+                launcher_end.send_bytes(reason.encode())
+            except OSError:  # that rank has exited
                 pass
 
     try:
         for p in procs:
             p.start()
-        pending = set(range(nranks))
-        death_noticed: dict[int, float] = {}
+        # Every rank holds its own ends now; a rank's pipes close when it
+        # exits, which is how its peers and the launcher see it go.
+        wiring.keep(None)
         while pending:
-            try:
-                blob = result_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                now = time.monotonic()
-                for rank in sorted(pending):
-                    if procs[rank].is_alive():
-                        death_noticed.pop(rank, None)
-                        continue
-                    first = death_noticed.setdefault(rank, now)
-                    if now - first < _DEATH_GRACE:
-                        continue
-                    # Dead past the grace window with no report: the rank
+            wait = None
+            if abort_deadline is not None:
+                wait = max(0.0, abort_deadline - time.monotonic())
+            ready = wait_for_any(list(pending), wait)
+            if not ready:
+                # The grace after the abort has run out: the ranks still
+                # out are collateral, and the finally below ends them.
+                aborted.update(pending.values())
+                break
+            for conn in ready:
+                rank = pending.pop(conn)
+                try:
+                    blob = conn.recv_bytes()
+                except (EOFError, OSError):
+                    # The control pipe closed without a report: the rank
                     # process died hard (os._exit, signal, interpreter
                     # crash).  Attribute it and release the peers.
-                    code = procs[rank].exitcode
+                    procs[rank].join(_DEATH_GRACE)
                     exc = MPIError(
                         f"rank {rank} process died without reporting "
-                        f"(exit code {code})"
+                        f"(exit code {procs[rank].exitcode})"
                     )
                     failures[rank] = exc
                     tracebacks[rank] = str(exc)
-                    pending.discard(rank)
                     broadcast_abort(str(exc))
-                continue
-            status, rank, payload, extras = pickle.loads(blob)
-            pending.discard(rank)
-            extras_by_rank[rank] = extras
-            if status == "ok":
-                results[rank] = payload
-            elif status == "aborted":
-                aborted.add(rank)
-            else:  # "fail"
-                exc_blob, exc_repr, tb = payload
-                exc: BaseException
-                if exc_blob is not None:
-                    try:
-                        exc = pickle.loads(exc_blob)
-                    except Exception:  # pragma: no cover - defensive
+                    continue
+                status, _, payload, extras = pickle.loads(blob)
+                extras_by_rank[rank] = extras
+                if status == "ok":
+                    results[rank] = payload
+                elif status == "aborted":
+                    aborted.add(rank)
+                else:  # "fail"
+                    exc_blob, exc_repr, tb = payload
+                    exc: BaseException
+                    if exc_blob is not None:
+                        try:
+                            exc = pickle.loads(exc_blob)
+                        except Exception:  # pragma: no cover - defensive
+                            exc = RuntimeError(exc_repr)
+                    else:
                         exc = RuntimeError(exc_repr)
-                else:
-                    exc = RuntimeError(exc_repr)
-                failures[rank] = exc
-                tracebacks[rank] = tb or exc_repr
-                broadcast_abort(f"rank {rank} raised {exc_repr}")
+                    failures[rank] = exc
+                    tracebacks[rank] = tb or exc_repr
+                    broadcast_abort(f"rank {rank} raised {exc_repr}")
         deadline = time.monotonic() + _EXIT_GRACE
-        for p in procs:
-            p.join(max(0.1, deadline - time.monotonic()))
+        for rank, p in enumerate(procs):
+            if rank not in pending.values():
+                p.join(max(0.1, deadline - time.monotonic()))
     finally:
         # No orphaned ranks, ever: escalate terminate -> kill on anything
         # still alive, then reap and release every IPC resource.
@@ -643,9 +1019,7 @@ def run_spmd_process(
                     p.join(1.0)
         for p in procs:
             p.close()
-        for q in [*queues, result_queue]:
-            q.close()
-            q.cancel_join_thread()
+        wiring.close()
         cleanup_segments(job_tag)
 
     _merge_extras(extras_by_rank, injector, recorders)

@@ -39,7 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpi.communicator import MPIError, _copy_payload
+from repro.mpi.communicator import MPIError
 
 #: Every segment this runtime creates carries this prefix, so leak checks
 #: (the test-suite fixture and the CI sweep) can target exactly our names.
@@ -147,11 +147,11 @@ class PayloadCodec:
     def encode(self, payload: Any) -> tuple:
         """``("inline", payload)`` or a ``("shm", ...)`` descriptor.
 
-        Inline payloads are copied at encode time (the send-buffer
-        contract): ``mp.Queue`` pickles in a background feeder thread, so
-        an array put by reference would race with sender-side mutation
-        after ``send()`` returns -- e.g. a halo fold that zeroes the plane
-        it just sent.  The shm path already copies eagerly into the segment.
+        An inline payload is the caller's own object, not a copy: the
+        process fabric pickles the envelope and writes it (or copies what
+        the pipe cannot take yet) before ``send`` or the collective
+        returns, which is the send-buffer contract.  The shm path copies
+        into the segment here.
         """
         if (
             self.threshold > 0
@@ -163,8 +163,8 @@ class PayloadCodec:
             try:
                 return encode_array(payload, name)
             except OSError:
-                return ("inline", payload.copy())
-        return ("inline", _copy_payload(payload))
+                pass
+        return ("inline", payload)
 
     @staticmethod
     def decode(spec: tuple) -> Any:

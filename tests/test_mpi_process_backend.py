@@ -10,6 +10,7 @@ carry fault logs and trace data back across the process boundary.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,7 @@ from tests import _spmd_programs as progs
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.injector import InjectedRankDeath
 from repro.mpi import BACKENDS, MPIError, SPMDError, resolve_backend, run_spmd
+from repro.mpi import process_backend
 from repro.mpi import shm as shm_mod
 from repro.trace import TraceSession
 
@@ -40,6 +42,22 @@ def _ring_and_allgather(comm):
     comm.send(a * 2, (comm.rank + 1) % comm.size, tag=9)
     r = comm.recv(source=(comm.rank - 1) % comm.size, tag=9)
     return np.concatenate(g + [r])
+
+
+def _pickled_flood(rank):
+    """Over 4 MiB that must be pickled: every array is under the 64 KiB
+    segment threshold, and a list is never spilled anyway.  Mostly arrays
+    big enough to travel out of band, plus many small ones inline."""
+    rng = np.random.default_rng(rank)
+    return [rng.random(7_000) for _ in range(80)] + [
+        rng.random(10) for _ in range(3_000)
+    ]
+
+
+def _same_bytes(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b)
+    )
 
 
 def _no_live_children():
@@ -133,6 +151,109 @@ class TestProcessLifecycle:
         assert set(ei.value.failures) == {0}
         assert ei.value.aborted_ranks == [1, 2]
 
+    @pytest.mark.parametrize("nranks", [2, 3])
+    def test_ranks_flooding_each_other_cannot_deadlock(self, nranks):
+        """Every rank writes more than a pipe holds to its peers at the same
+        time, first in a ``sendrecv`` and then in an ``allgather``: no write
+        may block, and every byte must arrive exactly."""
+
+        def prog(comm):
+            mine = _pickled_flood(comm.rank)
+            assert sum(a.nbytes for a in mine) >= 4 << 20
+            left = (comm.rank - 1) % comm.size
+            got = comm.sendrecv(mine, dest=(comm.rank + 1) % comm.size, source=left)
+            rows = comm.allgather(mine)
+            return _same_bytes(got, _pickled_flood(left)) and all(
+                _same_bytes(row, _pickled_flood(r)) for r, row in enumerate(rows)
+            )
+
+        assert run_spmd(nranks, prog, backend="process", timeout=60.0) == [
+            True
+        ] * nranks
+
+    def test_rank_raising_with_unsent_bytes_ends_the_job(self, monkeypatch):
+        """Rank 0 raises while over 1 MiB it sent is still unwritten, for a
+        peer that never reads (and a segment it never consumes).  The job
+        ends with rank 0's error once the abort's grace has run out, the
+        peer is ended, and nothing is left behind."""
+        monkeypatch.setattr(process_backend, "_EXIT_GRACE", 1.0)
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(60.0)  # never reads
+                return
+            comm.send(np.ones(100_000), dest=1)
+            comm.send(_pickled_flood(0), dest=1)
+            owed = sum(len(b) for b in comm._ctx.runtime._outlets[1].backlog)
+            assert owed > 1 << 20, owed
+            raise RuntimeError("dies holding a backlog")
+
+        t0 = time.monotonic()
+        with pytest.raises(SPMDError) as ei:
+            run_spmd(2, prog, backend="process", timeout=60.0)
+        assert time.monotonic() - t0 < process_backend._EXIT_GRACE + 4.0
+        assert set(ei.value.failures) == {0}
+        assert "dies holding a backlog" in str(ei.value.failures[0])
+        assert ei.value.aborted_ranks == [1]
+        assert _no_live_children(), "worker processes survived the abort"
+        assert shm_mod.list_segments() == []
+
+    @pytest.mark.parametrize("chunk", [5, 997, 4099, 65_000])
+    def test_frames_arrive_whole_from_any_split(self, chunk):
+        """A reader sees a pipe's bytes in whatever pieces the writer's
+        partial writes left: frames cut at every chunk size -- inside a
+        head, a pickle stream or an out-of-band buffer -- still come out
+        whole and exact, in order."""
+        envs = [
+            ("pt", "w", 0, 1, None, ("inline", {"a": 1})),
+            ("coll", "w", 0, None, ("inline", (0, np.arange(20_000.0)))),
+            ("pt", "w", 0, 2, None, ("inline", [np.full(10, i) for i in range(1_000)])),
+            ("pt", "w", 0, 3, None, ("inline", [np.full(600, i) for i in range(3)])),
+        ]
+        wire = b"".join(
+            bytes(p) for env in envs for p in process_backend._frame(
+                *process_backend._pickle(env)
+            )
+        )
+        assert len(wire) > 2 * process_backend._STAGE_BYTES
+        r, w = os.pipe()  # holds 64 KiB: each chunk is read before the next
+        os.set_blocking(r, False)
+        inlet, got = process_backend._Inlet(r), []
+        try:
+            for at in range(0, len(wire), chunk):
+                os.write(w, wire[at : at + chunk])
+                inlet.pull(got.append)
+        finally:
+            os.close(r)
+            os.close(w)
+        assert len(got) == len(envs)
+        for sent, arrived in zip(envs, got):
+            assert pickle.dumps(arrived, protocol=4) == pickle.dumps(sent, protocol=4)
+
+    def test_rank_runs_no_helper_thread(self):
+        """A rank moves its own bytes: after a send, a receive and an
+        allreduce, the only thread in the rank process is its main thread."""
+
+        def prog(comm):
+            peer = 1 - comm.rank
+            comm.send(np.arange(10), dest=peer)
+            comm.recv(source=peer)
+            comm.allreduce(np.ones(4))
+            return [t is threading.main_thread() for t in threading.enumerate()]
+
+        assert run_spmd(2, prog, backend="process") == [[True], [True]]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+    def test_job_pipes_are_all_closed(self):
+        """Every pipe end a job opens in the launcher is closed when it
+        returns: the launcher's open descriptors come back to where they
+        were after 20 consecutive 3-rank jobs."""
+        run_spmd(3, progs.ring_allreduce, backend="process")
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            run_spmd(3, progs.ring_allreduce, backend="process")
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_no_thread_leak_in_parent(self):
         """The launcher must not accumulate helper threads run over run."""
         run_spmd(2, progs.ring_allreduce, backend="process")
@@ -214,7 +335,7 @@ class TestSharedMemoryTransport:
 
     @pytest.mark.parametrize("damage", ["short", "missing"])
     def test_lost_segment_fails_the_receiver_naming_it(self, monkeypatch, damage):
-        """The drainer cannot read a segment: the receive or collective
+        """The receiving rank cannot read a segment: the receive or collective
         waiting for it fails at once, with the segment's name, instead of
         running out its timeout."""
         monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
@@ -291,11 +412,11 @@ class TestSharedMemoryTransport:
 
     def test_send_buffer_snapshot_beats_feeder_thread(self):
         """Regression: mutating an array right after send() must not change
-        what the receiver sees.  mp.Queue pickles in a background feeder
-        thread, so a by-reference inline payload (e.g. the view
-        np.ascontiguousarray returns for a contiguous slice) would ship the
+        what the receiver sees.  When the fabric pickled in a background
+        feeder thread, a by-reference inline payload (e.g. the view
+        np.ascontiguousarray returns for a contiguous slice) shipped the
         mutated bytes -- the bug that silently lost mass in the Nyx halo
-        fold."""
+        fold.  Now the sending thread pickles and writes before returning."""
 
         def prog(comm):
             field = np.zeros((4, 64), dtype=np.float64)
@@ -354,11 +475,9 @@ class TestSharedMemoryTransport:
         small = np.arange(4, dtype=np.float64)
         kind, payload = codec.encode(small)
         assert kind == "inline"
-        # Snapshotted at encode time: mp.Queue pickles in a feeder thread,
-        # so by-reference inline arrays would race with sender mutation.
-        assert payload is not small
-        assert not np.shares_memory(payload, small)
-        assert payload.tobytes() == small.tobytes()
+        # Not copied: the fabric pickles the envelope before send returns
+        # (test_send_buffer_snapshot_beats_feeder_thread holds that).
+        assert payload is small
         big = np.arange(64, dtype=np.float64)
         spec = codec.encode(big)
         assert spec[0] == "shm"
@@ -379,7 +498,7 @@ class TestCrossBoundaryMerging:
     def test_unpicklable_result_is_a_clear_diagnostic(self):
         """A program returning something that cannot cross the process
         boundary must fail with a message saying exactly that -- not a
-        silent hang or a feeder-thread stack trace."""
+        silent hang or a pickling stack trace."""
 
         def prog(comm):
             return threading.Lock()  # unpicklable

@@ -209,6 +209,69 @@ class TestPointToPoint:
             assert [p.shape for p in planes] == [(4, 4), (128, 128)], rank
             assert all(np.all(p == left) for p in planes), rank
 
+    @pytest.mark.parametrize("fault", ["none", "delay", "duplicate"])
+    def test_send_to_self(self, fault):
+        """A rank sends to itself and ``sendrecv``s with itself: a pickled
+        array, an array above the process backend's 64 KiB segment
+        threshold and a Python object.  The process fabric has no pipe from
+        a rank to itself, so this is its own path, faulted sends included;
+        the sent buffer is clobbered at once and must not show through."""
+        plan = None
+        if fault != "none":
+            plan = FaultPlan(
+                seed=0,
+                events=tuple(
+                    FaultEvent(SITE_MPI_SEND, fault, rank=r, occurrence=0)
+                    for r in range(2)
+                ),
+            )
+
+        def prog(comm):
+            me = comm.rank
+            small = np.arange(8) + me
+            comm.send(small, dest=me, tag=3)
+            small[:] = -1
+            got = comm.recv(source=me, tag=3)
+            big = np.full(20_000, float(me + 1))
+            echoed = comm.sendrecv(big, dest=me, source=me)
+            obj = comm.sendrecv({"rank": me}, dest=me, source=me, recvtag=0)
+            return got.tolist(), float(echoed.sum()), echoed.shape, obj
+
+        out = run_spmd(2, prog, faults=plan, timeout=10.0)
+        for rank, (got, total, shape, obj) in enumerate(out):
+            assert got == list(range(rank, rank + 8)), rank
+            assert (total, shape) == (20_000.0 * (rank + 1), (20_000,)), rank
+            assert obj == {"rank": rank}, rank
+
+    def test_two_threads_of_a_rank_communicate_at_once(self):
+        """Rank 0's main thread blocks in a receive while a second thread
+        sends more than a pipe holds and then receives too: on the process
+        backend one of them moves the rank's bytes for both, and the other's
+        unwritten bytes must still get out."""
+
+        def prog(comm):
+            big = [np.full(7_000, float(i)) for i in range(40)]  # 2.2 MB
+            if comm.rank == 1:
+                got = comm.recv(source=0, tag=5)
+                comm.send(sum(float(a.sum()) for a in got), dest=0, tag=6)
+                comm.send("done", dest=0, tag=7)
+                return None
+            out = {}
+
+            def second():
+                time.sleep(0.05)  # the main thread is waiting by now
+                comm.send(big, dest=1, tag=5)
+                out["echo"] = comm.recv(source=1, tag=6)
+
+            t = threading.Thread(target=second)
+            t.start()
+            out["main"] = comm.recv(source=1, tag=7)
+            t.join(10.0)
+            return out
+
+        out = run_spmd(2, prog, timeout=10.0)[0]
+        assert out == {"main": "done", "echo": 7_000.0 * sum(range(40))}
+
     def test_send_out_of_range_dest(self):
         def prog(comm):
             comm.send(1, dest=99)
