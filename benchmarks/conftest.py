@@ -1,14 +1,15 @@
 """Shared benchmark fixtures.
 
-Every benchmark file regenerates one of the paper's tables or figures:
+The benchmarks run the real code on the thread-backed MPI runtime (timed
+with pytest-benchmark): a ``test_fig*``/``test_table*`` file checks what a
+paper figure claims about the program itself, a ``test_ablation_*`` file
+one design choice.  The paper-scale series and their shape claims are the
+registry in :mod:`repro.experiments` (``python -m repro run``), asserted in
+tier-1.
 
-- a *native* part exercises the real code on the thread-backed MPI runtime
-  (timed with pytest-benchmark), and
-- a *modeled* part replays the experiment at paper scale through
-  :mod:`repro.perf` and emits the same rows/series the paper reports.
-
-Rows are printed and also written under ``benchmarks/out/`` so the series
-survive pytest's output capture; run with ``-s`` to see them inline.
+Rows a benchmark reports are printed and also written under
+``benchmarks/out/`` so they survive pytest's output capture; run with
+``-s`` to see them inline.
 """
 
 from __future__ import annotations

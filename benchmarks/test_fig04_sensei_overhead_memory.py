@@ -3,9 +3,9 @@
 Paper claim: "comparable memory footprint for the two configurations" --
 the zero-copy mapping adds no buffers.
 
-Native part: run both configurations with full allocation accounting and
-assert equal high-water marks.  Modeled part: summed per-rank high-water
-bytes at 1K/6K/45K.
+Runs both configurations with full allocation accounting and asserts equal
+high-water marks.  The modeled 1K/6K/45K series and its claim are the
+``fig04`` entry of ``repro.experiments``.
 """
 
 from repro.analysis import AutocorrelationAnalysis
@@ -14,7 +14,6 @@ from repro.core import Bridge
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
-from repro.perf.miniapp_model import MiniappConfig, MiniappModel
 from repro.util import MemoryTracker, sum_high_water
 
 DIMS = (16, 16, 16)
@@ -50,29 +49,3 @@ def test_fig04_native_equal_highwater(benchmark):
     original, sensei = benchmark.pedantic(run_both, rounds=2, iterations=1)
     assert original == sensei  # byte-for-byte: the zero-copy claim
 
-
-def test_fig04_modeled_series(benchmark, report):
-    def series():
-        rows = []
-        for scale in ("1K", "6K", "45K"):
-            m = MiniappModel(MiniappConfig.at_scale(scale))
-            orig = m.original().high_water_bytes_per_rank
-            # Both configurations carry the same autocorrelation buffers.
-            ac_buffers = 2 * m.cfg.ac_window * m.cfg.points_per_core * 8
-            sensei = m.autocorrelation().high_water_bytes_per_rank
-            rows.append(
-                (scale, m.cfg.cores, (orig + ac_buffers) * m.cfg.cores, sensei * m.cfg.cores)
-            )
-        return rows
-
-    rows = benchmark(series)
-    report(
-        "fig04_memory_footprint",
-        f"{'scale':<5}{'cores':>8}{'original(TB)':>15}{'sensei(TB)':>15}",
-        [
-            f"{s:<5}{c:>8}{o / 1e12:>15.3f}{n / 1e12:>15.3f}"
-            for s, c, o, n in rows
-        ],
-    )
-    for _, _, o, n in rows:
-        assert o == n

@@ -5,8 +5,9 @@ minimal *except* Libsim-slice's per-rank configuration checks (~3.5 s at
 45K); only the autocorrelation finalize (the global top-k reduction) is
 non-negligible.
 
-Native part: benchmark bridge initialize/finalize for every configuration.
-Modeled part: the per-configuration one-time cost rows at all three scales.
+Benchmarks bridge initialize/finalize for every configuration.  The
+modeled rows at all three scales and their claims are the ``fig05`` entry
+of ``repro.experiments``.
 """
 
 import tempfile
@@ -18,7 +19,6 @@ from repro.infrastructure import CatalystAdaptor, LibsimAdaptor, write_session_f
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
-from repro.perf.miniapp_model import MiniappConfig, MiniappModel
 from repro.util import TimerRegistry
 
 DIMS = (12, 12, 12)
@@ -74,29 +74,3 @@ def test_fig05_native_all_configs(benchmark):
     base_fin = max(r[2] for r in out["baseline"])
     assert ac_fin >= base_fin
 
-
-def test_fig05_modeled_series(benchmark, report):
-    def series():
-        rows = []
-        for scale in ("1K", "6K", "45K"):
-            m = MiniappModel(MiniappConfig.at_scale(scale))
-            for b in m.all_insitu_configs():
-                rows.append(
-                    (scale, b.config_name, b.sim_initialize, b.analysis_initialize, b.finalize)
-                )
-        return rows
-
-    rows = benchmark(series)
-    report(
-        "fig05_onetime_costs",
-        f"{'scale':<5}{'configuration':<17}{'sim init(s)':>12}{'ana init(s)':>12}{'finalize(s)':>12}",
-        [
-            f"{s:<5}{n:<17}{si:>12.3f}{ai:>12.3f}{f:>12.3f}"
-            for s, n, si, ai, f in rows
-        ],
-    )
-    by = {(s, n): (si, ai, f) for s, n, si, ai, f in rows}
-    # Libsim init grows to seconds at 45K; others stay small.
-    assert by[("45K", "libsim-slice")][1] > 2.0
-    assert by[("45K", "catalyst-slice")][1] < 1.0
-    assert by[("45K", "autocorrelation")][2] > by[("45K", "histogram")][2]

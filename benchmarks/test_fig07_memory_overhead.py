@@ -4,6 +4,10 @@ Paper claims: startup footprint is ~the Baseline executable for every
 configuration; the high-water mark varies with the analysis (slice configs
 carry library + framebuffer; autocorrelation carries its circular buffers);
 summed over ranks, it grows with scale.
+
+Ranks the configurations' measured high-water marks on the real code.  The
+modeled rows and their claims are the ``fig07`` entry of
+``repro.experiments``.
 """
 
 import tempfile
@@ -15,7 +19,6 @@ from repro.infrastructure import CatalystAdaptor, LibsimAdaptor, write_session_f
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
-from repro.perf.miniapp_model import MiniappConfig, MiniappModel
 from repro.util import MemoryTracker, sum_high_water
 
 DIMS = (12, 12, 12)
@@ -62,35 +65,3 @@ def test_fig07_native_ranking(benchmark):
     assert hist_hw >= base_hw
     assert cat_hw > hist_hw  # library + framebuffer dominate
 
-
-def test_fig07_modeled_series(benchmark, report):
-    def series():
-        rows = []
-        for scale in ("1K", "6K", "45K"):
-            m = MiniappModel(MiniappConfig.at_scale(scale))
-            for b in m.all_insitu_configs():
-                rows.append(
-                    (
-                        scale,
-                        b.config_name,
-                        b.startup_bytes_per_rank * m.cfg.cores,
-                        b.high_water_bytes_per_rank * m.cfg.cores,
-                    )
-                )
-        return rows
-
-    rows = benchmark(series)
-    report(
-        "fig07_memory_overhead",
-        f"{'scale':<5}{'configuration':<17}{'startup(TB)':>13}{'high-water(TB)':>15}",
-        [
-            f"{s:<5}{n:<17}{st / 1e12:>13.3f}{hw / 1e12:>15.3f}"
-            for s, n, st, hw in rows
-        ],
-    )
-    by = {(s, n): (st, hw) for s, n, st, hw in rows}
-    # High-water grows with scale for every configuration.
-    for name in ("baseline", "histogram", "autocorrelation", "catalyst-slice"):
-        assert by[("45K", name)][1] > by[("1K", name)][1]
-    # Startup is baseline-like for non-library configs.
-    assert by[("45K", "histogram")][0] == by[("45K", "baseline")][0]

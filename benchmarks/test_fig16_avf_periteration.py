@@ -4,6 +4,9 @@ Paper claims: "the cost of generating the images via Libsim is in the range
 of 7-8 seconds while the normal SENSEI overhead for the data adaptor is
 less than 0.5 seconds" -- a 1-in-5 sawtooth; in situ buys 3-4x the temporal
 resolution of writing volume data (~24 s/step) post hoc.
+
+Measures the 1-in-5 sawtooth on the real proxy.  The modeled series at 65K
+and its claims are the ``fig16`` entry of ``repro.experiments``.
 """
 
 import tempfile
@@ -13,7 +16,6 @@ from repro.apps.avf_leslie_proxy import AVFLeslieSimulation
 from repro.core import Bridge
 from repro.infrastructure import LibsimAdaptor, write_session_file
 from repro.mpi import run_spmd
-from repro.perf.apps_model import AVFRun, avf_periteration_series, avf_strong_scaling
 
 _dir = tempfile.mkdtemp(prefix="fig16_")
 SESSION = f"{_dir}/session.json"
@@ -52,25 +54,3 @@ def test_fig16_native_sawtooth(benchmark):
     # (the sawtooth is an order-of-magnitude effect, not a marginal one).
     assert statistics.median(render_steps) > 3 * statistics.median(quiet_steps)
 
-
-def test_fig16_modeled_series(benchmark, report):
-    run = AVFRun(cores=65_536, steps=20)
-
-    def series():
-        return avf_periteration_series(run), avf_strong_scaling(run)
-
-    per_iter, res = benchmark(series)
-    rows = [
-        f"step {i:>3}: {t:7.2f}s" + ("  <- Libsim" if i % 5 == 0 else "")
-        for i, t in enumerate(per_iter, start=1)
-    ]
-    rows.append(
-        f"post hoc volume write {res.posthoc_write_per_step:.1f}s/step => "
-        f"{res.temporal_resolution_gain:.1f}x temporal-resolution gain in situ"
-    )
-    report("fig16_avf_periteration", "per-iteration SENSEI cost at 65K (s)", rows)
-    expensive = [t for i, t in enumerate(per_iter, 1) if i % 5 == 0]
-    cheap = [t for i, t in enumerate(per_iter, 1) if i % 5 != 0]
-    assert all(6.5 < t < 9.5 for t in expensive)  # "7-8 seconds"
-    assert all(t < 0.5 for t in cheap)  # "less than 0.5 seconds"
-    assert 2.5 < res.temporal_resolution_gain < 4.5  # "3-4 times"

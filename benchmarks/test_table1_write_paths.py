@@ -10,14 +10,13 @@ VTK I/O   0.12 s  0.67 s  9.05 s
 MPI-IO    0.40 s  3.17 s  22.87 s
 =======  ======  ======  =======
 
-Native part: time both real write paths on the same data at two layouts.
-At 4 ranks the split falls on i and j, so each rank's shared-file runs are
-whole i-planes; at 8 ranks k is split too, so its runs are strided (i, j)
-rows.  Only the strided layout asserts an ordering -- file-per-process is
-faster there, by the median of 10 interleaved runs.  The plane layout
-asserts none: with contiguous runs coalesced the two paths tie on a local
-disk (EXPERIMENTS.md, Table 1).  Modeled part: the table itself, with the
-Table 1 ordering and the paper's magnitudes asserted at every scale.
+Times both real write paths on the same data.  At 8 ranks k is split, so
+each rank's shared-file runs are strided (i, j) rows, and file-per-process
+is faster there, by the median of 10 interleaved runs.  At 4 ranks (whole
+i-planes) no ordering is asserted: with contiguous runs coalesced the two
+paths tie on a local disk (EXPERIMENTS.md, Table 1).  The modeled table,
+with its ordering and the paper's magnitudes at every scale, is the
+``table1`` entry of ``repro.experiments``.
 """
 
 import statistics
@@ -25,9 +24,8 @@ import time
 
 import numpy as np
 
-from repro.data import Association, DataArray, ImageData
+from repro.data import DataArray, ImageData
 from repro.mpi import run_spmd
-from repro.perf.miniapp_model import SCALES, MiniappConfig, MiniappModel
 from repro.storage import mpiio_write_collective, write_timestep
 from repro.util import Extent
 from repro.util.decomp import regular_decompose_3d
@@ -35,7 +33,7 @@ from repro.util.decomp import regular_decompose_3d
 DIMS = (32, 32, 16)
 
 
-def _vtk_write(tmpdir, nranks=4):
+def _vtk_write(tmpdir, nranks):
     def prog(comm):
         ext, _, _ = regular_decompose_3d(DIMS, comm.size, comm.rank)
         whole = Extent(0, DIMS[0] - 1, 0, DIMS[1] - 1, 0, DIMS[2] - 1)
@@ -46,37 +44,12 @@ def _vtk_write(tmpdir, nranks=4):
     run_spmd(nranks, prog)
 
 
-def _mpiio_write(path, nranks=4):
+def _mpiio_write(path, nranks):
     def prog(comm):
         ext, _, _ = regular_decompose_3d(DIMS, comm.size, comm.rank)
         mpiio_write_collective(comm, path, np.ones(ext.shape), ext, DIMS)
 
     run_spmd(nranks, prog)
-
-
-def test_table1_native_vtk(benchmark, tmp_path):
-    counter = iter(range(10_000))
-    benchmark.pedantic(
-        lambda: _vtk_write(str(tmp_path / f"v{next(counter)}")), rounds=3, iterations=1
-    )
-
-
-def test_table1_native_mpiio(benchmark, tmp_path):
-    counter = iter(range(10_000))
-    benchmark.pedantic(
-        lambda: _mpiio_write(str(tmp_path / f"m{next(counter)}.dat")),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def test_table1_native_mpiio_strided(benchmark, tmp_path):
-    counter = iter(range(10_000))
-    benchmark.pedantic(
-        lambda: _mpiio_write(str(tmp_path / f"s{next(counter)}.dat"), nranks=8),
-        rounds=3,
-        iterations=1,
-    )
 
 
 def test_table1_native_ordering_strided(tmp_path):
@@ -90,29 +63,3 @@ def test_table1_native_ordering_strided(tmp_path):
         t2 = time.perf_counter()
         ratios.append((t2 - t1) / (t1 - t0))
     assert statistics.median(ratios) > 1.0, ratios
-
-
-def test_table1_modeled(benchmark, report):
-    def series():
-        rows = []
-        for scale in ("1K", "6K", "45K"):
-            m = MiniappModel(MiniappConfig.at_scale(scale))
-            wp = m.write_paths()
-            rows.append((scale, SCALES[scale][0], wp["size_gb"], wp["vtk_io"], wp["mpi_io"]))
-        return rows
-
-    rows = benchmark(series)
-    report(
-        "table1_write_paths",
-        f"{'scale':<5}{'cores':>8}{'size(GB)':>10}{'VTK I/O(s)':>12}{'MPI-IO(s)':>11}",
-        [
-            f"{s:<5}{c:>8}{gb:>10.1f}{v:>12.2f}{m_:>11.2f}"
-            for s, c, gb, v, m_ in rows
-        ],
-    )
-    paper = {"1K": (0.12, 0.40), "6K": (0.67, 3.17), "45K": (9.05, 22.87)}
-    for s, _, _, vtk, mpiio in rows:
-        assert vtk < mpiio  # the Table 1 ordering
-        ref_v, ref_m = paper[s]
-        assert ref_v / 2 < vtk < ref_v * 2
-        assert ref_m / 2 < mpiio < ref_m * 2

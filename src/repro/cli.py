@@ -523,12 +523,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     for name in names:
-        header, rows = run_experiment(name)
+        result = run_experiment(name)
         print(f"\n=== {name}: {catalog[name]} ===")
-        print(header)
-        print("-" * len(header))
-        for row in rows:
-            print(row)
+        print(result.header)
+        print("-" * len(result.header))
+        for line in result.lines():
+            print(line)
     return 0
 
 

@@ -433,10 +433,12 @@ class _Runtime:
             return st
 
     # -- outbound ----------------------------------------------------------
-    def put(self, dest_world: int, env: tuple, copies: int = 1) -> None:
-        """Pickle ``env`` and write it to ``dest_world``, ``copies`` times,
-        before returning."""
-        self._send(dest_world, *_pickle(env), copies=copies)
+    def put(self, dests: list[int], env: tuple, copies: int = 1) -> None:
+        """Pickle ``env`` once and write the frame to each of ``dests``,
+        ``copies`` times, before returning."""
+        stream, raws = _pickle(env)
+        for dest in dests:
+            self._send(dest, stream, raws, copies=copies)
 
     def put_later(self, delay: float, dest_world: int, env: tuple) -> None:
         """Pickle ``env`` now; write it at the first wait (or exit) at
@@ -672,7 +674,7 @@ class ProcessCommunicator(Communicator):
         spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
         self._count_transport("mpi::send::bytes", spec[0] == "shm", payload)
         ctx.runtime.put(
-            ctx.members[dest], ("pt", ctx.cid, self._rank, tag, seq, spec), copies
+            [ctx.members[dest]], ("pt", ctx.cid, self._rank, tag, seq, spec), copies
         )
 
     def _deliver_later(
@@ -681,23 +683,26 @@ class ProcessCommunicator(Communicator):
         ctx: _ProcessContext = self._ctx
         self._count_transport("mpi::send::bytes", False, payload)
         dest_world = ctx.members[dest]
-        ctx.runtime.put(dest_world, ("pend", ctx.cid, self._rank, tag, seq))
+        ctx.runtime.put([dest_world], ("pend", ctx.cid, self._rank, tag, seq))
         ctx.runtime.put_later(
             delay, dest_world, ("fulfill", ctx.cid, self._rank, seq, ("inline", payload))
         )
 
     def _contribute(self, peers: list[int], record, value: Any) -> None:
-        """Each peer gets its own encoding of the contribution, exactly as a
-        send would: a large bare ndarray lands in one consume-once segment
-        per peer, anything else is pickled.  The byte split is counted once
-        per contribution, matching the unsuffixed total ``_exchange``
-        counted."""
+        """A large bare ndarray lands in one consume-once segment per peer,
+        as a send's would; anything else is pickled once and every peer gets
+        the same frame.  The byte split is counted once per contribution,
+        matching the unsuffixed total ``_exchange`` counted."""
         ctx: _ProcessContext = self._ctx
-        for peer in peers:
-            spec = ctx.runtime.codec.encode(value)
-            ctx.runtime.put(
-                ctx.members[peer], ("coll", ctx.cid, self._rank, record, spec)
-            )
+        codec, dests = ctx.runtime.codec, [ctx.members[p] for p in peers]
+        spec = codec.encode(value)
+        if spec[0] == "shm":
+            # Each receiver unlinks the segment it read: one per peer.
+            for i, dest in enumerate(dests):
+                own = spec if i == 0 else codec.encode(value)
+                ctx.runtime.put([dest], ("coll", ctx.cid, self._rank, record, own))
+        else:
+            ctx.runtime.put(dests, ("coll", ctx.cid, self._rank, record, spec))
         self._count_transport(f"mpi::{record[1]}::bytes", spec[0] == "shm", value)
 
     def _child(self, members: list[int], color: int):

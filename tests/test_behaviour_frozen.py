@@ -325,7 +325,7 @@ _ROOTS = ("bench/workloads", "benchmarks", "examples")  # + src/repro/cli.py
 
 #: Unreached on purpose; the value is why the module stays.
 _UNREACHED_BUT_KEPT = {
-    "perf/calibrate.py": "the input of ROADMAP item 3 (host-calibrated model)",
+    "perf/calibrate.py": "the input of ROADMAP item 7 (host-calibrated model)",
 }
 
 

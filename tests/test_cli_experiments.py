@@ -5,34 +5,44 @@ import pytest
 from repro.cli import main
 from repro.experiments import available_experiments, run_experiment
 
+_CLAIMS = [
+    pytest.param(
+        claim, id=f"{name}-{claim.what}" + ("-expected-mismatch" if claim.mismatch else "")
+    )
+    for name in available_experiments()
+    for claim in run_experiment(name).claims
+]
+
 
 class TestRegistry:
     def test_all_paper_artifacts_present(self):
-        names = set(available_experiments())
+        """Every paper figure and table, and the burst-buffer extension,
+        is in the registry with at least one claim."""
         expected = {
             "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
             "fig10", "fig11", "fig12", "fig15", "fig16", "fig17",
-            "table1", "table2",
+            "table1", "table2", "burstbuffer",
         }
-        assert expected <= names
+        assert expected <= set(available_experiments())
+        assert all(run_experiment(name).claims for name in expected)
 
-    def test_every_experiment_runs(self):
-        for name in available_experiments():
-            header, rows = run_experiment(name)
-            assert isinstance(header, str) and header
-            assert rows, f"{name} produced no rows"
-            for row in rows:
-                assert isinstance(row, str)
+    @pytest.mark.parametrize("claim", _CLAIMS)
+    def test_claim_holds(self, claim):
+        """The model's value falls in the claim's band.  An expected
+        mismatch holds the model to its own pinned shape; ``paper`` says
+        what the paper shows instead."""
+        lo, hi = claim.band
+        inside = lo <= claim.value <= hi if claim.closed else lo < claim.value < hi
+        assert inside, f"{claim.what} = {claim.value!r} outside {claim.band}; paper: {claim.paper}"
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
 
     def test_table1_row_content(self):
-        _, rows = run_experiment("table1")
-        assert len(rows) == 3
-        assert rows[0].startswith("1K")
-        assert "45440" in rows[2]
+        result = run_experiment("table1")
+        assert [row[:2] for row in result.rows] == [("1K", 812), ("6K", 6496), ("45K", 45440)]
+        assert result.lines()[0].startswith("1K")
 
 
 class TestCLI:

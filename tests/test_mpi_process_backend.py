@@ -289,7 +289,27 @@ class TestStartMethods:
             )
 
 
+class _CountsItsPickles:
+    """A collective row that counts, in the rank that owns it, how often
+    it is pickled."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return (_CountsItsPickles, ())
+
+
 class TestSharedMemoryTransport:
+    def test_collective_row_is_pickled_once_for_every_peer(self):
+        """An inline row goes to its 3 peers as one frame, pickled once."""
+
+        def prog(comm):
+            comm.allgather(_CountsItsPickles())
+            return _CountsItsPickles.pickled
+
+        assert run_spmd(4, prog, backend="process") == [1, 1, 1, 1]
+
     def test_large_payloads_ride_shared_memory(self, monkeypatch):
         """Force a tiny spill threshold so every array maps through a
         segment, and check results still match the thread backend exactly."""

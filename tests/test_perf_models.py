@@ -84,6 +84,10 @@ class TestIOModel:
         samples = self.io.read_samples(4544, 45440, 123e9, n=50, seed=1)
         assert samples.std() / samples.mean() > 0.2
 
+    def test_burst_buffer_rejects_a_non_positive_cadence(self):
+        with pytest.raises(ValueError):
+            self.io.burst_buffer_write(812, 2e9, step_interval=0.0)
+
     def test_read_deterministic_without_rng(self):
         a = self.io.read(100, 1000, 1e9)
         b = self.io.read(100, 1000, 1e9)
