@@ -1,42 +1,20 @@
-"""Shared benchmark fixtures.
+"""Wall-clock checks that wait for rows in ``bench/``.
 
-The benchmarks run the real code on the thread-backed MPI runtime (timed
-with pytest-benchmark): a ``test_fig*``/``test_table*`` file checks what a
-paper figure claims about the program itself, a ``test_ablation_*`` file
-one design choice.  The paper-scale series and their shape claims are the
-registry in :mod:`repro.experiments` (``python -m repro run``), asserted in
-tier-1.
-
-Rows a benchmark reports are printed and also written under
-``benchmarks/out/`` so they survive pytest's output capture; run with
-``-s`` to see them inline.
+The paper's figures are checked in tier-1: their modeled series and
+shape claims are :mod:`repro.experiments` entries, and the native runs of
+the real code are ``tests/test_native_figures.py``.  This tree keeps only
+checks whose verdict is a wall-clock time on the host that runs them: the
+sort-last PNG ablation and the disabled fault layer's per-step budget,
+each run by its own CI step, and the flat vs hybrid histogram kernel (the
+trial that keeps ``analysis/hybrid.py``).  Each moves to a ``bench/`` row,
+with its bound unchanged, when the bench grows one for it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
-
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
-
-@pytest.fixture
-def report():
-    """Emit one experiment's rows: print + persist to benchmarks/out/."""
-
-    def _report(name: str, header: str, rows: list[str]) -> str:
-        os.makedirs(OUT_DIR, exist_ok=True)
-        lines = [header, "-" * len(header), *rows]
-        text = "\n".join(lines)
-        print(f"\n=== {name} ===\n{text}")
-        path = os.path.join(OUT_DIR, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return path
-
-    return _report
 
 
 @pytest.fixture

@@ -4,10 +4,11 @@ and where the deflate runs.
 "We determined that the ZLIB compression time in generating the PNG file
 was the culprit" -- skipping compression took the 8-process toy problem
 from 4.03 s to 0.518 s per step.  This ablation sweeps the real encoder's
-compression level over a rendered frame and reports time and size, plus
-the modeled effect on the PHASTA IS2 run.  The sort-last row spreads the
-same deflate over the ranks that hold the composited rows, as Catalyst
-does (``sort_last_png``).
+compression level over a rendered frame and reports time and size; the
+modeled effect on the PHASTA IS2 run is asserted in tier-1
+(``TestPhastaTable2``).  The sort-last row spreads the same deflate over
+the ranks that hold the composited rows, as Catalyst does
+(``sort_last_png``).
 """
 
 import time
@@ -15,7 +16,6 @@ import time
 import numpy as np
 
 from repro.mpi import run_spmd
-from repro.perf.apps_model import PHASTA_RUNS, phasta_table2
 from repro.render import VIRIDIS, decode_png, encode_png
 from repro.render.compositing import band_rows
 from repro.render.png import sort_last_png
@@ -34,49 +34,18 @@ def _frame(h=H, w=W):
 FRAME = _frame()
 
 
-def test_ablation_native_level0(benchmark):
-    blob = benchmark(lambda: encode_png(FRAME, 0))
-    assert len(blob) > FRAME.nbytes  # stored, not compressed
-
-
-def test_ablation_native_level6(benchmark):
-    blob = benchmark(lambda: encode_png(FRAME, 6))
-    assert len(blob) < FRAME.nbytes
-
-
-def test_ablation_native_level9(benchmark):
-    benchmark(lambda: encode_png(FRAME, 9))
-
-
-def test_ablation_sweep_and_model(benchmark, report):
-    def sweep():
-        import time
-
-        rows = []
-        for level in (0, 1, 3, 6, 9):
-            t0 = time.perf_counter()
-            blob = encode_png(FRAME, level)
-            rows.append((level, time.perf_counter() - t0, len(blob)))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=2, iterations=1)
-    with_c = phasta_table2(PHASTA_RUNS["IS2"], compression=True)
-    without = phasta_table2(PHASTA_RUNS["IS2"], compression=False)
-    out = [
-        f"level {lvl}: {t * 1e3:8.2f} ms  {size / 1024:9.1f} KiB"
-        for lvl, t, size in rows
-    ]
-    out.append(
-        f"modeled PHASTA IS2 per-step: {with_c.insitu_per_step:.2f}s with zlib "
-        f"-> {without.insitu_per_step:.2f}s without (paper: 4.03 -> 0.518 on toy)"
-    )
-    report("ablation_png", "PNG compression-level sweep (1450x362 RGB)", out)
-    # Level 0 is fastest and largest; higher levels trade time for size.
-    times = {lvl: t for lvl, t, _ in rows}
-    sizes = {lvl: s for lvl, _, s in rows}
+def test_ablation_level_sweep(best_of):
+    """Level 0 stores (larger than the frame) and is faster than level 6,
+    which compresses; higher levels trade time for size.  Best of two
+    encodes per level."""
+    times, sizes = {}, {}
+    for level in (0, 1, 3, 6, 9):
+        sizes[level] = len(encode_png(FRAME, level))
+        times[level] = best_of(lambda: encode_png(FRAME, level), 2)
+        print(f"level {level}: {times[level] * 1e3:8.2f} ms  {sizes[level] / 1024:9.1f} KiB")
+    assert sizes[0] > FRAME.nbytes > sizes[6]
     assert times[0] < times[6]
     assert sizes[9] <= sizes[1] <= sizes[0]
-    assert with_c.insitu_per_step > 2.5 * without.insitu_per_step
 
 
 def _catalyst_slice_frame():
@@ -121,7 +90,7 @@ def _sort_last_timed(frame, nranks, level):
     return run_spmd(nranks, prog)[0]
 
 
-def test_ablation_sort_last_ranks(report):
+def test_ablation_sort_last_ranks():
     """Rank 0's wall time for one 1920x1080 PNG when every rank deflates the
     rows binary swap left it (the serial encoder on one rank for scale), on
     a noisy frame and on the Catalyst slice frame, whose runs of repeated
@@ -159,4 +128,4 @@ def test_ablation_sort_last_ranks(report):
         if name == "noisy":
             # No run of repeated rows: within 2 % of the serial stream.
             assert len(blob) < 1.02 * len(serial)
-    report("ablation_png_sort_last", "Sort-last PNG over thread ranks (1920x1080 RGB)", rows)
+    print("\nSort-last PNG over thread ranks (1920x1080 RGB)", *rows, sep="\n")

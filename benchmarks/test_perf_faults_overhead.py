@@ -40,7 +40,7 @@ GUARD_BUDGET_S = 5e-6
 GUARD_ITERS = 200_000
 
 
-def test_disabled_guards_within_budget(report, best_of):
+def test_disabled_guards_within_budget(best_of):
     """The is-None guard, scaled by HOOKS_PER_STEP, vs GUARD_BUDGET_S."""
 
     def prog(comm):
@@ -57,21 +57,17 @@ def test_disabled_guards_within_budget(report, best_of):
 
     t_step, t_guard = run_spmd(1, prog)[0]
     per_step = HOOKS_PER_STEP * t_guard
-    report(
-        "perf_faults_overhead",
-        "disabled fault layer vs 64^3 step",
-        [
-            f"guard:    {t_guard * 1e9:8.1f} ns/hook x {HOOKS_PER_STEP} hooks",
-            f"per step: {per_step * 1e6:8.3f} us (budget {GUARD_BUDGET_S * 1e6:.0f} us)",
-            f"step:     {t_step * 1e3:8.3f} ms ({per_step / t_step * 100:.4f}%)",
-        ],
+    print(
+        f"\nguard:    {t_guard * 1e9:8.1f} ns/hook x {HOOKS_PER_STEP} hooks"
+        f"\nper step: {per_step * 1e6:8.3f} us (budget {GUARD_BUDGET_S * 1e6:.0f} us)"
+        f"\nstep:     {t_step * 1e3:8.3f} ms ({per_step / t_step * 100:.4f}%)"
     )
     assert per_step <= GUARD_BUDGET_S, (
         f"disabled fault layer costs {per_step * 1e6:.2f} us per step"
     )
 
 
-def test_empty_plan_end_to_end_overhead(report):
+def test_empty_plan_end_to_end_overhead():
     """Messaging workload: faults=None vs an enabled-but-empty plan.
 
     The empty plan pays a real (locked, hashed) draw per hook, so it is
@@ -98,13 +94,10 @@ def test_empty_plan_end_to_end_overhead(report):
     t_disabled = min(run(None) for _ in range(3))
     t_empty = min(run(FaultPlan(seed=0)) for _ in range(3))
     ratio = t_empty / t_disabled
-    report(
-        "perf_faults_empty_plan",
-        f"sendrecv+allreduce x{rounds}, {nranks} ranks",
-        [
-            f"faults=None:  {t_disabled * 1e3:8.2f} ms",
-            f"empty plan:   {t_empty * 1e3:8.2f} ms  ({ratio:.2f}x)",
-        ],
+    print(
+        f"\nsendrecv+allreduce x{rounds}, {nranks} ranks"
+        f"\nfaults=None:  {t_disabled * 1e3:8.2f} ms"
+        f"\nempty plan:   {t_empty * 1e3:8.2f} ms  ({ratio:.2f}x)"
     )
     # Generous sanity bound: wiring an idle injector must never blow up a
     # communication-bound workload.

@@ -73,9 +73,6 @@ class Dataset:
     def array_names(self, assoc: Association) -> list[str]:
         return sorted(self._arrays[assoc])
 
-    def num_arrays(self, assoc: Association) -> int:
-        return len(self._arrays[assoc])
-
     # ghost support -------------------------------------------------------------
     def set_ghost_levels(self, assoc: Association, levels: np.ndarray) -> None:
         """Attach a ``vtkGhostLevels`` byte array (0 = owned, >0 = ghost)."""

@@ -4,8 +4,10 @@ Each entry returns a :class:`Result`: its typed rows (scale or run,
 configuration, then the numbers in the header's units), the format
 ``python -m repro run`` prints them with, and the paper's shape claims as
 :class:`Claim` data.  ``tests/test_cli_experiments.py`` asserts every claim
-in tier-1.  The benchmarks under ``benchmarks/`` keep only the native runs
-of the real code that check something these claims do not.
+in tier-1, where ``tests/test_native_figures.py`` runs the real code for
+each figure the program itself can show.  The entries after the paper's
+figures model the design choices the paper discusses (burst-buffer
+staging, compositing algorithm, endpoint placement, staging window).
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from repro.perf.apps_model import (
     nyx_scaling,
     phasta_table2,
 )
+from repro.perf.events import simulate_staging
 from repro.perf.iomodel import IOModel
 from repro.perf.machine import CORI, TITAN
 from repro.perf.miniapp_model import SCALES, MiniappConfig, MiniappModel
+from repro.perf.network import NetworkModel
 
 _INF = math.inf
 
@@ -181,6 +185,12 @@ def _fig06():
         "{:<5}{:<17}{:>12.4f}{:>17.4f}",
         rows,
         [
+            *(
+                Claim(f"{s} catalyst-slice/histogram analysis",
+                      by[s, "catalyst-slice"][1] / by[s, "histogram"][1], (1.0, _INF),
+                      "slice analyses are compositing-dominated")
+                for s in SCALES
+            ),
             Claim("baseline sim/step 1K-6K (s)",
                   by["1K", "baseline"][0] - by["6K", "baseline"][0], (-1e-9, 1e-9),
                   "the simulation phase weak-scales nearly perfectly"),
@@ -550,6 +560,90 @@ def _burstbuffer():
     return Result(
         f"{'scale':<5}{'direct(s)':>11}{'burst buffer(s)':>16}{'drains?':>9}",
         "{:<5}{:>11.3f}{:>16.4f}{!s:>9}",
+        rows,
+        claims,
+    )
+
+
+@experiment("compositing", "binary swap vs direct send at 1920x1080 (ablation)")
+def _compositing():
+    net = NetworkModel(CORI)
+    image = 1920 * 1080 * 4
+    rows = []
+    for p in (4, 16, 64, 256, 1024, 6496, 45440):
+        bs, ds = net.binary_swap(p, image), net.direct_send(p, image)
+        rows.append((p, bs, ds, ds / bs))
+    ratio = {p: r for p, _, _, r in rows}
+    return Result(
+        f"{'ranks':>7}{'binary swap(s)':>15}{'direct send(s)':>15}{'ratio':>8}",
+        "{:>7}{:>15.4f}{:>15.4f}{:>8.1f}",
+        rows,
+        [
+            Claim("direct send/binary swap 45440/4", ratio[45440] / ratio[4], (1.0, _INF),
+                  "binary swap's advantage grows with concurrency (Sec. 4.1.3)"),
+            Claim("45440 direct send/binary swap", ratio[45440], (50.0, _INF),
+                  "binary swap wins at high concurrency"),
+        ],
+    )
+
+
+@experiment("placement", "Catalyst-slice endpoint placement (ablation)")
+def _placement():
+    rows = []
+    for scale in ("6K", "45K"):
+        m = MiniappModel(MiniappConfig.at_scale(scale))
+        for placement in ("hyperthread", "dedicated-cores", "dedicated-nodes"):
+            fp = m.flexpath("catalyst-slice", placement=placement)
+            rows.append((scale, placement, fp["adios_analysis"], fp["endpoint_analysis"],
+                         fp["makespan"]))
+    by = {(s, p): (wa, ea, mk) for s, p, wa, ea, mk in rows}
+    claims = []
+    for scale in ("6K", "45K"):
+        hyper, cores, nodes = (
+            by[scale, p] for p in ("hyperthread", "dedicated-cores", "dedicated-nodes")
+        )
+        claims += [
+            Claim(f"{scale} dedicated-cores/hyperthread endpoint", cores[1] / hyper[1],
+                  (-_INF, 1.0), "no hyperthread contention speeds the endpoint step"),
+            Claim(f"{scale} dedicated-nodes/hyperthread endpoint", nodes[1] / hyper[1],
+                  (-_INF, 1.0), "no hyperthread contention speeds the endpoint step"),
+            Claim(f"{scale} dedicated-nodes adios::analysis (s)", nodes[0], (0.0, _INF),
+                  "dedicated nodes pay network transfer on the writer side", closed=True),
+            Claim(f"{scale} best dedicated/hyperthread makespan",
+                  min(cores[2], nodes[2]) / hyper[2], (-_INF, 1.0),
+                  "escaping contention wins despite ceded cores or links (Sec. 4.1.4)"),
+        ]
+    return Result(
+        f"{'scale':<5}{'placement':<17}{'writer ana(s)':>14}"
+        f"{'endpoint/step(s)':>17}{'makespan(s)':>12}",
+        "{:<5}{:<17}{:>14.4f}{:>17.4f}{:>12.1f}",
+        rows,
+        claims,
+    )
+
+
+@experiment("staging_window", "FlexPath window depth, slow endpoint at 6K (ablation)")
+def _staging_window():
+    m = MiniappModel(MiniappConfig.at_scale("6K"))
+    endpoint = m.catalyst_slice().analysis_per_step * 1.5  # slower than the writer
+    rows = []
+    for window in (1, 2, 4, 8):
+        tl = simulate_staging(100, sim_time=m.sim_step, advance_time=1e-4,
+                              transfer_time=5e-4, endpoint_time=endpoint, window=window)
+        buffer_mb = window * m.cfg.points_per_core * 8 / 1e6
+        rows.append((window, sum(tl.writer_analysis), tl.makespan, buffer_mb))
+    claims = [
+        Claim(f"window {w1}->{w2} writer blocking change (s)", b2 - b1, (-_INF, 0.0),
+              "a deeper window can only reduce blocking", closed=True)
+        for (w1, b1, _, _), (w2, b2, _, _) in zip(rows, rows[1:])
+    ]
+    claims.append(
+        Claim("window 8 writer blocking (s)", rows[-1][1], (0.0, _INF),
+              "an endpoint slower than the writer keeps blocking at any depth")
+    )
+    return Result(
+        f"{'window':>7}{'writer block(s)':>16}{'makespan(s)':>12}{'buffer/rank(MB)':>17}",
+        "{:>7}{:>16.2f}{:>12.2f}{:>17.2f}",
         rows,
         claims,
     )

@@ -12,11 +12,14 @@ backend.
 ``_shm_leak_guard`` is autouse everywhere: the process backend moves bulk
 payloads through named ``/dev/shm`` segment files whose lifecycle contract is
 "consumer unlinks, launcher sweeps the rest" -- any segment surviving a
-test is a real leak and fails that test at teardown.
+test is a real leak and fails that test at teardown.  ``_tmp_leak_guard``
+holds the session to the same rule for the temp directory.
 """
 
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,3 +80,24 @@ def _shm_leak_guard():
             except FileNotFoundError:
                 pass
         pytest.fail(f"leaked shared-memory segments: {sorted(leaked)}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _tmp_leak_guard(tmp_path_factory):
+    """Fail the session if it leaves a new entry in the temp directory.
+
+    Exempt are pytest's own basetemp (``tmp_path`` lives there; pytest
+    prunes old ones) and multiprocessing's ``pymp-*`` directory, which its
+    exit hook removes after this teardown runs.
+    """
+    root = Path(tempfile.gettempdir()).resolve()
+    before = set(root.iterdir())
+    basetemp = tmp_path_factory.getbasetemp().resolve()
+    yield
+    left = sorted(
+        str(p)
+        for p in set(root.iterdir()) - before
+        if not p.name.startswith("pymp-") and not basetemp.is_relative_to(p)
+    )
+    if left:
+        pytest.fail(f"the session left entries in the temp directory: {left}")

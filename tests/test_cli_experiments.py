@@ -16,12 +16,13 @@ _CLAIMS = [
 
 class TestRegistry:
     def test_all_paper_artifacts_present(self):
-        """Every paper figure and table, and the burst-buffer extension,
-        is in the registry with at least one claim."""
+        """Every paper figure and table, the burst-buffer extension and the
+        three modeled ablations are in the registry with at least one claim."""
         expected = {
             "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
             "fig10", "fig11", "fig12", "fig15", "fig16", "fig17",
             "table1", "table2", "burstbuffer",
+            "compositing", "placement", "staging_window",
         }
         assert expected <= set(available_experiments())
         assert all(run_experiment(name).claims for name in expected)

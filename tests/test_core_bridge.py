@@ -11,6 +11,8 @@ from repro.core import (
     register_analysis,
 )
 from repro.data import Association
+from repro.miniapp import OscillatorSimulation
+from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.util import Configuration, ConfigError, Extent, TimerRegistry
 from repro.util.config import ConfigError as CE
@@ -180,6 +182,27 @@ class TestLazyAdaptor:
             return ad.mesh_constructions, ad.array_mappings
 
         assert run_spmd(1, prog)[0] == (1, 1)
+
+    def test_bridge_without_analyses_maps_only_when_eager(self):
+        """No analysis enabled, 5 steps through the bridge: the lazy adaptor
+        builds nothing, the eager one re-maps every step (Sec. 3.2)."""
+
+        def prog(comm):
+            counts = []
+            for eager in (False, True):
+                sim = OscillatorSimulation(comm, (24, 24, 24), default_oscillators())
+                adaptor = sim.make_data_adaptor(eager=eager)
+                bridge = Bridge(comm, adaptor)
+                bridge.initialize()
+                sim.run(5, bridge)
+                bridge.finalize()
+                counts.append((adaptor.mesh_constructions, adaptor.array_mappings))
+            return counts
+
+        lazy, (meshes, mappings) = run_spmd(2, prog)[0]
+        assert lazy == (0, 0)
+        assert meshes >= 1
+        assert mappings == 5
 
     def test_get_array_zero_copy(self):
         def prog(comm):

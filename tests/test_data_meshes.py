@@ -61,7 +61,6 @@ class TestImageData:
         img.add_point_array(DataArray.from_numpy("a", np.zeros(8)))
         img.add_point_array(DataArray.from_numpy("b", np.zeros(8)))
         assert img.array_names(Association.POINT) == ["a", "b"]
-        assert img.num_arrays(Association.POINT) == 2
         assert img.has_array(Association.POINT, "a")
         assert not img.has_array(Association.CELL, "a")
         with pytest.raises(KeyError):

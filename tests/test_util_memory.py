@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import DataArray
 from repro.util import MemoryTracker, sum_high_water
 
 
@@ -49,6 +50,9 @@ def test_track_array_counts_owned_buffer():
     a = np.zeros(1000, dtype=np.float64)
     m.track_array(a)
     assert m.current == a.nbytes
+    deep = MemoryTracker()
+    deep.track_array(DataArray.from_numpy("data", a).deep_copy().values)
+    assert deep.peak == a.nbytes  # the deep-copy mapping the paper avoids
 
 
 def test_track_array_ignores_views_zero_copy():
@@ -61,6 +65,8 @@ def test_track_array_ignores_views_zero_copy():
     strided = a[::2]
     m.track_array(strided)
     assert m.current == 0
+    m.track_array(DataArray.from_numpy("data", np.zeros((10, 10, 10))).values)
+    assert m.peak == 0  # the mapping is a view of the simulation's field
 
 
 def test_named_labels_accumulate():
