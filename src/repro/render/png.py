@@ -20,8 +20,11 @@ pixel back where the row is flat and one row back elsewhere, 2 and 13
 bits each on a 1920-pixel row), because a frame stretched from a small
 slice repeats most rows and zlib would hash every byte of every copy.
 The rows between runs are raw-deflate members, primed (``zdict``) with
-the 32 KiB of scanlines above them and ended with ``Z_SYNC_FLUSH``.
-Every piece ends on a byte and the last one finishes the stream.
+the 32 KiB of scanlines above them -- after a copy block, with one row
+and one 258-byte match, which writes the same bytes -- and ended with
+``Z_SYNC_FLUSH``.  Every piece ends on a byte and the last one finishes
+the stream.  Each leaf's Adler-32 hashes its members' bytes and composes
+each run's from its one row, and rank 0 combines the leaves'.
 Back-references across leaf boundaries therefore resolve exactly as in a
 serial stream, any standard inflater decodes the result, and the bytes
 depend only on the frame and the level: every rank count, on either
@@ -132,18 +135,21 @@ def _zlib_header(level: int) -> bytes:
     return bytes((cmf, flg))
 
 
-def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
-    """Adler-32 of ``A + B`` from ``adler32(A)``, ``adler32(B)`` and
-    ``len(B)`` (zlib's ``adler32_combine``, which Python's ``zlib`` lacks).
+def adler32_combine(adler1: int, adler2: int, len2: int, count: int = 1) -> int:
+    """Adler-32 of ``A + B * count`` from ``adler32(A)``, ``adler32(B)`` and
+    ``len(B)`` (zlib's ``adler32_combine``, which Python's ``zlib`` lacks,
+    in closed form over ``count`` copies of ``B``).
 
     With ``a = 1 + sum(bytes)`` and ``b = sum of the running a``s, both mod
-    65521: ``a = a1 + a2 - 1`` and ``b = b1 + b2 + len2 * (a1 - 1)``.
+    65521: each copy adds ``a2 - 1`` to ``a``, and to ``b`` its own ``b2``
+    plus ``len2`` times the ``a - 1`` before it.
     """
     base = 65521
     a1, b1 = adler1 & 0xFFFF, adler1 >> 16
     a2, b2 = adler2 & 0xFFFF, adler2 >> 16
-    a = (a1 + a2 - 1) % base
-    b = (b1 + b2 + len2 * (a1 - 1)) % base
+    a = (a1 + count * (a2 - 1)) % base
+    before = count * (a1 - 1) + count * (count - 1) // 2 * (a2 - 1)
+    b = (b1 + count * b2 + len2 * before) % base
     return (b << 16) | a
 
 
@@ -155,11 +161,13 @@ def leaf_depth(height: int, row_bytes: int) -> int:
     return max(0, min(depth, height.bit_length() - 1))
 
 
-def _member(raw, b0: int, b1: int, level: int, last: bool) -> bytes:
-    """``raw[b0:b1]`` as one raw-deflate member primed with the 32 KiB
-    before it: ended by ``Z_SYNC_FLUSH`` (byte-aligned, no final block), or
-    by ``Z_FINISH`` for the ``last`` member of the stream."""
-    zdict = raw[max(0, b0 - _WINDOW) : b0]
+def _member(raw, b0: int, b1: int, level: int, last: bool, prime: int) -> bytes:
+    """``raw[b0:b1]`` as one raw-deflate member primed with the ``prime``
+    bytes before it (the window, or less where :func:`_deflate_leaf` shows
+    that writes the same bytes): ended by ``Z_SYNC_FLUSH`` (byte-aligned,
+    no final block), or by ``Z_FINISH`` for the ``last`` member of the
+    stream."""
+    zdict = raw[max(0, b0 - prime) : b0]
     co = zlib.compressobj(level, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, zdict)
     body = co.compress(raw[b0:b1])
     return body + co.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
@@ -378,13 +386,22 @@ def _repeat_runs(raw, b0: int, b1: int, row_bytes: int) -> list[tuple[int, int]]
 
 def _deflate_leaf(
     raw, b0: int, b1: int, row_bytes: int, pixel: int, level: int, last: bool
-) -> bytes:
+) -> tuple[bytes, int]:
     """``raw[b0:b1]`` (whole scanlines of ``row_bytes``, ``pixel`` bytes a
-    pixel) as byte-aligned deflate pieces that end the stream if ``last``:
-    the repeated-row runs of :func:`_repeat_runs` one copy block each (one
-    :func:`_copy_blocks` batch per leaf, which bounds its arrays), the
-    rows around them one :func:`_member` each.  A leaf with no such run is
-    one member."""
+    pixel) as byte-aligned deflate pieces that end the stream if ``last``,
+    and their Adler-32: the repeated-row runs of :func:`_repeat_runs` one
+    copy block each (one :func:`_copy_blocks` batch per leaf, which bounds
+    its arrays), the rows around them one :func:`_member` each.  A leaf
+    with no such run is one member.
+
+    A member right after a copy block is primed with only the last row
+    and one longest match (258 bytes) before it.  The 32 KiB before it is
+    one row repeated, so any match further back recurs one row nearer,
+    ending before the member, at the same length; zlib walks candidates
+    nearest first and keeps a farther one only if it is longer, so the
+    bytes are those of a 32 KiB prime.  Members hash their own bytes into
+    the checksum; a run's is composed from its one row.
+    """
     runs = []
     if level and row_bytes <= _WINDOW:
         runs = _repeat_runs(raw, b0, b1, row_bytes)
@@ -397,13 +414,18 @@ def _deflate_leaf(
             pixel,
             last and runs[-1][1] == b1,
         )
-    pieces, pos = [], b0
+    pieces, pos, adler, prime = [], b0, 1, _WINDOW
     for (start, end), block in zip(runs + [(b1, b1)], blocks + [b""]):
         if pos < start:
-            pieces.append(_member(raw, pos, start, level, last and start == b1))
-        pieces.append(block)
+            pieces.append(_member(raw, pos, start, level, last and start == b1, prime))
+            adler = zlib.adler32(raw[pos:start], adler)
+        if block:
+            pieces.append(block)
+            row_adler = zlib.adler32(raw[start - row_bytes : start])
+            adler = adler32_combine(adler, row_adler, row_bytes, (end - start) // row_bytes)
+            prime = min(_WINDOW, row_bytes + 258)
         pos = end
-    return b"".join(pieces)
+    return b"".join(pieces), adler
 
 
 def encode_png(image: np.ndarray, compression_level: int = 6) -> bytes:
@@ -502,8 +524,9 @@ def sort_last_png(
         band_rows(height, rank + (j << owned), depth)
         for j in range(1 << (depth - owned))
     )
-    deflated = b"".join(
-        _deflate_leaf(
+    deflated, adler = [], 1
+    for l0, l1 in leaves:
+        part, part_adler = _deflate_leaf(
             raw,
             skip + (l0 - lo) * row_bytes,
             skip + (l1 - lo) * row_bytes,
@@ -512,10 +535,10 @@ def sort_last_png(
             compression_level,
             last=l1 == height,
         )
-        for l0, l1 in leaves
-    )
-    own = raw[skip:]
-    pieces = comm.gather((lo, deflated, zlib.adler32(own), len(own)), root=0)
+        deflated.append(part)
+        adler = adler32_combine(adler, part_adler, (l1 - l0) * row_bytes)
+    own = (hi - lo) * row_bytes
+    pieces = comm.gather((lo, b"".join(deflated), adler, own), root=0)
     if rank != 0:
         return None
     adler, body = 1, []

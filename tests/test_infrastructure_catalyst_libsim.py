@@ -19,6 +19,7 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.render import decode_png
+from repro.render.png import _WINDOW
 from repro.trace import TraceSession
 from repro.util import MemoryTracker, TimerRegistry
 from repro.util.config import ConfigError
@@ -356,17 +357,18 @@ class TestLibsim:
             LibsimAdaptor(session_file="x", frequency=0)
 
 
-def _paper_size_pngs(comm):
-    """Two steps of the 64^3 oscillator through the Catalyst z-mid slice at
-    the paper's 1920x1080; rank 0's PNG per step.  The second step paints
-    into the first step's cleared partial."""
+def _paper_size_pngs(comm, start=0.0, steps=2):
+    """``steps`` steps from time ``start`` of the 64^3 oscillator through
+    the Catalyst z-mid slice at the paper's 1920x1080; rank 0's PNG per
+    step.  The second step paints into the first step's cleared partial."""
     sim = OscillatorSimulation(comm, (64, 64, 64), default_oscillators(), dt=0.1)
+    sim.time = start
     bridge = Bridge(comm, sim.make_data_adaptor())
     cat = CatalystAdaptor(plane=SlicePlane(axis=2, index=32), resolution=(1920, 1080))
     bridge.add_analysis(cat)
     bridge.initialize()
     pngs = []
-    for _ in range(2):
+    for _ in range(steps):
         sim.run(1, bridge)
         pngs.append(cat.last_png)
     bridge.finalize()
@@ -382,6 +384,12 @@ _PAPER_SIZE_PIXEL_CRCS = [0xF8D947D4, 0xA0A9DFAF]
 #: of repeated rows at least the deflate window long as one copy block
 #: (the stretched 64^3 slice repeats 1016 of its 1080 rows).
 _PAPER_SIZE_PNG_CRCS = [0xA91E177D, 0xB99C68F6]
+
+#: CRC-32 of the PNG one step after each start time, recorded before
+#: members after a copy block were primed with one row and one match: at
+#: t = 5.6, and at t = 56.0 (step 560), where far more of the 258-byte
+#: copies are one pixel back than on the first steps.
+_LATE_PAPER_SIZE_PNG_CRCS = {5.5: 0xAB7010D7, 55.9: 0x122852CA}
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,6 +417,34 @@ class TestCatalystPaperResolution:
         # bytes on the same 8 leaves.
         for png, p in zip(pngs, pixels):
             assert len(png) <= 1.02 * len(expected_png(p, 6))
+
+    @pytest.mark.parametrize("nranks,backend", [(1, "thread"), (2, "thread"), (2, "process")])
+    @pytest.mark.parametrize("start", sorted(_LATE_PAPER_SIZE_PNG_CRCS))
+    def test_late_frame_png_pinned(self, start, nranks, backend):
+        prog = functools.partial(_paper_size_pngs, start=start, steps=1)
+        (png,) = run_spmd(nranks, prog, backend=backend)[0]
+        assert zlib.crc32(png) == _LATE_PAPER_SIZE_PNG_CRCS[start]
+
+    def test_members_after_a_copy_block_hash_one_row_and_one_match(self, monkeypatch):
+        """Exact on any host: zlib is primed with the 32 KiB window only at
+        a leaf's first member, and each of the 60 members per frame that
+        follow a copy block with one 5 761-byte row and one 258-byte match.
+        A frame's prime bytes fall from 63 x 32 KiB (2 064 384) to 459 444."""
+        primes, compressobj = [], zlib.compressobj
+
+        def spy(level, method, wbits, mem_level, strategy, zdict):
+            primes.append(len(zdict))
+            return compressobj(level, method, wbits, mem_level, strategy, zdict)
+
+        monkeypatch.setattr(zlib, "compressobj", spy)
+        run_spmd(1, _paper_size_pngs, backend="thread")
+        short = 1920 * 3 + 1 + 258
+        assert len(primes) == 2 * 64
+        for frame in (primes[:64], primes[64:]):
+            assert frame[0] == 0  # the frame's first row has nothing above it
+            assert all(p in (short, _WINDOW) for p in frame[1:])
+            assert frame.count(short) == 60 and frame.count(_WINDOW) == 3
+            assert sum(frame) == 459_444 < 64 * _WINDOW // 4
 
     def test_root_gathers_compressed_bytes_not_pixels(self):
         """Rank 1 gathers its deflated half to rank 0, not the 4 MB of

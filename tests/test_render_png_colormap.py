@@ -20,6 +20,7 @@ from repro.render.png import (
     PNGError,
     _chunk,
     _copy_blocks,
+    _deflate_leaf,
     adler32_combine,
     sort_last_png,
 )
@@ -611,6 +612,39 @@ class TestAdler32Combine:
         combined = adler32_combine(zlib.adler32(a), zlib.adler32(b), len(b))
         assert combined == zlib.adler32(a + b)
 
+    @pytest.mark.parametrize("row_bytes", [2, 181, 5761, 70_000])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 17, 1080])
+    def test_repeated_part_in_closed_form(self, count, row_bytes):
+        """``A + B * count`` for rows short and long, and past the modulus
+        65 521, against zlib hashing every copy."""
+        rng = np.random.default_rng(row_bytes)
+        a, b = rng.bytes(5), rng.bytes(row_bytes)
+        expected = zlib.adler32(a)
+        for _ in range(count):
+            expected = zlib.adler32(b, expected)
+        combined = adler32_combine(zlib.adler32(a), zlib.adler32(b), row_bytes, count)
+        assert combined == expected
+
+    @pytest.mark.parametrize("row_bytes", [2, 181, 5761])
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 1080])
+    def test_leaf_checksum_is_zlibs(self, count, row_bytes):
+        """A row, another repeated ``count`` times (a copy block once it
+        spans the window), and a last row: the leaf's composed Adler-32 is
+        zlib's over its raw bytes, and the leaf inflates to them."""
+        rng = np.random.default_rng(count)
+        rows = rng.integers(0, 256, (3, row_bytes), dtype=np.uint8)
+        rows[:, 0] = 0
+        raw = np.repeat(rows, [1, count + 1, 1], axis=0).tobytes()
+        leaf, adler = _deflate_leaf(memoryview(raw), 0, len(raw), row_bytes, 1, 6, True)
+        assert adler == zlib.adler32(raw)
+        assert zlib.decompress(leaf, -15) == raw
+
+    def test_leaf_without_a_run(self):
+        raw = np.random.default_rng(9).integers(0, 256, 40_000, dtype=np.uint8).tobytes()
+        leaf, adler = _deflate_leaf(memoryview(raw), 4000, 36_000, 400, 1, 6, True)
+        assert adler == zlib.adler32(raw[4000:36_000])
+        assert zlib.decompress(leaf, -15) == raw[4000:36_000]
+
 
 class TestGoldenBytes:
     """Encoder output is pinned byte-for-byte: the CRCs below were recorded
@@ -636,6 +670,35 @@ class TestGoldenBytes:
         ).astype(np.uint8)
         img[::3] ^= rng.integers(0, 32, (40, 160, 3), dtype=np.uint8)
         return img
+
+    #: Sort-last's bytes of :meth:`_narrow_runs`, recorded before members
+    #: after a copy block were primed with one row and one match.
+    NARROW_RUNS_GOLDEN = {1: 0x965698A7, 6: 0x13AE4AE3, 9: 0xB19AC4DB}
+
+    @staticmethod
+    def _narrow_runs():
+        """60 px RGB x 6000 rows (181-byte scanlines, two leaves): 60 rows,
+        smooth and noisy in turn, each repeated 1-399 times, so a member
+        after a copy block is primed with under 258 bytes plus one row."""
+        rng = np.random.default_rng(47)
+        x = np.arange(60)
+        distinct = np.empty((60, 60, 3), dtype=np.uint8)
+        for k in range(60):
+            if k % 2:
+                distinct[k] = rng.integers(0, 256, (60, 3))
+            else:
+                v = (np.sin(x / (k + 3.0)) + 1) * 127
+                distinct[k] = np.stack([v, 255 - v, v // 2], axis=-1)
+        img = np.repeat(distinct, rng.integers(1, 400, 60), axis=0)[:6000]
+        assert len(img) == 6000 and len(leaf_bounds(img)) == 2
+        return img
+
+    @pytest.mark.parametrize("level", sorted(NARROW_RUNS_GOLDEN))
+    def test_narrow_rows_with_runs_match_recorded_crc(self, level):
+        img = self._narrow_runs()
+        blobs = {_sort_last(img, level, n) for n in (1, 2, 3)}
+        assert [zlib.crc32(blob) for blob in blobs] == [self.NARROW_RUNS_GOLDEN[level]]
+        assert np.array_equal(decode_png(blobs.pop()), img)
 
     @pytest.mark.parametrize("level,workers", sorted(GOLDEN))
     def test_encoded_bytes_match_recorded_crc(self, level, workers):
