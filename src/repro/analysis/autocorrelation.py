@@ -142,13 +142,11 @@ class AutocorrelationAnalysis(AnalysisAdaptor):
     miniapp's analysis behaves.
     """
 
-    def __init__(self, window: int = 10, k: int = 3, array: str = "data",
-                 association: Association = Association.POINT) -> None:
+    def __init__(self, window: int = 10, k: int = 3, array: str = "data") -> None:
         super().__init__()
         self.window = window
         self.k = k
         self.array = array
-        self.association = association
         self._state: AutocorrelationState | None = None
         self._comm = None
         self.result: AutocorrelationResult | None = None
@@ -157,7 +155,7 @@ class AutocorrelationAnalysis(AnalysisAdaptor):
         self._comm = comm
 
     def execute(self, data: DataAdaptor) -> bool:
-        arr = data.get_array(self.association, self.array)
+        arr = data.get_array(Association.POINT, self.array)
         values = arr.values
         if self._state is None:
             # Global offset via exclusive scan of local sizes.

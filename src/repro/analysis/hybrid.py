@@ -16,7 +16,6 @@ from repro.analysis.autocorrelation import AutocorrelationState
 from repro.analysis.histogram import Histogram, HistogramAnalysis, local_histogram
 from repro.core.adaptors import DataAdaptor
 from repro.core.configurable import register_analysis
-from repro.data import Association
 from repro.mpi import MAX, MIN, SUM
 from repro.util.parallel import parallel_chunked
 from repro.util.timers import timed
@@ -52,9 +51,8 @@ def _make_hybrid_histogram(config) -> "HybridHistogramAnalysis":
 class HybridHistogramAnalysis(HistogramAnalysis):
     """Histogram with node-level thread parallelism in the binning pass."""
 
-    def __init__(self, bins: int = 64, array: str = "data", n_threads: int = 2,
-                 association: Association = Association.POINT) -> None:
-        super().__init__(bins=bins, array=array, association=association)
+    def __init__(self, bins: int = 64, array: str = "data", n_threads: int = 2) -> None:
+        super().__init__(bins=bins, array=array)
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
         self.n_threads = n_threads
@@ -95,9 +93,8 @@ class ThreadedAutocorrelationState(AutocorrelationState):
     Cells are independent, so chunking by cell changes nothing numerically.
     """
 
-    def __init__(self, window: int, n_local: int, global_offset: int = 0,
-                 n_threads: int = 2, memory=None) -> None:
-        super().__init__(window, n_local, global_offset=global_offset, memory=memory)
+    def __init__(self, window: int, n_local: int, n_threads: int = 2) -> None:
+        super().__init__(window, n_local)
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
         self.n_threads = n_threads

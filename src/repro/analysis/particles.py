@@ -43,7 +43,7 @@ from repro.data.particles import (
 )
 from repro.core.configurable import register_analysis
 from repro.mpi import SUM
-from repro.render import VIRIDIS, Colormap, encode_png
+from repro.render import VIRIDIS, encode_png
 from repro.util.timers import timed
 
 
@@ -82,9 +82,7 @@ class DensityProjectionAnalysis(AnalysisAdaptor):
         grid: int = 32,
         axis: int = 0,
         output_dir: str | None = None,
-        colormap: Colormap = VIRIDIS,
         frequency: int = 1,
-        compression_level: int = 6,
     ) -> None:
         super().__init__()
         if grid <= 0:
@@ -94,9 +92,7 @@ class DensityProjectionAnalysis(AnalysisAdaptor):
         self.grid = grid
         self.axis = axis
         self.output_dir = output_dir
-        self.colormap = colormap
         self.frequency = frequency
-        self.compression_level = compression_level
         self._comm = None
         #: PNG bytes of the most recent projection (every rank).
         self.last_png: bytes | None = None
@@ -120,10 +116,7 @@ class DensityProjectionAnalysis(AnalysisAdaptor):
             total = self._comm.allreduce(local, SUM)
         with timed(self.timers, "density_projection::render"):
             plane = total.astype(np.float64) / DEPOSIT_SCALE
-            rgb = self.colormap.map(plane)
-            self.last_png = encode_png(
-                rgb, compression_level=self.compression_level
-            )
+            self.last_png = encode_png(VIRIDIS.map(plane))
         self.png_crcs.append(zlib.crc32(self.last_png))
         if self.output_dir is not None and self._comm.rank == 0:
             path = os.path.join(

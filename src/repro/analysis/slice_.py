@@ -121,12 +121,10 @@ class SliceExtractAnalysis(AnalysisAdaptor):
     gathering raw values.
     """
 
-    def __init__(self, plane: SlicePlane, array: str = "data",
-                 association: Association = Association.POINT) -> None:
+    def __init__(self, plane: SlicePlane, array: str = "data") -> None:
         super().__init__()
         self.plane = plane
         self.array = array
-        self.association = association
         self._comm = None
         self.slices: list[np.ndarray] = []  # root rank only
 
@@ -145,8 +143,8 @@ class SliceExtractAnalysis(AnalysisAdaptor):
         hi = (ext.i1, ext.j1, ext.k1)[self.plane.axis]
         local = None
         if lo <= self.plane.index <= hi:
-            arr = data.get_array(self.association, self.array)
-            mesh.add_array(self.association, arr)
+            arr = data.get_array(Association.POINT, self.array)
+            mesh.add_array(Association.POINT, arr)
             local = extract_axis_slice(mesh, self.array, self.plane)
         out = gather_global_slice(
             self._comm, local, mesh.whole_extent, self.plane

@@ -30,7 +30,6 @@ from repro.core.adaptors import DataAdaptor
 from repro.mpi import MAX
 from repro.data import Association, DataArray, ImageData
 from repro.util.decomp import Extent, block_decompose_1d
-from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry, timed
 
 GAMMA = 1.4
@@ -42,19 +41,18 @@ def mixing_layer_state(
     y: np.ndarray,
     z: np.ndarray,
     mach: float = 0.4,
-    delta: float = 0.05,
-    perturbation: float = 0.02,
 ) -> dict[str, np.ndarray]:
     """Primitive initial condition for the temporal mixing layer.
 
     Two streams at +/- U (``U = mach * c``) separated by tanh shear layers
-    of thickness ``delta``, with a sinusoidal perturbation to seed the
-    Kelvin-Helmholtz rollup, uniform density/pressure, and a passive scalar
+    of thickness 0.05, with a sinusoidal perturbation (2 % of ``U``) to seed
+    the Kelvin-Helmholtz rollup, uniform density/pressure, and a passive scalar
     marking the fast stream.  The profile uses the standard
     periodic-box double layer (shear at y = 0.25 and y = 0.75) so the whole
     domain is triply periodic -- the usual TML-in-a-box setup.
     """
     c0 = 1.0  # sound speed of the uniform state (rho = 1, p = 1/gamma)
+    delta, perturbation = 0.05, 0.02
     u_stream = mach * c0
     profile = (
         np.tanh(2.0 * (y - 0.25) / delta)
@@ -116,8 +114,7 @@ class AVFLeslieSimulation:
     ----------
     global_dims:
         Global *cell* counts ``(nx, ny, nz)``; the domain is the unit cube.
-    cfl:
-        Time-step CFL number against the initial max wavespeed.
+        The time step is CFL 0.4 against the initial max wavespeed.
     """
 
     FIELDS = ("rho", "u", "v", "w", "p", "scalar", "vorticity")
@@ -127,14 +124,10 @@ class AVFLeslieSimulation:
         comm,
         global_dims: tuple[int, int, int] = (32, 32, 16),
         mach: float = 0.4,
-        cfl: float = 0.4,
-        timers: TimerRegistry | None = None,
-        memory: MemoryTracker | None = None,
     ) -> None:
         self.comm = comm
         self.global_dims = global_dims
-        self.timers = timers if timers is not None else TimerRegistry()
-        self.memory = memory
+        self.timers = TimerRegistry()
         nx, ny, nz = global_dims
         if nx < comm.size:
             raise ValueError("need at least one x-plane of cells per rank")
@@ -151,11 +144,9 @@ class AVFLeslieSimulation:
         Z = gz[None, None, :] * np.ones((self.nx_local + 2 * _NG, ny, 1))
         prim = mixing_layer_state(X, Y, Z, mach=mach)
         self.q = _primitive_to_conserved(prim)  # (6, nxl+2, ny, nz)
-        if self.memory is not None:
-            self.memory.track_array(self.q, label="avf::state")
         wavespeed = float(_max_wavespeed(self.q).max())
         wavespeed = self.comm.allreduce(wavespeed, MAX)
-        self.dt = cfl * min(self.h) / wavespeed
+        self.dt = 0.4 * min(self.h) / wavespeed
         self.time = 0.0
         self.step = 0
 

@@ -51,7 +51,6 @@ from repro.data.particles import (
 )
 from repro.mpi import SUM
 from repro.util.decomp import Extent, slab_bounds
-from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry, timed
 
 #: Point-to-point tag for migration payloads (outside the collective range).
@@ -118,7 +117,6 @@ class ParticleMeshSimulation:
         dt: float,
         gravity: float,
         timers: TimerRegistry | None,
-        memory: MemoryTracker | None,
     ) -> None:
         if grid < comm.size:
             raise ValueError("need at least one x-plane of cells per rank")
@@ -127,7 +125,6 @@ class ParticleMeshSimulation:
         self.dt = float(dt)
         self.gravity = float(gravity)
         self.timers = timers if timers is not None else TimerRegistry()
-        self.memory = memory
         self.bounds = slab_bounds(grid, comm.size)
         self.x_lo, self.x_hi = self.bounds[comm.rank]
         #: Slab boundaries in position space; owner via searchsorted.
@@ -145,10 +142,6 @@ class ParticleMeshSimulation:
         ids = np.arange(pos.shape[0], dtype=np.int64)
         mine = self._owner_ranks(pos[:, 0]) == self.comm.rank
         self.particles = ParticleSet(ids[mine], pos[mine], vel[mine], mass[mine])
-        if self.memory is not None:
-            self.memory.track_array(
-                self.particles.positions, label=f"{self.namespace}::particles"
-            )
 
     # -- ownership -------------------------------------------------------------
     def _owner_ranks(self, x: np.ndarray) -> np.ndarray:
@@ -256,7 +249,8 @@ class ParticleMeshSimulation:
 
 
 class NBodySimulation(ParticleMeshSimulation):
-    """Leapfrog PM gravity from dyadic random initial conditions."""
+    """Leapfrog PM gravity from dyadic random initial conditions, at
+    ``dt = 0.05`` and gravity strength 0.5."""
 
     namespace = "nbody"
 
@@ -266,13 +260,10 @@ class NBodySimulation(ParticleMeshSimulation):
         grid: int = 16,
         n_particles: int = 512,
         seed: int = 42,
-        dt: float = 0.05,
-        gravity: float = 0.5,
         velocity_scale: float = 1.0 / 16,
         timers: TimerRegistry | None = None,
-        memory: MemoryTracker | None = None,
     ) -> None:
-        super().__init__(comm, grid, dt, gravity, timers, memory)
+        super().__init__(comm, grid, 0.05, 0.5, timers)
         if n_particles < 1:
             raise ValueError("need at least one particle")
 
@@ -288,8 +279,6 @@ class NBodySimulation(ParticleMeshSimulation):
             self._adopt(pos, vel, mass)
             #: Replicated global density of the last completed deposit.
             self.density = np.zeros((grid, grid, grid), dtype=np.float64)
-            if self.memory is not None:
-                self.memory.track_array(self.density, label="nbody::density")
 
     @property
     def n_local(self) -> int:
@@ -455,10 +444,6 @@ def run_nbody(
     infrastructures: tuple[str, ...] = INFRASTRUCTURES,
     sanitize: bool = True,
     trace=None,
-    dt: float = 0.05,
-    gravity: float = 0.5,
-    linking_length: float = 0.06,
-    timeout: float = 120.0,
 ) -> dict:
     """The nbody miniapp through the bridge with every requested endpoint.
 
@@ -504,8 +489,6 @@ def run_nbody(
             grid=grid,
             n_particles=n_particles,
             seed=seed,
-            dt=dt,
-            gravity=gravity,
             timers=timers,
         )
         bridge = Bridge(
@@ -519,9 +502,7 @@ def run_nbody(
             PowerSpectrumAnalysis(grid=grid, output_dir=out_dir)
         )
         bridge.add_analysis(
-            FriendsOfFriendsAnalysis(
-                linking_length=linking_length, output_dir=out_dir
-            )
+            FriendsOfFriendsAnalysis(linking_length=0.06, output_dir=out_dir)
         )
         catalyst = None
         if "catalyst" in infrastructures:
@@ -579,9 +560,7 @@ def run_nbody(
             out["libsim_png_crc"] = zlib.crc32(libsim.last_png)
         return out
 
-    per_rank = run_spmd(
-        ranks, program, backend=backend, trace=trace, timeout=timeout
-    )
+    per_rank = run_spmd(ranks, program, backend=backend, trace=trace)
     root = per_rank[0]
     manifest = {
         "ranks": ranks,

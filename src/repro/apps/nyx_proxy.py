@@ -32,8 +32,7 @@ from repro.data.ghost import ghost_levels_for_extent
 from repro.data.particles import DEPOSIT_SCALE, cic_deposit_int, cic_gather
 from repro.mpi import SUM
 from repro.util.decomp import Extent
-from repro.util.memory import MemoryTracker
-from repro.util.timers import TimerRegistry, timed
+from repro.util.timers import timed
 
 
 class NyxSimulation(ParticleMeshSimulation):
@@ -43,9 +42,8 @@ class NyxSimulation(ParticleMeshSimulation):
     ----------
     grid:
         Global cells per axis (``grid^3`` total); must be divisible by
-        nothing in particular -- uneven slabs are handled.
-    particles_per_cell:
-        Initial lattice density of dark-matter particles.
+        nothing in particular -- uneven slabs are handled.  One dark-matter
+        particle starts in each cell.
     """
 
     namespace = "nyx"
@@ -54,33 +52,26 @@ class NyxSimulation(ParticleMeshSimulation):
         self,
         comm,
         grid: int = 32,
-        particles_per_cell: float = 1.0,
-        perturbation: float = 0.2,
         dt: float = 0.05,
         gravity: float = 1.0,
         seed: int = 42,
-        timers: TimerRegistry | None = None,
-        memory: MemoryTracker | None = None,
     ) -> None:
-        super().__init__(comm, grid, dt, gravity, timers, memory)
+        super().__init__(comm, grid, dt, gravity, None)
         self.h = 1.0 / grid
         self.nx_local = self.x_hi - self.x_lo
 
         # Perturbed-lattice initial particles (unit mass, at rest).
         with timed(self.timers, "nyx::init"):
             rng = np.random.default_rng(seed)  # same lattice on every rank
-            per_axis = max(int(round(grid * particles_per_cell ** (1.0 / 3.0))), 1)
-            lattice = (np.arange(per_axis) + 0.5) / per_axis
+            lattice = (np.arange(grid) + 0.5) / grid
             cells = np.meshgrid(lattice, lattice, lattice, indexing="ij")
             pos = np.stack(cells, axis=-1).reshape(-1, 3)
-            pos += perturbation * self.h * rng.standard_normal(pos.shape)
+            pos += 0.2 * self.h * rng.standard_normal(pos.shape)
             wrap_periodic(pos)
             self.total_particles = pos.shape[0]
             self._adopt(pos, np.zeros_like(pos), np.ones(self.total_particles))
             #: Overdensity on the owned slab + 1 ghost plane each side in x.
             self.density = np.zeros((self.nx_local + 2, grid, grid))
-            if self.memory is not None:
-                self.memory.track_array(self.density, label="nyx::density")
 
     @property
     def positions(self) -> np.ndarray:

@@ -27,11 +27,10 @@ from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.data import Association, CellType, DataArray, UnstructuredGrid
 from repro.mpi import MAX, MIN
 from repro.render import blank_image, splat_points
-from repro.render.colormap import COOL_WARM, Colormap
+from repro.render.colormap import COOL_WARM
 from repro.render.compositing import binary_swap
 from repro.render.png import encode_png
 from repro.util.decomp import block_decompose_1d
-from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry, timed
 
 # The 6-tet decomposition of a hexahedral cell (corner ids i + 2j + 4k).
@@ -111,7 +110,7 @@ def tail_flow(
 class PhastaSimulation:
     """One rank's share of the PHASTA proxy.
 
-    ``smoothing_sweeps`` Jacobi passes over the tet connectivity emulate
+    Two Jacobi passes over the tet connectivity emulate
     the per-element solver cost (the production code's implicit solve costs
     far more per element; the proxy's cost still scales as O(elements)).
     """
@@ -120,16 +119,11 @@ class PhastaSimulation:
         self,
         comm,
         global_cells: tuple[int, int, int] = (16, 8, 8),
-        smoothing_sweeps: int = 2,
         jet_freq: float = 8.0,
         jet_amplitude: float = 0.4,
-        timers: TimerRegistry | None = None,
-        memory: MemoryTracker | None = None,
     ) -> None:
         self.comm = comm
-        self.timers = timers if timers is not None else TimerRegistry()
-        self.memory = memory
-        self.smoothing_sweeps = smoothing_sweeps
+        self.timers = TimerRegistry()
         self.jet_freq = jet_freq
         self.jet_amplitude = jet_amplitude
         with timed(self.timers, "phasta::mesh"):
@@ -140,10 +134,6 @@ class PhastaSimulation:
         self.vel_v = np.zeros(n)
         self.vel_w = np.zeros(n)
         self.pressure = np.zeros(n)
-        if self.memory is not None:
-            for a in (self.x, self.y, self.z, self.vel_u, self.vel_v, self.vel_w):
-                self.memory.track_array(a, label="phasta::nodal")
-            self.memory.track_array(self.tets, label="phasta::connectivity")
         self.time = 0.0
         self.step = 0
         self.dt = 0.01
@@ -161,7 +151,7 @@ class PhastaSimulation:
             self.vel_v[:] = v
             self.vel_w[:] = w
             # Element-loop cost: Jacobi smoothing through tet connectivity.
-            for _ in range(self.smoothing_sweeps):
+            for _ in range(2):  # Jacobi sweeps
                 for comp in (self.vel_u, self.vel_v, self.vel_w):
                     elem_mean = comp[self.tets].mean(axis=1)
                     acc = np.zeros_like(comp)
@@ -252,8 +242,6 @@ class PhastaSliceRender(AnalysisAdaptor):
         axis: int = 1,
         coordinate: float = 0.3,
         resolution: tuple[int, int] = (800, 200),
-        thickness: float = 0.08,
-        colormap: Colormap = COOL_WARM,
         compression_level: int = 6,
         output_dir=None,
     ) -> None:
@@ -263,8 +251,6 @@ class PhastaSliceRender(AnalysisAdaptor):
         self.axis = axis
         self.coordinate = coordinate
         self.resolution = resolution
-        self.thickness = thickness
-        self.colormap = colormap
         self.compression_level = compression_level
         self.output_dir = output_dir
         self._comm = None
@@ -285,7 +271,7 @@ class PhastaSliceRender(AnalysisAdaptor):
         with timed(self.timers, "phasta_slice::extract"):
             coords = (mesh.points[:, 0], mesh.points[:, 1], mesh.points[:, 2])
             dist = np.abs(coords[self.axis] - self.coordinate)
-            near = dist < self.thickness
+            near = dist < 0.08
             vel = data.get_array(Association.POINT, "velocity")
             vmag_local = vel.magnitude()
             local_min = float(vmag_local.min()) if vmag_local.size else float("inf")
@@ -297,7 +283,7 @@ class PhastaSliceRender(AnalysisAdaptor):
             if near.any():
                 u_ax, v_ax = [a for a in range(3) if a != self.axis]
                 pts2d = np.column_stack((coords[u_ax][near], coords[v_ax][near]))
-                colors = self.colormap.map(vmag_local[near], vmin=vmin, vmax=vmax)
+                colors = COOL_WARM.map(vmag_local[near], vmin=vmin, vmax=vmax)
                 partial = splat_points(
                     pts2d,
                     dist[near].astype(np.float32),

@@ -32,8 +32,8 @@ class LazyStructuredDataAdaptor(DataAdaptor):
         The simulation's communicator.
     extent / whole_extent:
         This rank's block and the global grid, VTK point-index convention.
-    origin / spacing:
-        Physical grid placement.
+    spacing:
+        Physical grid spacing; the origin is (0, 0, 0).
     eager:
         When True, every registered array (and the mesh) is mapped at
         ``set_data_time`` even if no analysis consumes it -- the ablation
@@ -45,14 +45,12 @@ class LazyStructuredDataAdaptor(DataAdaptor):
         comm,
         extent: Extent,
         whole_extent: Extent,
-        origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
         spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
         eager: bool = False,
     ) -> None:
         super().__init__(comm)
         self.extent = extent
         self.whole_extent = whole_extent
-        self.origin = origin
         self.spacing = spacing
         self.eager = eager
         self._providers: dict[tuple[Association, str], ArrayProvider] = {}
@@ -93,7 +91,6 @@ class LazyStructuredDataAdaptor(DataAdaptor):
         if self._mesh is None:
             self._mesh = ImageData(
                 self.extent,
-                origin=self.origin,
                 spacing=self.spacing,
                 whole_extent=self.whole_extent,
             )

@@ -32,6 +32,10 @@ from typing import Any, Callable
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 
 
+#: Frames a :class:`LiveConnection` keeps; older ones are dropped.
+_MAX_FRAMES = 16
+
+
 @dataclass
 class Frame:
     """One published visualization frame."""
@@ -49,9 +53,7 @@ class LiveConnection:
     to call from either side.
     """
 
-    def __init__(self, max_frames: int = 16) -> None:
-        if max_frames <= 0:
-            raise ValueError("max_frames must be positive")
+    def __init__(self) -> None:
         # The connection is an in-memory channel: both endpoints must live
         # in the process that built it.  On the process SPMD backend each
         # rank would get a private copy and every publish would silently
@@ -61,7 +63,6 @@ class LiveConnection:
         self._updates: list[dict[str, Any]] = []
         self._frames: list[Frame] = []
         self._metrics: list[tuple[int, float, float]] = []  # step, time, value
-        self._max_frames = max_frames
         self._stop = False
 
     def _check_same_process(self) -> None:
@@ -127,8 +128,7 @@ class LiveConnection:
         self._check_same_process()
         with self._lock:
             self._frames.append(frame)
-            if len(self._frames) > self._max_frames:
-                self._frames = self._frames[-self._max_frames :]
+            del self._frames[:-_MAX_FRAMES]
             self._lock.notify_all()
 
     def publish_metric(self, step: int, time_: float, value: float) -> None:

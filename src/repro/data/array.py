@@ -147,7 +147,7 @@ class DataArray:
         """True for write-protected views produced by :meth:`readonly_view`."""
         return self._guarded
 
-    def readonly_view(self, name: str | None = None) -> "DataArray":
+    def readonly_view(self) -> "DataArray":
         """A zero-copy, write-protected view of this array.
 
         The sanitizer hands these to analyses in debug mode: any in-place
@@ -161,7 +161,7 @@ class DataArray:
             v = c.view()
             v.flags.writeable = False
             comps.append(v)
-        out = DataArray(name or self.name, comps, self.layout)
+        out = DataArray(self.name, comps, self.layout)
         if self._aos_base is not None:
             base = self._aos_base.view()
             base.flags.writeable = False
@@ -240,11 +240,9 @@ class DataArray:
             sq += c.astype(np.float64) ** 2
         return np.sqrt(sq)
 
-    def deep_copy(self, name: str | None = None) -> "DataArray":
+    def deep_copy(self) -> "DataArray":
         """An owning copy (the ablation counterpart to zero-copy mapping)."""
-        out = DataArray(
-            name or self.name, [c.copy() for c in self._components], self.layout
-        )
+        out = DataArray(self.name, [c.copy() for c in self._components], self.layout)
         out._construction_copied = out.nbytes
         return out
 

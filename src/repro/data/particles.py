@@ -221,16 +221,15 @@ def cic_deposit_int(
     positions: np.ndarray,
     masses: np.ndarray,
     grid: int,
-    scale: int = DEPOSIT_SCALE,
 ) -> np.ndarray:
     """Cloud-in-cell mass deposit onto a periodic ``grid**3`` int64 field.
 
     Each particle spreads ``mass * wx * wy * wz`` to its eight enclosing
     cell corners; every contribution is rounded to an integer multiple of
-    ``1/scale`` *before* accumulation, so the summed grid is exact in
+    ``1/DEPOSIT_SCALE`` *before* accumulation, so the summed grid is exact in
     int64 and therefore independent of particle order, rank count, and
     reduction topology.  Callers allreduce the int64 grid and divide by
-    ``scale`` once at the end.
+    :data:`DEPOSIT_SCALE` once at the end.
     """
     out = np.zeros((grid, grid, grid), dtype=np.int64)
     n = positions.shape[0]
@@ -242,7 +241,7 @@ def cic_deposit_int(
     for cx, wx in ((i0[:, 0], w0[:, 0]), (i1[:, 0], frac[:, 0])):
         for cy, wy in ((i0[:, 1], w0[:, 1]), (i1[:, 1], frac[:, 1])):
             for cz, wz in ((i0[:, 2], w0[:, 2]), (i1[:, 2], frac[:, 2])):
-                contrib = np.rint(masses * wx * wy * wz * scale).astype(
+                contrib = np.rint(masses * wx * wy * wz * DEPOSIT_SCALE).astype(
                     np.int64
                 )
                 np.add.at(out, (cx, cy, cz), contrib)
@@ -254,7 +253,6 @@ def cic_deposit_int_2d(
     masses: np.ndarray,
     grid: int,
     axis: int = 0,
-    scale: int = DEPOSIT_SCALE,
 ) -> np.ndarray:
     """CIC deposit of the projection along ``axis`` onto a ``grid**2``
     int64 plane -- the density-projection analysis kernel, with the same
@@ -272,7 +270,7 @@ def cic_deposit_int_2d(
     w0 = 1.0 - frac
     for cu, wu in ((i0[:, 0], w0[:, 0]), (i1[:, 0], frac[:, 0])):
         for cv, wv in ((i0[:, 1], w0[:, 1]), (i1[:, 1], frac[:, 1])):
-            contrib = np.rint(masses * wu * wv * scale).astype(np.int64)
+            contrib = np.rint(masses * wu * wv * DEPOSIT_SCALE).astype(np.int64)
             np.add.at(out, (cu, cv), contrib)
     return out
 

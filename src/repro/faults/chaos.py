@@ -64,8 +64,6 @@ def run_chaos(
     out_dir: str = "chaos_artifacts",
     ready_timeout: float = 0.25,
     checkpoint_interval: int = 3,
-    global_dims: tuple[int, int, int] = (16, 16, 16),
-    timeout: float = 60.0,
     plan: FaultPlan | None = None,
     backend: str | None = None,
     app: str = "oscillator",
@@ -117,6 +115,7 @@ def run_chaos(
     trace = TraceSession("chaos")
     os.makedirs(out_dir, exist_ok=True)
     retry = RetryPolicy(max_attempts=8, base_delay=0.001, max_delay=0.01, seed=seed)
+    global_dims = (16, 16, 16)
     slice_index = global_dims[2] // 2
     array = "data" if app == "oscillator" else "density"
 
@@ -198,7 +197,7 @@ def run_chaos(
             out_dir, "staged", slice_index, array
         ),
         array=array,
-        timeout=timeout,
+        timeout=60.0,
         faults=injector,
         resilience_factory=resilience_factory,
         trace=trace,

@@ -225,8 +225,6 @@ def chaos_plan(
     seed: int,
     n_writers: int,
     steps: int,
-    kill_rank: bool = True,
-    kill_endpoint: bool = True,
 ) -> FaultPlan:
     """The default end-to-end chaos schedule for ``repro chaos``.
 
@@ -238,23 +236,16 @@ def chaos_plan(
     """
     if n_writers <= 0 or steps <= 2:
         raise ValueError("chaos_plan needs >= 1 writer and >= 3 steps")
-    events: list[FaultEvent] = []
     lo, hi = steps // 3, max(steps // 3 + 1, 2 * steps // 3)
-    if kill_rank:
-        victim = int(unit_draw(seed, SITE_SIM_STEP, 0, 0, salt="victim") * n_writers)
-        death_step = lo + int(
-            unit_draw(seed, SITE_SIM_STEP, 0, 0, salt="death") * (hi - lo)
-        )
-        events.append(
-            FaultEvent(SITE_SIM_STEP, "die", rank=victim, step=max(death_step, 2))
-        )
-    if kill_endpoint:
-        disco_step = lo + int(
-            unit_draw(seed, SITE_STAGING_ENDPOINT, 0, 0, salt="disco") * (hi - lo)
-        )
-        events.append(
-            FaultEvent(SITE_STAGING_ENDPOINT, "disconnect", rank=0, step=disco_step)
-        )
+    victim = int(unit_draw(seed, SITE_SIM_STEP, 0, 0, salt="victim") * n_writers)
+    death_step = lo + int(unit_draw(seed, SITE_SIM_STEP, 0, 0, salt="death") * (hi - lo))
+    disco_step = lo + int(
+        unit_draw(seed, SITE_STAGING_ENDPOINT, 0, 0, salt="disco") * (hi - lo)
+    )
+    events = (
+        FaultEvent(SITE_SIM_STEP, "die", rank=victim, step=max(death_step, 2)),
+        FaultEvent(SITE_STAGING_ENDPOINT, "disconnect", rank=0, step=disco_step),
+    )
     rules = (
         FaultRule(SITE_MPI_SEND, "delay", 0.06, params={"seconds": 0.002}),
         FaultRule(SITE_MPI_SEND, "duplicate", 0.04),
@@ -264,4 +255,4 @@ def chaos_plan(
                   params={"fraction": 0.5}),
         FaultRule(SITE_SIM_STEP, "stall", 0.05, params={"seconds": 0.002}),
     )
-    return FaultPlan(seed=seed, events=tuple(events), rules=rules)
+    return FaultPlan(seed=seed, events=events, rules=rules)

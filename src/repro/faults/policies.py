@@ -51,12 +51,11 @@ class RetryPolicy:
 def retry_call(
     fn: Callable[[], Any],
     policy: RetryPolicy,
-    retryable: tuple[type[BaseException], ...] = (OSError,),
     key: str = "",
     trace: "TraceRecorder | None" = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Any:
-    """Call ``fn``, retrying ``retryable`` failures under ``policy``.
+    """Call ``fn``, retrying ``OSError`` failures under ``policy``.
 
     Counts each retry as ``resilience::retry`` on ``trace``.  The final
     attempt's exception propagates unwrapped so callers see the real error
@@ -66,7 +65,7 @@ def retry_call(
     while True:
         try:
             return fn()
-        except retryable:
+        except OSError:
             if attempt >= policy.max_attempts - 1:
                 raise
             if trace is not None:

@@ -345,7 +345,6 @@ def run_endpoint(
     n_writers: int,
     n_endpoints: int,
     analysis: AnalysisAdaptor,
-    timers: TimerRegistry | None = None,
     sanitize: bool = False,
 ) -> Any:
     """The endpoint executable's main loop.
@@ -359,7 +358,7 @@ def run_endpoint(
     zero-copy write/retention contract on this side of the staging
     transport exactly as it does in situ.
     """
-    timers = timers if timers is not None else TimerRegistry()
+    timers = TimerRegistry()
     my_writers = writers_for_endpoint(endpoint_rank, n_writers, n_endpoints)
     adaptor = ReceivedDataAdaptor(endpoint_comm, n_writers)
     # Endpoint ranks trace too when the job runs under a TraceSession: the

@@ -18,15 +18,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.slice_ import SlicePlane, extract_axis_slice, _inplane_axes
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.configurable import register_analysis
 from repro.data import Association, ImageData, MultiBlockDataset
 from repro.mpi import MAX, MIN
 from repro.render import RenderedImage, blank_image, rasterize_slice
-from repro.render.colormap import COOL_WARM, Colormap
+from repro.render.colormap import COOL_WARM
 from repro.render.compositing import swap_band
 from repro.render.png import sort_last_png
 from repro.util.timers import timed
@@ -94,7 +92,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         plane: SlicePlane,
         array: str = "data",
         resolution: tuple[int, int] = (1920, 1080),
-        colormap: Colormap = COOL_WARM,
         output_dir: str | None = None,
         edition: str = "rendering",
         compression_level: int = 6,
@@ -108,7 +105,6 @@ class CatalystAdaptor(AnalysisAdaptor):
         self.plane = plane
         self.array = array
         self.resolution = resolution
-        self.colormap = colormap
         self.output_dir = output_dir
         self.edition = EDITIONS[edition]
         if not self.edition.supports("slice") or not self.edition.supports("render"):
@@ -203,7 +199,7 @@ class CatalystAdaptor(AnalysisAdaptor):
                     global2d,
                     width,
                     height,
-                    colormap=self.colormap,
+                    colormap=COOL_WARM,
                     vmin=vmin,
                     vmax=vmax,
                     out=partial,

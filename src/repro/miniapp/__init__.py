@@ -9,8 +9,8 @@ time step."
 
 This package reproduces that code: :class:`Oscillator` evaluates one
 oscillator's time signal and Gaussian footprint, and
-:class:`OscillatorSimulation` is the SPMD miniapp with regular decomposition,
-optional per-step synchronization, and a SENSEI data adaptor.
+:class:`OscillatorSimulation` is the SPMD miniapp with regular decomposition
+and a SENSEI data adaptor.
 """
 
 from repro.miniapp.oscillator import Oscillator, OscillatorKind

@@ -3,9 +3,8 @@
 Per Sec. 3.3: the user specifies the time resolution, duration, and grid
 dimensions; the grid is partitioned between processes with a regular
 decomposition; each step fills the local subgrid with the sum of the
-convolved oscillator values (O(m N^3) per rank per step); ranks may
-optionally synchronize after every step (off by default, as in the paper's
-experiments).
+convolved oscillator values (O(m N^3) per rank per step).  Ranks do not
+synchronize after a step, as in the paper's experiments.
 
 The simulation owns its field array; the SENSEI instrumentation path exposes
 it through a :class:`~repro.core.generic.LazyStructuredDataAdaptor`, so the
@@ -40,11 +39,9 @@ class OscillatorSimulation:
         The oscillator set (identical on all ranks).
     dt:
         Time resolution.
-    domain:
-        Physical domain edge lengths; the grid spans ``[0, domain]``.
-    sync:
-        Synchronize (barrier) after every step.  "this synchronization is
-        off in the experiments below" -- default False.
+
+    The grid spans the unit cube.  Steps are not synchronized: "this
+    synchronization is off in the experiments below".
     """
 
     FIELD_NAME = "data"
@@ -55,8 +52,6 @@ class OscillatorSimulation:
         global_dims: tuple[int, int, int],
         oscillators: list[Oscillator],
         dt: float = 0.01,
-        domain: tuple[float, float, float] = (1.0, 1.0, 1.0),
-        sync: bool = False,
         timers: TimerRegistry | None = None,
         memory: MemoryTracker | None = None,
     ) -> None:
@@ -68,7 +63,6 @@ class OscillatorSimulation:
         self.global_dims = global_dims
         self.oscillators = list(oscillators)
         self.dt = float(dt)
-        self.sync = sync
         self.timers = timers if timers is not None else TimerRegistry()
         self.memory = memory
         self.time = 0.0
@@ -87,9 +81,7 @@ class OscillatorSimulation:
             self.whole_extent = Extent(
                 0, global_dims[0] - 1, 0, global_dims[1] - 1, 0, global_dims[2] - 1
             )
-            self.spacing = tuple(
-                domain[a] / max(global_dims[a] - 1, 1) for a in range(3)
-            )
+            self.spacing = tuple(1.0 / max(n - 1, 1) for n in global_dims)
             ni, nj, nk = self.extent.shape
             self.field = np.zeros((ni, nj, nk), dtype=np.float64)
             if self.memory is not None:
@@ -146,8 +138,6 @@ class OscillatorSimulation:
             self.field.fill(0.0)
             for osc in self.oscillators:
                 self.field += osc.evaluate(self._x, self._y, self._z, self.time)
-            if self.sync:
-                self.comm.barrier()
 
     def _consult_injector(self, inj) -> None:
         action = inj.draw(

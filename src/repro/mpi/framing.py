@@ -117,17 +117,16 @@ class FrameChannel:
     def __init__(
         self,
         sock: socket.socket,
-        injector=None,
-        fault_rank: int = 0,
         trace=None,
     ) -> None:
         self.sock = sock
-        #: Optional :class:`repro.faults.FaultInjector`; one pointer compare
-        #: per send when disabled, like every other hook in the repo.
-        self.injector = injector
+        #: Optional :class:`repro.faults.FaultInjector`, set by the client
+        #: once WELCOME assigns its slot; one pointer compare per send when
+        #: unset, like every other hook in the repo.
+        self.injector = None
         #: Site-local rank for fault draws (the tenant slot, so a seeded
         #: plan targets a specific client deterministically).
-        self.fault_rank = fault_rank
+        self.fault_rank = 0
         self.trace = trace
         self._send_seq = 0
         self._recv_seq = -1

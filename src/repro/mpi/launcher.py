@@ -109,12 +109,10 @@ def run_spmd(
     program: Callable[..., Any],
     *args: Any,
     timeout: float = DEFAULT_TIMEOUT,
-    rank_args: Sequence[tuple] | None = None,
     trace_collectives: bool = False,
     trace: "TraceSession | None" = None,
     faults: "FaultPlan | FaultInjector | None" = None,
     backend: "str | None" = None,
-    start_method: "str | None" = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``program(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
@@ -130,9 +128,6 @@ def run_spmd(
         rank's :class:`Communicator` takes it as its constructor timeout;
         a collective that trips it reports which ranks had and had not
         arrived at that collective.
-    rank_args:
-        Optional per-rank extra positional arguments (length ``nranks``);
-        appended after ``args``.
     trace_collectives:
         Debug mode for the collective-trace race detector: records call
         sites and a per-rank rolling history for divergence diagnostics,
@@ -160,12 +155,6 @@ def run_spmd(
         ``REPRO_SPMD_BACKEND`` environment variable and then the thread
         default.  The process backend requires picklable program return
         values (they cross a real address-space boundary).
-    start_method:
-        Process-backend only: ``multiprocessing`` start method ("fork",
-        "spawn", "forkserver"); ``None`` defers to
-        ``REPRO_SPMD_START_METHOD`` and then fork where available.  Spawn
-        and forkserver additionally require the *program* to be picklable
-        (a module-level function, not a closure).
 
     Returns
     -------
@@ -173,8 +162,6 @@ def run_spmd(
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")
-    if rank_args is not None and len(rank_args) != nranks:
-        raise ValueError("rank_args must have one tuple per rank")
 
     injector = None
     if faults is not None:
@@ -196,11 +183,9 @@ def run_spmd(
             args,
             kwargs,
             timeout=timeout,
-            rank_args=rank_args,
             trace_collectives=trace_collectives,
             trace=trace,
             injector=injector,
-            start_method=start_method,
         )
 
     ctx = _Context(nranks, trace=trace_collectives, injector=injector)
@@ -225,9 +210,8 @@ def run_spmd(
         comm = Communicator(ctx, rank, timeout=timeout)
         if recorders is not None:
             comm.attach_trace(recorders[rank])
-        extra = tuple(rank_args[rank]) if rank_args is not None else ()
         try:
-            results[rank] = program(comm, *args, *extra, **kwargs)
+            results[rank] = program(comm, *args, **kwargs)
         except RankAbort:
             # Collateral: released because some other rank already failed.
             with lock:

@@ -52,12 +52,7 @@ one *process* per rank:
   ranks :data:`_EXIT_GRACE` to report, and terminates/kills the rest -- a
   failed job never leaves orphaned rank processes behind.
 
-Start methods: ``fork`` (the default where available) supports closure
-programs, which is what the test matrix uses.  ``spawn`` and
-``forkserver`` are fully supported for *picklable* (module-level)
-programs; the transport itself -- pipes, shared-memory names, plans,
-recorders -- is picklable by construction.  Select with
-``run_spmd(..., start_method=...)`` or ``REPRO_SPMD_START_METHOD``.
+Ranks are started with ``fork``, so a closure can be a program.
 """
 
 from __future__ import annotations
@@ -732,12 +727,11 @@ class ProcessCommunicator(Communicator):
 
 @dataclass
 class _WorkerSpec:
-    """Everything one worker needs; picklable when the program is."""
+    """Everything one worker needs; the forked process inherits it."""
 
     program: Callable
     args: tuple
     kwargs: dict
-    extra: tuple
     timeout: float
     trace_collectives: bool
     plan: Any  # FaultPlan | None
@@ -814,7 +808,7 @@ def _worker_main(rank: int, size: int, wiring: _Wiring, spec: _WorkerSpec) -> No
     report: tuple
     try:
         try:
-            result = spec.program(comm, *spec.args, *spec.extra, **spec.kwargs)
+            result = spec.program(comm, *spec.args, **spec.kwargs)
         except RankAbort:
             if runtime.failure is None:
                 raise
@@ -860,20 +854,6 @@ def _worker_main(rank: int, size: int, wiring: _Wiring, spec: _WorkerSpec) -> No
 # --------------------------------------------------------------------------
 
 
-def _pick_start_method(requested: str | None):
-    import multiprocessing as mp
-
-    method = requested or os.environ.get("REPRO_SPMD_START_METHOD")
-    available = mp.get_all_start_methods()
-    if method is None:
-        method = "fork" if "fork" in available else "spawn"
-    if method not in available:
-        raise ValueError(
-            f"start method {method!r} not available here (have {available})"
-        )
-    return mp.get_context(method), method
-
-
 def run_spmd_process(
     nranks: int,
     program: Callable[..., Any],
@@ -881,11 +861,9 @@ def run_spmd_process(
     kwargs: dict,
     *,
     timeout: float,
-    rank_args: "Sequence[tuple] | None",
     trace_collectives: bool,
     trace,
     injector,
-    start_method: str | None = None,
 ) -> list[Any]:
     """Run ``program`` with one OS process per rank; see ``run_spmd``.
 
@@ -896,16 +874,9 @@ def run_spmd_process(
     and merging per-rank fault logs / trace data back into the launcher's
     injector and session objects.
     """
-    mpctx, method = _pick_start_method(start_method)
-    if method in ("spawn", "forkserver"):
-        try:
-            pickle.dumps(program)
-        except Exception as exc:
-            raise ValueError(
-                f"backend='process' with start method {method!r} requires a "
-                "picklable (module-level) program; use the default 'fork' "
-                "start method for closures"
-            ) from exc
+    import multiprocessing as mp
+
+    mpctx = mp.get_context("fork")
     job_tag = f"{os.getpid():x}x{next(_JOB_COUNTER):x}"
     plan = injector.plan if injector is not None else None
     recorders = (
@@ -920,7 +891,6 @@ def run_spmd_process(
             program=program,
             args=args,
             kwargs=kwargs,
-            extra=tuple(rank_args[rank]) if rank_args is not None else (),
             timeout=timeout,
             trace_collectives=trace_collectives,
             plan=plan,

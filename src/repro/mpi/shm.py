@@ -7,9 +7,12 @@ bulk numpy data -- shipping them through a pipe costs two serialization
 copies plus pipe-buffer churn.  One shared-memory path avoids that, for
 point-to-point sends and collective contributions alike:
 
-**Consume-once segments**: a bare ndarray at or above the threshold is
-written once into a fresh file under :data:`SEGMENT_DIR` (``/dev/shm``, a
-tmpfs), the envelope carries only the ``(name, shape, dtype)`` descriptor,
+**Consume-once segments**: a bare ndarray (exactly ``np.ndarray``, no
+subclass such as ``np.ma.MaskedArray``, and no object references in its
+dtype) at or above the threshold is written once into a fresh file under
+:data:`SEGMENT_DIR` (``/dev/shm``, a tmpfs), the envelope carries only the
+``(name, shape, dtype)`` descriptor (the ``np.dtype`` itself, so structured
+dtypes survive),
 and the receiver reads a private copy back out -- preserving the runtime's
 "ranks never alias each other's memory" contract (the zero-copy accounting
 experiments depend on receives being owned buffers).  Anything else (small
@@ -85,7 +88,7 @@ def encode_array(array: np.ndarray, name: str) -> tuple:
         raise
     finally:
         os.close(fd)
-    return ("shm", name, array.shape, str(data.dtype))
+    return ("shm", name, array.shape, data.dtype)
 
 
 def decode_array(descriptor: tuple) -> np.ndarray:
@@ -95,7 +98,7 @@ def decode_array(descriptor: tuple) -> np.ndarray:
     short; never returns bytes it did not read.
     """
     _, name, shape, dtype = descriptor
-    out = np.empty(shape, dtype=np.dtype(dtype))
+    out = np.empty(shape, dtype=dtype)
     raw = out.reshape(-1).view(np.uint8)
     path = os.path.join(SEGMENT_DIR, name)
     done = 0
@@ -133,15 +136,15 @@ class PayloadCodec:
     """Encodes envelope payloads, spilling large arrays to shared memory.
 
     One codec per worker process; names are drawn from a per-sender counter
-    so they are unique and deterministic.  ``threshold <= 0`` (or a segment
+    so they are unique and deterministic.  A threshold of 0 (or a segment
     that cannot be created, e.g. no :data:`SEGMENT_DIR`) degrades to inline
     pickling -- the transport stays correct, only the bulk-copy path changes.
     """
 
-    def __init__(self, job_tag: str, rank: int, threshold: int | None = None):
+    def __init__(self, job_tag: str, rank: int):
         self.job_tag = job_tag
         self.rank = rank
-        self.threshold = shm_threshold() if threshold is None else threshold
+        self.threshold = shm_threshold()
         self._counter = 0
 
     def encode(self, payload: Any) -> tuple:
@@ -155,7 +158,8 @@ class PayloadCodec:
         """
         if (
             self.threshold > 0
-            and isinstance(payload, np.ndarray)
+            and type(payload) is np.ndarray
+            and not payload.dtype.hasobject
             and payload.nbytes >= self.threshold
         ):
             self._counter += 1

@@ -95,13 +95,12 @@ class IOModel:
         p: int,
         total_bytes: float,
         step_interval: float,
-        bb_bandwidth: float = 1.7e12,
     ) -> tuple[float, bool]:
         """Per-step write cost through a burst buffer, with async drain.
 
         The paper's conclusion points at "burst buffers on Cori, to achieve
         accelerated staging operations".  The simulation pays only the
-        absorb cost (``total_bytes / bb_bandwidth``) as long as the buffer
+        absorb cost (``total_bytes`` at 1.7 TB/s) as long as the buffer
         drains to the parallel filesystem faster than steps arrive; once
         ``drain_time > step_interval`` the buffer fills and the write cost
         reverts to the filesystem-bound path.
@@ -110,7 +109,7 @@ class IOModel:
         """
         if step_interval <= 0:
             raise ValueError("step_interval must be positive")
-        absorb = total_bytes / bb_bandwidth + 2.0 * self.machine.net_latency
+        absorb = total_bytes / 1.7e12 + 2.0 * self.machine.net_latency
         drain = total_bytes / self.machine.io_aggregate_bw
         if drain <= step_interval:
             return absorb, True

@@ -55,9 +55,9 @@ class MiniappConfig:
     libsim_resolution: tuple[int, int] = (1600, 1600)
 
     @classmethod
-    def at_scale(cls, scale: str, machine: MachineModel = CORI, **kw) -> "MiniappConfig":
+    def at_scale(cls, scale: str) -> "MiniappConfig":
         cores, ppc = SCALES[scale]
-        return cls(cores=cores, points_per_core=ppc, machine=machine, **kw)
+        return cls(cores=cores, points_per_core=ppc)
 
     # -- derived sizes ---------------------------------------------------------
     @property
@@ -306,13 +306,13 @@ class MiniappModel:
         }
 
     # -- post hoc (Fig. 11) ----------------------------------------------------------
-    def posthoc(self, analysis: str, reader_fraction: float = 0.1, seed: int = 0) -> dict:
+    def posthoc(self, analysis: str) -> dict:
         """Aggregate post hoc costs over the full run at 10% of the cores."""
         c = self.cfg
-        readers = max(int(c.cores * reader_fraction), 1)
+        readers = max(int(c.cores * 0.1), 1)
         points_per_reader = c.total_points / readers
         read_one = float(
-            self.io.read_samples(readers, c.cores, c.step_bytes, n=1, seed=seed)[0]
+            self.io.read_samples(readers, c.cores, c.step_bytes, n=1, seed=0)[0]
         )
         if analysis == "histogram":
             proc_one = points_per_reader / (c.machine.elem_rate * HIST_RATE_FACTOR) + 2 * self.net.allreduce(readers, 8)

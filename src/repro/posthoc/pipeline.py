@@ -8,16 +8,12 @@ pieces overlapping it, and drives the selected analysis per step, timing
 The autocorrelation path keeps a per-cell window across steps, which is the
 reason the paper's post hoc autocorrelation runs needed twice the nodes
 ("they need more memory to cache timesteps for the analysis") -- the
-per-reader state here is ``2 * window * cells_per_reader`` doubles, tracked
-via the memory sink.
+per-reader state here is ``2 * window * cells_per_reader`` doubles.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.analysis.autocorrelation import AutocorrelationResult, AutocorrelationState
 from repro.analysis.histogram import Histogram, parallel_histogram
@@ -26,7 +22,6 @@ from repro.render.compositing import binary_swap
 from repro.render.png import encode_png
 from repro.render.rasterize import rasterize_slice
 from repro.storage.vtk_io import read_index, read_subextent, reader_extent
-from repro.util.memory import MemoryTracker
 from repro.util.timers import TimerRegistry
 
 
@@ -49,17 +44,11 @@ def run_posthoc_analysis(
     steps: list[int],
     analysis: str,
     bins: int = 32,
-    ac_window: int = 4,
-    ac_topk: int = 3,
-    slice_axis: int = 2,
-    slice_index: int = 0,
-    resolution: tuple[int, int] = (64, 64),
-    output_dir=None,
     timers: TimerRegistry | None = None,
-    memory: MemoryTracker | None = None,
 ) -> PosthocResult:
     """Read stored steps and run ``analysis`` ('histogram',
-    'autocorrelation', or 'slice') over them.
+    'autocorrelation' over a 4-step window keeping the top 3 cells, or a
+    64x64 'slice' render of the k = 0 plane) over them.
 
     Returns per-rank timings; analysis products live on reader rank 0.
     """
@@ -71,8 +60,7 @@ def run_posthoc_analysis(
     mine = reader_extent(whole, comm.size, comm.rank)
     result = PosthocResult(steps=len(steps), read_time=0.0, process_time=0.0, write_time=0.0)
     ac_state: AutocorrelationState | None = None
-    if output_dir is not None and comm.rank == 0:
-        os.makedirs(output_dir, exist_ok=True)
+    slice_axis, slice_index, resolution = 2, 0, (64, 64)
 
     for step in steps:
         with timers.time("posthoc::read"):
@@ -88,9 +76,7 @@ def run_posthoc_analysis(
                     n_local = block.size
                     before = comm.exscan(n_local)
                     offset = 0 if before is None else int(before)
-                    ac_state = AutocorrelationState(
-                        ac_window, n_local, global_offset=offset, memory=memory
-                    )
+                    ac_state = AutocorrelationState(4, n_local, global_offset=offset)
                 ac_state.update(block)
             else:  # slice
                 u_ax, v_ax = [a for a in range(3) if a != slice_axis]
@@ -134,28 +120,11 @@ def run_posthoc_analysis(
         if analysis == "slice":
             with timers.time("posthoc::write"):
                 if final is not None:
-                    blob = encode_png(final.rgb)
-                    result.slice_pngs.append(blob)
-                    if output_dir is not None:
-                        with open(
-                            os.path.join(output_dir, f"posthoc_{step:06d}.png"), "wb"
-                        ) as fh:
-                            fh.write(blob)
+                    result.slice_pngs.append(encode_png(final.rgb))
 
     if analysis == "autocorrelation" and ac_state is not None:
         with timers.time("posthoc::process"):
-            result.autocorrelation = ac_state.finalize(comm, ac_topk)
-
-    if analysis != "slice" and comm.rank == 0 and output_dir is not None:
-        with timers.time("posthoc::write"):
-            out = os.path.join(output_dir, f"posthoc_{analysis}.txt")
-            with open(out, "w", encoding="utf-8") as fh:
-                if analysis == "histogram":
-                    for h in result.histograms:
-                        fh.write(" ".join(str(c) for c in h.counts) + "\n")
-                elif result.autocorrelation is not None:
-                    for d, top in enumerate(result.autocorrelation.top):
-                        fh.write(f"delay {d}: {top}\n")
+            result.autocorrelation = ac_state.finalize(comm, 3)
 
     result.read_time = timers.total("posthoc::read")
     result.process_time = timers.total("posthoc::process")

@@ -39,7 +39,6 @@ class CostLedger:
         self.frames_in = 0
         self.retransmits = 0
         self.analysis_seconds = 0.0
-        self.render_seconds = 0.0
         self.throttle_seconds = 0.0
         self.backpressure_seconds = 0.0
 
@@ -63,17 +62,12 @@ class CostLedger:
         if trace is not None:
             trace.count("service::steps::rejected", 1)
 
-    def charge_analysis(
-        self, seconds: float, render_seconds: float = 0.0, trace=None
-    ) -> None:
+    def charge_analysis(self, seconds: float, trace=None) -> None:
         with self._lock:
             self.steps_analyzed += 1
             self.analysis_seconds += seconds
-            self.render_seconds += render_seconds
         if trace is not None:
             trace.count("service::analysis::seconds", seconds)
-            if render_seconds:
-                trace.count("service::render::seconds", render_seconds)
 
     def charge_degraded(self, trace=None) -> None:
         with self._lock:
@@ -106,7 +100,6 @@ class CostLedger:
                 "frames_in": self.frames_in,
                 "retransmits": self.retransmits,
                 "analysis_seconds": round(self.analysis_seconds, 6),
-                "render_seconds": round(self.render_seconds, 6),
                 "throttle_seconds": round(self.throttle_seconds, 6),
                 "backpressure_seconds": round(self.backpressure_seconds, 6),
             }

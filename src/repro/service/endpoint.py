@@ -80,23 +80,20 @@ class TenantEndpoint:
         tenant: str,
         slot: int,
         out_dir: str,
-        seed: int,
         recorder=None,
         injector=None,
         journal: DecisionJournal | None = None,
         bins: int = 32,
         resolution: tuple[int, int] = (160, 90),
         render: bool = True,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.tenant = tenant
         self.slot = slot
         self.out_dir = out_dir
-        self.seed = seed
         self.recorder = recorder
         self.injector = injector
         self.journal = journal
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker()
         os.makedirs(out_dir, exist_ok=True)
         comm = Communicator.single_rank()
         if recorder is not None:
@@ -198,21 +195,15 @@ def run_workload_inproc(
     tenant: str,
     steps,
     out_dir: str,
-    seed: int = 0,
-    bins: int = 32,
-    resolution: tuple[int, int] = (160, 90),
-    render: bool = True,
 ) -> TenantEndpoint:
     """Drive ``steps`` (an iterable of ``(step, time, arrays)``) straight
     through a :class:`TenantEndpoint` -- no sockets, no quotas.
 
     This is the equivalence oracle: the artifacts it writes must be
-    byte-identical to the same workload streamed through the server.
+    byte-identical to the same workload streamed through a server with the
+    default histogram bins and Catalyst resolution.
     """
-    endpoint = TenantEndpoint(
-        tenant, 0, out_dir, seed, bins=bins, resolution=resolution,
-        render=render,
-    )
+    endpoint = TenantEndpoint(tenant, 0, out_dir)
     for step, sim_time, arrays in steps:
         endpoint.process(step, sim_time, arrays)
     endpoint.finalize()

@@ -100,10 +100,8 @@ class TenantPolicy:
         self._events += 1
         return seq
 
-    def decide_connect(self, verdict: str, detail: str | None = None) -> ServiceDecision:
-        return ServiceDecision(
-            seq=self._next_seq(), event="connect", verdict=verdict, detail=detail
-        )
+    def decide_connect(self, verdict: str) -> ServiceDecision:
+        return ServiceDecision(seq=self._next_seq(), event="connect", verdict=verdict)
 
     def decide_auth(self, verdict: str) -> ServiceDecision:
         return ServiceDecision(seq=self._next_seq(), event="auth", verdict=verdict)

@@ -34,7 +34,6 @@ import threading
 import time as _time
 from collections import deque
 
-from repro.faults.plan import unit_draw  # noqa: F401  (re-exported for tests)
 from repro.mpi.framing import (
     FrameChannel,
     MalformedFrameError,
@@ -130,6 +129,8 @@ class _TenantWorker:
     ``on_failure`` to wake the connection handler.
     """
 
+    #: Steps queued before :meth:`submit` blocks (staging backpressure).
+    depth = 4
     #: Seconds :meth:`drain` waits for the submitted steps to finish.
     drain_timeout = 60.0
 
@@ -138,7 +139,6 @@ class _TenantWorker:
         endpoint: TenantEndpoint,
         ledger: CostLedger,
         budget: BytesInFlight,
-        depth: int,
         on_failure=None,
     ) -> None:
         self.endpoint = endpoint
@@ -147,7 +147,7 @@ class _TenantWorker:
         self.on_failure = on_failure
         #: The first analysis failure, or None.
         self.failure: TenantFailure | None = None
-        self.queue: queue.Queue = queue.Queue(maxsize=depth)
+        self.queue: queue.Queue = queue.Queue(maxsize=self.depth)
         #: Steps submitted and not yet done, in order, under ``_idle``.
         self._pending: deque[int] = deque()
         self._idle = threading.Condition()
@@ -243,7 +243,6 @@ class ServiceServer:
         bins: int = 32,
         resolution: tuple[int, int] = (160, 90),
         render: bool = True,
-        staged_depth: int = 4,
     ) -> None:
         self.socket_path = socket_path
         self.registry = registry
@@ -258,7 +257,6 @@ class ServiceServer:
         self.bins = bins
         self.resolution = resolution
         self.render = render
-        self.staged_depth = staged_depth
         self.budget = BytesInFlight(memory_budget)
         os.makedirs(out_dir, exist_ok=True)
         self._lock = threading.Lock()
@@ -462,7 +460,6 @@ class ServiceServer:
             name,
             slot,
             os.path.join(self.out_dir, "tenants", name),
-            self.seed,
             recorder=recorder,
             injector=self.injector,
             journal=journals.endpoint,
@@ -473,7 +470,7 @@ class ServiceServer:
         worker: _TenantWorker | None = None
         if spec.placement == "staged":
             worker = _TenantWorker(
-                endpoint, ledger, self.budget, self.staged_depth,
+                endpoint, ledger, self.budget,
                 on_failure=lambda: _wake(channel),
             )
             with self._lock:

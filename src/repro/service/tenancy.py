@@ -136,10 +136,8 @@ class TenantRegistry:
     decisions to replay across runs.
     """
 
-    def __init__(self, tenants: list[TenantSpec] | None = None) -> None:
+    def __init__(self) -> None:
         self._tenants: dict[str, TenantSpec] = {}
-        for spec in tenants or []:
-            self.register(spec)
 
     def register(self, spec: TenantSpec) -> None:
         if spec.name in self._tenants:

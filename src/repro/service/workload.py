@@ -53,13 +53,12 @@ def synthetic_steps(
     steps: int,
     shape: tuple[int, int] = (64, 64),
     seed: int = 0,
-    dt: float = 0.01,
 ) -> Iterator[tuple[int, float, dict[str, np.ndarray]]]:
-    """Yield ``(step, time, arrays)`` for a tenant's run -- the exact
-    stream the CLI client, the benchmark, and the in-process equivalence
-    runner all share."""
+    """Yield ``(step, time, arrays)`` for a tenant's run, 0.01 time units
+    apart -- the exact stream the CLI client, the benchmark, and the
+    in-process equivalence runner all share."""
     for step in range(steps):
-        yield step, step * dt, {
+        yield step, step * 0.01, {
             "data": synthetic_field(tenant, step, shape, seed)
         }
 
@@ -76,11 +75,11 @@ def nbody_steps(
     tenant: str,
     steps: int,
     grid: int = 16,
-    n_particles: int = 256,
     seed: int = 0,
 ) -> Iterator[tuple[int, float, dict[str, np.ndarray]]]:
     """Yield the nbody miniapp's per-step density projections as a tenant
-    stream: ``(step, time, {"data": (grid, grid, 1) float64})``.
+    stream: ``(step, time, {"data": (grid, grid, 1) float64})`` from 256
+    particles.
 
     The whole trajectory is computed up front on a single simulated rank
     seeded per tenant (exact-integer deposits make it a pure function of
@@ -96,7 +95,7 @@ def nbody_steps(
 
     def program(comm):
         sim = NBodySimulation(
-            comm, grid=grid, n_particles=n_particles, seed=ic_seed
+            comm, grid=grid, n_particles=256, seed=ic_seed
         )
         frames = []
         for _ in range(steps):

@@ -22,16 +22,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.faults.injector import InjectedWriteError
 from repro.storage.checks import StorageFormatError, read_header, stored_dims, stored_dtype
 from repro.util.decomp import Extent
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults import RetryPolicy
 
 _HEADER_BYTES = 512
 
@@ -49,7 +45,6 @@ def mpiio_write_collective(
     block: np.ndarray,
     extent: Extent,
     global_dims: tuple[int, int, int],
-    retry: "RetryPolicy | None" = None,
 ) -> int:
     """Collectively write per-rank blocks into one canonical shared file.
 
@@ -59,10 +54,7 @@ def mpiio_write_collective(
     synchronization inside ``MPI_File_write_all``.
 
     Injected storage faults (``storage.write`` site) hit the per-rank data
-    phase only; because every run lands at an absolute offset, re-running
-    the phase is idempotent.  ``retry`` retries *that phase* under the
-    policy -- never the whole collective, whose barriers may not be
-    re-entered by a single rank.
+    phase only, and propagate.
     """
     data = np.ascontiguousarray(block)
     if data.shape != extent.shape:
@@ -76,35 +68,20 @@ def mpiio_write_collective(
             fh.truncate(total)
     comm.barrier()
     inj = getattr(comm, "fault_injector", None)
-
-    def _data_phase() -> int:
-        if inj is not None:
-            _consult_injector(comm, inj)
-        flat = memoryview(data.reshape(-1).view(np.uint8))  # cast("B") refuses size 0
-        fd = os.open(path, os.O_WRONLY)
-        try:
-            for offset, lo, hi in _runs(extent, ny, nz, itemsize):
-                while lo < hi:  # pwrite may write short; resume where it stopped
-                    n = os.pwrite(fd, flat[lo:hi], offset)
-                    lo += n
-                    offset += n
-        finally:
-            os.close(fd)
-        return data.nbytes
-
-    if retry is not None:
-        from repro.faults.policies import retry_call
-
-        written = retry_call(
-            _data_phase,
-            retry,
-            key=f"mpiio:{comm.rank}",
-            trace=getattr(comm, "trace_recorder", None),
-        )
-    else:
-        written = _data_phase()
+    if inj is not None:
+        _consult_injector(comm, inj)
+    flat = memoryview(data.reshape(-1).view(np.uint8))  # cast("B") refuses size 0
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        for offset, lo, hi in _runs(extent, ny, nz, itemsize):
+            while lo < hi:  # pwrite may write short; resume where it stopped
+                n = os.pwrite(fd, flat[lo:hi], offset)
+                lo += n
+                offset += n
+    finally:
+        os.close(fd)
     comm.barrier()
-    return written
+    return data.nbytes
 
 
 def _consult_injector(comm, inj) -> None:
@@ -117,8 +94,8 @@ def _consult_injector(comm, inj) -> None:
     if action is None:
         return
     if action.kind in ("write_fail", "write_partial"):
-        # Partial and failed writes are equivalent here: runs land at
-        # absolute offsets, so any prefix is simply overwritten on retry.
+        # Partial and failed writes are equivalent here: the fault is drawn
+        # before any run is written.
         raise InjectedWriteError(
             f"injected {action.kind} in shared-file data phase (rank {comm.rank})"
         )

@@ -9,16 +9,10 @@ one Perfetto timeline) serves both, and
 :func:`repro.trace.report.diff_reports` quantifies the per-phase model
 error directly.
 
-Two producers live here:
-
-- :func:`session_from_breakdown` unrolls a
-  :class:`~repro.perf.miniapp_model.PhaseBreakdown` (mean per-rank phase
-  costs) into an idealized per-rank timeline: initialize, ``steps`` x
-  (advance + analysis [+ write]), finalize;
-- :func:`simulate_staging(..., trace=session)
-  <repro.perf.events.simulate_staging>` (in :mod:`repro.perf.events`)
-  emits writer/endpoint spans *during* the event simulation, including the
-  flow-control blocking the paper measures inside ``adios::analysis``.
+:func:`session_from_breakdown` unrolls a
+:class:`~repro.perf.miniapp_model.PhaseBreakdown` (mean per-rank phase
+costs) into an idealized per-rank timeline: initialize, ``steps`` x
+(advance + analysis [+ write]), finalize.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ def session_from_breakdown(
     breakdown: "PhaseBreakdown",
     steps: int,
     ranks: int = 1,
-    name: str | None = None,
 ) -> TraceSession:
     """Unroll a modeled phase breakdown into per-rank spans.
 
@@ -48,9 +41,7 @@ def session_from_breakdown(
         raise ValueError("steps must be positive")
     if ranks <= 0:
         raise ValueError("ranks must be positive")
-    session = TraceSession(
-        name=name or f"modeled[{breakdown.config_name}]"
-    )
+    session = TraceSession(name=f"modeled[{breakdown.config_name}]")
     for rank in range(ranks):
         rec = session.recorder(rank)
         t = 0.0

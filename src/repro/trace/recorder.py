@@ -131,7 +131,6 @@ class TraceRecorder:
         t0: float,
         t1: float,
         step: int | None = None,
-        parent: str | None = None,
     ) -> Span:
         """Record an externally timed (or *modeled*) span.
 
@@ -141,7 +140,7 @@ class TraceRecorder:
         """
         if t1 < t0:
             raise ValueError(f"span {name!r} ends before it begins")
-        span = Span(name, self.rank, t0, t1, step, parent)
+        span = Span(name, self.rank, t0, t1, step, None)
         self.spans.append(span)
         return span
 

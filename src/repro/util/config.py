@@ -38,8 +38,8 @@ class Configuration:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self._data, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self._data, sort_keys=True)
 
     def _walk(self, path: str, create: bool = False) -> tuple[dict, str]:
         parts = path.split(".")

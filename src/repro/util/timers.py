@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,10 +37,6 @@ class Timer:
     min_time: float = float("inf")
     max_time: float = 0.0
     _t0: float | None = None
-    #: Per-call samples, kept only when ``keep_samples`` is set; used by the
-    #: AVF-LESLIE per-iteration study (Fig. 16) where the sawtooth matters.
-    samples: list[float] = field(default_factory=list)
-    keep_samples: bool = False
 
     # Private: :meth:`TimerRegistry.time` (and :func:`timed`) is the only
     # way to time a block, so a start without its stop cannot be written.
@@ -62,8 +58,6 @@ class Timer:
         self.count += 1
         self.min_time = min(self.min_time, elapsed)
         self.max_time = max(self.max_time, elapsed)
-        if self.keep_samples:
-            self.samples.append(elapsed)
 
     @property
     def mean(self) -> float:
@@ -84,15 +78,12 @@ class TimerRegistry:
     ``"avf_insitu::analyze"``.
     """
 
-    def __init__(
-        self, keep_samples: bool = False, trace: "TraceRecorder | None" = None
-    ) -> None:
+    def __init__(self) -> None:
         self._timers: dict[str, Timer] = {}
-        self._keep_samples = keep_samples
         #: Optional structured-trace sink (see :mod:`repro.trace`).  When
         #: attached, every timed block also records a span; when None the
         #: hot path pays exactly one pointer comparison.
-        self.trace: "TraceRecorder | None" = trace
+        self.trace: "TraceRecorder | None" = None
 
     def attach_trace(self, recorder: "TraceRecorder | None") -> None:
         """Attach (or detach, with None) a structured-trace recorder."""
@@ -101,7 +92,7 @@ class TimerRegistry:
     def timer(self, name: str) -> Timer:
         t = self._timers.get(name)
         if t is None:
-            t = Timer(name, keep_samples=self._keep_samples)
+            t = Timer(name)
             self._timers[name] = t
         return t
 
@@ -142,30 +133,24 @@ class TimerRegistry:
 
         Lossless: includes ``min`` (0.0 for never-fired timers, so the
         snapshot stays JSON-clean; :meth:`merge_snapshot` keeps the +inf
-        sentinel) and, for sample-keeping timers, the per-call ``samples``
-        list -- without which the Fig. 16 per-iteration sawtooth could not
-        survive a cross-rank merge.
+        sentinel).
         """
-        snap: dict[str, dict] = {}
-        for name, t in self._timers.items():
-            entry: dict = {
+        return {
+            name: {
                 "total": t.total,
                 "count": float(t.count),
                 "mean": t.mean,
                 "min": t.min_time if t.count else 0.0,
                 "max": t.max_time,
             }
-            if t.keep_samples:
-                entry["samples"] = list(t.samples)
-            snap[name] = entry
-        return snap
+            for name, t in self._timers.items()
+        }
 
     def merge_snapshot(self, snapshot: dict[str, dict]) -> None:
         """Fold an :meth:`as_dict` snapshot into this registry.
 
         This is the cross-rank aggregation path (fold each rank's
-        snapshot into one registry): totals and counts sum, min/max fold,
-        and shipped samples are preserved.
+        snapshot into one registry): totals and counts sum, min/max fold.
         """
         for name, entry in snapshot.items():
             mine = self.timer(name)
@@ -175,10 +160,6 @@ class TimerRegistry:
             if count:
                 mine.min_time = min(mine.min_time, float(entry["min"]))
             mine.max_time = max(mine.max_time, float(entry["max"]))
-            samples = entry.get("samples")
-            if samples:
-                mine.keep_samples = True
-                mine.samples.extend(float(s) for s in samples)
 
 
 @contextmanager

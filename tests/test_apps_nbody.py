@@ -60,9 +60,8 @@ class TestConservation:
         bit-identical before and after."""
 
         def prog(comm):
-            sim = NBodySimulation(
-                comm, grid=16, n_particles=300, seed=9, gravity=0.0
-            )
+            sim = NBodySimulation(comm, grid=16, n_particles=300, seed=9)
+            sim.gravity = 0.0
             before = comm.allreduce(sim.particles.momentum())
             sim.run(5)
             after = comm.allreduce(sim.particles.momentum())

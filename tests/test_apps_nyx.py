@@ -63,7 +63,11 @@ class TestDeposit:
 
     def test_uniform_lattice_gives_uniform_density(self):
         def prog(comm):
-            sim = NyxSimulation(comm, grid=8, perturbation=0.0, seed=0)
+            sim = NyxSimulation(comm, grid=8, seed=0)
+            # Undo the perturbation: particle id i started at lattice site i.
+            p = sim.particles
+            sites = np.stack(np.unravel_index(p.ids, (8, 8, 8)), axis=1)
+            p.positions[:] = (sites + 0.5) / 8
             sim.deposit()
             d = sim.density[1:-1]
             return float(d.min()), float(d.max())
@@ -166,7 +170,8 @@ class TestDynamics:
         one wrap clamps it, so the particle keeps an owner and is not lost."""
 
         def prog(comm):
-            sim = make_sim(comm, gravity=0.0, dt=1.0)
+            sim = make_sim(comm)
+            sim.gravity, sim.dt = 0.0, 1.0
             p = sim.particles
             p.velocities[:] = 0.0
             if comm.rank == 0:

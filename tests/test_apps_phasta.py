@@ -107,25 +107,6 @@ class TestPhastaSimulation:
         assert vmax > 0.5
         assert step == 1
 
-    def test_solver_cost_scales_with_sweeps(self):
-        # Each solve is microseconds on this mesh, so one sample per side
-        # is at the mercy of the scheduler; compare the best of five.
-        def best_solve(comm, sweeps):
-            samples = []
-            for _ in range(5):
-                timers = TimerRegistry()
-                sim = PhastaSimulation(
-                    comm, (8, 4, 4), smoothing_sweeps=sweeps, timers=timers
-                )
-                sim.advance()
-                samples.append(timers.total("phasta::solve"))
-            return min(samples)
-
-        def prog(comm):
-            return best_solve(comm, 1), best_solve(comm, 8)
-
-        cheap, dear = run_spmd(1, prog)[0]
-        assert dear > cheap
 
 
 class TestPhastaAdaptor:

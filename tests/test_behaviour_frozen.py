@@ -13,6 +13,8 @@ import functools
 import importlib
 import inspect
 import json
+import re
+import textwrap
 import zlib
 from pathlib import Path
 
@@ -86,15 +88,17 @@ def _assert_service_goldens(tenant_dir):
 
 def test_service_inproc_artifacts(tmp_path):
     run_workload_inproc(
-        "alpha", synthetic_steps("alpha", 6, (64, 64), 3), str(tmp_path), seed=3
+        "alpha", synthetic_steps("alpha", 6, (64, 64), 3), str(tmp_path)
     )
     _assert_service_goldens(tmp_path)
 
 
 def test_service_socket_artifacts(tmp_path):
+    registry = TenantRegistry()
+    registry.register(TenantSpec("alpha"))
     server = ServiceServer(
         str(tmp_path / "s.sock"),
-        TenantRegistry([TenantSpec("alpha")]),
+        registry,
         "golden-secret",
         str(tmp_path / "out"),
         seed=3,
@@ -547,7 +551,7 @@ _UNNAMED_BUT_KEPT = {
     "util/memory.py::MemoryTracker.named": "the per-label balance the "
     "footprint tests of Figs. 4 and 7 read",
     "util/timers.py::TimerRegistry.merge_snapshot": "the cross-rank fold of "
-    "as_dict snapshots, whose tests pin the lossless min/samples merge",
+    "as_dict snapshots, whose tests pin the lossless total/count/min/max merge",
 }
 
 
@@ -597,3 +601,232 @@ def _unnamed_public_names():
 
 def test_every_public_name_is_used_outside_tests():
     assert _unnamed_public_names() == set(_UNNAMED_BUT_KEPT)
+
+
+# -- structure: every option is set by something other than a test -----------
+
+_MPI_SIGNATURE = "part of the MPI signature that communicator, compositing and reduction calls mirror"
+
+#: Defaulted parameters that no call outside ``tests/`` passes, kept on
+#: purpose; the value is why.
+_UNSET_BUT_KEPT = {
+    **dict.fromkeys(
+        [
+            "analysis/autocorrelation.py::AutocorrelationState.finalize(root=)",
+            "analysis/histogram.py::parallel_histogram(root=)",
+            "analysis/slice_.py::gather_global_slice(root=)",
+            "mpi/communicator.py::Communicator.exscan(op=)",
+            "mpi/communicator.py::Communicator.recv_with_status(tag=)",
+            "mpi/communicator.py::Communicator.recv_with_status(timeout=)",
+            "mpi/communicator.py::Communicator.scatter(root=)",
+            "render/compositing.py::binary_swap(root=)",
+            "render/compositing.py::direct_send(root=)",
+        ],
+        _MPI_SIGNATURE,
+    ),
+    "faults/policies.py::retry_call(sleep=)": "the seam through which the "
+    "retry tests substitute a recording sleep",
+    "faults/chaos.py::run_chaos(plan=)": "the seam through which the chaos "
+    "tests substitute a fault-free or endpoint-only plan",
+    **dict.fromkeys(
+        ["service/client.py::run_client_workload(injector=)",
+         "service/server.py::ServiceServer(injector=)"],
+        "the seam through which the service fault tests inject wire and "
+        "analysis faults",
+    ),
+    "service/server.py::ServiceServer(now=)": "the seam through which the "
+    "token-expiry tests substitute a fake clock",
+    "service/server.py::ServiceServer(trace=)": "the seam through which the "
+    "service tests read the server's and tenants' trace",
+    "analysis/hybrid.py::ThreadedAutocorrelationState(n_threads=)": "the "
+    "thread-count axis the threaded-equals-serial property test sweeps",
+    "apps/nbody.py::NBodySimulation(velocity_scale=)": "the slower initial "
+    "velocities the n-body property and equivalence tests run at",
+    **dict.fromkeys(
+        ["faults/policies.py::CircuitBreaker(failure_threshold=)",
+         "faults/policies.py::CircuitBreaker(probe_interval=)"],
+        "the breaker thresholds the breaker state-machine tests sweep",
+    ),
+    "miniapp/simulation.py::OscillatorSimulation.make_data_adaptor(eager=)":
+    "the eager-mapping reference the laziness tests compare against",
+    "service/tenancy.py::issue_token(expires=)": "the expiry the token "
+    "tests set to check rejection of an expired token",
+    "apps/phasta_proxy.py::PhastaSliceRender(compression_level=)": "the "
+    "Table 2 compression axis (store vs. zlib level 6)",
+    "perf/apps_model.py::phasta_table2(compression=)": "the Table 2 "
+    "compression axis of the modeled PHASTA row",
+    "infrastructure/adios.py::run_flexpath_job(sanitize=)": "the sanitizer, "
+    "a debugging mode the endpoint tests switch on",
+    "mpi/launcher.py::run_spmd(trace_collectives=)": "the collective-trace "
+    "debugging mode of the race-detector tests",
+    **dict.fromkeys(
+        [f"perf/calibrate.py::calibrate_host({p}=)" for p in ("image", "n", "window")],
+        "perf/calibrate.py is kept unreached on purpose (_UNREACHED_BUT_KEPT)",
+    ),
+    "cli.py::main(argv=)": "the command line; the CLI tests pass argv, "
+    "python -m repro passes none",
+}
+
+
+def _defaulted_params(tree):
+    """``(qualified name, callee, parameter, index)`` for each parameter
+    with a default on a public function, public method or public class
+    constructor.  ``index`` is the parameter's position among the
+    arguments a call passes (``self`` and ``cls`` are not passed), None
+    for a keyword-only parameter; ``callee`` is the name a call uses."""
+    def public_functions():
+        """(function, qualified name, callee, leading arguments not passed)."""
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield node, node.name, node.name, 0
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", "") == "staticmethod" for d in m.decorator_list)
+                if m.name == "__init__":
+                    yield m, node.name, node.name, 1
+                elif not m.name.startswith("_"):
+                    yield m, f"{node.name}.{m.name}", m.name, 0 if static else 1
+
+    for fn, qual, callee, skip in public_functions():
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args][skip:]
+        first = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional[first:], first):
+            yield qual, callee, p.arg, i
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield qual, callee, p.arg, None
+
+
+def _passes(call, param, index):
+    """Whether ``call`` passes ``param``: by keyword, at or past ``index``
+    by position, or through ``*``/``**`` unpacking that could reach it."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    star = next((i for i, x in enumerate(call.args) if isinstance(x, ast.Starred)), None)
+    return len(call.args) > index or (star is not None and star <= index)
+
+
+def _unset_options(trees, callers):
+    """``file::qualname(param=)`` for each defaulted parameter in ``trees``
+    that no call in ``callers`` passes.  A call matches by the bare name it
+    calls (``f(...)``, ``obj.f(...)``, ``Cls(...)``)."""
+    calls: dict[str, list] = {}
+    for tree in callers:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return {
+        f"{rel}::{qual}({param}=)"
+        for rel, tree in trees.items()
+        for qual, callee, param, index in _defaulted_params(tree)
+        if not any(_passes(c, param, index) for c in calls.get(callee, ()))
+    }
+
+
+def _caller_trees():
+    """Every source outside ``tests/`` that may call into ``src/repro``:
+    the package itself, ``bench/``, ``benchmarks/``, ``examples/`` and the
+    inline Python of the CI workflow."""
+    trees = list(_src_trees().values())
+    for d in ("bench", "benchmarks", "examples"):
+        trees += [ast.parse(p.read_text()) for p in (_REPO / d).rglob("*.py")]
+    ci = (_REPO / ".github" / "workflows" / "ci.yml").read_text()
+    for m in re.finditer(r"<<'(\w+)'\n(.*?)\n\s*\1\n", ci, re.S):
+        trees.append(ast.parse(textwrap.dedent(m.group(2))))
+    return trees
+
+
+def _option_drift(trees, callers, kept):
+    """(unset options not on ``kept``, ``kept`` entries that are set)."""
+    unset = _unset_options(trees, callers)
+    return unset - set(kept), set(kept) - unset
+
+
+def test_every_option_is_set_outside_tests():
+    assert _option_drift(_src_trees(), _caller_trees(), _UNSET_BUT_KEPT) == (set(), set())
+
+
+_PLANTED = "def f(a, b=1, *, c=2):\n    pass\n\n\nclass C:\n    def __init__(self, x=0):\n        pass\n\n    def m(self, y=0):\n        pass\n"
+
+
+@pytest.mark.parametrize(
+    ("caller", "kept", "new", "stale"),
+    [
+        pytest.param(
+            "f(0, 1, c=2)\nC(1).m(2)\n", {}, set(), set(), id="all-set"
+        ),
+        pytest.param(
+            "f(0, c=2)\nC(1).m(2)\n", {}, {"p.py::f(b=)"}, set(), id="unset-positional"
+        ),
+        pytest.param(
+            "f(0, 1)\nC(1).m(2)\n", {}, {"p.py::f(c=)"}, set(), id="unset-keyword-only"
+        ),
+        pytest.param(
+            "f(*args, **kw)\nC(x=1).m(y=2)\n", {}, set(), set(), id="unpacking-and-keywords"
+        ),
+        pytest.param(
+            "f(0, 1, c=2)\nC().m()\n", {},
+            {"p.py::C(x=)", "p.py::C.m(y=)"}, set(), id="self-is-not-an-argument",
+        ),
+        pytest.param(
+            "f(0, 1, c=2)\nC(1).m(2)\n", {"p.py::f(b=)": "stale"},
+            set(), {"p.py::f(b=)"}, id="stale-entry",
+        ),
+    ],
+)
+def test_option_rule_on_planted_source(caller, kept, new, stale):
+    """A new defaulted parameter nothing passes is reported, and so is a
+    kept entry that a caller now sets."""
+    trees = {Path("p.py"): ast.parse(_PLANTED)}
+    assert _option_drift(trees, [ast.parse(caller)], kept) == (new, stale)
+
+
+# -- structure: every import is used -------------------------------------------
+
+
+def _unused_imports(trees):
+    """``file::name`` for each name a module imports but neither uses nor
+    lists in its ``__all__`` (ruff's F401).  Names in quoted annotations
+    count as used."""
+    for rel, tree in trees.items():
+        bound = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in n.names}
+            elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+                bound |= {a.asname or a.name for a in n.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "__all__":
+                used |= set(ast.literal_eval(n.value))
+            notes = [getattr(n, "returns", None), getattr(n, "annotation", None)]
+            for note in filter(None, notes):
+                for c in ast.walk(note):  # a quoted annotation: "TraceRecorder | None"
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                        expr = ast.parse(c.value, mode="eval")
+                        used |= {m.id for m in ast.walk(expr) if isinstance(m, ast.Name)}
+        yield from (f"{rel}::{name}" for name in sorted(bound - used))
+
+
+@pytest.mark.parametrize(
+    ("source", "unused"),
+    [
+        pytest.param("import numpy as np\n", ["m.py::np"], id="unused-alias"),
+        pytest.param("import os.path\nos.sep\n", [], id="dotted-import-used"),
+        pytest.param("from x import A, B\n__all__ = ['A']\nB()\n", [], id="re-exported"),
+        pytest.param("from x import T\ndef f(a: 'T | None'): pass\n", [], id="quoted-annotation"),
+    ],
+)
+def test_import_rule_on_planted_source(source, unused):
+    assert list(_unused_imports({Path("m.py"): ast.parse(source)})) == unused
+
+
+def test_every_import_is_used():
+    assert list(_unused_imports(_src_trees())) == []

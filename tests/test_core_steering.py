@@ -16,6 +16,7 @@ def _thread_backend(monkeypatch):
 
 from repro.apps.phasta_proxy import PhastaSimulation, PhastaSliceRender
 from repro.core import Bridge, Frame, LiveConnection, SteeringAnalysis
+from repro.core.steering import _MAX_FRAMES
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import SPMDError, run_spmd
@@ -40,10 +41,11 @@ class TestLiveConnection:
         assert conn.stop_requested()
 
     def test_frame_ring_buffer(self):
-        conn = LiveConnection(max_frames=2)
-        for s in range(5):
+        conn = LiveConnection()
+        for s in range(_MAX_FRAMES + 4):
             conn.publish_frame(Frame(step=s, time=float(s), png=bytes([s])))
-        assert conn.wait_for_frame(0, timeout=0).step == 4
+        assert conn.wait_for_frame(0, timeout=0).step == _MAX_FRAMES + 3
+        assert [f.step for f in conn._frames] == list(range(4, _MAX_FRAMES + 4))
 
     def test_wait_for_frame_timeout(self):
         conn = LiveConnection()
@@ -66,10 +68,6 @@ class TestLiveConnection:
         conn.publish_metric(1, 0.1, 5.0)
         conn.publish_metric(2, 0.2, 6.0)
         assert conn.metrics() == [(1, 0.1, 5.0), (2, 0.2, 6.0)]
-
-    def test_invalid_max_frames(self):
-        with pytest.raises(ValueError):
-            LiveConnection(max_frames=0)
 
 
 class TestSteeringAnalysis:

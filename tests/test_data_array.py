@@ -114,10 +114,6 @@ class TestCopySemantics:
         assert not cp.is_zero_copy
         assert not np.shares_memory(cp.values, backing)
 
-    def test_deep_copy_rename(self):
-        arr = DataArray.from_numpy("a", np.zeros(3))
-        assert arr.deep_copy("b").name == "b"
-
     def test_mutation_through_view_visible_in_simulation(self):
         """The zero-copy contract in the write direction."""
         backing = np.zeros(6)

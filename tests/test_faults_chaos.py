@@ -27,8 +27,8 @@ def chaos_pair(tmp_path_factory, spmd_backend):
     chaos runs are the expensive part of this file."""
     d1 = str(tmp_path_factory.mktemp(f"chaos1-{spmd_backend}"))
     d2 = str(tmp_path_factory.mktemp(f"chaos2-{spmd_backend}"))
-    r1 = run_chaos(seed=42, ranks=3, steps=8, out_dir=d1, timeout=60.0)
-    r2 = run_chaos(seed=42, ranks=3, steps=8, out_dir=d2, timeout=60.0)
+    r1 = run_chaos(seed=42, ranks=3, steps=8, out_dir=d1)
+    r2 = run_chaos(seed=42, ranks=3, steps=8, out_dir=d2)
     _RUN_BY_BACKEND[spmd_backend] = (d1, r1)
     return (d1, r1), (d2, r2)
 
@@ -147,7 +147,7 @@ class TestChaosRun:
 
     def test_different_seed_differs(self, chaos_pair, tmp_path):
         (_, r1), _ = chaos_pair
-        r3 = run_chaos(seed=7, ranks=3, steps=8, out_dir=str(tmp_path), timeout=60.0)
+        r3 = run_chaos(seed=7, ranks=3, steps=8, out_dir=str(tmp_path))
         assert r3["fault_schedule"] != r1["fault_schedule"]
 
     def test_fault_free_plan_stages_everything(self, tmp_path):
@@ -159,7 +159,6 @@ class TestChaosRun:
             steps=4,
             out_dir=str(tmp_path),
             plan=FaultPlan(seed=0),
-            timeout=60.0,
         )
         acct = report["accounting"]
         assert acct["staged_steps"] == 4
@@ -214,7 +213,7 @@ class TestChaosEdgePlans:
             events=(FaultEvent("staging.endpoint", "disconnect", rank=0, step=1),),
         )
         report = run_chaos(
-            seed=5, ranks=3, steps=5, out_dir=str(tmp_path), plan=plan, timeout=60.0
+            seed=5, ranks=3, steps=5, out_dir=str(tmp_path), plan=plan
         )
         acct = report["accounting"]
         assert report["completed"]

@@ -155,39 +155,6 @@ class TestStorageFaults:
         back = BPReader(path).read("data", step=0)
         np.testing.assert_array_equal(back, data)
 
-    def test_mpiio_collective_retry_roundtrip(self, tmp_path):
-        """Failed and partial data phases, on i-slab (2 ranks) and i-plane
-        (4 ranks) runs: each rank draws ``storage.write`` once per attempt
-        (two injected failures, then the attempt that lands), and the
-        retried file round-trips exactly."""
-        dims = (8, 4, 4)
-        field = np.arange(np.prod(dims), dtype=np.float64).reshape(dims)
-        whole = Extent(0, dims[0] - 1, 0, dims[1] - 1, 0, dims[2] - 1)
-        for kind in ("write_fail", "write_partial"):
-            plan = FaultPlan(seed=0, rules=(
-                FaultRule(SITE_STORAGE_WRITE, kind, 1.0, max_firings=2),
-            ))
-            for nranks in (2, 4):
-                path = str(tmp_path / f"c_{kind}_{nranks}.raw")
-
-                def prog(comm):
-                    ext = self._extent(comm, dims)
-                    block = field[ext.i0:ext.i1 + 1, ext.j0:ext.j1 + 1, ext.k0:ext.k1 + 1]
-                    rec = TraceRecorder(rank=comm.rank)
-                    comm.attach_trace(rec)
-                    mpiio_write_collective(
-                        comm, path, block, ext, dims,
-                        retry=RetryPolicy(max_attempts=5, base_delay=0.0),
-                    )
-                    draws = comm.fault_injector._occurrences[
-                        (SITE_STORAGE_WRITE, comm._draw_rank())
-                    ]
-                    return draws, rec.total("resilience::retry") + 1
-
-                out = run_spmd(nranks, prog, faults=plan, timeout=30.0)
-                assert out == [(3, 3)] * nranks, (kind, nranks)
-                np.testing.assert_array_equal(mpiio_read_block(path, whole), field)
-
     def test_mpiio_unretried_failure_propagates(self, tmp_path):
         plan = FaultPlan(seed=0, events=(
             FaultEvent(SITE_STORAGE_WRITE, "write_fail", rank=0, occurrence=0),

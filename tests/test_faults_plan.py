@@ -134,10 +134,6 @@ class TestChaosPlan:
         assert chaos_plan(42, 3, 10) == chaos_plan(42, 3, 10)
         assert chaos_plan(42, 3, 10) != chaos_plan(43, 3, 10)
 
-    def test_opt_outs(self):
-        plan = chaos_plan(1, 2, 10, kill_rank=False, kill_endpoint=False)
-        assert plan.events == ()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             chaos_plan(1, 0, 10)

@@ -107,16 +107,6 @@ class TestSimulation:
                 ] = block
             np.testing.assert_allclose(assembled, reference, rtol=1e-12)
 
-    def test_sync_mode_runs(self):
-        def prog(comm):
-            sim = OscillatorSimulation(
-                comm, (6, 6, 6), default_oscillators(), sync=True
-            )
-            sim.run(2)
-            return sim.step
-
-        assert run_spmd(4, prog) == [2, 2, 2, 2]
-
     def test_memory_tracked(self):
         def prog(comm):
             mem = MemoryTracker()

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import repro
-from tests import _spmd_programs as progs
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.injector import InjectedRankDeath
 from repro.mpi import BACKENDS, MPIError, SPMDError, resolve_backend, run_spmd
@@ -33,6 +32,19 @@ from repro.trace import TraceSession
 
 #: ``src/``, for the child interpreters some tests start.
 _SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def _ring_allreduce(comm):
+    """One send/recv ring pass plus an allreduce; returns plain floats."""
+    a = np.arange(32, dtype=np.float64) + comm.rank
+    comm.send(a, (comm.rank + 1) % comm.size, tag=3)
+    r = comm.recv(source=(comm.rank - 1) % comm.size, tag=3)
+    return float(comm.allreduce(float(r.sum())))
+
+
+def _rank_pid(comm):
+    """Each rank's PID, for asserting real process-per-rank execution."""
+    return comm.rank, os.getpid()
 
 
 def _ring_and_allgather(comm):
@@ -88,18 +100,18 @@ class TestBackendSelection:
         assert BACKENDS == ("thread", "process")
 
     def test_process_backend_runs_distinct_processes(self):
-        out = run_spmd(3, progs.rank_pid, backend="process")
+        out = run_spmd(3, _rank_pid, backend="process")
         pids = {pid for _, pid in out}
         assert len(pids) == 3
         assert os.getpid() not in pids
 
     def test_thread_backend_shares_this_process(self):
-        out = run_spmd(3, progs.rank_pid, backend="thread")
+        out = run_spmd(3, _rank_pid, backend="thread")
         assert {pid for _, pid in out} == {os.getpid()}
 
     def test_env_var_selects_process_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_BACKEND", "process")
-        out = run_spmd(2, progs.rank_pid)
+        out = run_spmd(2, _rank_pid)
         assert os.getpid() not in {pid for _, pid in out}
 
 
@@ -248,45 +260,19 @@ class TestProcessLifecycle:
         """Every pipe end a job opens in the launcher is closed when it
         returns: the launcher's open descriptors come back to where they
         were after 20 consecutive 3-rank jobs."""
-        run_spmd(3, progs.ring_allreduce, backend="process")
+        run_spmd(3, _ring_allreduce, backend="process")
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(20):
-            run_spmd(3, progs.ring_allreduce, backend="process")
+            run_spmd(3, _ring_allreduce, backend="process")
         assert len(os.listdir("/proc/self/fd")) == before
 
     def test_no_thread_leak_in_parent(self):
         """The launcher must not accumulate helper threads run over run."""
-        run_spmd(2, progs.ring_allreduce, backend="process")
+        run_spmd(2, _ring_allreduce, backend="process")
         before = threading.active_count()
         for _ in range(3):
-            run_spmd(2, progs.ring_allreduce, backend="process")
+            run_spmd(2, _ring_allreduce, backend="process")
         assert threading.active_count() <= before + 1
-
-
-class TestStartMethods:
-    def test_spawn_runs_module_level_program(self):
-        out = run_spmd(
-            2, progs.ring_allreduce, backend="process", start_method="spawn", scale=3.0
-        )
-        assert out == run_spmd(2, progs.ring_allreduce, scale=3.0)
-
-    def test_forkserver_runs_module_level_program(self):
-        out = run_spmd(
-            2, progs.rank_pid, backend="process", start_method="forkserver"
-        )
-        assert len({pid for _, pid in out}) == 2
-
-    def test_spawn_rejects_closures_with_clear_error(self):
-        with pytest.raises(ValueError, match="picklable .* program"):
-            run_spmd(
-                2, lambda c: c.rank, backend="process", start_method="spawn"
-            )
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ValueError, match="not available"):
-            run_spmd(
-                1, progs.rank_pid, backend="process", start_method="warp"
-            )
 
 
 class _CountsItsPickles:
@@ -338,11 +324,12 @@ class TestSharedMemoryTransport:
                 assert rec.total(f"{stem}::pickled") == rec.total(stem) > 0
 
     @pytest.mark.parametrize("damage", ["short", "missing"])
-    def test_damaged_segment_raises_naming_it(self, damage):
+    def test_damaged_segment_raises_naming_it(self, monkeypatch, damage):
         """A segment shorter than its array, or gone, is a typed error that
         names it -- never an array of uninitialised bytes -- and the
         consumer still unlinks what is there."""
-        codec = shm_mod.PayloadCodec(f"damaged{damage}", 0, threshold=1)
+        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+        codec = shm_mod.PayloadCodec(f"damaged{damage}", 0)
         spec = codec.encode(np.arange(1024, dtype=np.float64))
         path = os.path.join(shm_mod.SEGMENT_DIR, spec[1])
         if damage == "short":
@@ -490,8 +477,9 @@ class TestSharedMemoryTransport:
         monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "-5")
         assert shm_mod.shm_threshold() == 0
 
-    def test_codec_roundtrip_and_inline_small(self):
-        codec = shm_mod.PayloadCodec("testjob", 0, threshold=64)
+    def test_codec_roundtrip_and_inline_small(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "64")
+        codec = shm_mod.PayloadCodec("testjob", 0)
         small = np.arange(4, dtype=np.float64)
         kind, payload = codec.encode(small)
         assert kind == "inline"
@@ -505,7 +493,8 @@ class TestSharedMemoryTransport:
         assert out.tobytes() == big.tobytes()
         assert not np.shares_memory(out, big)
         # A 0-d array comes back 0-d, as it does on the thread backend.
-        spill_all = shm_mod.PayloadCodec("testjob0d", 0, threshold=1)
+        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+        spill_all = shm_mod.PayloadCodec("testjob0d", 0)
         spec = spill_all.encode(np.array(2.0**70))
         assert spec[0] == "shm"
         scalar = shm_mod.PayloadCodec.decode(spec)

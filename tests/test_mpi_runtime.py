@@ -44,18 +44,6 @@ def test_invalid_nranks():
         run_spmd(0, lambda c: None)
 
 
-def test_rank_args():
-    def prog(comm, common, mine):
-        return common + mine
-
-    assert run_spmd(3, prog, 10, rank_args=[(1,), (2,), (3,)]) == [11, 12, 13]
-
-
-def test_rank_args_wrong_length():
-    with pytest.raises(ValueError):
-        run_spmd(3, lambda c, x: x, rank_args=[(1,)])
-
-
 #: Per collective kind: how two ranks call it with their buffer, and where
 #: rank 1 finds rank 0's contribution in what the call returns.  Rank 1
 #: contributes zeros, so its sums equal rank 0's row.
@@ -72,6 +60,25 @@ _REUSE_CALLS = {
     "allreduce": (lambda comm, buf: comm.allreduce(buf), lambda out: out),
     "exscan": (lambda comm, buf: comm.exscan(buf), lambda out: out),
 }
+
+
+def _ndarray_kinds():
+    """Bare arrays past the 64 KiB segment threshold that a byte copy
+    alone would not carry: object references, a structured dtype, a mask,
+    a non-C order, a non-native byte order and a datetime unit."""
+    n = 1 << 14
+    rng = np.random.default_rng(0)
+    structured = np.zeros(n, dtype=[("a", "<f8"), ("b", "<i4")])
+    structured["a"] = rng.random(n)
+    structured["b"] = np.arange(n)
+    return {
+        "object": np.array([f"cell{i}" for i in range(n)], dtype=object),
+        "structured": structured,
+        "masked": np.ma.masked_array(rng.random(n), mask=rng.random(n) < 0.2),
+        "fortran": np.asfortranarray(rng.random((128, n // 128))),
+        "big_endian": rng.random(n).astype(">f8"),
+        "datetime": np.arange(n).astype("datetime64[s]"),
+    }
 
 
 class TestPointToPoint:
@@ -103,6 +110,31 @@ class TestPointToPoint:
         assert np.array_equal(sent, got)
         assert got.base is None
         assert not np.shares_memory(sent, got)
+
+    @pytest.mark.parametrize("kind", sorted(_ndarray_kinds()))
+    def test_every_ndarray_kind_arrives_as_sent(self, kind):
+        """Type, dtype, shape, values and mask of a bare array survive a
+        send, whether it rides a segment or the pipe."""
+        sent = _ndarray_kinds()[kind]
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(sent, dest=1)
+                return None
+            got = comm.recv(source=0)
+            # Compared on the receiving rank: a rank's result crosses back
+            # to the launcher by another path.
+            return {
+                "type": type(got) is type(sent),
+                "dtype": got.dtype == sent.dtype and got.shape == sent.shape,
+                "values": got.tolist() == sent.tolist()
+                if sent.dtype.hasobject
+                else got.tobytes() == sent.tobytes(),
+                "mask": np.array_equal(np.ma.getmaskarray(got), np.ma.getmaskarray(sent)),
+            }
+
+        checks = run_spmd(2, prog, timeout=30.0)[1]
+        assert checks == dict.fromkeys(checks, True)
 
     @pytest.mark.parametrize("fault", ["none", "delay", "drop", "duplicate"])
     def test_send_buffer_reusable_after_send(self, fault):

@@ -27,8 +27,6 @@ _RUN_BY_BACKEND: dict = {}
 def _nbody_chaos(out_dir, seed=SEED, **kwargs):
     kwargs.setdefault("ranks", 3)
     kwargs.setdefault("steps", 6)
-    kwargs.setdefault("global_dims", (8, 8, 8))
-    kwargs.setdefault("timeout", 90.0)
     return run_chaos(seed=seed, out_dir=str(out_dir), app="nbody", **kwargs)
 
 

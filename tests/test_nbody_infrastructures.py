@@ -129,9 +129,11 @@ class TestServiceTenant:
         from repro.service.workload import nbody_steps
 
         secret = "nbody-secret"
+        registry = TenantRegistry()
+        registry.register(TenantSpec("nb"))
         server = ServiceServer(
             str(tmp_path / "svc.sock"),
-            TenantRegistry([TenantSpec("nb")]),
+            registry,
             secret,
             str(tmp_path / "out"),
             render=False,
@@ -153,7 +155,6 @@ class TestServiceTenant:
             "nb",
             nbody_steps("nb", 3, grid=8),
             str(tmp_path / "oracle"),
-            render=False,
         )
         served = (
             tmp_path / "out" / "tenants" / "nb" / "histograms.json"

@@ -155,7 +155,7 @@ class TestMiniappModelShapes:
             m.flexpath("histogram", placement="gpu")
 
     def test_fig9_reader_init_cheaper_on_titan(self):
-        cfg_c = MiniappConfig.at_scale("6K", machine=CORI)
+        cfg_c = MiniappConfig.at_scale("6K")
         cfg_t = MiniappConfig(cores=6496, points_per_core=308_000, machine=TITAN)
         init_c = MiniappModel(cfg_c).flexpath()["endpoint_initialize"]
         init_t = MiniappModel(cfg_t).flexpath()["endpoint_initialize"]

@@ -28,7 +28,7 @@ def written_run(tmp_path_factory):
         sim = OscillatorSimulation(comm, DIMS, default_oscillators(), dt=0.1)
         bridge = Bridge(comm, sim.make_data_adaptor())
         hist = HistogramAnalysis(bins=16)
-        ac = AutocorrelationAnalysis(window=2, k=3)
+        ac = AutocorrelationAnalysis(window=4, k=3)
         bridge.add_analysis(hist)
         bridge.add_analysis(ac)
         bridge.initialize()
@@ -99,44 +99,35 @@ class TestPosthocAutocorrelation:
 
         def reader(comm):
             res = run_posthoc_analysis(
-                comm, directory, steps=[1, 2, 3], analysis="autocorrelation",
-                ac_window=2, ac_topk=3,
+                comm, directory, steps=[1, 2, 3], analysis="autocorrelation"
             )
             return res.autocorrelation if comm.rank == 0 else None
 
         post = run_spmd(2, reader)[0]
         assert post is not None
-        for d in range(2):
+        for d in range(STEPS):
             post_vals = [c for c, _ in post.top[d]]
             insitu_vals = [c for c, _ in insitu_ac.top[d]]
             assert post_vals == pytest.approx(insitu_vals)
 
 
 class TestPosthocSlice:
-    def test_slice_png_produced(self, written_run, tmp_path):
+    def test_slice_png_produced(self, written_run):
         directory, _ = written_run
 
         def reader(comm):
-            res = run_posthoc_analysis(
-                comm, directory, steps=[2], analysis="slice",
-                slice_axis=2, slice_index=4, resolution=(40, 30),
-                output_dir=str(tmp_path),
-            )
+            res = run_posthoc_analysis(comm, directory, steps=[2], analysis="slice")
             return res.slice_pngs
 
         pngs = run_spmd(2, reader)[0]
         assert len(pngs) == 1
-        assert decode_png(pngs[0]).shape == (30, 40, 3)
-        assert (tmp_path / "posthoc_000002.png").exists()
+        assert decode_png(pngs[0]).shape == (64, 64, 3)
 
     def test_reader_count_invariance(self, written_run):
         directory, _ = written_run
 
         def reader(comm):
-            res = run_posthoc_analysis(
-                comm, directory, steps=[2], analysis="slice",
-                slice_axis=2, slice_index=4, resolution=(40, 30),
-            )
+            res = run_posthoc_analysis(comm, directory, steps=[2], analysis="slice")
             return res.slice_pngs[0] if comm.rank == 0 else None
 
         a = run_spmd(1, reader)[0]
@@ -153,14 +144,3 @@ class TestValidation:
                 run_posthoc_analysis(comm, directory, [1], "fourier")
 
         run_spmd(1, reader)
-
-    def test_output_files_written(self, written_run, tmp_path):
-        directory, _ = written_run
-
-        def reader(comm):
-            run_posthoc_analysis(
-                comm, directory, [1], "histogram", output_dir=str(tmp_path)
-            )
-
-        run_spmd(1, reader)
-        assert (tmp_path / "posthoc_histogram.txt").exists()

@@ -50,7 +50,10 @@ SHAPE = (16, 16)
 
 
 def _registry(*specs):
-    return TenantRegistry(list(specs))
+    registry = TenantRegistry()
+    for spec in specs:
+        registry.register(spec)
+    return registry
 
 
 def _server(tmp_path, registry, **kwargs):
@@ -553,7 +556,7 @@ class TestAnalysisRaises:
                 return "ok", 0.0
 
         worker = _TenantWorker(
-            Wedged(), CostLedger("alpha", "staged"), BytesInFlight(None), 4
+            Wedged(), CostLedger("alpha", "staged"), BytesInFlight(None)
         )
         worker.drain_timeout = 0.2
         try:
@@ -615,7 +618,6 @@ class TestArtifacts:
             tmp_path,
             _registry(TenantSpec("alpha"), TenantSpec("beta", placement="in-line")),
             render=True,
-            resolution=(64, 36),
         )
         try:
             _run(server, "alpha", steps=3)
@@ -627,7 +629,6 @@ class TestArtifacts:
                 tenant,
                 synthetic_steps(tenant, 3, SHAPE, 0),
                 str(tmp_path / "oracle" / tenant),
-                resolution=(64, 36),
             )
             served = tmp_path / "out" / "tenants" / tenant
             oracle = tmp_path / "oracle" / tenant
@@ -643,9 +644,7 @@ class TestArtifacts:
         """The server pads a 1-D step to a 3-D extent; its byte-identity
         oracle must accept the same stream (it raised IndexError)."""
         steps = [(s, 0.1 * s, {"data": np.linspace(0.0, 1.0 + s, 32)}) for s in range(3)]
-        endpoint = run_workload_inproc(
-            "alpha", steps, str(tmp_path / "oracle"), render=False
-        )
+        endpoint = run_workload_inproc("alpha", steps, str(tmp_path / "oracle"))
         assert endpoint.steps_ok == 3
         hist = json.loads((tmp_path / "oracle" / "histograms.json").read_text())
         assert [sum(h["counts"]) for h in hist] == [32, 32, 32]
@@ -681,7 +680,7 @@ class TestArtifacts:
         for n in names:
             run_workload_inproc(
                 n, synthetic_steps(n, 5, SHAPE, 0),
-                str(tmp_path / "oracle" / n), render=False,
+                str(tmp_path / "oracle" / n),
             )
             served = (
                 tmp_path / "out" / "tenants" / n / "histograms.json"

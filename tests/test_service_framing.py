@@ -169,7 +169,8 @@ class TestFraming:
             ),
         )
         a, b = socket.socketpair()
-        tx = FrameChannel(a, injector=FaultInjector(plan), fault_rank=0)
+        tx = FrameChannel(a)
+        tx.injector = FaultInjector(plan)
         rx = FrameChannel(b)
         tx.send(protocol.STEP, b"clean")
         tx.send(protocol.STEP, b"mangled on the wire")
@@ -243,13 +244,15 @@ class TestTenancy:
             TenantSpec("ok", placement="orbital")
 
     def test_slots_are_sorted_name_order_not_registration_order(self):
-        reg = TenantRegistry([TenantSpec("zeta"), TenantSpec("alpha")])
-        reg.register(TenantSpec("mid"))
+        reg = TenantRegistry()
+        for name in ("zeta", "alpha", "mid"):
+            reg.register(TenantSpec(name))
         assert reg.names() == ["alpha", "mid", "zeta"]
         assert [reg.slot(n) for n in ("alpha", "mid", "zeta")] == [0, 1, 2]
 
     def test_duplicate_registration_rejected(self):
-        reg = TenantRegistry([TenantSpec("a")])
+        reg = TenantRegistry()
+        reg.register(TenantSpec("a"))
         with pytest.raises(ValueError):
             reg.register(TenantSpec("a"))
 
@@ -366,7 +369,7 @@ class TestSyntheticWorkload:
         assert not np.array_equal(a, b)
 
     def test_steps_generator_shape_and_times(self):
-        steps = list(synthetic_steps("alpha", 3, (8, 8), seed=0, dt=0.5))
+        steps = list(synthetic_steps("alpha", 3, (8, 8), seed=0))
         assert [s for s, _, _ in steps] == [0, 1, 2]
-        assert [t for _, t, _ in steps] == [0.0, 0.5, 1.0]
+        assert [t for _, t, _ in steps] == [0.0, 0.01, 0.02]
         assert steps[0][2]["data"].shape == (8, 8, 1)

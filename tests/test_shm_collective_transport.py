@@ -45,7 +45,7 @@ def _run(transport, prog, nranks=3, **kwargs):
     else:
         os.environ["REPRO_SPMD_SHM_THRESHOLD"] = threshold
     try:
-        return run_spmd(nranks, prog, backend=backend, timeout=60.0, **kwargs)
+        return run_spmd(nranks, prog, backend=backend, **kwargs)
     finally:
         if previous is None:
             os.environ.pop("REPRO_SPMD_SHM_THRESHOLD", None)
@@ -320,7 +320,7 @@ class TestChaosWithShmCollectives:
             for name, threshold in (("shm", "1"), ("pickled", "0")):
                 os.environ["REPRO_SPMD_SHM_THRESHOLD"] = threshold
                 out = str(tmp_path / name)
-                run_chaos(seed=42, ranks=3, steps=6, out_dir=out, timeout=60.0)
+                run_chaos(seed=42, ranks=3, steps=6, out_dir=out)
                 dirs[name] = out
         finally:
             os.environ.pop("REPRO_SPMD_BACKEND", None)

@@ -39,13 +39,6 @@ def test_timer_stop_without_start_raises():
         Timer("x")._stop()
 
 
-def test_timer_keep_samples_records_each_call():
-    t = Timer("x", keep_samples=True)
-    t.add(0.5)
-    t.add(1.5)
-    assert t.samples == [0.5, 1.5]
-
-
 def test_registry_returns_same_timer_for_name():
     reg = TimerRegistry()
     assert reg.timer("a") is reg.timer("a")
@@ -109,14 +102,13 @@ def test_registry_names_sorted():
 # -- lossless snapshots and merges (regressions) ------------------------------
 
 
-def test_as_dict_includes_min_and_samples():
-    reg = TimerRegistry(keep_samples=True)
+def test_as_dict_includes_min_and_max():
+    reg = TimerRegistry()
     reg.add("t", 2.0)
     reg.add("t", 0.5)
     d = reg.as_dict()
     assert d["t"]["min"] == pytest.approx(0.5)
     assert d["t"]["max"] == pytest.approx(2.0)
-    assert d["t"]["samples"] == [2.0, 0.5]
 
 
 def test_as_dict_min_is_json_clean_for_unfired_timer():
@@ -129,21 +121,8 @@ def test_as_dict_min_is_json_clean_for_unfired_timer():
     json.dumps(d)
 
 
-def test_merge_preserves_samples_from_sampling_peer():
-    """Regression: merging a sample-keeping registry into a plain one used
-    to drop the peer's samples because the receiving timer's keep_samples
-    was False -- per-call data lost irrecoverably."""
-    plain = TimerRegistry()
-    sampling = TimerRegistry(keep_samples=True)
-    sampling.add("t", 1.0)
-    sampling.add("t", 2.0)
-    plain.merge_snapshot(sampling.as_dict())
-    assert plain.timer("t").samples == [1.0, 2.0]
-    assert plain.timer("t").keep_samples is True
-
-
 def test_snapshot_roundtrip_is_lossless():
-    reg = TimerRegistry(keep_samples=True)
+    reg = TimerRegistry()
     reg.add("a", 0.25)
     reg.add("a", 0.75)
     reg.add("b", 3.0)
@@ -156,7 +135,6 @@ def test_snapshot_roundtrip_is_lossless():
         assert rebuilt.count == orig.count
         assert rebuilt.min_time == pytest.approx(orig.min_time)
         assert rebuilt.max_time == pytest.approx(orig.max_time)
-    assert back.timer("a").samples == [0.25, 0.75]
     # The never-fired timer's 0.0 placeholder must not poison the restored
     # min sentinel: a later real sample still becomes the minimum.
     assert back.timer("never").count == 0
@@ -178,13 +156,13 @@ def test_merge_snapshot_folds_min_max_across_snapshots():
     assert t.total == pytest.approx(2.5)
 
 
-def test_spmd_aggregation_roundtrip_preserves_min_and_samples():
+def test_spmd_aggregation_roundtrip_preserves_min_and_max():
     """4-rank job: each rank ships registry.as_dict() home; the aggregate
-    must retain every rank's samples and the true cross-rank min/max."""
+    must retain every rank's calls and the true cross-rank min/max."""
     from repro.mpi import run_spmd
 
     def prog(comm):
-        reg = TimerRegistry(keep_samples=True)
+        reg = TimerRegistry()
         reg.add("phase", 1.0 + comm.rank)
         reg.add("phase", 0.1 * (comm.rank + 1))
         return reg.as_dict()
@@ -197,6 +175,4 @@ def test_spmd_aggregation_roundtrip_preserves_min_and_samples():
     assert t.count == 8
     assert t.min_time == pytest.approx(0.1)
     assert t.max_time == pytest.approx(4.0)
-    assert sorted(t.samples) == pytest.approx(
-        sorted([1.0, 2.0, 3.0, 4.0, 0.1, 0.2, 0.3, 0.4])
-    )
+    assert t.total == pytest.approx(11.0)
