@@ -17,7 +17,7 @@ from repro.core import (
     Bridge,
     ConfigurableAnalysis,
     DataAdaptor,
-    LazyStructuredDataAdaptor,
+    SimulationDataAdaptor,
     LiveConnection,
     SteeringAnalysis,
 )
@@ -29,7 +29,7 @@ __all__ = [
     "Bridge",
     "DataAdaptor",
     "AnalysisAdaptor",
-    "LazyStructuredDataAdaptor",
+    "SimulationDataAdaptor",
     "ConfigurableAnalysis",
     "LiveConnection",
     "SteeringAnalysis",

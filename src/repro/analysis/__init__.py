@@ -37,7 +37,6 @@ from repro.analysis.fields import (
 )
 from repro.analysis.hybrid import (
     HybridHistogramAnalysis,
-    ThreadedAutocorrelationState,
 )
 from repro.analysis.particles import (
     DensityProjectionAnalysis,
@@ -62,7 +61,6 @@ __all__ = [
     "gradient_3d",
     "vorticity_magnitude",
     "HybridHistogramAnalysis",
-    "ThreadedAutocorrelationState",
     "DensityProjectionAnalysis",
     "PowerSpectrumAnalysis",
     "FriendsOfFriendsAnalysis",

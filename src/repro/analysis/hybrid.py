@@ -3,16 +3,14 @@
 The thread-parallel counterparts of the flat-MPI analyses: each simulated
 rank splits its local values across worker threads (the "OpenMP within a
 node" half of the Nyx hybrid model), then the usual MPI reductions combine
-across ranks.  Results are bit-identical to the flat versions -- integer
-histogram counts commute, and the autocorrelation splits by cell, so no
-floating-point reassociation occurs.
+across ranks.  Results are bit-identical to the flat versions: integer
+histogram counts commute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.autocorrelation import AutocorrelationState
 from repro.analysis.histogram import Histogram, HistogramAnalysis, local_histogram
 from repro.core.adaptors import DataAdaptor
 from repro.core.configurable import register_analysis
@@ -86,37 +84,3 @@ class HybridHistogramAnalysis(HistogramAnalysis):
             )
         return True
 
-
-class ThreadedAutocorrelationState(AutocorrelationState):
-    """Autocorrelation whose per-step update fans out across threads.
-
-    Cells are independent, so chunking by cell changes nothing numerically.
-    """
-
-    def __init__(self, window: int, n_local: int, n_threads: int = 2) -> None:
-        super().__init__(window, n_local)
-        if n_threads <= 0:
-            raise ValueError("n_threads must be positive")
-        self.n_threads = n_threads
-
-    def update(self, values: np.ndarray) -> None:
-        flat = np.asarray(values).reshape(-1)
-        if flat.shape[0] != self.n_local:
-            raise ValueError(
-                f"expected {self.n_local} local values, got {flat.shape[0]}"
-            )
-        if self.n_threads == 1 or self.n_local < 2:
-            super().update(flat)
-            return
-        s = self.steps_seen
-        slot = s % self.window
-        max_d = min(s + 1, self.window)
-
-        def work(lo: int, hi: int) -> None:
-            self.values[slot, lo:hi] = flat[lo:hi]
-            for d in range(max_d):
-                past = self.values[(s - d) % self.window, lo:hi]
-                self.corr[d, lo:hi] += flat[lo:hi] * past
-
-        parallel_chunked(work, self.n_local, self.n_threads)
-        self.steps_seen += 1

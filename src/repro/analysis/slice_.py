@@ -132,7 +132,7 @@ class SliceExtractAnalysis(AnalysisAdaptor):
         self._comm = comm
 
     def execute(self, data: DataAdaptor) -> bool:
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if not isinstance(mesh, ImageData):
             raise TypeError("slice extraction requires an ImageData mesh")
         # Force the field mapping only on intersecting ranks -- matches

@@ -15,7 +15,7 @@ chemistry/viscosity.  Domain decomposition is slab (along x) with periodic
 halo exchange over the simulated MPI runtime; y is a reflecting (slip)
 boundary sandwiching the shear layer; z is periodic.
 
-The SENSEI adaptor exposes the primitive fields and a derived vorticity
+The SENSEI adaptor registers the primitive fields and a derived vorticity
 magnitude, removing halo (ghost) cells by slicing -- AVF-LESLIE's adaptor
 "calculates vorticity magnitude and exposes data array slices (to remove
 ghost cells)".
@@ -23,12 +23,14 @@ ghost cells)".
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.analysis.fields import vorticity_magnitude
-from repro.core.adaptors import DataAdaptor
+from repro.core.generic import SimulationDataAdaptor
 from repro.mpi import MAX
-from repro.data import Association, DataArray, ImageData
+from repro.data import Association, ImageData
 from repro.util.decomp import Extent, block_decompose_1d
 from repro.util.timers import TimerRegistry, timed
 
@@ -149,6 +151,9 @@ class AVFLeslieSimulation:
         self.dt = 0.4 * min(self.h) / wavespeed
         self.time = 0.0
         self.step = 0
+        self._fields: dict[str, np.ndarray] = {}
+        self._fields_step = -1
+        self.vorticity_computations = 0
 
     # -- halo exchange -------------------------------------------------------
     def _exchange_halo(self, q: np.ndarray) -> None:
@@ -228,68 +233,31 @@ class AVFLeslieSimulation:
         nx, ny, nz = self.global_dims
         return Extent(0, nx - 1, 0, ny - 1, 0, nz - 1)
 
-    def make_data_adaptor(self) -> "AVFDataAdaptor":
-        return AVFDataAdaptor(self)
+    def owned_field(self, name: str) -> np.ndarray:
+        """Field ``name`` on the owned cells (halo removed by slicing).
 
+        The primitives are computed at most once per step, and the vorticity
+        magnitude from them at most once per step, on first request.
+        """
+        if self._fields_step != self.step:
+            prim = _conserved_to_primitive(self.q[:, _NG:-_NG])
+            self._fields = {k: np.ascontiguousarray(v) for k, v in prim.items()}
+            self._fields_step = self.step
+        if name == "vorticity" and name not in self._fields:
+            f = self._fields
+            f[name] = vorticity_magnitude(f["u"], f["v"], f["w"], self.h)
+            self.vorticity_computations += 1
+        return self._fields[name]
 
-class AVFDataAdaptor(DataAdaptor):
-    """SENSEI data adaptor for the AVF proxy.
-
-    Exposes the primitive fields and derived vorticity magnitude on the
-    *owned* cells only (ghost/halo removal by slicing).  Primitive and
-    derived fields are computed lazily per step and cached until
-    ``release_data``.
-    """
-
-    def __init__(self, sim: AVFLeslieSimulation) -> None:
-        super().__init__(sim.comm)
-        self.sim = sim
-        self._mesh: ImageData | None = None
-        self._cache: dict[str, np.ndarray] = {}
-        self.vorticity_computations = 0
-
-    def _owned_primitives(self) -> dict[str, np.ndarray]:
-        if not self._cache:
-            q_owned = self.sim.q[:, _NG:-_NG]
-            prim = _conserved_to_primitive(q_owned)
-            self._cache = {k: np.ascontiguousarray(v) for k, v in prim.items()}
-        return self._cache
-
-    def get_mesh(self, structure_only: bool = False) -> ImageData:
-        if self._mesh is None:
-            self._mesh = ImageData(
-                self.sim.owned_extent(),
-                spacing=self.sim.h,
-                whole_extent=self.sim.whole_extent(),
+    def make_data_adaptor(self) -> SimulationDataAdaptor:
+        adaptor = SimulationDataAdaptor(
+            self.comm,
+            lambda: ImageData(
+                self.owned_extent(), spacing=self.h, whole_extent=self.whole_extent()
+            ),
+        )
+        for name in self.FIELDS:
+            adaptor.register_array(
+                Association.POINT, name, functools.partial(self.owned_field, name)
             )
-        if not structure_only:
-            for name in self.sim.FIELDS:
-                if not self._mesh.has_array(Association.POINT, name):
-                    self._mesh.add_array(Association.POINT, self.get_array(Association.POINT, name))
-        return self._mesh
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT:
-            raise KeyError("AVF adaptor exposes point-association data")
-        if name == "vorticity":
-            prim = self._owned_primitives()
-            if "vorticity" not in prim:
-                prim["vorticity"] = vorticity_magnitude(
-                    prim["u"], prim["v"], prim["w"], self.sim.h
-                )
-                self.vorticity_computations += 1
-            return DataArray.from_numpy(name, prim["vorticity"])
-        prim = self._owned_primitives()
-        if name not in prim:
-            raise KeyError(f"AVF adaptor exposes {list(self.sim.FIELDS)}; not {name!r}")
-        return DataArray.from_numpy(name, prim[name])
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        return len(self.sim.FIELDS) if association is Association.POINT else 0
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        return self.sim.FIELDS[index]
-
-    def release_data(self) -> None:
-        self._cache = {}
-        self._mesh = None
+        return adaptor

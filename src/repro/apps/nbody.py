@@ -40,8 +40,8 @@ import time as _time
 
 import numpy as np
 
-from repro.core.adaptors import DataAdaptor
-from repro.data import Association, DataArray, ImageData
+from repro.core.generic import SimulationDataAdaptor
+from repro.data import Association, ImageData
 from repro.data.particles import (
     DEPOSIT_SCALE,
     PARTICLE_ARRAYS,
@@ -350,7 +350,7 @@ class NBodySimulation(ParticleMeshSimulation):
         return NBodyDataAdaptor(self)
 
 
-class NBodyDataAdaptor(DataAdaptor):
+class NBodyDataAdaptor(SimulationDataAdaptor):
     """SENSEI adaptor over the nbody state: grid mesh + ragged particles.
 
     Two kinds of data behind one adaptor:
@@ -364,69 +364,30 @@ class NBodyDataAdaptor(DataAdaptor):
       whose length has nothing to do with the mesh and varies per rank
       and per step.  Particle analyses fetch them by name; the
       sanitizer's write guard leases and fingerprints them like any
-      other array.
+      other array.  Migration replaces the population every step, so each
+      provider reads ``sim.particles`` when it is called.
     """
 
     #: Mesh-attached scalar the infrastructure endpoints render/ship.
     DENSITY = "density"
 
     def __init__(self, sim: NBodySimulation) -> None:
-        super().__init__(sim.comm)
-        self.sim = sim
-        self._mesh: ImageData | None = None
-        self._mapped: dict[tuple[Association, str], DataArray] = {}
-
-    def _density_view(self) -> np.ndarray:
-        """Zero-copy x-slab of the replicated global density grid."""
-        return self.sim.density[self.sim.x_lo : self.sim.x_hi]
-
-    def get_mesh(self, structure_only: bool = False) -> ImageData:
-        if self._mesh is None:
-            h = 1.0 / self.sim.grid
-            self._mesh = ImageData(
-                self.sim.owned_extent(),
-                spacing=(h, h, h),
-                whole_extent=self.sim.whole_extent(),
+        h = 1.0 / sim.grid
+        super().__init__(
+            sim.comm,
+            lambda: ImageData(
+                sim.owned_extent(), spacing=(h, h, h), whole_extent=sim.whole_extent()
+            ),
+        )
+        self.register_array(
+            Association.POINT, self.DENSITY, lambda: sim.density[sim.x_lo : sim.x_hi]
+        )
+        for name in PARTICLE_ARRAYS:
+            self.register_array(
+                Association.POINT,
+                name,
+                lambda name=name: sim.particles.get_array(Association.POINT, name),
             )
-        # Consumers attach the arrays they fetch (via get_array, so the
-        # sanitizer sees every access); the mesh itself is geometry only.
-        return self._mesh
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT:
-            raise KeyError("nbody adaptor exposes point data only")
-        key = (association, name)
-        cached = self._mapped.get(key)
-        if cached is not None:
-            return cached
-        if name == self.DENSITY:
-            arr = DataArray.from_numpy(self.DENSITY, self._density_view())
-        elif name in PARTICLE_ARRAYS:
-            arr = self.sim.particles.get_array(Association.POINT, name)
-        else:
-            raise KeyError(f"unknown nbody array {name!r}")
-        self._mapped[key] = arr
-        rec = getattr(self.comm, "trace_recorder", None)
-        if rec is not None:
-            if arr.is_zero_copy:
-                rec.count("sensei::bytes_zero_copy", arr.nbytes)
-            else:
-                rec.count("sensei::bytes_copied", arr.nbytes_copied)
-        return arr
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        if association is Association.POINT:
-            return 1 + len(PARTICLE_ARRAYS)
-        return 0
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        return ((self.DENSITY,) + PARTICLE_ARRAYS)[index]
-
-    def release_data(self) -> None:
-        """Drop per-step mappings; migration replaces the particle arrays
-        every step, so stale views must not survive into the next one."""
-        self._mesh = None
-        self._mapped.clear()
 
 
 #: The four infrastructure endpoints the harness can attach.

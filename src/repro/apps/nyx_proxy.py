@@ -23,11 +23,13 @@ histogram analysis honours -- at ~``2 * ny * nz * 1`` bytes per rank
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.apps.nbody import ParticleMeshSimulation, gravity_field, wrap_periodic
-from repro.core.adaptors import DataAdaptor
-from repro.data import Association, DataArray, GHOST_ARRAY_NAME, ImageData
+from repro.core.generic import SimulationDataAdaptor
+from repro.data import Association, GHOST_ARRAY_NAME, ImageData
 from repro.data.ghost import ghost_levels_for_extent
 from repro.data.particles import DEPOSIT_SCALE, cic_deposit_int, cic_gather
 from repro.mpi import SUM
@@ -111,67 +113,27 @@ class NyxSimulation(ParticleMeshSimulation):
         purposes -- ghost flags, not geometry, are what the analyses use)."""
         return self.owned_extent().grow(1, self.whole_extent())
 
-    def make_data_adaptor(self) -> "NyxDataAdaptor":
-        return NyxDataAdaptor(self)
+    @functools.cached_property
+    def ghost_levels(self) -> np.ndarray:
+        """The vtkGhostLevels byte array over :meth:`ghosted_extent`, built
+        once: the slab never changes."""
+        return ghost_levels_for_extent(self.ghosted_extent(), self.owned_extent())
 
+    def make_data_adaptor(self) -> SimulationDataAdaptor:
+        """The haloed density slab with vtkGhostLevels blanking.
 
-class NyxDataAdaptor(DataAdaptor):
-    """Exposes the haloed density slab with vtkGhostLevels blanking.
-
-    "We avoid data replication by directly passing a pointer to the BoxLib
-    data to VTK and blanking out ghost cells ... by associating a
-    vtkGhostLevels attribute -- a byte array of flags marking ghost cells."
-    The density view handed out is a zero-copy slice of the simulation's
-    haloed array; the ghost byte array is the per-rank memory overhead the
-    paper quantifies (~2 MB/rank at production sizes).
-    """
-
-    def __init__(self, sim: NyxSimulation) -> None:
-        super().__init__(sim.comm)
-        self.sim = sim
-        self._mesh: ImageData | None = None
-        self._ghosts: np.ndarray | None = None
-
-    def _view(self) -> np.ndarray:
-        """Zero-copy slice of the haloed density covering the ghosted extent.
-
-        The density array's plane 0 holds cell ``x_lo - 1``, so extent index
-        ``i`` lives at array plane ``i - (x_lo - 1)``.
+        "We avoid data replication by directly passing a pointer to the
+        BoxLib data to VTK and blanking out ghost cells ... by associating a
+        vtkGhostLevels attribute -- a byte array of flags marking ghost
+        cells."  The density is a zero-copy slice of the haloed array, whose
+        plane 0 holds cell ``x_lo - 1``.
         """
-        ext = self.sim.ghosted_extent()
-        start = ext.i0 - (self.sim.x_lo - 1)
-        stop = ext.i1 - (self.sim.x_lo - 1) + 1
-        return self.sim.density[start:stop]
-
-    def get_mesh(self, structure_only: bool = False) -> ImageData:
-        if self._mesh is None:
-            self._mesh = ImageData(
-                self.sim.ghosted_extent(),
-                spacing=(self.sim.h,) * 3,
-                whole_extent=self.sim.whole_extent(),
-            )
-        return self._mesh
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT:
-            raise KeyError("Nyx adaptor exposes point data only")
-        if name == "density":
-            return DataArray.from_numpy("density", self._view())
-        if name == GHOST_ARRAY_NAME:
-            if self._ghosts is None:
-                self._ghosts = ghost_levels_for_extent(
-                    self.sim.ghosted_extent(), self.sim.owned_extent()
-                )
-                if self.memory is not None:
-                    self.memory.track_array(self._ghosts, label="nyx::ghosts")
-            return DataArray.from_soa(GHOST_ARRAY_NAME, [self._ghosts])
-        raise KeyError(f"unknown Nyx array {name!r}")
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        return 2 if association is Association.POINT else 0
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        return ("density", GHOST_ARRAY_NAME)[index]
-
-    def release_data(self) -> None:
-        self._mesh = None
+        ext = self.ghosted_extent()
+        planes = slice(ext.i0 - (self.x_lo - 1), ext.i1 - (self.x_lo - 1) + 1)
+        adaptor = SimulationDataAdaptor(
+            self.comm,
+            lambda: ImageData(ext, spacing=(self.h,) * 3, whole_extent=self.whole_extent()),
+        )
+        adaptor.register_array(Association.POINT, "density", lambda: self.density[planes])
+        adaptor.register_array(Association.POINT, GHOST_ARRAY_NAME, lambda: self.ghost_levels)
+        return adaptor

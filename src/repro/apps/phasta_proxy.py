@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
+from repro.core.generic import SimulationDataAdaptor
 from repro.data import Association, CellType, DataArray, UnstructuredGrid
 from repro.mpi import MAX, MIN
 from repro.render import blank_image, splat_points
@@ -168,65 +169,27 @@ class PhastaSimulation:
                 if not bridge.execute(self.time, self.step):
                     break
 
-    def make_data_adaptor(self) -> "PhastaDataAdaptor":
-        return PhastaDataAdaptor(self)
+    def mesh(self) -> UnstructuredGrid:
+        """This rank's tet mesh, rebuilt on each call: "the grid and fields
+        are constructed as needed but the pointers to the PHASTA grid data
+        structures are passed every time in situ is accessed"."""
+        # column_stack is the one unavoidable copy for point coordinates
+        # because VTK-style points are interleaved; the attribute arrays stay
+        # zero-copy SoA.  Connectivity is a deliberate full copy, matching
+        # the paper's PHASTA adaptor.
+        points = np.column_stack((self.x, self.y, self.z))
+        return UnstructuredGrid.from_cells(points, CellType.TETRA, self.tets.copy())
 
-
-class PhastaDataAdaptor(DataAdaptor):
-    """SENSEI adaptor: zero-copy nodes/fields, full-copy connectivity.
-
-    "The grid and fields are constructed as needed but the pointers to the
-    PHASTA grid data structures are passed every time in situ is accessed"
-    -- so the mesh object is rebuilt per step (``release_data`` drops it)
-    while the underlying coordinate/field arrays are wrapped by reference.
-    """
-
-    FIELDS = ("velocity", "pressure")
-
-    def __init__(self, sim: PhastaSimulation) -> None:
-        super().__init__(sim.comm)
-        self.sim = sim
-        self._mesh: UnstructuredGrid | None = None
-        self.mesh_constructions = 0
-
-    def get_mesh(self, structure_only: bool = False) -> UnstructuredGrid:
-        if self._mesh is None:
-            points = np.column_stack((self.sim.x, self.sim.y, self.sim.z))
-            # NOTE: column_stack is the one unavoidable copy for point
-            # coordinates because VTK-style points are interleaved; the
-            # attribute arrays below stay zero-copy SoA.  Connectivity is a
-            # deliberate full copy, matching the paper's PHASTA adaptor.
-            self._mesh = UnstructuredGrid.from_cells(
-                points, CellType.TETRA, self.sim.tets.copy()
-            )
-            self.mesh_constructions += 1
-        if not structure_only:
-            for name in self.FIELDS:
-                if not self._mesh.has_array(Association.POINT, name):
-                    self._mesh.add_array(
-                        Association.POINT, self.get_array(Association.POINT, name)
-                    )
-        return self._mesh
-
-    def get_array(self, association: Association, name: str) -> DataArray:
-        if association is not Association.POINT:
-            raise KeyError("PHASTA adaptor exposes point data only")
-        if name == "velocity":
-            return DataArray.from_soa(
-                "velocity", [self.sim.vel_u, self.sim.vel_v, self.sim.vel_w]
-            )
-        if name == "pressure":
-            return DataArray.from_numpy("pressure", self.sim.pressure)
-        raise KeyError(f"unknown PHASTA array {name!r}")
-
-    def get_number_of_arrays(self, association: Association) -> int:
-        return len(self.FIELDS) if association is Association.POINT else 0
-
-    def get_array_name(self, association: Association, index: int) -> str:
-        return self.FIELDS[index]
-
-    def release_data(self) -> None:
-        self._mesh = None
+    def make_data_adaptor(self) -> SimulationDataAdaptor:
+        """Zero-copy SoA nodal fields over a per-step mesh."""
+        adaptor = SimulationDataAdaptor(self.comm, self.mesh)
+        adaptor.register_array(
+            Association.POINT,
+            "velocity",
+            lambda: DataArray.from_soa("velocity", [self.vel_u, self.vel_v, self.vel_w]),
+        )
+        adaptor.register_array(Association.POINT, "pressure", lambda: self.pressure)
+        return adaptor
 
 
 class PhastaSliceRender(AnalysisAdaptor):
@@ -265,7 +228,7 @@ class PhastaSliceRender(AnalysisAdaptor):
             os.makedirs(self.output_dir, exist_ok=True)
 
     def execute(self, data: DataAdaptor) -> bool:
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if not isinstance(mesh, UnstructuredGrid):
             raise TypeError("PhastaSliceRender requires an UnstructuredGrid")
         with timed(self.timers, "phasta_slice::extract"):

@@ -3,10 +3,11 @@
 Three pieces, mirroring Fig. 1 of the paper:
 
 - :class:`DataAdaptor` -- "provides a mapping between simulation data
-  structures and the VTK data model".  Concrete adaptors are written once
-  per simulation; they expose meshes and attribute arrays *lazily*, so
-  "when no analysis is enabled, the SENSEI instrumentation overhead is
-  almost nonexistent".
+  structures and the VTK data model".  A simulation registers its mesh and
+  arrays once with :class:`SimulationDataAdaptor`, which exposes them
+  *lazily*, so "when no analysis is enabled, the SENSEI instrumentation
+  overhead is almost nonexistent"; :class:`ReceivedDataAdaptor` presents
+  data that arrived by message.
 - :class:`AnalysisAdaptor` -- "passes the data described in form of VTK data
   objects to any analysis code".  In situ methods (histogram,
   autocorrelation) and whole infrastructures (Catalyst, Libsim, ADIOS,
@@ -22,7 +23,7 @@ configuration file, standing in for SENSEI's XML-driven analysis selection.
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.bridge import Bridge
-from repro.core.generic import LazyStructuredDataAdaptor
+from repro.core.generic import SimulationDataAdaptor
 from repro.core.received import ReceivedDataAdaptor
 from repro.core.configurable import ConfigurableAnalysis, register_analysis
 from repro.core.steering import Frame, LiveConnection, SteeringAnalysis
@@ -31,7 +32,7 @@ __all__ = [
     "DataAdaptor",
     "AnalysisAdaptor",
     "Bridge",
-    "LazyStructuredDataAdaptor",
+    "SimulationDataAdaptor",
     "ReceivedDataAdaptor",
     "ConfigurableAnalysis",
     "register_analysis",

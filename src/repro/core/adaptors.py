@@ -2,9 +2,10 @@
 
 The API shapes follow SENSEI's C++ interface (``sensei::DataAdaptor``,
 ``sensei::AnalysisAdaptor``) closely enough that the paper's instrumentation
-pattern translates directly: a simulation implements a concrete
-``DataAdaptor`` once; any number of analyses/infrastructures implement
-``AnalysisAdaptor`` and consume it.
+pattern translates directly: a simulation is instrumented once, by
+registering its mesh and arrays with
+:class:`~repro.core.generic.SimulationDataAdaptor`; any number of
+analyses/infrastructures implement ``AnalysisAdaptor`` and consume it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class DataAdaptor(abc.ABC):
 
     Contract (mirrors SENSEI):
 
-    - :meth:`get_mesh` returns the local mesh; with ``structure_only=True``
-      only topology/geometry metadata is needed (no attribute mapping);
+    - :meth:`get_mesh` returns the local mesh and maps no attribute array:
+      an analysis that wants one on the mesh fetches it with
+      :meth:`get_array` and attaches it (SENSEI's ``AddArray``);
     - :meth:`get_array` maps one named attribute array on demand -- the lazy
       hook that keeps no-analysis overhead near zero;
     - :meth:`release_data` drops any per-step mappings after all analyses
@@ -38,9 +40,6 @@ class DataAdaptor(abc.ABC):
         self.comm = comm
         self._time = 0.0
         self._time_step = 0
-        #: Optional per-rank memory accounting sink for adaptor-side
-        #: allocations (e.g. ghost byte arrays, copied connectivity).
-        self.memory: "MemoryTracker | None" = None
 
     # -- simulation-side per-step state ------------------------------------
     def set_data_time(self, time: float, step: int) -> None:
@@ -55,7 +54,7 @@ class DataAdaptor(abc.ABC):
 
     # -- analysis-side access ------------------------------------------------
     @abc.abstractmethod
-    def get_mesh(self, structure_only: bool = False) -> Dataset:
+    def get_mesh(self) -> Dataset:
         """The local mesh block (lazily constructed)."""
 
     @abc.abstractmethod

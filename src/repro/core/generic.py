@@ -1,13 +1,15 @@
-"""A reusable lazy data adaptor for structured (block) simulations.
+"""The one simulation-side data adaptor.
 
-The oscillator miniapp exposes "a block of a global structured grid plus
-named numpy field arrays" (the science proxies derive fields or blank ghosts
-and carry their own adaptors).  This adaptor implements the SENSEI contract
-for that shape: field arrays are registered as *array providers* (callables
-returning the simulation's current buffer), and mesh / array objects are
-constructed only when an analysis asks -- the lazy mapping that makes
-no-analysis overhead "almost nonexistent" (Sec. 3.2) and that the
-lazy-vs-eager ablation benchmark measures.
+A simulation is instrumented once (Sec. 3.2): it hands this adaptor a mesh
+factory and registers each array it can expose as a *provider* -- a callable
+returning the simulation's current buffer -- and the adaptor implements the
+SENSEI contract over them.  Mesh and array objects are constructed only when
+an analysis asks: the lazy mapping that makes no-analysis overhead "almost
+nonexistent" and that the lazy-vs-eager ablation benchmark measures.
+
+The oscillator, AVF, Nyx, n-body and PHASTA all register through it.  Data
+that arrives by message rather than from simulation memory is the one other
+concept, :class:`~repro.core.received.ReceivedDataAdaptor`.
 """
 
 from __future__ import annotations
@@ -17,48 +19,46 @@ from typing import Callable
 import numpy as np
 
 from repro.core.adaptors import DataAdaptor
-from repro.data import Association, DataArray, ImageData
-from repro.util.decomp import Extent
+from repro.data import Association, DataArray, Dataset
 
-ArrayProvider = Callable[[], np.ndarray]
+#: Returns the current backing buffer (wrapped by ``DataArray.from_numpy``)
+#: or a ready :class:`DataArray` (SoA/AoS particles, multi-component fields).
+ArrayProvider = Callable[[], np.ndarray | DataArray]
 
 
-class LazyStructuredDataAdaptor(DataAdaptor):
-    """Lazily maps a structured block + named numpy fields to the data model.
+class SimulationDataAdaptor(DataAdaptor):
+    """Lazily maps a simulation's mesh and registered arrays to the data model.
 
     Parameters
     ----------
     comm:
         The simulation's communicator.
-    extent / whole_extent:
-        This rank's block and the global grid, VTK point-index convention.
-    spacing:
-        Physical grid spacing; the origin is (0, 0, 0).
+    mesh:
+        Builds this rank's mesh, geometry only; called at most once between
+        ``release_data`` calls.
     eager:
         When True, every registered array (and the mesh) is mapped at
         ``set_data_time`` even if no analysis consumes it -- the ablation
         counterpart of the default lazy behaviour.
+
+    :meth:`get_mesh` never attaches attribute arrays: an analysis that wants
+    one on the mesh fetches it with :meth:`get_array` and attaches it, as
+    SENSEI's ``AddArray`` does, so every array access goes through
+    :meth:`get_array` (and the sanitizer's write guard).
     """
 
     def __init__(
-        self,
-        comm,
-        extent: Extent,
-        whole_extent: Extent,
-        spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-        eager: bool = False,
+        self, comm, mesh: Callable[[], Dataset], eager: bool = False
     ) -> None:
         super().__init__(comm)
-        self.extent = extent
-        self.whole_extent = whole_extent
-        self.spacing = spacing
+        self._make_mesh = mesh
         self.eager = eager
         self._providers: dict[tuple[Association, str], ArrayProvider] = {}
         self._order: dict[Association, list[str]] = {
             Association.POINT: [],
             Association.CELL: [],
         }
-        self._mesh: ImageData | None = None
+        self._mesh: Dataset | None = None
         self._mapped: dict[tuple[Association, str], DataArray] = {}
         #: Counters the tests/ablations use to verify laziness.
         self.mesh_constructions = 0
@@ -87,20 +87,10 @@ class LazyStructuredDataAdaptor(DataAdaptor):
                     self.get_array(assoc, name)
 
     # -- DataAdaptor contract ---------------------------------------------------
-    def get_mesh(self, structure_only: bool = False) -> ImageData:
+    def get_mesh(self) -> Dataset:
         if self._mesh is None:
-            self._mesh = ImageData(
-                self.extent,
-                spacing=self.spacing,
-                whole_extent=self.whole_extent,
-            )
+            self._mesh = self._make_mesh()
             self.mesh_constructions += 1
-        if not structure_only:
-            # Attach any already-mapped arrays so analyses that go through
-            # the mesh see them too.
-            for (assoc, _), arr in self._mapped.items():
-                if not self._mesh.has_array(assoc, arr.name):
-                    self._mesh.add_array(assoc, arr)
         return self._mesh
 
     def get_array(self, association: Association, name: str) -> DataArray:
@@ -115,7 +105,7 @@ class LazyStructuredDataAdaptor(DataAdaptor):
                 f"have {self._order[association]}"
             )
         backing = provider()
-        arr = DataArray.from_numpy(name, backing)
+        arr = backing if isinstance(backing, DataArray) else DataArray.from_numpy(name, backing)
         self._mapped[key] = arr
         self.array_mappings += 1
         rec = getattr(self.comm, "trace_recorder", None)

@@ -44,7 +44,7 @@ class ReceivedDataAdaptor(DataAdaptor):
             img.add_point_array(DataArray.from_numpy(name, values))
         self._blocks[block] = img
 
-    def get_mesh(self, structure_only: bool = False) -> MultiBlockDataset:
+    def get_mesh(self) -> MultiBlockDataset:
         mb = MultiBlockDataset(self.n_blocks)
         for block, img in self._blocks.items():
             mb.set_block(block, img)

@@ -9,18 +9,17 @@ from repro.util.decomp import Extent
 
 
 class ImageData(Dataset):
-    """A uniform axis-aligned grid described by origin, spacing, and extent.
+    """A uniform axis-aligned grid described by spacing and extent.
 
     ``extent`` uses VTK's inclusive point-index convention and may be a
     sub-extent of a larger ``whole_extent``: each rank's block of the
     miniapp's global grid is one ``ImageData`` whose extent locates it in
-    index space.
+    index space.  Every grid here starts at the origin, (0, 0, 0).
     """
 
     def __init__(
         self,
         extent: Extent,
-        origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
         spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
         whole_extent: Extent | None = None,
     ) -> None:
@@ -28,7 +27,7 @@ class ImageData(Dataset):
         if any(s <= 0 for s in spacing):
             raise ValueError("spacing must be positive")
         self.extent = extent
-        self.origin = tuple(float(o) for o in origin)
+        self.origin = (0.0, 0.0, 0.0)
         self.spacing = tuple(float(s) for s in spacing)
         self.whole_extent = whole_extent if whole_extent is not None else extent
 

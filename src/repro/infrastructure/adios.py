@@ -82,7 +82,7 @@ class AdiosBPAdaptor(AnalysisAdaptor):
         self._comm = comm
 
     def execute(self, data: DataAdaptor) -> bool:
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if not isinstance(mesh, ImageData):
             raise TypeError("AdiosBPAdaptor requires an ImageData mesh")
         if self._writer is None:
@@ -199,7 +199,7 @@ class AdiosFlexPathWriter(AnalysisAdaptor):
         self.steps_sent = 0
 
     def execute(self, data: DataAdaptor) -> bool:
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if not isinstance(mesh, ImageData):
             raise TypeError("FlexPath writer requires an ImageData mesh")
         if self.resilience is not None:

@@ -133,7 +133,7 @@ class CatalystAdaptor(AnalysisAdaptor):
         self, data: DataAdaptor
     ) -> tuple[list, tuple[int, int, int, int]]:
         """Slice every local block; returns fragments + global 2-D extent."""
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if isinstance(mesh, MultiBlockDataset):
             blocks = [b for _, b in mesh.local_blocks()]
             whole = None

@@ -140,7 +140,7 @@ class GleanAdaptor(AnalysisAdaptor):
             raise exc
 
     def execute(self, data: DataAdaptor) -> bool:
-        mesh = data.get_mesh(structure_only=True)
+        mesh = data.get_mesh()
         if not isinstance(mesh, ImageData):
             raise TypeError("GleanAdaptor requires an ImageData mesh")
         arr = data.get_array(Association.POINT, self.array)

@@ -228,7 +228,7 @@ class LibsimAdaptor(AnalysisAdaptor):
         with timed(self.timers, "libsim::execute"):
             if step % self.frequency != 0:
                 return True
-            mesh = data.get_mesh(structure_only=True)
+            mesh = data.get_mesh()
             if not isinstance(mesh, ImageData):
                 raise TypeError("Libsim emulation requires an ImageData mesh")
             with timed(self.timers, "libsim::render"):

@@ -7,7 +7,7 @@ convolved oscillator values (O(m N^3) per rank per step).  Ranks do not
 synchronize after a step, as in the paper's experiments.
 
 The simulation owns its field array; the SENSEI instrumentation path exposes
-it through a :class:`~repro.core.generic.LazyStructuredDataAdaptor`, so the
+it through a :class:`~repro.core.generic.SimulationDataAdaptor`, so the
 *Original* (no SENSEI) and *Baseline/analysis* (SENSEI) configurations of
 Sec. 4.1.1 are both available from this one class.
 """
@@ -18,8 +18,8 @@ import time as _time
 
 import numpy as np
 
-from repro.core.generic import LazyStructuredDataAdaptor
-from repro.data import Association
+from repro.core.generic import SimulationDataAdaptor
+from repro.data import Association, ImageData
 from repro.miniapp.oscillator import Oscillator
 from repro.util.decomp import regular_decompose_3d
 from repro.util.memory import MemoryTracker
@@ -101,13 +101,13 @@ class OscillatorSimulation:
                     self.memory.track_array(np.ascontiguousarray(c.reshape(-1)))
 
     # -- SENSEI instrumentation -------------------------------------------------
-    def make_data_adaptor(self, eager: bool = False) -> LazyStructuredDataAdaptor:
-        """The miniapp's concrete SENSEI data adaptor (zero-copy provider)."""
-        adaptor = LazyStructuredDataAdaptor(
+    def make_data_adaptor(self, eager: bool = False) -> SimulationDataAdaptor:
+        """The miniapp's SENSEI data adaptor (zero-copy provider)."""
+        adaptor = SimulationDataAdaptor(
             self.comm,
-            self.extent,
-            self.whole_extent,
-            spacing=self.spacing,
+            lambda: ImageData(
+                self.extent, spacing=self.spacing, whole_extent=self.whole_extent
+            ),
             eager=eager,
         )
         adaptor.register_array(

@@ -131,12 +131,43 @@ _JOB_COUNTER = itertools.count()
 # --------------------------------------------------------------------------
 
 
+def _rebuild(raw: bytes, dtype: np.dtype, shape: tuple, order: str) -> np.ndarray:
+    """The array :func:`_in_band` pickled, owning its memory and writable."""
+    return np.frombuffer(raw, dtype).reshape(shape, order=order).copy(order="K")
+
+
+def _in_band(array: np.ndarray):
+    """``array`` as its bytes, dtype, shape and order in the pickle stream.
+    numpy's own protocol-4 reduction is not used: under numpy 2.4 it
+    rebuilds a non-native byte order as native."""
+    if array.dtype.hasobject or array.dtype.itemsize == 0:
+        return array.__reduce_ex__(4)  # elements pickle one by one
+    order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+    return _rebuild, (array.tobytes(order), array.dtype, array.shape, order)
+
+
 def _reduce_array(array: np.ndarray):
-    """Large writable arrays go out of band; the rest pickle the classic
-    way, so they arrive owning their data and writable."""
-    if array.nbytes >= _OOB_MIN and array.flags.writeable:
+    """Large writable contiguous arrays go out of band; the rest travel in
+    band and arrive writable, as a send's copy does on threads."""
+    contiguous = array.flags.c_contiguous or array.flags.f_contiguous
+    if array.nbytes >= _OOB_MIN and array.flags.writeable and contiguous:
         return array.__reduce_ex__(5)
-    return array.__reduce_ex__(4)
+    return _in_band(array)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _reduce_result(array: np.ndarray):
+    """A rank's returned array keeps its read-only flag: on threads the
+    launcher gets the object itself."""
+    if not array.flags.writeable:
+        return _read_only, (array.copy(),)
+    if type(array) is np.ndarray:
+        return _in_band(array)
+    return array.__reduce__()  # a masked array pickles its data and mask
 
 
 class _Pickler(pickle.Pickler):
@@ -740,10 +771,19 @@ class _WorkerSpec:
 
 
 def _try_dumps(obj: Any) -> "bytes | None":
+    """``obj`` pickled in one stream, arrays reduced by :func:`_reduce_result`."""
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, protocol=5)
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table,
+        np.ndarray: _reduce_result,
+        np.ma.MaskedArray: _reduce_result,
+    }
     try:
-        return pickle.dumps(obj)
+        pickler.dump(obj)
     except Exception:
         return None
+    return stream.getvalue()
 
 
 def _ship_exception(exc: BaseException) -> tuple:

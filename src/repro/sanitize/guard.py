@@ -165,8 +165,8 @@ class GuardedDataAdaptor(DataAdaptor):
     def get_data_time_step(self) -> int:
         return self._inner.get_data_time_step()
 
-    def get_mesh(self, structure_only: bool = False) -> Dataset:
-        mesh = self._inner.get_mesh(structure_only)
+    def get_mesh(self) -> Dataset:
+        mesh = self._inner.get_mesh()
         self._mesh_requesters.add(self._current)
         tracked = any(ref() is mesh for ref, _ in self._mesh_leases)
         if not tracked:

@@ -21,8 +21,6 @@ from repro.storage.vtk_io import (
     VTKIndex,
     VTKPiece,
     read_index,
-    read_piece,
-    read_global_field,
     read_subextent,
     write_block,
     write_timestep,
@@ -33,9 +31,7 @@ from repro.storage.bp import BPFile, BPReader, BPWriter
 __all__ = [
     "write_block",
     "write_timestep",
-    "read_piece",
     "read_index",
-    "read_global_field",
     "read_subextent",
     "VTKIndex",
     "VTKPiece",

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data import Association, DataArray, ImageData
+from repro.data import Association, ImageData
 from repro.storage.checks import (
-    StorageFormatError, read_block_into, read_exact, read_header, stored_dtype,
+    StorageFormatError, read_block_into, read_header, stored_dtype,
     stored_extent, stored_name, stored_object, stored_point,
 )
 from repro.util.decomp import Extent, block_decompose_1d
@@ -81,9 +81,9 @@ def write_block(path, image: ImageData, field: str) -> int:
     return len(_MAGIC) + 8 + len(header) + data.nbytes
 
 
-def _piece_header(fd: int, path) -> tuple[dict, np.dtype, Extent, Extent, int]:
-    """Validate a block file's header and size; returns the header, dtype,
-    extent, whole extent and data offset."""
+def _piece_header(fd: int, path) -> tuple[np.dtype, Extent, int]:
+    """Validate a block file's header and size; returns its dtype, extent
+    and data offset."""
     if os.pread(fd, len(_MAGIC), 0) != _MAGIC:
         raise StorageFormatError(f"{path}: not a block file (bad magic)")
     size = os.fstat(fd).st_size
@@ -93,23 +93,7 @@ def _piece_header(fd: int, path) -> tuple[dict, np.dtype, Extent, Extent, int]:
     extent = stored_extent(header.get("extent"), f"{path}: extent", within=whole)
     if size < offset + extent.num_points * dtype.itemsize:
         raise StorageFormatError(f"{path}: truncated data section")
-    return header, dtype, extent, whole, offset
-
-
-def read_piece(path) -> ImageData:
-    """Read one block file back into an ImageData with its field attached."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        header, dtype, extent, whole, offset = _piece_header(fd, path)
-        data = np.empty(extent.shape, dtype=dtype)
-        read_exact(fd, data, offset, path)
-    finally:
-        os.close(fd)
-    origin = stored_point(header.get("origin"), f"{path}: origin")
-    spacing = stored_point(header.get("spacing"), f"{path}: spacing", above=0.0)
-    img = ImageData(extent, origin=origin, spacing=spacing, whole_extent=whole)
-    img.add_point_array(DataArray.from_numpy(str(header.get("field")), data))
-    return img
+    return dtype, extent, offset
 
 
 def write_timestep(
@@ -176,11 +160,6 @@ def read_index(directory, step: int) -> VTKIndex:
     )
 
 
-def read_global_field(directory, step: int) -> np.ndarray:
-    """Assemble the full global field from all pieces (single reader)."""
-    return read_subextent(directory, step)
-
-
 def read_subextent(directory, step: int, want: Extent | None = None) -> np.ndarray:
     """Read just the pieces overlapping ``want`` (default: the whole
     extent) and assemble that region.
@@ -199,7 +178,7 @@ def read_subextent(directory, step: int, want: Extent | None = None) -> np.ndarr
         path = os.path.join(directory, piece.filename)
         fd = os.open(path, os.O_RDONLY)
         try:
-            _, dtype, extent, _, offset = _piece_header(fd, path)
+            dtype, extent, offset = _piece_header(fd, path)
             if extent != piece.extent:
                 raise StorageFormatError(f"{path}: extent {extent} is not the index's")
             read_block_into(fd, path, offset, dtype, extent, out, want)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.analysis import HistogramAnalysis, local_histogram, parallel_histogram
 from repro.analysis.histogram import _BLOCK
 from repro.core import Bridge
-from repro.core.generic import LazyStructuredDataAdaptor
-from repro.data import Association
+from repro.core.generic import SimulationDataAdaptor
+from repro.data import Association, ImageData
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
@@ -285,7 +285,7 @@ class TestHistogramAnalysisAdaptor:
 
         def prog(comm):
             ext = Extent(0, 2, 0, 0, 0, 0)
-            ad = LazyStructuredDataAdaptor(comm, ext, ext)
+            ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext))
             values = np.array([1.0, 2.0, 999.0]).reshape(3, 1, 1)
             ghosts = np.array([0, 0, 1], dtype=np.uint8)
             ad.register_array(Association.POINT, "data", lambda: values)

@@ -132,7 +132,7 @@ class TestPhastaAdaptor:
         def prog(comm):
             sim = PhastaSimulation(comm, (6, 4, 4))
             ad = sim.make_data_adaptor()
-            mesh = ad.get_mesh(structure_only=True)
+            mesh = ad.get_mesh()
             return bool(np.shares_memory(mesh.connectivity, sim.tets))
 
         assert run_spmd(1, prog)[0] is False

@@ -233,6 +233,79 @@ def test_one_staging_policy():
     assert "controller" not in inspect.signature(Bridge).parameters
 
 
+# -- structure: one simulation-side data adaptor --------------------------------
+
+_DATA_CONTRACT = (
+    "get_mesh", "get_array", "get_number_of_arrays", "get_array_name", "release_data",
+)
+
+
+def _data_adaptor_overrides(trees):
+    """``file::class`` for each subclass of ``DataAdaptor`` in ``trees``
+    (by base name, transitively) that defines a contract method."""
+    classes = [
+        (rel, node) for rel, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    adaptors = {"DataAdaptor"}
+    grew = True
+    while grew:
+        before = len(adaptors)
+        adaptors |= {
+            node.name for _, node in classes
+            if any((getattr(b, "id", None) or getattr(b, "attr", None)) in adaptors
+                   for b in node.bases)
+        }
+        grew = len(adaptors) > before
+    return {
+        f"{rel}::{node.name}" for rel, node in classes
+        if node.name in adaptors and node.name != "DataAdaptor"
+        and any(isinstance(m, ast.FunctionDef) and m.name in _DATA_CONTRACT for m in node.body)
+    }
+
+
+_ONE_ADAPTOR = {
+    "core/generic.py::SimulationDataAdaptor",
+    "core/received.py::ReceivedDataAdaptor",
+    "sanitize/guard.py::GuardedDataAdaptor",
+}
+
+
+def test_one_simulation_data_adaptor():
+    """A simulation registers its mesh and arrays with the one adaptor; data
+    that arrives by message and the sanitizer's proxy are the only other
+    implementations of the contract."""
+    assert _data_adaptor_overrides(_src_trees()) == _ONE_ADAPTOR
+
+
+@pytest.mark.parametrize(
+    ("source", "extra"),
+    [
+        pytest.param(
+            "class Mine(SimulationDataAdaptor):\n"
+            "    def get_array(self, association, name):\n        pass\n",
+            {"apps/planted.py::Mine"}, id="subclass-overrides-get-array",
+        ),
+        pytest.param(
+            "class Own(adaptors.DataAdaptor):\n    def get_mesh(self):\n        pass\n",
+            {"apps/planted.py::Own"}, id="hand-written-adaptor",
+        ),
+        pytest.param(
+            "class Registers(SimulationDataAdaptor):\n"
+            "    def __init__(self, sim):\n        pass\n",
+            set(), id="subclass-only-registers",
+        ),
+        pytest.param(
+            "class Grid:\n    def get_array(self, association, name):\n        pass\n",
+            set(), id="not-an-adaptor",
+        ),
+    ],
+)
+def test_adaptor_rule_on_planted_source(source, extra):
+    trees = {**_src_trees(), Path("apps/planted.py"): ast.parse(source)}
+    assert _data_adaptor_overrides(trees) == _ONE_ADAPTOR | extra
+
+
 # -- structure: one guard per hazard, and no static analyzer -------------------
 
 
@@ -552,6 +625,14 @@ _UNNAMED_BUT_KEPT = {
     "footprint tests of Figs. 4 and 7 read",
     "util/timers.py::TimerRegistry.merge_snapshot": "the cross-rank fold of "
     "as_dict snapshots, whose tests pin the lossless total/count/min/max merge",
+    "core/configurable.py::ConfigurableAnalysis": "SENSEI's configuration-"
+    "driven analysis; deleting it and its factory registry is its own decision",
+    "service/endpoint.py::run_workload_inproc": "the service's reference "
+    "oracle: the socket path's artifacts must equal what it writes",
+    "trace/report.py::diff_ratios": "the per-phase measured / modeled ratios "
+    "ROADMAP item 4 publishes per layer",
+    "util/memory.py::sum_high_water": "MemoryTracker's aggregate high-water "
+    "figure; ROADMAP item 13 decides it with the measured-memory path",
 }
 
 
@@ -569,8 +650,16 @@ def _public_defs(tree):
 def _names_used(tree, reexport_only=False):
     """Identifiers ``tree`` names: names, attributes, imported names and
     identifier strings (``getattr(comm, "fault_injector", None)``).  A
-    package ``__init__`` re-exporting a name does not use it."""
+    package ``__init__`` re-exporting a name, by import or in ``__all__``,
+    does not use it."""
+    exported = set()
+    if reexport_only:
+        for n in tree.body:
+            if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets):
+                exported.update(id(c) for c in ast.walk(n.value))
     for n in ast.walk(tree):
+        if id(n) in exported:
+            continue
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
@@ -638,8 +727,6 @@ _UNSET_BUT_KEPT = {
     "token-expiry tests substitute a fake clock",
     "service/server.py::ServiceServer(trace=)": "the seam through which the "
     "service tests read the server's and tenants' trace",
-    "analysis/hybrid.py::ThreadedAutocorrelationState(n_threads=)": "the "
-    "thread-count axis the threaded-equals-serial property test sweeps",
     "apps/nbody.py::NBodySimulation(velocity_scale=)": "the slower initial "
     "velocities the n-body property and equivalence tests run at",
     **dict.fromkeys(

@@ -7,13 +7,15 @@ from repro.core import (
     AnalysisAdaptor,
     Bridge,
     ConfigurableAnalysis,
-    LazyStructuredDataAdaptor,
+    SimulationDataAdaptor,
     register_analysis,
 )
-from repro.data import Association
+from repro.apps import AVFLeslieSimulation, NBodySimulation, NyxSimulation, PhastaSimulation
+from repro.data import Association, DataArray, ImageData
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
+from repro.trace import TraceSession
 from repro.util import Configuration, ConfigError, Extent, TimerRegistry
 from repro.util.config import ConfigError as CE
 
@@ -41,7 +43,7 @@ class RecordingAnalysis(AnalysisAdaptor):
 
 def _mk_adaptor(comm, field):
     ext = Extent(0, 2, 0, 2, 0, 2)
-    ad = LazyStructuredDataAdaptor(comm, ext, ext)
+    ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext))
     ad.register_array(Association.POINT, "data", lambda: field)
     return ad
 
@@ -176,7 +178,7 @@ class TestLazyAdaptor:
         def prog(comm):
             field = np.zeros((3, 3, 3))
             ext = Extent(0, 2, 0, 2, 0, 2)
-            ad = LazyStructuredDataAdaptor(comm, ext, ext, eager=True)
+            ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext), eager=True)
             ad.register_array(Association.POINT, "data", lambda: field)
             ad.set_data_time(0.1, 1)
             return ad.mesh_constructions, ad.array_mappings
@@ -245,12 +247,26 @@ class TestLazyAdaptor:
 
         assert run_spmd(1, prog)[0] == (1, "data", ["data"], 0)
 
-    def test_mesh_attaches_mapped_arrays(self):
+    def test_mesh_is_geometry_only(self):
+        """A mapped array is not attached to the mesh: attaching is the
+        analysis's job, as SENSEI's ``AddArray`` is."""
+
         def prog(comm):
             ad = _mk_adaptor(comm, np.arange(27.0).reshape(3, 3, 3))
-            arr = ad.get_array(Association.POINT, "data")
+            ad.get_array(Association.POINT, "data")
             mesh = ad.get_mesh()
-            return mesh.get_array(Association.POINT, "data") is arr
+            return mesh.num_points, mesh.array_names(Association.POINT)
+
+        assert run_spmd(1, prog)[0] == (27, [])
+
+    def test_provider_may_return_a_data_array(self):
+        """A ready ``DataArray`` (here SoA) is handed through unwrapped."""
+
+        def prog(comm):
+            vel = DataArray.from_soa("vel", [np.zeros(4), np.ones(4)])
+            ad = SimulationDataAdaptor(comm, lambda: None)
+            ad.register_array(Association.POINT, "vel", lambda: vel)
+            return ad.get_array(Association.POINT, "vel") is vel
 
         assert run_spmd(1, prog)[0] is True
 
@@ -260,7 +276,7 @@ class TestLazyAdaptor:
         def prog(comm):
             state = {"field": np.zeros((3, 3, 3))}
             ext = Extent(0, 2, 0, 2, 0, 2)
-            ad = LazyStructuredDataAdaptor(comm, ext, ext)
+            ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext))
             ad.register_array(Association.POINT, "data", lambda: state["field"])
             a1 = ad.get_array(Association.POINT, "data")
             ad.release_data()
@@ -269,6 +285,39 @@ class TestLazyAdaptor:
             return float(a1.values.sum()), float(a2.values.sum())
 
         assert run_spmd(1, prog)[0] == (0.0, 27.0)
+
+
+#: Each simulation at a small size.
+_SIMULATIONS = {
+    "oscillator": lambda comm: OscillatorSimulation(comm, (8, 8, 8), default_oscillators()),
+    "avf": lambda comm: AVFLeslieSimulation(comm, global_dims=(8, 8, 4)),
+    "nyx": lambda comm: NyxSimulation(comm, grid=8, seed=1),
+    "nbody": lambda comm: NBodySimulation(comm, grid=8, n_particles=64),
+    "phasta": lambda comm: PhastaSimulation(comm, (6, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("app", sorted(_SIMULATIONS))
+def test_every_registered_array_maps_zero_copy(app):
+    """Sec. 3.2's zero-copy mapping, counted for every simulation: each
+    array its adaptor registers is mapped by reference."""
+
+    def prog(comm):
+        sim = _SIMULATIONS[app](comm)
+        sim.advance()
+        ad = sim.make_data_adaptor()
+        return sum(
+            ad.get_array(assoc, name).nbytes
+            for assoc in Association
+            for name in ad.available_arrays(assoc)
+        )
+
+    session = TraceSession()
+    for rank, mapped in enumerate(run_spmd(2, prog, trace=session)):
+        rec = session.recorder(rank)
+        assert mapped > 0
+        assert rec.total("sensei::bytes_zero_copy") == mapped
+        assert rec.total("sensei::bytes_copied") == 0
 
 
 class TestConfigurableAnalysis:

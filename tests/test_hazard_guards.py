@@ -12,8 +12,8 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import AnalysisAdaptor, Bridge, LazyStructuredDataAdaptor
-from repro.data import Association
+from repro.core import AnalysisAdaptor, Bridge, SimulationDataAdaptor
+from repro.data import Association, ImageData
 from repro.mpi import CollectiveMismatchError, SPMDError, run_spmd
 from repro.sanitize import SanitizerError
 from repro.util import Extent, MemoryAccountingError, MemoryTracker, TimerRegistry
@@ -138,7 +138,7 @@ class TestCollectiveHazards:
 
 def _adaptor(comm):
     ext = Extent(0, 3, 0, 3, 0, 0)
-    ad = LazyStructuredDataAdaptor(comm, ext, ext)
+    ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext))
     ad.register_array(Association.POINT, "data", lambda: np.zeros((4, 4)))
     return ad
 

@@ -1,15 +1,13 @@
-"""Tests for node-level thread parallelism and the hybrid analyses."""
+"""Tests for node-level thread parallelism and the hybrid histogram."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.autocorrelation import AutocorrelationState
 from repro.analysis.histogram import local_histogram
 from repro.analysis.hybrid import (
     HybridHistogramAnalysis,
-    ThreadedAutocorrelationState,
     local_histogram_threaded,
 )
 from repro.core import Bridge
@@ -129,39 +127,3 @@ class TestHybridHistogram:
             HybridHistogramAnalysis(n_threads=0)
 
 
-class TestThreadedAutocorrelation:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(2, 64),
-        st.integers(1, 5),
-        st.integers(1, 4),
-        st.integers(0, 50),
-    )
-    def test_threaded_equals_serial_property(self, n, window, threads, seed):
-        rng = np.random.default_rng(seed)
-        serial = AutocorrelationState(window, n)
-        threaded = ThreadedAutocorrelationState(window, n, n_threads=threads)
-        for _ in range(window + 2):
-            v = rng.standard_normal(n)
-            serial.update(v)
-            threaded.update(v)
-        # Bit-identical: per-cell work is unreassociated.
-        assert np.array_equal(serial.corr, threaded.corr)
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_topk_identical(self):
-        rng = np.random.default_rng(5)
-        a = AutocorrelationState(3, 50)
-        b = ThreadedAutocorrelationState(3, 50, n_threads=4)
-        for _ in range(6):
-            v = rng.standard_normal(50)
-            a.update(v)
-            b.update(v)
-        assert a.local_top_k(4) == b.local_top_k(4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThreadedAutocorrelationState(2, 10, n_threads=0)
-        st_ = ThreadedAutocorrelationState(2, 10, n_threads=2)
-        with pytest.raises(ValueError):
-            st_.update(np.zeros(5))

@@ -63,21 +63,37 @@ _REUSE_CALLS = {
 
 
 def _ndarray_kinds():
-    """Bare arrays past the 64 KiB segment threshold that a byte copy
-    alone would not carry: object references, a structured dtype, a mask,
-    a non-C order, a non-native byte order and a datetime unit."""
-    n = 1 << 14
-    rng = np.random.default_rng(0)
-    structured = np.zeros(n, dtype=[("a", "<f8"), ("b", "<i4")])
-    structured["a"] = rng.random(n)
-    structured["b"] = np.arange(n)
+    """Bare arrays that a byte copy alone would not carry: object
+    references, a structured dtype, a mask, a non-C order, a non-native byte
+    order and a datetime unit.  Each kind comes past the 64 KiB segment
+    threshold and, as ``<kind>_small``, below the pipe's 4 KiB out-of-band
+    minimum."""
+    kinds = {}
+    for suffix, n, side, masked in (("", 1 << 14, 128, 0.2), ("_small", 3, 2, 0.6)):
+        rng = np.random.default_rng(0)
+        structured = np.zeros(n, dtype=[("a", "<f8"), ("b", "<i4")])
+        structured["a"] = rng.random(n)
+        structured["b"] = np.arange(n)
+        kinds.update({
+            f"object{suffix}": np.array([f"cell{i}" for i in range(n)], dtype=object),
+            f"structured{suffix}": structured,
+            f"masked{suffix}": np.ma.masked_array(rng.random(n), mask=rng.random(n) < masked),
+            f"fortran{suffix}": np.asfortranarray(rng.random((side, side))),
+            f"big_endian{suffix}": rng.random(n).astype(">f8"),
+            f"datetime{suffix}": np.arange(n).astype("datetime64[s]"),
+        })
+    return kinds
+
+
+def _arrived_as_sent(got, sent):
+    """Which of type, dtype and shape, values and mask ``got`` kept."""
     return {
-        "object": np.array([f"cell{i}" for i in range(n)], dtype=object),
-        "structured": structured,
-        "masked": np.ma.masked_array(rng.random(n), mask=rng.random(n) < 0.2),
-        "fortran": np.asfortranarray(rng.random((128, n // 128))),
-        "big_endian": rng.random(n).astype(">f8"),
-        "datetime": np.arange(n).astype("datetime64[s]"),
+        "type": type(got) is type(sent),
+        "dtype": got.dtype == sent.dtype and got.shape == sent.shape,
+        "values": got.tolist() == sent.tolist()
+        if sent.dtype.hasobject
+        else got.tobytes() == sent.tobytes(),
+        "mask": np.array_equal(np.ma.getmaskarray(got), np.ma.getmaskarray(sent)),
     }
 
 
@@ -124,16 +140,25 @@ class TestPointToPoint:
             got = comm.recv(source=0)
             # Compared on the receiving rank: a rank's result crosses back
             # to the launcher by another path.
-            return {
-                "type": type(got) is type(sent),
-                "dtype": got.dtype == sent.dtype and got.shape == sent.shape,
-                "values": got.tolist() == sent.tolist()
-                if sent.dtype.hasobject
-                else got.tobytes() == sent.tobytes(),
-                "mask": np.array_equal(np.ma.getmaskarray(got), np.ma.getmaskarray(sent)),
-            }
+            return {**_arrived_as_sent(got, sent), "writeable": got.flags.writeable}
 
         checks = run_spmd(2, prog, timeout=30.0)[1]
+        assert checks == dict.fromkeys(checks, True)
+
+    @pytest.mark.parametrize("kind", sorted(_ndarray_kinds()))
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_every_ndarray_kind_returns_as_returned(self, kind, writeable):
+        """A rank's returned array reaches the launcher as the rank held
+        it, read-only flag included: on threads it is the object itself."""
+
+        def prog(comm):
+            out = _ndarray_kinds()[kind]
+            out.flags.writeable = writeable
+            return out
+
+        got = run_spmd(2, prog, timeout=30.0)[1]
+        sent = _ndarray_kinds()[kind]
+        checks = {**_arrived_as_sent(got, sent), "writeable": got.flags.writeable == writeable}
         assert checks == dict.fromkeys(checks, True)
 
     @pytest.mark.parametrize("fault", ["none", "delay", "drop", "duplicate"])

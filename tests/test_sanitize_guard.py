@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import AnalysisAdaptor, Bridge, LazyStructuredDataAdaptor
-from repro.data import Association
+from repro.core import AnalysisAdaptor, Bridge, SimulationDataAdaptor
+from repro.data import Association, ImageData
 from repro.mpi import run_spmd
 from repro.sanitize import (
     GuardedDataAdaptor,
@@ -17,7 +17,7 @@ from repro.util import Extent
 
 def _mk_adaptor(comm, field):
     ext = Extent(0, 3, 0, 3, 0, 0)
-    ad = LazyStructuredDataAdaptor(comm, ext, ext)
+    ad = SimulationDataAdaptor(comm, lambda: ImageData(ext, whole_extent=ext))
     ad.register_array(Association.POINT, "data", lambda: field)
     return ad
 

@@ -17,11 +17,8 @@ from repro.storage import (
     StorageFormatError,
     mpiio_read_block,
     mpiio_write_collective,
-    read_global_field,
     read_index,
-    read_piece,
     read_subextent,
-    write_block,
     write_timestep,
 )
 from repro.storage.mpiio import _header, _runs
@@ -40,32 +37,33 @@ def _block_image(extent, whole, seed=0):
 
 
 class TestBlockFiles:
+    def _step(self, tmp_path, ext, whole):
+        img, data = _block_image(ext, whole)
+        n = run_spmd(1, lambda comm: write_timestep(comm, tmp_path, 0, 0.0, img, "data"))[0]
+        [piece] = read_index(tmp_path, 0).pieces
+        return tmp_path / piece.filename, n, data
+
     def test_write_read_roundtrip(self, tmp_path):
         ext = Extent(2, 5, 0, 3, 1, 4)
         whole = Extent(0, 9, 0, 9, 0, 9)
-        img, data = _block_image(ext, whole)
-        p = tmp_path / "b.rvi"
-        n = write_block(p, img, "data")
+        p, n, data = self._step(tmp_path, ext, whole)
         assert p.stat().st_size == n
-        back = read_piece(p)
-        assert back.extent == ext
-        assert back.whole_extent == whole
-        np.testing.assert_array_equal(back.point_field_3d("data"), data)
+        assert read_index(tmp_path, 0).whole_extent == whole
+        np.testing.assert_array_equal(read_subextent(tmp_path, 0, ext), data)
 
     def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk"
+        ext = Extent(0, 3, 0, 3, 0, 3)
+        p, _, _ = self._step(tmp_path, ext, ext)
         p.write_bytes(b"NOPE" + b"\x00" * 100)
         with pytest.raises(ValueError):
-            read_piece(p)
+            read_subextent(tmp_path, 0)
 
     def test_truncated_rejected(self, tmp_path):
         ext = Extent(0, 3, 0, 3, 0, 3)
-        img, _ = _block_image(ext, ext)
-        p = tmp_path / "b.rvi"
-        write_block(p, img, "data")
+        p, _, _ = self._step(tmp_path, ext, ext)
         p.write_bytes(p.read_bytes()[:-10])
         with pytest.raises(ValueError):
-            read_piece(p)
+            read_subextent(tmp_path, 0)
 
 
 class TestParallelTimestep:
@@ -93,7 +91,7 @@ class TestParallelTimestep:
             expected[
                 ext.i0 : ext.i1 + 1, ext.j0 : ext.j1 + 1, ext.k0 : ext.k1 + 1
             ] = data
-        got = read_global_field(tmp_path, 3)
+        got = read_subextent(tmp_path, 3)
         np.testing.assert_array_equal(got, expected)
 
     def test_subextent_read_with_fewer_readers(self, tmp_path):
@@ -154,7 +152,7 @@ class TestReadPaths:
     @pytest.mark.parametrize("nwriters", [1, 2, 4, 8])
     def test_every_split_reads_the_field(self, tmp_path, nwriters, backend):
         self._write(str(tmp_path), nwriters, backend)
-        np.testing.assert_array_equal(read_global_field(tmp_path, 0), self.FIELD)
+        np.testing.assert_array_equal(read_subextent(tmp_path, 0), self.FIELD)
         np.testing.assert_array_equal(BPReader(tmp_path / "f").read("data", 0), self.FIELD)
 
         def reader(comm):
@@ -215,7 +213,7 @@ class TestReadPaths:
         expected = self.FIELD.copy()
         e = exts[1]
         expected[e.i0 : e.i1 + 1] = expected[e.i0 : e.i1 + 1].astype(np.float32)
-        for got in (read_global_field(tmp_path, 0), BPReader(tmp_path / "f").read("data", 0)):
+        for got in (read_subextent(tmp_path, 0), BPReader(tmp_path / "f").read("data", 0)):
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, expected)
 
@@ -304,10 +302,6 @@ class TestVTKHostile:
         piece.write_bytes(_forge_header(piece.read_bytes(), *self.HEADERS[forgery]))
         with pytest.raises(StorageFormatError):
             read_subextent(directory, 0, self.WHOLE)
-        if forgery != "extent-not-index":
-            # The header alone is wrong, whichever reader opens it.
-            with pytest.raises(StorageFormatError):
-                read_piece(piece)
 
     @pytest.mark.parametrize("keep", [0, 3, 11, 40, -8])
     def test_truncated_piece_rejected(self, tmp_path, keep):
@@ -316,8 +310,6 @@ class TestVTKHostile:
         piece.write_bytes(piece.read_bytes()[:keep])
         with pytest.raises(StorageFormatError):
             read_subextent(directory, 0, self.WHOLE)
-        with pytest.raises(StorageFormatError):
-            read_piece(piece)
 
     FORGERIES = {
         "name-is-a-path": lambda d: d["pieces"][1].__setitem__(0, "../evil.rvi"),
