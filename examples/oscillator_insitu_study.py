@@ -79,7 +79,11 @@ def run_configuration(name, make_analysis):
 
 
 def main():
-    tmp = tempfile.mkdtemp(prefix="insitu_study_")
+    with tempfile.TemporaryDirectory(prefix="insitu_study_") as tmp:
+        study(tmp)
+
+
+def study(tmp: str) -> None:
     session = f"{tmp}/session.json"
     write_session_file(
         session, [{"type": "pseudocolor_slice", "axis": 2, "index": EDGE // 2}],
@@ -105,7 +109,7 @@ def main():
     ]
     print(
         f"miniapp in situ study: {NRANKS} ranks, {DIMS} grid, {STEPS} steps"
-        f" (images under {tmp})\n"
+        f" (images under {tmp}, removed at exit)\n"
     )
     header = (
         f"{'configuration':<17}{'sim init':>9}{'ana init':>9}{'sim/step':>9}"

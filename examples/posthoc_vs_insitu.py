@@ -72,18 +72,18 @@ def writer_job(comm, directory):
 
 
 def main():
-    directory = tempfile.mkdtemp(prefix="posthoc_demo_")
     readers = max(NRANKS // 4, 1)
 
     insitu = run_spmd(NRANKS, insitu_job)
-    writes = run_spmd(NRANKS, writer_job, directory)
-    posthoc = run_spmd(
-        readers,
-        lambda comm: run_posthoc_analysis(
-            comm, directory, steps=list(range(1, STEPS + 1)),
-            analysis="histogram", bins=BINS,
-        ),
-    )
+    with tempfile.TemporaryDirectory(prefix="posthoc_demo_") as directory:
+        writes = run_spmd(NRANKS, writer_job, directory)
+        posthoc = run_spmd(
+            readers,
+            lambda comm: run_posthoc_analysis(
+                comm, directory, steps=list(range(1, STEPS + 1)),
+                analysis="histogram", bins=BINS,
+            ),
+        )
 
     sim_t = max(r["sim"] for r in insitu)
     ana_t = max(r["analysis"] for r in insitu)

@@ -187,9 +187,7 @@ class ParticleMeshSimulation:
         same outboxes and the surviving ranks' blocked receives complete
         with the payloads they were always going to get.  Sends are
         buffered, so send-all-then-receive-all cannot deadlock, and a
-        rank owning zero particles still sends its (empty) outboxes --
-        empty ndarrays stay on the inline pickle path rather than
-        allocating 0-byte shm segments.
+        rank owning zero particles still sends its (empty) outboxes.
         """
         p = self.particles
         owner = self._owner_ranks(p.positions[:, 0])

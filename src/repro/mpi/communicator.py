@@ -515,11 +515,7 @@ class Communicator:
         else:
             # A duplicate is delivered twice (the receiver's seq dedup
             # discards the copy); unknown kinds deliver normally.
-            self._deliver(
-                dest, tag, payload, seq,
-                copies=2 if kind == "duplicate" else 1,
-                faulted=action is not None,
-            )
+            self._deliver(dest, tag, payload, seq, copies=2 if kind == "duplicate" else 1)
 
     def _race_cb(
         self, source: int, tag: int
@@ -714,11 +710,9 @@ class Communicator:
     # the thread fabric (below) and the pipe/shared-memory fabric
     # (:class:`~repro.mpi.process_backend.ProcessCommunicator`).
     def _deliver(
-        self, dest: int, tag: int, payload: Any, seq: "int | None",
-        copies: int = 1, faulted: bool = False,
+        self, dest: int, tag: int, payload: Any, seq: "int | None", copies: int = 1
     ) -> None:
-        """Deliver ``payload`` now, ``copies`` times.  ``faulted`` marks an
-        envelope the ``mpi.send`` site touched (it may be decoded twice)."""
+        """Deliver ``payload`` now, ``copies`` times."""
         payload = _copy_payload(payload)
         for _ in range(copies):
             self._ctx.states[dest].mailbox.put(self._rank, tag, payload, seq=seq)

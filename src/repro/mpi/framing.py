@@ -131,7 +131,6 @@ class FrameChannel:
         self._send_seq = 0
         self._recv_seq = -1
         self._window: dict[int, bytes] = {}
-        self._recv_buffer = b""
         #: Set after a recoverable receive error (the caller NACKed): the
         #: sender may still be streaming frames past the failed one, so
         #: out-of-order frames are *dropped* rather than treated as fatal
@@ -213,19 +212,20 @@ class FrameChannel:
             del self._window[s]
 
     # -- receiving -----------------------------------------------------------
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._recv_buffer) < n:
-            chunk = self.sock.recv(min(65536, max(4096, n - len(self._recv_buffer))))
-            if not chunk:
-                raise TruncatedFrameError(
-                    f"stream closed mid-frame "
-                    f"({len(self._recv_buffer)}/{n} bytes buffered)"
-                )
-            self._recv_buffer += chunk
-        out, self._recv_buffer = self._recv_buffer[:n], self._recv_buffer[n:]
+    def _read_exact(self, n: int) -> bytearray:
+        """The stream's next ``n`` bytes, received straight into one buffer."""
+        out, got = bytearray(n), 0
+        with memoryview(out) as view:
+            while got < n:
+                chunk = self.sock.recv_into(view[got:])
+                if not chunk:
+                    raise TruncatedFrameError(
+                        f"stream closed mid-frame ({got}/{n} bytes read)"
+                    )
+                got += chunk
         return out
 
-    def recv(self) -> tuple[int, int, bytes]:
+    def recv(self) -> tuple[int, int, bytearray]:
         """The next in-order frame as ``(kind, seq, payload)``.
 
         Duplicates are dropped silently.  A payload CRC mismatch or a

@@ -8,9 +8,10 @@ values.  Two execution backends provide the workers:
   process; collective rows and messages are posted straight into the
   peers' in-process FIFOs and mailboxes.
 - ``backend="process"``: one OS process per rank
-  (:mod:`repro.mpi.process_backend`), pickled-envelope pipe transport with
-  bulk payloads written to and read from consume-once ``/dev/shm`` segment
-  files -- real concurrency for numpy-heavy ranks, at process-spawn cost.
+  (:mod:`repro.mpi.process_backend`), pickled-envelope pipe transport, with
+  an envelope larger than its pipe written to and read from a consume-once
+  ``/dev/shm`` segment file -- real concurrency for numpy-heavy ranks, at
+  process-spawn cost.
 
 The backend can also be selected job-wide with the ``REPRO_SPMD_BACKEND``
 environment variable; an explicit ``backend=`` argument wins.  Program

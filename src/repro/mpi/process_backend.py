@@ -10,9 +10,13 @@ one *process* per rank:
   pickles an envelope (protocol 5: a writable array of at least
   :data:`_OOB_MIN` bytes leaves the pickle stream as an out-of-band
   buffer) and writes it before ``send`` or a collective contribution
-  returns.  Writes never block: bytes a full pipe cannot take are copied
-  into the sender's backlog and written by its next wait, so two ranks
-  flooding each other cannot deadlock.  No helper thread runs in a rank.
+  returns.  A frame's *body* -- the pickle stream plus the out-of-band
+  buffers -- larger than the pipe goes into one consume-once ``/dev/shm``
+  segment (:mod:`repro.mpi.shm`), and only its head crosses the pipe;
+  any other body follows its head down the pipe.  Writes never block:
+  bytes a full pipe cannot take are copied into the sender's backlog and
+  written by its next wait, so two ranks flooding each other cannot
+  deadlock.  No helper thread runs in a rank.
   A rank that waits -- in a receive or a collective -- moves its own
   bytes: it polls its pipes, writes its backlog, and routes each arriving
   envelope into per-communicator mailboxes (the same
@@ -20,21 +24,18 @@ one *process* per rank:
   tag/source matching, the pending-envelope non-overtaking rule, and
   sequence-number duplicate suppression are literally the same code).  An
   out-of-band buffer is read straight into the memory of the array the
-  receiver gets.  Bulk bare ndarrays spill to consume-once ``/dev/shm``
-  segment files instead, written and read with ``pwrite`` / ``preadv``
-  (:mod:`repro.mpi.shm`).  A segment the rank cannot read (missing or
-  short) aborts it with a :class:`~repro.mpi.shm.SegmentError` naming it,
-  rather than leaving its receiver to time out.
+  receiver gets, from the pipe or from the segment.  A segment the rank
+  cannot read (missing or short) aborts it with a
+  :class:`~repro.mpi.shm.SegmentError` naming it, rather than leaving its
+  receiver to time out.
 - **Collectives** are the base class's row exchange; this fabric only
   carries a row to a peer, as a ``coll`` envelope that the waiting peer
   posts to the communicator's per-source FIFO -- the same
   :class:`~repro.mpi.communicator._CommState` the thread fabric posts to
-  directly.  A contribution is encoded for each peer by the
-  same :class:`~repro.mpi.shm.PayloadCodec` sends use, so one rule covers
-  both: a bare ndarray at or above the threshold rides a consume-once
-  segment, anything else is pickled.  The ``mpi::<kind>::bytes`` counter
-  is split into ``::shm`` and ``::pickled`` so traces prove which
-  transport carried the bytes.
+  directly.  A contribution is pickled once and framed for each peer as
+  a send is (a body past the pipe: one segment per peer).  The
+  ``mpi::<kind>::bytes`` counter is split into ``::shm`` and ``::pickled``
+  so traces prove which transport carried the bytes.
 - **Faults** are the ``mpi.send`` / ``mpi.collective`` sites the base
   :class:`~repro.mpi.communicator.Communicator` owns; this fabric only
   implements "deliver now" and "deliver later" (delay and drop-retransmit
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import copyreg
 import fcntl
+import functools
 import heapq
 import io
 import itertools
@@ -66,6 +68,7 @@ import os
 import pickle
 import select
 import struct
+import sys
 import threading
 import time
 import traceback
@@ -85,7 +88,13 @@ from repro.mpi.communicator import (
     _payload_nbytes,
     _thread_world_rank,
 )
-from repro.mpi.shm import PayloadCodec, SegmentError, cleanup_segments
+from repro.mpi.shm import (
+    SHM_PREFIX,
+    SegmentError,
+    cleanup_segments,
+    read_segment,
+    write_segment,
+)
 
 #: Communicator id of the world communicator.
 _WORLD_ID = "w"
@@ -99,8 +108,8 @@ _DEATH_GRACE = 1.0
 _EXIT_GRACE = 5.0
 
 #: Bytes each pair pipe is asked to hold (``F_SETPIPE_SZ``).  Where the
-#: kernel refuses, the pipe keeps its default size and more bytes wait in
-#: the sender's backlog for its next wait.
+#: kernel refuses, the pipe keeps its default size, and a frame body larger
+#: than that size rides a segment.
 _PIPE_BYTES = 1 << 20
 
 #: A writable contiguous array of at least this many bytes leaves the pickle
@@ -118,10 +127,10 @@ _IOV_MAX = 1024
 #: same rank moves the bytes (whose dispatches notify that condition).
 _FOLLOW_S = 0.005
 
-#: A frame starts with the pickle stream's length and the out-of-band
-#: buffer count; one u64 length per buffer, the stream and the buffers
-#: follow.
-_HEAD = struct.Struct("<II")
+#: A frame's head is the pickle stream's length, the out-of-band buffer
+#: count, the number of the segment holding the body (0: the stream and the
+#: buffers follow the head on the pipe) and one u64 length per buffer.
+_HEAD = struct.Struct("<IIQ")
 
 _JOB_COUNTER = itertools.count()
 
@@ -160,6 +169,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _masked(data: np.ndarray, mask, fill_value) -> np.ma.MaskedArray:
+    return np.ma.MaskedArray(data, mask=mask, fill_value=fill_value)
+
+
+def _reduce_masked(array: np.ma.MaskedArray):
+    """A masked array as its data, mask and fill value, each pickled by the
+    same table: numpy's own masked-array pickling rebuilds a non-native
+    byte order as native."""
+    return _masked, (array.data, np.ma.getmask(array), array.fill_value)
+
+
 def _reduce_result(array: np.ndarray):
     """A rank's returned array keeps its read-only flag: on threads the
     launcher gets the object itself."""
@@ -167,7 +187,17 @@ def _reduce_result(array: np.ndarray):
         return _read_only, (array.copy(),)
     if type(array) is np.ndarray:
         return _in_band(array)
-    return array.__reduce__()  # a masked array pickles its data and mask
+    return _reduce_masked(array)
+
+
+def _dispatch_table(reduce_array: Callable, reduce_masked: Callable) -> dict:
+    """``copyreg``'s table plus reducers for arrays and masked arrays.
+    numpy imports ``numpy.ma`` on first use, and no masked array exists
+    before it does, so a rank that never uses one does not import it."""
+    table = {**copyreg.dispatch_table, np.ndarray: reduce_array}
+    if "numpy.ma" in sys.modules:
+        table[np.ma.MaskedArray] = reduce_masked
+    return table
 
 
 class _Pickler(pickle.Pickler):
@@ -175,7 +205,7 @@ class _Pickler(pickle.Pickler):
     buffers appended to ``buffers``."""
 
     def __init__(self, file, buffers: list) -> None:
-        self.dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
+        self.dispatch_table = _dispatch_table(_reduce_array, _reduce_masked)
         super().__init__(file, protocol=5, buffer_callback=buffers.append)
 
 
@@ -188,12 +218,17 @@ def _pickle(env: tuple) -> tuple[bytes, list]:
     return stream.getvalue(), [b.raw() for b in buffers]
 
 
-def _frame(stream: bytes, raws: list) -> list:
-    """The pieces of one frame, in wire order."""
-    head = _HEAD.pack(len(stream), len(raws))
+def _unpickle(stream: bytes, raws: list) -> tuple:
+    """A private copy of the envelope :func:`_pickle` gave."""
+    return pickle.loads(stream, buffers=[bytearray(r) for r in raws])
+
+
+def _head(stream: bytes, raws: list, segment: int) -> bytes:
+    """The head of the frame carrying ``stream`` and ``raws``."""
+    head = _HEAD.pack(len(stream), len(raws), segment)
     if raws:
         head += struct.pack(f"<{len(raws)}Q", *map(len, raws))
-    return [head, stream, *raws]
+    return head
 
 
 class _Outlet:
@@ -243,10 +278,12 @@ class _Inlet:
     """The read end of one pair pipe.  A frame may arrive in pieces, so
     reading resumes where it stopped: a small frame is cut out of a staging
     buffer, a long pickle stream or out-of-band buffer is read straight
-    into the memory it ends up in."""
+    into the memory it ends up in, and a body in a segment is read from it
+    (``prefix`` plus the head's segment number names the segment)."""
 
-    def __init__(self, fd: int) -> None:
+    def __init__(self, fd: int, prefix: str) -> None:
         self.fd = fd
+        self.prefix = prefix
         #: The writer has exited and every byte it wrote has been read.
         self.closed = False
         self._stage = memoryview(bytearray(_STAGE_BYTES))
@@ -260,7 +297,8 @@ class _Inlet:
 
     def pull(self, dispatch: Callable[[tuple], None]) -> int:
         """Read what the pipe holds now and dispatch every whole envelope;
-        returns how many were dispatched."""
+        returns how many were dispatched.  Raises :class:`SegmentError`
+        when a body's segment cannot be read."""
         count = 0
         while True:
             count += self._parse(dispatch)
@@ -287,29 +325,33 @@ class _Inlet:
                 continue
             if self._hi - self._lo < _HEAD.size:
                 return count
-            length, nbuf = _HEAD.unpack_from(stage, self._lo)
-            end = self._lo + _HEAD.size + 8 * nbuf + length
+            length, nbuf, segment = _HEAD.unpack_from(stage, self._lo)
+            end = self._lo + _HEAD.size + 8 * nbuf + (0 if segment else length)
             if end <= self._hi:
-                body = stage[self._lo + _HEAD.size : end]
+                rest = stage[self._lo + _HEAD.size : end]
                 self._lo = end
-                count += self._begin(body, nbuf, dispatch)
+                count += self._begin(rest, length, nbuf, segment, dispatch)
             else:
                 self._lo += _HEAD.size
-                body = memoryview(bytearray(end - self._lo))
-                self._parts = [body]
-                self._done = lambda dispatch, body=body, nbuf=nbuf: self._begin(
-                    body, nbuf, dispatch
-                )
+                rest = memoryview(bytearray(end - self._lo))
+                self._parts = [rest]
+                self._done = functools.partial(self._begin, rest, length, nbuf, segment)
 
-    def _begin(self, body: memoryview, nbuf: int, dispatch) -> int:
-        """A frame's lengths and pickle stream are in: dispatch it, or
-        allocate its out-of-band buffers and read them next."""
-        if not nbuf:
-            dispatch(pickle.loads(body))
+    def _begin(self, rest, length: int, nbuf: int, segment: int, dispatch) -> int:
+        """A frame's head is in, and the pickle stream with it unless the
+        body is in a segment: dispatch it, or allocate its out-of-band
+        buffers and read them next."""
+        if not nbuf and not segment:
+            dispatch(pickle.loads(rest))
             return 1
-        sizes = struct.unpack_from(f"<{nbuf}Q", body)
-        stream = bytes(body[8 * nbuf :])  # the stage will be reused
+        sizes = struct.unpack_from(f"<{nbuf}Q", rest)
         buffers = [np.empty(n, dtype=np.uint8) for n in sizes]
+        if segment:
+            stream = bytearray(length)
+            read_segment(f"{self.prefix}{segment}", [stream, *buffers])
+            dispatch(pickle.loads(stream, buffers=buffers))
+            return 1
+        stream = bytes(rest[8 * nbuf :])  # the stage will be reused
         self._parts = [memoryview(b) for b in buffers]
 
         def done(dispatch) -> int:
@@ -358,24 +400,35 @@ class _Inlet:
 # --------------------------------------------------------------------------
 
 
+def _capacity(fd: int) -> int:
+    """Ask the pipe ``fd`` to hold :data:`_PIPE_BYTES`; returns what it holds."""
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass  # the kernel keeps its default size
+    try:
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):
+        return 1 << 16  # Linux's default pipe size
+
+
 class _Wiring:
     """Every pipe of one job.  ``pairs[src, dst]`` is the ``(reader,
     writer)`` of the pipe carrying ``src``'s envelopes to ``dst``;
     ``controls[rank]`` is the ``(launcher end, rank end)`` of the rank's
     control pipe, which carries the launcher's abort one way and the rank's
-    report the other.  Picklable, so spawned ranks receive their ends."""
+    report the other; ``pipe_bytes`` is the smallest pair pipe's capacity.
+    Picklable, so spawned ranks receive their ends."""
 
     def __init__(self, mpctx, nranks: int) -> None:
         self.pairs: dict[tuple[int, int], tuple] = {}
+        self.pipe_bytes = _PIPE_BYTES
         for src in range(nranks):
             for dst in range(nranks):
                 if src == dst:
                     continue
                 reader, writer = mpctx.Pipe(duplex=False)
-                try:
-                    fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-                except (AttributeError, OSError):
-                    pass  # the default size: more bytes wait in backlogs
+                self.pipe_bytes = min(self.pipe_bytes, _capacity(writer.fileno()))
                 os.set_blocking(reader.fileno(), False)
                 os.set_blocking(writer.fileno(), False)
                 self.pairs[src, dst] = (reader, writer)
@@ -408,24 +461,26 @@ class _Wiring:
 class _Runtime:
     """One worker process's end of the job fabric.
 
-    Owns the rank's pipe ends, the per-communicator states, the payload
-    codec, and the envelopes due later (injected delay/drop).  Its
-    :meth:`pump` is the states' wait, so the thread that waits is the one
-    that moves the bytes.
+    Owns the rank's pipe ends, the per-communicator states, the number of
+    the next segment it writes, and the frames due later (injected
+    delay/drop).  Its :meth:`pump` is the states' wait, so the thread that
+    waits is the one that moves the bytes.
     """
 
     def __init__(self, rank: int, wiring: _Wiring, job_tag: str) -> None:
         self.rank = rank
-        self.codec = PayloadCodec(job_tag, rank)
         self.abort_reason: str | None = None
         #: The segment error that made this rank abort itself: the rank
         #: reports it as its own failure, not as collateral.
         self.failure: SegmentError | None = None
         self._states: dict[str, _CommState] = {}
         self._lock = threading.Lock()  # states and the abort reason
-        self._out_lock = threading.Lock()  # outlets and envelopes due later
+        self._out_lock = threading.Lock()  # outlets and frames due later
         self._pump_lock = threading.Lock()  # one thread moves the bytes
         self._control = wiring.controls[rank][1]
+        self._pipe_bytes = wiring.pipe_bytes
+        self._prefix = f"{SHM_PREFIX}-{job_tag}-{rank}-"
+        self._segments = itertools.count(1)
         self._outlets = {
             dst: _Outlet(writer.fileno())
             for (src, dst), (_, writer) in wiring.pairs.items()
@@ -433,11 +488,11 @@ class _Runtime:
         }
         self._by_fd = {out.fd: out for out in self._outlets.values()}
         self._inlets = {
-            reader.fileno(): _Inlet(reader.fileno())
-            for (_, dst), (reader, _) in wiring.pairs.items()
+            reader.fileno(): _Inlet(reader.fileno(), f"{SHM_PREFIX}-{job_tag}-{src}-")
+            for (src, dst), (reader, _) in wiring.pairs.items()
             if dst == rank
         }
-        #: Heap of ``(due, order, dest, stream, raws)``.
+        #: Heap of ``(due, order, dest, deliver)``.
         self._later: list = []
         self._order = itertools.count()
         self._poll = select.poll()
@@ -459,47 +514,65 @@ class _Runtime:
             return st
 
     # -- outbound ----------------------------------------------------------
-    def put(self, dests: list[int], env: tuple, copies: int = 1) -> None:
-        """Pickle ``env`` once and write the frame to each of ``dests``,
-        ``copies`` times, before returning."""
+    def put(self, dests: list[int], env: tuple, copies: int = 1) -> bool:
+        """Pickle ``env`` once and deliver it to each of ``dests``,
+        ``copies`` times, before returning; True when its body rode
+        segments."""
         stream, raws = _pickle(env)
+        spilled = False
         for dest in dests:
-            self._send(dest, stream, raws, copies=copies)
+            for _ in range(copies):
+                if dest == self.rank:
+                    self._dispatch(_unpickle(stream, raws))
+                    continue
+                pieces, spilled = self._frame(stream, raws)
+                self._write(dest, pieces)
+        return spilled
 
-    def put_later(self, delay: float, dest_world: int, env: tuple) -> None:
-        """Pickle ``env`` now; write it at the first wait (or exit) at
-        least ``delay`` seconds from now (injected delay/drop)."""
+    def put_later(self, delay: float, dest: int, env: tuple) -> bool:
+        """Frame ``env`` now and deliver it at the first wait (or exit) at
+        least ``delay`` seconds from now (injected delay/drop); True when
+        its body rides a segment."""
         stream, raws = _pickle(env)
+        spilled = False
+        if dest == self.rank:
+            deliver = functools.partial(self._dispatch, _unpickle(stream, raws))
+        else:
+            pieces, spilled = self._frame(stream, raws)
+            deliver = functools.partial(self._write, dest, [bytes(p) for p in pieces])
         with self._out_lock:
             heapq.heappush(
-                self._later,
-                (time.monotonic() + delay, next(self._order), dest_world,
-                 stream, [bytes(r) for r in raws]),
+                self._later, (time.monotonic() + delay, next(self._order), dest, deliver)
             )
+        return spilled
 
-    def _send(self, dest: int, stream: bytes, raws: list, copies: int = 1) -> None:
-        if dest == self.rank:
-            for _ in range(copies):
-                self._dispatch(
-                    pickle.loads(stream, buffers=[bytearray(r) for r in raws])
-                )
-            return
-        pieces = _frame(stream, raws)
+    def _frame(self, stream: bytes, raws: list) -> tuple[list, bool]:
+        """The pieces of one frame to a peer, in wire order, and whether its
+        body rides a segment: it does when it is larger than the pipe."""
+        if len(stream) + sum(map(len, raws)) > self._pipe_bytes:
+            segment = next(self._segments)
+            try:
+                write_segment(f"{self._prefix}{segment}", [stream, *raws])
+            except OSError:
+                pass  # no segment directory: the body takes the pipe
+            else:
+                return [_head(stream, raws, segment)], True
+        return [_head(stream, raws, 0), stream, *raws], False
+
+    def _write(self, dest: int, pieces: list) -> None:
         with self._out_lock:
-            out = self._outlets[dest]
-            for _ in range(copies):
-                out.write(pieces)
+            self._outlets[dest].write(pieces)
 
     def _release_due(self) -> bool:
-        """Send the envelopes whose delay has passed; True when one of them
+        """Deliver the frames whose delay has passed; True when one of them
         was this rank's own (dispatched here and now)."""
         due = []
         with self._out_lock:
             now = time.monotonic()
             while self._later and self._later[0][0] <= now:
                 due.append(heapq.heappop(self._later))
-        for _, _, dest, stream, raws in due:
-            self._send(dest, stream, raws)
+        for *_, deliver in due:
+            deliver()
         return any(entry[2] == self.rank for entry in due)
 
     def _owed(self) -> bool:
@@ -552,7 +625,11 @@ class _Runtime:
             for fd, _ in events:
                 inlet = self._inlets.get(fd)
                 if inlet is not None:
-                    moved |= inlet.pull(self._dispatch) > 0
+                    try:
+                        moved |= inlet.pull(self._dispatch) > 0
+                    except SegmentError as exc:
+                        self._lose(exc)
+                        moved = True
                     if inlet.closed:
                         self._poll.unregister(fd)
                         del self._inlets[fd]
@@ -581,26 +658,25 @@ class _Runtime:
     def _dispatch(self, env: tuple) -> None:
         kind = env[0]
         st = self.state(env[1])
-        decode = self.codec.decode
-        try:
-            if kind == "pt":
-                _, _, src, tag, seq, spec = env
-                st.mailbox.put(src, tag, decode(spec), seq=seq)
-            elif kind == "pend":
-                _, _, src, tag, seq = env
-                st.mailbox.put_pending(src, tag, seq)
-            elif kind == "fulfill":
-                _, _, src, seq, spec = env
-                st.mailbox.fulfill(src, seq, decode(spec))
-            elif kind == "coll":
-                _, _, src, record, spec = env
-                st.post(src, record, decode(spec))
-        except SegmentError as exc:
-            # The payload is lost: release whatever waits for it now
-            # instead of letting it run out its timeout.
-            if self.failure is None:
-                self.failure = exc
-            self._abort_local(f"rank {self.rank} lost a payload: {exc}")
+        if kind == "pt":
+            _, _, src, tag, seq, payload = env
+            st.mailbox.put(src, tag, payload, seq=seq)
+        elif kind == "pend":
+            _, _, src, tag, seq = env
+            st.mailbox.put_pending(src, tag, seq)
+        elif kind == "fulfill":
+            _, _, src, seq, payload = env
+            st.mailbox.fulfill(src, seq, payload)
+        elif kind == "coll":
+            _, _, src, record, payload = env
+            st.post(src, record, payload)
+
+    def _lose(self, exc: SegmentError) -> None:
+        """A frame's body is lost: release whatever waits for it now
+        instead of letting it run out its timeout."""
+        if self.failure is None:
+            self.failure = exc
+        self._abort_local(f"rank {self.rank} lost a payload: {exc}")
 
     def _abort_local(self, reason: str) -> None:
         with self._lock:
@@ -677,8 +753,9 @@ class ProcessCommunicator(Communicator):
     _abort_grace = 0.25
 
     def _count_transport(self, stem: str, spilled: bool, payload: Any) -> None:
-        """Charge a payload's bytes to ``::shm`` when it was spilled to a
-        segment, else to ``::pickled``; the two sum to the unsuffixed total.
+        """Charge a payload's bytes to ``::shm`` when its frame's body rode
+        a segment, else to ``::pickled``; the two sum to the unsuffixed
+        total.
 
         Zero-valued samples are skipped to keep traces lean; reports read
         the split with a 0.0 default.
@@ -691,45 +768,34 @@ class ProcessCommunicator(Communicator):
             rec.count(f"{stem}::{'shm' if spilled else 'pickled'}", total)
 
     def _deliver(
-        self, dest: int, tag: int, payload: Any, seq: "int | None",
-        copies: int = 1, faulted: bool = False,
+        self, dest: int, tag: int, payload: Any, seq: "int | None", copies: int = 1
     ) -> None:
         ctx: _ProcessContext = self._ctx
-        # Faulted envelopes are pickled: a duplicated envelope must survive
-        # two decodes, which a consume-once shm segment cannot.
-        spec = ("inline", payload) if faulted else ctx.runtime.codec.encode(payload)
-        self._count_transport("mpi::send::bytes", spec[0] == "shm", payload)
-        ctx.runtime.put(
-            [ctx.members[dest]], ("pt", ctx.cid, self._rank, tag, seq, spec), copies
+        spilled = ctx.runtime.put(
+            [ctx.members[dest]], ("pt", ctx.cid, self._rank, tag, seq, payload), copies
         )
+        self._count_transport("mpi::send::bytes", spilled, payload)
 
     def _deliver_later(
         self, dest: int, tag: int, payload: Any, seq: int, delay: float
     ) -> None:
         ctx: _ProcessContext = self._ctx
-        self._count_transport("mpi::send::bytes", False, payload)
         dest_world = ctx.members[dest]
         ctx.runtime.put([dest_world], ("pend", ctx.cid, self._rank, tag, seq))
-        ctx.runtime.put_later(
-            delay, dest_world, ("fulfill", ctx.cid, self._rank, seq, ("inline", payload))
+        spilled = ctx.runtime.put_later(
+            delay, dest_world, ("fulfill", ctx.cid, self._rank, seq, payload)
         )
+        self._count_transport("mpi::send::bytes", spilled, payload)
 
     def _contribute(self, peers: list[int], record, value: Any) -> None:
-        """A large bare ndarray lands in one consume-once segment per peer,
-        as a send's would; anything else is pickled once and every peer gets
-        the same frame.  The byte split is counted once per contribution,
-        matching the unsuffixed total ``_exchange`` counted."""
+        """The row is pickled once and framed for every peer; the byte split
+        is counted once per contribution, matching the unsuffixed total
+        ``_exchange`` counted."""
         ctx: _ProcessContext = self._ctx
-        codec, dests = ctx.runtime.codec, [ctx.members[p] for p in peers]
-        spec = codec.encode(value)
-        if spec[0] == "shm":
-            # Each receiver unlinks the segment it read: one per peer.
-            for i, dest in enumerate(dests):
-                own = spec if i == 0 else codec.encode(value)
-                ctx.runtime.put([dest], ("coll", ctx.cid, self._rank, record, own))
-        else:
-            ctx.runtime.put(dests, ("coll", ctx.cid, self._rank, record, spec))
-        self._count_transport(f"mpi::{record[1]}::bytes", spec[0] == "shm", value)
+        spilled = ctx.runtime.put(
+            [ctx.members[p] for p in peers], ("coll", ctx.cid, self._rank, record, value)
+        )
+        self._count_transport(f"mpi::{record[1]}::bytes", spilled, value)
 
     def _child(self, members: list[int], color: int):
         """The child communicator id is derived from (parent id, parent
@@ -774,11 +840,7 @@ def _try_dumps(obj: Any) -> "bytes | None":
     """``obj`` pickled in one stream, arrays reduced by :func:`_reduce_result`."""
     stream = io.BytesIO()
     pickler = pickle.Pickler(stream, protocol=5)
-    pickler.dispatch_table = {
-        **copyreg.dispatch_table,
-        np.ndarray: _reduce_result,
-        np.ma.MaskedArray: _reduce_result,
-    }
+    pickler.dispatch_table = _dispatch_table(_reduce_result, _reduce_result)
     try:
         pickler.dump(obj)
     except Exception:

@@ -1,36 +1,22 @@
-"""Shared-memory transport for the process-backed SPMD runtime.
+"""Consume-once shared-memory segments for the process-backed SPMD runtime.
 
-The process backend moves rank-to-rank traffic over pickled-envelope pipes
-(:mod:`repro.mpi.process_backend`).  Pickling is fine for control messages
-and small payloads, but simulation fields, halo faces, and framebuffers are
-bulk numpy data -- shipping them through a pipe costs two serialization
-copies plus pipe-buffer churn.  One shared-memory path avoids that, for
-point-to-point sends and collective contributions alike:
+The process backend moves rank-to-rank traffic as pickled frames over one
+pipe per rank pair (:mod:`repro.mpi.process_backend`).  A frame whose body
+is larger than the pipe is written once into a fresh file under
+:data:`SEGMENT_DIR` (``/dev/shm``, a tmpfs) instead, and only its head
+crosses the pipe; the receiver reads a private copy back out, preserving
+the runtime's "ranks never alias each other's memory" contract.
+Lifecycle discipline (POSIX): the *consumer* unlinks.
 
-**Consume-once segments**: a bare ndarray (exactly ``np.ndarray``, no
-subclass such as ``np.ma.MaskedArray``, and no object references in its
-dtype) at or above the threshold is written once into a fresh file under
-:data:`SEGMENT_DIR` (``/dev/shm``, a tmpfs), the envelope carries only the
-``(name, shape, dtype)`` descriptor (the ``np.dtype`` itself, so structured
-dtypes survive),
-and the receiver reads a private copy back out -- preserving the runtime's
-"ranks never alias each other's memory" contract (the zero-copy accounting
-experiments depend on receives being owned buffers).  Anything else (small
-arrays, tuples, lists, dicts, scalars) is pickled inline with the envelope.
-A collective contribution is encoded once per peer, so each peer consumes
-its own segment.  Lifecycle discipline (POSIX): the *consumer* unlinks.
-
-The bytes move with ``pwrite`` / ``preadv`` rather than through a mapping:
-the sender's copy lands in the kernel's page cache without faulting in a
-fresh mapping page by page, and nothing registers with the
-``multiprocessing`` resource tracker.  Envelopes that are never consumed --
-a job aborting mid-flight, or a peer that raised before entering the
+This module is the segment itself: write, read, unlink and sweep.  The
+bytes move with ``pwritev`` / ``preadv`` rather than through a mapping, so
+nothing faults in a fresh mapping page by page and nothing registers with
+the ``multiprocessing`` resource tracker.  Segments never consumed -- a
+job aborting mid-flight, a peer that raised before entering the
 collective it was sent to -- are swept by the launcher via
-:func:`cleanup_segments` after every worker has exited, so a crashed run
-cannot leak ``/dev/shm`` entries either.  A host without ``/dev/shm``
-fails the ``open`` and the codec pickles the array inline instead.
-
-Segment names are deterministic (``repro-shm-<job>-<rank>-<counter>``):
+:func:`cleanup_segments` after every worker has exited.  A host without
+``/dev/shm`` fails the ``open``, and the sender writes the whole frame to
+the pipe.  Names are deterministic (``repro-shm-<job>-<rank>-<counter>``):
 fault-injection schedules and test assertions never see randomness from
 the transport.
 """
@@ -38,9 +24,7 @@ the transport.
 from __future__ import annotations
 
 import os
-from typing import Any
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro.mpi.communicator import MPIError
 
@@ -51,76 +35,69 @@ SHM_PREFIX = "repro-shm"
 #: The tmpfs directory segments live in.
 SEGMENT_DIR = "/dev/shm"
 
-#: Arrays at or above this many bytes ride shared memory; smaller ones are
-#: pickled inline with the envelope (a pipe write beats creating, writing,
-#: reading and unlinking a file for small payloads).
-DEFAULT_SHM_THRESHOLD = 1 << 16
-
-
-def shm_threshold() -> int:
-    """The inline/shared-memory cutover, overridable for tests/tuning."""
-    raw = os.environ.get("REPRO_SPMD_SHM_THRESHOLD")
-    if raw is None:
-        return DEFAULT_SHM_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SHM_THRESHOLD
+#: Most buffers one ``pwritev``/``preadv`` call takes (``IOV_MAX`` on Linux).
+_IOV_MAX = 1024
 
 
 class SegmentError(MPIError):
-    """A segment named by a descriptor is missing or shorter than its
-    array: the receiver cannot materialize the payload."""
+    """A segment named in a frame's head is missing or shorter than the
+    frame's body: the receiver cannot materialize the payload."""
 
 
-def encode_array(array: np.ndarray, name: str) -> tuple:
-    """Write ``array`` into a fresh segment; returns the envelope descriptor."""
-    data = np.ascontiguousarray(array)
-    raw = data.reshape(-1).view(np.uint8)
+def _transfer(call: Callable, fd: int, regions: Sequence) -> int:
+    """Move ``regions`` back to back from offset 0 of ``fd`` with ``call``
+    (``os.pwritev`` or ``os.preadv``); returns the bytes moved, which fall
+    short of the regions only at the end of the file."""
+    views = [v for v in (memoryview(r).cast("B") for r in regions) if len(v)]
+    i = done = 0
+    while i < len(views):
+        n = call(fd, views[i : i + _IOV_MAX], done)
+        if not n:
+            break
+        done += n
+        while i < len(views) and n >= len(views[i]):
+            n -= len(views[i])
+            i += 1
+        if n:
+            views[i] = views[i][n:]
+    return done
+
+
+def write_segment(name: str, pieces: Sequence) -> None:
+    """Write ``pieces`` back to back into a fresh segment ``name``."""
     path = os.path.join(SEGMENT_DIR, name)
     fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
     try:
-        done = 0
-        while done < raw.nbytes:
-            done += os.pwrite(fd, raw[done:], done)
+        _transfer(os.pwritev, fd, pieces)
     except BaseException:
         os.unlink(path)
         raise
     finally:
         os.close(fd)
-    return ("shm", name, array.shape, data.dtype)
 
 
-def decode_array(descriptor: tuple) -> np.ndarray:
-    """Read a private copy out of a segment descriptor and unlink it.
+def read_segment(name: str, regions: Sequence) -> None:
+    """Fill ``regions`` from segment ``name`` and unlink it.
 
     Raises :class:`SegmentError` naming the segment if it is missing or
-    short; never returns bytes it did not read.
+    short; never leaves a region holding bytes it did not read.
     """
-    _, name, shape, dtype = descriptor
-    out = np.empty(shape, dtype=dtype)
-    raw = out.reshape(-1).view(np.uint8)
     path = os.path.join(SEGMENT_DIR, name)
-    done = 0
+    want = sum(memoryview(r).nbytes for r in regions)
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            while done < raw.nbytes:
-                got = os.preadv(fd, [raw[done:]], done)
-                if not got:
-                    break
-                done += got
+            done = _transfer(os.preadv, fd, regions)
         finally:
             os.close(fd)
     except FileNotFoundError:
         raise SegmentError(f"shared-memory segment {name} is missing") from None
     finally:
         _unlink(path)
-    if done < raw.nbytes:
+    if done < want:
         raise SegmentError(
-            f"shared-memory segment {name} is short: {done} of {raw.nbytes} bytes"
+            f"shared-memory segment {name} is short: {done} of {want} bytes"
         )
-    return out
 
 
 def _unlink(path: str) -> bool:
@@ -130,51 +107,6 @@ def _unlink(path: str) -> bool:
     except FileNotFoundError:
         return False
     return True
-
-
-class PayloadCodec:
-    """Encodes envelope payloads, spilling large arrays to shared memory.
-
-    One codec per worker process; names are drawn from a per-sender counter
-    so they are unique and deterministic.  A threshold of 0 (or a segment
-    that cannot be created, e.g. no :data:`SEGMENT_DIR`) degrades to inline
-    pickling -- the transport stays correct, only the bulk-copy path changes.
-    """
-
-    def __init__(self, job_tag: str, rank: int):
-        self.job_tag = job_tag
-        self.rank = rank
-        self.threshold = shm_threshold()
-        self._counter = 0
-
-    def encode(self, payload: Any) -> tuple:
-        """``("inline", payload)`` or a ``("shm", ...)`` descriptor.
-
-        An inline payload is the caller's own object, not a copy: the
-        process fabric pickles the envelope and writes it (or copies what
-        the pipe cannot take yet) before ``send`` or the collective
-        returns, which is the send-buffer contract.  The shm path copies
-        into the segment here.
-        """
-        if (
-            self.threshold > 0
-            and type(payload) is np.ndarray
-            and not payload.dtype.hasobject
-            and payload.nbytes >= self.threshold
-        ):
-            self._counter += 1
-            name = f"{SHM_PREFIX}-{self.job_tag}-{self.rank}-{self._counter}"
-            try:
-                return encode_array(payload, name)
-            except OSError:
-                pass
-        return ("inline", payload)
-
-    @staticmethod
-    def decode(spec: tuple) -> Any:
-        if spec[0] == "shm":
-            return decode_array(spec)
-        return spec[1]
 
 
 def list_segments(job_tag: str | None = None) -> list[str]:
@@ -191,7 +123,7 @@ def cleanup_segments(job_tag: str) -> list[str]:
     """Unlink any surviving segments of one job; returns what was swept.
 
     Called by the launcher after every worker has exited, so an aborted job
-    (envelopes created but never consumed) cannot leak shared memory.
+    (frames written but never consumed) cannot leak shared memory.
     """
     return [
         name

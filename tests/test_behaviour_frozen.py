@@ -190,12 +190,13 @@ def test_process_backend_overrides_no_public_method():
     assert "resolve" not in inspect.signature(ProcessCommunicator._exchange).parameters
 
 
-def test_process_fabric_is_four_hooks_over_one_shm_path(monkeypatch):
+def test_process_fabric_is_four_hooks_over_one_shm_path():
     """The process fabric is the four seam hooks plus its byte-counter
     split.  The collective exchange is written once, on ``Communicator``:
-    no barrier rendezvous comes back on threads, and a shm-sized
-    contribution still rides the consume-once segments sends use (no pooled
-    collective ring either)."""
+    no barrier rendezvous comes back on threads, and a contribution past
+    the pair pipe's capacity still rides the consume-once segments sends
+    use (no pooled collective ring, and no second, type-based spill rule
+    with its threshold)."""
     defined = {n for n, v in vars(ProcessCommunicator).items() if inspect.isfunction(v)}
     assert defined == {
         "_deliver", "_deliver_later", "_contribute", "_child", "_count_transport",
@@ -210,15 +211,15 @@ def test_process_fabric_is_four_hooks_over_one_shm_path(monkeypatch):
     for gone in ("SegmentPool", "PoolRef", "AttachCache", "ReductionPlan"):
         assert not hasattr(shm, gone), gone
 
-    monkeypatch.delenv("REPRO_SPMD_SHM_THRESHOLD", raising=False)
+    past_pipe = 2 << 20  # bytes, twice the pair pipe's capacity
     sess = TraceSession("one-exchange")
     run_spmd(
-        2, lambda comm: comm.allgather(np.zeros(shm.DEFAULT_SHM_THRESHOLD // 8)),
+        2, lambda comm: comm.allgather(np.zeros(past_pipe // 8)),
         backend="process", trace=sess,
     )
     for rank in sess.ranks:
         rec = sess.recorder(rank)
-        assert rec.total("mpi::allgather::bytes::shm") == shm.DEFAULT_SHM_THRESHOLD
+        assert rec.total("mpi::allgather::bytes::shm") == past_pipe
 
 
 # -- structure: one staging attempt/skip policy --------------------------------

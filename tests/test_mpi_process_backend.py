@@ -48,18 +48,24 @@ def _rank_pid(comm):
 
 
 def _ring_and_allgather(comm):
-    """Every array payload kind: a collective contribution and a send."""
-    a = np.arange(4096, dtype=np.float64) * (comm.rank + 1)
+    """A collective contribution and a send, each past the pipe's capacity
+    (1.2 MB of values), so each rides a segment where one can be made."""
+    a = np.arange(150_000, dtype=np.float64) * (comm.rank + 1)
     g = comm.allgather(a)
     comm.send(a * 2, (comm.rank + 1) % comm.size, tag=9)
     r = comm.recv(source=(comm.rank - 1) % comm.size, tag=9)
     return np.concatenate(g + [r])
 
 
+#: Frames :func:`_pickled_flood` is cut into, each under the pipe's capacity.
+_FLOOD_FRAMES = 8
+
+
 def _pickled_flood(rank):
-    """Over 4 MiB that must be pickled: every array is under the 64 KiB
-    segment threshold, and a list is never spilled anyway.  Mostly arrays
-    big enough to travel out of band, plus many small ones inline."""
+    """Over 4 MiB of arrays: mostly big enough to travel out of band, plus
+    many small ones inline.  Sent whole, its body rides a segment; cut into
+    :data:`_FLOOD_FRAMES` slices, each frame fits the pipe and together
+    they overfill it."""
     rng = np.random.default_rng(rank)
     return [rng.random(7_000) for _ in range(80)] + [
         rng.random(10) for _ in range(3_000)
@@ -166,17 +172,28 @@ class TestProcessLifecycle:
     @pytest.mark.parametrize("nranks", [2, 3])
     def test_ranks_flooding_each_other_cannot_deadlock(self, nranks):
         """Every rank writes more than a pipe holds to its peers at the same
-        time, first in a ``sendrecv`` and then in an ``allgather``: no write
-        may block, and every byte must arrive exactly."""
+        time, in frames that each fit the pipe, before it receives: no
+        write may block, what a pipe cannot take waits in a backlog, and
+        every byte must arrive exactly.  The same payload sent whole, in a
+        ``sendrecv`` and an ``allgather``, rides segments."""
 
         def prog(comm):
             mine = _pickled_flood(comm.rank)
             assert sum(a.nbytes for a in mine) >= 4 << 20
-            left = (comm.rank - 1) % comm.size
-            got = comm.sendrecv(mine, dest=(comm.rank + 1) % comm.size, source=left)
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            for part in range(_FLOOD_FRAMES):
+                comm.send(mine[part::_FLOOD_FRAMES], dest=right, tag=part)
+            parts = [comm.recv(source=left, tag=part) for part in range(_FLOOD_FRAMES)]
+            got = comm.sendrecv(mine, dest=right, source=left)
             rows = comm.allgather(mine)
-            return _same_bytes(got, _pickled_flood(left)) and all(
-                _same_bytes(row, _pickled_flood(r)) for r, row in enumerate(rows)
+            theirs = _pickled_flood(left)
+            return (
+                all(
+                    _same_bytes(p, theirs[part::_FLOOD_FRAMES])
+                    for part, p in enumerate(parts)
+                )
+                and _same_bytes(got, theirs)
+                and all(_same_bytes(row, _pickled_flood(r)) for r, row in enumerate(rows))
             )
 
         assert run_spmd(nranks, prog, backend="process", timeout=60.0) == [
@@ -194,8 +211,10 @@ class TestProcessLifecycle:
             if comm.rank == 1:
                 time.sleep(60.0)  # never reads
                 return
-            comm.send(np.ones(100_000), dest=1)
-            comm.send(_pickled_flood(0), dest=1)
+            comm.send(np.ones(200_000), dest=1)
+            flood = _pickled_flood(0)
+            for part in range(_FLOOD_FRAMES):
+                comm.send(flood[part::_FLOOD_FRAMES], dest=1)
             owed = sum(len(b) for b in comm._ctx.runtime._outlets[1].backlog)
             assert owed > 1 << 20, owed
             raise RuntimeError("dies holding a backlog")
@@ -215,22 +234,29 @@ class TestProcessLifecycle:
         """A reader sees a pipe's bytes in whatever pieces the writer's
         partial writes left: frames cut at every chunk size -- inside a
         head, a pickle stream or an out-of-band buffer -- still come out
-        whole and exact, in order."""
+        whole and exact, in order, a last frame whose body is in a segment
+        included."""
         envs = [
-            ("pt", "w", 0, 1, None, ("inline", {"a": 1})),
-            ("coll", "w", 0, None, ("inline", (0, np.arange(20_000.0)))),
-            ("pt", "w", 0, 2, None, ("inline", [np.full(10, i) for i in range(1_000)])),
-            ("pt", "w", 0, 3, None, ("inline", [np.full(600, i) for i in range(3)])),
+            ("pt", "w", 0, 1, None, {"a": 1}),
+            ("coll", "w", 0, None, (0, np.arange(20_000.0))),
+            ("pt", "w", 0, 2, None, [np.full(10, i) for i in range(1_000)]),
+            ("pt", "w", 0, 3, None, [np.full(600, i) for i in range(3)]),
+            ("pt", "w", 0, 4, None, [np.full(600, i) for i in range(2)]),
         ]
-        wire = b"".join(
-            bytes(p) for env in envs for p in process_backend._frame(
-                *process_backend._pickle(env)
-            )
-        )
+        prefix = f"{shm_mod.SHM_PREFIX}-split{chunk}-0-"
+        wire = b""
+        for segment, env in enumerate(envs):
+            stream, raws = process_backend._pickle(env)
+            if segment < 4:  # the body follows its head on the pipe
+                pieces = [process_backend._head(stream, raws, 0), stream, *raws]
+            else:  # only the head crosses the pipe
+                shm_mod.write_segment(f"{prefix}{segment}", [stream, *raws])
+                pieces = [process_backend._head(stream, raws, segment)]
+            wire += b"".join(map(bytes, pieces))
         assert len(wire) > 2 * process_backend._STAGE_BYTES
         r, w = os.pipe()  # holds 64 KiB: each chunk is read before the next
         os.set_blocking(r, False)
-        inlet, got = process_backend._Inlet(r), []
+        inlet, got = process_backend._Inlet(r, prefix), []
         try:
             for at in range(0, len(wire), chunk):
                 os.write(w, wire[at : at + chunk])
@@ -241,6 +267,7 @@ class TestProcessLifecycle:
         assert len(got) == len(envs)
         for sent, arrived in zip(envs, got):
             assert pickle.dumps(arrived, protocol=4) == pickle.dumps(sent, protocol=4)
+        assert shm_mod.list_segments(f"split{chunk}") == []
 
     def test_rank_runs_no_helper_thread(self):
         """A rank moves its own bytes: after a send, a receive and an
@@ -296,21 +323,56 @@ class TestSharedMemoryTransport:
 
         assert run_spmd(4, prog, backend="process") == [1, 1, 1, 1]
 
-    def test_large_payloads_ride_shared_memory(self, monkeypatch):
-        """Force a tiny spill threshold so every array maps through a
-        segment, and check results still match the thread backend exactly."""
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+    def test_the_pipe_capacity_picks_the_transport(self):
+        """One rule for sends and collectives: a frame whose body fits the
+        pair pipe crosses it and counts only as ``::pickled``; a body past
+        the pipe's capacity rides a segment and counts as ``::shm``.  The
+        values arrive as on the thread backend, and no segment survives."""
+        r, w = os.pipe()
+        try:
+            capacity = process_backend._capacity(w)
+        finally:
+            os.close(r)
+            os.close(w)
+        fits, past = capacity // 16, capacity // 4  # float64 values
+
+        def prog(comm):
+            got = []
+            for n in (fits, past):
+                a = np.arange(n, dtype=np.float64) + comm.rank
+                comm.send(a, dest=1 - comm.rank)
+                got.append(comm.recv(source=1 - comm.rank))
+                got.extend(comm.allgather(a))
+            return [x.tobytes() for x in got]
+
+        sess = TraceSession("pipe-capacity")
+        t = run_spmd(2, prog, backend="thread")
+        p = run_spmd(2, prog, backend="process", trace=sess)
+        assert p == t
+        for rank in sess.ranks:
+            rec = sess.recorder(rank)
+            for stem in ("mpi::send::bytes", "mpi::allgather::bytes"):
+                assert rec.total(f"{stem}::pickled") == fits * 8, (rank, stem)
+                assert rec.total(f"{stem}::shm") == past * 8, (rank, stem)
+        assert shm_mod.list_segments() == []
+
+    def test_large_payloads_ride_shared_memory(self):
+        """Payloads past the pipe's capacity go through segments, and the
+        results still match the thread backend exactly."""
+        sess = TraceSession("segments")
         t = run_spmd(3, _ring_and_allgather, backend="thread")
-        p = run_spmd(3, _ring_and_allgather, backend="process")
+        p = run_spmd(3, _ring_and_allgather, backend="process", trace=sess)
         for a, b in zip(t, p):
             assert a.tobytes() == b.tobytes()
+        for rank in sess.ranks:
+            rec = sess.recorder(rank)
+            assert rec.total("mpi::send::bytes::shm") == rec.total("mpi::send::bytes")
         assert shm_mod.list_segments() == []
 
     def test_inline_fallback_without_segment_dir(self, monkeypatch, tmp_path):
         """A host without the segment directory cannot create a segment:
-        every spilled array falls back to the pickled envelope, and results
-        stay bit-identical to the thread backend."""
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
+        every frame past the pipe's capacity goes down the pipe whole, and
+        results stay bit-identical to the thread backend."""
         monkeypatch.setattr(shm_mod, "SEGMENT_DIR", str(tmp_path / "absent"))
         sess = TraceSession("no-segment-dir")
         t = run_spmd(3, _ring_and_allgather, backend="thread")
@@ -324,20 +386,19 @@ class TestSharedMemoryTransport:
                 assert rec.total(f"{stem}::pickled") == rec.total(stem) > 0
 
     @pytest.mark.parametrize("damage", ["short", "missing"])
-    def test_damaged_segment_raises_naming_it(self, monkeypatch, damage):
-        """A segment shorter than its array, or gone, is a typed error that
-        names it -- never an array of uninitialised bytes -- and the
-        consumer still unlinks what is there."""
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
-        codec = shm_mod.PayloadCodec(f"damaged{damage}", 0)
-        spec = codec.encode(np.arange(1024, dtype=np.float64))
-        path = os.path.join(shm_mod.SEGMENT_DIR, spec[1])
+    def test_damaged_segment_raises_naming_it(self, damage):
+        """A segment shorter than the regions it should fill, or gone, is a
+        typed error that names it -- never a region of uninitialised bytes
+        -- and the consumer still unlinks what is there."""
+        name = f"{shm_mod.SHM_PREFIX}-damaged{damage}-0-1"
+        shm_mod.write_segment(name, [b"head", np.arange(1024, dtype=np.float64)])
+        path = os.path.join(shm_mod.SEGMENT_DIR, name)
         if damage == "short":
             os.truncate(path, 100)
         else:
             os.unlink(path)
-        with pytest.raises(shm_mod.SegmentError, match=f"{spec[1]} is {damage}"):
-            shm_mod.PayloadCodec.decode(spec)
+        with pytest.raises(shm_mod.SegmentError, match=f"{name} is {damage}"):
+            shm_mod.read_segment(name, [bytearray(4), np.empty(8192, dtype=np.uint8)])
         assert shm_mod.list_segments(f"damaged{damage}") == []
 
     @pytest.mark.parametrize("damage", ["short", "missing"])
@@ -345,29 +406,26 @@ class TestSharedMemoryTransport:
         """The receiving rank cannot read a segment: the receive or collective
         waiting for it fails at once, with the segment's name, instead of
         running out its timeout."""
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
-        encode = shm_mod.encode_array
+        write = shm_mod.write_segment
 
-        def damaged(array, name):
-            spec = encode(array, name)
+        def damaged(name, pieces):
+            write(name, pieces)
             path = os.path.join(shm_mod.SEGMENT_DIR, name)
             if damage == "short":
-                os.truncate(path, array.nbytes // 2)
+                os.truncate(path, os.path.getsize(path) // 2)
             else:
                 os.unlink(path)
-            return spec
 
-        monkeypatch.setattr(shm_mod, "encode_array", damaged)
+        monkeypatch.setattr(process_backend, "write_segment", damaged)
 
         def p2p(comm):
             if comm.rank == 0:
-                comm.send(np.ones(1024), dest=1)
+                comm.send(np.ones(200_000), dest=1)
             else:
                 comm.recv(source=0)
 
         def collective(comm):
-            comm.allgather(np.ones(1024))
-
+            comm.allgather(np.ones(200_000))
         for prog, ranks in ((p2p, {1}), (collective, {0, 1})):
             t0 = time.monotonic()
             with pytest.raises(SPMDError) as ei:
@@ -394,7 +452,6 @@ class TestSharedMemoryTransport:
             from repro.mpi import run_spmd, shm
             from tests.test_mpi_process_backend import _ring_and_allgather
 
-            os.environ["REPRO_SPMD_SHM_THRESHOLD"] = "1"
             run_spmd(2, _ring_and_allgather, backend="process")
             children = []
             for entry in filter(str.isdigit, os.listdir("/proc")):
@@ -446,7 +503,7 @@ class TestSharedMemoryTransport:
         collective."""
 
         def unmatched_sends(comm):
-            big = np.ones(100_000, dtype=np.float64)
+            big = np.ones(200_000, dtype=np.float64)
             # Unmatched sends: the receiver dies before consuming them.
             comm.send(big, dest=(comm.rank + 1) % comm.size)
             if comm.rank == 0:
@@ -456,7 +513,7 @@ class TestSharedMemoryTransport:
         def unentered_allreduce(comm):
             if comm.rank == 0:
                 raise RuntimeError("die before the collective")
-            comm.allreduce(np.ones(100_000, dtype=np.float64))  # 800 KB
+            comm.allreduce(np.ones(200_000, dtype=np.float64))  # 1.6 MB
 
         for prog in (unmatched_sends, unentered_allreduce):
             with pytest.raises(SPMDError) as ei:
@@ -466,41 +523,6 @@ class TestSharedMemoryTransport:
             while shm_mod.list_segments() and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert shm_mod.list_segments() == [], prog.__name__
-
-    def test_threshold_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPMD_SHM_THRESHOLD", raising=False)
-        assert shm_mod.shm_threshold() == shm_mod.DEFAULT_SHM_THRESHOLD
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "123")
-        assert shm_mod.shm_threshold() == 123
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "not-a-number")
-        assert shm_mod.shm_threshold() == shm_mod.DEFAULT_SHM_THRESHOLD
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "-5")
-        assert shm_mod.shm_threshold() == 0
-
-    def test_codec_roundtrip_and_inline_small(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "64")
-        codec = shm_mod.PayloadCodec("testjob", 0)
-        small = np.arange(4, dtype=np.float64)
-        kind, payload = codec.encode(small)
-        assert kind == "inline"
-        # Not copied: the fabric pickles the envelope before send returns
-        # (test_send_buffer_snapshot_beats_feeder_thread holds that).
-        assert payload is small
-        big = np.arange(64, dtype=np.float64)
-        spec = codec.encode(big)
-        assert spec[0] == "shm"
-        out = shm_mod.PayloadCodec.decode(spec)
-        assert out.tobytes() == big.tobytes()
-        assert not np.shares_memory(out, big)
-        # A 0-d array comes back 0-d, as it does on the thread backend.
-        monkeypatch.setenv("REPRO_SPMD_SHM_THRESHOLD", "1")
-        spill_all = shm_mod.PayloadCodec("testjob0d", 0)
-        spec = spill_all.encode(np.array(2.0**70))
-        assert spec[0] == "shm"
-        scalar = shm_mod.PayloadCodec.decode(spec)
-        assert scalar.shape == () and scalar == 2.0**70
-        # The consumer unlinked; nothing survives.
-        assert shm_mod.list_segments("testjob") == []
 
 
 class TestCrossBoundaryMerging:

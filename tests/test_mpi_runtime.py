@@ -7,6 +7,7 @@ in conftest): every assertion here -- results, failure attribution, abort
 latency, timeout diagnostics -- must hold identically on both.
 """
 
+import functools
 import sys
 import threading
 import time
@@ -62,14 +63,19 @@ _REUSE_CALLS = {
 }
 
 
+@functools.cache
 def _ndarray_kinds():
     """Bare arrays that a byte copy alone would not carry: object
-    references, a structured dtype, a mask, a non-C order, a non-native byte
-    order and a datetime unit.  Each kind comes past the 64 KiB segment
-    threshold and, as ``<kind>_small``, below the pipe's 4 KiB out-of-band
-    minimum."""
+    references, a structured dtype, a mask (also over a non-native byte
+    order), a non-C order, a non-native byte order and a datetime unit.
+    Each kind comes in three sizes: past the 4 KiB out-of-band minimum,
+    as ``<kind>_small`` below it, and as ``<kind>_large`` past the pair
+    pipe's 1 MiB capacity, so that its frame rides a segment.  Built once:
+    a test that changes an array changes a copy."""
     kinds = {}
-    for suffix, n, side, masked in (("", 1 << 14, 128, 0.2), ("_small", 3, 2, 0.6)):
+    for suffix, n, side, masked in (
+        ("", 1 << 14, 128, 0.2), ("_small", 3, 2, 0.6), ("_large", 1 << 18, 512, 0.2),
+    ):
         rng = np.random.default_rng(0)
         structured = np.zeros(n, dtype=[("a", "<f8"), ("b", "<i4")])
         structured["a"] = rng.random(n)
@@ -78,6 +84,9 @@ def _ndarray_kinds():
             f"object{suffix}": np.array([f"cell{i}" for i in range(n)], dtype=object),
             f"structured{suffix}": structured,
             f"masked{suffix}": np.ma.masked_array(rng.random(n), mask=rng.random(n) < masked),
+            f"masked_big_endian{suffix}": np.ma.masked_array(
+                rng.random(n).astype(">f8"), mask=rng.random(n) < masked
+            ),
             f"fortran{suffix}": np.asfortranarray(rng.random((side, side))),
             f"big_endian{suffix}": rng.random(n).astype(">f8"),
             f"datetime{suffix}": np.arange(n).astype("datetime64[s]"),
@@ -152,7 +161,7 @@ class TestPointToPoint:
         it, read-only flag included: on threads it is the object itself."""
 
         def prog(comm):
-            out = _ndarray_kinds()[kind]
+            out = _ndarray_kinds()[kind].copy()
             out.flags.writeable = writeable
             return out
 
@@ -245,9 +254,10 @@ class TestPointToPoint:
         assert out[1] == ("x", 0, 42)
 
     def test_sendrecv_ring(self):
-        """A Python object and two ndarray planes (one below, one above the
-        process backend's 64 KiB shared-memory threshold) around the ring --
-        the halo-exchange shape AVF-LESLIE and binary swap rely on."""
+        """A Python object and three ndarray planes (on the process backend
+        one pickled in band, one out of band on the pipe, one past the
+        pipe's capacity in a segment) around the ring -- the halo-exchange
+        shape AVF-LESLIE and binary swap rely on."""
 
         def prog(comm):
             right = (comm.rank + 1) % comm.size
@@ -256,21 +266,21 @@ class TestPointToPoint:
                 comm.sendrecv(
                     np.full(shape, float(comm.rank)), dest=right, source=left
                 )
-                for shape in ((4, 4), (128, 128))
+                for shape in ((4, 4), (128, 128), (512, 512))
             ]
             return comm.sendrecv(comm.rank, dest=right, source=left), planes
 
         out = run_spmd(4, prog)
         assert [o[0] for o in out] == [3, 0, 1, 2]
         for rank, (left, planes) in enumerate(out):
-            assert [p.shape for p in planes] == [(4, 4), (128, 128)], rank
+            assert [p.shape for p in planes] == [(4, 4), (128, 128), (512, 512)], rank
             assert all(np.all(p == left) for p in planes), rank
 
     @pytest.mark.parametrize("fault", ["none", "delay", "duplicate"])
     def test_send_to_self(self, fault):
-        """A rank sends to itself and ``sendrecv``s with itself: a pickled
-        array, an array above the process backend's 64 KiB segment
-        threshold and a Python object.  The process fabric has no pipe from
+        """A rank sends to itself and ``sendrecv``s with itself: a small
+        array, one big enough to leave the pickle stream out of band on the
+        process backend, and a Python object.  The process fabric has no pipe from
         a rank to itself, so this is its own path, faulted sends included;
         the sent buffer is clobbered at once and must not show through."""
         plan = None

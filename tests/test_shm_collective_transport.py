@@ -1,19 +1,18 @@
-"""Cross-transport equivalence for shared-memory collectives.
+"""Cross-transport equivalence for collectives and sends.
 
-The process backend ships collective contributions the way it ships sends:
-a bare ndarray at or above the spill threshold rides one consume-once
-shared-memory segment per peer, anything else (smaller arrays, tuples,
-lists, scalars) a pickled inline envelope; on the thread backend there is
-no transport at all.  The contract is that the choice is *invisible*: every
-collective returns bit-identical results on all three, including
-Fortran-order and non-contiguous inputs, and bare large-array
-contributions serialize zero array bytes (the
+The process backend frames a collective contribution the way it frames a
+send, and one rule picks the transport: a frame whose body (pickle stream
+plus out-of-band buffers) fits the pair pipe crosses it -- small arrays in
+band, arrays of 4 KiB or more as out-of-band buffers -- and a larger body
+rides one consume-once shared-memory segment per peer; on the thread
+backend there is no transport at all.  The contract is that the choice is
+*invisible*: every collective returns bit-identical results on both
+backends, including Fortran-order and non-contiguous inputs, and a body
+past the pipe serializes zero bytes onto it (the
 ``mpi::<kind>::bytes::{shm,pickled}`` counter split proves it).
 
-The transports are forced through ``REPRO_SPMD_SHM_THRESHOLD``: ``1``
-spills every non-empty bare array, ``0`` disables the segment path
-entirely, unset leaves the 64 KiB default (the mixed production
-configuration).
+Each transport is reached by payload size: :data:`SIZES` spans the
+in-band pickle, the out-of-band pipe and the segment.
 """
 
 import os
@@ -24,33 +23,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.chaos import run_chaos
-from repro.mpi import run_spmd
+from repro.mpi import BACKENDS, run_spmd
 from repro.mpi.ops import MAX, PROD, SUM
 from repro.trace import TraceSession
 
-#: transport name -> (backend, forced REPRO_SPMD_SHM_THRESHOLD or None).
-TRANSPORTS = {
-    "thread": ("thread", None),
-    "process-shm": ("process", "1"),
-    "process-pickled": ("process", "0"),
-    "process-default": ("process", None),
-}
+#: float64 element counts whose frames take each transport: in band
+#: (512 B), out of band on the pipe (64 KiB), and a segment (2 MiB, past
+#: the pipe's 1 MiB).
+SIZES = (64, 1 << 13, 1 << 18)
 
 
-def _run(transport, prog, nranks=3, **kwargs):
-    backend, threshold = TRANSPORTS[transport]
-    previous = os.environ.get("REPRO_SPMD_SHM_THRESHOLD")
-    if threshold is None:
-        os.environ.pop("REPRO_SPMD_SHM_THRESHOLD", None)
-    else:
-        os.environ["REPRO_SPMD_SHM_THRESHOLD"] = threshold
-    try:
-        return run_spmd(nranks, prog, backend=backend, **kwargs)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SPMD_SHM_THRESHOLD", None)
-        else:
-            os.environ["REPRO_SPMD_SHM_THRESHOLD"] = previous
+def _run(backend, prog, nranks=3, **kwargs):
+    return run_spmd(nranks, prog, backend=backend, **kwargs)
+
+
+def _equal_on_both_backends(prog):
+    """Run ``prog`` on each backend; the results must be equal."""
+    thread, process = (_run(backend, prog) for backend in BACKENDS)
+    assert process == thread
 
 
 def _make_array(rank, seed, n, dtype, layout):
@@ -85,7 +75,7 @@ def _fingerprint(tree):
 class TestTransportEquivalence:
     @given(
         seed=st.integers(0, 2**16),
-        n=st.sampled_from([64, 1024, 16384]),  # spans <64 KiB and >=64 KiB
+        n=st.sampled_from(SIZES),
         dtype=st.sampled_from(["f8", "i8", "f4"]),
         layout=st.sampled_from(["c", "fortran", "sliced"]),
         op=st.sampled_from([SUM, MAX, PROD]),
@@ -98,16 +88,14 @@ class TestTransportEquivalence:
             gat = comm.gather(a, root=0)
             return _fingerprint((red, gat))
 
-        results = {t: _run(t, prog) for t in ("thread", "process-shm", "process-pickled")}
-        assert results["thread"] == results["process-shm"] == results["process-pickled"]
+        _equal_on_both_backends(prog)
 
     @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
     def test_every_collective_bit_identical(self, layout):
-        """All collectives, 512 KiB payloads (bare arrays ride segments
-        under the default threshold), across all four transports."""
-        n = 65536  # 512 KiB of float64
+        """All collectives, at every size in :data:`SIZES`, on both
+        backends."""
 
-        def prog(comm):
+        def prog(comm, n):
             a = _make_array(comm.rank, 7, n, "f8", layout)
             out = {
                 "allreduce": comm.allreduce(a),
@@ -124,36 +112,32 @@ class TestTransportEquivalence:
             }
             return {k: _fingerprint(v) for k, v in out.items()}
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
-        for transport, got in results.items():
-            assert got == ref, transport
+        for n in SIZES:
+            _equal_on_both_backends(lambda comm: prog(comm, n))
 
     def test_mixed_payload_trees_bit_identical(self):
         """Tuples mixing large arrays, small arrays, and scalars: the
-        whole tree is pickled, whatever its leaves weigh."""
+        whole tree is one frame, which rides a segment when its body is
+        past the pipe, whatever its leaves weigh."""
 
-        def prog(comm):
-            big = np.full(20000, float(comm.rank + 1))
+        def prog(comm, n):
+            big = np.full(n, float(comm.rank + 1))
             small = np.arange(4, dtype=np.int32) + comm.rank
             val = (big, {"rank": comm.rank, "small": small}, comm.rank * 0.5)
             return _fingerprint(comm.allgather(val))
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
-        for transport, got in results.items():
-            assert got == ref, transport
+        for n in SIZES:
+            _equal_on_both_backends(lambda comm: prog(comm, n))
 
 
 class TestZeroSerialization:
     def test_large_collectives_pickle_zero_array_bytes(self):
-        """No array byte of a bare large-ndarray contribution crosses a
-        pipe.  The per-kind byte counters are split by transport; for bare
-        arrays the pickled share must be zero and the shm share must carry
-        the full payload, counted once per contribution however many peers
-        got a segment.  ``alltoall`` contributes a list, which is pickled
-        like any other container."""
-        n = 65536  # 512 KiB, far above the 64 KiB default threshold
+        """No byte of a contribution past the pipe's capacity crosses a
+        pipe.  The per-kind byte counters are split by transport; the
+        pickled share must be zero and the shm share must carry the full
+        payload, counted once per contribution however many peers got a
+        segment.  ``alltoall``'s list is one frame like any other."""
+        n = SIZES[-1]
         kinds = ("allreduce", "allgather", "gather", "bcast", "alltoall")
 
         def prog(comm):
@@ -165,7 +149,7 @@ class TestZeroSerialization:
             comm.alltoall([a] * comm.size)
 
         sess = TraceSession("zero-serialization")
-        _run("process-default", prog, trace=sess)
+        _run("process", prog, trace=sess)
         for rank in sess.ranks:
             rec = sess.recorder(rank)
             for kind in kinds:
@@ -179,20 +163,17 @@ class TestZeroSerialization:
                 shm = rec.total(f"{stem}::shm")
                 pickled = rec.total(f"{stem}::pickled")
                 assert shm + pickled == total, (rank, kind)
-                if kind == "alltoall":
-                    assert shm == 0, rank
-                else:
-                    assert pickled == 0, (rank, kind)
+                assert pickled == 0, (rank, kind)
 
     def test_small_collectives_ride_pickled_envelopes(self):
-        """Below the threshold segments stay out of the way: all bytes
-        pickled, none mapped."""
+        """A body that fits the pipe keeps segments out of the way: all
+        bytes pickled, none in a segment."""
 
         def prog(comm):
             comm.allreduce(np.arange(16, dtype=np.float64) + comm.rank)
 
         sess = TraceSession("small-pickled")
-        _run("process-default", prog, trace=sess)
+        _run("process", prog, trace=sess)
         for rank in sess.ranks:
             rec = sess.recorder(rank)
             total = rec.total("mpi::allreduce::bytes")
@@ -220,19 +201,13 @@ class TestRaggedPayloads:
         def prog(comm):
             return _fingerprint(comm.allgather(self._ragged(comm.rank)))
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
-        for transport, got in results.items():
-            assert got == ref, transport
+        _equal_on_both_backends(prog)
 
     def test_ragged_gather_with_empty_root_contribution(self):
         def prog(comm):
             return _fingerprint(comm.gather(self._ragged(comm.rank), root=0))
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
-        for transport, got in results.items():
-            assert got == ref, transport
+        _equal_on_both_backends(prog)
 
     def test_migration_shaped_exchange_bit_identical(self):
         """Point-to-point all-pairs exchange of ragged outboxes, exactly
@@ -255,15 +230,11 @@ class TestRaggedPayloads:
                     inbox.append(comm.recv(src, tag=9))
             return _fingerprint(inbox)
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
-        for transport, got in results.items():
-            assert got == ref, transport
+        _equal_on_both_backends(prog)
 
     def test_empty_arrays_never_allocate_segments(self):
-        """Even with segments forced on for every array (threshold 1), a
-        zero-length contribution must stay on the inline pickle path:
-        0-byte shm segments are invalid and must never be created."""
+        """A zero-length contribution's frame is far under the pipe: it
+        stays on the pickle path, and no 0-byte segment is created."""
 
         def prog(comm):
             empty = (np.empty(0, dtype=np.int64), np.empty((0, 3)))
@@ -276,7 +247,7 @@ class TestRaggedPayloads:
                     comm.recv(src, tag=5)
 
         sess = TraceSession("ragged-empty")
-        _run("process-shm", prog, trace=sess)
+        _run("process", prog, trace=sess)
         for rank in sess.ranks:
             rec = sess.recorder(rank)
             for kind in ("allgather", "send"):
@@ -284,8 +255,8 @@ class TestRaggedPayloads:
 
     def test_nbody_migration_state_identical_across_transports(self):
         """End to end: the particle app's migrated global state is
-        bit-identical whether migration payloads ride shm segments,
-        pickled envelopes, or thread-shared memory."""
+        bit-identical whether migration payloads ride pickled frames or
+        thread-shared memory."""
         from repro.apps.nbody import NBodySimulation
         from repro.data import ParticleSet
 
@@ -301,35 +272,22 @@ class TestRaggedPayloads:
             world = ParticleSet.concatenate([ParticleSet(*p) for p in parts])
             return world.state_tuple(), sim.migrated_out
 
-        results = {t: _run(t, prog) for t in TRANSPORTS}
-        ref = results.pop("thread")
+        ref, got = (_run(backend, prog) for backend in BACKENDS)
         assert sum(r[1] for r in ref) > 0  # migration actually exercised
-        for transport, got in results.items():
-            assert [r[0] for r in got] == [r[0] for r in ref], transport
+        assert [r[0] for r in got] == [r[0] for r in ref]
 
 
 class TestChaosWithShmCollectives:
     def test_chaos_artifacts_invariant_to_transport(self, tmp_path):
         """Regression gate for the fault-injection draw order: the chaos
-        pipeline's artifacts must be byte-identical on the process backend
-        whether collectives ride shm segments or pickled envelopes."""
+        pipeline's artifacts must be byte-identical whether its traffic
+        rides the process fabric or thread-shared memory."""
         dirs = {}
-        previous = os.environ.get("REPRO_SPMD_SHM_THRESHOLD")
-        os.environ["REPRO_SPMD_BACKEND"] = "process"
-        try:
-            for name, threshold in (("shm", "1"), ("pickled", "0")):
-                os.environ["REPRO_SPMD_SHM_THRESHOLD"] = threshold
-                out = str(tmp_path / name)
-                run_chaos(seed=42, ranks=3, steps=6, out_dir=out)
-                dirs[name] = out
-        finally:
-            os.environ.pop("REPRO_SPMD_BACKEND", None)
-            if previous is None:
-                os.environ.pop("REPRO_SPMD_SHM_THRESHOLD", None)
-            else:
-                os.environ["REPRO_SPMD_SHM_THRESHOLD"] = previous
+        for backend in BACKENDS:
+            dirs[backend] = str(tmp_path / backend)
+            run_chaos(seed=42, ranks=3, steps=6, out_dir=dirs[backend], backend=backend)
 
-        d1, d2 = dirs["shm"], dirs["pickled"]
+        d1, d2 = (dirs[backend] for backend in BACKENDS)
         names = []
         for root, _, files in os.walk(d1):
             rel = os.path.relpath(root, d1)
