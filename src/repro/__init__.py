@@ -15,7 +15,6 @@ paper-vs-measured record.
 from repro.core import (
     AnalysisAdaptor,
     Bridge,
-    ConfigurableAnalysis,
     DataAdaptor,
     SimulationDataAdaptor,
     LiveConnection,
@@ -30,7 +29,6 @@ __all__ = [
     "DataAdaptor",
     "AnalysisAdaptor",
     "SimulationDataAdaptor",
-    "ConfigurableAnalysis",
     "LiveConnection",
     "SteeringAnalysis",
     "Communicator",

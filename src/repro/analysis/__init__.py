@@ -35,9 +35,6 @@ from repro.analysis.fields import (
     gradient_3d,
     vorticity_magnitude,
 )
-from repro.analysis.hybrid import (
-    HybridHistogramAnalysis,
-)
 from repro.analysis.particles import (
     DensityProjectionAnalysis,
     FriendsOfFriendsAnalysis,
@@ -60,7 +57,6 @@ __all__ = [
     "SliceExtractAnalysis",
     "gradient_3d",
     "vorticity_magnitude",
-    "HybridHistogramAnalysis",
     "DensityProjectionAnalysis",
     "PowerSpectrumAnalysis",
     "FriendsOfFriendsAnalysis",

@@ -17,15 +17,16 @@ Three pieces, mirroring Fig. 1 of the paper:
   initialize adaptors, per step hand simulation state to the data adaptor
   and call execute on every analysis adaptor, then finalize.
 
-:class:`ConfigurableAnalysis` builds a set of analysis adaptors from a
-configuration file, standing in for SENSEI's XML-driven analysis selection.
+:func:`configured_analyses` builds the analysis adaptors a configuration
+names, for a :class:`Bridge` to add, standing in for SENSEI's XML-driven
+analysis selection.
 """
 
 from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
 from repro.core.bridge import Bridge
 from repro.core.generic import SimulationDataAdaptor
 from repro.core.received import ReceivedDataAdaptor
-from repro.core.configurable import ConfigurableAnalysis, register_analysis
+from repro.core.configurable import configured_analyses, register_analysis
 from repro.core.steering import Frame, LiveConnection, SteeringAnalysis
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "Bridge",
     "SimulationDataAdaptor",
     "ReceivedDataAdaptor",
-    "ConfigurableAnalysis",
+    "configured_analyses",
     "register_analysis",
     "LiveConnection",
     "SteeringAnalysis",

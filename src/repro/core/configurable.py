@@ -5,16 +5,16 @@ run and their parameters; end users "can easily choose between
 ParaView/Catalyst and VisIt/Libsim ... or in transit using ADIOS or GLEAN"
 without touching simulation code (Sec. 3.2).  Here the same role is played
 by a JSON :class:`~repro.util.config.Configuration` and a factory registry:
-analysis types register a builder by name; :class:`ConfigurableAnalysis`
-instantiates everything listed under ``"analyses"`` and behaves as a single
-composite :class:`AnalysisAdaptor`.
+analysis types register a builder by name, and :func:`configured_analyses`
+builds everything listed under ``"analyses"`` for a
+:class:`~repro.core.bridge.Bridge` to add.  The Bridge is the one composite.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.adaptors import AnalysisAdaptor, DataAdaptor
+from repro.core.adaptors import AnalysisAdaptor
 from repro.util.config import ConfigError, Configuration
 
 AnalysisFactory = Callable[[Configuration], AnalysisAdaptor]
@@ -49,65 +49,37 @@ def _ensure_builtin_analyses() -> None:
         importlib.import_module(pkg)
 
 
-class ConfigurableAnalysis(AnalysisAdaptor):
-    """Builds and drives the analyses named in a configuration.
+def configured_analyses(config: Configuration) -> list[AnalysisAdaptor]:
+    """Build the analyses a configuration names, in order.
 
     Configuration shape::
 
         {"analyses": [
             {"type": "histogram", "bins": 64, "array": "data"},
-            {"type": "catalyst", "pipeline": "slice", ...},
+            {"type": "catalyst", "axis": 2, "index": 0, ...},
         ]}
 
     Entries with ``"enabled": false`` are skipped, mirroring how SENSEI XML
-    entries can be toggled without recompiling.
+    entries can be toggled without recompiling.  Each analysis is added to
+    the bridge as itself, so its name and ``mutates_data`` reach the bridge
+    and its sanitizer.
     """
-
-    def __init__(self, config: Configuration) -> None:
-        super().__init__()
-        _ensure_builtin_analyses()
-        self._analyses: list[AnalysisAdaptor] = []
-        entries = config.get_list("analyses", [])
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"analyses[{i}] must be an object")
-            sub = Configuration(entry)
-            if not sub.get_bool("enabled", True):
-                continue
-            type_name = sub.get("type")
-            if type_name is None:
-                raise ConfigError(f"analyses[{i}] is missing 'type'")
-            factory = _REGISTRY.get(type_name)
-            if factory is None:
-                raise ConfigError(
-                    f"unknown analysis type {type_name!r}; "
-                    f"registered: {registered_analysis_types()}"
-                )
-            self._analyses.append(factory(sub))
-
-    @property
-    def analyses(self) -> list[AnalysisAdaptor]:
-        return list(self._analyses)
-
-    def set_instrumentation(self, timers, memory) -> None:
-        super().set_instrumentation(timers, memory)
-        for a in self._analyses:
-            a.set_instrumentation(timers, memory)
-
-    def initialize(self, comm) -> None:
-        for a in self._analyses:
-            a.initialize(comm)
-
-    def execute(self, data: DataAdaptor) -> bool:
-        keep_going = True
-        for a in self._analyses:
-            keep_going = a.execute(data) and keep_going
-        return keep_going
-
-    def finalize(self) -> dict[str, object] | None:
-        results = {}
-        for a in self._analyses:
-            out = a.finalize()
-            if out is not None:
-                results[a.name] = out
-        return results or None
+    _ensure_builtin_analyses()
+    analyses: list[AnalysisAdaptor] = []
+    for i, entry in enumerate(config.get_list("analyses", [])):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"analyses[{i}] must be an object")
+        sub = Configuration(entry)
+        if not sub.get_bool("enabled", True):
+            continue
+        type_name = sub.get("type")
+        if type_name is None:
+            raise ConfigError(f"analyses[{i}] is missing 'type'")
+        factory = _REGISTRY.get(type_name)
+        if factory is None:
+            raise ConfigError(
+                f"unknown analysis type {type_name!r}; "
+                f"registered: {registered_analysis_types()}"
+            )
+        analyses.append(factory(sub))
+    return analyses

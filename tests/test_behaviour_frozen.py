@@ -626,8 +626,6 @@ _UNNAMED_BUT_KEPT = {
     "footprint tests of Figs. 4 and 7 read",
     "util/timers.py::TimerRegistry.merge_snapshot": "the cross-rank fold of "
     "as_dict snapshots, whose tests pin the lossless total/count/min/max merge",
-    "core/configurable.py::ConfigurableAnalysis": "SENSEI's configuration-"
-    "driven analysis; deleting it and its factory registry is its own decision",
     "service/endpoint.py::run_workload_inproc": "the service's reference "
     "oracle: the socket path's artifacts must equal what it writes",
     "trace/report.py::diff_ratios": "the per-phase measured / modeled ratios "

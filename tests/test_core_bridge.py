@@ -1,4 +1,4 @@
-"""Tests for the SENSEI core: adaptors, bridge, configurable analysis."""
+"""Tests for the SENSEI core: adaptors, bridge, configured analyses."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from repro.core import (
     AnalysisAdaptor,
     Bridge,
-    ConfigurableAnalysis,
     SimulationDataAdaptor,
+    configured_analyses,
     register_analysis,
 )
 from repro.apps import AVFLeslieSimulation, NBodySimulation, NyxSimulation, PhastaSimulation
@@ -325,9 +325,9 @@ class TestConfigurableAnalysis:
         cfg = Configuration(
             {"analyses": [{"type": "histogram", "bins": 16}]}
         )
-        ca = ConfigurableAnalysis(cfg)
-        assert len(ca.analyses) == 1
-        assert ca.analyses[0].bins == 16
+        analyses = configured_analyses(cfg)
+        assert len(analyses) == 1
+        assert analyses[0].bins == 16
 
     def test_disabled_entries_skipped(self):
         cfg = Configuration(
@@ -338,13 +338,13 @@ class TestConfigurableAnalysis:
                 ]
             }
         )
-        ca = ConfigurableAnalysis(cfg)
-        assert len(ca.analyses) == 1
-        assert ca.analyses[0].window == 4
+        analyses = configured_analyses(cfg)
+        assert len(analyses) == 1
+        assert analyses[0].window == 4
 
     def test_unknown_type_raises(self):
         with pytest.raises(ConfigError):
-            ConfigurableAnalysis(Configuration({"analyses": [{"type": "zzz"}]}))
+            configured_analyses(Configuration({"analyses": [{"type": "zzz"}]}))
 
     def test_broken_analysis_import_is_not_swallowed(self, monkeypatch):
         """A failing import inside an analysis package must surface as
@@ -353,35 +353,38 @@ class TestConfigurableAnalysis:
 
         monkeypatch.setitem(sys.modules, "repro.analysis", None)
         with pytest.raises(ImportError):
-            ConfigurableAnalysis(
+            configured_analyses(
                 Configuration({"analyses": [{"type": "histogram"}]})
             )
 
     def test_missing_type_raises(self):
         with pytest.raises(CE):
-            ConfigurableAnalysis(Configuration({"analyses": [{"bins": 4}]}))
+            configured_analyses(Configuration({"analyses": [{"bins": 4}]}))
 
     def test_non_object_entry_raises(self):
         with pytest.raises(ConfigError):
-            ConfigurableAnalysis(Configuration({"analyses": ["histogram"]}))
+            configured_analyses(Configuration({"analyses": ["histogram"]}))
 
     def test_composite_runs_all_and_collects_results(self):
+        """The bridge is the composite: it runs every configured analysis
+        and collects each one's result under its own name."""
+
         @register_analysis("_test_recording")
         def _mk(config):
             return RecordingAnalysis()
 
         def prog(comm):
             cfg = Configuration(
-                {"analyses": [{"type": "_test_recording"}, {"type": "_test_recording"}]}
+                {"analyses": [{"type": "_test_recording"}, {"type": "histogram", "bins": 4}]}
             )
-            ca = ConfigurableAnalysis(cfg)
             field = np.zeros((3, 3, 3))
             b = Bridge(comm, _mk_adaptor(comm, field))
-            b.add_analysis(ca)
+            for a in configured_analyses(cfg):
+                b.add_analysis(a)
             b.initialize()
             b.execute(0.1, 1)
-            out = b.finalize()
-            return out
+            return b.finalize()
 
         out = run_spmd(1, prog)[0]
-        assert "ConfigurableAnalysis" in out
+        assert out["RecordingAnalysis"] == 3
+        assert [h.total for h in out["HistogramAnalysis"]] == [27]

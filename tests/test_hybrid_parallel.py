@@ -1,4 +1,4 @@
-"""Tests for node-level thread parallelism and the hybrid histogram."""
+"""Tests for node-level thread parallelism and the hybrid histogram kernel."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.histogram import local_histogram
-from repro.analysis.hybrid import (
-    HybridHistogramAnalysis,
-    local_histogram_threaded,
-)
-from repro.core import Bridge
-from repro.miniapp import OscillatorSimulation
-from repro.miniapp.oscillator import default_oscillators
-from repro.mpi import run_spmd
+from repro.analysis.hybrid import local_histogram_threaded
 from repro.util.parallel import chunk_ranges, parallel_chunked, thread_map
 
 
@@ -99,31 +92,3 @@ class TestHybridHistogram:
         serial = local_histogram(values, bins, vmin, vmax)
         threaded = local_histogram_threaded(values, bins, vmin, vmax, threads)
         assert np.array_equal(serial, threaded)
-
-    def test_adaptor_matches_flat_mpi_version(self):
-        from repro.analysis import HistogramAnalysis
-
-        def prog(comm, threads):
-            sim = OscillatorSimulation(comm, (10, 10, 10), default_oscillators())
-            bridge = Bridge(comm, sim.make_data_adaptor())
-            hist = (
-                HybridHistogramAnalysis(bins=16, n_threads=threads)
-                if threads
-                else HistogramAnalysis(bins=16)
-            )
-            bridge.add_analysis(hist)
-            bridge.initialize()
-            sim.run(2, bridge)
-            bridge.finalize()
-            return hist.history
-
-        flat = run_spmd(2, prog, 0)[0]
-        hybrid = run_spmd(2, prog, 3)[0]
-        for a, b in zip(flat, hybrid):
-            assert np.array_equal(a.counts, b.counts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HybridHistogramAnalysis(n_threads=0)
-
-

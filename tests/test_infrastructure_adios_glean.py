@@ -1,9 +1,9 @@
 """Tests for the ADIOS (BP + FlexPath staging) and GLEAN emulations.
 
 Parametrized over both execution backends (``spmd_backend``): BP subfile
-writes, FlexPath staging rounds, GLEAN aggregation, and the rendered
-Catalyst PNGs must come out identical whether ranks are threads or OS
-processes.
+writes, FlexPath staging rounds and GLEAN aggregation must come out
+identical whether ranks are threads or OS processes.  Each analysis in
+transit against in situ is tests/test_placements.py.
 """
 
 import threading
@@ -19,7 +19,6 @@ def _backend(spmd_backend):
 
 from repro.analysis import HistogramAnalysis
 from repro.analysis.autocorrelation import AutocorrelationAnalysis
-from repro.analysis.slice_ import SlicePlane
 from repro.core import Bridge
 from repro.infrastructure import GleanAdaptor
 from repro.infrastructure.adios import (
@@ -29,11 +28,9 @@ from repro.infrastructure.adios import (
     run_flexpath_job,
     writers_for_endpoint,
 )
-from repro.infrastructure.catalyst import CatalystAdaptor
 from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
-from repro.render import decode_png
 from repro.storage import BPReader
 from repro.trace import TraceSession
 from tests._glean_reader import read_glean_step
@@ -191,37 +188,6 @@ class TestFlexPathStaging:
         assert res is not None
         assert res.window == 3
         assert all(len(t) == 2 for t in res.top)
-
-    def test_catalyst_slice_in_transit_matches_in_situ(self):
-        """Fig. 2's chain: simulation -> ADIOS -> Catalyst, image-identical
-        to running Catalyst inline."""
-        dims = (10, 10, 8)
-        plane = SlicePlane(axis=2, index=4)
-
-        def insitu(comm):
-            sim = OscillatorSimulation(comm, dims, default_oscillators(), dt=0.1)
-            bridge = Bridge(comm, sim.make_data_adaptor())
-            cat = CatalystAdaptor(plane=plane, resolution=(40, 32))
-            bridge.add_analysis(cat)
-            bridge.initialize()
-            sim.run(1, bridge)
-            bridge.finalize()
-            return cat.last_png
-
-        reference = decode_png(run_spmd(4, insitu)[0])
-
-        result = run_flexpath_job(
-            n_writers=4,
-            n_endpoints=2,
-            writer_program=_writer_program_factory(dims, 1),
-            analysis_factory=lambda comm: CatalystAdaptor(
-                plane=plane, resolution=(40, 32)
-            ),
-        )
-        png = result.endpoint_results[0]["result"]
-        # Endpoint group root holds the image.
-        cat_result = png
-        assert cat_result["images_written"] == 1
 
     def test_writer_timers_report_advance_and_analysis(self):
         dims = (8, 8, 8)

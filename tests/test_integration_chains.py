@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import AutocorrelationAnalysis, HistogramAnalysis
 from repro.apps.avf_leslie_proxy import AVFLeslieSimulation
-from repro.core import Bridge, ConfigurableAnalysis
+from repro.core import Bridge, configured_analyses
 from repro.infrastructure.adios import run_flexpath_job
 from repro.infrastructure.glean import GleanAdaptor
 from repro.miniapp import OscillatorSimulation
@@ -21,7 +21,7 @@ from tests._glean_reader import read_glean_step
 class TestConfigDrivenMultiAnalysis:
     def test_one_config_many_analyses(self, tmp_path):
         """A single JSON config drives method + infrastructure analyses
-        simultaneously -- the ConfigurableAnalysis promise."""
+        simultaneously -- SENSEI's ConfigurableAnalysis promise."""
         cfg = Configuration(
             {
                 "analyses": [
@@ -47,13 +47,13 @@ class TestConfigDrivenMultiAnalysis:
         def prog(comm):
             sim = OscillatorSimulation(comm, (10, 10, 8), default_oscillators())
             bridge = Bridge(comm, sim.make_data_adaptor())
-            ca = ConfigurableAnalysis(cfg)
-            bridge.add_analysis(ca)
+            for analysis in configured_analyses(cfg):
+                bridge.add_analysis(analysis)
             bridge.initialize()
             sim.run(2, bridge)
             return bridge.finalize()
 
-        results = run_spmd(4, prog)[0]["ConfigurableAnalysis"]
+        results = run_spmd(4, prog)[0]
         assert len(results["HistogramAnalysis"]) == 2
         auto = results["AutocorrelationAnalysis"]
         assert auto.window == 2

@@ -22,7 +22,7 @@ from repro.analysis.particles import (
 from repro.apps.nbody import NBodySimulation
 from repro.core.bridge import Bridge
 from repro.core.configurable import (
-    ConfigurableAnalysis,
+    configured_analyses,
     registered_analysis_types,
 )
 from repro.mpi import run_spmd
@@ -314,7 +314,7 @@ class TestAnalysisBehavior:
             {"analyses": [{"type": "fof", "linking_length": bad}]}
         )
         with pytest.raises(ValueError, match="linking_length"):
-            ConfigurableAnalysis(config)
+            configured_analyses(config)
 
     def test_fof_refuses_non_finite_positions(self):
         """A NaN coordinate used to become a silent singleton halo; now
@@ -355,12 +355,12 @@ class TestAnalysisBehavior:
         def prog(comm):
             sim = NBodySimulation(comm, grid=8, n_particles=64, seed=3)
             bridge = Bridge(comm, sim.make_data_adaptor())
-            bridge.add_analysis(ConfigurableAnalysis(config))
+            for analysis in configured_analyses(config):
+                bridge.add_analysis(analysis)
             bridge.initialize()
             sim.run(2, bridge)
             return bridge.finalize()
 
         result = run_spmd(2, prog, timeout=60.0)[0]
-        inner = result["ConfigurableAnalysis"]
-        assert inner["DensityProjectionAnalysis"]["steps"] == 2
-        assert len(inner["FriendsOfFriendsAnalysis"]["halo_counts"]) == 2
+        assert result["DensityProjectionAnalysis"]["steps"] == 2
+        assert len(result["FriendsOfFriendsAnalysis"]["halo_counts"]) == 2

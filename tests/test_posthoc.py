@@ -1,5 +1,6 @@
 """Tests for the post hoc pipeline: write with N ranks, analyze with N/k
-readers, and check the products agree with the in situ path."""
+readers, and check the products agree with the in situ path.  The Catalyst
+slice, and every analysis at 1-3 readers, is in tests/test_placements.py."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from repro.miniapp import OscillatorSimulation
 from repro.miniapp.oscillator import default_oscillators
 from repro.mpi import run_spmd
 from repro.posthoc import run_posthoc_analysis
-from repro.render import decode_png
 from repro.storage import write_timestep
-from repro.util import TimerRegistry
+from repro.util import ConfigError
 
 DIMS = (12, 10, 8)
 STEPS = 3
@@ -99,9 +99,10 @@ class TestPosthocAutocorrelation:
 
         def reader(comm):
             res = run_posthoc_analysis(
-                comm, directory, steps=[1, 2, 3], analysis="autocorrelation"
+                comm, directory, steps=[1, 2, 3], analysis="autocorrelation",
+                window=4,
             )
-            return res.autocorrelation if comm.rank == 0 else None
+            return res.results.get("AutocorrelationAnalysis")
 
         post = run_spmd(2, reader)[0]
         assert post is not None
@@ -111,36 +112,12 @@ class TestPosthocAutocorrelation:
             assert post_vals == pytest.approx(insitu_vals)
 
 
-class TestPosthocSlice:
-    def test_slice_png_produced(self, written_run):
-        directory, _ = written_run
-
-        def reader(comm):
-            res = run_posthoc_analysis(comm, directory, steps=[2], analysis="slice")
-            return res.slice_pngs
-
-        pngs = run_spmd(2, reader)[0]
-        assert len(pngs) == 1
-        assert decode_png(pngs[0]).shape == (64, 64, 3)
-
-    def test_reader_count_invariance(self, written_run):
-        directory, _ = written_run
-
-        def reader(comm):
-            res = run_posthoc_analysis(comm, directory, steps=[2], analysis="slice")
-            return res.slice_pngs[0] if comm.rank == 0 else None
-
-        a = run_spmd(1, reader)[0]
-        b = run_spmd(3, reader)[0]
-        assert a == b
-
-
 class TestValidation:
     def test_unknown_analysis(self, written_run):
         directory, _ = written_run
 
         def reader(comm):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError, match="unknown analysis type 'fourier'"):
                 run_posthoc_analysis(comm, directory, [1], "fourier")
 
         run_spmd(1, reader)

@@ -140,6 +140,33 @@ class TestWriteGuard:
         # Simulation memory untouched despite the in-place zeroing.
         assert field[2, 2] == 10.0
 
+    @pytest.mark.parametrize("analysis_cls", [DeclaredMutator, MutatingAnalysis])
+    def test_configured_analysis_keeps_its_contract(self, analysis_cls, monkeypatch):
+        """An analysis selected by configuration reaches the bridge as
+        itself: a declared mutator gets its private copy, and a violation
+        names the analysis that wrote."""
+        from repro.core import configurable, configured_analyses
+        from repro.util import Configuration
+
+        monkeypatch.setitem(configurable._REGISTRY, "planted", lambda config: analysis_cls())
+        field = np.arange(1.0, 17.0).reshape(4, 4)
+
+        def prog(comm):
+            b = Bridge(comm, _mk_adaptor(comm, field), sanitize=True)
+            config = Configuration({"analyses": [{"type": "planted"}]})
+            for a in configured_analyses(config):
+                b.add_analysis(a)
+            b.initialize()
+            b.execute(0.0, 0)
+            b.finalize()
+            return field[0, 0]
+
+        if analysis_cls is DeclaredMutator:
+            assert run_spmd(1, prog)[0] == 1.0  # zeroed its copy only
+        else:
+            with pytest.raises(Exception, match="WriteViolation.*MutatingAnalysis"):
+                run_spmd(1, prog)
+
     def test_clean_analysis_passes_multiple_steps(self):
         a = _run_bridge(CleanAnalysis, np.ones((4, 4)), steps=3)
         assert a.total == 16.0
